@@ -145,44 +145,37 @@ def _adjusted_distribution(
     target: str,
     adjustment: Sequence[str],
 ) -> dict[str, float]:
-    """Sum_s P(target | x, s) P(s) over the exact sub-joint.
+    """Sum_s P(target | x, s) P(s) over the exact joint of the set, x and target.
 
-    Configurations with P(s) = 0 contribute nothing and are skipped; a
-    conditioning event P(x, s) = 0 with P(s) > 0 is an error rather than NaN.
+    Strata with P(s) = 0 contribute nothing and are skipped; a conditioning
+    event P(x, s) = 0 with P(s) > 0 is an error rather than NaN.
     """
     adj = tuple(sorted(set(adjustment)))
     names, arr = joint_table(m, over=set(adj) | {x, target})
-    pos = {n: k for k, n in enumerate(names)}
     spec_t = m.spec_of(target)
-    spec_x = m.spec_of(x)
-    x_idx = spec_x.index_of(x_label)
-
-    out = np.zeros(spec_t.cardinality)
-    adj_cards = [m.spec_of(a).cardinality for a in adj]
-    for combo in np.ndindex(*adj_cards) if adj else [()]:
-        idx: list = [slice(None)] * len(names)
-        for a, ci in zip(adj, combo):
-            idx[pos[a]] = ci
-        block = arr[tuple(idx)]
-        p_s = float(block.sum())
-        if p_s == 0.0:
-            continue
-        idx[pos[x]] = x_idx
-        block_x = arr[tuple(idx)]
-        p_xs = float(block_x.sum())
-        if p_xs == 0.0:
-            raise ZeroProbabilityCondition(
-                f"P({x}={x_label}, {dict(zip(adj, combo))}) = 0; conditional undefined"
-            )
-        remaining = [n for n in names if n not in adj and n != x]
-        if target in remaining:
-            axes = tuple(k for k, n in enumerate(remaining) if n != target)
-            cond = block_x.sum(axis=axes) / p_xs if axes else block_x / p_xs
-            out += p_s * np.asarray(cond, dtype=float)
-        else:
-            # target fixed by the configuration (it is x or in the set)
-            t_idx = combo[adj.index(target)] if target in adj else x_idx
-            out[t_idx] += p_s
+    x_idx = m.spec_of(x).index_of(x_label)
+    order = [*adj, x]
+    arr = np.transpose(arr, [names.index(n) for n in dict.fromkeys([*order, target])])
+    if target in order:
+        # The target is x or in the set: give it its own axis on which
+        # P(target | x, s) is a point mass.
+        eye_shape = [1] * len(order) + [spec_t.cardinality]
+        eye_shape[order.index(target)] = spec_t.cardinality
+        arr = arr[..., None] * np.eye(spec_t.cardinality).reshape(eye_shape)
+    # axes: stratum s, value of x, value of target
+    arr = arr.reshape(-1, m.spec_of(x).cardinality, spec_t.cardinality)
+    p_s = arr.sum(axis=(1, 2))
+    p_xst = arr[:, x_idx, :]
+    p_xs = p_xst.sum(axis=1)
+    live = p_s > 0.0
+    undefined = np.flatnonzero(live & (p_xs == 0.0))
+    if undefined.size:
+        combo = np.unravel_index(undefined[0], [m.spec_of(a).cardinality for a in adj])
+        labels = {a: m.spec_of(a).domain[i] for a, i in zip(adj, combo)}
+        raise ZeroProbabilityCondition(
+            f"P({x}={x_label}, {labels}) = 0; conditional undefined"
+        )
+    out = (p_s[live, None] * (p_xst[live] / p_xs[live, None])).sum(axis=0)
     return {c: float(out[k]) for k, c in enumerate(spec_t.domain)}
 
 

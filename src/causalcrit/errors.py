@@ -61,7 +61,9 @@ class ZeroProbabilityCondition(CausalCritError):
 
 
 class StateSpaceExceeded(CausalCritError):
-    pass
+    """An exact query's output or largest intermediate factor would exceed the
+    state-space limit; the limit applies to that query's own computation, not
+    to the size of the model's full joint."""
 
 
 class EmptyDataset(CausalCritError):

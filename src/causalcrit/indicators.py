@@ -97,8 +97,8 @@ class ModelPair:
 
 
 def _align(
-    p: Union[Sequence[float], Mapping[str, float]],
-    q: Union[Sequence[float], Mapping[str, float]],
+    p: Union[Sequence[float], np.ndarray, Mapping[str, float]],
+    q: Union[Sequence[float], np.ndarray, Mapping[str, float]],
 ) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(p, Mapping) != isinstance(q, Mapping):
         raise ValidationError("cannot mix mapping and sequence distributions")
@@ -117,29 +117,22 @@ def _align(
 
 
 def kl_divergence(
-    p: Union[Sequence[float], Mapping[str, float]],
-    q: Union[Sequence[float], Mapping[str, float]],
+    p: Union[Sequence[float], np.ndarray, Mapping[str, float]],
+    q: Union[Sequence[float], np.ndarray, Mapping[str, float]],
     bits: bool = False,
 ) -> float:
     """Kullback-Leibler divergence sum p log(p/q), natural log by default.
 
-    Terms with p = 0 contribute nothing; p > 0 against q = 0 raises
-    :class:`InfiniteDivergence` instead of silently returning infinity.
+    ``p`` and ``q`` are mappings over the same keys or arrays of the same
+    shape, compared cell by cell. Terms with p = 0 contribute nothing; p > 0
+    against q = 0 raises :class:`InfiniteDivergence` instead of silently
+    returning infinity.
     """
     pa, qa = _align(p, q)
     mask = pa > 0.0
     if np.any(qa[mask] == 0.0):
         raise InfiniteDivergence("support of p is not contained in support of q")
     value = float(np.sum(pa[mask] * np.log(pa[mask] / qa[mask])))
-    value = max(value, 0.0)
-    return value / LN2 if bits else value
-
-
-def _kl_arrays(p: np.ndarray, q: np.ndarray, bits: bool) -> float:
-    mask = p > 0.0
-    if np.any(q[mask] == 0.0):
-        raise InfiniteDivergence("support of p is not contained in support of q")
-    value = float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
     value = max(value, 0.0)
     return value / LN2 if bits else value
 
@@ -273,8 +266,11 @@ def sigma(m: DiscreteModel, cp: PhenomenonBinding, metric: str) -> IndicatorRepo
 def rho1(pair: ModelPair, cp: PhenomenonBinding, bits: bool = False) -> IndicatorReport:
     """KL of the phenomenon marginal, candidate (model) against reference."""
     pair.check_shared_specs([cp.variable])
-    p_cand = _submarginal(pair.candidate, cp.variable)
-    p_ref = _submarginal(pair.reference, cp.variable)
+    domain = pair.reference.spec_of(cp.variable).domain
+    p_cand, p_ref = (
+        dict(zip(domain, joint_table(m, over=[cp.variable])[1].tolist()))
+        for m in (pair.candidate, pair.reference)
+    )
     value = kl_divergence(p_cand, p_ref, bits=bits)
     meta = {
         "log_base": "bits" if bits else "nats",
@@ -284,23 +280,6 @@ def rho1(pair: ModelPair, cp: PhenomenonBinding, bits: bool = False) -> Indicato
         "reverse_value": kl_divergence(p_ref, p_cand, bits=bits),
     }
     return IndicatorReport("rho1", value, (cp.variable,), meta)
-
-
-def _submarginal(m: DiscreteModel, node: str) -> dict[str, float]:
-    names, arr = joint_table(m, over={node})
-    axis = names.index(node)
-    reduced = arr.sum(axis=tuple(i for i in range(len(names)) if i != axis))
-    spec = m.spec_of(node)
-    return {c: float(reduced[i]) for i, c in enumerate(spec.domain)}
-
-
-def _joint_over(m: DiscreteModel, nodes: Sequence[str]) -> np.ndarray:
-    """Exact joint over ``nodes`` (sorted order), other variables summed out."""
-    names, arr = joint_table(m, over=set(nodes))
-    keep = sorted(nodes)
-    axes = tuple(i for i, n in enumerate(names) if n not in set(keep))
-    reduced = arr.sum(axis=axes) if axes else arr
-    return reduced
 
 
 def rho2(pair: ModelPair, nodes: Iterable[str], bits: bool = False) -> IndicatorReport:
@@ -313,52 +292,15 @@ def rho2(pair: ModelPair, nodes: Iterable[str], bits: bool = False) -> Indicator
     if not node_list:
         raise InvalidQuery("rho2 needs a non-empty node set")
     pair.check_shared_specs(node_list)
-    q = _joint_over(pair.candidate, node_list).ravel()
-    p = _joint_over(pair.reference, node_list).ravel()
-    value = _kl_arrays(q, p, bits)
+    _, q = joint_table(pair.candidate, over=node_list)
+    _, p = joint_table(pair.reference, over=node_list)
+    value = kl_divergence(q, p, bits=bits)
     meta = {
         "log_base": "bits" if bits else "nats",
         "kl_order": "candidate||reference",
-        "reverse_value": _kl_arrays(p, q, bits),
+        "reverse_value": kl_divergence(p, q, bits=bits),
     }
     return IndicatorReport("rho2", value, node_list, meta)
-
-
-def _cut_model(m: DiscreteModel, edges: Sequence[tuple[str, str]]) -> DiscreteModel:
-    """Replace, per child, the influence along each cut edge by an independent
-    draw from the parent's marginal."""
-    by_child: dict[str, list[str]] = {}
-    for a, b in edges:
-        by_child.setdefault(b, []).append(a)
-    new_cpds: list[Cpd] = []
-    structure = m.structure
-    for node, cpd in m.cpds.items():
-        cut = sorted(set(by_child.get(node, ())))
-        if not cut:
-            new_cpds.append(cpd)
-            continue
-        parents = list(cpd.parents)
-        t = cpd.table.reshape(
-            [m.specs[p].cardinality for p in parents] + [m.specs[node].cardinality]
-        )
-        for p in sorted(cut, key=parents.index, reverse=True):
-            axis = parents.index(p)
-            marg = np.asarray(
-                [_submarginal(m, p)[c] for c in m.specs[p].domain], dtype=float
-            )
-            t = np.tensordot(marg, t, axes=(0, axis))
-            parents.remove(p)
-        kept = tuple(parents)
-        table = t.reshape(-1, m.specs[node].cardinality)
-        new_cpds.append(make_cpd(node, kept, table, m.specs))
-    directed = frozenset(e for e in structure.directed if e not in set(edges))
-    cut_structure = CausalStructure(
-        nodes=structure.nodes,
-        latent=structure.latent,
-        directed=directed,
-        bidirected=structure.bidirected,
-    )
-    return build_model(cut_structure, m.specs, new_cpds)
 
 
 def causal_influence(
@@ -370,7 +312,12 @@ def causal_influence(
 
     Cutting an edge feeds the child an independent copy of the parent's
     marginal instead of its actual value. The influence of the empty edge set
-    is zero.
+    is zero. Only the CPDs of the cut edges' children change, so the KL is a
+    sum over those children c of
+    sum_{pa_c} P(pa_c) KL(P(c | pa_c) || P_cut(c | kept pa_c)), where P_cut
+    averages P(c | pa_c) over the product of the cut parents' marginals
+    (Janzing et al. 2013, "Quantifying causal influences"). Each term needs
+    only the joint over the child's parents.
     """
     if not m.structure.is_markovian():
         raise NotMarkovian("causal influence is defined for Markovian models")
@@ -380,13 +327,23 @@ def causal_influence(
     for e in edge_list:
         if e not in m.structure.directed:
             raise InvalidQuery(f"edge {e!r} is not in the structure")
-    if not edge_list:
-        return 0.0
-    cut = _cut_model(m, edge_list)
-    names, p = joint_table(m)
-    names_cut, q = joint_table(cut)
-    assert names == names_cut
-    return _kl_arrays(p.ravel(), q.ravel(), bits)
+    cut_by_child: dict[str, list[str]] = {}
+    for a, b in edge_list:
+        cut_by_child.setdefault(b, []).append(a)
+    total = 0.0
+    for child, cut in cut_by_child.items():
+        parents = m.cpds[child].parents
+        _, p_pa = joint_table(m, over=parents)  # axes follow the sorted parents
+        cond = m.cpds[child].table.reshape(p_pa.shape + (m.specs[child].cardinality,))
+        cut_axes = tuple(parents.index(a) for a in cut)
+        weight = np.ones(p_pa.ndim * (1,))  # product of the cut parents' marginals
+        for k in cut_axes:
+            others = tuple(i for i in range(p_pa.ndim) if i != k)
+            weight = weight * p_pa.sum(axis=others, keepdims=True)
+        cut_cond = (cond * weight[..., None]).sum(axis=cut_axes, keepdims=True)
+        family = p_pa[..., None] * cond
+        total += kl_divergence(family, p_pa[..., None] * cut_cond, bits=bits)
+    return total
 
 
 def _induced_submodel(m: DiscreteModel, nodes: Sequence[str]) -> DiscreteModel:
@@ -417,7 +374,7 @@ def _induced_submodel(m: DiscreteModel, nodes: Sequence[str]) -> DiscreteModel:
     for n in keep:
         pa = tuple(sorted(p for p in m.structure.parents(n) if p in keep_set))
         involved = list(pa) + [n]
-        joint = _joint_over(m, involved)  # axes follow sorted(involved)
+        _, joint = joint_table(m, over=involved)  # axes follow sorted(involved)
         order = sorted(involved)
         axis_of = {v: i for i, v in enumerate(order)}
         perm = [axis_of[v] for v in involved]

@@ -1,9 +1,10 @@
-"""Categorical variables, CPD tables, exact enumeration, sampling, estimation.
+"""Categorical variables, CPD tables, exact inference, sampling, estimation.
 
 Models are immutable after construction. All probability computations are
-exact: the joint is materialized as a dense array over the instantiated
-nodes, which is rejected above a configurable state-space bound instead of
-being silently approximated.
+exact: :func:`joint_table` computes the joint over just the queried nodes by
+variable elimination over the CPDs of their ancestral closure. A query whose
+output or largest intermediate factor exceeds a configurable state-space
+bound is rejected instead of being silently approximated.
 """
 
 from __future__ import annotations
@@ -269,33 +270,83 @@ def joint_table(
     over: Optional[Iterable[str]] = None,
     state_space_limit: int = DEFAULT_STATE_SPACE_LIMIT,
 ) -> tuple[tuple[str, ...], np.ndarray]:
-    """Exact joint over the ancestral closure of ``over`` (default: all of N).
+    """Exact joint over ``sorted(over)`` (default: every instantiated node).
 
     Returns the sorted node tuple and a dense array whose axes follow it.
+    The CPD factors of the ancestral closure of ``over`` are multiplied and
+    every closure node outside ``over`` is summed out by sum-product variable
+    elimination (Zhang & Poole 1994). The next node to eliminate is the one
+    whose bucket, the union of the factors that mention it, spans the fewest
+    states, ties broken by name. :class:`StateSpaceExceeded` is raised before
+    any array is allocated when the output or a bucket would exceed
+    ``state_space_limit`` states.
     """
-    if over is None:
-        names = _closure_within(m, m.instantiated)
-    else:
-        names = _closure_within(m, over)
-    cards = [m.specs[n].cardinality for n in names]
-    size = 1
-    for c in cards:
-        size *= c
-        if size > state_space_limit:
-            raise StateSpaceExceeded(
-                f"joint over {len(names)} nodes exceeds {state_space_limit} states"
-            )
-    arr = np.ones(cards, dtype=float)
-    pos = {n: i for i, n in enumerate(names)}
-    for node in names:
-        cpd = m.cpds[node]
-        involved = list(cpd.parents) + [node]
-        t = cpd.table.reshape([m.specs[p].cardinality for p in cpd.parents] + [m.specs[node].cardinality])
-        order = sorted(involved, key=lambda n: pos[n])
-        t = np.transpose(t, [involved.index(n) for n in order])
-        shape = [m.specs[n].cardinality if n in involved else 1 for n in names]
-        arr = arr * t.reshape(shape)
-    return names, arr
+    names = tuple(sorted(m.instantiated if over is None else set(over)))
+    closure = _closure_within(m, names)
+    card = {n: m.specs[n].cardinality for n in closure}
+    _check_states(math.prod(card[n] for n in names), names, state_space_limit)
+    # Single-state variables get no axis: summing one out is the identity.
+    factors = []
+    nbrs: dict[str, set[str]] = {n: set() for n in closure if card[n] > 1}
+    for n in closure:
+        scope = tuple(v for v in (*m.cpds[n].parents, n) if card[v] > 1)
+        factors.append((scope, m.cpds[n].table.reshape([card[v] for v in scope])))
+        for v in scope:
+            nbrs[v].update(scope)
+    for v, vs in nbrs.items():
+        vs.discard(v)
+    hidden = set(nbrs) - set(names)
+    # States spanned by each hidden node's bucket: itself and its neighbours.
+    span = {v: card[v] * math.prod(card[w] for w in nbrs[v]) for v in hidden}
+    while hidden:
+        v = min(hidden, key=lambda u: (span[u], u))
+        _check_states(span[v], (v, *nbrs[v]), state_space_limit)
+        hidden.discard(v)
+        for u in nbrs[v]:
+            nbrs[u] |= nbrs[v]
+            nbrs[u] -= {u, v}
+            if u in hidden:
+                span[u] = card[u] * math.prod(card[w] for w in nbrs[u])
+        del nbrs[v]
+        bucket = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        scope = tuple(dict.fromkeys(w for s, _ in bucket for w in s if w != v))
+        factors.append((scope, _contract(bucket, scope)))
+    if not factors:
+        return names, np.ones(())
+    out = tuple(n for n in names if card[n] > 1)
+    return names, _contract(factors, out).reshape([card[n] for n in names])
+
+
+# numpy 1.x einsum takes at most 32 operands.
+_MAX_OPERANDS = 32
+
+
+def _contract(
+    factors: list[tuple[tuple[str, ...], np.ndarray]],
+    out: tuple[str, ...],
+) -> np.ndarray:
+    """Product of ``factors`` summed down to the axes ``out``, via np.einsum.
+
+    Subscripts are numbered per call, so a call uses only as many as its
+    factors span.
+    """
+    while len(factors) > _MAX_OPERANDS:
+        head = factors[:_MAX_OPERANDS]
+        scope = tuple(dict.fromkeys(w for s, _ in head for w in s))
+        factors = [(scope, _contract(head, scope)), *factors[_MAX_OPERANDS:]]
+    label: dict[str, int] = {}
+    args: list = []
+    for scope, arr in factors:
+        args += [arr, [label.setdefault(w, len(label)) for w in scope]]
+    return np.einsum(*args, [label[w] for w in out])
+
+
+def _check_states(size: int, nodes: Sequence[str], limit: int) -> None:
+    if size > limit:
+        raise StateSpaceExceeded(
+            f"a factor over {len(nodes)} nodes spans {size} states, above the limit of {limit}"
+        )
 
 
 def joint_probability(m: DiscreteModel, assignment: Mapping[str, str]) -> float:
@@ -349,8 +400,9 @@ def marginal(
     targets: Sequence[str],
     given: Optional[Mapping[str, str]] = None,
 ) -> dict[tuple[str, ...], float]:
-    """Exact (conditional) marginal over ``targets`` by enumeration.
+    """Exact (conditional) marginal over ``targets``.
 
+    Computed from the joint over the targets and the conditioning nodes.
     Keys are label tuples following sorted target order.
     """
     _require_fully_instantiated(m)
@@ -369,7 +421,7 @@ def marginal(
         )
     for n, label in given.items():
         m.spec_of(n).index_of(label)
-    names, arr = joint_table(m)
+    names, arr = joint_table(m, over=set(target_list) | set(given))
     return _dist_from_array(names, arr, target_list, given, m.specs)
 
 

@@ -20,6 +20,7 @@ from causalcrit.errors import (
     NotMarkovian,
     ParentsNotInstantiated,
     TargetNotAncestorWarning,
+    ZeroProbabilityCondition,
 )
 from causalcrit.graph import build_structure, enumerate_adjustment_sets
 from causalcrit.model import (
@@ -206,6 +207,38 @@ class TestBackdoor:
         via_parents = interventional_parent_adjust(candidate_model, do, "phi")
         assert via_v2 == pytest.approx(via_parents, abs=1e-9)
         assert via_v2["Short"] == pytest.approx(0.60, abs=1e-9)
+
+    @staticmethod
+    def confounded_triangle(p_s1, x_row_s0):
+        """S -> X -> Y with S -> Y; P(S = s1) = p_s1 and P(X | S = s0) = x_row_s0."""
+        specs = {
+            n: VariableSpec(name=n, domain=(f"{n.lower()}0", f"{n.lower()}1"), codes=(0.0, 1.0))
+            for n in ("S", "X", "Y")
+        }
+        s = build_structure(["S", "X", "Y"], [("S", "X"), ("S", "Y"), ("X", "Y")])
+        return build_model(
+            s,
+            specs,
+            [
+                make_cpd("S", (), [[1 - p_s1, p_s1]], specs),
+                make_cpd("X", ("S",), [x_row_s0, [0.0, 1.0]], specs),
+                make_cpd(
+                    "Y", ("S", "X"), [[0.9, 0.1], [0.4, 0.6], [0.7, 0.3], [0.2, 0.8]], specs
+                ),
+            ],
+        )
+
+    def test_zero_probability_stratum_skipped(self):
+        # P(S = s1) = 0, so P(x0, s1) = 0 is never conditioned on.
+        m = self.confounded_triangle(0.0, [0.5, 0.5])
+        dist = interventional_backdoor(m, make_intervention({"X": "x0"}), "Y", ["S"])
+        assert dist == pytest.approx({"y0": 0.9, "y1": 0.1}, abs=1e-12)
+
+    def test_zero_probability_condition_in_live_stratum(self):
+        # P(S = s0) = 0.6 but P(X = x0, S = s0) = 0.
+        m = self.confounded_triangle(0.4, [0.0, 1.0])
+        with pytest.raises(ZeroProbabilityCondition):
+            interventional_backdoor(m, make_intervention({"X": "x0"}), "Y", ["S"])
 
     def test_inadmissible_set_rejected(self, candidate_model):
         with pytest.raises(NotAdmissible):

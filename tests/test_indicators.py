@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from causalcrit.context import PhenomenonBinding
 from causalcrit.errors import (
@@ -28,6 +30,7 @@ from causalcrit.model import VariableSpec, build_model, make_cpd
 
 from oracles import brute_causal_influence
 from test_engine import random_binary_model
+from test_model import random_models
 
 CP = PhenomenonBinding(variable="X", cp_label="CP")
 
@@ -359,6 +362,22 @@ class TestCausalInfluence:
             assert causal_influence(m, edges) == pytest.approx(
                 brute_causal_influence(m, edges), abs=1e-10
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_cutting_two_parents_of_one_child_matches_brute_force(self, data):
+        m = data.draw(random_models(min_nodes=3, max_nodes=5))
+        edges = sorted(m.structure.directed)
+        children = sorted({b for _, b in edges if len(m.cpds[b].parents) >= 2})
+        assume(children)
+        child = data.draw(st.sampled_from(children))
+        two = data.draw(
+            st.lists(st.sampled_from(m.cpds[child].parents), min_size=2, max_size=2, unique=True)
+        )
+        cut = {(p, child) for p in two} | data.draw(st.sets(st.sampled_from(edges)))
+        assert causal_influence(m, cut) == pytest.approx(
+            brute_causal_influence(m, cut), abs=1e-12
+        )
 
     def test_non_markovian_rejected(self):
         specs = {

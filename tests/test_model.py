@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalcrit.errors import (
     EmptyDataset,
@@ -35,6 +37,49 @@ from oracles import brute_joint, brute_marginal, conditionally_independent
 
 def binary_spec(name, labels=("no", "yes")):
     return VariableSpec(name=name, domain=labels, codes=(0.0, 1.0))
+
+
+@st.composite
+def random_models(draw, min_nodes=1, max_nodes=6):
+    """Fully instantiated DAG models with 1-3 labels per node and Dirichlet CPDs."""
+    n = draw(st.integers(min_nodes, max_nodes))
+    names = [f"N{i}" for i in range(n)]
+    cards = [draw(st.integers(1, 3)) for _ in names]
+    edges = [
+        (names[i], names[j])
+        for j in range(n)
+        for i in sorted(draw(st.sets(st.integers(0, j - 1), max_size=3)) if j else ())
+    ]
+    s = build_structure(names, edges)
+    specs = {
+        name: VariableSpec(
+            name=name,
+            domain=tuple(f"c{k}" for k in range(card)),
+            codes=tuple(float(k) for k in range(card)),
+        )
+        for name, card in zip(names, cards)
+    }
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cpds = []
+    for name, card in zip(names, cards):
+        parents = tuple(sorted(s.parents(name)))
+        rows = math.prod(specs[p].cardinality for p in parents)
+        cpds.append(make_cpd(name, parents, rng.dirichlet(np.ones(card), size=rows), specs))
+    return build_model(s, specs, cpds)
+
+
+def binary_chain(n):
+    """V00 -> V01 -> ... with P(yes) per node and the exact P(V_i = yes)."""
+    names = [f"V{i:02d}" for i in range(n)]
+    specs = {name: binary_spec(name) for name in names}
+    s = build_structure(names, list(zip(names, names[1:])))
+    p_yes = [0.3]
+    cpds = [make_cpd(names[0], (), [[0.7, 0.3]], specs)]
+    for i in range(1, n):
+        a, b = 0.1 + 0.8 * i / n, 0.9 - 0.5 * i / n  # P(yes | no), P(yes | yes)
+        cpds.append(make_cpd(names[i], (names[i - 1],), [[1 - a, a], [1 - b, b]], specs))
+        p_yes.append(a * (1 - p_yes[-1]) + b * p_yes[-1])
+    return build_model(s, specs, cpds), p_yes
 
 
 def single_node_model(p_yes=0.3):
@@ -84,6 +129,18 @@ class TestValidation:
         m = build_model(s, specs, cpds)
         with pytest.raises(StateSpaceExceeded):
             joint_table(m, state_space_limit=1 << 24)
+
+    def test_state_space_bound_counts_intermediates(self):
+        # A 2-state output whose elimination needs a 32-state bucket.
+        names = ["C", "P0", "P1", "P2", "P3"]
+        specs = {n: binary_spec(n) for n in names}
+        s = build_structure(names, [(p, "C") for p in names[1:]])
+        cpds = [make_cpd(p, (), [[0.5, 0.5]], specs) for p in names[1:]]
+        cpds.append(make_cpd("C", tuple(names[1:]), [[0.5, 0.5]] * 16, specs))
+        m = build_model(s, specs, cpds)
+        assert joint_table(m, over=["C"], state_space_limit=32)[1].shape == (2,)
+        with pytest.raises(StateSpaceExceeded):
+            joint_table(m, over=["C"], state_space_limit=31)
 
 
 class TestJointProbability:
@@ -171,6 +228,72 @@ class TestMarginal:
         )
         with pytest.raises(NotFullyInstantiated):
             marginal1(partial, "V1")
+
+
+class TestVariableElimination:
+    def test_long_chain_root_and_sink(self):
+        # The full joint of 26 binary nodes has 2**26 states, above the
+        # default limit; each query only needs 2- and 4-state factors.
+        m, p_yes = binary_chain(26)
+        assert marginal1(m, "V00")["yes"] == pytest.approx(p_yes[0], abs=1e-12)
+        assert marginal1(m, "V25")["yes"] == pytest.approx(p_yes[25], abs=1e-12)
+
+    def test_more_factors_than_einsum_operands(self):
+        # 70 single-state parents leave 71 factors for the final contraction.
+        parents = [f"P{i:02d}" for i in range(70)]
+        specs = {p: VariableSpec(name=p, domain=("only",), codes=(0.0,)) for p in parents}
+        specs["B"] = binary_spec("B")
+        s = build_structure(parents + ["B"], [(p, "B") for p in parents])
+        cpds = [make_cpd(p, (), [[1.0]], specs) for p in parents]
+        cpds.append(make_cpd("B", tuple(parents), [[0.3, 0.7]], specs))
+        m = build_model(s, specs, cpds)
+        names, arr = joint_table(m, over=["B", "P00"])
+        assert names == ("B", "P00")
+        assert arr.tolist() == [[0.3], [0.7]]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_joint_table_matches_brute_force(self, data):
+        m = data.draw(random_models())
+        nodes = sorted(m.instantiated)
+        over = data.draw(st.none() | st.sets(st.sampled_from(nodes), min_size=1))
+        names, arr = joint_table(m, over=over)
+        assert names == tuple(sorted(nodes if over is None else over))
+        brute_names, joint = brute_joint(m)
+        expected = brute_marginal(brute_names, joint, names)
+        assert arr.shape == tuple(m.specs[n].cardinality for n in names)
+        assert arr.size == len(expected)
+        for labels, p in expected.items():
+            idx = tuple(m.specs[n].index_of(v) for n, v in zip(names, labels))
+            assert arr[idx] == pytest.approx(p, abs=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_marginal_with_evidence_matches_brute_force(self, data):
+        m = data.draw(random_models(min_nodes=2))
+        nodes = sorted(m.instantiated)
+        targets = data.draw(st.sets(st.sampled_from(nodes), min_size=1))
+        evidence = {
+            n: data.draw(st.sampled_from(m.specs[n].domain))
+            for n in sorted(data.draw(st.sets(st.sampled_from(nodes))) - targets)
+        }
+        brute_names, joint = brute_joint(m)
+        both = sorted(set(targets) | set(evidence))
+        sub = brute_marginal(brute_names, joint, both)
+        matching = {
+            labels: p
+            for labels, p in sub.items()
+            if all(labels[both.index(n)] == v for n, v in evidence.items())
+        }
+        total = sum(matching.values())
+        expected = {}
+        for labels, p in matching.items():
+            key = tuple(labels[both.index(n)] for n in sorted(targets))
+            expected[key] = expected.get(key, 0.0) + p / total
+        dist = marginal(m, targets, given=evidence)
+        assert set(dist) == set(expected)
+        for key, p in expected.items():
+            assert dist[key] == pytest.approx(p, abs=1e-12)
 
 
 class TestMarkovProperty:
