@@ -21,6 +21,7 @@ from .engine import (
     interventional_parent_adjust,
     interventional_truncated,
     make_intervention,
+    plan_effect,
 )
 from .graph import (
     CausalStructure,

@@ -19,10 +19,8 @@ from .engine import (
     SafetyPrinciple,
     evaluate_safety_principle,
     expectation,
-    interventional_backdoor,
-    interventional_parent_adjust,
-    interventional_truncated,
     make_intervention,
+    plan_effect,
 )
 from .errors import CausalCritError, ParseError
 from .graph import enumerate_adjustment_sets
@@ -46,7 +44,7 @@ from .metrics import (
     discretize_metric,
     stn_dt,
 )
-from .model import estimate_cpds, marginal1, sample
+from .model import estimate_cpds, sample
 
 EXIT_CLEAN = 0
 EXIT_FINDING = 1
@@ -124,22 +122,13 @@ def cmd_adjust(args) -> int:
 def cmd_effect(args) -> int:
     _relation, model = _load(args.model)
     assignments = _parse_assignments(args.do or "")
-    intervention = make_intervention(assignments)
-    route = args.route
-    if route == "auto":
-        usable = model.fully_instantiated and model.structure.is_markovian()
-        route = "truncated" if usable or len(assignments) != 1 else "parents"
-    if not assignments:
-        dist = marginal1(model, args.target)
-        route = "observational"
-    elif route == "truncated":
-        dist = interventional_truncated(model, intervention, args.target)
-    elif route == "parents":
-        dist = interventional_parent_adjust(model, intervention, args.target)
-    else:
-        adj = _parse_names(args.adjust_set) or []
-        dist = interventional_backdoor(model, intervention, args.target, adj)
-        route = f"backdoor:{sorted(adj)}"
+    route, (dist,) = plan_effect(
+        model,
+        [make_intervention(assignments)],
+        args.target,
+        args.route,
+        _parse_names(args.adjust_set) or [],
+    )
     exp = expectation(dist, model, args.target)
     spec = model.spec_of(args.target)
     payload = {

@@ -1,10 +1,11 @@
 """Interventional distributions via three interchangeable routes.
 
-Graph surgery with truncated factorization, adjustment on the intervened
-node's parents, and back-door adjustment all identify the same effect on a
-fully instantiated Markovian model; the latter two also work on partially
-instantiated models as long as the required conditionals are enumerable from
-the instantiated set.
+Truncated factorization (the do-targets clamped inside the elimination),
+adjustment on the intervened node's parents, and back-door adjustment all
+identify the same effect on a fully instantiated Markovian model; the latter
+two also work on partially instantiated models as long as the required
+conditionals are enumerable from the instantiated set. :func:`plan_effect`
+holds the one rule that picks a route.
 """
 
 from __future__ import annotations
@@ -20,18 +21,17 @@ from .errors import (
     InsufficientInstantiation,
     InvalidQuery,
     NotAdmissible,
+    NotIdentifiable,
     NotMarkovian,
     ParentsNotInstantiated,
     TargetNotAncestorWarning,
     ZeroProbabilityCondition,
 )
-from .graph import ancestors, backdoor_admissible, do_surgery
+from .graph import ancestors, backdoor_admissible, enumerate_adjustment_sets
 from .model import (
-    Cpd,
     DiscreteModel,
-    build_model,
+    _require_fully_instantiated,
     joint_table,
-    make_cpd,
     marginal1,
 )
 
@@ -44,6 +44,7 @@ __all__ = [
     "interventional_parent_adjust",
     "interventional_backdoor",
     "interventional_expectation",
+    "plan_effect",
     "expectation",
     "evaluate_safety_principle",
 ]
@@ -91,42 +92,25 @@ def _check_intervention(m: DiscreteModel, i: Intervention) -> None:
         m.spec_of(node).index_of(label)
 
 
-def _point_mass_cpd(m: DiscreteModel, node: str, label: str) -> Cpd:
-    spec = m.spec_of(node)
-    row = [0.0] * spec.cardinality
-    row[spec.index_of(label)] = 1.0
-    return make_cpd(node, (), [row], m.specs)
-
-
 def interventional_truncated(
     m: DiscreteModel,
     i: Intervention,
     target: str,
 ) -> dict[str, float]:
-    """P(target | do(i)) by graph surgery and truncated factorization.
+    """P(target | do(i)) by truncated factorization.
 
-    Requires a Markovian, fully instantiated model; the empty intervention
-    reproduces the observational marginal exactly.
+    Requires a Markovian, fully instantiated model. The do-targets are
+    clamped inside :func:`joint_table`; the empty intervention reproduces the
+    observational marginal exactly.
     """
     if not m.structure.is_markovian():
         raise NotMarkovian("truncated factorization needs independent error terms")
     _check_intervention(m, i)
-    m.spec_of(target)
-    if not i.assignments:
-        return marginal1(m, target)
-    clamped = i.as_dict()
-    if target in clamped:
-        spec = m.spec_of(target)
-        return {c: 1.0 if c == clamped[target] else 0.0 for c in spec.domain}
-    surgered = do_surgery(m.structure, clamped)
-    new_cpds = []
-    for node, cpd in m.cpds.items():
-        if node in clamped:
-            new_cpds.append(_point_mass_cpd(m, node, clamped[node]))
-        else:
-            new_cpds.append(cpd)
-    post = build_model(surgered, m.specs, new_cpds)
-    return marginal1(post, target)
+    spec = m.spec_of(target)
+    _require_fully_instantiated(m)
+    do = {node: m.specs[node].index_of(label) for node, label in i.assignments}
+    _, arr = joint_table(m, over=[target], do=do)
+    return {c: float(arr[k]) for k, c in enumerate(spec.domain)}
 
 
 def _single_target(i: Intervention) -> tuple[str, str]:
@@ -231,6 +215,74 @@ def expectation(dist: Mapping[str, float], m: DiscreteModel, node: str) -> float
     return float(sum(spec.code_of(label) * p for label, p in dist.items()))
 
 
+def plan_effect(
+    m: DiscreteModel,
+    interventions: Sequence[Intervention],
+    target: str,
+    route: str = "auto",
+    adjustment: Optional[Iterable[str]] = None,
+) -> tuple[str, list[dict[str, float]]]:
+    """P(target | do(i)) for each intervention, all through one route.
+
+    Returns the route label and one distribution per intervention. With no
+    assignment at all the distributions are observational. Explicit routes
+    are ``truncated``, ``parents`` and ``backdoor`` (needs ``adjustment``).
+    ``auto`` takes the truncated route on a fully instantiated Markovian
+    model or when a do() covers several nodes; otherwise parent adjustment,
+    then the first back-door set enumerable from the instantiated ancestors
+    of the intervened node and the target. Every intervention goes through
+    the same route, so contrasts between them stay comparable.
+    """
+    if not any(i.assignments for i in interventions):
+        return "observational", [marginal1(m, target) for _ in interventions]
+    if route == "truncated":
+        return route, [interventional_truncated(m, i, target) for i in interventions]
+    if route == "parents":
+        return route, [interventional_parent_adjust(m, i, target) for i in interventions]
+    if route == "backdoor":
+        if adjustment is None:
+            raise InvalidQuery("backdoor route needs an adjustment set")
+        adj = list(adjustment)
+        return f"backdoor:{sorted(adj)}", [
+            interventional_backdoor(m, i, target, adj) for i in interventions
+        ]
+    if route != "auto":
+        raise InvalidQuery(f"unknown route {route!r}")
+    usable = m.fully_instantiated and m.structure.is_markovian()
+    if usable or any(len(i) > 1 for i in interventions):
+        return plan_effect(m, interventions, target, "truncated")
+    try:
+        return plan_effect(m, interventions, target, "parents")
+    except (ParentsNotInstantiated, NotMarkovian, ZeroProbabilityCondition):
+        pass
+    xs = {x for i in interventions for x in i.targets()}
+    if len(xs) != 1:
+        raise InvalidQuery(
+            f"back-door search needs one intervened node, got {sorted(xs)}"
+        )
+    (x,) = xs
+    # Scoped to instantiated ancestors of the pair so the subset scan stays
+    # bounded; exotic graphs can always name an adjustment set explicitly.
+    scope = ancestors(m.structure, x) | ancestors(m.structure, target)
+    candidates = sorted((m.instantiated & scope) - {x, target})
+    if len(candidates) > 20:
+        raise NotIdentifiable(
+            f"adjustment-set search space over {len(candidates)} candidates is "
+            "too large; compute the effect via an explicit adjustment set"
+        )
+    for adj in enumerate_adjustment_sets(
+        m.structure, x, target, max_count=64, candidates=candidates
+    ):
+        try:
+            return plan_effect(m, interventions, target, "backdoor", adj)
+        except (InsufficientInstantiation, ZeroProbabilityCondition):
+            continue
+    raise NotIdentifiable(
+        f"no admissible adjustment set for ({x!r}, {target!r}) is enumerable "
+        "from the instantiated nodes"
+    )
+
+
 def interventional_expectation(
     m: DiscreteModel,
     i: Intervention,
@@ -238,30 +290,11 @@ def interventional_expectation(
     route: str = "auto",
     adjustment: Optional[Iterable[str]] = None,
 ) -> float:
-    """E(target | do(i)) using numeric category codes.
+    """E(target | do(i)) using numeric category codes, routed by :func:`plan_effect`.
 
-    The empty intervention yields the observational expectation. Routes:
-    ``truncated``, ``parents``, ``backdoor`` (needs ``adjustment``), or
-    ``auto`` which prefers the truncated route and falls back to parent
-    adjustment on partially instantiated models.
+    The empty intervention yields the observational expectation.
     """
-    if not i.assignments:
-        return expectation(marginal1(m, target), m, target)
-    if route == "truncated":
-        dist = interventional_truncated(m, i, target)
-    elif route == "parents":
-        dist = interventional_parent_adjust(m, i, target)
-    elif route == "backdoor":
-        if adjustment is None:
-            raise InvalidQuery("backdoor route needs an adjustment set")
-        dist = interventional_backdoor(m, i, target, adjustment)
-    elif route == "auto":
-        if m.fully_instantiated and m.structure.is_markovian():
-            dist = interventional_truncated(m, i, target)
-        else:
-            dist = interventional_parent_adjust(m, i, target)
-    else:
-        raise InvalidQuery(f"unknown route {route!r}")
+    _, (dist,) = plan_effect(m, [i], target, route, adjustment)
     return expectation(dist, m, target)
 
 

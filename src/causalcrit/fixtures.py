@@ -11,8 +11,12 @@ The friction relation is structure-only: 39 cataloged variables plus the two
 slip quantities named by its reference adjustment set, with edges
 reconstructed from the variable semantics under the constraint that said
 adjustment set is admissible. The edge list is a reconstruction, not ground
-truth. The braking-distance codes are Short = 1, Long = 0; the opposite
-assignment flips the effect signs and breaks the shipped indicator values.
+truth; ``docs/fixtures.md`` gives the reading behind each node's parents.
+The braking-distance codes are Short = 1, Long = 0; the opposite assignment
+flips the effect signs and breaks the shipped indicator values.
+
+The JSON files under ``data/`` are the only source of truth; the test suite
+pins them by sha256.
 """
 
 from __future__ import annotations
@@ -20,11 +24,10 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .context import CausalRelation, ConstraintExpression, ContextStatement, PhenomenonBinding
+from .context import CausalRelation
 from .errors import InvalidQuery
-from .graph import build_structure
-from .io import model_to_text, parse_model_text
-from .model import DiscreteModel, VariableSpec, build_model, make_cpd
+from .io import parse_model_text
+from .model import DiscreteModel
 
 __all__ = ["FIXTURE_IDS", "fixture", "fixture_path", "fixture_text"]
 
@@ -52,252 +55,7 @@ def fixture(fixture_id: str) -> tuple[CausalRelation, DiscreteModel]:
     return parse_model_text(fixture_text(fixture_id))
 
 
-# -- heavy-rain pair ----------------------------------------------------------
-
-_SEASON = ("Summer", "Winter")
-_VELOCITY = ("Slow", "Fast")
-_CLIMATE = ("Oceanic", "Continental")
-_PHENOMENON = ("notCP", "CP")
-_BRAKING = ("Short", "Long")
-
-# Rows pair the parent configurations (rightmost parent fastest) with
-# (notCP, CP) probabilities; both models share the same numbers, they differ
-# in which variable fills the second parent slot.
-_X_TABLE = [
-    [0.4, 0.6],  # Summer, first-category second parent
-    [0.2, 0.8],  # Summer, second-category second parent
-    [0.3, 0.7],  # Winter, first-category second parent
-    [0.4, 0.6],  # Winter, second-category second parent
-]
-
-# Parents sorted: (V2, X); rows (Slow, notCP), (Slow, CP), (Fast, notCP), (Fast, CP).
-_PHI_TABLE = [
-    [0.6, 0.4],
-    [0.8, 0.2],
-    [0.1, 0.9],
-    [0.3, 0.7],
-]
-
-
-def _heavy_rain_specs(with_v3: bool) -> dict[str, VariableSpec]:
-    specs = {
-        "V1": VariableSpec(
-            name="V1", domain=_SEASON, codes=(0.0, 1.0),
-            unit="category", value_range="{Summer, Winter}",
-        ),
-        "V2": VariableSpec(
-            name="V2", domain=_VELOCITY, codes=(0.0, 1.0),
-            unit="m/s class", value_range="{Slow, Fast}",
-        ),
-        "X": VariableSpec(
-            name="X", domain=_PHENOMENON, codes=(0.0, 1.0),
-            unit="mm/h class", value_range="{notCP, CP}",
-        ),
-        "phi": VariableSpec(
-            name="phi", domain=_BRAKING, codes=(1.0, 0.0),
-            unit="m class", value_range="{Short, Long}",
-        ),
-    }
-    if with_v3:
-        specs["V3"] = VariableSpec(
-            name="V3", domain=_CLIMATE, codes=(0.0, 1.0),
-            unit="category", value_range="{Oceanic, Continental}",
-        )
-    return specs
-
-
-def _heavy_rain_context() -> tuple[ContextStatement, ...]:
-    return (
-        ContextStatement(layer=4, subject="ego vehicle", kind="existence"),
-        ContextStatement(layer=5, subject="environmental conditions", kind="existence"),
-    )
-
-
-def build_heavy_rain_reality() -> tuple[CausalRelation, DiscreteModel]:
-    specs = _heavy_rain_specs(with_v3=True)
-    structure = build_structure(
-        nodes=specs.keys(),
-        directed=[("V1", "X"), ("V3", "X"), ("X", "phi"), ("V2", "phi")],
-    )
-    cpds = [
-        make_cpd("V1", (), [[0.5, 0.5]], specs),
-        make_cpd("V2", (), [[0.6, 0.4]], specs),
-        make_cpd("V3", (), [[0.6, 0.4]], specs),
-        make_cpd("X", ("V1", "V3"), _X_TABLE, specs),
-        make_cpd("phi", ("V2", "X"), _PHI_TABLE, specs),
-    ]
-    model = build_model(structure, specs, cpds)
-    relation = CausalRelation(
-        structure=structure,
-        context=_heavy_rain_context(),
-        phenomenon=PhenomenonBinding(variable="X", cp_label="CP"),
-        metric="phi",
-        specs=specs,
-    )
-    return relation, model
-
-
-def build_heavy_rain_model() -> tuple[CausalRelation, DiscreteModel]:
-    specs = _heavy_rain_specs(with_v3=False)
-    structure = build_structure(
-        nodes=specs.keys(),
-        directed=[("V1", "X"), ("V2", "X"), ("X", "phi"), ("V2", "phi")],
-    )
-    cpds = [
-        make_cpd("V1", (), [[0.5, 0.5]], specs),
-        make_cpd("V2", (), [[0.6, 0.4]], specs),
-        make_cpd("X", ("V1", "V2"), _X_TABLE, specs),
-        make_cpd("phi", ("V2", "X"), _PHI_TABLE, specs),
-    ]
-    model = build_model(structure, specs, cpds)
-    relation = CausalRelation(
-        structure=structure,
-        context=_heavy_rain_context(),
-        phenomenon=PhenomenonBinding(variable="X", cp_label="CP"),
-        metric="phi",
-        specs=specs,
-    )
-    return relation, model
-
-
-# -- friction relation ---------------------------------------------------------
-
-# (name, domain, unit, declared range) per the variable catalog; the two slip
-# variables come from the reference adjustment set.
-_FRICTION_VARIABLES = [
-    ("Date and time of day", ("daytime", "nighttime"), "h:min", "{0..23} x {0..59}"),
-    ("Global location", ("temperate zone", "polar zone"), "rad", "[-pi/2, pi/2] x [-pi, pi]"),
-    ("Weather", ("clear", "adverse"), "category", "{warm, cold, ...} x {clear sky, cloudy, ...}"),
-    ("Humidity", ("low", "high"), "%", "[0, inf)"),
-    ("Dew point", ("low", "high"), "K", "[0, inf)"),
-    ("Precipitation", ("none", "heavy"), "mm/m^2/h", "[0, inf)"),
-    ("Road list", ("rural route", "urban route"), "category", "{road_1, ..., road_n}"),
-    ("Relative position of ego", ("segment A", "segment B"), "m", "(-inf, inf)^3"),
-    ("Speed limit of ego", ("low", "high"), "m/s", "[0, inf)"),
-    ("Ego distance to next ISRL", ("near", "far"), "m", "[0, inf)"),
-    ("Target position of ego", ("near target", "far target"), "m", "(-inf, inf)^3"),
-    ("Ego road curvature", ("straight", "curved"), "1/m", "[0, inf)"),
-    ("Global illumination", ("dark", "bright"), "cd/m^2", "[0, inf)"),
-    ("Air temperature", ("freezing", "above freezing"), "K", "[0, inf)"),
-    ("Degree of Wetness", ("dry", "wet"), "m", "[0, inf)"),
-    ("Winter slipperiness", ("none", "icy"), "%", "[0, 100]"),
-    ("Road surface material", ("asphalt", "gravel"), "category", "{asphalt, gravel, ...}"),
-    ("Road surface contamination", ("clean", "contaminated"), "category", "[0, inf)^n"),
-    ("Road surface degradation", ("intact", "degraded"), "PCI", "{0, ..., 100}"),
-    ("Road surface roughness", ("smooth", "rough"), "m", "[0, inf)"),
-    ("Planned steering", ("straight", "turning"), "rad", "[-pi/2, pi/2]"),
-    ("Planned acceleration", ("gentle", "hard"), "m/s^2", "[0, inf)"),
-    ("Ego tire temperature", ("cold", "hot"), "K", "[0, inf)"),
-    ("Ego tire flash temp.", ("cold", "hot"), "K", "[0, inf)"),
-    ("Tire type", ("touring", "winter"), "category", "{Touring, Winter, ...}"),
-    ("Wet grip", ("high grade", "low grade"), "EU label", "{A, B, C, E, F}"),
-    ("Tire pressure", ("nominal", "low"), "N/m^2", "[0, inf)"),
-    ("Maximal braking torque", ("nominal", "reduced"), "N m", "[0, inf)"),
-    ("Ego vehicle mass", ("light", "heavy"), "kg", "(0, inf)"),
-    ("Forward velocity of ego", ("slow", "fast"), "m/s", "R^3"),
-    ("Hub velocity of ego", ("slow", "fast"), "m/s", "R^3"),
-    ("Ego vehicle longitudinal wheel slip", ("low", "high"), "%", "[0, 100]"),
-    ("Ego vehicle slip angle", ("small", "large"), "rad", "[-pi/2, pi/2]"),
-    ("Coefficient of friction", ("nominal", "reduced"), "1", "[0, inf)"),
-    ("Max. avail. long. dec.", ("low", "high"), "m/s^2", "[0, inf)"),
-    ("Max. avail. lat. dec.", ("low", "high"), "m/s^2", "[0, inf)"),
-    ("Max. req. long. dec.", ("low", "high"), "m/s^2", "[0, inf)"),
-    ("Max. req. lat. dec.", ("low", "high"), "m/s^2", "[0, inf)"),
-    ("STN_DT", ("low", "high"), "1", "[0, inf)"),
-    ("BTN_DT", ("low", "high"), "1", "[0, inf)"),
-    ("Aggregate of BTN_DT and STN_DT", ("low", "high"), "1", "[0, inf)"),
-]
-
-_FRICTION_PARENTS = {
-    "Weather": ["Date and time of day", "Global location"],
-    "Humidity": ["Weather"],
-    "Air temperature": ["Weather"],
-    "Dew point": ["Air temperature", "Humidity"],
-    "Precipitation": ["Humidity", "Weather"],
-    "Global illumination": ["Date and time of day", "Weather"],
-    "Road list": ["Global location"],
-    "Relative position of ego": ["Road list"],
-    "Target position of ego": ["Road list"],
-    "Ego road curvature": ["Relative position of ego", "Road list"],
-    "Speed limit of ego": ["Relative position of ego", "Road list"],
-    "Ego distance to next ISRL": ["Relative position of ego", "Road list"],
-    "Degree of Wetness": ["Air temperature", "Precipitation"],
-    "Winter slipperiness": ["Air temperature", "Precipitation"],
-    "Road surface material": ["Road list"],
-    "Road surface contamination": ["Road list"],
-    "Road surface degradation": ["Road list"],
-    "Road surface roughness": ["Road surface degradation", "Road surface material"],
-    "Planned steering": [
-        "Ego road curvature",
-        "Relative position of ego",
-        "Target position of ego",
-    ],
-    "Planned acceleration": [
-        "Ego distance to next ISRL",
-        "Forward velocity of ego",
-        "Speed limit of ego",
-    ],
-    "Ego tire temperature": ["Air temperature", "Forward velocity of ego"],
-    "Ego tire flash temp.": [
-        "Ego tire temperature",
-        "Ego vehicle longitudinal wheel slip",
-    ],
-    "Wet grip": ["Tire type"],
-    "Tire pressure": ["Ego tire temperature"],
-    "Hub velocity of ego": [
-        "Ego vehicle longitudinal wheel slip",
-        "Forward velocity of ego",
-    ],
-    "Ego vehicle longitudinal wheel slip": [
-        "Planned acceleration",
-        "Forward velocity of ego",
-    ],
-    "Ego vehicle slip angle": ["Planned steering", "Forward velocity of ego"],
-    "Coefficient of friction": [
-        "Degree of Wetness",
-        "Ego tire flash temp.",
-        "Ego vehicle longitudinal wheel slip",
-        "Ego vehicle slip angle",
-        "Forward velocity of ego",
-        "Road surface contamination",
-        "Road surface degradation",
-        "Road surface material",
-        "Road surface roughness",
-        "Tire pressure",
-        "Tire type",
-        "Wet grip",
-        "Winter slipperiness",
-    ],
-    "Max. avail. long. dec.": [
-        "Coefficient of friction",
-        "Ego vehicle mass",
-        "Maximal braking torque",
-        "Tire type",
-        "Wet grip",
-    ],
-    "Max. avail. lat. dec.": ["Coefficient of friction", "Ego vehicle mass"],
-    "Max. req. long. dec.": [
-        "Forward velocity of ego",
-        "Planned acceleration",
-        "Planned steering",
-    ],
-    "Max. req. lat. dec.": ["Planned acceleration", "Planned steering"],
-    "BTN_DT": ["Max. avail. long. dec.", "Max. req. long. dec."],
-    "STN_DT": ["Max. avail. lat. dec.", "Max. req. lat. dec."],
-    "Aggregate of BTN_DT and STN_DT": ["BTN_DT", "STN_DT"],
-}
-
-# Metric and its direct components stay unobserved during qualitative
-# analysis, which bars them from adjustment sets.
-FRICTION_LATENT = (
-    "Max. avail. long. dec.",
-    "Max. avail. lat. dec.",
-    "Max. req. long. dec.",
-    "Max. req. lat. dec.",
-    "BTN_DT",
-    "STN_DT",
-)
-
+# Reference nine-variable back-door set for (Coefficient of friction, metric).
 FRICTION_ADJUSTMENT_SET = (
     "Ego tire temperature",
     "Planned steering",
@@ -316,69 +74,3 @@ FRICTION_MEASURABLE_POOL = FRICTION_ADJUSTMENT_SET + (
     "Maximal braking torque",
     "Ego vehicle mass",
 )
-
-
-def build_friction_relation() -> tuple[CausalRelation, DiscreteModel]:
-    specs = {
-        name: VariableSpec(
-            name=name,
-            domain=domain,
-            codes=tuple(float(i) for i in range(len(domain))),
-            unit=unit,
-            value_range=value_range,
-        )
-        for name, domain, unit, value_range in _FRICTION_VARIABLES
-    }
-    directed = [
-        (parent, child)
-        for child, parents in _FRICTION_PARENTS.items()
-        for parent in parents
-    ]
-    structure = build_structure(
-        nodes=specs.keys(),
-        directed=directed,
-        latent=FRICTION_LATENT,
-    )
-    model = build_model(structure, specs, cpds=())
-    context = (
-        ContextStatement(layer=1, subject="road network", kind="existence"),
-        ContextStatement(
-            layer=1,
-            subject="road network",
-            kind="constraint",
-            expression=ConstraintExpression(prop="shape", op="!=", value="straight"),
-        ),
-        ContextStatement(layer=3, subject="temporary modification", kind="absence"),
-        ContextStatement(layer=4, subject="ego vehicle", kind="existence"),
-        ContextStatement(layer=4, subject="other relevant vehicle", kind="absence"),
-        ContextStatement(layer=5, subject="environmental conditions", kind="existence"),
-    )
-    relation = CausalRelation(
-        structure=structure,
-        context=context,
-        phenomenon=PhenomenonBinding(
-            variable="Coefficient of friction", cp_label="reduced"
-        ),
-        metric="Aggregate of BTN_DT and STN_DT",
-        specs=specs,
-    )
-    return relation, model
-
-
-_BUILDERS = {
-    "heavy-rain-reality": build_heavy_rain_reality,
-    "heavy-rain-model": build_heavy_rain_model,
-    "friction-relation": build_friction_relation,
-}
-
-
-def builder_text(fixture_id: str) -> str:
-    """Canonical file text regenerated from the in-code builders.
-
-    Shipped data files must match this byte for byte; a drift test enforces
-    it.
-    """
-    if fixture_id not in _BUILDERS:
-        raise InvalidQuery(f"unknown fixture {fixture_id!r}; choose from {FIXTURE_IDS}")
-    relation, model = _BUILDERS[fixture_id]()
-    return model_to_text(relation, model)

@@ -21,28 +21,19 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .context import PhenomenonBinding
-from .engine import (
-    expectation,
-    interventional_backdoor,
-    interventional_parent_adjust,
-    interventional_truncated,
-    make_intervention,
-)
+from .engine import expectation, make_intervention, plan_effect
 from .errors import (
     DivisionByZeroEffect,
     InfiniteDivergence,
-    InsufficientInstantiation,
     InvalidQuery,
     NotFullyInstantiated,
-    NotIdentifiable,
     NotMarkovian,
-    ParentsNotInstantiated,
     PreconditionWarning,
     ValidationError,
     ZeroMeanCriticality,
     ZeroProbabilityCondition,
 )
-from .graph import CausalStructure, ancestors, enumerate_adjustment_sets
+from .graph import CausalStructure
 from .model import Cpd, DiscreteModel, build_model, joint_table, make_cpd, marginal1
 
 __all__ = [
@@ -147,92 +138,42 @@ def _other_label(m: DiscreteModel, cp: PhenomenonBinding) -> str:
     return next(c for c in spec.domain if c != cp.cp_label)
 
 
-def _effect_distributions(
-    m: DiscreteModel,
-    cp: PhenomenonBinding,
-    metric: str,
-) -> tuple[dict[str, float], dict[str, float], str]:
-    """Interventional metric distributions under do(CP) and do(notCP).
+def _effects(
+    m: DiscreteModel, cp: PhenomenonBinding, metric: str
+) -> tuple[float, float, dict]:
+    """E(metric | do(CP)), E(metric | do(notCP)) and the shared report metadata.
 
-    Prefers the truncated route; on partially instantiated or confounded
-    models it falls back to parent adjustment, then to the first enumerable
-    back-door set within the instantiated nodes.
+    Both interventions go through one :func:`plan_effect` route.
     """
-    x = cp.variable
     not_label = _other_label(m, cp)
-    do_cp = make_intervention({x: cp.cp_label})
-    do_not = make_intervention({x: not_label})
-    if m.fully_instantiated and m.structure.is_markovian():
-        return (
-            interventional_truncated(m, do_cp, metric),
-            interventional_truncated(m, do_not, metric),
-            "truncated",
-        )
-    try:
-        return (
-            interventional_parent_adjust(m, do_cp, metric),
-            interventional_parent_adjust(m, do_not, metric),
-            "parents",
-        )
-    except (ParentsNotInstantiated, NotMarkovian, ZeroProbabilityCondition):
-        pass
-    # Last-resort search, scoped to instantiated ancestors of the pair so the
-    # subset scan stays bounded; callers with exotic graphs can always compute
-    # the two expectations through an explicit back-door set instead.
-    scope = ancestors(m.structure, x) | ancestors(m.structure, metric)
-    candidates = sorted((m.instantiated & scope) - {x, metric})
-    if len(candidates) > 20:
-        raise NotIdentifiable(
-            f"adjustment-set search space over {len(candidates)} candidates is "
-            "too large; compute the effect via an explicit adjustment set"
-        )
-    for adj in enumerate_adjustment_sets(
-        m.structure, x, metric, max_count=64, candidates=candidates
-    ):
-        try:
-            return (
-                interventional_backdoor(m, do_cp, metric, adj),
-                interventional_backdoor(m, do_not, metric, adj),
-                f"backdoor:{sorted(adj)}",
-            )
-        except (InsufficientInstantiation, ZeroProbabilityCondition):
-            continue
-    raise NotIdentifiable(
-        f"no admissible adjustment set for ({x!r}, {metric!r}) is enumerable "
-        "from the instantiated nodes"
+    route, (d_cp, d_not) = plan_effect(
+        m,
+        [make_intervention({cp.variable: label}) for label in (cp.cp_label, not_label)],
+        metric,
     )
-
-
-def _effect_metadata(m: DiscreteModel, cp: PhenomenonBinding, metric: str, route: str) -> dict:
+    e_cp, e_not = expectation(d_cp, m, metric), expectation(d_not, m, metric)
     spec = m.spec_of(metric)
-    return {
+    meta = {
         "phenomenon": {"variable": cp.variable, "cp_label": cp.cp_label},
         "metric_codes": {c: spec.codes[i] for i, c in enumerate(spec.domain)},
         "route": route,
+        "e_do_cp": e_cp,
+        "e_do_not_cp": e_not,
     }
+    return e_cp, e_not, meta
 
 
 def ace(m: DiscreteModel, cp: PhenomenonBinding, metric: str) -> IndicatorReport:
     """Average causal effect: E(metric | do(CP)) - E(metric | do(notCP))."""
-    d_cp, d_not, route = _effect_distributions(m, cp, metric)
-    e_cp = expectation(d_cp, m, metric)
-    e_not = expectation(d_not, m, metric)
-    meta = _effect_metadata(m, cp, metric, route)
-    meta["e_do_cp"] = e_cp
-    meta["e_do_not_cp"] = e_not
+    e_cp, e_not, meta = _effects(m, cp, metric)
     return IndicatorReport("ACE", e_cp - e_not, (cp.variable, metric), meta)
 
 
 def rce(m: DiscreteModel, cp: PhenomenonBinding, metric: str) -> IndicatorReport:
     """Relative causal effect: E(metric | do(CP)) / E(metric | do(notCP))."""
-    d_cp, d_not, route = _effect_distributions(m, cp, metric)
-    e_cp = expectation(d_cp, m, metric)
-    e_not = expectation(d_not, m, metric)
+    e_cp, e_not, meta = _effects(m, cp, metric)
     if e_not == 0.0:
         raise DivisionByZeroEffect("E(metric | do(notCP)) is zero")
-    meta = _effect_metadata(m, cp, metric, route)
-    meta["e_do_cp"] = e_cp
-    meta["e_do_not_cp"] = e_not
     return IndicatorReport("RCE", e_cp / e_not, (cp.variable, metric), meta)
 
 
@@ -242,15 +183,10 @@ def sigma(m: DiscreteModel, cp: PhenomenonBinding, metric: str) -> IndicatorRepo
     The definition presumes E(do notCP) <= E(do CP); a violation downgrades
     to a warning and the value is still reported.
     """
-    d_cp, d_not, route = _effect_distributions(m, cp, metric)
-    e_cp = expectation(d_cp, m, metric)
-    e_not = expectation(d_not, m, metric)
+    e_cp, e_not, meta = _effects(m, cp, metric)
     e_obs = expectation(marginal1(m, metric), m, metric)
     if e_obs == 0.0:
         raise ZeroMeanCriticality("observational E(metric) is zero")
-    meta = _effect_metadata(m, cp, metric, route)
-    meta["e_do_cp"] = e_cp
-    meta["e_do_not_cp"] = e_not
     meta["e_observational"] = e_obs
     meta["precondition_holds"] = e_not <= e_cp
     if e_not > e_cp:

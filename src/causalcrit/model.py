@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Container, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -247,17 +247,28 @@ def _require_fully_instantiated(m: DiscreteModel) -> None:
         raise NotFullyInstantiated(f"missing CPDs for {missing}")
 
 
-def _closure_within(m: DiscreteModel, over: Iterable[str]) -> tuple[str, ...]:
-    """Ancestral closure of ``over``; every member must carry a CPD."""
+def _closure_within(
+    m: DiscreteModel,
+    over: Iterable[str],
+    clamped: Container[str] = (),
+) -> tuple[str, ...]:
+    """Ancestral closure of ``over``, not followed past ``clamped`` nodes.
+
+    Every member except the clamped ones must carry a CPD.
+    """
     needed = set(over)
     frontier = list(needed)
     while frontier:
         node = frontier.pop()
-        for p in m.structure.parents(node):
+        if node in clamped:
+            continue
+        cpd = m.cpds.get(node)
+        parents = m.structure.parents(node) if cpd is None else cpd.parents
+        for p in parents:
             if p not in needed:
                 needed.add(p)
                 frontier.append(p)
-    missing = sorted(n for n in needed if n not in m.cpds)
+    missing = sorted(n for n in needed if n not in m.cpds and n not in clamped)
     if missing:
         raise InsufficientInstantiation(
             f"need CPDs for {missing} to enumerate over {sorted(set(over))}"
@@ -269,6 +280,7 @@ def joint_table(
     m: DiscreteModel,
     over: Optional[Iterable[str]] = None,
     state_space_limit: int = DEFAULT_STATE_SPACE_LIMIT,
+    do: Optional[Mapping[str, int]] = None,
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """Exact joint over ``sorted(over)`` (default: every instantiated node).
 
@@ -280,17 +292,29 @@ def joint_table(
     states, ties broken by name. :class:`StateSpaceExceeded` is raised before
     any array is allocated when the output or a bucket would exceed
     ``state_space_limit`` states.
+
+    ``do`` maps intervened nodes to the index of their forced label. Each
+    contributes a point-mass factor on its own axis in place of its CPD, and
+    the closure does not follow its parents: the result is the joint of the
+    truncated factorization, P(over | do).
     """
     names = tuple(sorted(m.instantiated if over is None else set(over)))
-    closure = _closure_within(m, names)
+    do = do or {}
+    closure = _closure_within(m, names, do)
     card = {n: m.specs[n].cardinality for n in closure}
     _check_states(math.prod(card[n] for n in names), names, state_space_limit)
     # Single-state variables get no axis: summing one out is the identity.
     factors = []
     nbrs: dict[str, set[str]] = {n: set() for n in closure if card[n] > 1}
     for n in closure:
-        scope = tuple(v for v in (*m.cpds[n].parents, n) if card[v] > 1)
-        factors.append((scope, m.cpds[n].table.reshape([card[v] for v in scope])))
+        if n in do:
+            table = np.zeros(card[n])
+            table[do[n]] = 1.0
+            parents = ()
+        else:
+            table, parents = m.cpds[n].table, m.cpds[n].parents
+        scope = tuple(v for v in (*parents, n) if card[v] > 1)
+        factors.append((scope, table.reshape([card[v] for v in scope])))
         for v in scope:
             nbrs[v].update(scope)
     for v, vs in nbrs.items():

@@ -127,6 +127,47 @@ class TestEffect:
         assert max(values) - min(values) < 1e-9
 
 
+    def test_auto_falls_back_to_backdoor_like_ace(self, capsys, tmp_path):
+        # X <-> W, W -> phi, X -> phi: the truncated and parent routes do not
+        # apply; the one auto rule finds the back-door set {W} for both the
+        # effect command and the ACE indicator.
+        payload = json.loads(fixture_text("heavy-rain-model"))
+        payload["variables"] = [
+            v for v in payload["variables"] if v["name"] != "V1"
+        ]
+        for v in payload["variables"]:
+            if v["name"] == "V2":
+                v["name"] = "W"
+        payload["edges"] = [["W", "phi"], ["X", "phi"]]
+        payload["bidirected"] = [["W", "X"]]
+        payload["cpds"] = [
+            {"child": "W", "parents": [], "table": [[0.6, 0.4]]},
+            {"child": "X", "parents": [], "table": [[0.3, 0.7]]},
+            {"child": "phi", "parents": ["W", "X"],
+             "table": [[0.6, 0.4], [0.8, 0.2], [0.1, 0.9], [0.3, 0.7]]},
+        ]
+        path = tmp_path / "confounded.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        expectations = {}
+        for label in ("CP", "notCP"):
+            code, out, err = run(
+                capsys, "effect", str(path), "--do", f"X={label}",
+                "--target", "phi", "--format", "json",
+            )
+            assert code == 0, err
+            result = json.loads(out)
+            assert result["route"] == "backdoor:['W']"
+            expectations[label] = result["expectation"]
+        code, out, _ = run(capsys, "indicators", str(path), str(path), "--format", "json")
+        assert code == 0
+        ace = next(r for r in json.loads(out)["reports"] if r["name"] == "ACE")
+        assert ace["metadata"]["route"] == "backdoor:['W']"
+        assert ace["value"] == pytest.approx(0.2, abs=1e-12)
+        assert expectations["CP"] - expectations["notCP"] == pytest.approx(
+            ace["value"], abs=1e-12
+        )
+
+
 class TestIndicators:
     def test_indicator_table_values(self, capsys):
         code, out, _ = run(

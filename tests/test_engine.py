@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalcrit.context import PhenomenonBinding
 from causalcrit.engine import (
@@ -13,8 +15,10 @@ from causalcrit.engine import (
     interventional_parent_adjust,
     interventional_truncated,
     make_intervention,
+    plan_effect,
 )
 from causalcrit.errors import (
+    CausalCritError,
     InvalidQuery,
     NotAdmissible,
     NotMarkovian,
@@ -273,6 +277,124 @@ class TestRouteEquivalence:
             assert t == pytest.approx(oracle, abs=1e-9)
             p = interventional_parent_adjust(m, do, target)
             assert p == pytest.approx(oracle, abs=1e-9)
+
+
+def confounded_pair_model():
+    """X <-> W, W -> phi, X -> phi: only the back-door set {W} identifies X's effect."""
+    specs = {
+        n: VariableSpec(name=n, domain=("a", "b"), codes=(0.0, 1.0))
+        for n in ("W", "X", "phi")
+    }
+    s = build_structure(
+        ["W", "X", "phi"], [("W", "phi"), ("X", "phi")], bidirected=[("X", "W")]
+    )
+    return build_model(
+        s,
+        specs,
+        [
+            make_cpd("W", (), [[0.5, 0.5]], specs),
+            make_cpd("X", (), [[0.3, 0.7]], specs),
+            make_cpd("phi", ("W", "X"), [[0.9, 0.1], [0.5, 0.5], [0.6, 0.4], [0.2, 0.8]], specs),
+        ],
+    )
+
+
+class TestPlanEffect:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_truncated_matches_brute_force(self, data):
+        m = random_binary_model(data.draw(st.randoms(use_true_random=False)))
+        nodes = sorted(m.instantiated)
+        do_nodes = data.draw(
+            st.lists(st.sampled_from(nodes), min_size=1, max_size=2, unique=True)
+        )
+        do = {n: data.draw(st.sampled_from(("a", "b"))) for n in do_nodes}
+        target = data.draw(st.sampled_from(do_nodes) | st.sampled_from(nodes))
+        dist = interventional_truncated(m, make_intervention(do), target)
+        assert dist == pytest.approx(brute_truncated(m, do, target), abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_auto_on_partial_models_matches_full_model(self, data):
+        # An optional confounding arc sends a confounded intervened node past
+        # parent adjustment into the back-door search. The full model's CPD
+        # product is Markov to the graph without the arc, so every set the
+        # search admits identifies the effect under that product.
+        full = random_binary_model(data.draw(st.randoms(use_true_random=False)))
+        nodes = sorted(full.instantiated)
+        removed = data.draw(st.sets(st.sampled_from(nodes), min_size=1, max_size=2))
+        do_nodes = data.draw(
+            st.lists(st.sampled_from(nodes), min_size=1, max_size=2, unique=True)
+        )
+        others = [n for n in nodes if n != do_nodes[0]]
+        arcs = data.draw(
+            st.lists(st.sampled_from(others).map(lambda w: (do_nodes[0], w)), max_size=1)
+        )
+        partial = build_model(
+            build_structure(nodes, full.structure.directed, bidirected=arcs),
+            full.specs,
+            [c for n, c in full.cpds.items() if n not in removed],
+        )
+        do = {n: data.draw(st.sampled_from(("a", "b"))) for n in do_nodes}
+        target = data.draw(st.sampled_from(nodes))
+        try:
+            _, (dist,) = plan_effect(partial, [make_intervention(do)], target)
+        except CausalCritError:
+            return
+        assert dist == pytest.approx(brute_truncated(full, do, target), abs=1e-12)
+
+    def test_one_route_for_every_intervention(self, candidate_model):
+        route, dists = plan_effect(
+            candidate_model,
+            [make_intervention({"X": "CP"}), make_intervention({"X": "notCP"})],
+            "phi",
+            route="backdoor",
+            adjustment=["V2"],
+        )
+        assert route == "backdoor:['V2']"
+        assert dists[0]["Short"] == pytest.approx(0.6, abs=1e-12)
+        assert dists[1]["Short"] == pytest.approx(0.4, abs=1e-12)
+
+    def test_auto_falls_back_to_backdoor_on_confounded_model(self):
+        m = confounded_pair_model()
+        route, (dist,) = plan_effect(m, [make_intervention({"X": "b"})], "phi")
+        assert route == "backdoor:['W']"
+        # sum_w P(phi = b | X = b, w) P(w)
+        assert dist["b"] == pytest.approx(0.5 * 0.5 + 0.5 * 0.8, abs=1e-12)
+        e = interventional_expectation(m, make_intervention({"X": "b"}), "phi")
+        assert e == pytest.approx(dist["b"], abs=1e-12)
+
+    def test_auto_tries_parents_before_backdoor(self):
+        # A -> X -> Y and an unrelated Z without a CPD: the model is not fully
+        # instantiated, and adjustment on X's parent {A} comes first.
+        specs = {
+            n: VariableSpec(name=n, domain=("a", "b"), codes=(0.0, 1.0))
+            for n in ("A", "X", "Y", "Z")
+        }
+        s = build_structure(["A", "X", "Y", "Z"], [("A", "X"), ("X", "Y")])
+        m = build_model(
+            s,
+            specs,
+            [
+                make_cpd("A", (), [[0.4, 0.6]], specs),
+                make_cpd("X", ("A",), [[0.3, 0.7], [0.8, 0.2]], specs),
+                make_cpd("Y", ("X",), [[0.9, 0.1], [0.2, 0.8]], specs),
+            ],
+        )
+        route, (dist,) = plan_effect(m, [make_intervention({"X": "b"})], "Y")
+        assert route == "parents"
+        assert dist["b"] == pytest.approx(0.8, abs=1e-12)
+
+    def test_search_needs_one_intervened_node(self):
+        m = confounded_pair_model()
+        with pytest.raises(InvalidQuery):
+            plan_effect(
+                m, [make_intervention({"X": "b"}), make_intervention({"W": "a"})], "phi"
+            )
+
+    def test_unknown_route_rejected(self, reality_model):
+        with pytest.raises(InvalidQuery):
+            plan_effect(reality_model, [make_intervention({"X": "CP"})], "phi", "fast")
 
 
 class TestExpectation:

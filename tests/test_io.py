@@ -12,7 +12,6 @@ from causalcrit.errors import (
 )
 from causalcrit.fixtures import (
     FIXTURE_IDS,
-    builder_text,
     fixture,
     fixture_path,
     fixture_text,
@@ -45,10 +44,6 @@ class TestFixtures:
                 fixture_path(fid).read_bytes()
             ).hexdigest()
             assert digest == FIXTURE_SHA256[fid], fid
-
-    def test_files_match_builders(self):
-        for fid in FIXTURE_IDS:
-            assert fixture_text(fid) == builder_text(fid), fid
 
     def test_heavy_rain_reality_shape(self):
         relation, model = fixture("heavy-rain-reality")

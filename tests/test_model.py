@@ -231,6 +231,15 @@ class TestMarginal:
 
 
 class TestVariableElimination:
+    def test_missing_cpds_named_through_uninstantiated_nodes(self):
+        # A -> B -> C with only C instantiated: the closure walks on through
+        # B, which has no CPD, so A is named as missing too.
+        specs = {n: binary_spec(n) for n in ("A", "B", "C")}
+        s = build_structure(["A", "B", "C"], [("A", "B"), ("B", "C")])
+        m = build_model(s, specs, [make_cpd("C", ("B",), [[0.5, 0.5], [0.1, 0.9]], specs)])
+        with pytest.raises(InsufficientInstantiation, match=r"\['A', 'B'\]"):
+            joint_table(m, over=["C"])
+
     def test_long_chain_root_and_sink(self):
         # The full joint of 26 binary nodes has 2**26 states, above the
         # default limit; each query only needs 2- and 4-state factors.
