@@ -27,7 +27,12 @@ from .errors import (
     TargetNotAncestorWarning,
     ZeroProbabilityCondition,
 )
-from .graph import ancestors, backdoor_admissible, enumerate_adjustment_sets
+from .graph import (
+    ancestors,
+    backdoor_admissible,
+    descendants,
+    enumerate_adjustment_sets,
+)
 from .model import (
     DiscreteModel,
     _require_fully_instantiated,
@@ -228,10 +233,13 @@ def plan_effect(
     assignment at all the distributions are observational. Explicit routes
     are ``truncated``, ``parents`` and ``backdoor`` (needs ``adjustment``).
     ``auto`` takes the truncated route on a fully instantiated Markovian
-    model or when a do() covers several nodes; otherwise parent adjustment,
-    then the first back-door set enumerable from the instantiated ancestors
-    of the intervened node and the target. Every intervention goes through
-    the same route, so contrasts between them stay comparable.
+    model or when a do() covers several nodes; otherwise parent adjustment.
+    When that fails, a target that every do() sets is a point mass
+    (``point-mass``), and a target that descends from no intervened node
+    keeps its observational marginal (``observational``); otherwise the
+    first back-door set enumerable from the instantiated ancestors of the
+    intervened node and the target. Every intervention goes through the
+    same route, so contrasts between them stay comparable.
     """
     if not any(i.assignments for i in interventions):
         return "observational", [marginal1(m, target) for _ in interventions]
@@ -255,7 +263,17 @@ def plan_effect(
         return plan_effect(m, interventions, target, "parents")
     except (ParentsNotInstantiated, NotMarkovian, ZeroProbabilityCondition):
         pass
+    # Parent adjustment may have stopped before it checked every do().
+    for i in interventions:
+        _check_intervention(m, i)
     xs = {x for i in interventions for x in i.targets()}
+    if all(target in i.targets() for i in interventions):
+        return "point-mass", [
+            {c: float(c == i.as_dict()[target]) for c in m.spec_of(target).domain}
+            for i in interventions
+        ]
+    if target not in xs and not any(target in descendants(m.structure, x) for x in xs):
+        return "observational", [marginal1(m, target) for _ in interventions]
     if len(xs) != 1:
         raise InvalidQuery(
             f"back-door search needs one intervened node, got {sorted(xs)}"

@@ -4,18 +4,18 @@ A structure is immutable after construction; every query here is read-only.
 Bidirected arcs encode correlated error terms between two endogenous nodes.
 For all path algorithms they are expanded into an explicit latent common
 parent, which gives one uniform d-separation procedure for the
-semi-Markovian case.
+semi-Markovian case. Adjacency, the topological order and the ancestor and
+descendant sets are plain tuples and sets, computed once per structure.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
-
-import networkx as nx
+from typing import Hashable, Iterable, Optional
 
 from .errors import (
     CycleDetected,
@@ -44,6 +44,16 @@ __all__ = [
 _UP = 0
 _DOWN = 1
 
+Adjacency = dict[Hashable, tuple[Hashable, ...]]
+
+
+def _sorted_adjacency(keys: Iterable[Hashable], edges: Iterable[tuple]) -> Adjacency:
+    """key -> heads of the edges leaving it, sorted by ``str``."""
+    out: dict[Hashable, list] = {k: [] for k in keys}
+    for a, b in edges:
+        out[a].append(b)
+    return {k: tuple(sorted(v, key=str)) for k, v in out.items()}
+
 
 @dataclass(frozen=True)
 class CausalStructure:
@@ -55,39 +65,54 @@ class CausalStructure:
     bidirected: frozenset[frozenset[str]]
 
     @cached_property
-    def _digraph(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(self.nodes)
-        g.add_edges_from(sorted(self.directed))
-        return g
+    def _parents(self) -> Adjacency:
+        return _sorted_adjacency(self.nodes, ((b, a) for a, b in self.directed))
 
     @cached_property
-    def _expanded(self) -> nx.DiGraph:
-        """Directed view with each bidirected arc replaced by a latent fork."""
-        g = self._digraph.copy()
-        for pair in self.bidirected:
-            a, b = sorted(pair)
-            hub = ("__confounder__", a, b)
-            g.add_edge(hub, a)
-            g.add_edge(hub, b)
-        return g
+    def _children(self) -> Adjacency:
+        return _sorted_adjacency(self.nodes, self.directed)
+
+    @cached_property
+    def _expanded(self) -> tuple[Adjacency, Adjacency]:
+        """(parents, children) with each bidirected arc replaced by a latent fork."""
+        hubs = [("__confounder__", *sorted(pair)) for pair in self.bidirected]
+        edges = [*self.directed]
+        for hub in hubs:
+            edges += [(hub, hub[1]), (hub, hub[2])]
+        keys = [*self.nodes, *hubs]
+        return (
+            _sorted_adjacency(keys, ((b, a) for a, b in edges)),
+            _sorted_adjacency(keys, edges),
+        )
+
+    @cached_property
+    def _topological_order(self) -> tuple[str, ...]:
+        return tuple(_lexicographic_kahn(self._parents, self._children))
+
+    @cached_property
+    def _ancestors(self) -> dict[str, frozenset[str]]:
+        return _closures(self._topological_order, self._parents)
+
+    @cached_property
+    def _descendants(self) -> dict[str, frozenset[str]]:
+        return _closures(reversed(self._topological_order), self._children)
 
     def ensure_nodes(self, names: Iterable[str]) -> None:
         for name in names:
-            if name not in self._digraph:
+            if name not in self._parents:
                 raise UnknownNode(f"unknown node {name!r}")
 
     def parents(self, node: str) -> frozenset[str]:
         self.ensure_nodes((node,))
-        return frozenset(self._digraph.predecessors(node))
+        return frozenset(self._parents[node])
 
     def children(self, node: str) -> frozenset[str]:
         self.ensure_nodes((node,))
-        return frozenset(self._digraph.successors(node))
+        return frozenset(self._children[node])
 
     def topological_order(self) -> tuple[str, ...]:
         """Topological order of the directed part, name-sorted tie-break."""
-        return tuple(nx.lexicographical_topological_sort(self._digraph))
+        return self._topological_order
 
     def is_markovian(self) -> bool:
         return not self.bidirected
@@ -96,6 +121,57 @@ class CausalStructure:
         return frozenset(
             next(iter(pair - {node})) for pair in self.bidirected if node in pair
         )
+
+
+def _lexicographic_kahn(parents: Adjacency, children: Adjacency) -> list[str]:
+    """Kahn's algorithm taking the smallest ready name first.
+
+    Nodes on a cycle, or below one, never become ready and are left out.
+    """
+    indegree = {n: len(ps) for n, ps in parents.items()}
+    ready = [n for n, d in indegree.items() if d == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
+        for c in children[node]:
+            indegree[c] -= 1
+            if not indegree[c]:
+                heapq.heappush(ready, c)
+    return order
+
+
+def _closures(order: Iterable[str], step: Adjacency) -> dict[str, frozenset[str]]:
+    """Everything reachable along ``step``, for nodes ordered so that each
+    node's ``step`` neighbours come before it."""
+    out: dict[str, frozenset[str]] = {}
+    for node in order:
+        reach: set[str] = set()
+        for nbr in step[node]:
+            reach.add(nbr)
+            reach |= out[nbr]
+        out[node] = frozenset(reach)
+    return out
+
+
+def _find_cycle(parents: Adjacency, stuck: set[str]) -> list[str]:
+    """One cycle among the nodes a Kahn pass could not order.
+
+    Each of them keeps a parent among them, so walking from the smallest
+    one to its smallest such parent must repeat a node. The cycle is
+    returned in edge direction, starting at its smallest name.
+    """
+    path: list[str] = []
+    at: dict[str, int] = {}
+    node = min(stuck)
+    while node not in at:
+        at[node] = len(path)
+        path.append(node)
+        node = min(p for p in parents[node] if p in stuck)
+    cycle = path[at[node]:][::-1]
+    k = cycle.index(min(cycle))
+    return cycle[k:] + cycle[:k]
 
 
 @dataclass(frozen=True)
@@ -162,49 +238,52 @@ def build_structure(
             )
         bidirected_edges.add(frozenset((a, b)))
 
-    g = nx.DiGraph()
-    g.add_nodes_from(node_list)
-    g.add_edges_from(directed_edges)
-    if not nx.is_directed_acyclic_graph(g):
-        cycle = nx.find_cycle(g)
-        as_text = " -> ".join(edge[0] for edge in cycle) + f" -> {cycle[0][0]}"
-        raise CycleDetected(f"directed part contains a cycle: {as_text}")
-
-    return CausalStructure(
+    s = CausalStructure(
         nodes=tuple(sorted(node_list)),
         latent=latent_set,
         directed=frozenset(directed_edges),
         bidirected=frozenset(bidirected_edges),
     )
+    ordered = _lexicographic_kahn(s._parents, s._children)
+    if len(ordered) < len(s.nodes):
+        cycle = _find_cycle(s._parents, seen.difference(ordered))
+        as_text = " -> ".join(cycle) + f" -> {cycle[0]}"
+        raise CycleDetected(f"directed part contains a cycle: {as_text}")
+    return s
 
 
 def descendants(s: CausalStructure, node: str) -> frozenset[str]:
     """All nodes reachable from ``node`` along directed edges, excluding it."""
     s.ensure_nodes((node,))
-    return frozenset(nx.descendants(s._digraph, node))
+    return s._descendants[node]
 
 
 def ancestors(s: CausalStructure, node: str) -> frozenset[str]:
     s.ensure_nodes((node,))
-    return frozenset(nx.ancestors(s._digraph, node))
+    return s._ancestors[node]
 
 
 def _reach_active(
-    g: nx.DiGraph,
-    sources: Iterable,
+    s: CausalStructure,
+    sources: Iterable[str],
     targets: set,
     conditioned: set,
+    cut: Optional[str] = None,
 ) -> Optional[list]:
     """Search for an active (unblocked) trail from ``sources`` to ``targets``.
 
-    Standard two-direction reachability over (node, direction) states:
-    chains and forks pass through nodes outside the conditioning set,
-    colliders pass through nodes whose descendants meet it. Returns the node
-    sequence of one active trail, or None if every trail is blocked.
+    Standard two-direction reachability over (node, direction) states on the
+    expanded graph: chains and forks pass through nodes outside the
+    conditioning set, colliders pass through nodes whose descendants meet it.
+    The walk never leaves ``cut`` (which must be a source) along one of its
+    out-edges; a trail entering it from a child finds it already visited.
+    Returns the node sequence of one active trail, or None if every trail is
+    blocked.
     """
+    parents_of, children_of = s._expanded
     cond_closure = set(conditioned)
     for z in conditioned:
-        cond_closure.update(nx.ancestors(g, z))
+        cond_closure |= s._ancestors[z]
 
     pred: dict[tuple, Optional[tuple]] = {}
     queue: deque[tuple] = deque()
@@ -214,48 +293,36 @@ def _reach_active(
             pred[state] = None
             queue.append(state)
 
-    parents_of = g.predecessors
-    children_of = g.successors
-
-    def push(node, direction, origin) -> Optional[list]:
-        state = (node, direction)
-        if state in pred:
-            return None
-        pred[state] = origin
-        if node in targets:
-            trail = [node]
-            cursor = origin
-            while cursor is not None:
-                trail.append(cursor[0])
-                cursor = pred[cursor]
-            trail.reverse()
-            return trail
-        queue.append(state)
-        return None
-
     while queue:
         state = queue.popleft()
         node, direction = state
-        if direction == _UP and node not in conditioned:
-            for p in sorted(parents_of(node), key=str):
-                found = push(p, _UP, state)
-                if found:
-                    return found
-            for c in sorted(children_of(node), key=str):
-                found = push(c, _DOWN, state)
-                if found:
-                    return found
-        elif direction == _DOWN:
-            if node not in conditioned:
-                for c in sorted(children_of(node), key=str):
-                    found = push(c, _DOWN, state)
-                    if found:
-                        return found
-            if node in cond_closure:
-                for p in sorted(parents_of(node), key=str):
-                    found = push(p, _UP, state)
-                    if found:
-                        return found
+        if direction == _UP:
+            if node in conditioned:
+                continue
+            hops = (
+                (parents_of[node], _UP),
+                (children_of[node] if node != cut else (), _DOWN),
+            )
+        else:
+            hops = (
+                (children_of[node] if node not in conditioned and node != cut else (), _DOWN),
+                (parents_of[node] if node in cond_closure else (), _UP),
+            )
+        for neighbours, heading in hops:
+            for nbr in neighbours:
+                step = (nbr, heading)
+                if step in pred:
+                    continue
+                pred[step] = state
+                if nbr in targets:
+                    trail = []
+                    cursor = step
+                    while cursor is not None:
+                        trail.append(cursor[0])
+                        cursor = pred[cursor]
+                    trail.reverse()
+                    return trail
+                queue.append(step)
     return None
 
 
@@ -280,14 +347,10 @@ def d_separated(
     if x_set & y_set or x_set & z_set or y_set & z_set:
         raise OverlappingSets("x, y and z must be pairwise disjoint")
 
-    trail = _reach_active(s._expanded, x_set, y_set, z_set)
+    trail = _reach_active(s, x_set, y_set, z_set)
     if trail is None:
         return PathQueryResult(separated=True)
     return PathQueryResult(separated=False, witness_path=_collapse_hubs(trail))
-
-
-def _is_dconnected(s: CausalStructure, x: set, y: set, z: set) -> bool:
-    return _reach_active(s._expanded, x, y, z) is not None
 
 
 def backdoor_admissible(
@@ -312,10 +375,10 @@ def backdoor_admissible(
         return False
     # Blocking every arrow-into-x path is equivalent to d-separation of x and
     # y once x's outgoing directed edges are removed; confounding arcs at x
-    # stay, as they open back-door paths through the latent fork.
-    pruned = s._expanded.copy()
-    pruned.remove_edges_from([(x, c) for c in s.children(x)])
-    return _reach_active(pruned, {x}, {y}, adj) is None
+    # stay, as they open back-door paths through the latent fork. No member
+    # descends from x, so cutting those edges leaves the members' ancestors,
+    # and with them the colliders the set opens, as they are.
+    return _reach_active(s, {x}, {y}, adj, cut=x) is None
 
 
 def do_surgery(s: CausalStructure, targets: Iterable[str]) -> CausalStructure:
@@ -401,5 +464,3 @@ def enumerate_adjustment_sets(
             elif results:
                 results[-1] = parent_set
     return results
-
-

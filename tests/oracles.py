@@ -8,6 +8,7 @@ decided on explicitly enumerated simple paths.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
@@ -88,6 +89,42 @@ def conditionally_independent(names, joint, x, y, z, tol=1e-9) -> bool:
     return True
 
 
+# -- orders and reachability -------------------------------------------------
+
+def kahn_order(nodes, edges):
+    """Topological order taking the smallest ready name first (Kahn's
+    algorithm on a min-heap), or None when the edges hold a cycle."""
+    indegree = {n: 0 for n in nodes}
+    for _, b in edges:
+        indegree[b] += 1
+    ready = [n for n, d in indegree.items() if d == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
+        for a, b in edges:
+            if a == node:
+                indegree[b] -= 1
+                if indegree[b] == 0:
+                    heapq.heappush(ready, b)
+    return order if len(order) == len(indegree) else None
+
+
+def brute_reachable(edges, node):
+    """Nodes reached from ``node`` along ``edges`` (pairs), excluding it
+    unless a cycle leads back."""
+    out = set()
+    frontier = [node]
+    while frontier:
+        cur = frontier.pop()
+        for a, b in edges:
+            if a == cur and b not in out:
+                out.add(b)
+                frontier.append(b)
+    return out
+
+
 # -- path-enumeration d-separation -------------------------------------------
 
 def _adjacency(structure):
@@ -127,18 +164,6 @@ def _all_simple_paths(structure, src, dst):
     return paths
 
 
-def _descendants(structure, node):
-    out = set()
-    frontier = [node]
-    while frontier:
-        cur = frontier.pop()
-        for a, b in structure.directed:
-            if a == cur and b not in out:
-                out.add(b)
-                frontier.append(b)
-    return out
-
-
 def path_blocked(structure, path, z) -> bool:
     """Chain/fork pass outside z, collider passes only with z below it."""
     for k in range(len(path) - 1):
@@ -146,7 +171,7 @@ def path_blocked(structure, path, z) -> bool:
         _, _, arrow_out_is_into_mid, _ = path[k + 1]
         is_collider = arrow_in and arrow_out_is_into_mid
         if is_collider:
-            reachable = {mid} | _descendants(structure, mid)
+            reachable = {mid} | brute_reachable(structure.directed, mid)
             if not (reachable & set(z)):
                 return True
         else:
@@ -166,7 +191,7 @@ def brute_d_separated(structure, x, y, z) -> bool:
 
 def brute_backdoor_admissible(structure, adjustment, x, y) -> bool:
     s = set(adjustment)
-    if s & _descendants(structure, x):
+    if s & brute_reachable(structure.directed, x):
         return False
     if s & set(structure.latent):
         return False

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import causalcrit
 from causalcrit.cli import main
 from causalcrit.fixtures import fixture_text
 
@@ -322,3 +327,18 @@ class TestDeterminism:
             _, first, _ = run(capsys, *argv, "--format", "json")
             _, second, _ = run(capsys, *argv, "--format", "json")
             assert first == second, argv
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    # The graph layer runs on plain adjacency; a fresh interpreter shows no
+    # import path pulls networkx back in.
+    src_dir = str(Path(causalcrit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import causalcrit.cli, sys; assert 'networkx' not in sys.modules"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

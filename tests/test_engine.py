@@ -24,9 +24,10 @@ from causalcrit.errors import (
     NotMarkovian,
     ParentsNotInstantiated,
     TargetNotAncestorWarning,
+    UnknownCategory,
     ZeroProbabilityCondition,
 )
-from causalcrit.graph import build_structure, enumerate_adjustment_sets
+from causalcrit.graph import build_structure, descendants, enumerate_adjustment_sets
 from causalcrit.model import (
     VariableSpec,
     build_model,
@@ -391,6 +392,56 @@ class TestPlanEffect:
             plan_effect(
                 m, [make_intervention({"X": "b"}), make_intervention({"W": "a"})], "phi"
             )
+
+    def test_auto_target_set_by_do_on_confounded_node(self):
+        # Parent adjustment refuses the confounded X; the back-door search
+        # cannot take x == y. P(X | do(X = b)) is a point mass all the same.
+        m = confounded_pair_model()
+        route, dists = plan_effect(
+            m, [make_intervention({"X": "b"}), make_intervention({"X": "a"})], "X"
+        )
+        assert route == "point-mass"
+        assert dists == [{"a": 0.0, "b": 1.0}, {"a": 1.0, "b": 0.0}]
+
+    def test_auto_target_outside_descendants_of_confounded_node(self):
+        # W does not descend from X, so do(X) leaves it at its marginal; no
+        # back-door set blocks X <-> W.
+        m = confounded_pair_model()
+        route, (dist,) = plan_effect(m, [make_intervention({"X": "b"})], "W")
+        assert route == "observational"
+        assert dist == marginal1(m, "W")
+
+    @pytest.mark.parametrize("target", ["X", "W"])
+    def test_auto_checks_every_do_label(self, target):
+        # Parent adjustment stops at the first do(); a bad label in a later
+        # one must not slip through to a point mass or a marginal.
+        m = confounded_pair_model()
+        with pytest.raises(UnknownCategory):
+            plan_effect(
+                m, [make_intervention({"X": "b"}), make_intervention({"X": "zzz"})], target
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_auto_on_confounded_node_answers_unaffected_targets(self, data):
+        # Fully instantiated models whose intervened node carries a
+        # confounding arc: for a target the do() sets or cannot reach, auto
+        # never raises and agrees with clamping the full CPD product.
+        full = random_binary_model(data.draw(st.randoms(use_true_random=False)))
+        nodes = sorted(full.instantiated)
+        x = data.draw(st.sampled_from(nodes))
+        w = data.draw(st.sampled_from([n for n in nodes if n != x]))
+        m = build_model(
+            build_structure(nodes, full.structure.directed, bidirected=[(x, w)]),
+            full.specs,
+            list(full.cpds.values()),
+        )
+        below = descendants(m.structure, x)
+        target = data.draw(st.sampled_from([n for n in nodes if n not in below]))
+        do = {x: data.draw(st.sampled_from(("a", "b")))}
+        route, (dist,) = plan_effect(m, [make_intervention(do)], target)
+        assert route in ("point-mass", "observational")
+        assert dist == pytest.approx(brute_truncated(full, do, target), abs=1e-12)
 
     def test_unknown_route_rejected(self, reality_model):
         with pytest.raises(InvalidQuery):

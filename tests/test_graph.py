@@ -23,7 +23,12 @@ from causalcrit.graph import (
     enumerate_adjustment_sets,
 )
 
-from oracles import brute_backdoor_admissible, brute_d_separated
+from oracles import (
+    brute_backdoor_admissible,
+    brute_d_separated,
+    brute_reachable,
+    kahn_order,
+)
 
 
 def chain_abc():
@@ -110,6 +115,14 @@ class TestDSeparation:
             ["A", "B", "C", "D"], [("A", "C"), ("B", "C"), ("C", "D")]
         )
         assert not d_separated(s, {"A"}, {"B"}, {"D"}).separated
+
+    def test_collider_witness_passes_straight_through(self):
+        # C's descendant D is conditioned, so the witness crosses the
+        # collider directly instead of bouncing off D.
+        s = build_structure(
+            ["A", "B", "C", "D"], [("A", "C"), ("B", "C"), ("C", "D")]
+        )
+        assert d_separated(s, {"A"}, {"B"}, {"D"}).witness_path == ("A", "C", "B")
 
     def test_bidirected_acts_as_latent_fork(self):
         s = build_structure(["A", "B"], bidirected=[("A", "B")])
@@ -315,3 +328,55 @@ def test_enumeration_contains_parent_set(s):
             assert parents in sets
         for adj in sets:
             assert backdoor_admissible(s, adj, x, y)
+
+
+@st.composite
+def shuffled_graphs(draw, max_nodes=7, acyclic=True):
+    """Nodes named in a random order, so name order is not topological order.
+
+    Acyclic graphs only add edges from earlier to later positions; otherwise
+    any ordered pair may become an edge.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    names = draw(st.permutations([f"v{i}" for i in range(n)]))
+    pairs = [
+        (names[i], names[j])
+        for i in range(n)
+        for j in range(n)
+        if i != j and (i < j or not acyclic)
+    ]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return names, edges
+
+
+@given(shuffled_graphs())
+@settings(max_examples=150, deadline=None)
+def test_topological_order_is_lexicographic_kahn(graph):
+    names, edges = graph
+    s = build_structure(names, edges)
+    assert s.topological_order() == tuple(kahn_order(names, edges))
+
+
+@given(shuffled_graphs(acyclic=False))
+@settings(max_examples=200, deadline=None)
+def test_cycle_detected_exactly_on_cycles(graph):
+    names, edges = graph
+    if kahn_order(names, edges) is not None:
+        build_structure(names, edges)
+        return
+    with pytest.raises(CycleDetected) as exc:
+        build_structure(names, edges)
+    hops = str(exc.value).split(": ", 1)[1].split(" -> ")
+    assert hops[0] == hops[-1] and len(hops) >= 3
+    assert all(hop in set(edges) for hop in zip(hops, hops[1:]))
+
+
+@given(shuffled_graphs())
+@settings(max_examples=150, deadline=None)
+def test_ancestors_descendants_match_reachability(graph):
+    names, edges = graph
+    s = build_structure(names, edges)
+    reversed_edges = [(b, a) for a, b in edges]
+    for node in names:
+        assert descendants(s, node) == brute_reachable(edges, node)
+        assert ancestors(s, node) == brute_reachable(reversed_edges, node)
