@@ -9,6 +9,7 @@ JSON: identical invocations produce byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from typing import Optional, Sequence
@@ -190,6 +191,8 @@ def cmd_indicators(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.n < 0:
+        raise ParseError(f"-n must be >= 0, got {args.n}")
     _relation, model = _load(args.model)
     dataset = sample(model, args.n, args.seed)
     save_dataset(args.output, dataset)
@@ -365,9 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ParseError, OSError) as exc:

@@ -12,6 +12,8 @@ import json
 from pathlib import Path
 from typing import Mapping, Union
 
+import numpy as np
+
 from .context import (
     CausalRelation,
     ConstraintExpression,
@@ -28,7 +30,6 @@ from .model import (
     VariableSpec,
     build_model,
     make_cpd,
-    make_dataset,
 )
 
 __all__ = [
@@ -280,12 +281,17 @@ def parse_model_text(text: str) -> tuple[CausalRelation, DiscreteModel]:
     return relation, model
 
 
-def load_model(path: PathLike) -> tuple[CausalRelation, DiscreteModel]:
+def _read_text(path: PathLike) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    return parse_model_text(text)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+
+
+def load_model(path: PathLike) -> tuple[CausalRelation, DiscreteModel]:
+    return parse_model_text(_read_text(path))
 
 
 def load_dataset(
@@ -293,33 +299,78 @@ def load_dataset(
     specs: Mapping[str, VariableSpec],
     provenance: str = "real-world",
 ) -> Dataset:
-    """Comma-separated labels, first row names the variables."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+    """Comma-separated labels, first row names the variables.
+
+    Each distinct line is checked and encoded once, in order of first
+    occurrence, so the first bad row reported is the first bad row of the
+    file. Row numbers count non-blank lines after the header from 0.
+    """
+    raw = _read_text(path).splitlines()
+    start = next((i for i, line in enumerate(raw) if line.strip()), None)
+    if start is None:
         raise ParseError(f"{path}: no header row")
-    columns = [c.strip() for c in lines[0].split(",")]
-    for c in columns:
+    columns = tuple(c.strip() for c in raw[start].split(","))
+    for k, c in enumerate(columns):
         if c not in specs:
             raise ParseError(f"{path}: column {c!r} is not a declared variable")
-    records = []
-    for r, line in enumerate(lines[1:]):
+        if c in columns[:k]:
+            raise ParseError(f"{path}: column {c!r} appears twice in the header")
+    body = raw[start + 1:]
+
+    def row_of(line: str) -> int:
+        return sum(1 for other in body[: body.index(line)] if other.strip())
+
+    lookups = [{label: i for i, label in enumerate(specs[c].domain)} for c in columns]
+    distinct = dict.fromkeys(body, -1)
+    encoded: list[list[int]] = []
+    for line in distinct:
+        if not line.strip():
+            continue
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != len(columns):
-            raise RaggedRow(f"row {r}: {len(cells)} cells, expected {len(columns)}")
-        for c, label in zip(columns, cells):
-            if label not in specs[c].domain:
-                raise UnknownLabel(r, c, label)
-        records.append(tuple(cells))
-    return make_dataset(columns, records, specs, provenance=provenance)
+            raise RaggedRow(f"row {row_of(line)}: {len(cells)} cells, expected {len(columns)}")
+        row = []
+        for lookup, column, label in zip(lookups, columns, cells):
+            if label not in lookup:
+                raise UnknownLabel(row_of(line), column, label)
+            row.append(lookup[label])
+        distinct[line] = len(encoded)
+        encoded.append(row)
+    rows = np.fromiter(map(distinct.__getitem__, body), dtype=np.intp, count=len(body))
+    rows = rows[rows >= 0]
+    table = np.array(encoded, dtype=np.intp).reshape(len(encoded), len(columns))
+    return Dataset(
+        columns=columns,
+        codes=tuple(table[rows].T),
+        domains=tuple(specs[c].domain for c in columns),
+        provenance=provenance,
+    )
+
+
+# Mixed-radix row keys stay below this bound; past it the key is re-ranked.
+_KEY_LIMIT = 1 << 62
 
 
 def save_dataset(path: PathLike, dataset: Dataset) -> None:
-    lines = [",".join(dataset.columns)]
-    lines.extend(",".join(row) for row in dataset.records)
+    """Write ``dataset`` as CSV, rendering each distinct row only once."""
+    key = np.zeros(len(dataset), dtype=np.int64)
+    radix = 1
+    for codes, domain in zip(dataset.codes, dataset.domains):
+        if radix * len(domain) > _KEY_LIMIT:
+            _, key = np.unique(key, return_inverse=True)
+            radix = len(dataset)
+        key = key * len(domain) + codes
+        radix *= len(domain)
+    keys, inverse = np.unique(key, return_inverse=True)
+    # Rows with one key are identical, so any of them can stand for it.
+    first = np.empty(len(keys), dtype=np.intp)
+    first[inverse] = np.arange(len(dataset))
+    cells = [
+        np.array(domain, dtype=object)[codes[first]].tolist()
+        for codes, domain in zip(dataset.codes, dataset.domains)
+    ]
+    rendered = np.array(list(map(",".join, zip(*cells))), dtype=object)
+    lines = [",".join(dataset.columns), *rendered[inverse].tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -328,10 +379,7 @@ def load_trajectory(path: PathLike):
     from .metrics import trajectory_from_rows
 
     rows = []
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
+    text = _read_text(path)
     for k, line in enumerate(text.splitlines()):
         line = line.strip()
         if not line:
@@ -352,12 +400,8 @@ def load_trajectory(path: PathLike):
 def load_field(path: PathLike):
     """Header "nx ny x0 y0 dx dy", then nx*ny row-major "long lat" cells."""
     from .metrics import AccelField
-    import numpy as np
 
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
+    text = _read_text(path)
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
         raise ParseError(f"{path}: empty field file")

@@ -170,20 +170,60 @@ class DiscreteModel:
             raise UnknownNode(f"unknown node {node!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Rectangular table of category labels, one column per variable."""
+    """Rectangular table of categorical observations, stored by column.
+
+    ``codes[k]`` is a read-only integer array holding, for every row, the
+    index of its label in ``domains[k]``. Labels are materialized only on
+    request: by :attr:`records`, :meth:`column` or when a CSV is written.
+    A dataset without columns has no rows.
+    """
 
     columns: tuple[str, ...]
-    records: tuple[tuple[str, ...], ...]
+    codes: tuple[np.ndarray, ...]
+    domains: tuple[tuple[str, ...], ...]
     provenance: str = "fixture"
 
+    def __post_init__(self):
+        columns, domains = tuple(self.columns), tuple(map(tuple, self.domains))
+        if len(domains) != len(columns) or len(self.codes) != len(columns):
+            raise ValidationError("a dataset needs one code array and one domain per column")
+        codes = []
+        for c, domain, arr in zip(columns, domains, self.codes):
+            arr = np.array(arr, dtype=np.intp)
+            if arr.ndim != 1 or (codes and arr.shape != codes[0].shape):
+                raise ValidationError(f"column {c!r}: codes must be one array of one length per column")
+            if arr.size and (arr.min() < 0 or arr.max() >= len(domain)):
+                raise ValidationError(f"column {c!r}: codes outside its {len(domain)}-label domain")
+            arr.setflags(write=False)
+            codes.append(arr)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "codes", tuple(codes))
+        object.__setattr__(self, "domains", domains)
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.codes[0]) if self.codes else 0
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (
+            self.columns == other.columns
+            and self.domains == other.domains
+            and self.provenance == other.provenance
+            and all(np.array_equal(a, b) for a, b in zip(self.codes, other.codes))
+        )
 
     def column(self, name: str) -> tuple[str, ...]:
-        idx = self.columns.index(name)
-        return tuple(row[idx] for row in self.records)
+        k = self.columns.index(name)
+        domain = self.domains[k]
+        return tuple(domain[i] for i in self.codes[k].tolist())
+
+    @property
+    def records(self) -> tuple[tuple[str, ...], ...]:
+        """The rows as label tuples, in column order."""
+        return tuple(zip(*(self.column(c) for c in self.columns)))
 
 
 def make_dataset(
@@ -192,20 +232,28 @@ def make_dataset(
     specs: Mapping[str, VariableSpec],
     provenance: str = "fixture",
 ) -> Dataset:
+    """Encode label rows against the specs' domains, checking every cell."""
     cols = tuple(columns)
     for c in cols:
         if c not in specs:
             raise UnknownNode(f"dataset column {c!r} has no variable spec")
-    rows = []
+    lookups = [{label: i for i, label in enumerate(specs[c].domain)} for c in cols]
+    codes: list[list[int]] = [[] for _ in cols]
     for r, row in enumerate(records):
         row = tuple(row)
         if len(row) != len(cols):
             raise ValidationError(f"row {r} has {len(row)} cells, expected {len(cols)}")
-        for c, label in zip(cols, row):
-            if label not in specs[c].domain:
-                raise UnknownLabel(r, c, label)
-        rows.append(row)
-    return Dataset(columns=cols, records=tuple(rows), provenance=provenance)
+        for k, label in enumerate(row):
+            try:
+                codes[k].append(lookups[k][label])
+            except (KeyError, TypeError):
+                raise UnknownLabel(r, cols[k], label) from None
+    return Dataset(
+        columns=cols,
+        codes=tuple(codes),
+        domains=tuple(specs[c].domain for c in cols),
+        provenance=provenance,
+    )
 
 
 def build_model(
@@ -461,38 +509,37 @@ def marginal1(
 
 def sample(m: DiscreteModel, n: int, seed: int) -> Dataset:
     """Ancestral forward sampling; deterministic for a fixed seed."""
+    if n < 0:
+        raise ValidationError(f"sample size must be >= 0, got {n}")
     _require_fully_instantiated(m)
     order = [
         node for node in m.structure.topological_order() if node in m.instantiated
     ]
     _closure_within(m, m.instantiated)
     rng = np.random.default_rng(seed)
-    columns = tuple(sorted(order))
-    if n == 0:
-        return Dataset(columns=columns, records=(), provenance="synthetic")
     drawn: dict[str, np.ndarray] = {}
     for node in order:
         cpd = m.cpds[node]
         card = m.specs[node].cardinality
+        # One cumulative row per parent configuration, gathered per sample.
+        cdfs = np.cumsum(cpd.table, axis=1)
         if cpd.parents:
             parent_cards = [m.specs[p].cardinality for p in cpd.parents]
             cfg = np.ravel_multi_index(
                 tuple(drawn[p] for p in cpd.parents), tuple(parent_cards)
             )
-            probs = cpd.table[cfg]
+            cdf = cdfs[cfg]
         else:
-            probs = np.broadcast_to(cpd.table[0], (n, card))
-        cdf = np.cumsum(probs, axis=1)
+            cdf = np.broadcast_to(cdfs[0], (n, card))
         u = rng.random(n)
         drawn[node] = np.minimum((cdf < u[:, None]).sum(axis=1), card - 1)
-    label_arrays = {
-        node: np.asarray(m.specs[node].domain, dtype=object)[drawn[node]]
-        for node in order
-    }
-    records = tuple(
-        tuple(label_arrays[c][i] for c in columns) for i in range(n)
+    columns = tuple(sorted(order))
+    return Dataset(
+        columns=columns,
+        codes=tuple(drawn[c] for c in columns),
+        domains=tuple(m.specs[c].domain for c in columns),
+        provenance="synthetic",
     )
-    return Dataset(columns=columns, records=records, provenance="synthetic")
 
 
 def estimate_cpds(
@@ -519,18 +566,17 @@ def estimate_cpds(
             raise UnknownNode(f"dataset column {c!r} is not a structure variable")
 
     encoded: dict[str, np.ndarray] = {}
-    for pos, c in enumerate(dataset.columns):
-        lookup = {label: i for i, label in enumerate(specs[c].domain)}
-        try:
-            encoded[c] = np.fromiter(
-                (lookup[row[pos]] for row in dataset.records),
-                dtype=np.int64,
-                count=len(dataset),
-            )
-        except KeyError as exc:
+    for c, codes, domain in zip(dataset.columns, dataset.codes, dataset.domains):
+        # The dataset's label k is the spec's label lookup[k]; -1 if it has none.
+        index = {label: i for i, label in enumerate(specs[c].domain)}
+        lookup = np.array([index.get(label, -1) for label in domain], dtype=np.intp)
+        encoded[c] = lookup[codes]
+        outside = np.flatnonzero(encoded[c] < 0)
+        if outside.size:
+            label = domain[codes[outside[0]]]
             raise UnknownCategory(
-                f"column {c!r} contains label {exc.args[0]!r} outside its domain"
-            ) from None
+                f"column {c!r} contains label {label!r} outside its domain"
+            )
 
     cpds: list[Cpd] = []
     for node in structure.nodes:

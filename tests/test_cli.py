@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -240,6 +241,48 @@ class TestSample:
         run(capsys, "sample", "heavy-rain-reality", "-n", "100", "--seed", "9", "-o", str(a))
         run(capsys, "sample", "heavy-rain-reality", "-n", "100", "--seed", "9", "-o", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    # The sampled CSV bytes are part of the contract: pinned by digest.
+    @pytest.mark.parametrize(
+        "model, seed, digest",
+        [
+            ("heavy-rain-reality", "3", "437732f29d4c2be67d012a113f499afa3f78accae504470f9ccd5a8895e53064"),
+            ("heavy-rain-model", "4", "eca9e2639a24a1a6cddb4cf40f8344d954955fe3054592fbd8d6b90ce01c7d18"),
+        ],
+    )
+    def test_output_bytes_pinned(self, capsys, tmp_path, model, seed, digest):
+        path = tmp_path / "s.csv"
+        code, _, _ = run(capsys, "sample", model, "-n", "5000", "--seed", seed, "-o", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_negative_count_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "s.csv"
+        code, _, err = run(capsys, "sample", "heavy-rain-reality", "-n", "-3", "-o", str(path))
+        assert code == 2
+        assert "-n must be >= 0" in err
+        assert not path.exists()
+
+
+class TestBadDatasetExitsTwo:
+    def run_with_data(self, capsys, tmp_path, reference_bytes):
+        ref, cand = tmp_path / "ref.csv", tmp_path / "cand.csv"
+        ref.write_bytes(reference_bytes)
+        run(capsys, "sample", "heavy-rain-model", "-n", "50", "-o", str(cand))
+        return run(
+            capsys, "indicators", "heavy-rain-reality", "heavy-rain-model",
+            "--data", str(ref), str(cand),
+        )
+
+    def test_invalid_utf8(self, capsys, tmp_path):
+        code, _, err = self.run_with_data(capsys, tmp_path, b"X,V2\nCP,Slow\n\xc3\x28,Slow\n")
+        assert code == 2
+        assert "not valid UTF-8" in err
+
+    def test_duplicate_header_column(self, capsys, tmp_path):
+        code, _, err = self.run_with_data(capsys, tmp_path, b"X,V1,X\nCP,Summer,CP\n")
+        assert code == 2
+        assert "'X' appears twice" in err
 
 
 class TestMetrics:

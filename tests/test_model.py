@@ -19,7 +19,6 @@ from causalcrit.errors import (
 )
 from causalcrit.graph import build_structure
 from causalcrit.model import (
-    Dataset,
     VariableSpec,
     build_model,
     estimate_cpds,
@@ -344,6 +343,32 @@ class TestSample:
         b = sample(reality_model, 500, seed=2)
         assert a != b
 
+    def test_negative_size_rejected(self, reality_model):
+        with pytest.raises(ValidationError):
+            sample(reality_model, -1, seed=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_models(max_nodes=5), st.integers(0, 40), st.integers(0, 2**16))
+    def test_matches_row_wise_draw(self, m, n, seed):
+        # Reference sampler: per node in topological order, the cumulative
+        # CPD row of each sample's parent configuration against one uniform.
+        rng = np.random.default_rng(seed)
+        drawn = {}
+        for node in m.structure.topological_order():
+            cpd = m.cpds[node]
+            cards = [m.specs[p].cardinality for p in cpd.parents]
+            rows = [
+                cpd.row_index(cards, [drawn[p][i] for p in cpd.parents]) for i in range(n)
+            ]
+            cdf = np.cumsum(cpd.table[rows], axis=1)
+            u = rng.random(n)
+            card = m.specs[node].cardinality
+            drawn[node] = np.minimum((cdf < u[:, None]).sum(axis=1), card - 1)
+        ds = sample(m, n, seed)
+        assert ds.columns == tuple(sorted(drawn))
+        assert [c.tolist() for c in ds.codes] == [drawn[c].tolist() for c in ds.columns]
+        assert ds.domains == tuple(m.specs[c].domain for c in ds.columns)
+
     def test_empirical_frequency_near_marginal(self, reality_model):
         ds = sample(reality_model, 200_000, seed=7)
         xs = ds.column("X")
@@ -353,7 +378,7 @@ class TestSample:
 
 class TestEstimate:
     def test_empty_dataset_rejected(self, reality_model):
-        ds = Dataset(columns=("V1",), records=())
+        ds = make_dataset(["V1"], [], reality_model.specs)
         with pytest.raises(EmptyDataset):
             estimate_cpds(reality_model.structure, reality_model.specs, ds)
 
@@ -387,9 +412,10 @@ class TestEstimate:
         ds = sample(reality_model, 1000, seed=3)
         cols = [c for c in ds.columns if c != "V3"]
         idx = [ds.columns.index(c) for c in cols]
-        pruned = Dataset(
-            columns=tuple(cols),
-            records=tuple(tuple(r[i] for i in idx) for r in ds.records),
+        pruned = make_dataset(
+            cols,
+            [tuple(r[i] for i in idx) for r in ds.records],
+            reality_model.specs,
             provenance="synthetic",
         )
         est = estimate_cpds(reality_model.structure, reality_model.specs, pruned)
