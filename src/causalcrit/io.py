@@ -9,6 +9,8 @@ pin them by checksum.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from pathlib import Path
 from typing import Mapping, Union
 
@@ -169,8 +171,25 @@ def model_to_text(cr: CausalRelation, model: DiscreteModel) -> str:
     return canonical_json(payload)
 
 
+def _write_text(path: PathLike, text: str) -> None:
+    """Leave the file at ``path`` holding exactly ``text`` in UTF-8.
+
+    An existing regular file is overwritten in place and then cut to the new
+    length, not truncated to zero first: ext4 and file systems like it start
+    writing a file out to disk when it is closed after such a truncation,
+    which makes each rewrite wait for the disk. Overwritten in place, the
+    pages are written back later by the kernel.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as out:
+        out.write(data)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            out.truncate()
+
+
 def save_model(path: PathLike, cr: CausalRelation, model: DiscreteModel) -> None:
-    Path(path).write_text(model_to_text(cr, model), encoding="utf-8")
+    _write_text(path, model_to_text(cr, model))
 
 
 def parse_model_text(text: str) -> tuple[CausalRelation, DiscreteModel]:
@@ -371,7 +390,7 @@ def save_dataset(path: PathLike, dataset: Dataset) -> None:
     ]
     rendered = np.array(list(map(",".join, zip(*cells))), dtype=object)
     lines = [",".join(dataset.columns), *rendered[inverse].tolist()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def load_trajectory(path: PathLike):

@@ -1,6 +1,7 @@
 """Columnar datasets: encoding, CSV round trips, load errors and estimation."""
 
 import itertools
+import os
 import warnings
 
 import numpy as np
@@ -176,6 +177,24 @@ class TestRoundTrip:
         path = tmp_path / "wide.csv"
         save_dataset(path, make_dataset(names, rows, specs))
         assert path.read_bytes() == reference_csv(names, rows)
+
+    @pytest.mark.parametrize("old_rows", [0, 3, 40])
+    def test_rewrite_leaves_exactly_the_new_csv(self, tmp_path, old_rows):
+        specs = {"A": _spec("A", ["no", "yes"]), "B": _spec("B", ["lo", "mid", "hi"])}
+        path = tmp_path / "d.csv"
+        save_dataset(path, make_dataset(["A", "B"], [("yes", "mid")] * old_rows, specs))
+        rows = [("no", "hi"), ("yes", "lo"), ("no", "hi")]
+        save_dataset(path, make_dataset(["A", "B"], rows, specs))
+        assert path.read_bytes() == reference_csv(["A", "B"], rows)
+
+    def test_save_to_non_regular_file(self):
+        specs = {"A": _spec("A", ["no", "yes"])}
+        save_dataset(os.devnull, make_dataset(["A"], [("yes",)], specs))
+
+    def test_save_into_missing_directory_is_os_error(self, tmp_path):
+        specs = {"A": _spec("A", ["no", "yes"])}
+        with pytest.raises(OSError):
+            save_dataset(tmp_path / "missing" / "d.csv", make_dataset(["A"], [("yes",)], specs))
 
 
 SPECS = {"X": _spec("X", ["notCP", "CP"]), "V2": _spec("V2", ["Slow", "Fast"])}
