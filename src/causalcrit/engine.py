@@ -2,10 +2,11 @@
 
 Truncated factorization (the do-targets clamped inside the elimination),
 adjustment on the intervened node's parents, and back-door adjustment all
-identify the same effect on a fully instantiated Markovian model; the latter
-two also work on partially instantiated models as long as the required
-conditionals are enumerable from the instantiated set. :func:`plan_effect`
-holds the one rule that picks a route.
+identify the same effect on a Markovian model. Each needs only the CPDs of
+the ancestral closure of the joint it computes. On a Markovian model the
+truncated closure lies inside every other route's, so the adjustment routes
+serve semi-Markovian models. :func:`plan_effect` holds the one rule that
+picks a route.
 """
 
 from __future__ import annotations
@@ -33,12 +34,7 @@ from .graph import (
     descendants,
     enumerate_adjustment_sets,
 )
-from .model import (
-    DiscreteModel,
-    _require_fully_instantiated,
-    joint_table,
-    marginal1,
-)
+from .model import DiscreteModel, joint_table, marginal1
 
 __all__ = [
     "Intervention",
@@ -104,15 +100,15 @@ def interventional_truncated(
 ) -> dict[str, float]:
     """P(target | do(i)) by truncated factorization.
 
-    Requires a Markovian, fully instantiated model. The do-targets are
-    clamped inside :func:`joint_table`; the empty intervention reproduces the
-    observational marginal exactly.
+    Requires a Markovian model and the CPDs of the target's ancestral closure,
+    not followed past the do-targets, which are clamped inside
+    :func:`joint_table`; the empty intervention reproduces the observational
+    marginal exactly.
     """
     if not m.structure.is_markovian():
         raise NotMarkovian("truncated factorization needs independent error terms")
     _check_intervention(m, i)
     spec = m.spec_of(target)
-    _require_fully_instantiated(m)
     do = {node: m.specs[node].index_of(label) for node, label in i.assignments}
     _, arr = joint_table(m, over=[target], do=do)
     return {c: float(arr[k]) for k, c in enumerate(spec.domain)}
@@ -232,8 +228,9 @@ def plan_effect(
     Returns the route label and one distribution per intervention. With no
     assignment at all the distributions are observational. Explicit routes
     are ``truncated``, ``parents`` and ``backdoor`` (needs ``adjustment``).
-    ``auto`` takes the truncated route on a fully instantiated Markovian
-    model or when a do() covers several nodes; otherwise parent adjustment.
+    ``auto`` takes the truncated route on a Markovian model, where every other
+    route needs a superset of its CPDs, or when a do() covers several nodes;
+    otherwise parent adjustment.
     When that fails, a target that every do() sets is a point mass
     (``point-mass``), and a target that descends from no intervened node
     keeps its observational marginal (``observational``); otherwise the
@@ -256,8 +253,7 @@ def plan_effect(
         ]
     if route != "auto":
         raise InvalidQuery(f"unknown route {route!r}")
-    usable = m.fully_instantiated and m.structure.is_markovian()
-    if usable or any(len(i) > 1 for i in interventions):
+    if m.structure.is_markovian() or any(len(i) > 1 for i in interventions):
         return plan_effect(m, interventions, target, "truncated")
     try:
         return plan_effect(m, interventions, target, "parents")

@@ -21,6 +21,7 @@ pins them by sha256.
 
 from __future__ import annotations
 
+import functools
 from importlib import resources
 from pathlib import Path
 
@@ -50,8 +51,10 @@ def fixture_text(fixture_id: str) -> str:
     return fixture_path(fixture_id).read_text(encoding="utf-8")
 
 
+@functools.cache
 def fixture(fixture_id: str) -> tuple[CausalRelation, DiscreteModel]:
-    """Load a shipped fixture through the regular model parser."""
+    """Load a shipped fixture through the regular model parser, once per
+    process: relations and models are immutable, so callers share them."""
     return parse_model_text(fixture_text(fixture_id))
 
 

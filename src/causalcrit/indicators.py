@@ -26,7 +26,6 @@ from .errors import (
     DivisionByZeroEffect,
     InfiniteDivergence,
     InvalidQuery,
-    NotFullyInstantiated,
     NotMarkovian,
     PreconditionWarning,
     ValidationError,
@@ -35,6 +34,7 @@ from .errors import (
 )
 from .graph import CausalStructure
 from .model import Cpd, DiscreteModel, build_model, joint_table, make_cpd, marginal1
+from .model import _closure_within
 
 __all__ = [
     "IndicatorReport",
@@ -202,11 +202,8 @@ def sigma(m: DiscreteModel, cp: PhenomenonBinding, metric: str) -> IndicatorRepo
 def rho1(pair: ModelPair, cp: PhenomenonBinding, bits: bool = False) -> IndicatorReport:
     """KL of the phenomenon marginal, candidate (model) against reference."""
     pair.check_shared_specs([cp.variable])
-    domain = pair.reference.spec_of(cp.variable).domain
-    p_cand, p_ref = (
-        dict(zip(domain, joint_table(m, over=[cp.variable])[1].tolist()))
-        for m in (pair.candidate, pair.reference)
-    )
+    p_cand = marginal1(pair.candidate, cp.variable)
+    p_ref = marginal1(pair.reference, cp.variable)
     value = kl_divergence(p_cand, p_ref, bits=bits)
     meta = {
         "log_base": "bits" if bits else "nats",
@@ -257,8 +254,6 @@ def causal_influence(
     """
     if not m.structure.is_markovian():
         raise NotMarkovian("causal influence is defined for Markovian models")
-    if not m.fully_instantiated:
-        raise NotFullyInstantiated("causal influence needs a fully instantiated model")
     edge_list = sorted(set(tuple(e) for e in edges))
     for e in edge_list:
         if e not in m.structure.directed:
@@ -266,6 +261,7 @@ def causal_influence(
     cut_by_child: dict[str, list[str]] = {}
     for a, b in edge_list:
         cut_by_child.setdefault(b, []).append(a)
+    _closure_within(m, cut_by_child)
     total = 0.0
     for child, cut in cut_by_child.items():
         parents = m.cpds[child].parents

@@ -371,7 +371,12 @@ _KEY_LIMIT = 1 << 62
 
 
 def save_dataset(path: PathLike, dataset: Dataset) -> None:
-    """Write ``dataset`` as CSV, rendering each distinct row only once."""
+    """Write ``dataset`` as CSV, rendering each distinct row only once; a label
+    that would not read back as itself raises before anything is written."""
+    for column, domain in zip(dataset.columns, dataset.domains):
+        for label in domain:
+            if not (label == label.strip() and "," not in label and label.splitlines() == [label]):
+                raise ValidationError(f"column {column!r}: label {label!r} cannot be read back")
     key = np.zeros(len(dataset), dtype=np.int64)
     radix = 1
     for codes, domain in zip(dataset.codes, dataset.domains):

@@ -422,8 +422,9 @@ def _check_states(size: int, nodes: Sequence[str], limit: int) -> None:
 
 
 def joint_probability(m: DiscreteModel, assignment: Mapping[str, str]) -> float:
-    """Probability of one full assignment via the Markov factorization."""
-    _require_fully_instantiated(m)
+    """Probability of one assignment to every instantiated node via the
+    Markov factorization; each of their parents must carry a CPD too."""
+    _closure_within(m, m.instantiated)
     for node in m.instantiated:
         if node not in assignment:
             raise UnknownCategory(f"assignment misses instantiated node {node!r}")
@@ -474,18 +475,16 @@ def marginal(
 ) -> dict[tuple[str, ...], float]:
     """Exact (conditional) marginal over ``targets``.
 
-    Computed from the joint over the targets and the conditioning nodes.
-    Keys are label tuples following sorted target order.
+    Computed from the joint over the targets and the conditioning nodes, so
+    only the CPDs of their ancestral closure are needed. Keys are label tuples
+    following sorted target order.
     """
-    _require_fully_instantiated(m)
     given = dict(given or {})
     target_list = sorted(set(targets))
     if not target_list:
         raise InvalidQuery("marginal requires at least one target node")
     for n in list(given) + target_list:
         m.spec_of(n)
-        if n not in m.instantiated:
-            raise InsufficientInstantiation(f"{n!r} carries no CPD")
     overlap = set(target_list) & set(given)
     if overlap:
         raise InvalidQuery(

@@ -125,6 +125,20 @@ def brute_reachable(edges, node):
     return out
 
 
+def brute_missing_cpds(m, over, clamped=()):
+    """Sorted nodes without a CPD that a query over ``over`` needs.
+
+    The query needs every node of ``over`` and each of their ancestors,
+    walking edges backwards but never into a ``clamped`` node; the clamped
+    nodes themselves need no CPD.
+    """
+    backwards = [(b, a) for a, b in m.structure.directed if b not in clamped]
+    needed = set(over)
+    for node in over:
+        needed |= brute_reachable(backwards, node)
+    return sorted(n for n in needed if n not in m.cpds and n not in clamped)
+
+
 # -- path-enumeration d-separation -------------------------------------------
 
 def _adjacency(structure):

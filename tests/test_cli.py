@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import causalcrit
+from causalcrit import fixtures
 from causalcrit.cli import main
 from causalcrit.fixtures import fixture_text
+from causalcrit.io import parse_model_text
 
 
 def run(capsys, *argv):
@@ -24,6 +26,19 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "heavy-rain-reality")
         assert code == 0
         assert "no violations" in out
+
+    def test_fixture_parsed_once_per_process(self, capsys, monkeypatch):
+        parsed = []
+
+        def counting_parse(text):
+            parsed.append(text)
+            return parse_model_text(text)
+
+        monkeypatch.setattr(fixtures, "parse_model_text", counting_parse)
+        fixtures.fixture.cache_clear()
+        for _ in range(2):
+            assert run(capsys, "validate", "friction-relation")[0] == 0
+        assert len(parsed) == 1
 
     def test_cycle_injection_exits_one_and_names_cycle(self, capsys, tmp_path):
         payload = json.loads(fixture_text("heavy-rain-reality"))

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import re
 import warnings
 
 import numpy as np
@@ -195,6 +196,16 @@ class TestRoundTrip:
         specs = {"A": _spec("A", ["no", "yes"])}
         with pytest.raises(OSError):
             save_dataset(tmp_path / "missing" / "d.csv", make_dataset(["A"], [("yes",)], specs))
+
+    @pytest.mark.parametrize("label", ["x,y", "p\vq", " x", ""])
+    def test_label_that_cannot_be_read_back_is_rejected(self, tmp_path, label):
+        # Written as-is, "x,y" reads back as a ragged row, "p\vq" as two
+        # lines, " x" stripped, and an empty cell as a blank line.
+        specs = {"A": _spec("A", [label, "z"])}
+        path = tmp_path / "d.csv"
+        with pytest.raises(ValidationError, match=re.escape(f"column 'A': label {label!r}")):
+            save_dataset(path, make_dataset(["A"], [(label,), ("z",), (label,)], specs))
+        assert not path.exists()
 
 
 SPECS = {"X": _spec("X", ["notCP", "CP"]), "V2": _spec("V2", ["Slow", "Fast"])}

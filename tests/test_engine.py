@@ -366,25 +366,27 @@ class TestPlanEffect:
         assert e == pytest.approx(dist["b"], abs=1e-12)
 
     def test_auto_tries_parents_before_backdoor(self):
-        # A -> X -> Y and an unrelated Z without a CPD: the model is not fully
-        # instantiated, and adjustment on X's parent {A} comes first.
+        # A -> X -> Y and a Z without a CPD. With the confounding arc Y <-> Z,
+        # away from X, the model is semi-Markovian and adjustment on X's
+        # parent {A} comes first. Without it the model is Markovian, and the
+        # truncated route needs no CPD outside Y's closure.
         specs = {
             n: VariableSpec(name=n, domain=("a", "b"), codes=(0.0, 1.0))
             for n in ("A", "X", "Y", "Z")
         }
-        s = build_structure(["A", "X", "Y", "Z"], [("A", "X"), ("X", "Y")])
-        m = build_model(
-            s,
-            specs,
-            [
-                make_cpd("A", (), [[0.4, 0.6]], specs),
-                make_cpd("X", ("A",), [[0.3, 0.7], [0.8, 0.2]], specs),
-                make_cpd("Y", ("X",), [[0.9, 0.1], [0.2, 0.8]], specs),
-            ],
-        )
-        route, (dist,) = plan_effect(m, [make_intervention({"X": "b"})], "Y")
-        assert route == "parents"
-        assert dist["b"] == pytest.approx(0.8, abs=1e-12)
+        cpds = [
+            make_cpd("A", (), [[0.4, 0.6]], specs),
+            make_cpd("X", ("A",), [[0.3, 0.7], [0.8, 0.2]], specs),
+            make_cpd("Y", ("X",), [[0.9, 0.1], [0.2, 0.8]], specs),
+        ]
+        for arcs, expected in (([("Y", "Z")], "parents"), ([], "truncated")):
+            s = build_structure(
+                ["A", "X", "Y", "Z"], [("A", "X"), ("X", "Y")], bidirected=arcs
+            )
+            m = build_model(s, specs, cpds)
+            route, (dist,) = plan_effect(m, [make_intervention({"X": "b"})], "Y")
+            assert route == expected
+            assert dist["b"] == pytest.approx(0.8, abs=1e-12)
 
     def test_search_needs_one_intervened_node(self):
         m = confounded_pair_model()

@@ -215,8 +215,8 @@ class TestEffectIndicators:
         )
 
     def test_not_identifiable_without_instantiated_adjustment(self):
-        # confounder U carries no CPD: parents are not instantiated and no
-        # back-door set is enumerable from the instantiated nodes
+        # Confounder U and phi carry no CPD: the truncated closure of phi
+        # needs both, and on a Markovian model no other route needs less.
         specs = {
             n: VariableSpec(name=n, domain=("notCP", "CP") if n == "X" else ("a", "b"),
                             codes=(0.0, 1.0))
@@ -226,8 +226,21 @@ class TestEffectIndicators:
         m = build_model(
             s, specs, [make_cpd("X", ("U",), [[0.4, 0.6], [0.7, 0.3]], specs)]
         )
-        from causalcrit.errors import NotIdentifiable
+        from causalcrit.errors import InsufficientInstantiation, NotIdentifiable
 
+        with pytest.raises(InsufficientInstantiation, match=r"\['U', 'phi'\]"):
+            ace(m, CP, "phi")
+        # X -> phi and X <-> phi, both instantiated: the arc is a back-door
+        # path that no set blocks.
+        s = build_structure(["X", "phi"], [("X", "phi")], bidirected=[("X", "phi")])
+        m = build_model(
+            s,
+            {n: specs[n] for n in ("X", "phi")},
+            [
+                make_cpd("X", (), [[0.4, 0.6]], specs),
+                make_cpd("phi", ("X",), [[0.9, 0.1], [0.2, 0.8]], specs),
+            ],
+        )
         with pytest.raises(NotIdentifiable):
             ace(m, CP, "phi")
 

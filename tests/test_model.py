@@ -220,13 +220,18 @@ class TestMarginal:
             marginal1(m, "B", given={"A": "yes"})
 
     def test_partial_model_rejected(self, reality_model):
+        # Only V1 carries a CPD: a query is rejected exactly when its own
+        # ancestral closure is not instantiated.
         partial = build_model(
             reality_model.structure,
             reality_model.specs,
             [reality_model.cpds["V1"]],
         )
-        with pytest.raises(NotFullyInstantiated):
-            marginal1(partial, "V1")
+        assert marginal1(partial, "V1") == marginal1(reality_model, "V1")
+        with pytest.raises(
+            InsufficientInstantiation, match=r"\['V2', 'V3', 'X', 'phi'\]"
+        ):
+            marginal1(partial, "phi")
 
 
 class TestVariableElimination:
@@ -346,6 +351,15 @@ class TestSample:
     def test_negative_size_rejected(self, reality_model):
         with pytest.raises(ValidationError):
             sample(reality_model, -1, seed=0)
+
+    def test_partial_model_rejected(self, reality_model):
+        # A sample row assigns every observed node, so sampling keeps the
+        # model-wide check although V1's own closure is instantiated.
+        partial = build_model(
+            reality_model.structure, reality_model.specs, [reality_model.cpds["V1"]]
+        )
+        with pytest.raises(NotFullyInstantiated, match=r"\['V2', 'V3', 'X', 'phi'\]"):
+            sample(partial, 10, seed=0)
 
     @settings(max_examples=60, deadline=None)
     @given(random_models(max_nodes=5), st.integers(0, 40), st.integers(0, 2**16))
