@@ -25,7 +25,7 @@ from .engine import (
 )
 from .errors import CausalCritError, ParseError
 from .graph import enumerate_adjustment_sets
-from .indicators import ModelPair, ace, rce, rho1, rho2, rho3, sigma
+from .indicators import ModelPair, effect_indicators, rho1, rho2, rho3
 from .io import (
     canonical_json,
     load_dataset,
@@ -165,8 +165,7 @@ def cmd_indicators(args) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for model, role in ((ref, "reference"), (cand, "candidate")):
-            for fn in (ace, rce, sigma):
-                report = fn(model, cp, metric)
+            for report in effect_indicators(model, cp, metric):
                 report.metadata["role"] = role
                 reports.append(report)
         reports.append(rho1(pair, cp, bits=args.bits))

@@ -6,14 +6,16 @@ identify the same effect on a Markovian model. Each needs only the CPDs of
 the ancestral closure of the joint it computes. On a Markovian model the
 truncated closure lies inside every other route's, so the adjustment routes
 serve semi-Markovian models. :func:`plan_effect` holds the one rule that
-picks a route.
+picks a route. For a single intervened node x, :func:`effect_table` gives
+P(target | do(x)) for every label of x from one computation: the truncated
+route keeps x as a free regime axis of the elimination.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -45,6 +47,7 @@ __all__ = [
     "interventional_parent_adjust",
     "interventional_backdoor",
     "interventional_expectation",
+    "effect_table",
     "plan_effect",
     "expectation",
     "evaluate_safety_principle",
@@ -123,22 +126,23 @@ def _single_target(i: Intervention) -> tuple[str, str]:
     return i.assignments[0]
 
 
-def _adjusted_distribution(
+def _adjusted_table(
     m: DiscreteModel,
     x: str,
-    x_label: str,
+    rows: Sequence[int],
     target: str,
-    adjustment: Sequence[str],
-) -> dict[str, float]:
-    """Sum_s P(target | x, s) P(s) over the exact joint of the set, x and target.
+    adjustment: Iterable[str],
+) -> np.ndarray:
+    """Sum_s P(target | x, s) P(s) for each label index of x in ``rows``.
 
-    Strata with P(s) = 0 contribute nothing and are skipped; a conditioning
-    event P(x, s) = 0 with P(s) > 0 is an error rather than NaN.
+    One row per entry of ``rows``, all from the exact joint of the set, x and
+    target. Strata with P(s) = 0 contribute nothing and are skipped; a
+    conditioning event P(x, s) = 0 with P(s) > 0 is an error rather than NaN,
+    raised for the first such row.
     """
     adj = tuple(sorted(set(adjustment)))
     names, arr = joint_table(m, over=set(adj) | {x, target})
-    spec_t = m.spec_of(target)
-    x_idx = m.spec_of(x).index_of(x_label)
+    spec_x, spec_t = m.spec_of(x), m.spec_of(target)
     order = [*adj, x]
     arr = np.transpose(arr, [names.index(n) for n in dict.fromkeys([*order, target])])
     if target in order:
@@ -148,20 +152,35 @@ def _adjusted_distribution(
         eye_shape[order.index(target)] = spec_t.cardinality
         arr = arr[..., None] * np.eye(spec_t.cardinality).reshape(eye_shape)
     # axes: stratum s, value of x, value of target
-    arr = arr.reshape(-1, m.spec_of(x).cardinality, spec_t.cardinality)
+    arr = arr.reshape(-1, spec_x.cardinality, spec_t.cardinality)
     p_s = arr.sum(axis=(1, 2))
-    p_xst = arr[:, x_idx, :]
-    p_xs = p_xst.sum(axis=1)
+    p_xst = arr[:, rows, :]
+    p_xs = p_xst.sum(axis=2)
     live = p_s > 0.0
-    undefined = np.flatnonzero(live & (p_xs == 0.0))
-    if undefined.size:
-        combo = np.unravel_index(undefined[0], [m.spec_of(a).cardinality for a in adj])
+    undefined = live[:, None] & (p_xs == 0.0)
+    if undefined.any():
+        r = np.flatnonzero(undefined.any(axis=0))[0]
+        combo = np.unravel_index(
+            np.flatnonzero(undefined[:, r])[0], [m.spec_of(a).cardinality for a in adj]
+        )
         labels = {a: m.spec_of(a).domain[i] for a, i in zip(adj, combo)}
         raise ZeroProbabilityCondition(
-            f"P({x}={x_label}, {labels}) = 0; conditional undefined"
+            f"P({x}={spec_x.domain[rows[r]]}, {labels}) = 0; conditional undefined"
         )
-    out = (p_s[live, None] * (p_xst[live] / p_xs[live, None])).sum(axis=0)
-    return {c: float(out[k]) for k, c in enumerate(spec_t.domain)}
+    return (p_s[live, None, None] * (p_xst[live] / p_xs[live][..., None])).sum(axis=0)
+
+
+def _effect_row(
+    m: DiscreteModel,
+    i: Intervention,
+    target: str,
+    route: str,
+    adjustment: Optional[list[str]] = None,
+) -> dict[str, float]:
+    _check_intervention(m, i)
+    x, x_label = _single_target(i)
+    _, (row,) = effect_table(m, x, target, route, adjustment, [x_label])
+    return dict(zip(m.specs[target].domain, row.tolist()))
 
 
 def interventional_parent_adjust(
@@ -174,22 +193,7 @@ def interventional_parent_adjust(
     the intervened node and the target are enumerable from the instantiated
     set.
     """
-    _check_intervention(m, i)
-    x, x_label = _single_target(i)
-    m.spec_of(target)
-    parents = tuple(sorted(m.structure.parents(x)))
-    if m.structure.confounded_with(x):
-        raise NotMarkovian(
-            f"{x!r} carries a confounding arc; its observed parents do not "
-            "suffice for adjustment"
-        )
-    if target == x:
-        spec = m.spec_of(target)
-        return {c: 1.0 if c == x_label else 0.0 for c in spec.domain}
-    try:
-        return _adjusted_distribution(m, x, x_label, target, parents)
-    except InsufficientInstantiation as exc:
-        raise ParentsNotInstantiated(str(exc)) from None
+    return _effect_row(m, i, target, "parents")
 
 
 def interventional_backdoor(
@@ -199,21 +203,131 @@ def interventional_backdoor(
     adjustment: Iterable[str],
 ) -> dict[str, float]:
     """Back-door adjustment; admissibility is verified, never assumed."""
-    _check_intervention(m, i)
-    x, x_label = _single_target(i)
-    m.spec_of(target)
-    adj = sorted(set(adjustment))
-    if not backdoor_admissible(m.structure, adj, x, target):
-        raise NotAdmissible(
-            f"{adj} does not satisfy the back-door criterion for ({x!r}, {target!r})"
-        )
-    return _adjusted_distribution(m, x, x_label, target, adj)
+    return _effect_row(m, i, target, "backdoor", list(adjustment))
 
 
 def expectation(dist: Mapping[str, float], m: DiscreteModel, node: str) -> float:
     """Expected numeric code of ``node`` under a distribution over its labels."""
     spec = m.spec_of(node)
     return float(sum(spec.code_of(label) * p for label, p in dist.items()))
+
+
+def _check_route(route: str, adjustment: Optional[Iterable[str]]) -> None:
+    if route == "backdoor" and adjustment is None:
+        raise InvalidQuery("backdoor route needs an adjustment set")
+    if route not in ("auto", "truncated", "parents", "backdoor"):
+        raise InvalidQuery(f"unknown route {route!r}")
+
+
+def _auto_route(
+    m: DiscreteModel,
+    targets: Sequence[tuple[str, ...]],
+    target: str,
+    run: Callable[..., tuple],
+) -> tuple:
+    """The auto rule of :func:`plan_effect`.
+
+    ``targets`` holds the intervened nodes of each do(), and
+    ``run(route, adjustment=None)`` computes one route for all of them.
+    """
+    if m.structure.is_markovian() or any(len(t) > 1 for t in targets):
+        return run("truncated")
+    try:
+        return run("parents")
+    except (ParentsNotInstantiated, NotMarkovian, ZeroProbabilityCondition):
+        pass
+    xs = {x for t in targets for x in t}
+    if all(target in t for t in targets):
+        return run("point-mass")
+    if target not in xs and not any(target in descendants(m.structure, x) for x in xs):
+        return run("observational")
+    if len(xs) != 1:
+        raise InvalidQuery(
+            f"back-door search needs one intervened node, got {sorted(xs)}"
+        )
+    (x,) = xs
+    # Scoped to instantiated ancestors of the pair so the subset scan stays
+    # bounded; exotic graphs can always name an adjustment set explicitly.
+    scope = ancestors(m.structure, x) | ancestors(m.structure, target)
+    candidates = sorted((m.instantiated & scope) - {x, target})
+    if len(candidates) > 20:
+        raise NotIdentifiable(
+            f"adjustment-set search space over {len(candidates)} candidates is "
+            "too large; compute the effect via an explicit adjustment set"
+        )
+    for adj in enumerate_adjustment_sets(
+        m.structure, x, target, max_count=64, candidates=candidates
+    ):
+        try:
+            return run("backdoor", adj)
+        except (InsufficientInstantiation, ZeroProbabilityCondition):
+            continue
+    raise NotIdentifiable(
+        f"no admissible adjustment set for ({x!r}, {target!r}) is enumerable "
+        "from the instantiated nodes"
+    )
+
+
+def effect_table(
+    m: DiscreteModel,
+    x: str,
+    target: str,
+    route: str = "auto",
+    adjustment: Optional[Iterable[str]] = None,
+    labels: Optional[Sequence[str]] = None,
+) -> tuple[str, np.ndarray]:
+    """P(target | do(x = l)) for each label l in ``labels``, one row each.
+
+    ``labels`` defaults to x's whole domain, which gives the |x| x |target|
+    effect table; columns follow the target's domain. Returns the route
+    label and the table. Routes and the ``auto`` rule are those of
+    :func:`plan_effect`. The truncated route is one :func:`joint_table` call
+    with x as a free regime axis; the adjustment routes take every row from
+    one joint over the set, x and the target; ``point-mass`` is the identity
+    and ``observational`` repeats the target's marginal in every row.
+    """
+    _check_route(route, adjustment)
+    spec_x = m.spec_of(x)
+    rows = list(range(spec_x.cardinality) if labels is None else map(spec_x.index_of, labels))
+    m.spec_of(target)
+    identity = np.eye(spec_x.cardinality)[rows]  # the table when target == x
+
+    def run(route: str, adjustment: Optional[Iterable[str]] = None) -> tuple[str, np.ndarray]:
+        if route == "truncated":
+            if not m.structure.is_markovian():
+                raise NotMarkovian("truncated factorization needs independent error terms")
+            if target == x:
+                return route, identity
+            names, arr = joint_table(m, over=[target], regime=[x])
+            return route, (arr if names[0] == x else arr.T)[rows]
+        if route == "parents":
+            if m.structure.confounded_with(x):
+                raise NotMarkovian(
+                    f"{x!r} carries a confounding arc; its observed parents do not "
+                    "suffice for adjustment"
+                )
+            if target == x:
+                return route, identity
+            try:
+                return route, _adjusted_table(m, x, rows, target, m.structure.parents(x))
+            except InsufficientInstantiation as exc:
+                raise ParentsNotInstantiated(str(exc)) from None
+        if route == "backdoor":
+            adj = list(adjustment)
+            if not backdoor_admissible(m.structure, sorted(set(adj)), x, target):
+                raise NotAdmissible(
+                    f"{sorted(set(adj))} does not satisfy the back-door criterion "
+                    f"for ({x!r}, {target!r})"
+                )
+            return f"backdoor:{sorted(adj)}", _adjusted_table(m, x, rows, target, adj)
+        if route == "point-mass":
+            return route, identity
+        _, marginal = joint_table(m, over=[target])
+        return route, np.tile(marginal, (len(rows), 1))
+
+    if route == "auto":
+        return _auto_route(m, [(x,)] * len(rows), target, run)
+    return run(route, adjustment)
 
 
 def plan_effect(
@@ -236,65 +350,39 @@ def plan_effect(
     keeps its observational marginal (``observational``); otherwise the
     first back-door set enumerable from the instantiated ancestors of the
     intervened node and the target. Every intervention goes through the
-    same route, so contrasts between them stay comparable.
+    same route, so contrasts between them stay comparable. When every do()
+    sets the same single node, the distributions are rows of one
+    :func:`effect_table`; other lists are computed one intervention at a
+    time.
     """
     if not any(i.assignments for i in interventions):
         return "observational", [marginal1(m, target) for _ in interventions]
-    if route == "truncated":
-        return route, [interventional_truncated(m, i, target) for i in interventions]
-    if route == "parents":
-        return route, [interventional_parent_adjust(m, i, target) for i in interventions]
-    if route == "backdoor":
-        if adjustment is None:
-            raise InvalidQuery("backdoor route needs an adjustment set")
-        adj = list(adjustment)
-        return f"backdoor:{sorted(adj)}", [
-            interventional_backdoor(m, i, target, adj) for i in interventions
-        ]
-    if route != "auto":
-        raise InvalidQuery(f"unknown route {route!r}")
-    if m.structure.is_markovian() or any(len(i) > 1 for i in interventions):
-        return plan_effect(m, interventions, target, "truncated")
-    try:
-        return plan_effect(m, interventions, target, "parents")
-    except (ParentsNotInstantiated, NotMarkovian, ZeroProbabilityCondition):
-        pass
-    # Parent adjustment may have stopped before it checked every do().
+    xs = {x for i in interventions for x in i.targets()}
+    if len(xs) == 1 and all(len(i) == 1 for i in interventions):
+        labels = [i.assignments[0][1] for i in interventions]
+        route, table = effect_table(m, xs.pop(), target, route, adjustment, labels)
+        domain = m.specs[target].domain
+        return route, [dict(zip(domain, row)) for row in table.tolist()]
+    _check_route(route, adjustment)
     for i in interventions:
         _check_intervention(m, i)
-    xs = {x for i in interventions for x in i.targets()}
-    if all(target in i.targets() for i in interventions):
-        return "point-mass", [
-            {c: float(c == i.as_dict()[target]) for c in m.spec_of(target).domain}
-            for i in interventions
-        ]
-    if target not in xs and not any(target in descendants(m.structure, x) for x in xs):
-        return "observational", [marginal1(m, target) for _ in interventions]
-    if len(xs) != 1:
-        raise InvalidQuery(
-            f"back-door search needs one intervened node, got {sorted(xs)}"
-        )
-    (x,) = xs
-    # Scoped to instantiated ancestors of the pair so the subset scan stays
-    # bounded; exotic graphs can always name an adjustment set explicitly.
-    scope = ancestors(m.structure, x) | ancestors(m.structure, target)
-    candidates = sorted((m.instantiated & scope) - {x, target})
-    if len(candidates) > 20:
-        raise NotIdentifiable(
-            f"adjustment-set search space over {len(candidates)} candidates is "
-            "too large; compute the effect via an explicit adjustment set"
-        )
-    for adj in enumerate_adjustment_sets(
-        m.structure, x, target, max_count=64, candidates=candidates
-    ):
-        try:
-            return plan_effect(m, interventions, target, "backdoor", adj)
-        except (InsufficientInstantiation, ZeroProbabilityCondition):
-            continue
-    raise NotIdentifiable(
-        f"no admissible adjustment set for ({x!r}, {target!r}) is enumerable "
-        "from the instantiated nodes"
-    )
+
+    # Never asked for ``point-mass``: when every do() sets the target, they
+    # all set the same single node and took the table above.
+    def run(route: str, adjustment: Optional[Iterable[str]] = None):
+        if route == "observational":
+            return route, [marginal1(m, target) for _ in interventions]
+        if route == "backdoor":
+            adj = list(adjustment)
+            return f"backdoor:{sorted(adj)}", [
+                interventional_backdoor(m, i, target, adj) for i in interventions
+            ]
+        fn = interventional_truncated if route == "truncated" else interventional_parent_adjust
+        return route, [fn(m, i, target) for i in interventions]
+
+    if route == "auto":
+        return _auto_route(m, [i.targets() for i in interventions], target, run)
+    return run(route, adjustment)
 
 
 def interventional_expectation(
@@ -333,9 +421,11 @@ def evaluate_safety_principle(
     """Effect of a safety principle on phenomenon probability and metric mean.
 
     Reports P(X = CP | do(sp)) - P(X = CP) and E(metric | do(sp)) - E(metric).
-    A principle whose targets influence neither the phenomenon nor the metric
-    triggers a warning instead of an error, since principles may act
-    downstream of the phenomenon.
+    Both intervened distributions come from :func:`plan_effect`'s auto rule,
+    so a semi-Markovian model answers wherever the planner does. A principle
+    whose targets influence neither the phenomenon nor the metric triggers a
+    warning instead of an error, since principles may act downstream of the
+    phenomenon.
     """
     spec_x = m.spec_of(cp.variable)
     if spec_x.cardinality != 2:
@@ -365,10 +455,10 @@ def evaluate_safety_principle(
 
     baseline_p = marginal1(m, cp.variable)[cp.cp_label]
     baseline_e = expectation(marginal1(m, metric), m, metric)
-    p_do = interventional_truncated(m, sp.intervention, cp.variable)[cp.cp_label]
-    e_do = expectation(
-        interventional_truncated(m, sp.intervention, metric), m, metric
-    )
+    _, (dist_x,) = plan_effect(m, [sp.intervention], cp.variable)
+    _, (dist_metric,) = plan_effect(m, [sp.intervention], metric)
+    p_do = dist_x[cp.cp_label]
+    e_do = expectation(dist_metric, m, metric)
     return SafetyPrincipleReport(
         principle=sp.name,
         delta_p_phenomenon=p_do - baseline_p,

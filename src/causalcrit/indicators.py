@@ -43,6 +43,7 @@ __all__ = [
     "ace",
     "rce",
     "sigma",
+    "effect_indicators",
     "rho1",
     "rho2",
     "rho3",
@@ -143,7 +144,8 @@ def _effects(
 ) -> tuple[float, float, dict]:
     """E(metric | do(CP)), E(metric | do(notCP)) and the shared report metadata.
 
-    Both interventions go through one :func:`plan_effect` route.
+    Both are rows of one effect table, read through :func:`plan_effect`, so
+    they share one route.
     """
     not_label = _other_label(m, cp)
     route, (d_cp, d_not) = plan_effect(
@@ -163,18 +165,47 @@ def _effects(
     return e_cp, e_not, meta
 
 
+def _ace(
+    cp: PhenomenonBinding, metric: str, e_cp: float, e_not: float, meta: dict
+) -> IndicatorReport:
+    return IndicatorReport("ACE", e_cp - e_not, (cp.variable, metric), meta)
+
+
+def _rce(
+    cp: PhenomenonBinding, metric: str, e_cp: float, e_not: float, meta: dict
+) -> IndicatorReport:
+    if e_not == 0.0:
+        raise DivisionByZeroEffect("E(metric | do(notCP)) is zero")
+    return IndicatorReport("RCE", e_cp / e_not, (cp.variable, metric), meta)
+
+
+def _sigma(
+    m: DiscreteModel, cp: PhenomenonBinding, metric: str, e_cp: float, e_not: float, meta: dict
+) -> IndicatorReport:
+    e_obs = expectation(marginal1(m, metric), m, metric)
+    if e_obs == 0.0:
+        raise ZeroMeanCriticality("observational E(metric) is zero")
+    meta["e_observational"] = e_obs
+    meta["precondition_holds"] = e_not <= e_cp
+    if e_not > e_cp:
+        # Attributed to the caller of the public function.
+        warnings.warn(
+            f"sigma precondition violated: E(do notCP)={e_not} exceeds "
+            f"E(do CP)={e_cp}; value reported anyway",
+            PreconditionWarning,
+            stacklevel=3,
+        )
+    return IndicatorReport("sigma", 1.0 - e_not / e_obs, (cp.variable, metric), meta)
+
+
 def ace(m: DiscreteModel, cp: PhenomenonBinding, metric: str) -> IndicatorReport:
     """Average causal effect: E(metric | do(CP)) - E(metric | do(notCP))."""
-    e_cp, e_not, meta = _effects(m, cp, metric)
-    return IndicatorReport("ACE", e_cp - e_not, (cp.variable, metric), meta)
+    return _ace(cp, metric, *_effects(m, cp, metric))
 
 
 def rce(m: DiscreteModel, cp: PhenomenonBinding, metric: str) -> IndicatorReport:
     """Relative causal effect: E(metric | do(CP)) / E(metric | do(notCP))."""
-    e_cp, e_not, meta = _effects(m, cp, metric)
-    if e_not == 0.0:
-        raise DivisionByZeroEffect("E(metric | do(notCP)) is zero")
-    return IndicatorReport("RCE", e_cp / e_not, (cp.variable, metric), meta)
+    return _rce(cp, metric, *_effects(m, cp, metric))
 
 
 def sigma(m: DiscreteModel, cp: PhenomenonBinding, metric: str) -> IndicatorReport:
@@ -183,20 +214,24 @@ def sigma(m: DiscreteModel, cp: PhenomenonBinding, metric: str) -> IndicatorRepo
     The definition presumes E(do notCP) <= E(do CP); a violation downgrades
     to a warning and the value is still reported.
     """
+    return _sigma(m, cp, metric, *_effects(m, cp, metric))
+
+
+def effect_indicators(
+    m: DiscreteModel, cp: PhenomenonBinding, metric: str
+) -> tuple[IndicatorReport, IndicatorReport, IndicatorReport]:
+    """``(ace, rce, sigma)`` of one model from one pair of interventional
+    distributions, plus sigma's observational mean.
+
+    Values, metadata, warnings and the first error raised are those of the
+    three calls in that order.
+    """
     e_cp, e_not, meta = _effects(m, cp, metric)
-    e_obs = expectation(marginal1(m, metric), m, metric)
-    if e_obs == 0.0:
-        raise ZeroMeanCriticality("observational E(metric) is zero")
-    meta["e_observational"] = e_obs
-    meta["precondition_holds"] = e_not <= e_cp
-    if e_not > e_cp:
-        warnings.warn(
-            f"sigma precondition violated: E(do notCP)={e_not} exceeds "
-            f"E(do CP)={e_cp}; value reported anyway",
-            PreconditionWarning,
-            stacklevel=2,
-        )
-    return IndicatorReport("sigma", 1.0 - e_not / e_obs, (cp.variable, metric), meta)
+    return (
+        _ace(cp, metric, e_cp, e_not, dict(meta)),
+        _rce(cp, metric, e_cp, e_not, dict(meta)),
+        _sigma(m, cp, metric, e_cp, e_not, dict(meta)),
+    )
 
 
 def rho1(pair: ModelPair, cp: PhenomenonBinding, bits: bool = False) -> IndicatorReport:

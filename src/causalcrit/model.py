@@ -329,6 +329,7 @@ def joint_table(
     over: Optional[Iterable[str]] = None,
     state_space_limit: int = DEFAULT_STATE_SPACE_LIMIT,
     do: Optional[Mapping[str, int]] = None,
+    regime: Iterable[str] = (),
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """Exact joint over ``sorted(over)`` (default: every instantiated node).
 
@@ -345,17 +346,28 @@ def joint_table(
     contributes a point-mass factor on its own axis in place of its CPD, and
     the closure does not follow its parents: the result is the joint of the
     truncated factorization, P(over | do).
+
+    ``regime`` names intervened nodes left free, as regime axes (Dawid 2002,
+    "Influence diagrams for causal modelling and inference"). Each one's CPD
+    factor is replaced by ones, the closure does not follow its parents, and
+    its axis joins the output. The slice at label k of a regime axis is then
+    the truncated joint under do(node = k): with ``over={y}`` and
+    ``regime={x}``, the array over ``sorted({x, y})`` holds P(y | do(x)) for
+    every label of x, from one elimination.
     """
-    names = tuple(sorted(m.instantiated if over is None else set(over)))
+    regime = set(regime)
+    names = tuple(sorted((m.instantiated if over is None else set(over)) | regime))
     do = do or {}
-    closure = _closure_within(m, names, do)
+    closure = _closure_within(m, names, regime.union(do))
     card = {n: m.specs[n].cardinality for n in closure}
     _check_states(math.prod(card[n] for n in names), names, state_space_limit)
     # Single-state variables get no axis: summing one out is the identity.
     factors = []
     nbrs: dict[str, set[str]] = {n: set() for n in closure if card[n] > 1}
     for n in closure:
-        if n in do:
+        if n in regime:
+            table, parents = np.ones(card[n]), ()
+        elif n in do:
             table = np.zeros(card[n])
             table[do[n]] = 1.0
             parents = ()

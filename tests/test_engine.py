@@ -525,6 +525,42 @@ class TestSafetyPrinciple:
         assert report.delta_p_phenomenon == pytest.approx(0.0, abs=1e-12)
         assert report.delta_metric_expectation == pytest.approx(0.0, abs=1e-12)
 
+    def test_semi_markovian_model_goes_through_the_planner(self):
+        # W -> X, X -> phi, W -> phi, with the arc phi <-> Z away from W:
+        # truncated factorization refuses the model, parent adjustment on
+        # W's empty parent set answers.
+        specs = {
+            n: VariableSpec(name=n, domain=("a", "b"), codes=(0.0, 1.0))
+            for n in ("W", "X", "Z", "phi")
+        }
+        s = build_structure(
+            ["W", "X", "Z", "phi"],
+            [("W", "X"), ("X", "phi"), ("W", "phi")],
+            bidirected=[("phi", "Z")],
+        )
+        m = build_model(
+            s,
+            specs,
+            [
+                make_cpd("W", (), [[0.5, 0.5]], specs),
+                make_cpd("X", ("W",), [[0.6, 0.4], [0.2, 0.8]], specs),
+                make_cpd("Z", (), [[0.5, 0.5]], specs),
+                make_cpd(
+                    "phi", ("W", "X"), [[0.9, 0.1], [0.7, 0.3], [0.6, 0.4], [0.4, 0.6]], specs
+                ),
+            ],
+        )
+        do = make_intervention({"W": "b"})
+        route, (dist,) = plan_effect(m, [do], "phi")
+        assert route == "parents"
+        assert dist["b"] == pytest.approx(0.56, abs=1e-12)
+        sp = SafetyPrinciple(name="w", intervention=do)
+        report = evaluate_safety_principle(m, sp, PhenomenonBinding("X", "b"), "phi")
+        assert report.p_phenomenon_intervened == pytest.approx(0.8, abs=1e-12)
+        assert report.delta_p_phenomenon == pytest.approx(0.8 - 0.6, abs=1e-12)
+        assert report.metric_expectation_intervened == pytest.approx(0.56, abs=1e-12)
+        assert report.delta_metric_expectation == pytest.approx(0.56 - 0.37, abs=1e-12)
+
     def test_empty_intervention_rejected(self):
         with pytest.raises(InvalidQuery):
             SafetyPrinciple(name="none", intervention=make_intervention({}))
