@@ -1,21 +1,22 @@
 """Interventional distributions via three interchangeable routes.
 
-Truncated factorization (the do-targets clamped inside the elimination),
-adjustment on the intervened node's parents, and back-door adjustment all
-identify the same effect on a Markovian model. Each needs only the CPDs of
-the ancestral closure of the joint it computes. On a Markovian model the
-truncated closure lies inside every other route's, so the adjustment routes
-serve semi-Markovian models. :func:`plan_effect` holds the one rule that
-picks a route. For a single intervened node x, :func:`effect_table` gives
-P(target | do(x)) for every label of x from one computation: the truncated
-route keeps x as a free regime axis of the elimination.
+Truncated factorization (the intervened nodes clamped inside the
+elimination), adjustment on the intervened node's parents, and back-door
+adjustment all identify the same effect on a Markovian model. Each needs
+only the CPDs of the ancestral closure of the joint it computes. On a
+Markovian model the truncated closure lies inside every other route's, so
+the adjustment routes serve semi-Markovian models. Every query is a list of
+do() rows over the same nodes, and one runner computes all rows through one
+route: the truncated route is one :func:`joint_table` call with the rows on
+its leading axis, the adjustment routes take every row from one joint.
+:func:`plan_effect` holds the one rule that picks a route.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -104,26 +105,20 @@ def interventional_truncated(
     """P(target | do(i)) by truncated factorization.
 
     Requires a Markovian model and the CPDs of the target's ancestral closure,
-    not followed past the do-targets, which are clamped inside
-    :func:`joint_table`; the empty intervention reproduces the observational
-    marginal exactly.
+    not followed past the do-targets; the empty intervention reproduces the
+    observational marginal exactly.
     """
-    if not m.structure.is_markovian():
-        raise NotMarkovian("truncated factorization needs independent error terms")
-    _check_intervention(m, i)
-    spec = m.spec_of(target)
-    do = {node: m.specs[node].index_of(label) for node, label in i.assignments}
-    _, arr = joint_table(m, over=[target], do=do)
-    return {c: float(arr[k]) for k, c in enumerate(spec.domain)}
+    return _effect_row(m, i, target, "truncated")
 
 
-def _single_target(i: Intervention) -> tuple[str, str]:
-    if len(i.assignments) != 1:
+def _single_node(do: Mapping[str, Sequence[int]]) -> str:
+    if len(do) != 1:
         raise InvalidQuery(
             "adjustment formulas are stated for single-node interventions; "
             "use the truncated route for multi-node do()"
         )
-    return i.assignments[0]
+    (x,) = do
+    return x
 
 
 def _adjusted_table(
@@ -178,9 +173,10 @@ def _effect_row(
     adjustment: Optional[list[str]] = None,
 ) -> dict[str, float]:
     _check_intervention(m, i)
-    x, x_label = _single_target(i)
-    _, (row,) = effect_table(m, x, target, route, adjustment, [x_label])
-    return dict(zip(m.specs[target].domain, row.tolist()))
+    do = {node: [m.specs[node].index_of(label)] for node, label in i.assignments}
+    _, table = _effect_rows(m, do, target, route, adjustment)
+    # With no assignment, the one row is the marginal, without a row axis.
+    return dict(zip(m.specs[target].domain, table.ravel().tolist()))
 
 
 def interventional_parent_adjust(
@@ -219,33 +215,70 @@ def _check_route(route: str, adjustment: Optional[Iterable[str]]) -> None:
         raise InvalidQuery(f"unknown route {route!r}")
 
 
-def _auto_route(
+def _effect_rows(
     m: DiscreteModel,
-    targets: Sequence[tuple[str, ...]],
+    do: Mapping[str, Sequence[int]],
     target: str,
-    run: Callable[..., tuple],
-) -> tuple:
-    """The auto rule of :func:`plan_effect`.
+    route: str,
+    adjustment: Optional[Iterable[str]] = None,
+) -> tuple[str, np.ndarray]:
+    """The route runner: P(target | do) for each do row, through ``route``.
 
-    ``targets`` holds the intervened nodes of each do(), and
-    ``run(route, adjustment=None)`` computes one route for all of them.
+    ``do`` maps each intervened node to its label index per row, as in
+    :func:`joint_table`. Returns the route label and one row per intervention.
+    ``point-mass`` and ``observational`` are the truncated joint without the
+    Markov check: the auto rule takes them only where the do() leaves nothing
+    to identify, as it sets the target or no intervened node lies in the
+    target's closure.
     """
-    if m.structure.is_markovian() or any(len(t) > 1 for t in targets):
-        return run("truncated")
+    if route == "auto":
+        return _auto_route(m, do, target)
+    if route == "parents":
+        x = _single_node(do)
+        if m.structure.confounded_with(x):
+            raise NotMarkovian(
+                f"{x!r} carries a confounding arc; its observed parents do not "
+                "suffice for adjustment"
+            )
+        if target != x:
+            try:
+                return route, _adjusted_table(m, x, do[x], target, m.structure.parents(x))
+            except InsufficientInstantiation as exc:
+                raise ParentsNotInstantiated(str(exc)) from None
+    elif route == "backdoor":
+        x, adj = _single_node(do), list(adjustment)
+        if not backdoor_admissible(m.structure, sorted(set(adj)), x, target):
+            raise NotAdmissible(
+                f"{sorted(set(adj))} does not satisfy the back-door criterion "
+                f"for ({x!r}, {target!r})"
+            )
+        return f"backdoor:{sorted(adj)}", _adjusted_table(m, x, do[x], target, adj)
+    elif route == "truncated" and not m.structure.is_markovian():
+        raise NotMarkovian("truncated factorization needs independent error terms")
+    return route, joint_table(m, over=[target], do=do)[1]
+
+
+def _auto_route(
+    m: DiscreteModel, do: Mapping[str, Sequence[int]], target: str
+) -> tuple[str, np.ndarray]:
+    """The auto rule of :func:`plan_effect`."""
+    if m.structure.is_markovian() or len(do) > 1:
+        return _effect_rows(m, do, target, "truncated")
     try:
-        return run("parents")
+        return _effect_rows(m, do, target, "parents")
     except (ParentsNotInstantiated, NotMarkovian, ZeroProbabilityCondition):
         pass
-    xs = {x for t in targets for x in t}
-    if all(target in t for t in targets):
-        return run("point-mass")
-    if target not in xs and not any(target in descendants(m.structure, x) for x in xs):
-        return run("observational")
-    if len(xs) != 1:
-        raise InvalidQuery(
-            f"back-door search needs one intervened node, got {sorted(xs)}"
+    (x,) = do
+    if target == x:
+        return _effect_rows(m, do, target, "point-mass")
+    if target not in descendants(m.structure, x):
+        return _effect_rows(m, do, target, "observational")
+    latent = sorted({x, target} & m.structure.latent)
+    if latent:
+        raise NotIdentifiable(
+            f"back-door adjustment for ({x!r}, {target!r}) needs both measured; "
+            f"latent-flagged: {latent}"
         )
-    (x,) = xs
     # Scoped to instantiated ancestors of the pair so the subset scan stays
     # bounded; exotic graphs can always name an adjustment set explicitly.
     scope = ancestors(m.structure, x) | ancestors(m.structure, target)
@@ -259,7 +292,7 @@ def _auto_route(
         m.structure, x, target, max_count=64, candidates=candidates
     ):
         try:
-            return run("backdoor", adj)
+            return _effect_rows(m, do, target, "backdoor", adj)
         except (InsufficientInstantiation, ZeroProbabilityCondition):
             continue
     raise NotIdentifiable(
@@ -281,53 +314,13 @@ def effect_table(
     ``labels`` defaults to x's whole domain, which gives the |x| x |target|
     effect table; columns follow the target's domain. Returns the route
     label and the table. Routes and the ``auto`` rule are those of
-    :func:`plan_effect`. The truncated route is one :func:`joint_table` call
-    with x as a free regime axis; the adjustment routes take every row from
-    one joint over the set, x and the target; ``point-mass`` is the identity
-    and ``observational`` repeats the target's marginal in every row.
+    :func:`plan_effect`, which takes the same path with one do row per label.
     """
     _check_route(route, adjustment)
     spec_x = m.spec_of(x)
     rows = list(range(spec_x.cardinality) if labels is None else map(spec_x.index_of, labels))
     m.spec_of(target)
-    identity = np.eye(spec_x.cardinality)[rows]  # the table when target == x
-
-    def run(route: str, adjustment: Optional[Iterable[str]] = None) -> tuple[str, np.ndarray]:
-        if route == "truncated":
-            if not m.structure.is_markovian():
-                raise NotMarkovian("truncated factorization needs independent error terms")
-            if target == x:
-                return route, identity
-            names, arr = joint_table(m, over=[target], regime=[x])
-            return route, (arr if names[0] == x else arr.T)[rows]
-        if route == "parents":
-            if m.structure.confounded_with(x):
-                raise NotMarkovian(
-                    f"{x!r} carries a confounding arc; its observed parents do not "
-                    "suffice for adjustment"
-                )
-            if target == x:
-                return route, identity
-            try:
-                return route, _adjusted_table(m, x, rows, target, m.structure.parents(x))
-            except InsufficientInstantiation as exc:
-                raise ParentsNotInstantiated(str(exc)) from None
-        if route == "backdoor":
-            adj = list(adjustment)
-            if not backdoor_admissible(m.structure, sorted(set(adj)), x, target):
-                raise NotAdmissible(
-                    f"{sorted(set(adj))} does not satisfy the back-door criterion "
-                    f"for ({x!r}, {target!r})"
-                )
-            return f"backdoor:{sorted(adj)}", _adjusted_table(m, x, rows, target, adj)
-        if route == "point-mass":
-            return route, identity
-        _, marginal = joint_table(m, over=[target])
-        return route, np.tile(marginal, (len(rows), 1))
-
-    if route == "auto":
-        return _auto_route(m, [(x,)] * len(rows), target, run)
-    return run(route, adjustment)
+    return _effect_rows(m, {x: rows}, target, route, adjustment)
 
 
 def plan_effect(
@@ -340,49 +333,39 @@ def plan_effect(
     """P(target | do(i)) for each intervention, all through one route.
 
     Returns the route label and one distribution per intervention. With no
-    assignment at all the distributions are observational. Explicit routes
-    are ``truncated``, ``parents`` and ``backdoor`` (needs ``adjustment``).
-    ``auto`` takes the truncated route on a Markovian model, where every other
-    route needs a superset of its CPDs, or when a do() covers several nodes;
-    otherwise parent adjustment.
-    When that fails, a target that every do() sets is a point mass
-    (``point-mass``), and a target that descends from no intervened node
-    keeps its observational marginal (``observational``); otherwise the
-    first back-door set enumerable from the instantiated ancestors of the
-    intervened node and the target. Every intervention goes through the
-    same route, so contrasts between them stay comparable. When every do()
-    sets the same single node, the distributions are rows of one
-    :func:`effect_table`; other lists are computed one intervention at a
-    time.
+    assignment at all the distributions are observational; otherwise every
+    do() must set the same nodes, or :class:`InvalidQuery` is raised, and
+    each is one row of the same computation. Explicit routes are
+    ``truncated``, ``parents`` and ``backdoor`` (needs ``adjustment``).
+    ``auto`` takes the truncated route on a Markovian model, where every
+    other route needs a superset of its CPDs, or when a do() covers several
+    nodes; otherwise parent adjustment. When that fails, a target that the
+    do() sets is a point mass (``point-mass``), and a target that does not
+    descend from the intervened node keeps its observational marginal
+    (``observational``); otherwise the first back-door set enumerable from
+    the instantiated ancestors of the intervened node and the target, and
+    :class:`NotIdentifiable` when there is none or either node is
+    latent-flagged. Every intervention goes through the same route, so
+    contrasts between them stay comparable.
     """
     if not any(i.assignments for i in interventions):
         return "observational", [marginal1(m, target) for _ in interventions]
-    xs = {x for i in interventions for x in i.targets()}
-    if len(xs) == 1 and all(len(i) == 1 for i in interventions):
-        labels = [i.assignments[0][1] for i in interventions]
-        route, table = effect_table(m, xs.pop(), target, route, adjustment, labels)
-        domain = m.specs[target].domain
-        return route, [dict(zip(domain, row)) for row in table.tolist()]
     _check_route(route, adjustment)
     for i in interventions:
         _check_intervention(m, i)
-
-    # Never asked for ``point-mass``: when every do() sets the target, they
-    # all set the same single node and took the table above.
-    def run(route: str, adjustment: Optional[Iterable[str]] = None):
-        if route == "observational":
-            return route, [marginal1(m, target) for _ in interventions]
-        if route == "backdoor":
-            adj = list(adjustment)
-            return f"backdoor:{sorted(adj)}", [
-                interventional_backdoor(m, i, target, adj) for i in interventions
-            ]
-        fn = interventional_truncated if route == "truncated" else interventional_parent_adjust
-        return route, [fn(m, i, target) for i in interventions]
-
-    if route == "auto":
-        return _auto_route(m, [i.targets() for i in interventions], target, run)
-    return run(route, adjustment)
+    nodes = {tuple(sorted(i.targets())) for i in interventions}
+    if len(nodes) != 1:
+        raise InvalidQuery(
+            f"every do() in one query must set the same nodes, got {sorted(nodes)}"
+        )
+    do = {node: [] for node in nodes.pop()}
+    for i in interventions:
+        for node, label in i.assignments:
+            do[node].append(m.specs[node].index_of(label))
+    m.spec_of(target)
+    route, table = _effect_rows(m, do, target, route, adjustment)
+    domain = m.specs[target].domain
+    return route, [dict(zip(domain, row)) for row in table.tolist()]
 
 
 def interventional_expectation(

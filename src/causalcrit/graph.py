@@ -377,8 +377,9 @@ def backdoor_admissible(
     # y once x's outgoing directed edges are removed; confounding arcs at x
     # stay, as they open back-door paths through the latent fork. No member
     # descends from x, so cutting those edges leaves the members' ancestors,
-    # and with them the colliders the set opens, as they are.
-    return _reach_active(s, {x}, {y}, adj, cut=x) is None
+    # and with them the colliders the set opens, as they are. No path runs
+    # from x to itself, so when y is x there is nothing left to block.
+    return x == y or _reach_active(s, {x}, {y}, adj, cut=x) is None
 
 
 def do_surgery(s: CausalStructure, targets: Iterable[str]) -> CausalStructure:

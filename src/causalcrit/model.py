@@ -324,12 +324,15 @@ def _closure_within(
     return tuple(sorted(needed))
 
 
+# The leading row axis of an interventional joint; not a node name.
+_ROWS = object()
+
+
 def joint_table(
     m: DiscreteModel,
     over: Optional[Iterable[str]] = None,
     state_space_limit: int = DEFAULT_STATE_SPACE_LIMIT,
-    do: Optional[Mapping[str, int]] = None,
-    regime: Iterable[str] = (),
+    do: Optional[Mapping[str, Sequence[int]]] = None,
 ) -> tuple[tuple[str, ...], np.ndarray]:
     """Exact joint over ``sorted(over)`` (default: every instantiated node).
 
@@ -342,44 +345,48 @@ def joint_table(
     any array is allocated when the output or a bucket would exceed
     ``state_space_limit`` states.
 
-    ``do`` maps intervened nodes to the index of their forced label. Each
-    contributes a point-mass factor on its own axis in place of its CPD, and
-    the closure does not follow its parents: the result is the joint of the
-    truncated factorization, P(over | do).
-
-    ``regime`` names intervened nodes left free, as regime axes (Dawid 2002,
-    "Influence diagrams for causal modelling and inference"). Each one's CPD
-    factor is replaced by ones, the closure does not follow its parents, and
-    its axis joins the output. The slice at label k of a regime axis is then
-    the truncated joint under do(node = k): with ``over={y}`` and
-    ``regime={x}``, the array over ``sorted({x, y})`` holds P(y | do(x)) for
-    every label of x, from one elimination.
+    ``do`` maps each intervened node to a sequence of label indices, one per
+    row, all of the same length n; row r is the r-th intervention. Each such
+    node's CPD factor becomes an n x |node| one-hot selector on a shared
+    leading row axis and the closure does not follow its parents, so the
+    array has shape (n, *axes) and row r is the joint of the truncated
+    factorization under that intervention (Pearl 2009, *Causality*, §3.2).
+    An intervened node in ``over`` is a point mass on its row's label.
     """
-    regime = set(regime)
-    names = tuple(sorted((m.instantiated if over is None else set(over)) | regime))
+    names = tuple(sorted(m.instantiated if over is None else set(over)))
     do = do or {}
-    closure = _closure_within(m, names, regime.union(do))
+    n_rows = {len(rows) for rows in do.values()}
+    if len(n_rows) > 1:
+        raise InvalidQuery(f"do rows differ in length: {sorted(n_rows)}")
+    closure = _closure_within(m, names, do)
     card = {n: m.specs[n].cardinality for n in closure}
-    _check_states(math.prod(card[n] for n in names), names, state_space_limit)
+    lead: tuple = ()
+    if do:
+        (card[_ROWS],) = n_rows
+        lead = (_ROWS,)
+    axes = (*lead, *names)
+    _check_states(math.prod(card[n] for n in axes), names, state_space_limit)
     # Single-state variables get no axis: summing one out is the identity.
+    # The row axis also carries a ones factor, so it survives when no
+    # intervened node lies in the closure.
     factors = []
-    nbrs: dict[str, set[str]] = {n: set() for n in closure if card[n] > 1}
-    for n in closure:
-        if n in regime:
+    nbrs: dict = {n: set() for n in card if card[n] != 1}
+    for n in (*lead, *closure):
+        if n is _ROWS:
             table, parents = np.ones(card[n]), ()
         elif n in do:
-            table = np.zeros(card[n])
-            table[do[n]] = 1.0
-            parents = ()
+            table, parents = np.eye(card[n])[list(do[n])], lead
         else:
             table, parents = m.cpds[n].table, m.cpds[n].parents
-        scope = tuple(v for v in (*parents, n) if card[v] > 1)
+        scope = tuple(v for v in (*parents, n) if card[v] != 1)
         factors.append((scope, table.reshape([card[v] for v in scope])))
         for v in scope:
             nbrs[v].update(scope)
     for v, vs in nbrs.items():
         vs.discard(v)
-    hidden = set(nbrs) - set(names)
+    # Intervened nodes outside ``over`` are summed out last, with their
+    # selectors, so every bucket is that of the joint that keeps their axes.
+    hidden = set(nbrs) - set(axes) - set(do)
     # States spanned by each hidden node's bucket: itself and its neighbours.
     span = {v: card[v] * math.prod(card[w] for w in nbrs[v]) for v in hidden}
     while hidden:
@@ -396,10 +403,13 @@ def joint_table(
         factors = [f for f in factors if v not in f[0]]
         scope = tuple(dict.fromkeys(w for s, _ in bucket for w in s if w != v))
         factors.append((scope, _contract(bucket, scope)))
+    shape = [card[n] for n in axes]
     if not factors:
-        return names, np.ones(())
-    out = tuple(n for n in names if card[n] > 1)
-    return names, _contract(factors, out).reshape([card[n] for n in names])
+        return names, np.ones(shape)
+    last = tuple(dict.fromkeys(w for s, _ in factors for w in s))
+    _check_states(math.prod(card[w] for w in last), last, state_space_limit)
+    out = tuple(n for n in axes if card[n] != 1)
+    return names, _contract(factors, out).reshape(shape)
 
 
 # numpy 1.x einsum takes at most 32 operands.

@@ -4,10 +4,14 @@
 as one table. Each row must equal the brute-force truncated joint of the
 full model on every route that answers, and a route that refuses must raise
 the error that an independent reading of the graph and the CPDs predicts.
-``cli indicators`` must read ACE, RCE and sigma of each model from one such
-table.
+A list of do()s over the same nodes is rows of one computation, and each row
+must equal its own brute-force truncated joint. ``cli indicators`` must read
+ACE, RCE and sigma of each model from one such table.
 """
 
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +23,7 @@ from causalcrit.engine import effect_table, make_intervention, plan_effect
 from causalcrit.errors import (
     CausalCritError,
     InsufficientInstantiation,
+    InvalidQuery,
     NotAdmissible,
     NotMarkovian,
     ParentsNotInstantiated,
@@ -75,9 +80,11 @@ def test_rows_match_brute_force_on_every_route(data):
 
     for target in nodes:
         rows = [brute_truncated(full, {x: label}, target) for label in ("a", "b")]
-        routes = [("truncated", None), ("parents", None)]
-        if target != x:
-            routes.append(("backdoor", sorted(adjustment - {target})))
+        routes = [
+            ("truncated", None),
+            ("parents", None),
+            ("backdoor", sorted(adjustment - {target})),
+        ]
         for route, adj in routes:
             error = expected_error(m, x, target, route, adj)
             if error is not None:
@@ -110,12 +117,60 @@ def test_rows_match_brute_force_on_every_route(data):
         )
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_do_rows_match_brute_force(data):
+    # Every do() of one list sets the same nodes; the rows may repeat and the
+    # target may be one of the intervened nodes.
+    full = random_binary_model(data.draw(st.randoms(use_true_random=False)), max_nodes=8)
+    nodes = sorted(full.instantiated)
+    removed = data.draw(st.sets(st.sampled_from(nodes), max_size=2))
+    m = build_model(
+        full.structure, full.specs, [c for n, c in full.cpds.items() if n not in removed]
+    )
+    xs = sorted(data.draw(st.sets(st.sampled_from(nodes), min_size=1, max_size=3)))
+    dos = data.draw(
+        st.lists(
+            st.fixed_dictionaries({x: st.sampled_from(("a", "b")) for x in xs}),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    target = data.draw(st.sampled_from(nodes))
+    interventions = [make_intervention(do) for do in dos]
+    other = data.draw(st.sampled_from(nodes))
+    for stray in ({}, {other: "a"}, {**dos[0], other: "a"}):
+        if sorted(stray) == xs:
+            continue
+        for listed in ([*dos, stray], [stray, *dos]):
+            with pytest.raises(InvalidQuery, match="same nodes"):
+                plan_effect(m, [make_intervention(do) for do in listed], target)
+    missing = brute_missing_cpds(m, [target], xs)
+    if missing:
+        with pytest.raises(InsufficientInstantiation, match=re.escape(str(missing))):
+            plan_effect(m, interventions, target)
+        return
+    route, dists = plan_effect(m, interventions, target)
+    assert route == "truncated"
+    assert dists == [
+        pytest.approx(brute_truncated(full, do, target), abs=1e-12) for do in dos
+    ]
+
+
 def test_regime_axis_slices_equal_clamped_joints(reality_model):
-    names, table = model.joint_table(reality_model, over=["phi"], regime=["X"])
-    assert names == ("X", "phi")
-    for k in range(2):
-        _, clamped = model.joint_table(reality_model, over=["phi"], do={"X": k})
-        assert table[k].tolist() == pytest.approx(clamped.tolist(), abs=1e-15)
+    # Each row of an n-row do() joint equals the one-row joint of its own
+    # do(): X is a point mass in its row, V1 lies upstream of every
+    # intervened node.
+    do = {"X": [1, 0, 1, 1], "V2": [0, 0, 1, 0]}
+    names, table = model.joint_table(reality_model, over=["phi", "X", "V1"], do=do)
+    assert names == ("V1", "X", "phi") and table.shape == (4, 2, 2, 2)
+    for r in range(4):
+        _, one = model.joint_table(
+            reality_model, over=["phi", "X", "V1"], do={n: [v[r]] for n, v in do.items()}
+        )
+        assert one.shape == (1, 2, 2, 2)
+        assert np.abs(table[r] - one[0]).max() <= 1e-15
+        assert table[r].sum(axis=(0, 2)).tolist() == [1 - do["X"][r], do["X"][r]]
 
 
 def test_rows_follow_the_requested_labels(candidate_model):
@@ -127,13 +182,13 @@ def test_rows_follow_the_requested_labels(candidate_model):
 
 
 def test_indicators_build_one_effect_table_per_model(monkeypatch):
-    # Each model's ACE, RCE and sigma read one regime-axis table; computing
+    # Each model's ACE, RCE and sigma read one table of do() rows; computing
     # the do(CP)/do(notCP) pair once per indicator would show here.
-    calls = {"regime": 0, "truncated": 0}
+    calls = {"do rows": 0, "truncated": 0}
     joint_table, truncated = model.joint_table, engine.interventional_truncated
 
     def counting_joint_table(*args, **kwargs):
-        calls["regime"] += bool(kwargs.get("regime"))
+        calls["do rows"] += bool(kwargs.get("do"))
         return joint_table(*args, **kwargs)
 
     def counting_truncated(*args, **kwargs):
@@ -145,7 +200,7 @@ def test_indicators_build_one_effect_table_per_model(monkeypatch):
     monkeypatch.setattr(engine, "interventional_truncated", counting_truncated)
     argv = ["indicators", "heavy-rain-reality", "heavy-rain-model", "--set", "V1,V2,X"]
     assert main([*argv, "--format", "json"]) == 0
-    assert calls == {"regime": 2, "truncated": 0}
+    assert calls == {"do rows": 2, "truncated": 0}
 
 
 @pytest.mark.parametrize("fixture_model", ["reality_model", "candidate_model"])

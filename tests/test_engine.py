@@ -21,6 +21,7 @@ from causalcrit.errors import (
     CausalCritError,
     InvalidQuery,
     NotAdmissible,
+    NotIdentifiable,
     NotMarkovian,
     ParentsNotInstantiated,
     TargetNotAncestorWarning,
@@ -444,6 +445,35 @@ class TestPlanEffect:
         route, (dist,) = plan_effect(m, [make_intervention(do)], target)
         assert route in ("point-mass", "observational")
         assert dist == pytest.approx(brute_truncated(full, do, target), abs=1e-12)
+
+    @pytest.mark.parametrize("latent, arc", [("X", ("Y", "Z")), ("Y", ("W", "Z"))])
+    def test_auto_backdoor_step_refuses_latent_pair(self, latent, arc):
+        # W -> X -> Y, W -> Y, one confounding arc away from X, no CPD for W:
+        # parent adjustment cannot run, Y descends from X, and a
+        # latent-flagged X or Y leaves no back-door set to search.
+        specs = {
+            n: VariableSpec(name=n, domain=("a", "b"), codes=(0.0, 1.0))
+            for n in ("W", "X", "Y", "Z")
+        }
+        s = build_structure(
+            ["W", "X", "Y", "Z"],
+            [("W", "X"), ("X", "Y"), ("W", "Y")],
+            bidirected=[arc],
+            latent=[latent],
+        )
+        m = build_model(
+            s,
+            specs,
+            [
+                make_cpd("X", ("W",), [[0.3, 0.7], [0.8, 0.2]], specs),
+                make_cpd(
+                    "Y", ("W", "X"), [[0.9, 0.1], [0.5, 0.5], [0.6, 0.4], [0.2, 0.8]], specs
+                ),
+                make_cpd("Z", (), [[0.4, 0.6]], specs),
+            ],
+        )
+        with pytest.raises(NotIdentifiable, match=f"\\['{latent}'\\]"):
+            plan_effect(m, [make_intervention({"X": "b"})], "Y")
 
     def test_unknown_route_rejected(self, reality_model):
         with pytest.raises(InvalidQuery):

@@ -140,6 +140,12 @@ class TestValidation:
         assert joint_table(m, over=["C"], state_space_limit=32)[1].shape == (2,)
         with pytest.raises(StateSpaceExceeded):
             joint_table(m, over=["C"], state_space_limit=31)
+        # Intervened parents are summed out in the last contraction, which
+        # also spans the two do() rows: 64 states.
+        do = {p: [0, 1] for p in names[1:]}
+        assert joint_table(m, over=["C"], state_space_limit=64, do=do)[1].shape == (2, 2)
+        with pytest.raises(StateSpaceExceeded):
+            joint_table(m, over=["C"], state_space_limit=63, do=do)
 
 
 class TestJointProbability:
