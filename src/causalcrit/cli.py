@@ -101,6 +101,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_adjust(args) -> int:
+    if args.max <= 0:
+        raise ParseError(f"--max must be > 0, got {args.max}")
     _relation, model = _load(args.model)
     sets = enumerate_adjustment_sets(
         model.structure,
@@ -239,10 +241,13 @@ def cmd_metrics(args) -> int:
         f"STN_DT = {stn:.6f}",
         f"aggregate({args.agg}) = {agg:.6f}",
     ]
-    edges = _parse_names(args.edges)
+    try:
+        edges = [float(e) for e in _parse_names(args.edges) or []]
+    except ValueError as exc:
+        raise ParseError(f"--edges: {exc}") from None
     if edges:
         labels = _parse_names(args.labels)
-        label = discretize_metric(agg, [float(e) for e in edges], labels)
+        label = discretize_metric(agg, edges, labels)
         payload["label"] = label
         lines.append(f"label = {label}")
     _emit(args, payload, lines)

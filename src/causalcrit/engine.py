@@ -31,12 +31,7 @@ from .errors import (
     TargetNotAncestorWarning,
     ZeroProbabilityCondition,
 )
-from .graph import (
-    ancestors,
-    backdoor_admissible,
-    descendants,
-    enumerate_adjustment_sets,
-)
+from .graph import ancestors, backdoor_admissible, descendants
 from .model import DiscreteModel, joint_table, marginal1
 
 __all__ = [
@@ -102,13 +97,13 @@ def interventional_truncated(
     i: Intervention,
     target: str,
 ) -> dict[str, float]:
-    """P(target | do(i)) by truncated factorization.
+    """P(target | do(i)) by truncated factorization, through :func:`plan_effect`.
 
     Requires a Markovian model and the CPDs of the target's ancestral closure,
     not followed past the do-targets; the empty intervention reproduces the
-    observational marginal exactly.
+    observational marginal exactly, and still needs a Markovian model.
     """
-    return _effect_row(m, i, target, "truncated")
+    return plan_effect(m, [i], target, "truncated")[1][0]
 
 
 def _single_node(do: Mapping[str, Sequence[int]]) -> str:
@@ -165,20 +160,6 @@ def _adjusted_table(
     return (p_s[live, None, None] * (p_xst[live] / p_xs[live][..., None])).sum(axis=0)
 
 
-def _effect_row(
-    m: DiscreteModel,
-    i: Intervention,
-    target: str,
-    route: str,
-    adjustment: Optional[list[str]] = None,
-) -> dict[str, float]:
-    _check_intervention(m, i)
-    do = {node: [m.specs[node].index_of(label)] for node, label in i.assignments}
-    _, table = _effect_rows(m, do, target, route, adjustment)
-    # With no assignment, the one row is the marginal, without a row axis.
-    return dict(zip(m.specs[target].domain, table.ravel().tolist()))
-
-
 def interventional_parent_adjust(
     m: DiscreteModel,
     i: Intervention,
@@ -187,9 +168,9 @@ def interventional_parent_adjust(
     """P(target | do(x)) = sum over parent configurations of
     P(target | x, pa) P(pa); partial instantiation suffices when the parents,
     the intervened node and the target are enumerable from the instantiated
-    set.
+    set. The empty intervention gives the observational marginal.
     """
-    return _effect_row(m, i, target, "parents")
+    return plan_effect(m, [i], target, "parents")[1][0]
 
 
 def interventional_backdoor(
@@ -198,8 +179,9 @@ def interventional_backdoor(
     target: str,
     adjustment: Iterable[str],
 ) -> dict[str, float]:
-    """Back-door adjustment; admissibility is verified, never assumed."""
-    return _effect_row(m, i, target, "backdoor", list(adjustment))
+    """Back-door adjustment; admissibility is verified, never assumed. The
+    empty intervention gives the observational marginal."""
+    return plan_effect(m, [i], target, "backdoor", list(adjustment))[1][0]
 
 
 def expectation(dist: Mapping[str, float], m: DiscreteModel, node: str) -> float:
@@ -229,11 +211,16 @@ def _effect_rows(
     ``point-mass`` and ``observational`` are the truncated joint without the
     Markov check: the auto rule takes them only where the do() leaves nothing
     to identify, as it sets the target or no intervened node lies in the
-    target's closure.
+    target's closure. An empty ``do`` is ``observational`` on every route
+    that passes the Markov check, and has no row axis.
     """
-    if route == "auto":
+    if route == "truncated" and not m.structure.is_markovian():
+        raise NotMarkovian("truncated factorization needs independent error terms")
+    if not do:
+        route = "observational"
+    elif route == "auto":
         return _auto_route(m, do, target)
-    if route == "parents":
+    elif route == "parents":
         x = _single_node(do)
         if m.structure.confounded_with(x):
             raise NotMarkovian(
@@ -253,8 +240,6 @@ def _effect_rows(
                 f"for ({x!r}, {target!r})"
             )
         return f"backdoor:{sorted(adj)}", _adjusted_table(m, x, do[x], target, adj)
-    elif route == "truncated" and not m.structure.is_markovian():
-        raise NotMarkovian("truncated factorization needs independent error terms")
     return route, joint_table(m, over=[target], do=do)[1]
 
 
@@ -279,26 +264,27 @@ def _auto_route(
             f"back-door adjustment for ({x!r}, {target!r}) needs both measured; "
             f"latent-flagged: {latent}"
         )
-    # Scoped to instantiated ancestors of the pair so the subset scan stays
-    # bounded; exotic graphs can always name an adjustment set explicitly.
-    scope = ancestors(m.structure, x) | ancestors(m.structure, target)
-    candidates = sorted((m.instantiated & scope) - {x, target})
-    if len(candidates) > 20:
+    # Every adjusted joint spans the target's closure, and x lies in it.
+    scope = ancestors(m.structure, target)
+    missing = sorted((scope | {target}) - m.instantiated)
+    if missing:
         raise NotIdentifiable(
-            f"adjustment-set search space over {len(candidates)} candidates is "
-            "too large; compute the effect via an explicit adjustment set"
+            f"back-door adjustment for ({x!r}, {target!r}) needs CPDs for {missing}"
         )
-    for adj in enumerate_adjustment_sets(
-        m.structure, x, target, max_count=64, candidates=candidates
-    ):
-        try:
-            return _effect_rows(m, do, target, "backdoor", adj)
-        except (InsufficientInstantiation, ZeroProbabilityCondition):
-            continue
-    raise NotIdentifiable(
-        f"no admissible adjustment set for ({x!r}, {target!r}) is enumerable "
-        "from the instantiated nodes"
-    )
+    # Members may be the measured non-descendants R of x whose closure has
+    # CPDs. If R holds a back-door set, then An({x, target}) & R, which is
+    # z below, is one (Tian, Paz & Pearl 1998; van der Zander, Liskiewicz
+    # & Textor 2019): one check decides.
+    z = sorted(scope - descendants(m.structure, x) - m.structure.latent - {x})
+    if not backdoor_admissible(m.structure, z, x, target):
+        raise NotIdentifiable(
+            f"no back-door set for ({x!r}, {target!r}): the largest candidate, "
+            f"{z}, leaves a back-door path open"
+        )
+    for node in list(z):
+        if backdoor_admissible(m.structure, [n for n in z if n != node], x, target):
+            z.remove(node)
+    return _effect_rows(m, do, target, "backdoor", z)
 
 
 def effect_table(
@@ -332,24 +318,26 @@ def plan_effect(
 ) -> tuple[str, list[dict[str, float]]]:
     """P(target | do(i)) for each intervention, all through one route.
 
-    Returns the route label and one distribution per intervention. With no
-    assignment at all the distributions are observational; otherwise every
+    Returns the route label and one distribution per intervention. Every
     do() must set the same nodes, or :class:`InvalidQuery` is raised, and
     each is one row of the same computation. Explicit routes are
-    ``truncated``, ``parents`` and ``backdoor`` (needs ``adjustment``).
+    ``truncated``, ``parents`` and ``backdoor`` (needs ``adjustment``). With
+    no assignment every route, ``auto`` included, gives the observational
+    marginal (``observational``); ``truncated`` first checks that the model
+    is Markovian.
     ``auto`` takes the truncated route on a Markovian model, where every
     other route needs a superset of its CPDs, or when a do() covers several
     nodes; otherwise parent adjustment. When that fails, a target that the
     do() sets is a point mass (``point-mass``), and a target that does not
-    descend from the intervened node keeps its observational marginal
-    (``observational``); otherwise the first back-door set enumerable from
-    the instantiated ancestors of the intervened node and the target, and
-    :class:`NotIdentifiable` when there is none or either node is
-    latent-flagged. Every intervention goes through the same route, so
+    descend from the intervened node x keeps its observational marginal
+    (``observational``). Otherwise the measured non-descendants of x among
+    the target's ancestors decide: they hold a back-door set exactly when
+    they are one, and dropping members in name order while it stays one
+    gives the set used. :class:`NotIdentifiable` is raised when they are
+    not one, when the target's closure lacks CPDs, or when x or the target
+    is latent-flagged. Every intervention goes through the same route, so
     contrasts between them stay comparable.
     """
-    if not any(i.assignments for i in interventions):
-        return "observational", [marginal1(m, target) for _ in interventions]
     _check_route(route, adjustment)
     for i in interventions:
         _check_intervention(m, i)
@@ -365,7 +353,8 @@ def plan_effect(
     m.spec_of(target)
     route, table = _effect_rows(m, do, target, route, adjustment)
     domain = m.specs[target].domain
-    return route, [dict(zip(domain, row)) for row in table.tolist()]
+    rows = np.broadcast_to(table, (len(interventions), len(domain)))
+    return route, [dict(zip(domain, row)) for row in rows.tolist()]
 
 
 def interventional_expectation(

@@ -58,6 +58,8 @@ class Trajectory:
             raise ValidationError("t, x, y must be equal-length 1-d arrays")
         if t.size < 5:
             raise ValidationError("need at least 5 samples for interior differences")
+        if not np.all(np.isfinite((t, x, y))):
+            raise ValidationError("t, x, y samples must be finite")
         steps = np.diff(t)
         if np.any(steps <= 0):
             raise ValidationError("time stamps must be strictly increasing")
@@ -271,6 +273,8 @@ def discretize_metric(
     edges = list(bin_edges)
     if not edges:
         raise NonMonotoneEdges("need at least one bin edge")
+    if not np.all(np.isfinite(edges)):
+        raise NonMonotoneEdges("bin edges must be finite")
     if any(b <= a for a, b in zip(edges, edges[1:])):
         raise NonMonotoneEdges("bin edges must be strictly ascending")
     if labels is not None and len(labels) != len(edges) + 1:

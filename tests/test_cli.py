@@ -87,6 +87,15 @@ class TestAdjust:
         assert code == 0
         assert out.splitlines()[0] == "{}"
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_non_positive_max_is_usage_error(self, capsys, count):
+        code, out, err = run(
+            capsys, "adjust", "heavy-rain-model", "-x", "X", "-y", "phi", "--max", count
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--max must be > 0, got {count}" in err
+
     def test_friction_scoped_candidates(self, capsys):
         from causalcrit.fixtures import FRICTION_MEASURABLE_POOL
 
@@ -337,6 +346,39 @@ class TestMetrics:
         payload = json.loads(out)
         assert payload["btn_dt"] == pytest.approx(0.375, abs=0.002)
         assert payload["label"] == "low"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_sample_exits_one(self, capsys, tmp_path, bad):
+        traj, field = self.write_inputs(tmp_path)
+        lines = traj.read_text(encoding="utf-8").splitlines()
+        lines[40] = f"2.0 {bad} 0.0"
+        traj.write_text("\n".join(lines), encoding="utf-8")
+        code, out, err = run(
+            capsys, "metrics", "--trajectories", str(traj), "--field", str(field),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"ValidationError: {traj}: t, x, y samples must be finite\n"
+
+    def test_non_numeric_edge_is_usage_error(self, capsys, tmp_path):
+        traj, field = self.write_inputs(tmp_path)
+        code, out, err = run(
+            capsys, "metrics", "--trajectories", str(traj), "--field", str(field),
+            "--edges", "1,x",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --edges: could not convert string to float: 'x'\n"
+
+    def test_nan_edge_exits_one(self, capsys, tmp_path):
+        traj, field = self.write_inputs(tmp_path)
+        code, out, err = run(
+            capsys, "metrics", "--trajectories", str(traj), "--field", str(field),
+            "--edges", "nan",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "NonMonotoneEdges: bin edges must be finite\n"
 
     def test_arc_case_reaches_centripetal_ratio(self, capsys, tmp_path):
         v, radius, dt = 10.0, 50.0, 0.05

@@ -4,7 +4,8 @@ Every invocation in ``CASES`` is replayed through ``cli.main`` and compared
 byte for byte with ``tests/data/cli_golden.json``. A change to any printed
 number, route label or exit code fails here. Argument lists may name
 ``{tmp}``, which stands for a per-test directory holding the two CSVs written
-by ``sample -n 5000`` with seeds 3 and 4.
+by ``sample -n 5000`` with seeds 3 and 4, and ``{data}``, which stands for
+``tests/data``.
 
 Regenerate the data file only when an output change is intended:
 
@@ -30,6 +31,8 @@ PAIR = ("heavy-rain-reality", "heavy-rain-model")
 SET = ("--set", "V1,V2,X")
 FRICTION_X = "Coefficient of friction"
 FRICTION_Y = "Aggregate of BTN_DT and STN_DT"
+# X <-> W, W -> phi, X -> phi: semi-Markovian, X's effect needs the set {W}.
+CONFOUNDED = "{data}/confounded_pair.json"
 
 
 def _effect_cases() -> list[tuple[str, ...]]:
@@ -56,6 +59,9 @@ def _effect_cases() -> list[tuple[str, ...]]:
     cases.append(
         ("effect", "friction-relation", "--do", f"{FRICTION_X}=reduced", "--target", FRICTION_Y)
     )
+    for target in ("phi", "W", "X"):
+        cases.append(("effect", CONFOUNDED, "--do", "X=b", "--target", target))
+    cases.append(("effect", CONFOUNDED, "--do", "", "--target", "phi", "--route", "truncated"))
     return cases
 
 
@@ -90,7 +96,7 @@ def _invocations():
 def _run(argv: tuple[str, ...], tmp: str) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main([a.replace("{tmp}", tmp) for a in argv])
+        code = main([a.replace("{tmp}", tmp).replace("{data}", str(DATA.parent)) for a in argv])
     return {"argv": list(argv), "exit": code, "stdout": out.getvalue()}
 
 

@@ -19,6 +19,7 @@ from causalcrit.engine import (
 )
 from causalcrit.errors import (
     CausalCritError,
+    InsufficientInstantiation,
     InvalidQuery,
     NotAdmissible,
     NotIdentifiable,
@@ -38,7 +39,7 @@ from causalcrit.model import (
     marginal1,
 )
 
-from oracles import brute_truncated
+from oracles import brute_backdoor_admissible, brute_missing_cpds, brute_truncated
 
 
 def random_binary_model(rng, max_nodes=5):
@@ -478,6 +479,189 @@ class TestPlanEffect:
     def test_unknown_route_rejected(self, reality_model):
         with pytest.raises(InvalidQuery):
             plan_effect(reality_model, [make_intervention({"X": "CP"})], "phi", "fast")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_auto_backdoor_step_decides_identifiability(self, data):
+        # Random partial models with up to two confounding arcs, each on the
+        # intervened node x about half the time. Where auto reaches its
+        # back-door step (a semi-Markovian model and a target below x), it
+        # refuses exactly when no subset of the other nodes is a back-door
+        # set whose adjusted joint has its CPDs. The full model's CPD product
+        # is Markov to the graph without the arcs, so any answer equals
+        # clamping that product.
+        full = random_binary_model(data.draw(st.randoms(use_true_random=False)), max_nodes=8)
+        nodes = sorted(full.instantiated)
+        removed = data.draw(st.sets(st.sampled_from(nodes), max_size=3))
+        above = [n for n in nodes if descendants(full.structure, n)]
+        x = data.draw(st.sampled_from(above or nodes))
+        pairs = list(itertools.combinations(nodes, 2))
+        at_x = [p for p in pairs if x in p]
+        arcs = [
+            data.draw(st.sampled_from(at_x) | st.sampled_from(pairs))
+            for _ in range(data.draw(st.integers(0, 2)))
+        ]
+        m = build_model(
+            build_structure(nodes, full.structure.directed, bidirected=arcs),
+            full.specs,
+            [c for n, c in full.cpds.items() if n not in removed],
+        )
+        below = sorted(descendants(m.structure, x))
+        target = data.draw(st.sampled_from(below or nodes))
+        do = {x: data.draw(st.sampled_from(("a", "b")))}
+        reaches = bool(arcs) and target in below
+
+        def computes(adj):
+            if brute_missing_cpds(m, {x, target, *adj}):
+                return False
+            if not brute_backdoor_admissible(m.structure, adj, x, target):
+                return False
+            interventional_backdoor(m, make_intervention(do), target, adj)
+            return True
+
+        others = [n for n in nodes if n not in (x, target)]
+        found = x != target and any(
+            computes(adj)
+            for size in range(len(others) + 1)
+            for adj in itertools.combinations(others, size)
+        )
+        try:
+            route, (dist,) = plan_effect(m, [make_intervention(do)], target)
+        except NotIdentifiable:
+            assert not found
+            return
+        except InsufficientInstantiation:
+            assert not reaches and not found
+            return
+        assert found or not reaches, route
+        assert dist == pytest.approx(brute_truncated(full, do, target), abs=1e-12)
+
+    def test_auto_backdoor_decision_has_no_candidate_cap(self):
+        # A00 -> ... -> A20 -> X, X <-> W, W -> phi, X -> phi: 22 candidate
+        # members, of which {W} alone is the back-door set kept.
+        chain = [f"A{k:02d}" for k in range(21)]
+        names = [*chain, "W", "X", "phi"]
+        specs = {
+            n: VariableSpec(name=n, domain=("a", "b"), codes=(0.0, 1.0)) for n in names
+        }
+        edges = [*zip(chain, [*chain[1:], "X"]), ("W", "phi"), ("X", "phi")]
+        s = build_structure(names, edges, bidirected=[("X", "W")])
+        cpds = [make_cpd("A00", (), [[0.5, 0.5]], specs)]
+        cpds += [
+            make_cpd(b, (a,), [[0.7, 0.3], [0.2, 0.8]], specs)
+            for a, b in zip(chain, [*chain[1:], "X"])
+        ]
+        cpds += [
+            make_cpd("W", (), [[0.5, 0.5]], specs),
+            make_cpd(
+                "phi", ("W", "X"), [[0.9, 0.1], [0.6, 0.4], [0.5, 0.5], [0.4, 0.6]], specs
+            ),
+        ]
+        m = build_model(s, specs, cpds)
+        route, (dist,) = plan_effect(m, [make_intervention({"X": "b"})], "phi")
+        assert route == "backdoor:['W']"
+        # sum_w P(phi = b | X = b, w) P(w)
+        assert dist["b"] == pytest.approx(0.5 * 0.4 + 0.5 * 0.6, abs=1e-12)
+
+    def test_auto_backdoor_set_reaches_past_the_targets_parents(self):
+        # X <-> W -> M -> phi with X -> M and X -> phi: the back-door path
+        # runs through the mediator M, which descends from X, so only W,
+        # which is no parent of phi, blocks it.
+        specs = {
+            n: VariableSpec(name=n, domain=("a", "b"), codes=(0.0, 1.0))
+            for n in ("M", "W", "X", "phi")
+        }
+        s = build_structure(
+            ["M", "W", "X", "phi"],
+            [("W", "M"), ("X", "M"), ("M", "phi"), ("X", "phi")],
+            bidirected=[("X", "W")],
+        )
+        quad = [[0.9, 0.1], [0.5, 0.5], [0.6, 0.4], [0.2, 0.8]]
+        m = build_model(
+            s,
+            specs,
+            [
+                make_cpd("W", (), [[0.4, 0.6]], specs),
+                make_cpd("X", (), [[0.3, 0.7]], specs),
+                make_cpd("M", ("W", "X"), quad, specs),
+                make_cpd("phi", ("M", "X"), quad[::-1], specs),
+            ],
+        )
+        route, (dist,) = plan_effect(m, [make_intervention({"X": "b"})], "phi")
+        assert route == "backdoor:['W']"
+        assert dist == pytest.approx(brute_truncated(m, {"X": "b"}, "phi"), abs=1e-12)
+
+    def test_auto_backdoor_set_leaves_out_latent_nodes(self):
+        # A latent-flagged L -> X that carries a CPD still cannot be adjusted
+        # for; {W} identifies the effect without it.
+        base = confounded_pair_model()
+        specs = {**base.specs, "L": VariableSpec(name="L", domain=("a", "b"), codes=(0.0, 1.0))}
+        s = build_structure(
+            ["L", "W", "X", "phi"],
+            [("L", "X"), ("W", "phi"), ("X", "phi")],
+            bidirected=[("X", "W")],
+            latent=["L"],
+        )
+        m = build_model(
+            s,
+            specs,
+            [
+                make_cpd("L", (), [[0.2, 0.8]], specs),
+                make_cpd("X", ("L",), [[0.3, 0.7], [0.6, 0.4]], specs),
+                base.cpds["W"],
+                base.cpds["phi"],
+            ],
+        )
+        route, (dist,) = plan_effect(m, [make_intervention({"X": "b"})], "phi")
+        assert route == "backdoor:['W']"
+        assert dist["b"] == pytest.approx(0.5 * 0.5 + 0.5 * 0.8, abs=1e-12)
+
+    def test_auto_backdoor_step_names_missing_cpds(self):
+        # A -> X without a CPD for A: every adjusted joint spans X, so no
+        # back-door set can be computed, and the refusal names A.
+        specs = {
+            n: VariableSpec(name=n, domain=("a", "b"), codes=(0.0, 1.0))
+            for n in ("A", "W", "X", "phi")
+        }
+        s = build_structure(
+            ["A", "W", "X", "phi"],
+            [("A", "X"), ("W", "phi"), ("X", "phi")],
+            bidirected=[("X", "W")],
+        )
+        base = confounded_pair_model()
+        m = build_model(
+            s,
+            specs,
+            [
+                make_cpd("X", ("A",), [[0.3, 0.7], [0.6, 0.4]], specs),
+                base.cpds["W"],
+                base.cpds["phi"],
+            ],
+        )
+        with pytest.raises(NotIdentifiable, match=r"\['A'\]"):
+            plan_effect(m, [make_intervention({"X": "b"})], "phi")
+
+
+class TestEmptyIntervention:
+    def test_unknown_route_rejected(self, reality_model):
+        with pytest.raises(InvalidQuery, match="unknown route"):
+            plan_effect(reality_model, [make_intervention({})], "phi", "bogus")
+
+    def test_truncated_needs_markovian_model(self):
+        m = confounded_pair_model()
+        with pytest.raises(NotMarkovian):
+            plan_effect(m, [make_intervention({})], "phi", "truncated")
+        with pytest.raises(NotMarkovian):
+            interventional_truncated(m, make_intervention({}), "phi")
+
+    def test_every_other_route_is_observational(self):
+        m = confounded_pair_model()
+        empty = make_intervention({})
+        marginal = marginal1(m, "phi")
+        assert plan_effect(m, [empty, empty], "phi") == ("observational", [marginal] * 2)
+        assert interventional_parent_adjust(m, empty, "phi") == marginal
+        # No admissibility check: there is no intervened node to adjust for.
+        assert interventional_backdoor(m, empty, "phi", []) == marginal
 
 
 class TestExpectation:

@@ -76,6 +76,15 @@ class TestTrajectoryValidation:
         with pytest.raises(ValidationError):
             Trajectory(t=t, x=np.zeros(5), y=np.zeros(5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", ["t", "x", "y"])
+    def test_non_finite_samples_rejected(self, axis, bad):
+        t = np.arange(0.0, 0.5, 0.1)
+        samples = {"t": t, "x": t.copy(), "y": np.zeros(5)}
+        samples[axis][2] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            Trajectory(**samples)
+
     def test_task_requires_coverage(self):
         with pytest.raises(ValidationError):
             task(straight_line(t_end=2.0), horizon=4.0)
@@ -249,6 +258,11 @@ class TestDiscretize:
             discretize_metric(0.5, [1.0, 0.5])
         with pytest.raises(NonMonotoneEdges):
             discretize_metric(0.5, [])
+
+    @pytest.mark.parametrize("edges", [[np.nan], [0.5, np.nan], [np.inf], [-np.inf, 0.5]])
+    def test_non_finite_edges_rejected(self, edges):
+        with pytest.raises(NonMonotoneEdges, match="finite"):
+            discretize_metric(0.5, edges)
 
     def test_label_count_checked(self):
         with pytest.raises(ValidationError):
