@@ -43,7 +43,6 @@ __all__ = [
     "interventional_parent_adjust",
     "interventional_backdoor",
     "interventional_expectation",
-    "effect_table",
     "plan_effect",
     "expectation",
     "evaluate_safety_principle",
@@ -190,13 +189,6 @@ def expectation(dist: Mapping[str, float], m: DiscreteModel, node: str) -> float
     return float(sum(spec.code_of(label) * p for label, p in dist.items()))
 
 
-def _check_route(route: str, adjustment: Optional[Iterable[str]]) -> None:
-    if route == "backdoor" and adjustment is None:
-        raise InvalidQuery("backdoor route needs an adjustment set")
-    if route not in ("auto", "truncated", "parents", "backdoor"):
-        raise InvalidQuery(f"unknown route {route!r}")
-
-
 def _effect_rows(
     m: DiscreteModel,
     do: Mapping[str, Sequence[int]],
@@ -287,28 +279,6 @@ def _auto_route(
     return _effect_rows(m, do, target, "backdoor", z)
 
 
-def effect_table(
-    m: DiscreteModel,
-    x: str,
-    target: str,
-    route: str = "auto",
-    adjustment: Optional[Iterable[str]] = None,
-    labels: Optional[Sequence[str]] = None,
-) -> tuple[str, np.ndarray]:
-    """P(target | do(x = l)) for each label l in ``labels``, one row each.
-
-    ``labels`` defaults to x's whole domain, which gives the |x| x |target|
-    effect table; columns follow the target's domain. Returns the route
-    label and the table. Routes and the ``auto`` rule are those of
-    :func:`plan_effect`, which takes the same path with one do row per label.
-    """
-    _check_route(route, adjustment)
-    spec_x = m.spec_of(x)
-    rows = list(range(spec_x.cardinality) if labels is None else map(spec_x.index_of, labels))
-    m.spec_of(target)
-    return _effect_rows(m, {x: rows}, target, route, adjustment)
-
-
 def plan_effect(
     m: DiscreteModel,
     interventions: Sequence[Intervention],
@@ -338,7 +308,10 @@ def plan_effect(
     is latent-flagged. Every intervention goes through the same route, so
     contrasts between them stay comparable.
     """
-    _check_route(route, adjustment)
+    if route == "backdoor" and adjustment is None:
+        raise InvalidQuery("backdoor route needs an adjustment set")
+    if route not in ("auto", "truncated", "parents", "backdoor"):
+        raise InvalidQuery(f"unknown route {route!r}")
     for i in interventions:
         _check_intervention(m, i)
     nodes = {tuple(sorted(i.targets())) for i in interventions}

@@ -409,9 +409,9 @@ def enumerate_adjustment_sets(
     Subsets of the candidate pool are scanned in (size ascending, then
     lexicographic by sorted member names) order and emitted when admissible,
     stopping after ``max_count``. The parent set of ``x`` is guaranteed to be
-    included whenever all parents are non-latent (parents are always
-    admissible in the Markovian case): if the scan is truncated before
-    reaching it, it replaces the final slot.
+    included whenever ``x`` carries no confounding arc and no parent is latent
+    or ``y``: if the scan fills all ``max_count`` slots without it, it replaces
+    the final slot, and otherwise it is appended.
 
     ``candidates`` optionally restricts the search pool (default: every
     non-latent node that is not ``x``, ``y`` or a descendant of ``x``); on
@@ -434,34 +434,15 @@ def enumerate_adjustment_sets(
         s.ensure_nodes(cand)
         pool = sorted(n for n in set(cand) if n not in banned)
 
-    parent_set: Optional[frozenset[str]] = None
-    graph_parents = s.parents(x)
-    if not (graph_parents & s.latent) and not s.confounded_with(x):
-        ps = frozenset(graph_parents)
-        if not ps & {y} and backdoor_admissible(s, ps, x, y):
-            parent_set = ps
-
-    results: list[frozenset[str]] = []
-    truncated = False
-    for size in range(len(pool) + 1):
-        for combo in itertools.combinations(pool, size):
-            subset = frozenset(combo)
-            if backdoor_admissible(s, subset, x, y):
-                results.append(subset)
-                if len(results) >= max_count:
-                    truncated = True
-                    break
-        if truncated:
-            break
-
-    if parent_set is not None and parent_set not in results:
-        if truncated and results:
-            results[-1] = parent_set
-        elif not truncated:
-            # Pool excluded some parent (candidates restriction); append so
-            # the guarantee holds regardless of scoping.
-            if len(results) < max_count:
-                results.append(parent_set)
-            elif results:
-                results[-1] = parent_set
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(pool, size) for size in range(len(pool) + 1)
+    )
+    admissible = (frozenset(c) for c in subsets if backdoor_admissible(s, c, x, y))
+    results = list(itertools.islice(admissible, max_count))
+    # Needs no check: with no confounding arc at x, every back-door path
+    # leaves x through a parent, a non-collider on it, so pa(x) blocks it
+    # (Pearl 2009, Thm 3.2.2).
+    parents = frozenset(s.parents(x))
+    if not (parents & (s.latent | {y}) or s.confounded_with(x) or parents in results):
+        results[max_count - 1 :] = [parents]
     return results

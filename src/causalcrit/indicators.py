@@ -144,8 +144,7 @@ def _effects(
 ) -> tuple[float, float, dict]:
     """E(metric | do(CP)), E(metric | do(notCP)) and the shared report metadata.
 
-    Both are rows of one effect table, read through :func:`plan_effect`, so
-    they share one route.
+    Both are rows of one :func:`plan_effect` call, so they share one route.
     """
     not_label = _other_label(m, cp)
     route, (d_cp, d_not) = plan_effect(
@@ -341,11 +340,9 @@ def _induced_submodel(m: DiscreteModel, nodes: Sequence[str]) -> DiscreteModel:
     for n in keep:
         pa = tuple(sorted(p for p in m.structure.parents(n) if p in keep_set))
         involved = list(pa) + [n]
-        _, joint = joint_table(m, over=involved)  # axes follow sorted(involved)
-        order = sorted(involved)
-        axis_of = {v: i for i, v in enumerate(order)}
-        perm = [axis_of[v] for v in involved]
-        joint = np.transpose(joint, perm)
+        # Axes follow sorted(involved); the kept parents are already sorted.
+        names, joint = joint_table(m, over=involved)
+        joint = np.moveaxis(joint, names.index(n), -1)
         card = m.specs[n].cardinality
         flat = joint.reshape(-1, card)
         totals = flat.sum(axis=1)

@@ -25,6 +25,7 @@ from .context import (
 )
 from .errors import CausalCritError, ParseError, RaggedRow, UnknownLabel, ValidationError
 from .graph import build_structure
+from .metrics import AccelField, trajectory_from_rows
 from .model import (
     Cpd,
     Dataset,
@@ -400,8 +401,6 @@ def save_dataset(path: PathLike, dataset: Dataset) -> None:
 
 def load_trajectory(path: PathLike):
     """Whitespace-separated "t x y" per line."""
-    from .metrics import trajectory_from_rows
-
     rows = []
     text = _read_text(path)
     for k, line in enumerate(text.splitlines()):
@@ -423,8 +422,6 @@ def load_trajectory(path: PathLike):
 
 def load_field(path: PathLike):
     """Header "nx ny x0 y0 dx dy", then nx*ny row-major "long lat" cells."""
-    from .metrics import AccelField
-
     text = _read_text(path)
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:

@@ -460,36 +460,6 @@ def joint_probability(m: DiscreteModel, assignment: Mapping[str, str]) -> float:
     return prob
 
 
-def _dist_from_array(
-    names: tuple[str, ...],
-    arr: np.ndarray,
-    targets: Sequence[str],
-    given: Mapping[str, str],
-    specs: Mapping[str, VariableSpec],
-) -> dict[tuple[str, ...], float]:
-    idx: list = []
-    for n in names:
-        if n in given:
-            idx.append(specs[n].index_of(given[n]))
-        else:
-            idx.append(slice(None))
-    sliced = arr[tuple(idx)]
-    kept = [n for n in names if n not in given]
-    total = float(sliced.sum())
-    if given:
-        if total <= 0.0:
-            raise ZeroProbabilityCondition(f"conditioning event {dict(given)} has probability 0")
-        sliced = sliced / total
-    sum_axes = tuple(i for i, n in enumerate(kept) if n not in targets)
-    reduced = sliced.sum(axis=sum_axes) if sum_axes else sliced
-    kept_targets = [n for n in kept if n in targets]
-    out: dict[tuple[str, ...], float] = {}
-    for combo in np.ndindex(*reduced.shape):
-        labels = tuple(specs[n].domain[i] for n, i in zip(kept_targets, combo))
-        out[labels] = float(reduced[combo])
-    return out
-
-
 def marginal(
     m: DiscreteModel,
     targets: Sequence[str],
@@ -514,8 +484,18 @@ def marginal(
         )
     for n, label in given.items():
         m.spec_of(n).index_of(label)
+    # The joint's axes are exactly the targets and the conditioning nodes.
     names, arr = joint_table(m, over=set(target_list) | set(given))
-    return _dist_from_array(names, arr, target_list, given, m.specs)
+    arr = arr[tuple(m.specs[n].index_of(given[n]) if n in given else slice(None) for n in names)]
+    if given:
+        total = float(arr.sum())
+        if total <= 0.0:
+            raise ZeroProbabilityCondition(f"conditioning event {given} has probability 0")
+        arr = arr / total
+    return {
+        tuple(m.specs[n].domain[i] for n, i in zip(target_list, combo)): float(arr[combo])
+        for combo in np.ndindex(*arr.shape)
+    }
 
 
 def marginal1(
@@ -577,8 +557,8 @@ def estimate_cpds(
     is dropped from the instantiated set and an
     :class:`UnseenParentConfigurationWarning` is emitted per empty row.
     """
-    if smoothing < 0:
-        raise ValidationError("smoothing must be >= 0")
+    if not 0 <= smoothing < math.inf:
+        raise ValidationError(f"smoothing must be finite and >= 0, got {smoothing}")
     if len(dataset) == 0:
         raise EmptyDataset("cannot estimate CPDs from an empty dataset")
     present = set(dataset.columns)

@@ -258,6 +258,18 @@ class TestIndicators:
         )
         assert ace_ref["value"] == pytest.approx(0.2, abs=0.05)
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_exits_one(self, capsys, tmp_path, alpha):
+        ref_csv, cand_csv = tmp_path / "ref.csv", tmp_path / "cand.csv"
+        run(capsys, "sample", "heavy-rain-reality", "-n", "50", "-o", str(ref_csv))
+        run(capsys, "sample", "heavy-rain-model", "-n", "50", "-o", str(cand_csv))
+        code, out, err = run(
+            capsys, "indicators", "heavy-rain-reality", "heavy-rain-model",
+            "--data", str(ref_csv), str(cand_csv), "--alpha", alpha,
+        )
+        assert (code, out) == (1, "")
+        assert err == f"ValidationError: smoothing must be finite and >= 0, got {alpha}\n"
+
 
 class TestSample:
     def test_deterministic_output_file(self, capsys, tmp_path):

@@ -1,12 +1,13 @@
 """One effect table per (model, intervened node, target).
 
-``engine.effect_table`` returns P(target | do(x = l)) for every label l of x
-as one table. Each row must equal the brute-force truncated joint of the
-full model on every route that answers, and a route that refuses must raise
-the error that an independent reading of the graph and the CPDs predicts.
-A list of do()s over the same nodes is rows of one computation, and each row
-must equal its own brute-force truncated joint. ``cli indicators`` must read
-ACE, RCE and sigma of each model from one such table.
+``engine.plan_effect`` over one do() per label l of x returns
+P(target | do(x = l)) for every label as rows of one computation. Each row
+must equal the brute-force truncated joint of the full model on every route
+that answers, and a route that refuses must raise the error that an
+independent reading of the graph and the CPDs predicts. A list of do()s over
+the same nodes is rows of one computation, and each row must equal its own
+brute-force truncated joint. ``cli indicators`` must read ACE, RCE and sigma
+of each model from one such table.
 """
 
 import re
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from causalcrit import engine, indicators, model
 from causalcrit.cli import main
 from causalcrit.context import PhenomenonBinding
-from causalcrit.engine import effect_table, make_intervention, plan_effect
+from causalcrit.engine import make_intervention, plan_effect
 from causalcrit.errors import (
     CausalCritError,
     InsufficientInstantiation,
@@ -78,8 +79,12 @@ def test_rows_match_brute_force_on_every_route(data):
     pool = [n for n in nodes if n != x and n not in descendants(m.structure, x)]
     adjustment = data.draw(st.sets(st.sampled_from(pool), max_size=3)) if pool else set()
 
+    do_both = [make_intervention({x: label}) for label in ("a", "b")]
     for target in nodes:
-        rows = [brute_truncated(full, {x: label}, target) for label in ("a", "b")]
+        rows = [
+            pytest.approx(brute_truncated(full, {x: label}, target), abs=1e-12)
+            for label in ("a", "b")
+        ]
         routes = [
             ("truncated", None),
             ("parents", None),
@@ -89,20 +94,15 @@ def test_rows_match_brute_force_on_every_route(data):
             error = expected_error(m, x, target, route, adj)
             if error is not None:
                 with pytest.raises(error):
-                    effect_table(m, x, target, route, adj)
+                    plan_effect(m, do_both, target, route, adj)
                 continue
-            label, table = effect_table(m, x, target, route, adj)
+            label, dists = plan_effect(m, do_both, target, route, adj)
             assert label.startswith(route)
-            assert table.tolist() == [
-                pytest.approx([r["a"], r["b"]], abs=1e-12) for r in rows
-            ]
+            assert dists == rows
 
-        do_both = [make_intervention({x: label}) for label in ("a", "b")]
         try:
-            label, table = effect_table(m, x, target)
-        except CausalCritError as exc:
-            with pytest.raises(type(exc)):
-                plan_effect(m, do_both, target)
+            label, dists = plan_effect(m, do_both, target)
+        except CausalCritError:
             continue
         assert label.split(":")[0] in (
             "truncated", "parents", "backdoor", "point-mass", "observational"
@@ -111,10 +111,7 @@ def test_rows_match_brute_force_on_every_route(data):
             assert target == x
         if label == "observational":
             assert target not in descendants(m.structure, x) | {x}
-        assert table.tolist() == [pytest.approx([r["a"], r["b"]], abs=1e-12) for r in rows]
-        assert plan_effect(m, do_both, target) == (
-            label, [dict(zip(("a", "b"), row)) for row in table.tolist()]
-        )
+        assert dists == rows
 
 
 @settings(max_examples=100, deadline=None)
@@ -175,10 +172,14 @@ def test_regime_axis_slices_equal_clamped_joints(reality_model):
 
 def test_rows_follow_the_requested_labels(candidate_model):
     labels = ["notCP", "CP", "notCP"]
-    _, table = effect_table(candidate_model, "X", "phi")
-    _, picked = effect_table(candidate_model, "X", "phi", labels=labels)
     domain = candidate_model.specs["X"].domain
-    assert picked.tolist() == [table[domain.index(label)].tolist() for label in labels]
+    _, table = plan_effect(
+        candidate_model, [make_intervention({"X": label}) for label in domain], "phi"
+    )
+    _, picked = plan_effect(
+        candidate_model, [make_intervention({"X": label}) for label in labels], "phi"
+    )
+    assert picked == [table[domain.index(label)] for label in labels]
 
 
 def test_indicators_build_one_effect_table_per_model(monkeypatch):

@@ -248,7 +248,7 @@ class TestSurgery:
 
 
 @st.composite
-def random_structures(draw, max_nodes=6, allow_bidirected=True):
+def random_structures(draw, max_nodes=6):
     n = draw(st.integers(min_value=1, max_value=max_nodes))
     names = [f"n{i}" for i in range(n)]
     directed = []
@@ -257,11 +257,10 @@ def random_structures(draw, max_nodes=6, allow_bidirected=True):
             if draw(st.booleans()):
                 directed.append((names[i], names[j]))
     bidirected = []
-    if allow_bidirected and n >= 2:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if draw(st.integers(0, 9)) == 0:
-                    bidirected.append((names[i], names[j]))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.integers(0, 9)) == 0:
+                bidirected.append((names[i], names[j]))
     return build_structure(names, directed, bidirected)
 
 
@@ -317,19 +316,6 @@ def test_backdoor_matches_path_enumeration(s):
                 )
 
 
-@given(random_structures(max_nodes=5, allow_bidirected=False))
-@settings(max_examples=60, deadline=None)
-def test_enumeration_contains_parent_set(s):
-    nodes = list(s.nodes)
-    for x, y in itertools.permutations(nodes, 2):
-        sets = enumerate_adjustment_sets(s, x, y, max_count=1 << len(nodes))
-        parents = frozenset(p for p, c in s.directed if c == x)
-        if y not in parents:
-            assert parents in sets
-        for adj in sets:
-            assert backdoor_admissible(s, adj, x, y)
-
-
 @st.composite
 def shuffled_graphs(draw, max_nodes=7, acyclic=True):
     """Nodes named in a random order, so name order is not topological order.
@@ -347,6 +333,50 @@ def shuffled_graphs(draw, max_nodes=7, acyclic=True):
     ]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return names, edges
+
+
+@given(shuffled_graphs(max_nodes=5), st.data())
+@settings(max_examples=150, deadline=None)
+def test_enumeration_contains_parent_set(graph, data):
+    # The whole returned list must follow the docstring, read with the path
+    # oracle: admissible subsets of the pool in (size, names) order, cut at
+    # max_count, then pa(x) in the last slot when the scan filled them all
+    # and appended otherwise, whenever x has no confounding arc and no
+    # parent is latent or y. Latent flags go only on nodes without an arc.
+    nodes, edges = graph
+    pairs = list(itertools.combinations(sorted(nodes), 2))
+    arcs = []
+    if pairs:
+        arcs = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2))
+    free = [n for n in nodes if not any(n in arc for arc in arcs)]
+    latent = data.draw(st.sets(st.sampled_from(free), max_size=2)) if free else set()
+    s = build_structure(nodes, edges, arcs, latent)
+    for x, y in itertools.permutations(sorted(set(nodes) - latent), 2):
+        candidates = data.draw(st.none() | st.sets(st.sampled_from(nodes)))
+        banned = brute_reachable(s.directed, x) | {x, y} | latent
+        pool = sorted(set(nodes if candidates is None else candidates) - banned)
+        scan = [
+            frozenset(adj)
+            for size in range(len(pool) + 1)
+            for adj in itertools.combinations(pool, size)
+            if brute_backdoor_admissible(s, adj, x, y)
+        ]
+        parents = frozenset(p for p, c in edges if c == x)
+        confounded = any(x in arc for arc in arcs)
+        guaranteed = not (confounded or parents & (latent | {y}))
+        if guaranteed:
+            assert brute_backdoor_admissible(s, parents, x, y)
+        # Past len(scan) + 1 every count gives the same list; each smaller
+        # one fills every slot before pa(x) may be reached.
+        drawn = data.draw(st.integers(1, 1 << len(nodes)))
+        for max_count in {*range(1, len(scan) + 2), drawn}:
+            expected = scan[:max_count]
+            if guaranteed and parents not in expected:
+                if len(expected) == max_count:
+                    expected[-1] = parents
+                else:
+                    expected.append(parents)
+            assert enumerate_adjustment_sets(s, x, y, max_count, candidates) == expected
 
 
 @given(shuffled_graphs())

@@ -409,6 +409,12 @@ class TestEstimate:
         row = est.cpds["X"].table[0]  # (Summer, Oceanic)
         assert row[1] == pytest.approx(0.6, abs=0.01)
 
+    @pytest.mark.parametrize("smoothing", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_or_negative_smoothing_rejected(self, reality_model, smoothing):
+        ds = sample(reality_model, 50, seed=1)
+        with pytest.raises(ValidationError, match="smoothing must be finite and >= 0"):
+            estimate_cpds(reality_model.structure, reality_model.specs, ds, smoothing)
+
     def test_laplace_smoothing_fills_empty_rows(self):
         specs = {"A": binary_spec("A"), "B": binary_spec("B")}
         s = build_structure(["A", "B"], [("A", "B")])
