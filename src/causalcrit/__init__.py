@@ -16,10 +16,6 @@ from .engine import (
     SafetyPrincipleReport,
     evaluate_safety_principle,
     expectation,
-    interventional_backdoor,
-    interventional_expectation,
-    interventional_parent_adjust,
-    interventional_truncated,
     make_intervention,
     plan_effect,
 )

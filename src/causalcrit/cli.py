@@ -70,8 +70,10 @@ def _parse_assignments(text: str) -> dict[str, str]:
             continue
         if "=" not in chunk:
             raise ParseError(f"expected node=label, got {chunk!r}")
-        node, label = chunk.split("=", 1)
-        out[node.strip()] = label.strip()
+        node, label = (part.strip() for part in chunk.split("=", 1))
+        if node in out:
+            raise ParseError(f"{node!r} is assigned twice")
+        out[node] = label
     return out
 
 
@@ -194,6 +196,8 @@ def cmd_indicators(args) -> int:
 def cmd_sample(args) -> int:
     if args.n < 0:
         raise ParseError(f"-n must be >= 0, got {args.n}")
+    if args.seed < 0:
+        raise ParseError(f"--seed must be >= 0, got {args.seed}")
     _relation, model = _load(args.model)
     dataset = sample(model, args.n, args.seed)
     save_dataset(args.output, dataset)

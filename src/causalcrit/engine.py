@@ -39,10 +39,6 @@ __all__ = [
     "SafetyPrinciple",
     "SafetyPrincipleReport",
     "make_intervention",
-    "interventional_truncated",
-    "interventional_parent_adjust",
-    "interventional_backdoor",
-    "interventional_expectation",
     "plan_effect",
     "expectation",
     "evaluate_safety_principle",
@@ -54,12 +50,6 @@ class Intervention:
     """An atomic do(X = x), possibly over several nodes at once."""
 
     assignments: tuple[tuple[str, str], ...]
-
-    def __len__(self) -> int:
-        return len(self.assignments)
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.assignments)
 
     def targets(self) -> tuple[str, ...]:
         return tuple(node for node, _ in self.assignments)
@@ -75,7 +65,6 @@ class SafetyPrinciple:
 
     name: str
     intervention: Intervention
-    rationale: str = ""
 
     def __post_init__(self):
         if not self.intervention.assignments:
@@ -89,20 +78,6 @@ def _check_intervention(m: DiscreteModel, i: Intervention) -> None:
             raise InvalidQuery(f"intervention assigns {node!r} twice")
         seen.add(node)
         m.spec_of(node).index_of(label)
-
-
-def interventional_truncated(
-    m: DiscreteModel,
-    i: Intervention,
-    target: str,
-) -> dict[str, float]:
-    """P(target | do(i)) by truncated factorization, through :func:`plan_effect`.
-
-    Requires a Markovian model and the CPDs of the target's ancestral closure,
-    not followed past the do-targets; the empty intervention reproduces the
-    observational marginal exactly, and still needs a Markovian model.
-    """
-    return plan_effect(m, [i], target, "truncated")[1][0]
 
 
 def _single_node(do: Mapping[str, Sequence[int]]) -> str:
@@ -157,30 +132,6 @@ def _adjusted_table(
             f"P({x}={spec_x.domain[rows[r]]}, {labels}) = 0; conditional undefined"
         )
     return (p_s[live, None, None] * (p_xst[live] / p_xs[live][..., None])).sum(axis=0)
-
-
-def interventional_parent_adjust(
-    m: DiscreteModel,
-    i: Intervention,
-    target: str,
-) -> dict[str, float]:
-    """P(target | do(x)) = sum over parent configurations of
-    P(target | x, pa) P(pa); partial instantiation suffices when the parents,
-    the intervened node and the target are enumerable from the instantiated
-    set. The empty intervention gives the observational marginal.
-    """
-    return plan_effect(m, [i], target, "parents")[1][0]
-
-
-def interventional_backdoor(
-    m: DiscreteModel,
-    i: Intervention,
-    target: str,
-    adjustment: Iterable[str],
-) -> dict[str, float]:
-    """Back-door adjustment; admissibility is verified, never assumed. The
-    empty intervention gives the observational marginal."""
-    return plan_effect(m, [i], target, "backdoor", list(adjustment))[1][0]
 
 
 def expectation(dist: Mapping[str, float], m: DiscreteModel, node: str) -> float:
@@ -291,10 +242,13 @@ def plan_effect(
     Returns the route label and one distribution per intervention. Every
     do() must set the same nodes, or :class:`InvalidQuery` is raised, and
     each is one row of the same computation. Explicit routes are
-    ``truncated``, ``parents`` and ``backdoor`` (needs ``adjustment``). With
-    no assignment every route, ``auto`` included, gives the observational
-    marginal (``observational``); ``truncated`` first checks that the model
-    is Markovian.
+    ``truncated``, ``parents`` and ``backdoor``. ``parents`` needs CPDs only
+    for the closure of the intervened node, its parents and the target.
+    ``backdoor`` needs ``adjustment`` and checks it against the back-door
+    criterion instead of assuming it: a set that fails raises
+    :class:`NotAdmissible`. With no assignment every route, ``auto``
+    included, gives the observational marginal (``observational``);
+    ``truncated`` first checks that the model is Markovian.
     ``auto`` takes the truncated route on a Markovian model, where every
     other route needs a superset of its CPDs, or when a do() covers several
     nodes; otherwise parent adjustment. When that fails, a target that the
@@ -330,19 +284,16 @@ def plan_effect(
     return route, [dict(zip(domain, row)) for row in rows.tolist()]
 
 
-def interventional_expectation(
-    m: DiscreteModel,
-    i: Intervention,
-    target: str,
-    route: str = "auto",
-    adjustment: Optional[Iterable[str]] = None,
-) -> float:
-    """E(target | do(i)) using numeric category codes, routed by :func:`plan_effect`.
-
-    The empty intervention yields the observational expectation.
-    """
-    _, (dist,) = plan_effect(m, [i], target, route, adjustment)
-    return expectation(dist, m, target)
+def _other_label(m: DiscreteModel, cp: PhenomenonBinding) -> str:
+    """The label of the binary phenomenon variable that is not ``cp_label``."""
+    spec = m.spec_of(cp.variable)
+    if spec.cardinality != 2:
+        raise InvalidQuery(
+            f"phenomenon variable {cp.variable!r} must be binary, "
+            f"has {spec.cardinality} categories"
+        )
+    spec.index_of(cp.cp_label)
+    return next(c for c in spec.domain if c != cp.cp_label)
 
 
 @dataclass(frozen=True)
@@ -372,13 +323,7 @@ def evaluate_safety_principle(
     warning instead of an error, since principles may act downstream of the
     phenomenon.
     """
-    spec_x = m.spec_of(cp.variable)
-    if spec_x.cardinality != 2:
-        raise InvalidQuery(
-            f"phenomenon variable {cp.variable!r} must be binary, "
-            f"has {spec_x.cardinality} categories"
-        )
-    spec_x.index_of(cp.cp_label)
+    _other_label(m, cp)
     m.spec_of(metric)
     _check_intervention(m, sp.intervention)
 

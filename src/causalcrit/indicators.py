@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .context import PhenomenonBinding
-from .engine import expectation, make_intervention, plan_effect
+from .engine import _other_label, expectation, make_intervention, plan_effect
 from .errors import (
     DivisionByZeroEffect,
     InfiniteDivergence,
@@ -127,16 +127,6 @@ def kl_divergence(
     value = float(np.sum(pa[mask] * np.log(pa[mask] / qa[mask])))
     value = max(value, 0.0)
     return value / LN2 if bits else value
-
-
-def _other_label(m: DiscreteModel, cp: PhenomenonBinding) -> str:
-    spec = m.spec_of(cp.variable)
-    if spec.cardinality != 2:
-        raise InvalidQuery(
-            f"phenomenon variable {cp.variable!r} must be binary to negate its label"
-        )
-    spec.index_of(cp.cp_label)
-    return next(c for c in spec.domain if c != cp.cp_label)
 
 
 def _effects(

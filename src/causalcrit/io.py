@@ -73,6 +73,8 @@ def canonical_json(payload) -> str:
 
 
 def _expect_keys(obj: dict, required: set[str], optional: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected an object, got {type(obj).__name__}")
     keys = set(obj)
     missing = required - keys
     if missing:
@@ -198,8 +200,6 @@ def parse_model_text(text: str) -> tuple[CausalRelation, DiscreteModel]:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: line {exc.lineno}, column {exc.colno}") from None
-    if not isinstance(payload, dict):
-        raise ParseError("model file must hold a JSON object")
     _expect_keys(
         payload,
         {"format_version", "variables", "edges", "bidirected", "phenomenon", "metric", "context", "cpds"},

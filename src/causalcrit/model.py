@@ -512,6 +512,8 @@ def sample(m: DiscreteModel, n: int, seed: int) -> Dataset:
     """Ancestral forward sampling; deterministic for a fixed seed."""
     if n < 0:
         raise ValidationError(f"sample size must be >= 0, got {n}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     _require_fully_instantiated(m)
     order = [
         node for node in m.structure.topological_order() if node in m.instantiated
@@ -619,8 +621,6 @@ def _config_labels(
     specs: Mapping[str, VariableSpec],
     row: int,
 ) -> dict[str, str]:
-    if not parents:
-        return {}
     cards = [specs[p].cardinality for p in parents]
     idx = np.unravel_index(row, tuple(cards))
     return {p: specs[p].domain[i] for p, i in zip(parents, idx)}

@@ -14,12 +14,7 @@ import pytest
 
 from causalcrit.cli import main as cli_main
 from causalcrit.context import PhenomenonBinding
-from causalcrit.engine import (
-    interventional_backdoor,
-    interventional_parent_adjust,
-    interventional_truncated,
-    make_intervention,
-)
+from causalcrit.engine import make_intervention, plan_effect
 from causalcrit.fixtures import FRICTION_ADJUSTMENT_SET, fixture
 from causalcrit.graph import (
     backdoor_admissible,
@@ -127,14 +122,14 @@ def test_criterion_4_route_oracle_equivalence():
         label = rng.choice(("a", "b"))
         do = make_intervention({x: label})
         routes = {
-            "truncated": interventional_truncated(m, do, target),
-            "parents": interventional_parent_adjust(m, do, target),
+            "truncated": plan_effect(m, [do], target, "truncated")[1][0],
+            "parents": plan_effect(m, [do], target, "parents")[1][0],
             "oracle": brute_truncated(m, {x: label}, target),
         }
         for adj in enumerate_adjustment_sets(m.structure, x, target, max_count=64):
-            routes[f"backdoor:{sorted(adj)}"] = interventional_backdoor(
-                m, do, target, adj
-            )
+            routes[f"backdoor:{sorted(adj)}"] = plan_effect(
+                m, [do], target, "backdoor", adj
+            )[1][0]
         for (ka, va), (kb, vb) in itertools.combinations(routes.items(), 2):
             for c in ("a", "b"):
                 assert abs(va[c] - vb[c]) < 1e-9, (ka, kb)

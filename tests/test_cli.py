@@ -140,6 +140,14 @@ class TestEffect:
         assert payload["route"] == "observational"
         assert payload["expectation"] == pytest.approx(0.534, abs=1e-9)
 
+    def test_repeated_do_node_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "effect", "heavy-rain-reality",
+            "--do", "X=CP,X=notCP", "--target", "phi", "--format", "json",
+        )
+        assert (code, out) == (2, "")
+        assert "'X' is assigned twice" in err
+
     def test_all_routes_agree(self, capsys):
         results = {}
         for route, extra in (
@@ -297,6 +305,11 @@ class TestSample:
         code, _, err = run(capsys, "sample", "heavy-rain-reality", "-n", "-3", "-o", str(path))
         assert code == 2
         assert "-n must be >= 0" in err
+        code, _, err = run(
+            capsys, "sample", "heavy-rain-reality", "-n", "3", "--seed", "-1", "-o", str(path)
+        )
+        assert code == 2
+        assert "--seed must be >= 0" in err
         assert not path.exists()
 
 
@@ -420,6 +433,13 @@ class TestSafetyPrinciple:
         )
         payload = json.loads(out)
         assert payload["delta_p_phenomenon"] == pytest.approx(-0.67, abs=1e-9)
+
+    def test_repeated_node_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "sp", "heavy-rain-reality", "--sp", "V2=Slow,V2=Fast", "--format", "json",
+        )
+        assert (code, out) == (2, "")
+        assert "'V2' is assigned twice" in err
 
 
 class TestDeterminism:

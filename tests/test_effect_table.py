@@ -185,23 +185,23 @@ def test_rows_follow_the_requested_labels(candidate_model):
 def test_indicators_build_one_effect_table_per_model(monkeypatch):
     # Each model's ACE, RCE and sigma read one table of do() rows; computing
     # the do(CP)/do(notCP) pair once per indicator would show here.
-    calls = {"do rows": 0, "truncated": 0}
-    joint_table, truncated = model.joint_table, engine.interventional_truncated
+    calls = {"do rows": 0, "plan_effect": 0}
+    joint_table, planner = model.joint_table, indicators.plan_effect
 
     def counting_joint_table(*args, **kwargs):
         calls["do rows"] += bool(kwargs.get("do"))
         return joint_table(*args, **kwargs)
 
-    def counting_truncated(*args, **kwargs):
-        calls["truncated"] += 1
-        return truncated(*args, **kwargs)
+    def counting_planner(*args, **kwargs):
+        calls["plan_effect"] += 1
+        return planner(*args, **kwargs)
 
     for module in (model, engine, indicators):
         monkeypatch.setattr(module, "joint_table", counting_joint_table)
-    monkeypatch.setattr(engine, "interventional_truncated", counting_truncated)
+    monkeypatch.setattr(indicators, "plan_effect", counting_planner)
     argv = ["indicators", "heavy-rain-reality", "heavy-rain-model", "--set", "V1,V2,X"]
     assert main([*argv, "--format", "json"]) == 0
-    assert calls == {"do rows": 2, "truncated": 0}
+    assert calls == {"do rows": 2, "plan_effect": 2}
 
 
 @pytest.mark.parametrize("fixture_model", ["reality_model", "candidate_model"])

@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +11,6 @@ from causalcrit.engine import (
     SafetyPrinciple,
     evaluate_safety_principle,
     expectation,
-    interventional_backdoor,
-    interventional_expectation,
-    interventional_parent_adjust,
-    interventional_truncated,
     make_intervention,
     plan_effect,
 )
@@ -30,6 +27,7 @@ from causalcrit.errors import (
     ZeroProbabilityCondition,
 )
 from causalcrit.graph import build_structure, descendants, enumerate_adjustment_sets
+from causalcrit.io import load_model
 from causalcrit.model import (
     VariableSpec,
     build_model,
@@ -70,30 +68,32 @@ def random_binary_model(rng, max_nodes=5):
 
 class TestTruncated:
     def test_do_on_root_equals_conditional(self, reality_model):
-        dist = interventional_truncated(
-            reality_model, make_intervention({"V1": "Summer"}), "X"
+        _, (dist,) = plan_effect(
+            reality_model, [make_intervention({"V1": "Summer"})], "X", "truncated"
         )
         cond = marginal1(reality_model, "X", given={"V1": "Summer"})
         assert dist == pytest.approx(cond)
 
     def test_reality_effect_on_phi(self, reality_model):
-        do_cp = interventional_truncated(
-            reality_model, make_intervention({"X": "CP"}), "phi"
-        )
-        do_not = interventional_truncated(
-            reality_model, make_intervention({"X": "notCP"}), "phi"
+        _, (do_cp, do_not) = plan_effect(
+            reality_model,
+            [make_intervention({"X": "CP"}), make_intervention({"X": "notCP"})],
+            "phi",
+            "truncated",
         )
         assert do_cp["Short"] == pytest.approx(0.60, abs=1e-12)
         assert do_not["Short"] == pytest.approx(0.40, abs=1e-12)
 
     def test_model_effect_on_phi(self, candidate_model):
-        do_cp = interventional_truncated(
-            candidate_model, make_intervention({"X": "CP"}), "phi"
+        _, (do_cp,) = plan_effect(
+            candidate_model, [make_intervention({"X": "CP"})], "phi", "truncated"
         )
         assert do_cp["Short"] == pytest.approx(0.60, abs=1e-12)
 
     def test_empty_intervention_is_observational(self, reality_model):
-        dist = interventional_truncated(reality_model, make_intervention({}), "phi")
+        _, (dist,) = plan_effect(
+            reality_model, [make_intervention({})], "phi", "truncated"
+        )
         assert dist == pytest.approx(marginal1(reality_model, "phi"))
 
     def test_non_markovian_rejected(self):
@@ -111,13 +111,13 @@ class TestTruncated:
             ],
         )
         with pytest.raises(NotMarkovian):
-            interventional_truncated(m, make_intervention({"X": "a"}), "Y")
+            plan_effect(m, [make_intervention({"X": "a"})], "Y", "truncated")
 
 
 class TestParentAdjust:
     def test_no_parents_equals_conditional(self, reality_model):
-        dist = interventional_parent_adjust(
-            reality_model, make_intervention({"V2": "Slow"}), "phi"
+        _, (dist,) = plan_effect(
+            reality_model, [make_intervention({"V2": "Slow"})], "phi", "parents"
         )
         cond = marginal1(reality_model, "phi", given={"V2": "Slow"})
         assert dist == pytest.approx(cond)
@@ -125,16 +125,17 @@ class TestParentAdjust:
     def test_matches_truncated_on_model_fixture(self, candidate_model):
         for label in ("CP", "notCP"):
             do = make_intervention({"X": label})
-            a = interventional_parent_adjust(candidate_model, do, "phi")
-            b = interventional_truncated(candidate_model, do, "phi")
+            _, (a,) = plan_effect(candidate_model, [do], "phi", "parents")
+            _, (b,) = plan_effect(candidate_model, [do], "phi", "truncated")
             assert a == pytest.approx(b, abs=1e-9)
 
     def test_multi_node_rejected(self, reality_model):
         with pytest.raises(InvalidQuery):
-            interventional_parent_adjust(
+            plan_effect(
                 reality_model,
-                make_intervention({"X": "CP", "V2": "Slow"}),
+                [make_intervention({"X": "CP", "V2": "Slow"})],
                 "phi",
+                "parents",
             )
 
     def test_friction_partial_instantiation_contract(self, friction_relation):
@@ -164,27 +165,30 @@ class TestParentAdjust:
             "Tire type",
             "Wet grip",
         }
-        dist = interventional_parent_adjust(
+        _, (dist,) = plan_effect(
             est,
-            make_intervention({"Wet grip": "low grade"}),
+            [make_intervention({"Wet grip": "low grade"})],
             "Forward velocity of ego",
+            "parents",
         )
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
         with pytest.raises(ParentsNotInstantiated):
-            interventional_parent_adjust(
+            plan_effect(
                 est,
-                make_intervention({"Coefficient of friction": "reduced"}),
+                [make_intervention({"Coefficient of friction": "reduced"})],
                 relation.metric,
+                "parents",
             )
         # an admissible set alone does not help when the target's ancestors
         # carry no CPDs
         from causalcrit.errors import InsufficientInstantiation
 
         with pytest.raises(InsufficientInstantiation):
-            interventional_backdoor(
+            plan_effect(
                 est,
-                make_intervention({"Wet grip": "low grade"}),
+                [make_intervention({"Wet grip": "low grade"})],
                 relation.metric,
+                "backdoor",
                 ["Tire type"],
             )
 
@@ -204,14 +208,14 @@ class TestBackdoor:
                 make_cpd("B", ("A",), [[0.3, 0.7], [0.8, 0.2]], specs),
             ],
         )
-        dist = interventional_backdoor(m, make_intervention({"A": "b"}), "B", [])
+        _, (dist,) = plan_effect(m, [make_intervention({"A": "b"})], "B", "backdoor", [])
         cond = marginal1(m, "B", given={"A": "b"})
         assert dist == pytest.approx(cond)
 
     def test_v2_matches_parent_adjustment(self, candidate_model):
         do = make_intervention({"X": "CP"})
-        via_v2 = interventional_backdoor(candidate_model, do, "phi", ["V2"])
-        via_parents = interventional_parent_adjust(candidate_model, do, "phi")
+        _, (via_v2,) = plan_effect(candidate_model, [do], "phi", "backdoor", ["V2"])
+        _, (via_parents,) = plan_effect(candidate_model, [do], "phi", "parents")
         assert via_v2 == pytest.approx(via_parents, abs=1e-9)
         assert via_v2["Short"] == pytest.approx(0.60, abs=1e-9)
 
@@ -238,19 +242,21 @@ class TestBackdoor:
     def test_zero_probability_stratum_skipped(self):
         # P(S = s1) = 0, so P(x0, s1) = 0 is never conditioned on.
         m = self.confounded_triangle(0.0, [0.5, 0.5])
-        dist = interventional_backdoor(m, make_intervention({"X": "x0"}), "Y", ["S"])
+        _, (dist,) = plan_effect(
+            m, [make_intervention({"X": "x0"})], "Y", "backdoor", ["S"]
+        )
         assert dist == pytest.approx({"y0": 0.9, "y1": 0.1}, abs=1e-12)
 
     def test_zero_probability_condition_in_live_stratum(self):
         # P(S = s0) = 0.6 but P(X = x0, S = s0) = 0.
         m = self.confounded_triangle(0.4, [0.0, 1.0])
         with pytest.raises(ZeroProbabilityCondition):
-            interventional_backdoor(m, make_intervention({"X": "x0"}), "Y", ["S"])
+            plan_effect(m, [make_intervention({"X": "x0"})], "Y", "backdoor", ["S"])
 
     def test_inadmissible_set_rejected(self, candidate_model):
         with pytest.raises(NotAdmissible):
-            interventional_backdoor(
-                candidate_model, make_intervention({"X": "CP"}), "phi", ["V1"]
+            plan_effect(
+                candidate_model, [make_intervention({"X": "CP"})], "phi", "backdoor", ["V1"]
             )
 
 
@@ -259,11 +265,11 @@ class TestRouteEquivalence:
         for m in (reality_model, candidate_model):
             for label in ("CP", "notCP"):
                 do = make_intervention({"X": label})
-                t = interventional_truncated(m, do, "phi")
-                p = interventional_parent_adjust(m, do, "phi")
+                _, (t,) = plan_effect(m, [do], "phi", "truncated")
+                _, (p,) = plan_effect(m, [do], "phi", "parents")
                 assert t == pytest.approx(p, abs=1e-9)
                 for adj in enumerate_adjustment_sets(m.structure, "X", "phi", 16):
-                    b = interventional_backdoor(m, do, "phi", adj)
+                    _, (b,) = plan_effect(m, [do], "phi", "backdoor", adj)
                     assert t == pytest.approx(b, abs=1e-9)
 
     def test_random_models_match_brute_force(self):
@@ -275,31 +281,16 @@ class TestRouteEquivalence:
             target = rng.choice([n for n in names if n != x])
             label = rng.choice(("a", "b"))
             do = make_intervention({x: label})
-            t = interventional_truncated(m, do, target)
+            _, (t,) = plan_effect(m, [do], target, "truncated")
             oracle = brute_truncated(m, {x: label}, target)
             assert t == pytest.approx(oracle, abs=1e-9)
-            p = interventional_parent_adjust(m, do, target)
+            _, (p,) = plan_effect(m, [do], target, "parents")
             assert p == pytest.approx(oracle, abs=1e-9)
 
 
 def confounded_pair_model():
     """X <-> W, W -> phi, X -> phi: only the back-door set {W} identifies X's effect."""
-    specs = {
-        n: VariableSpec(name=n, domain=("a", "b"), codes=(0.0, 1.0))
-        for n in ("W", "X", "phi")
-    }
-    s = build_structure(
-        ["W", "X", "phi"], [("W", "phi"), ("X", "phi")], bidirected=[("X", "W")]
-    )
-    return build_model(
-        s,
-        specs,
-        [
-            make_cpd("W", (), [[0.5, 0.5]], specs),
-            make_cpd("X", (), [[0.3, 0.7]], specs),
-            make_cpd("phi", ("W", "X"), [[0.9, 0.1], [0.5, 0.5], [0.6, 0.4], [0.2, 0.8]], specs),
-        ],
-    )
+    return load_model(Path(__file__).parent / "data" / "confounded_pair.json")[1]
 
 
 class TestPlanEffect:
@@ -313,7 +304,7 @@ class TestPlanEffect:
         )
         do = {n: data.draw(st.sampled_from(("a", "b"))) for n in do_nodes}
         target = data.draw(st.sampled_from(do_nodes) | st.sampled_from(nodes))
-        dist = interventional_truncated(m, make_intervention(do), target)
+        _, (dist,) = plan_effect(m, [make_intervention(do)], target, "truncated")
         assert dist == pytest.approx(brute_truncated(m, do, target), abs=1e-12)
 
     @settings(max_examples=150, deadline=None)
@@ -364,8 +355,7 @@ class TestPlanEffect:
         assert route == "backdoor:['W']"
         # sum_w P(phi = b | X = b, w) P(w)
         assert dist["b"] == pytest.approx(0.5 * 0.5 + 0.5 * 0.8, abs=1e-12)
-        e = interventional_expectation(m, make_intervention({"X": "b"}), "phi")
-        assert e == pytest.approx(dist["b"], abs=1e-12)
+        assert expectation(dist, m, "phi") == pytest.approx(dist["b"], abs=1e-12)
 
     def test_auto_tries_parents_before_backdoor(self):
         # A -> X -> Y and a Z without a CPD. With the confounding arc Y <-> Z,
@@ -516,7 +506,7 @@ class TestPlanEffect:
                 return False
             if not brute_backdoor_admissible(m.structure, adj, x, target):
                 return False
-            interventional_backdoor(m, make_intervention(do), target, adj)
+            plan_effect(m, [make_intervention(do)], target, "backdoor", adj)
             return True
 
         others = [n for n in nodes if n not in (x, target)]
@@ -651,32 +641,32 @@ class TestEmptyIntervention:
         m = confounded_pair_model()
         with pytest.raises(NotMarkovian):
             plan_effect(m, [make_intervention({})], "phi", "truncated")
-        with pytest.raises(NotMarkovian):
-            interventional_truncated(m, make_intervention({}), "phi")
 
     def test_every_other_route_is_observational(self):
         m = confounded_pair_model()
         empty = make_intervention({})
         marginal = marginal1(m, "phi")
         assert plan_effect(m, [empty, empty], "phi") == ("observational", [marginal] * 2)
-        assert interventional_parent_adjust(m, empty, "phi") == marginal
+        assert plan_effect(m, [empty], "phi", "parents") == ("observational", [marginal])
         # No admissibility check: there is no intervened node to adjust for.
-        assert interventional_backdoor(m, empty, "phi", []) == marginal
+        observed = plan_effect(m, [empty], "phi", "backdoor", [])
+        assert observed == ("observational", [marginal])
 
 
 class TestExpectation:
     def test_reality_expectations(self, reality_model):
-        e_cp = interventional_expectation(
-            reality_model, make_intervention({"X": "CP"}), "phi"
+        _, dists = plan_effect(
+            reality_model,
+            [make_intervention({"X": "CP"}), make_intervention({"X": "notCP"})],
+            "phi",
         )
-        e_not = interventional_expectation(
-            reality_model, make_intervention({"X": "notCP"}), "phi"
-        )
+        e_cp, e_not = (expectation(d, reality_model, "phi") for d in dists)
         assert e_cp == pytest.approx(0.6, abs=1e-12)
         assert e_not == pytest.approx(0.4, abs=1e-12)
 
     def test_observational_expectation(self, reality_model):
-        e = interventional_expectation(reality_model, make_intervention({}), "phi")
+        _, (dist,) = plan_effect(reality_model, [make_intervention({})], "phi")
+        e = expectation(dist, reality_model, "phi")
         assert e == pytest.approx(0.534, abs=1e-12)
 
     def test_degenerate_single_category_target(self):
@@ -693,7 +683,8 @@ class TestExpectation:
                 make_cpd("B", (), [[0.5, 0.5]], specs),
             ],
         )
-        e = interventional_expectation(m, make_intervention({"B": "x"}), "A")
+        _, (dist,) = plan_effect(m, [make_intervention({"B": "x"})], "A")
+        e = expectation(dist, m, "A")
         assert e == pytest.approx(7.5)
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from causalcrit.cli import main
 from causalcrit.context import PhenomenonBinding
-from causalcrit.engine import interventional_truncated, make_intervention, plan_effect
+from causalcrit.engine import make_intervention, plan_effect
 from causalcrit.errors import InsufficientInstantiation
 from causalcrit.fixtures import fixture, fixture_text
 from causalcrit.graph import build_structure
@@ -81,7 +81,7 @@ def test_each_query_needs_only_its_closure(data):
     missing = brute_missing_cpds(m, [target], clamped=do)
     check(
         missing,
-        lambda: interventional_truncated(m, i, target),
+        lambda: plan_effect(m, [i], target, "truncated")[1][0],
         lambda: brute_truncated(full, do, target),
     )
     # On a Markovian model auto always answers through the truncated route.

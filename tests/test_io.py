@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,21 @@ class TestModelRoundTrip:
         payload = json.loads(fixture_text("heavy-rain-reality"))
         payload["variables"][0]["color"] = "red"
         with pytest.raises(ParseError):
+            parse_model_text(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "where, mutate",
+        [
+            ("phenomenon", lambda p: p.update(phenomenon=5)),
+            ("variables[0]", lambda p: p["variables"].__setitem__(0, 5)),
+            ("cpds[0]", lambda p: p["cpds"].__setitem__(0, None)),
+        ],
+        ids=["phenomenon", "variable", "cpd"],
+    )
+    def test_non_object_rejected(self, where, mutate):
+        payload = json.loads(fixture_text("heavy-rain-reality"))
+        mutate(payload)
+        with pytest.raises(ParseError, match=rf"^{re.escape(where)}: expected an object"):
             parse_model_text(json.dumps(payload))
 
     def test_not_json(self):

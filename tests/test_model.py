@@ -357,6 +357,8 @@ class TestSample:
     def test_negative_size_rejected(self, reality_model):
         with pytest.raises(ValidationError):
             sample(reality_model, -1, seed=0)
+        with pytest.raises(ValidationError, match="seed"):
+            sample(reality_model, 10, seed=-1)
 
     def test_partial_model_rejected(self, reality_model):
         # A sample row assigns every observed node, so sampling keeps the
