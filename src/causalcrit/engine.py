@@ -31,7 +31,7 @@ from .errors import (
     TargetNotAncestorWarning,
     ZeroProbabilityCondition,
 )
-from .graph import ancestors, backdoor_admissible, descendants
+from .graph import ancestors, backdoor_admissible, descendants, open_backdoor_path
 from .model import DiscreteModel, joint_table, marginal1
 
 __all__ = [
@@ -177,10 +177,16 @@ def _effect_rows(
                 raise ParentsNotInstantiated(str(exc)) from None
     elif route == "backdoor":
         x, adj = _single_node(do), list(adjustment)
-        if not backdoor_admissible(m.structure, sorted(set(adj)), x, target):
+        if not backdoor_admissible(m.structure, adj, x, target):
+            path = open_backdoor_path(m.structure, adj, x, target)
+            why = (
+                f"it leaves the back-door path {path} open"
+                if path
+                else f"it holds a latent node or a descendant of {x!r}"
+            )
             raise NotAdmissible(
                 f"{sorted(set(adj))} does not satisfy the back-door criterion "
-                f"for ({x!r}, {target!r})"
+                f"for ({x!r}, {target!r}): {why}"
             )
         return f"backdoor:{sorted(adj)}", _adjusted_table(m, x, do[x], target, adj)
     return route, joint_table(m, over=[target], do=do)[1]
@@ -222,7 +228,8 @@ def _auto_route(
     if not backdoor_admissible(m.structure, z, x, target):
         raise NotIdentifiable(
             f"no back-door set for ({x!r}, {target!r}): the largest candidate, "
-            f"{z}, leaves a back-door path open"
+            f"{z}, leaves the back-door path "
+            f"{open_backdoor_path(m.structure, z, x, target)} open"
         )
     for node in list(z):
         if backdoor_admissible(m.structure, [n for n in z if n != node], x, target):

@@ -33,6 +33,7 @@ __all__ = [
     "build_structure",
     "d_separated",
     "backdoor_admissible",
+    "open_backdoor_path",
     "enumerate_adjustment_sets",
     "do_surgery",
     "descendants",
@@ -96,6 +97,11 @@ class CausalStructure:
     @cached_property
     def _descendants(self) -> dict[str, frozenset[str]]:
         return _closures(reversed(self._topological_order), self._children)
+
+    @cached_property
+    def _backdoor_checks(self) -> dict[tuple[str, str], "_BackdoorCheck"]:
+        """One prepared :class:`_BackdoorCheck` per (x, y), filled on first use."""
+        return {}
 
     def ensure_nodes(self, names: Iterable[str]) -> None:
         for name in names:
@@ -268,15 +274,12 @@ def _reach_active(
     sources: Iterable[str],
     targets: set,
     conditioned: set,
-    cut: Optional[str] = None,
 ) -> Optional[list]:
     """Search for an active (unblocked) trail from ``sources`` to ``targets``.
 
     Standard two-direction reachability over (node, direction) states on the
     expanded graph: chains and forks pass through nodes outside the
     conditioning set, colliders pass through nodes whose descendants meet it.
-    The walk never leaves ``cut`` (which must be a source) along one of its
-    out-edges; a trail entering it from a child finds it already visited.
     Returns the node sequence of one active trail, or None if every trail is
     blocked.
     """
@@ -299,13 +302,10 @@ def _reach_active(
         if direction == _UP:
             if node in conditioned:
                 continue
-            hops = (
-                (parents_of[node], _UP),
-                (children_of[node] if node != cut else (), _DOWN),
-            )
+            hops = ((parents_of[node], _UP), (children_of[node], _DOWN))
         else:
             hops = (
-                (children_of[node] if node not in conditioned and node != cut else (), _DOWN),
+                (children_of[node] if node not in conditioned else (), _DOWN),
                 (parents_of[node] if node in cond_closure else (), _UP),
             )
         for neighbours, heading in hops:
@@ -353,6 +353,90 @@ def d_separated(
     return PathQueryResult(separated=False, witness_path=_collapse_hubs(trail))
 
 
+def _or_masks(masks: list[int], members: int) -> int:
+    """The union of ``masks[i]`` over the bits ``i`` set in ``members``."""
+    out = 0
+    while members:
+        low = members & -members
+        members ^= low
+        out |= masks[low.bit_length() - 1]
+    return out
+
+
+class _BackdoorCheck:
+    """The back-door criterion for one (x, y), prepared once per structure.
+
+    It works on the expanded graph with x's out-edges cut, each node a bit
+    of a Python int, and holds every node's parents, children, ancestors
+    (itself included) and moral-graph neighbours within An({x, y}) there as
+    bitmasks. A set Z is admissible exactly when
+    it holds no latent node and no descendant of x, and it separates x from
+    y in the moral graph of An({x, y} | Z) (Lauritzen, Dawid, Larsen &
+    Leimer 1990; van der Zander, Liskiewicz & Textor 2019 give the
+    adjustment form). No member descends from x, so the cut leaves the
+    members' ancestors as they are. When y is x there is no path to block.
+    """
+
+    def __init__(self, s: CausalStructure, x: str, y: str):
+        parents_of, children_of = s._expanded
+        self._index = {node: i for i, node in enumerate(parents_of)}
+        bit = {node: 1 << i for node, i in self._index.items()}
+        self._parents = [
+            sum(bit[p] for p in ps if p != x) for ps in parents_of.values()
+        ]
+        self._children = [
+            0 if node == x else sum(bit[c] for c in cs)
+            for node, cs in children_of.items()
+        ]
+        # Hubs have no parents, so they come first in a topological order.
+        hubs = [n for n in parents_of if not isinstance(n, str)]
+        self._ancestors = [0] * len(bit)
+        for node in [*hubs, *s._topological_order]:
+            i = self._index[node]
+            self._ancestors[i] = bit[node] | _or_masks(self._ancestors, self._parents[i])
+        self._banned = sum(bit[n] for n in s._descendants[x] | s.latent)
+        self._source = bit[x]
+        self._target = 0 if x == y else bit[y]
+        self._area = self._ancestors[self._index[x]] | self._ancestors[self._index[y]]
+        # Each node's moral-graph neighbours in An({x, y}): its parents, its
+        # children there and their other parents. Z's ancestors only add.
+        self._moral = [
+            pa | (ch & self._area) | _or_masks(self._parents, ch & self._area)
+            for pa, ch in zip(self._parents, self._children)
+        ]
+
+    def admits(self, adjustment: Iterable[str]) -> bool:
+        index, ancestors_of = self._index, self._ancestors
+        parents, children, moral = self._parents, self._children, self._moral
+        z = z_area = 0
+        for node in adjustment:
+            i = index[node]
+            z |= 1 << i
+            z_area |= ancestors_of[i]
+        if z & self._banned:
+            return False
+        # Breadth-first search of the moral graph of An({x, y} | Z) that
+        # never enters Z: the children that only Z's ancestors bring in, and
+        # their other parents, join the neighbours prepared for An({x, y}).
+        extra = z_area & ~self._area
+        seen = frontier = self._source
+        seen |= z
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            i = low.bit_length() - 1
+            reach = moral[i]
+            kids = children[i] & extra
+            if kids:
+                reach |= kids | _or_masks(parents, kids)
+            reach &= ~seen
+            if reach & self._target:
+                return False
+            seen |= reach
+            frontier |= reach
+        return True
+
+
 def backdoor_admissible(
     s: CausalStructure,
     adjustment: Iterable[str],
@@ -363,23 +447,69 @@ def backdoor_admissible(
     every path from ``x`` to ``y`` that enters ``x`` through an incoming arrow.
 
     Latent-flagged nodes are rejected as members (they cannot be measured,
-    hence not adjusted for).
+    hence not adjusted for). Blocking every arrow-into-x path is
+    d-separation of x and y once x's outgoing directed edges are removed;
+    confounding arcs at x stay, as they open back-door paths through the
+    latent fork. The check is prepared once per (structure, x, y).
     """
     adj = set(adjustment)
     s.ensure_nodes(adj | {x, y})
     if adj & {x, y}:
         raise OverlappingSets("adjustment set must not contain x or y")
-    if adj & s.latent:
-        return False
-    if adj & descendants(s, x):
-        return False
-    # Blocking every arrow-into-x path is equivalent to d-separation of x and
-    # y once x's outgoing directed edges are removed; confounding arcs at x
-    # stay, as they open back-door paths through the latent fork. No member
-    # descends from x, so cutting those edges leaves the members' ancestors,
-    # and with them the colliders the set opens, as they are. No path runs
-    # from x to itself, so when y is x there is nothing left to block.
-    return x == y or _reach_active(s, {x}, {y}, adj, cut=x) is None
+    check = s._backdoor_checks.get((x, y))
+    if check is None:
+        check = s._backdoor_checks[(x, y)] = _BackdoorCheck(s, x, y)
+    return check.admits(adj)
+
+
+def open_backdoor_path(
+    s: CausalStructure,
+    adjustment: Iterable[str],
+    x: str,
+    y: str,
+) -> Optional[str]:
+    """One back-door path from ``x`` to ``y`` that ``adjustment`` leaves open,
+    drawn with its edge marks (``X <-> W -> phi``), or None if it blocks all.
+
+    The path is the :func:`d_separated` witness on ``s`` with x's outgoing
+    directed edges removed. Where a pair carries both a directed edge and a
+    confounding arc, the marks drawn are ones under which the path is open.
+    """
+    s.ensure_nodes((x, y))
+    if x == y:
+        return None
+    z = set(adjustment)
+    cut = CausalStructure(
+        nodes=s.nodes,
+        latent=s.latent,
+        directed=frozenset(e for e in s.directed if e[0] != x),
+        bidirected=s.bidirected,
+    )
+    path = d_separated(cut, {x}, {y}, z).witness_path
+    if path is None:
+        return None
+    options = [
+        [
+            mark
+            for mark, present in (
+                ("->", (a, b) in cut.directed),
+                ("<-", (b, a) in cut.directed),
+                ("<->", frozenset((a, b)) in cut.bidirected),
+            )
+            if present
+        ]
+        for a, b in zip(path, path[1:])
+    ]
+    opened = z.union(*(cut._ancestors[n] for n in z))
+    marks = next(
+        marks
+        for marks in itertools.product(*options)
+        if all(
+            node in opened if left[-1] == ">" and right[0] == "<" else node not in z
+            for node, left, right in zip(path[1:], marks, marks[1:])
+        )
+    )
+    return " ".join(itertools.chain([x], *zip(marks, path[1:])))
 
 
 def do_surgery(s: CausalStructure, targets: Iterable[str]) -> CausalStructure:

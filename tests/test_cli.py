@@ -12,7 +12,9 @@ import causalcrit
 from causalcrit import fixtures
 from causalcrit.cli import main
 from causalcrit.fixtures import fixture_text
-from causalcrit.io import parse_model_text
+from causalcrit.io import load_model, parse_model_text
+
+from oracles import brute_open_backdoor_paths
 
 
 def run(capsys, *argv):
@@ -96,7 +98,7 @@ class TestAdjust:
         assert out == ""
         assert f"--max must be > 0, got {count}" in err
 
-    def test_friction_scoped_candidates(self, capsys):
+    def test_friction_scoped_candidates(self, capsys, friction_scan):
         from causalcrit.fixtures import FRICTION_MEASURABLE_POOL
 
         code, out, _ = run(
@@ -115,13 +117,29 @@ class TestAdjust:
             "json",
         )
         assert code == 0
-        sets = [frozenset(s) for s in json.loads(out)["adjustment_sets"]]
+        sets = json.loads(out)["adjustment_sets"]
+        assert sets == [sorted(s) for s in friction_scan]
+        assert len(sets) == 129
         from causalcrit.fixtures import FRICTION_ADJUSTMENT_SET
 
-        assert frozenset(FRICTION_ADJUSTMENT_SET) in sets
+        assert sorted(FRICTION_ADJUSTMENT_SET) in sets
 
 
 class TestEffect:
+    def test_inadmissible_set_names_open_path(self, capsys):
+        # X <-> W, W -> phi, X -> phi: the empty set leaves X <-> W -> phi.
+        data = Path(__file__).parent / "data" / "confounded_pair.json"
+        code, out, err = run(
+            capsys, "effect", str(data), "--do", "X=b", "--target", "phi",
+            "--route", "backdoor",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("NotAdmissible: ")
+        quoted = err.split("back-door path ", 1)[1].rsplit(" open", 1)[0]
+        model = load_model(data)[1]
+        assert quoted in brute_open_backdoor_paths(model.structure, (), "X", "phi")
+        assert quoted == "X <-> W -> phi"
+
     def test_do_cp_expectation(self, capsys):
         code, out, _ = run(
             capsys, "effect", "heavy-rain-reality",

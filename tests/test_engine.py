@@ -37,7 +37,12 @@ from causalcrit.model import (
     marginal1,
 )
 
-from oracles import brute_backdoor_admissible, brute_missing_cpds, brute_truncated
+from oracles import (
+    brute_backdoor_admissible,
+    brute_missing_cpds,
+    brute_open_backdoor_paths,
+    brute_truncated,
+)
 
 
 def random_binary_model(rng, max_nodes=5):
@@ -465,6 +470,38 @@ class TestPlanEffect:
         )
         with pytest.raises(NotIdentifiable, match=f"\\['{latent}'\\]"):
             plan_effect(m, [make_intervention({"X": "b"})], "Y")
+
+    def test_auto_refusal_names_open_path(self):
+        # X <- L -> phi with L latent-flagged, X -> phi, and X <-> V so that
+        # parent adjustment cannot run: the largest candidate is empty and
+        # leaves X <- L -> phi open.
+        specs = {
+            n: VariableSpec(name=n, domain=("a", "b"), codes=(0.0, 1.0))
+            for n in ("L", "V", "X", "phi")
+        }
+        s = build_structure(
+            ["L", "V", "X", "phi"],
+            [("L", "X"), ("L", "phi"), ("X", "phi")],
+            bidirected=[("X", "V")],
+            latent=["L"],
+        )
+        m = build_model(
+            s,
+            specs,
+            [
+                make_cpd("L", (), [[0.4, 0.6]], specs),
+                make_cpd("V", (), [[0.5, 0.5]], specs),
+                make_cpd("X", ("L",), [[0.3, 0.7], [0.8, 0.2]], specs),
+                make_cpd(
+                    "phi", ("L", "X"), [[0.9, 0.1], [0.5, 0.5], [0.6, 0.4], [0.2, 0.8]], specs
+                ),
+            ],
+        )
+        with pytest.raises(NotIdentifiable) as exc:
+            plan_effect(m, [make_intervention({"X": "b"})], "phi")
+        quoted = str(exc.value).split("back-door path ", 1)[1].rsplit(" open", 1)[0]
+        assert quoted in brute_open_backdoor_paths(s, (), "X", "phi")
+        assert quoted == "X <- L -> phi"
 
     def test_unknown_route_rejected(self, reality_model):
         with pytest.raises(InvalidQuery):

@@ -21,11 +21,13 @@ from causalcrit.graph import (
     descendants,
     do_surgery,
     enumerate_adjustment_sets,
+    open_backdoor_path,
 )
 
 from oracles import (
     brute_backdoor_admissible,
     brute_d_separated,
+    brute_open_backdoor_paths,
     brute_reachable,
     kahn_order,
 )
@@ -168,6 +170,23 @@ class TestBackdoor:
         s = build_structure(["X", "Y", "D"], [("X", "Y"), ("X", "D")])
         assert not backdoor_admissible(s, {"D"}, "X", "Y")
 
+    def test_refusal_path_is_open_back_door_path(self, candidate_model):
+        s = candidate_model.structure
+        assert open_backdoor_path(s, {"V1"}, "X", "phi") == "X <- V2 -> phi"
+        assert open_backdoor_path(s, {"V2"}, "X", "phi") is None
+
+    def test_refusal_path_reads_arc_where_edge_is_blocked(self):
+        # A -> W and A <-> W: with A adjusted for, only the reading through
+        # the confounding arc, where A is a collider, stays open.
+        s = build_structure(
+            ["A", "W", "X", "phi"],
+            [("A", "W"), ("W", "phi"), ("X", "phi")],
+            bidirected=[("X", "A"), ("A", "W")],
+        )
+        expected = "X <-> A <-> W -> phi"
+        assert brute_open_backdoor_paths(s, {"A"}, "X", "phi") == {expected}
+        assert open_backdoor_path(s, {"A"}, "X", "phi") == expected
+
     def test_friction_adjustment_set_admissible(self, friction_relation):
         relation, model = friction_relation
         from causalcrit.fixtures import FRICTION_ADJUSTMENT_SET
@@ -205,7 +224,11 @@ class TestEnumeration:
         sets = enumerate_adjustment_sets(candidate_model.structure, "X", "phi", 1)
         assert sets == [frozenset({"V1", "V2"})]
 
-    def test_friction_adjustment_set_appears_with_scoped_pool(self, friction_relation):
+    def test_friction_adjustment_set_appears_with_scoped_pool(
+        self, friction_relation, friction_scan
+    ):
+        # All 4,096 subsets of the 12-variable pool, against a scan that
+        # uses d-separation instead of the back-door check.
         relation, model = friction_relation
         from causalcrit.fixtures import (
             FRICTION_ADJUSTMENT_SET,
@@ -219,6 +242,8 @@ class TestEnumeration:
             max_count=1 << 13,
             candidates=FRICTION_MEASURABLE_POOL,
         )
+        assert sets == friction_scan
+        assert len(sets) == 129
         assert frozenset(FRICTION_ADJUSTMENT_SET) in sets
 
 
@@ -261,7 +286,9 @@ def random_structures(draw, max_nodes=6):
         for j in range(i + 1, n):
             if draw(st.integers(0, 9)) == 0:
                 bidirected.append((names[i], names[j]))
-    return build_structure(names, directed, bidirected)
+    free = [v for v in names if not any(v in arc for arc in bidirected)]
+    latent = draw(st.sets(st.sampled_from(free), max_size=2)) if free else set()
+    return build_structure(names, directed, bidirected, latent)
 
 
 @given(random_structures())
@@ -303,17 +330,40 @@ def test_d_separation_matches_path_enumeration(s, rnd):
             )
 
 
-@given(random_structures(max_nodes=5))
+@given(random_structures())
 @settings(max_examples=60, deadline=None)
 def test_backdoor_matches_path_enumeration(s):
+    # A set with no latent node and no descendant of x is refused exactly
+    # when a back-door path stays open, and the path quoted is one of them.
     nodes = list(s.nodes)
     for x, y in itertools.permutations(nodes, 2):
+        banned = brute_reachable(s.directed, x) | s.latent
         pool = [n for n in nodes if n not in (x, y)]
         for size in range(len(pool) + 1):
             for adj in itertools.combinations(pool, size):
-                assert backdoor_admissible(s, set(adj), x, y) == (
-                    brute_backdoor_admissible(s, adj, x, y)
-                )
+                admissible = backdoor_admissible(s, set(adj), x, y)
+                assert admissible == brute_backdoor_admissible(s, adj, x, y)
+                if not banned & set(adj):
+                    path = open_backdoor_path(s, adj, x, y)
+                    assert (path is None) == admissible
+                    if path is not None:
+                        assert path in brute_open_backdoor_paths(s, adj, x, y)
+
+
+@given(random_structures(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_backdoor_checks_keyed_by_pair(s, rnd):
+    # Every (x, y) pair on one structure, its queries interleaved in a drawn
+    # order: each answer must come from the check prepared for its own pair.
+    queries = [
+        (x, y, adj)
+        for x, y in itertools.permutations(s.nodes, 2)
+        for size in range(len(s.nodes) - 1)
+        for adj in itertools.combinations(sorted(set(s.nodes) - {x, y}), size)
+    ]
+    rnd.shuffle(queries)
+    for x, y, adj in queries:
+        assert backdoor_admissible(s, adj, x, y) == brute_backdoor_admissible(s, adj, x, y)
 
 
 @st.composite
