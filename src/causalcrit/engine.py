@@ -32,7 +32,7 @@ from .errors import (
     ZeroProbabilityCondition,
 )
 from .graph import ancestors, backdoor_admissible, descendants, open_backdoor_path
-from .model import DiscreteModel, joint_table, marginal1
+from .model import DiscreteModel, joint_table, joint_tables
 
 __all__ = [
     "Intervention",
@@ -324,6 +324,7 @@ def evaluate_safety_principle(
     """Effect of a safety principle on phenomenon probability and metric mean.
 
     Reports P(X = CP | do(sp)) - P(X = CP) and E(metric | do(sp)) - E(metric).
+    Both baselines come from one :func:`~causalcrit.model.joint_tables` call.
     Both intervened distributions come from :func:`plan_effect`'s auto rule,
     so a semi-Markovian model answers wherever the planner does. A principle
     whose targets influence neither the phenomenon nor the metric triggers a
@@ -350,8 +351,9 @@ def evaluate_safety_principle(
         warnings.warn(message, TargetNotAncestorWarning, stacklevel=2)
         notes.append(message)
 
-    baseline_p = marginal1(m, cp.variable)[cp.cp_label]
-    baseline_e = expectation(marginal1(m, metric), m, metric)
+    p_x, p_metric = joint_tables(m, [[cp.variable], [metric]])
+    baseline_p = float(p_x[m.specs[cp.variable].index_of(cp.cp_label)])
+    baseline_e = expectation(dict(zip(m.specs[metric].domain, p_metric.tolist())), m, metric)
     _, (dist_x,) = plan_effect(m, [sp.intervention], cp.variable)
     _, (dist_metric,) = plan_effect(m, [sp.intervention], metric)
     p_do = dist_x[cp.cp_label]

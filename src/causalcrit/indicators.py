@@ -33,7 +33,7 @@ from .errors import (
     ZeroProbabilityCondition,
 )
 from .graph import CausalStructure
-from .model import Cpd, DiscreteModel, build_model, joint_table, make_cpd, marginal1
+from .model import Cpd, DiscreteModel, build_model, joint_table, joint_tables, make_cpd, marginal1
 from .model import _closure_within
 
 __all__ = [
@@ -260,6 +260,46 @@ def rho2(pair: ModelPair, nodes: Iterable[str], bits: bool = False) -> Indicator
     return IndicatorReport("rho2", value, node_list, meta)
 
 
+def _cut_parents(m: DiscreteModel, edges: Iterable[tuple[str, str]]) -> dict[str, list[str]]:
+    """The cut parents of each child, once the edges pass causal influence's checks."""
+    if not m.structure.is_markovian():
+        raise NotMarkovian("causal influence is defined for Markovian models")
+    edge_list = sorted(set(tuple(e) for e in edges))
+    for e in edge_list:
+        if e not in m.structure.directed:
+            raise InvalidQuery(f"edge {e!r} is not in the structure")
+    cut_by_child: dict[str, list[str]] = {}
+    for a, b in edge_list:
+        cut_by_child.setdefault(b, []).append(a)
+    _closure_within(m, cut_by_child)
+    return cut_by_child
+
+
+def _influences(
+    m: DiscreteModel, cuts: Sequence[Mapping[str, list[str]]], bits: bool
+) -> list[float]:
+    """Causal influence of each cut, every P(pa_c) from one :func:`joint_tables` call."""
+    families = list(dict.fromkeys(m.cpds[c].parents for cut in cuts for c in cut))
+    p_family = dict(zip(families, joint_tables(m, families)))
+    totals = []
+    for cut_by_child in cuts:
+        total = 0.0
+        for child, cut in cut_by_child.items():
+            parents = m.cpds[child].parents
+            p_pa = p_family[parents]  # axes follow the sorted parents
+            cond = m.cpds[child].table.reshape(p_pa.shape + (m.specs[child].cardinality,))
+            cut_axes = tuple(parents.index(a) for a in cut)
+            weight = np.ones(p_pa.ndim * (1,))  # product of the cut parents' marginals
+            for k in cut_axes:
+                others = tuple(i for i in range(p_pa.ndim) if i != k)
+                weight = weight * p_pa.sum(axis=others, keepdims=True)
+            cut_cond = (cond * weight[..., None]).sum(axis=cut_axes, keepdims=True)
+            family = p_pa[..., None] * cond
+            total += kl_divergence(family, p_pa[..., None] * cut_cond, bits=bits)
+        totals.append(total)
+    return totals
+
+
 def causal_influence(
     m: DiscreteModel,
     edges: Iterable[tuple[str, str]],
@@ -274,32 +314,10 @@ def causal_influence(
     sum_{pa_c} P(pa_c) KL(P(c | pa_c) || P_cut(c | kept pa_c)), where P_cut
     averages P(c | pa_c) over the product of the cut parents' marginals
     (Janzing et al. 2013, "Quantifying causal influences"). Each term needs
-    only the joint over the child's parents.
+    only the joint over the child's parents, and every P(pa_c) comes from one
+    calibrated elimination (:func:`~causalcrit.model.joint_tables`).
     """
-    if not m.structure.is_markovian():
-        raise NotMarkovian("causal influence is defined for Markovian models")
-    edge_list = sorted(set(tuple(e) for e in edges))
-    for e in edge_list:
-        if e not in m.structure.directed:
-            raise InvalidQuery(f"edge {e!r} is not in the structure")
-    cut_by_child: dict[str, list[str]] = {}
-    for a, b in edge_list:
-        cut_by_child.setdefault(b, []).append(a)
-    _closure_within(m, cut_by_child)
-    total = 0.0
-    for child, cut in cut_by_child.items():
-        parents = m.cpds[child].parents
-        _, p_pa = joint_table(m, over=parents)  # axes follow the sorted parents
-        cond = m.cpds[child].table.reshape(p_pa.shape + (m.specs[child].cardinality,))
-        cut_axes = tuple(parents.index(a) for a in cut)
-        weight = np.ones(p_pa.ndim * (1,))  # product of the cut parents' marginals
-        for k in cut_axes:
-            others = tuple(i for i in range(p_pa.ndim) if i != k)
-            weight = weight * p_pa.sum(axis=others, keepdims=True)
-        cut_cond = (cond * weight[..., None]).sum(axis=cut_axes, keepdims=True)
-        family = p_pa[..., None] * cond
-        total += kl_divergence(family, p_pa[..., None] * cut_cond, bits=bits)
-    return total
+    return _influences(m, [_cut_parents(m, edges)], bits)[0]
 
 
 def _induced_submodel(m: DiscreteModel, nodes: Sequence[str]) -> DiscreteModel:
@@ -326,12 +344,11 @@ def _induced_submodel(m: DiscreteModel, nodes: Sequence[str]) -> DiscreteModel:
         ),
     )
     sub_specs = {n: m.specs[n] for n in keep}
+    kept_parents = [tuple(sorted(p for p in m.structure.parents(n) if p in keep_set)) for n in keep]
+    # One calibration gives every family's joint, with axes in sorted order.
+    families = [sorted((*pa, n)) for n, pa in zip(keep, kept_parents)]
     cpds: list[Cpd] = []
-    for n in keep:
-        pa = tuple(sorted(p for p in m.structure.parents(n) if p in keep_set))
-        involved = list(pa) + [n]
-        # Axes follow sorted(involved); the kept parents are already sorted.
-        names, joint = joint_table(m, over=involved)
+    for n, pa, names, joint in zip(keep, kept_parents, families, joint_tables(m, families)):
         joint = np.moveaxis(joint, names.index(n), -1)
         card = m.specs[n].cardinality
         flat = joint.reshape(-1, card)
@@ -368,16 +385,21 @@ def rho3(
     else:
         ref = pair.reference
         cand = pair.candidate
-    components: dict[str, float] = {}
-    influences: dict[str, dict[str, float]] = {"reference": {}, "candidate": {}}
+    models = {"reference": ref, "candidate": cand}
+    # Every cut is checked, in node order and reference first, before any
+    # inference; then each model answers all of its cuts from one calibration.
+    cuts: dict[str, list] = {role: [] for role in models}
     for n in component_nodes:
-        out_ref = [e for e in ref.structure.directed if e[0] == n]
-        out_cand = [e for e in cand.structure.directed if e[0] == n]
-        i_ref = causal_influence(ref, out_ref, bits=bits)
-        i_cand = causal_influence(cand, out_cand, bits=bits)
-        influences["reference"][n] = i_ref
-        influences["candidate"][n] = i_cand
-        components[n] = i_ref - i_cand
+        for role, model in models.items():
+            out = [e for e in model.structure.directed if e[0] == n]
+            cuts[role].append(_cut_parents(model, out))
+    influences = {
+        role: dict(zip(component_nodes, _influences(model, cuts[role], bits)))
+        for role, model in models.items()
+    }
+    components = {
+        n: influences["reference"][n] - influences["candidate"][n] for n in component_nodes
+    }
     value = math.sqrt(sum(v * v for v in components.values()))
     meta = {
         "log_base": "bits" if bits else "nats",

@@ -131,8 +131,11 @@ def make_cpd(
         raise ValidationError(
             f"CPD for {child!r}: expected {n_cfg} rows x {card} columns, got {arr.shape}"
         )
-    if np.any(arr < -ROW_SUM_TOL) or np.any(arr > 1 + ROW_SUM_TOL):
-        raise ValidationError(f"CPD for {child!r}: entries must lie in [0, 1]")
+    # Every comparison with NaN is false, so the range check asks what must
+    # hold of each cell rather than what must not.
+    if not ((arr >= -ROW_SUM_TOL) & (arr <= 1 + ROW_SUM_TOL)).all():
+        rule = "lie in [0, 1]" if np.isfinite(arr).all() else "be finite"
+        raise ValidationError(f"CPD for {child!r}: entries must {rule}")
     sums = arr.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
         bad = int(np.argmax(np.abs(sums - 1.0)))
@@ -337,13 +340,15 @@ def joint_table(
     """Exact joint over ``sorted(over)`` (default: every instantiated node).
 
     Returns the sorted node tuple and a dense array whose axes follow it.
-    The CPD factors of the ancestral closure of ``over`` are multiplied and
-    every closure node outside ``over`` is summed out by sum-product variable
-    elimination (Zhang & Poole 1994). The next node to eliminate is the one
-    whose bucket, the union of the factors that mention it, spans the fewest
-    states, ties broken by name. :class:`StateSpaceExceeded` is raised before
-    any array is allocated when the output or a bucket would exceed
-    ``state_space_limit`` states.
+    This is :func:`joint_tables` with one scope, the root, so there is no
+    downward pass: the CPD factors of the ancestral closure of ``over`` are
+    multiplied and every closure node outside ``over`` is summed out by
+    sum-product variable elimination (Zhang & Poole 1994). The next node to
+    eliminate is the one whose bucket, the union of the factors that mention
+    it, spans the fewest states, ties broken by name.
+    :class:`StateSpaceExceeded` is raised before any array is allocated when
+    the output would exceed ``state_space_limit`` states, and before a
+    bucket or the final contraction that would exceed it is built.
 
     ``do`` maps each intervened node to a sequence of label indices, one per
     row, all of the same length n; row r is the r-th intervention. Each such
@@ -354,23 +359,56 @@ def joint_table(
     An intervened node in ``over`` is a point mass on its row's label.
     """
     names = tuple(sorted(m.instantiated if over is None else set(over)))
+    return names, joint_tables(m, [names], state_space_limit, do)[0]
+
+
+def joint_tables(
+    m: DiscreteModel,
+    scopes: Iterable[Iterable[str]],
+    state_space_limit: int = DEFAULT_STATE_SPACE_LIMIT,
+    do: Optional[Mapping[str, Sequence[int]]] = None,
+) -> list[np.ndarray]:
+    """Exact joints over several node sets from one calibrated elimination.
+
+    Entry k is the joint over ``sorted(scopes[k])``, laid out as
+    :func:`joint_table` lays out a single scope, ``do`` rows included.
+
+    The root is the scope that reaches furthest down the topological order
+    (then the one with the most states, then the first): its nodes, the
+    intervened nodes and the row axis are kept, and the rest of the
+    ancestral closure of all scopes is eliminated once, in
+    :func:`joint_table`'s order. Every scope that reaches past the kept
+    nodes adds a unit factor over itself, so the bucket that eliminates the
+    first of its nodes covers it. The buckets form a cluster tree. Messages
+    go up it once, then down only along the paths from the root to the
+    buckets that hold a scope, and each scope is summed out of its bucket
+    or the root (Shenoy & Shafer 1990; Lauritzen & Spiegelhalter 1988).
+    :class:`StateSpaceExceeded` is raised before an output, a bucket or the
+    root that would exceed ``state_space_limit`` states is built, and no
+    downward message or read spans more than the cluster that sends it.
+    """
+    scopes = [tuple(sorted(set(s))) for s in scopes]
+    if not scopes:
+        return []
     do = do or {}
     n_rows = {len(rows) for rows in do.values()}
     if len(n_rows) > 1:
         raise InvalidQuery(f"do rows differ in length: {sorted(n_rows)}")
-    closure = _closure_within(m, names, do)
+    closure = _closure_within(m, {n for s in scopes for n in s}, do)
     card = {n: m.specs[n].cardinality for n in closure}
     lead: tuple = ()
     if do:
         (card[_ROWS],) = n_rows
         lead = (_ROWS,)
-    axes = (*lead, *names)
-    _check_states(math.prod(card[n] for n in axes), names, state_space_limit)
-    # Single-state variables get no axis: summing one out is the identity.
-    # The row axis also carries a ones factor, so it survives when no
-    # intervened node lies in the closure.
+    axes = [(*lead, *s) for s in scopes]
+    sizes = [math.prod(card[n] for n in a) for a in axes]
+    for s, size in zip(scopes, sizes):
+        _check_states(size, s, state_space_limit)
+    # Factors are (scope, array) pairs, told apart by identity. Single-state
+    # variables get no axis: summing one out is the identity. The row axis
+    # also carries a ones factor, so it survives when no intervened node
+    # lies in the closure.
     factors = []
-    nbrs: dict = {n: set() for n in card if card[n] != 1}
     for n in (*lead, *closure):
         if n is _ROWS:
             table, parents = np.ones(card[n]), ()
@@ -380,36 +418,84 @@ def joint_table(
             table, parents = m.cpds[n].table, m.cpds[n].parents
         scope = tuple(v for v in (*parents, n) if card[v] != 1)
         factors.append((scope, table.reshape([card[v] for v in scope])))
+    # The root is the scope that reaches furthest down the topological
+    # order, then the largest, so the closure is eliminated from the sources
+    # down toward it. Its nodes are kept, and so are the intervened nodes,
+    # which are summed out last with their selectors so that every bucket is
+    # that of the joint that keeps their axes. Every scope that reaches past
+    # the kept nodes gets a unit factor, which the bucket of its first
+    # eliminated node takes.
+    root = 0
+    if len(scopes) > 1:
+        order = m.structure.topological_order()
+        root = max(
+            range(len(scopes)),
+            key=lambda k: (max(map(order.index, scopes[k]), default=-1), sizes[k]),
+        )
+    kept = {*axes[root], *do}
+    unit = {}
+    for k, a in enumerate(axes):
+        scope = tuple(v for v in a if card[v] != 1)
+        if not kept.issuperset(scope):
+            unit[k] = (scope, np.ones([card[v] for v in scope]))
+            factors.append(unit[k])
+    nbrs: dict = {n: set() for n in card if card[n] != 1}
+    for scope, _ in factors:
         for v in scope:
             nbrs[v].update(scope)
     for v, vs in nbrs.items():
         vs.discard(v)
-    # Intervened nodes outside ``over`` are summed out last, with their
-    # selectors, so every bucket is that of the joint that keeps their axes.
-    hidden = set(nbrs) - set(axes) - set(do)
-    # States spanned by each hidden node's bucket: itself and its neighbours.
-    span = {v: card[v] * math.prod(card[w] for w in nbrs[v]) for v in hidden}
+    hidden = set(nbrs) - kept
+    # (states spanned by its bucket, name) for each hidden node; the bucket
+    # holds the node and its neighbours.
+    rank = {v: (card[v] * math.prod(map(card.__getitem__, nbrs[v])), v) for v in hidden}
+    buckets = []  # (factors, message) per eliminated node
     while hidden:
-        v = min(hidden, key=lambda u: (span[u], u))
-        _check_states(span[v], (v, *nbrs[v]), state_space_limit)
+        v = min(hidden, key=rank.__getitem__)
+        _check_states(rank[v][0], (v, *nbrs[v]), state_space_limit)
         hidden.discard(v)
-        for u in nbrs[v]:
+        # Only hidden nodes' neighbours are read again.
+        for u in nbrs[v] & hidden:
             nbrs[u] |= nbrs[v]
             nbrs[u] -= {u, v}
-            if u in hidden:
-                span[u] = card[u] * math.prod(card[w] for w in nbrs[u])
-        del nbrs[v]
+            rank[u] = (card[u] * math.prod(map(card.__getitem__, nbrs[u])), u)
         bucket = [f for f in factors if v in f[0]]
         factors = [f for f in factors if v not in f[0]]
         scope = tuple(dict.fromkeys(w for s, _ in bucket for w in s if w != v))
-        factors.append((scope, _contract(bucket, scope)))
-    shape = [card[n] for n in axes]
-    if not factors:
-        return names, np.ones(shape)
+        buckets.append((bucket, (scope, _contract(bucket, scope))))
+        factors.append(buckets[-1][1])
+    # The root is the last cluster, what no bucket took. A downward message
+    # or a read spans no more than the bucket or root that sends it.
     last = tuple(dict.fromkeys(w for s, _ in factors for w in s))
     _check_states(math.prod(card[w] for w in last), last, state_space_limit)
-    out = tuple(n for n in axes if card[n] != 1)
-    return names, _contract(factors, out).reshape(shape)
+    cluster = {None: factors}  # bucket (None: the root) -> its factors and downward message
+    at = [None] * len(scopes)  # the bucket each scope is read from (None: the root)
+    if unit:
+        owner = {id(f): i for i, (bucket, _) in enumerate(buckets) for f in bucket}
+        at = [owner.get(id(unit.get(k))) for k in range(len(scopes))]
+        path = set()
+        for i in at:
+            while i is not None and i not in path:
+                path.add(i)
+                i = owner.get(id(buckets[i][1]))
+        # A bucket is eliminated before the one that takes its message, so in
+        # descending order every sender has its own downward message.
+        for i in sorted(path, reverse=True):
+            bucket, msg = buckets[i]
+            sender = [f for f in cluster[owner.get(id(msg))] if f is not msg]
+            # The sender's other factors may miss a node of the message answered.
+            rest = tuple(w for w in msg[0] if all(w not in s for s, _ in sender))
+            if rest or not sender:
+                sender.append((rest, np.ones([card[w] for w in rest])))
+            cluster[i] = [*bucket, (msg[0], _contract(sender, msg[0]))]
+    tables = []
+    for i, a in zip(at, axes):
+        # A bucket's unit factor spans the scope it holds. The root holds no
+        # factor only when there is none: no do rows and every scope empty.
+        out = tuple(v for v in a if card[v] != 1)
+        table = _contract(cluster[i], out) if cluster[i] else np.ones(())
+        tables.append(table.reshape([card[v] for v in a]))
+    return tables
 
 
 # numpy 1.x einsum takes at most 32 operands.

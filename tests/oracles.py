@@ -21,14 +21,24 @@ def row_index(m, cpd, assignment) -> int:
     return idx
 
 
-def brute_joint(m):
-    """Full joint as {assignment tuple over sorted nodes: probability}."""
+def brute_joint(m, do=None):
+    """Full joint as {assignment tuple over sorted nodes: probability}.
+
+    ``do`` maps nodes to labels: their factors are dropped and only the
+    assignments that agree with it are kept, so the result is the truncated
+    joint under that intervention.
+    """
+    do = do or {}
     names = sorted(m.instantiated)
     out = {}
     for values in itertools.product(*(m.specs[n].domain for n in names)):
         a = dict(zip(names, values))
+        if any(a[n] != label for n, label in do.items()):
+            continue
         p = 1.0
         for n in names:
+            if n in do:
+                continue
             cpd = m.cpds[n]
             p *= float(cpd.table[row_index(m, cpd, a)][m.specs[n].domain.index(a[n])])
         out[values] = p

@@ -65,6 +65,21 @@ class TestValidate:
         assert "[ii]" in out
 
 
+    @pytest.mark.parametrize("command", [
+        ("validate",),
+        ("indicators", "heavy-rain-model", "--set", "V1,V2,X"),
+    ])
+    def test_non_finite_cpd_cell_exits_one(self, capsys, tmp_path, command):
+        payload = json.loads(fixture_text("heavy-rain-reality"))
+        cpd = next(c for c in payload["cpds"] if c["child"] == "V1")
+        cpd["table"] = [[float("nan"), 1.0]]
+        bad = tmp_path / "nan_cell.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(capsys, command[0], str(bad), *command[1:])
+        assert (code, out) == (1, "")
+        assert err == "ValidationError: cpds[0]: CPD for 'V1': entries must be finite\n"
+
+
 class TestAdjust:
     def test_heavy_rain_model_first_set(self, capsys):
         code, out, _ = run(capsys, "adjust", "heavy-rain-model", "-x", "X", "-y", "phi")

@@ -430,6 +430,27 @@ class TestRho3:
         assert report.value == pytest.approx(0.019009, abs=5e-6)
         assert report.metadata["semantics"] == "restricted-to-set"
 
+    @pytest.mark.parametrize("restrict, calls", [(False, 2), (True, 4)])
+    def test_one_inference_call_per_model(
+        self, monkeypatch, reality_model, candidate_model, restrict, calls
+    ):
+        # Full-graph: one calibration per model gives every P(pa_c).
+        # Restricted: one more per model gives every kept family.
+        import causalcrit.indicators as indicators
+
+        counted = []
+        for name in ("joint_table", "joint_tables"):
+            real = getattr(indicators, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                counted.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(indicators, name, counting)
+        pair = ModelPair(reference=reality_model, candidate=candidate_model)
+        rho3(pair, ["V1", "V2", "X", "phi"], CP, restrict_to_set=restrict)
+        assert counted == ["joint_tables"] * calls
+
     def test_perturbed_candidate_is_detected(self, reality_model):
         cpds = dict(reality_model.cpds)
         perturbed_table = np.array(reality_model.cpds["phi"].table)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from causalcrit.cli import main
 from causalcrit.context import PhenomenonBinding
 from causalcrit.engine import make_intervention, plan_effect
-from causalcrit.errors import InsufficientInstantiation
+from causalcrit.errors import InsufficientInstantiation, NotMarkovian
 from causalcrit.fixtures import fixture, fixture_text
 from causalcrit.graph import build_structure
 from causalcrit.indicators import ModelPair, ace, causal_influence, rho3
@@ -185,6 +185,17 @@ class TestLatentChild:
         _, m = parse_model_text(json.dumps(latent_child_payload()))
         with pytest.raises(InsufficientInstantiation, match=re.escape("['L']")):
             rho3(ModelPair(reference=m, candidate=m), ["V2", "phi"], CP)
+
+    def test_rho3_raises_the_first_error_in_node_order(self):
+        # Both models' cuts at V1 are checked before the reference's at phi:
+        # the candidate is not Markovian, and the reference's cut at phi
+        # needs the CPD that L lacks.
+        _, ref = parse_model_text(json.dumps(latent_child_payload()))
+        payload = json.loads(fixture_text("heavy-rain-model"))
+        payload["bidirected"].append(["V1", "V2"])
+        _, cand = parse_model_text(json.dumps(payload))
+        with pytest.raises(NotMarkovian):
+            rho3(ModelPair(reference=ref, candidate=cand), ["V1", "phi"], CP)
 
     def test_cli_indicators_exits_one(self, capsys, tmp_path):
         path = tmp_path / "latent_child.json"

@@ -24,6 +24,7 @@ from causalcrit.model import (
     estimate_cpds,
     joint_probability,
     joint_table,
+    joint_tables,
     make_cpd,
     make_dataset,
     marginal,
@@ -97,6 +98,14 @@ class TestValidation:
         specs = {"A": binary_spec("A")}
         with pytest.raises(ValidationError):
             make_cpd("A", (), [[1.2, -0.2]], specs)
+
+    @pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf])
+    def test_cpd_non_finite_cells_rejected(self, cell):
+        # Every comparison with NaN is false, so no range or row-sum check
+        # catches one.
+        specs = {"A": binary_spec("A"), "B": binary_spec("B")}
+        with pytest.raises(ValidationError, match="CPD for 'B': entries must be finite"):
+            make_cpd("B", ("A",), [[0.5, 0.5], [cell, 1.0]], specs)
 
     def test_cpd_shape_checked(self):
         specs = {"A": binary_spec("A"), "B": binary_spec("B")}
@@ -313,6 +322,73 @@ class TestVariableElimination:
         assert set(dist) == set(expected)
         for key, p in expected.items():
             assert dist[key] == pytest.approx(p, abs=1e-12)
+
+
+class TestJointTables:
+    """One calibrated elimination for several scopes."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_every_scope_matches_brute_force(self, data):
+        m = data.draw(random_models())
+        nodes = sorted(m.instantiated)
+        scopes = data.draw(
+            st.lists(st.sets(st.sampled_from(nodes), min_size=1), min_size=1, max_size=4)
+        )
+        do_nodes = sorted(data.draw(st.sets(st.sampled_from(nodes), max_size=2)))
+        n_rows = data.draw(st.integers(1, 3))
+        do = {
+            d: data.draw(st.lists(st.integers(0, m.specs[d].cardinality - 1),
+                                  min_size=n_rows, max_size=n_rows))
+            for d in do_nodes
+        }
+        tables = joint_tables(m, scopes, do=do or None)
+        assert len(tables) == len(scopes)
+        for scope, table in zip(scopes, tables):
+            names = sorted(scope)
+            shape = tuple(m.specs[n].cardinality for n in names)
+            assert table.shape == ((n_rows,) + shape if do else shape)
+            for r in range(n_rows if do else 1):
+                labels = {d: m.specs[d].domain[do[d][r]] for d in do_nodes}
+                expected = brute_marginal(*brute_joint(m, do=labels), names)
+                row = table[r] if do else table
+                for idx in np.ndindex(*shape):
+                    key = tuple(m.specs[n].domain[i] for n, i in zip(names, idx))
+                    assert row[idx] == pytest.approx(expected.get(key, 0.0), abs=1e-12)
+            # A single scope is joint_table's call, bit for bit.
+            single = joint_tables(m, [scope], do=do or None)[0]
+            assert np.array_equal(single, joint_table(m, scope, do=do or None)[1])
+
+    def test_no_scopes(self, reality_model):
+        assert joint_tables(reality_model, []) == []
+
+    def test_limit_covers_the_downward_pass(self):
+        # Z (8 labels) stands apart and is last in topological order, so
+        # [Z] is the root; D -> Q, both binary, and D is intervened on in two
+        # rows. Alone, [Z] spans 2 x 8 states and [Q] 2 x 2 x 2. Together,
+        # the kept intervened node D joins the root, which spans rows x D x Z
+        # = 32 states but is contracted only on the way down: to send Q's
+        # bucket its downward message and to read Z. Every upward bucket
+        # spans 8.
+        specs = {
+            "D": binary_spec("D"),
+            "Q": binary_spec("Q"),
+            "Z": VariableSpec(name="Z", domain=tuple("abcdefgh"), codes=(0.0,) * 8),
+        }
+        s = build_structure(["D", "Q", "Z"], [("D", "Q")])
+        m = build_model(s, specs, [
+            make_cpd("D", (), [[0.4, 0.6]], specs),
+            make_cpd("Q", ("D",), [[0.9, 0.1], [0.2, 0.8]], specs),
+            make_cpd("Z", (), [[0.125] * 8], specs),
+        ])
+        do = {"D": [0, 1]}
+        for scope in (["Z"], ["Q"]):
+            joint_table(m, scope, state_space_limit=31, do=do)
+        with pytest.raises(StateSpaceExceeded, match="spans 32 states"):
+            joint_tables(m, [["Z"], ["Q"]], state_space_limit=31, do=do)
+        p_z, p_q = joint_tables(m, [["Z"], ["Q"]], state_space_limit=32, do=do)
+        assert p_z.tolist() == [[0.125] * 8] * 2
+        assert p_q == pytest.approx(np.array([[0.9, 0.1], [0.2, 0.8]]), abs=1e-15)
 
 
 class TestMarkovProperty:
