@@ -63,9 +63,7 @@ from .model import (
     VariableSpec,
     build_model,
     estimate_cpds,
-    joint_probability,
     make_cpd,
-    make_dataset,
     marginal,
     marginal1,
     sample,

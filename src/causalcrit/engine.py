@@ -176,7 +176,7 @@ def _effect_rows(
             except InsufficientInstantiation as exc:
                 raise ParentsNotInstantiated(str(exc)) from None
     elif route == "backdoor":
-        x, adj = _single_node(do), list(adjustment)
+        x, adj = _single_node(do), sorted(set(adjustment))
         if not backdoor_admissible(m.structure, adj, x, target):
             path = open_backdoor_path(m.structure, adj, x, target)
             why = (
@@ -185,10 +185,10 @@ def _effect_rows(
                 else f"it holds a latent node or a descendant of {x!r}"
             )
             raise NotAdmissible(
-                f"{sorted(set(adj))} does not satisfy the back-door criterion "
+                f"{adj} does not satisfy the back-door criterion "
                 f"for ({x!r}, {target!r}): {why}"
             )
-        return f"backdoor:{sorted(adj)}", _adjusted_table(m, x, do[x], target, adj)
+        return f"backdoor:{adj}", _adjusted_table(m, x, do[x], target, adj)
     return route, joint_table(m, over=[target], do=do)[1]
 
 

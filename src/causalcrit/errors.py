@@ -40,10 +40,6 @@ class InvalidQuery(CausalCritError):
 
 # -- discrete models ---------------------------------------------------------
 
-class NotFullyInstantiated(CausalCritError):
-    pass
-
-
 class InsufficientInstantiation(CausalCritError):
     pass
 

@@ -184,9 +184,9 @@ def _find_cycle(parents: Adjacency, stuck: set[str]) -> list[str]:
 class PathQueryResult:
     """Outcome of a d-separation query.
 
-    ``witness_path`` is an unblocked path (as a node sequence alternating
-    adjacent edges of the structure) and is present exactly when
-    ``separated`` is False.
+    ``witness_path`` is an unblocked path drawn with its edge marks, nodes
+    and marks alternating as in ``("P", "->", "A", "<->", "W")``, and is
+    present exactly when ``separated`` is False.
     """
 
     separated: bool
@@ -280,8 +280,8 @@ def _reach_active(
     Standard two-direction reachability over (node, direction) states on the
     expanded graph: chains and forks pass through nodes outside the
     conditioning set, colliders pass through nodes whose descendants meet it.
-    Returns the node sequence of one active trail, or None if every trail is
-    blocked.
+    Returns the (node, direction) states of one active trail, or None if
+    every trail is blocked.
     """
     parents_of, children_of = s._expanded
     cond_closure = set(conditioned)
@@ -318,17 +318,12 @@ def _reach_active(
                     trail = []
                     cursor = step
                     while cursor is not None:
-                        trail.append(cursor[0])
+                        trail.append(cursor)
                         cursor = pred[cursor]
                     trail.reverse()
                     return trail
                 queue.append(step)
     return None
-
-
-def _collapse_hubs(trail: list) -> tuple[str, ...]:
-    """Drop synthetic confounder hubs; a ... hub ... step becomes a bidirected hop."""
-    return tuple(n for n in trail if isinstance(n, str))
 
 
 def d_separated(
@@ -340,7 +335,8 @@ def d_separated(
     """Test whether ``z`` blocks every path between ``x`` and ``y``.
 
     Bidirected arcs are treated as latent forks. When the sets are not
-    separated, the result carries one unblocked witness path.
+    separated, the result carries one unblocked witness path drawn with its
+    edge marks.
     """
     x_set, y_set, z_set = set(x), set(y), set(z)
     s.ensure_nodes(x_set | y_set | z_set)
@@ -350,7 +346,14 @@ def d_separated(
     trail = _reach_active(s, x_set, y_set, z_set)
     if trail is None:
         return PathQueryResult(separated=True)
-    return PathQueryResult(separated=False, witness_path=_collapse_hubs(trail))
+    # A state reached going up came from a child, one going down from a
+    # parent. Confounder hubs are never drawn: each ``<- hub ->`` is a ``<->``.
+    witness = [trail[0][0]]
+    for (before, _), (node, direction) in zip(trail, trail[1:]):
+        if isinstance(node, str):
+            hub = not isinstance(before, str)
+            witness += ["<->" if hub else "->" if direction == _DOWN else "<-", node]
+    return PathQueryResult(separated=False, witness_path=tuple(witness))
 
 
 def _or_masks(masks: list[int], members: int) -> int:
@@ -472,44 +475,19 @@ def open_backdoor_path(
     drawn with its edge marks (``X <-> W -> phi``), or None if it blocks all.
 
     The path is the :func:`d_separated` witness on ``s`` with x's outgoing
-    directed edges removed. Where a pair carries both a directed edge and a
-    confounding arc, the marks drawn are ones under which the path is open.
+    directed edges removed.
     """
     s.ensure_nodes((x, y))
     if x == y:
         return None
-    z = set(adjustment)
     cut = CausalStructure(
         nodes=s.nodes,
         latent=s.latent,
         directed=frozenset(e for e in s.directed if e[0] != x),
         bidirected=s.bidirected,
     )
-    path = d_separated(cut, {x}, {y}, z).witness_path
-    if path is None:
-        return None
-    options = [
-        [
-            mark
-            for mark, present in (
-                ("->", (a, b) in cut.directed),
-                ("<-", (b, a) in cut.directed),
-                ("<->", frozenset((a, b)) in cut.bidirected),
-            )
-            if present
-        ]
-        for a, b in zip(path, path[1:])
-    ]
-    opened = z.union(*(cut._ancestors[n] for n in z))
-    marks = next(
-        marks
-        for marks in itertools.product(*options)
-        if all(
-            node in opened if left[-1] == ">" and right[0] == "<" else node not in z
-            for node, left, right in zip(path[1:], marks, marks[1:])
-        )
-    )
-    return " ".join(itertools.chain([x], *zip(marks, path[1:])))
+    witness = d_separated(cut, {x}, {y}, adjustment).witness_path
+    return None if witness is None else " ".join(witness)
 
 
 def do_surgery(s: CausalStructure, targets: Iterable[str]) -> CausalStructure:

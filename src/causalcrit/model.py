@@ -20,10 +20,8 @@ from .errors import (
     EmptyDataset,
     InsufficientInstantiation,
     InvalidQuery,
-    NotFullyInstantiated,
     StateSpaceExceeded,
     UnknownCategory,
-    UnknownLabel,
     UnknownNode,
     UnseenParentConfigurationWarning,
     ValidationError,
@@ -38,7 +36,6 @@ __all__ = [
     "Dataset",
     "build_model",
     "make_cpd",
-    "joint_probability",
     "marginal",
     "marginal1",
     "sample",
@@ -102,11 +99,6 @@ class Cpd:
     child: str
     parents: tuple[str, ...]
     table: np.ndarray  # shape (#parent configurations, child cardinality)
-
-    def row_index(self, parent_cards: Sequence[int], parent_idx: Sequence[int]) -> int:
-        if not self.parents:
-            return 0
-        return int(np.ravel_multi_index(tuple(parent_idx), tuple(parent_cards)))
 
 
 def make_cpd(
@@ -178,9 +170,8 @@ class Dataset:
     """Rectangular table of categorical observations, stored by column.
 
     ``codes[k]`` is a read-only integer array holding, for every row, the
-    index of its label in ``domains[k]``. Labels are materialized only on
-    request: by :attr:`records`, :meth:`column` or when a CSV is written.
-    A dataset without columns has no rows.
+    index of its label in ``domains[k]``. Labels are materialized only
+    when a CSV is written. A dataset without columns has no rows.
     """
 
     columns: tuple[str, ...]
@@ -218,46 +209,6 @@ class Dataset:
             and all(np.array_equal(a, b) for a, b in zip(self.codes, other.codes))
         )
 
-    def column(self, name: str) -> tuple[str, ...]:
-        k = self.columns.index(name)
-        domain = self.domains[k]
-        return tuple(domain[i] for i in self.codes[k].tolist())
-
-    @property
-    def records(self) -> tuple[tuple[str, ...], ...]:
-        """The rows as label tuples, in column order."""
-        return tuple(zip(*(self.column(c) for c in self.columns)))
-
-
-def make_dataset(
-    columns: Sequence[str],
-    records: Iterable[Sequence[str]],
-    specs: Mapping[str, VariableSpec],
-    provenance: str = "fixture",
-) -> Dataset:
-    """Encode label rows against the specs' domains, checking every cell."""
-    cols = tuple(columns)
-    for c in cols:
-        if c not in specs:
-            raise UnknownNode(f"dataset column {c!r} has no variable spec")
-    lookups = [{label: i for i, label in enumerate(specs[c].domain)} for c in cols]
-    codes: list[list[int]] = [[] for _ in cols]
-    for r, row in enumerate(records):
-        row = tuple(row)
-        if len(row) != len(cols):
-            raise ValidationError(f"row {r} has {len(row)} cells, expected {len(cols)}")
-        for k, label in enumerate(row):
-            try:
-                codes[k].append(lookups[k][label])
-            except (KeyError, TypeError):
-                raise UnknownLabel(r, cols[k], label) from None
-    return Dataset(
-        columns=cols,
-        codes=tuple(codes),
-        domains=tuple(specs[c].domain for c in cols),
-        provenance=provenance,
-    )
-
 
 def build_model(
     structure: CausalStructure,
@@ -286,16 +237,6 @@ def build_model(
             )
         cpd_map[cpd.child] = cpd
     return DiscreteModel(structure=structure, specs=spec_map, cpds=cpd_map)
-
-
-def _require_fully_instantiated(m: DiscreteModel) -> None:
-    if not m.fully_instantiated:
-        missing = sorted(
-            n
-            for n in m.structure.nodes
-            if n not in m.structure.latent and n not in m.cpds
-        )
-        raise NotFullyInstantiated(f"missing CPDs for {missing}")
 
 
 def _closure_within(
@@ -529,23 +470,6 @@ def _check_states(size: int, nodes: Sequence[str], limit: int) -> None:
         )
 
 
-def joint_probability(m: DiscreteModel, assignment: Mapping[str, str]) -> float:
-    """Probability of one assignment to every instantiated node via the
-    Markov factorization; each of their parents must carry a CPD too."""
-    _closure_within(m, m.instantiated)
-    for node in m.instantiated:
-        if node not in assignment:
-            raise UnknownCategory(f"assignment misses instantiated node {node!r}")
-    prob = 1.0
-    for node in m.instantiated:
-        cpd = m.cpds[node]
-        child_idx = m.specs[node].index_of(assignment[node])
-        parent_cards = [m.specs[p].cardinality for p in cpd.parents]
-        parent_idx = [m.specs[p].index_of(assignment[p]) for p in cpd.parents]
-        prob *= float(cpd.table[cpd.row_index(parent_cards, parent_idx), child_idx])
-    return prob
-
-
 def marginal(
     m: DiscreteModel,
     targets: Sequence[str],
@@ -595,16 +519,16 @@ def marginal1(
 
 
 def sample(m: DiscreteModel, n: int, seed: int) -> Dataset:
-    """Ancestral forward sampling; deterministic for a fixed seed."""
+    """Ancestral forward sampling of the observed nodes; deterministic for a
+    fixed seed. Their ancestral closure, latent ancestors included, needs
+    CPDs, or :class:`InsufficientInstantiation` names the missing ones."""
     if n < 0:
         raise ValidationError(f"sample size must be >= 0, got {n}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    _require_fully_instantiated(m)
-    order = [
-        node for node in m.structure.topological_order() if node in m.instantiated
-    ]
-    _closure_within(m, m.instantiated)
+    observed = [node for node in m.structure.nodes if node not in m.structure.latent]
+    needed = set(_closure_within(m, observed))
+    order = [node for node in m.structure.topological_order() if node in needed]
     rng = np.random.default_rng(seed)
     drawn: dict[str, np.ndarray] = {}
     for node in order:
@@ -622,11 +546,10 @@ def sample(m: DiscreteModel, n: int, seed: int) -> Dataset:
             cdf = np.broadcast_to(cdfs[0], (n, card))
         u = rng.random(n)
         drawn[node] = np.minimum((cdf < u[:, None]).sum(axis=1), card - 1)
-    columns = tuple(sorted(order))
     return Dataset(
-        columns=columns,
-        codes=tuple(drawn[c] for c in columns),
-        domains=tuple(m.specs[c].domain for c in columns),
+        columns=tuple(observed),
+        codes=tuple(drawn[c] for c in observed),
+        domains=tuple(m.specs[c].domain for c in observed),
         provenance="synthetic",
     )
 

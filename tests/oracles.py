@@ -228,12 +228,13 @@ def brute_backdoor_admissible(structure, adjustment, x, y) -> bool:
     return True
 
 
-def brute_open_backdoor_paths(structure, adjustment, x, y) -> set:
-    """Every back-door path from x to y that the set leaves open, drawn with
-    its edge marks as ``X <- W <-> phi``."""
+def brute_open_paths(structure, x, y, z, backdoor=False) -> set:
+    """Every simple path from x to y that z leaves open, drawn with its edge
+    marks as ``X <- W <-> phi``; with ``backdoor``, only those that enter x
+    through an arrowhead."""
     out = set()
     for path in _all_simple_paths(structure, x, y):
-        if path[0][2] and not path_blocked(structure, path, set(adjustment)):
+        if (path[0][2] or not backdoor) and not path_blocked(structure, path, set(z)):
             text = [x]
             for _, nbr, into_node, into_nbr in path:
                 text += ["<->" if into_node and into_nbr else "<-" if into_node else "->", nbr]

@@ -14,7 +14,7 @@ from causalcrit.cli import main
 from causalcrit.fixtures import fixture_text
 from causalcrit.io import load_model, parse_model_text
 
-from oracles import brute_open_backdoor_paths
+from oracles import brute_open_paths
 
 
 def run(capsys, *argv):
@@ -152,7 +152,7 @@ class TestEffect:
         assert err.startswith("NotAdmissible: ")
         quoted = err.split("back-door path ", 1)[1].rsplit(" open", 1)[0]
         model = load_model(data)[1]
-        assert quoted in brute_open_backdoor_paths(model.structure, (), "X", "phi")
+        assert quoted in brute_open_paths(model.structure, "X", "phi", (), backdoor=True)
         assert quoted == "X <-> W -> phi"
 
     def test_do_cp_expectation(self, capsys):
@@ -197,6 +197,18 @@ class TestEffect:
         values = list(results.values())
         assert max(values) - min(values) < 1e-9
 
+    def test_repeated_adjustment_member_counted_once(self, capsys):
+        def effect(adjust_set):
+            return run(
+                capsys, "effect", "heavy-rain-reality", "--do", "X=CP", "--target",
+                "phi", "--route", "backdoor", "--adjust-set", adjust_set,
+                "--format", "json",
+            )
+
+        code, out, _ = effect("V1,V1")
+        assert code == 0
+        assert json.loads(out)["route"] == "backdoor:['V1']"
+        assert out == effect("V1")[1]
 
     def test_auto_falls_back_to_backdoor_like_ace(self, capsys, tmp_path):
         # X <-> W, W -> phi, X -> phi: the truncated and parent routes do not

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -29,18 +30,18 @@ from causalcrit.errors import (
 from causalcrit.graph import build_structure, descendants, enumerate_adjustment_sets
 from causalcrit.io import load_model
 from causalcrit.model import (
+    Dataset,
     VariableSpec,
     build_model,
     estimate_cpds,
     make_cpd,
-    make_dataset,
     marginal1,
 )
 
 from oracles import (
     brute_backdoor_admissible,
     brute_missing_cpds,
-    brute_open_backdoor_paths,
+    brute_open_paths,
     brute_truncated,
 )
 
@@ -152,14 +153,13 @@ class TestParentAdjust:
 
         columns = sorted(FRICTION_ADJUSTMENT_SET + (relation.phenomenon.variable,))
         rng = random.Random(99)
-        records = []
-        for _ in range(400):
-            records.append(
-                tuple(
-                    relation.specs[c].domain[rng.randint(0, 1)] for c in columns
-                )
-            )
-        ds = make_dataset(columns, records, relation.specs, provenance="synthetic")
+        rows = [[rng.randint(0, 1) for _ in columns] for _ in range(400)]
+        ds = Dataset(
+            columns=tuple(columns),
+            codes=tuple(zip(*rows)),
+            domains=tuple(relation.specs[c].domain for c in columns),
+            provenance="synthetic",
+        )
         est = estimate_cpds(model.structure, relation.specs, ds)
         assert not est.fully_instantiated
         assert est.instantiated == {
@@ -263,6 +263,14 @@ class TestBackdoor:
             plan_effect(
                 candidate_model, [make_intervention({"X": "CP"})], "phi", "backdoor", ["V1"]
             )
+
+    def test_repeated_member_named_once(self, reality_model, candidate_model):
+        do = [make_intervention({"X": "CP"})]
+        route, rows = plan_effect(reality_model, do, "phi", "backdoor", ["V1", "V1"])
+        assert (route, rows) == plan_effect(reality_model, do, "phi", "backdoor", ["V1"])
+        assert route == "backdoor:['V1']"
+        with pytest.raises(NotAdmissible, match=re.escape("['V1'] does not satisfy")):
+            plan_effect(candidate_model, do, "phi", "backdoor", ["V1", "V1"])
 
 
 class TestRouteEquivalence:
@@ -500,7 +508,7 @@ class TestPlanEffect:
         with pytest.raises(NotIdentifiable) as exc:
             plan_effect(m, [make_intervention({"X": "b"})], "phi")
         quoted = str(exc.value).split("back-door path ", 1)[1].rsplit(" open", 1)[0]
-        assert quoted in brute_open_backdoor_paths(s, (), "X", "phi")
+        assert quoted in brute_open_paths(s, "X", "phi", (), backdoor=True)
         assert quoted == "X <- L -> phi"
 
     def test_unknown_route_rejected(self, reality_model):

@@ -27,7 +27,7 @@ from causalcrit.graph import (
 from oracles import (
     brute_backdoor_admissible,
     brute_d_separated,
-    brute_open_backdoor_paths,
+    brute_open_paths,
     brute_reachable,
     kahn_order,
 )
@@ -105,7 +105,7 @@ class TestDSeparation:
         s = chain_abc()
         res = d_separated(s, {"A"}, {"C"})
         assert not res.separated
-        assert res.witness_path == ("A", "B", "C")
+        assert res.witness_path == ("A", "->", "B", "->", "C")
 
     def test_collider_blocks_marginally(self):
         s = build_structure(["A", "B", "C"], [("A", "C"), ("B", "C")])
@@ -124,13 +124,13 @@ class TestDSeparation:
         s = build_structure(
             ["A", "B", "C", "D"], [("A", "C"), ("B", "C"), ("C", "D")]
         )
-        assert d_separated(s, {"A"}, {"B"}, {"D"}).witness_path == ("A", "C", "B")
+        assert d_separated(s, {"A"}, {"B"}, {"D"}).witness_path == ("A", "->", "C", "<-", "B")
 
     def test_bidirected_acts_as_latent_fork(self):
         s = build_structure(["A", "B"], bidirected=[("A", "B")])
         res = d_separated(s, {"A"}, {"B"})
         assert not res.separated
-        assert res.witness_path == ("A", "B")
+        assert res.witness_path == ("A", "<->", "B")
 
     def test_heavy_rain_reality_x_independent_of_v2(self, reality_model):
         assert d_separated(reality_model.structure, {"X"}, {"V2"}).separated
@@ -139,18 +139,20 @@ class TestDSeparation:
         with pytest.raises(OverlappingSets):
             d_separated(chain_abc(), {"A"}, {"A"})
 
+    def test_witness_keeps_edge_marks(self):
+        # P -> A -> W with A <-> W: conditioning on A blocks the directed
+        # reading at A, so only the one through the confounding arc is open.
+        s = build_structure(
+            ["A", "P", "W"], [("P", "A"), ("A", "W")], bidirected=[("A", "W")]
+        )
+        res = d_separated(s, {"P"}, {"W"}, {"A"})
+        assert res.witness_path == ("P", "->", "A", "<->", "W")
+
     def test_witness_uses_adjacent_edges(self, candidate_model):
         s = candidate_model.structure
         res = d_separated(s, {"X"}, {"phi"})
         assert not res.separated
-        path = res.witness_path
-        assert path[0] == "X" and path[-1] == "phi"
-        for a, b in zip(path, path[1:]):
-            assert (
-                (a, b) in s.directed
-                or (b, a) in s.directed
-                or frozenset((a, b)) in s.bidirected
-            )
+        assert " ".join(res.witness_path) in brute_open_paths(s, "X", "phi", ())
 
 
 class TestBackdoor:
@@ -184,7 +186,7 @@ class TestBackdoor:
             bidirected=[("X", "A"), ("A", "W")],
         )
         expected = "X <-> A <-> W -> phi"
-        assert brute_open_backdoor_paths(s, {"A"}, "X", "phi") == {expected}
+        assert brute_open_paths(s, "X", "phi", {"A"}, backdoor=True) == {expected}
         assert open_backdoor_path(s, {"A"}, "X", "phi") == expected
 
     def test_friction_adjustment_set_admissible(self, friction_relation):
@@ -320,14 +322,7 @@ def test_d_separation_matches_path_enumeration(s, rnd):
     expected = brute_d_separated(s, {x}, {y}, z)
     assert got.separated == expected
     if not got.separated:
-        path = got.witness_path
-        assert path[0] == x and path[-1] == y
-        for a, b in zip(path, path[1:]):
-            assert (
-                (a, b) in s.directed
-                or (b, a) in s.directed
-                or frozenset((a, b)) in s.bidirected
-            )
+        assert " ".join(got.witness_path) in brute_open_paths(s, x, y, z)
 
 
 @given(random_structures())
@@ -347,7 +342,7 @@ def test_backdoor_matches_path_enumeration(s):
                     path = open_backdoor_path(s, adj, x, y)
                     assert (path is None) == admissible
                     if path is not None:
-                        assert path in brute_open_backdoor_paths(s, adj, x, y)
+                        assert path in brute_open_paths(s, x, y, adj, backdoor=True)
 
 
 @given(random_structures(), st.randoms(use_true_random=False))

@@ -27,9 +27,10 @@ from causalcrit.io import parse_model_text
 from causalcrit.model import (
     VariableSpec,
     build_model,
-    joint_probability,
+    joint_table,
     make_cpd,
     marginal1,
+    sample,
 )
 
 from oracles import (
@@ -98,8 +99,16 @@ def test_each_query_needs_only_its_closure(data):
     assignment = {n: values[names.index(n)] for n in inst}
     check(
         brute_missing_cpds(m, inst),
-        lambda: joint_probability(m, assignment),
+        lambda: joint_table(m)[1][tuple(m.specs[n].index_of(assignment[n]) for n in inst)],
         lambda: brute_marginal(names, joint, inst)[tuple(assignment[n] for n in inst)],
+    )
+
+    # A sample row assigns every observed node.
+    observed = sorted(set(nodes) - latent)
+    check(
+        brute_missing_cpds(m, observed),
+        lambda: sample(m, 3, seed=0).columns,
+        lambda: tuple(observed),
     )
 
     directed = sorted(full.structure.directed)
@@ -148,16 +157,15 @@ def test_friction_relation_without_a_root_cpd():
     )
 
 
-def test_joint_probability_names_a_latent_parent():
+def test_sample_names_a_latent_parent():
     # Every observed node carries a CPD, but A's CPD conditions on the latent
-    # L, so the product of the CPDs is no joint distribution.
+    # L, so A cannot be drawn.
     specs = {n: VariableSpec(name=n, domain=("a", "b"), codes=(0.0, 1.0)) for n in "AL"}
     s = build_structure(["A", "L"], [("L", "A")], latent=["L"])
     m = build_model(s, specs, [make_cpd("A", ("L",), [[0.9, 0.1], [0.1, 0.9]], specs)])
     assert m.fully_instantiated
-    for assignment in ({"A": "b"}, {"A": "b", "L": "a"}):
-        with pytest.raises(InsufficientInstantiation, match=re.escape("['L']")):
-            joint_probability(m, assignment)
+    with pytest.raises(InsufficientInstantiation, match=re.escape("['L']")):
+        sample(m, 10, seed=0)
 
 
 def latent_child_payload():

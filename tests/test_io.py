@@ -170,8 +170,7 @@ class TestDataset:
         path = tmp_path / "sampled.csv"
         save_dataset(path, ds)
         back = load_dataset(path, relation.specs, provenance="synthetic")
-        assert back.columns == ds.columns
-        assert back.records == ds.records
+        assert back == ds
 
 
 class TestTrajectoryAndField:

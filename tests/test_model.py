@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -9,30 +8,26 @@ from hypothesis import strategies as st
 from causalcrit.errors import (
     EmptyDataset,
     InsufficientInstantiation,
-    NotFullyInstantiated,
     StateSpaceExceeded,
-    UnknownCategory,
-    UnknownLabel,
     UnseenParentConfigurationWarning,
     ValidationError,
     ZeroProbabilityCondition,
 )
 from causalcrit.graph import build_structure
 from causalcrit.model import (
+    Dataset,
     VariableSpec,
     build_model,
     estimate_cpds,
-    joint_probability,
     joint_table,
     joint_tables,
     make_cpd,
-    make_dataset,
     marginal,
     marginal1,
     sample,
 )
 
-from oracles import brute_joint, brute_marginal, conditionally_independent
+from oracles import brute_joint, brute_marginal, conditionally_independent, row_index
 
 
 def binary_spec(name, labels=("no", "yes")):
@@ -158,29 +153,22 @@ class TestValidation:
 
 
 class TestJointProbability:
+    """The probability of one assignment, read off the joint over every
+    instantiated node."""
+
     def test_single_binary_node(self):
-        m = single_node_model(0.3)
-        assert joint_probability(m, {"A": "yes"}) == pytest.approx(0.3)
+        names, arr = joint_table(single_node_model(0.3))
+        assert names == ("A",)
+        assert arr.tolist() == pytest.approx([0.7, 0.3])
 
     def test_heavy_rain_fixture_product(self, reality_model):
-        p = joint_probability(
-            reality_model,
-            {"V1": "Summer", "V3": "Oceanic", "X": "CP", "V2": "Slow", "phi": "Short"},
-        )
+        names, arr = joint_table(reality_model)
+        assignment = {"V1": "Summer", "V3": "Oceanic", "X": "CP", "V2": "Slow", "phi": "Short"}
+        p = arr[tuple(reality_model.specs[n].index_of(assignment[n]) for n in names)]
         assert p == pytest.approx(0.5 * 0.6 * 0.6 * 0.6 * 0.8, abs=1e-12)
 
     def test_sums_to_one(self, reality_model):
-        m = reality_model
-        names = sorted(m.instantiated)
-        total = sum(
-            joint_probability(m, dict(zip(names, values)))
-            for values in itertools.product(*(m.specs[n].domain for n in names))
-        )
-        assert total == pytest.approx(1.0, abs=1e-9)
-
-    def test_missing_node_rejected(self, reality_model):
-        with pytest.raises(UnknownCategory):
-            joint_probability(reality_model, {"V1": "Summer"})
+        assert joint_table(reality_model)[1].sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_brute_force(self, candidate_model):
         names, joint = brute_joint(candidate_model)
@@ -206,13 +194,8 @@ class TestMarginal:
         assert dist == pytest.approx({"Slow": 0.6, "Fast": 0.4})
 
     def test_marginal_over_all_nodes_equals_joint(self, reality_model):
-        m = reality_model
-        names = sorted(m.instantiated)
-        dist = marginal(m, names)
-        for values, p in dist.items():
-            assert p == pytest.approx(
-                joint_probability(m, dict(zip(names, values))), abs=1e-12
-            )
+        names, joint = brute_joint(reality_model)
+        assert marginal(reality_model, names) == pytest.approx(joint, abs=1e-12)
 
     def test_conditional_renormalizes(self, reality_model):
         dist = marginal1(reality_model, "phi", given={"V2": "Slow"})
@@ -420,6 +403,19 @@ class TestSample:
         assert ds.columns == tuple(sorted(reality_model.instantiated))
         assert len(ds) == 0
 
+    def test_latent_node_drawn_but_not_written(self):
+        # A copies its latent parent L, which is always b.
+        specs = {n: binary_spec(n, ("a", "b")) for n in "AL"}
+        s = build_structure(["A", "L"], [("L", "A")], latent=["L"])
+        m = build_model(
+            s,
+            specs,
+            [make_cpd("L", (), [[0.0, 1.0]], specs), make_cpd("A", ("L",), [[1.0, 0.0], [0.0, 1.0]], specs)],
+        )
+        ds = sample(m, 5, seed=0)
+        assert ds.columns == ("A",)
+        assert ds.codes[0].tolist() == [1] * 5
+
     def test_deterministic_for_seed(self, reality_model):
         a = sample(reality_model, 500, seed=42)
         b = sample(reality_model, 500, seed=42)
@@ -437,12 +433,12 @@ class TestSample:
             sample(reality_model, 10, seed=-1)
 
     def test_partial_model_rejected(self, reality_model):
-        # A sample row assigns every observed node, so sampling keeps the
-        # model-wide check although V1's own closure is instantiated.
+        # A sample row assigns every observed node, so sampling needs all of
+        # their CPDs although V1's own closure is instantiated.
         partial = build_model(
             reality_model.structure, reality_model.specs, [reality_model.cpds["V1"]]
         )
-        with pytest.raises(NotFullyInstantiated, match=r"\['V2', 'V3', 'X', 'phi'\]"):
+        with pytest.raises(InsufficientInstantiation, match=r"\['V2', 'V3', 'X', 'phi'\]"):
             sample(partial, 10, seed=0)
 
     @settings(max_examples=60, deadline=None)
@@ -454,9 +450,9 @@ class TestSample:
         drawn = {}
         for node in m.structure.topological_order():
             cpd = m.cpds[node]
-            cards = [m.specs[p].cardinality for p in cpd.parents]
             rows = [
-                cpd.row_index(cards, [drawn[p][i] for p in cpd.parents]) for i in range(n)
+                row_index(m, cpd, {p: m.specs[p].domain[drawn[p][i]] for p in cpd.parents})
+                for i in range(n)
             ]
             cdf = np.cumsum(cpd.table[rows], axis=1)
             u = rng.random(n)
@@ -469,14 +465,14 @@ class TestSample:
 
     def test_empirical_frequency_near_marginal(self, reality_model):
         ds = sample(reality_model, 200_000, seed=7)
-        xs = ds.column("X")
-        freq = sum(1 for v in xs if v == "CP") / len(xs)
+        xs = ds.codes[ds.columns.index("X")]
+        freq = np.mean(xs == reality_model.specs["X"].index_of("CP"))
         assert abs(freq - 0.67) < 0.005
 
 
 class TestEstimate:
     def test_empty_dataset_rejected(self, reality_model):
-        ds = make_dataset(["V1"], [], reality_model.specs)
+        ds = Dataset(columns=("V1",), codes=([],), domains=(reality_model.specs["V1"].domain,))
         with pytest.raises(EmptyDataset):
             estimate_cpds(reality_model.structure, reality_model.specs, ds)
 
@@ -496,9 +492,7 @@ class TestEstimate:
     def test_laplace_smoothing_fills_empty_rows(self):
         specs = {"A": binary_spec("A"), "B": binary_spec("B")}
         s = build_structure(["A", "B"], [("A", "B")])
-        ds = make_dataset(
-            ["A", "B"], [("no", "no"), ("no", "yes")], specs, provenance="fixture"
-        )
+        ds = Dataset(columns=("A", "B"), codes=([0, 0], [0, 1]), domains=(("no", "yes"),) * 2)
         est = estimate_cpds(s, specs, ds, smoothing=1.0)
         # the A=yes row was never observed: alpha=1 makes it uniform
         assert est.cpds["B"].table[1] == pytest.approx([0.5, 0.5])
@@ -506,7 +500,7 @@ class TestEstimate:
     def test_unseen_row_drops_node_with_warning(self):
         specs = {"A": binary_spec("A"), "B": binary_spec("B")}
         s = build_structure(["A", "B"], [("A", "B")])
-        ds = make_dataset(["A", "B"], [("no", "no")], specs)
+        ds = Dataset(columns=("A", "B"), codes=([0], [0]), domains=(("no", "yes"),) * 2)
         with pytest.warns(UnseenParentConfigurationWarning):
             est = estimate_cpds(s, specs, ds, smoothing=0.0)
         assert "B" not in est.instantiated
@@ -514,12 +508,11 @@ class TestEstimate:
 
     def test_missing_parent_column_drops_child(self, reality_model):
         ds = sample(reality_model, 1000, seed=3)
-        cols = [c for c in ds.columns if c != "V3"]
-        idx = [ds.columns.index(c) for c in cols]
-        pruned = make_dataset(
-            cols,
-            [tuple(r[i] for i in idx) for r in ds.records],
-            reality_model.specs,
+        keep = [k for k, c in enumerate(ds.columns) if c != "V3"]
+        pruned = Dataset(
+            columns=tuple(ds.columns[k] for k in keep),
+            codes=tuple(ds.codes[k] for k in keep),
+            domains=tuple(ds.domains[k] for k in keep),
             provenance="synthetic",
         )
         est = estimate_cpds(reality_model.structure, reality_model.specs, pruned)
@@ -533,15 +526,3 @@ class TestEstimate:
             got = est.cpds[node].table
             tv = 0.5 * np.abs(true - got).sum(axis=1).max()
             assert tv < 0.02
-
-
-class TestDataset:
-    def test_label_validated(self):
-        specs = {"X": binary_spec("X", ("notCP", "CP"))}
-        with pytest.raises(UnknownLabel):
-            make_dataset(["X"], [("Drizzle",)], specs)
-
-    def test_rectangularity(self):
-        specs = {"X": binary_spec("X"), "Y": binary_spec("Y")}
-        with pytest.raises(ValidationError):
-            make_dataset(["X", "Y"], [("no",)], specs)
