@@ -11,12 +11,10 @@ from .context import (
     validate_record,
 )
 from .engine import (
-    Intervention,
     SafetyPrinciple,
     SafetyPrincipleReport,
     evaluate_safety_principle,
     expectation,
-    make_intervention,
     plan_effect,
 )
 from .graph import (

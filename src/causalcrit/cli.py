@@ -16,13 +16,7 @@ from typing import Optional, Sequence
 
 from . import fixtures
 from .context import validate_causal_relation
-from .engine import (
-    SafetyPrinciple,
-    evaluate_safety_principle,
-    expectation,
-    make_intervention,
-    plan_effect,
-)
+from .engine import ROUTES, SafetyPrinciple, evaluate_safety_principle, expectation, plan_effect
 from .errors import CausalCritError, ParseError
 from .graph import enumerate_adjustment_sets
 from .indicators import ModelPair, effect_indicators, rho1, rho2, rho3
@@ -35,6 +29,7 @@ from .io import (
     save_dataset,
 )
 from .metrics import (
+    AGGREGATION_MODES,
     DrivingTask,
     aggregate,
     alat_min,
@@ -129,7 +124,7 @@ def cmd_effect(args) -> int:
     assignments = _parse_assignments(args.do or "")
     route, (dist,) = plan_effect(
         model,
-        [make_intervention(assignments)],
+        {node: [label] for node, label in assignments.items()},
         args.target,
         args.route,
         _parse_names(args.adjust_set) or [],
@@ -263,9 +258,7 @@ def cmd_sp(args) -> int:
     assignments = _parse_assignments(args.sp)
     if not assignments:
         raise ParseError("--sp needs at least one node=label assignment")
-    principle = SafetyPrinciple(
-        name=args.name, intervention=make_intervention(assignments)
-    )
+    principle = SafetyPrinciple(name=args.name, assignments=assignments)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = evaluate_safety_principle(
@@ -326,11 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--do", default="", help='intervention, e.g. "X=CP" (empty = observational)')
     p.add_argument("--target", required=True)
-    p.add_argument(
-        "--route",
-        choices=("auto", "truncated", "parents", "backdoor"),
-        default="auto",
-    )
+    p.add_argument("--route", choices=ROUTES, default="auto")
     p.add_argument("--adjust-set", help="comma-separated set for the backdoor route")
     common(p)
     p.set_defaults(fn=cmd_effect)
@@ -361,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True)
     p.add_argument("--t-start", type=float, default=None)
     p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--agg", choices=("max", "mean", "euclidean"), default="max")
+    p.add_argument("--agg", choices=AGGREGATION_MODES, default="max")
     p.add_argument("--edges", help="comma-separated discretization edges")
     p.add_argument("--labels", help="comma-separated bin labels")
     common(p)

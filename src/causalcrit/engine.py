@@ -5,11 +5,11 @@ elimination), adjustment on the intervened node's parents, and back-door
 adjustment all identify the same effect on a Markovian model. Each needs
 only the CPDs of the ancestral closure of the joint it computes. On a
 Markovian model the truncated closure lies inside every other route's, so
-the adjustment routes serve semi-Markovian models. Every query is a list of
-do() rows over the same nodes, and one runner computes all rows through one
-route: the truncated route is one :func:`joint_table` call with the rows on
-its leading axis, the adjustment routes take every row from one joint.
-:func:`plan_effect` holds the one rule that picks a route.
+the adjustment routes serve semi-Markovian models. Every query maps each
+intervened node to one label per do() row, and one runner computes all rows
+through one route: the truncated route is one :func:`joint_table` call with
+the rows on its leading axis, the adjustment routes take every row from one
+joint. :func:`plan_effect` holds the one rule that picks a route.
 """
 
 from __future__ import annotations
@@ -35,49 +35,44 @@ from .graph import ancestors, backdoor_admissible, descendants, open_backdoor_pa
 from .model import DiscreteModel, joint_table, joint_tables
 
 __all__ = [
-    "Intervention",
+    "ROUTES",
     "SafetyPrinciple",
     "SafetyPrincipleReport",
-    "make_intervention",
     "plan_effect",
     "expectation",
     "evaluate_safety_principle",
 ]
 
-
-@dataclass(frozen=True)
-class Intervention:
-    """An atomic do(X = x), possibly over several nodes at once."""
-
-    assignments: tuple[tuple[str, str], ...]
-
-    def targets(self) -> tuple[str, ...]:
-        return tuple(node for node, _ in self.assignments)
-
-
-def make_intervention(assignments: Mapping[str, str]) -> Intervention:
-    return Intervention(assignments=tuple(sorted(assignments.items())))
+ROUTES = ("auto", "truncated", "parents", "backdoor")
 
 
 @dataclass(frozen=True)
 class SafetyPrinciple:
-    """A named intervention expected to lower phenomenon probability or impact."""
+    """A named do() expected to lower phenomenon probability or impact."""
 
     name: str
-    intervention: Intervention
+    assignments: Mapping[str, str]
 
     def __post_init__(self):
-        if not self.intervention.assignments:
+        if not self.assignments:
             raise InvalidQuery("a safety principle needs a non-empty intervention")
 
 
-def _check_intervention(m: DiscreteModel, i: Intervention) -> None:
-    seen = set()
-    for node, label in i.assignments:
-        if node in seen:
-            raise InvalidQuery(f"intervention assigns {node!r} twice")
-        seen.add(node)
-        m.spec_of(node).index_of(label)
+def _do_rows(
+    m: DiscreteModel, do: Mapping[str, Sequence[str]]
+) -> tuple[int, dict[str, list[int]]]:
+    """The row count of ``do`` and each node's label index per row, by node name."""
+    rows = {}
+    for node in sorted(do):
+        labels = do[node]
+        if isinstance(labels, str):
+            raise InvalidQuery(f"do() needs a list of labels for {node!r}, got {labels!r}")
+        spec = m.spec_of(node)
+        rows[node] = [spec.index_of(label) for label in labels]
+    counts = {node: len(r) for node, r in rows.items()}
+    if len(set(counts.values())) > 1 or 0 in counts.values():
+        raise InvalidQuery(f"do() needs one label per row for every node, got {counts}")
+    return next(iter(counts.values()), 1), rows
 
 
 def _single_node(do: Mapping[str, Sequence[int]]) -> str:
@@ -150,7 +145,7 @@ def _effect_rows(
     """The route runner: P(target | do) for each do row, through ``route``.
 
     ``do`` maps each intervened node to its label index per row, as in
-    :func:`joint_table`. Returns the route label and one row per intervention.
+    :func:`joint_table`. Returns the route label and one row per do row.
     ``point-mass`` and ``observational`` are the truncated joint without the
     Markov check: the auto rule takes them only where the do() leaves nothing
     to identify, as it sets the target or no intervened node lies in the
@@ -239,25 +234,27 @@ def _auto_route(
 
 def plan_effect(
     m: DiscreteModel,
-    interventions: Sequence[Intervention],
+    do: Mapping[str, Sequence[str]],
     target: str,
     route: str = "auto",
     adjustment: Optional[Iterable[str]] = None,
 ) -> tuple[str, list[dict[str, float]]]:
-    """P(target | do(i)) for each intervention, all through one route.
+    """P(target | do) for each do() row, all rows through one route.
 
-    Returns the route label and one distribution per intervention. Every
-    do() must set the same nodes, or :class:`InvalidQuery` is raised, and
-    each is one row of the same computation. Explicit routes are
-    ``truncated``, ``parents`` and ``backdoor``. ``parents`` needs CPDs only
-    for the closure of the intervened node, its parents and the target.
-    ``backdoor`` needs ``adjustment`` and checks it against the back-door
-    criterion instead of assuming it: a set that fails raises
-    :class:`NotAdmissible`. With no assignment every route, ``auto``
-    included, gives the observational marginal (``observational``);
+    ``do`` maps each intervened node to one label per row:
+    ``{"X": ["CP", "notCP"]}`` is two rows, ``{"X": ["CP"], "V2": ["Fast"]}``
+    is one row that sets two nodes, and ``{}`` is one observational row.
+    Label lists of unequal length, or an empty one, raise
+    :class:`InvalidQuery`. Returns the route label and one distribution per
+    row. Explicit routes are ``truncated``, ``parents`` and ``backdoor``.
+    ``parents`` needs CPDs only for the closure of the intervened node, its
+    parents and the target. ``backdoor`` needs ``adjustment`` and checks it
+    against the back-door criterion instead of assuming it: a set that fails
+    raises :class:`NotAdmissible`. With no intervened node every route,
+    ``auto`` included, gives the observational marginal (``observational``);
     ``truncated`` first checks that the model is Markovian.
     ``auto`` takes the truncated route on a Markovian model, where every
-    other route needs a superset of its CPDs, or when a do() covers several
+    other route needs a superset of its CPDs, or when a row sets several
     nodes; otherwise parent adjustment. When that fails, a target that the
     do() sets is a point mass (``point-mass``), and a target that does not
     descend from the intervened node x keeps its observational marginal
@@ -266,29 +263,19 @@ def plan_effect(
     they are one, and dropping members in name order while it stays one
     gives the set used. :class:`NotIdentifiable` is raised when they are
     not one, when the target's closure lacks CPDs, or when x or the target
-    is latent-flagged. Every intervention goes through the same route, so
-    contrasts between them stay comparable.
+    is latent-flagged. Every row goes through the same route, so contrasts
+    between them stay comparable.
     """
     if route == "backdoor" and adjustment is None:
         raise InvalidQuery("backdoor route needs an adjustment set")
-    if route not in ("auto", "truncated", "parents", "backdoor"):
+    if route not in ROUTES:
         raise InvalidQuery(f"unknown route {route!r}")
-    for i in interventions:
-        _check_intervention(m, i)
-    nodes = {tuple(sorted(i.targets())) for i in interventions}
-    if len(nodes) != 1:
-        raise InvalidQuery(
-            f"every do() in one query must set the same nodes, got {sorted(nodes)}"
-        )
-    do = {node: [] for node in nodes.pop()}
-    for i in interventions:
-        for node, label in i.assignments:
-            do[node].append(m.specs[node].index_of(label))
+    n_rows, rows = _do_rows(m, do)
     m.spec_of(target)
-    route, table = _effect_rows(m, do, target, route, adjustment)
+    route, table = _effect_rows(m, rows, target, route, adjustment)
     domain = m.specs[target].domain
-    rows = np.broadcast_to(table, (len(interventions), len(domain)))
-    return route, [dict(zip(domain, row)) for row in rows.tolist()]
+    table = np.broadcast_to(table, (n_rows, len(domain)))
+    return route, [dict(zip(domain, row)) for row in table.tolist()]
 
 
 def _other_label(m: DiscreteModel, cp: PhenomenonBinding) -> str:
@@ -333,7 +320,8 @@ def evaluate_safety_principle(
     """
     _other_label(m, cp)
     m.spec_of(metric)
-    _check_intervention(m, sp.intervention)
+    do = {node: [label] for node, label in sp.assignments.items()}
+    _do_rows(m, do)
 
     notes: list[str] = []
     influence_scope = (
@@ -342,8 +330,8 @@ def evaluate_safety_principle(
         | ancestors(m.structure, metric)
         | {metric}
     )
-    off_target = [t for t in sp.intervention.targets() if t not in influence_scope]
-    if len(off_target) == len(sp.intervention.targets()):
+    off_target = sorted(set(sp.assignments) - influence_scope)
+    if len(off_target) == len(sp.assignments):
         message = (
             f"safety principle {sp.name!r} targets {off_target}, none of which "
             f"influence {cp.variable!r} or {metric!r}"
@@ -354,8 +342,8 @@ def evaluate_safety_principle(
     p_x, p_metric = joint_tables(m, [[cp.variable], [metric]])
     baseline_p = float(p_x[m.specs[cp.variable].index_of(cp.cp_label)])
     baseline_e = expectation(dict(zip(m.specs[metric].domain, p_metric.tolist())), m, metric)
-    _, (dist_x,) = plan_effect(m, [sp.intervention], cp.variable)
-    _, (dist_metric,) = plan_effect(m, [sp.intervention], metric)
+    _, (dist_x,) = plan_effect(m, do, cp.variable)
+    _, (dist_metric,) = plan_effect(m, do, metric)
     p_do = dist_x[cp.cp_label]
     e_do = expectation(dist_metric, m, metric)
     return SafetyPrincipleReport(

@@ -112,10 +112,6 @@ class CausalStructure:
         self.ensure_nodes((node,))
         return frozenset(self._parents[node])
 
-    def children(self, node: str) -> frozenset[str]:
-        self.ensure_nodes((node,))
-        return frozenset(self._children[node])
-
     def topological_order(self) -> tuple[str, ...]:
         """Topological order of the directed part, name-sorted tie-break."""
         return self._topological_order
@@ -191,9 +187,6 @@ class PathQueryResult:
 
     separated: bool
     witness_path: Optional[tuple[str, ...]] = None
-
-    def __bool__(self) -> bool:
-        return self.separated
 
 
 def build_structure(

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .context import PhenomenonBinding
-from .engine import _other_label, expectation, make_intervention, plan_effect
+from .engine import _other_label, expectation, plan_effect
 from .errors import (
     DivisionByZeroEffect,
     InfiniteDivergence,
@@ -137,11 +137,7 @@ def _effects(
     Both are rows of one :func:`plan_effect` call, so they share one route.
     """
     not_label = _other_label(m, cp)
-    route, (d_cp, d_not) = plan_effect(
-        m,
-        [make_intervention({cp.variable: label}) for label in (cp.cp_label, not_label)],
-        metric,
-    )
+    route, (d_cp, d_not) = plan_effect(m, {cp.variable: [cp.cp_label, not_label]}, metric)
     e_cp, e_not = expectation(d_cp, m, metric), expectation(d_not, m, metric)
     spec = m.spec_of(metric)
     meta = {

@@ -256,13 +256,16 @@ def parse_model_text(text: str) -> tuple[CausalRelation, DiscreteModel]:
     for k, st in enumerate(payload["context"]):
         where = f"context[{k}]"
         _expect_keys(st, {"layer", "subject", "kind"}, {"expression"}, where)
+        # bool is a subclass of int, and JSON's true is no layer.
+        if type(st["layer"]) is not int:
+            raise ParseError(f"{where}.layer: expected an integer, got {st['layer']!r}")
         expression = None
         if "expression" in st:
             expression = _expression_from_json(st["expression"], f"{where}.expression")
         try:
             statements.append(
                 ContextStatement(
-                    layer=int(st["layer"]),
+                    layer=st["layer"],
                     subject=str(st["subject"]),
                     kind=str(st["kind"]),
                     expression=expression,

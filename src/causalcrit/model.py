@@ -140,10 +140,7 @@ def make_cpd(
 
 @dataclass(frozen=True, eq=False)
 class DiscreteModel:
-    """A causal structure with specs for every node and CPDs for a subset N.
-
-    The model is fully instantiated when N equals the non-latent node set.
-    """
+    """A causal structure with specs for every node and CPDs for a subset N."""
 
     structure: CausalStructure
     specs: Mapping[str, VariableSpec]
@@ -152,11 +149,6 @@ class DiscreteModel:
     @property
     def instantiated(self) -> frozenset[str]:
         return frozenset(self.cpds)
-
-    @property
-    def fully_instantiated(self) -> bool:
-        observed = {n for n in self.structure.nodes if n not in self.structure.latent}
-        return self.instantiated == observed
 
     def spec_of(self, node: str) -> VariableSpec:
         try:

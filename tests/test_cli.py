@@ -64,6 +64,16 @@ class TestValidate:
         assert code == 1
         assert "[ii]" in out
 
+    @pytest.mark.parametrize("layer", [2.7, "3", True, float("inf")])
+    def test_non_integer_layer_is_usage_error(self, capsys, tmp_path, layer):
+        payload = json.loads(fixture_text("friction-relation"))
+        payload["context"][0]["layer"] = layer
+        bad = tmp_path / "bad_layer.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: context[0].layer: expected an integer")
+
 
     @pytest.mark.parametrize("command", [
         ("validate",),

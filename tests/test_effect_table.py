@@ -1,12 +1,12 @@
 """One effect table per (model, intervened node, target).
 
-``engine.plan_effect`` over one do() per label l of x returns
+``engine.plan_effect`` with one do() row per label l of x returns
 P(target | do(x = l)) for every label as rows of one computation. Each row
 must equal the brute-force truncated joint of the full model on every route
 that answers, and a route that refuses must raise the error that an
-independent reading of the graph and the CPDs predicts. A list of do()s over
-the same nodes is rows of one computation, and each row must equal its own
-brute-force truncated joint. ``cli indicators`` must read ACE, RCE and sigma
+independent reading of the graph and the CPDs predicts. Rows that set
+several nodes each are rows of one computation too, and each row must equal
+its own brute-force truncated joint. ``cli indicators`` must read ACE, RCE and sigma
 of each model from one such table.
 """
 
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from causalcrit import engine, indicators, model
 from causalcrit.cli import main
 from causalcrit.context import PhenomenonBinding
-from causalcrit.engine import make_intervention, plan_effect
+from causalcrit.engine import plan_effect
 from causalcrit.errors import (
     CausalCritError,
     InsufficientInstantiation,
@@ -79,7 +79,7 @@ def test_rows_match_brute_force_on_every_route(data):
     pool = [n for n in nodes if n != x and n not in descendants(m.structure, x)]
     adjustment = data.draw(st.sets(st.sampled_from(pool), max_size=3)) if pool else set()
 
-    do_both = [make_intervention({x: label}) for label in ("a", "b")]
+    do_both = {x: ["a", "b"]}
     for target in nodes:
         rows = [
             pytest.approx(brute_truncated(full, {x: label}, target), abs=1e-12)
@@ -117,8 +117,8 @@ def test_rows_match_brute_force_on_every_route(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_do_rows_match_brute_force(data):
-    # Every do() of one list sets the same nodes; the rows may repeat and the
-    # target may be one of the intervened nodes.
+    # Every row sets the same nodes; the rows may repeat and the target may
+    # be one of the intervened nodes.
     full = random_binary_model(data.draw(st.randoms(use_true_random=False)), max_nodes=8)
     nodes = sorted(full.instantiated)
     removed = data.draw(st.sets(st.sampled_from(nodes), max_size=2))
@@ -134,24 +134,27 @@ def test_do_rows_match_brute_force(data):
         )
     )
     target = data.draw(st.sampled_from(nodes))
-    interventions = [make_intervention(do) for do in dos]
+    rows = {x: [do[x] for do in dos] for x in xs}
+    # A label list that is empty, or one label longer than the others.
     other = data.draw(st.sampled_from(nodes))
-    for stray in ({}, {other: "a"}, {**dos[0], other: "a"}):
-        if sorted(stray) == xs:
-            continue
-        for listed in ([*dos, stray], [stray, *dos]):
-            with pytest.raises(InvalidQuery, match="same nodes"):
-                plan_effect(m, [make_intervention(do) for do in listed], target)
+    for bad in ({**rows, other: []}, {**rows, other: ["a"] * (len(dos) + 1)}):
+        if len(bad) > 1 or not bad[other]:
+            with pytest.raises(InvalidQuery, match="one label per row"):
+                plan_effect(m, bad, target)
     missing = brute_missing_cpds(m, [target], xs)
     if missing:
         with pytest.raises(InsufficientInstantiation, match=re.escape(str(missing))):
-            plan_effect(m, interventions, target)
+            plan_effect(m, rows, target)
         return
-    route, dists = plan_effect(m, interventions, target)
+    route, dists = plan_effect(m, rows, target)
     assert route == "truncated"
     assert dists == [
         pytest.approx(brute_truncated(full, do, target), abs=1e-12) for do in dos
     ]
+    # A k-row query is k one-row queries.
+    for do, dist in zip(dos, dists):
+        alone = plan_effect(m, {x: [do[x]] for x in xs}, target)
+        assert alone == (route, [pytest.approx(dist, abs=1e-12)])
 
 
 def test_regime_axis_slices_equal_clamped_joints(reality_model):
@@ -173,12 +176,8 @@ def test_regime_axis_slices_equal_clamped_joints(reality_model):
 def test_rows_follow_the_requested_labels(candidate_model):
     labels = ["notCP", "CP", "notCP"]
     domain = candidate_model.specs["X"].domain
-    _, table = plan_effect(
-        candidate_model, [make_intervention({"X": label}) for label in domain], "phi"
-    )
-    _, picked = plan_effect(
-        candidate_model, [make_intervention({"X": label}) for label in labels], "phi"
-    )
+    _, table = plan_effect(candidate_model, {"X": list(domain)}, "phi")
+    _, picked = plan_effect(candidate_model, {"X": labels}, "phi")
     assert picked == [table[domain.index(label)] for label in labels]
 
 

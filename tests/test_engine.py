@@ -12,7 +12,6 @@ from causalcrit.engine import (
     SafetyPrinciple,
     evaluate_safety_principle,
     expectation,
-    make_intervention,
     plan_effect,
 )
 from causalcrit.errors import (
@@ -74,16 +73,14 @@ def random_binary_model(rng, max_nodes=5):
 
 class TestTruncated:
     def test_do_on_root_equals_conditional(self, reality_model):
-        _, (dist,) = plan_effect(
-            reality_model, [make_intervention({"V1": "Summer"})], "X", "truncated"
-        )
+        _, (dist,) = plan_effect(reality_model, {"V1": ["Summer"]}, "X", "truncated")
         cond = marginal1(reality_model, "X", given={"V1": "Summer"})
         assert dist == pytest.approx(cond)
 
     def test_reality_effect_on_phi(self, reality_model):
         _, (do_cp, do_not) = plan_effect(
             reality_model,
-            [make_intervention({"X": "CP"}), make_intervention({"X": "notCP"})],
+            {"X": ["CP", "notCP"]},
             "phi",
             "truncated",
         )
@@ -91,15 +88,11 @@ class TestTruncated:
         assert do_not["Short"] == pytest.approx(0.40, abs=1e-12)
 
     def test_model_effect_on_phi(self, candidate_model):
-        _, (do_cp,) = plan_effect(
-            candidate_model, [make_intervention({"X": "CP"})], "phi", "truncated"
-        )
+        _, (do_cp,) = plan_effect(candidate_model, {"X": ["CP"]}, "phi", "truncated")
         assert do_cp["Short"] == pytest.approx(0.60, abs=1e-12)
 
     def test_empty_intervention_is_observational(self, reality_model):
-        _, (dist,) = plan_effect(
-            reality_model, [make_intervention({})], "phi", "truncated"
-        )
+        _, (dist,) = plan_effect(reality_model, {}, "phi", "truncated")
         assert dist == pytest.approx(marginal1(reality_model, "phi"))
 
     def test_non_markovian_rejected(self):
@@ -117,29 +110,27 @@ class TestTruncated:
             ],
         )
         with pytest.raises(NotMarkovian):
-            plan_effect(m, [make_intervention({"X": "a"})], "Y", "truncated")
+            plan_effect(m, {"X": ["a"]}, "Y", "truncated")
 
 
 class TestParentAdjust:
     def test_no_parents_equals_conditional(self, reality_model):
-        _, (dist,) = plan_effect(
-            reality_model, [make_intervention({"V2": "Slow"})], "phi", "parents"
-        )
+        _, (dist,) = plan_effect(reality_model, {"V2": ["Slow"]}, "phi", "parents")
         cond = marginal1(reality_model, "phi", given={"V2": "Slow"})
         assert dist == pytest.approx(cond)
 
     def test_matches_truncated_on_model_fixture(self, candidate_model):
         for label in ("CP", "notCP"):
-            do = make_intervention({"X": label})
-            _, (a,) = plan_effect(candidate_model, [do], "phi", "parents")
-            _, (b,) = plan_effect(candidate_model, [do], "phi", "truncated")
+            do = {"X": [label]}
+            _, (a,) = plan_effect(candidate_model, do, "phi", "parents")
+            _, (b,) = plan_effect(candidate_model, do, "phi", "truncated")
             assert a == pytest.approx(b, abs=1e-9)
 
     def test_multi_node_rejected(self, reality_model):
         with pytest.raises(InvalidQuery):
             plan_effect(
                 reality_model,
-                [make_intervention({"X": "CP", "V2": "Slow"})],
+                {"X": ["CP"], "V2": ["Slow"]},
                 "phi",
                 "parents",
             )
@@ -161,7 +152,6 @@ class TestParentAdjust:
             provenance="synthetic",
         )
         est = estimate_cpds(model.structure, relation.specs, ds)
-        assert not est.fully_instantiated
         assert est.instantiated == {
             "Ego vehicle longitudinal wheel slip",
             "Ego vehicle slip angle",
@@ -172,7 +162,7 @@ class TestParentAdjust:
         }
         _, (dist,) = plan_effect(
             est,
-            [make_intervention({"Wet grip": "low grade"})],
+            {"Wet grip": ["low grade"]},
             "Forward velocity of ego",
             "parents",
         )
@@ -180,7 +170,7 @@ class TestParentAdjust:
         with pytest.raises(ParentsNotInstantiated):
             plan_effect(
                 est,
-                [make_intervention({"Coefficient of friction": "reduced"})],
+                {"Coefficient of friction": ["reduced"]},
                 relation.metric,
                 "parents",
             )
@@ -191,7 +181,7 @@ class TestParentAdjust:
         with pytest.raises(InsufficientInstantiation):
             plan_effect(
                 est,
-                [make_intervention({"Wet grip": "low grade"})],
+                {"Wet grip": ["low grade"]},
                 relation.metric,
                 "backdoor",
                 ["Tire type"],
@@ -213,14 +203,14 @@ class TestBackdoor:
                 make_cpd("B", ("A",), [[0.3, 0.7], [0.8, 0.2]], specs),
             ],
         )
-        _, (dist,) = plan_effect(m, [make_intervention({"A": "b"})], "B", "backdoor", [])
+        _, (dist,) = plan_effect(m, {"A": ["b"]}, "B", "backdoor", [])
         cond = marginal1(m, "B", given={"A": "b"})
         assert dist == pytest.approx(cond)
 
     def test_v2_matches_parent_adjustment(self, candidate_model):
-        do = make_intervention({"X": "CP"})
-        _, (via_v2,) = plan_effect(candidate_model, [do], "phi", "backdoor", ["V2"])
-        _, (via_parents,) = plan_effect(candidate_model, [do], "phi", "parents")
+        do = {"X": ["CP"]}
+        _, (via_v2,) = plan_effect(candidate_model, do, "phi", "backdoor", ["V2"])
+        _, (via_parents,) = plan_effect(candidate_model, do, "phi", "parents")
         assert via_v2 == pytest.approx(via_parents, abs=1e-9)
         assert via_v2["Short"] == pytest.approx(0.60, abs=1e-9)
 
@@ -247,25 +237,21 @@ class TestBackdoor:
     def test_zero_probability_stratum_skipped(self):
         # P(S = s1) = 0, so P(x0, s1) = 0 is never conditioned on.
         m = self.confounded_triangle(0.0, [0.5, 0.5])
-        _, (dist,) = plan_effect(
-            m, [make_intervention({"X": "x0"})], "Y", "backdoor", ["S"]
-        )
+        _, (dist,) = plan_effect(m, {"X": ["x0"]}, "Y", "backdoor", ["S"])
         assert dist == pytest.approx({"y0": 0.9, "y1": 0.1}, abs=1e-12)
 
     def test_zero_probability_condition_in_live_stratum(self):
         # P(S = s0) = 0.6 but P(X = x0, S = s0) = 0.
         m = self.confounded_triangle(0.4, [0.0, 1.0])
         with pytest.raises(ZeroProbabilityCondition):
-            plan_effect(m, [make_intervention({"X": "x0"})], "Y", "backdoor", ["S"])
+            plan_effect(m, {"X": ["x0"]}, "Y", "backdoor", ["S"])
 
     def test_inadmissible_set_rejected(self, candidate_model):
         with pytest.raises(NotAdmissible):
-            plan_effect(
-                candidate_model, [make_intervention({"X": "CP"})], "phi", "backdoor", ["V1"]
-            )
+            plan_effect(candidate_model, {"X": ["CP"]}, "phi", "backdoor", ["V1"])
 
     def test_repeated_member_named_once(self, reality_model, candidate_model):
-        do = [make_intervention({"X": "CP"})]
+        do = {"X": ["CP"]}
         route, rows = plan_effect(reality_model, do, "phi", "backdoor", ["V1", "V1"])
         assert (route, rows) == plan_effect(reality_model, do, "phi", "backdoor", ["V1"])
         assert route == "backdoor:['V1']"
@@ -277,12 +263,12 @@ class TestRouteEquivalence:
     def test_fixture_routes_agree(self, reality_model, candidate_model):
         for m in (reality_model, candidate_model):
             for label in ("CP", "notCP"):
-                do = make_intervention({"X": label})
-                _, (t,) = plan_effect(m, [do], "phi", "truncated")
-                _, (p,) = plan_effect(m, [do], "phi", "parents")
+                do = {"X": [label]}
+                _, (t,) = plan_effect(m, do, "phi", "truncated")
+                _, (p,) = plan_effect(m, do, "phi", "parents")
                 assert t == pytest.approx(p, abs=1e-9)
                 for adj in enumerate_adjustment_sets(m.structure, "X", "phi", 16):
-                    _, (b,) = plan_effect(m, [do], "phi", "backdoor", adj)
+                    _, (b,) = plan_effect(m, do, "phi", "backdoor", adj)
                     assert t == pytest.approx(b, abs=1e-9)
 
     def test_random_models_match_brute_force(self):
@@ -293,12 +279,17 @@ class TestRouteEquivalence:
             x = rng.choice(names)
             target = rng.choice([n for n in names if n != x])
             label = rng.choice(("a", "b"))
-            do = make_intervention({x: label})
-            _, (t,) = plan_effect(m, [do], target, "truncated")
+            do = {x: [label]}
+            _, (t,) = plan_effect(m, do, target, "truncated")
             oracle = brute_truncated(m, {x: label}, target)
             assert t == pytest.approx(oracle, abs=1e-9)
-            _, (p,) = plan_effect(m, [do], target, "parents")
+            _, (p,) = plan_effect(m, do, target, "parents")
             assert p == pytest.approx(oracle, abs=1e-9)
+
+
+def one_row(do):
+    """The one-row do() that sets each node of ``do`` to its label."""
+    return {node: [label] for node, label in do.items()}
 
 
 def confounded_pair_model():
@@ -317,7 +308,7 @@ class TestPlanEffect:
         )
         do = {n: data.draw(st.sampled_from(("a", "b"))) for n in do_nodes}
         target = data.draw(st.sampled_from(do_nodes) | st.sampled_from(nodes))
-        _, (dist,) = plan_effect(m, [make_intervention(do)], target, "truncated")
+        _, (dist,) = plan_effect(m, one_row(do), target, "truncated")
         assert dist == pytest.approx(brute_truncated(m, do, target), abs=1e-12)
 
     @settings(max_examples=150, deadline=None)
@@ -345,7 +336,7 @@ class TestPlanEffect:
         do = {n: data.draw(st.sampled_from(("a", "b"))) for n in do_nodes}
         target = data.draw(st.sampled_from(nodes))
         try:
-            _, (dist,) = plan_effect(partial, [make_intervention(do)], target)
+            _, (dist,) = plan_effect(partial, one_row(do), target)
         except CausalCritError:
             return
         assert dist == pytest.approx(brute_truncated(full, do, target), abs=1e-12)
@@ -353,7 +344,7 @@ class TestPlanEffect:
     def test_one_route_for_every_intervention(self, candidate_model):
         route, dists = plan_effect(
             candidate_model,
-            [make_intervention({"X": "CP"}), make_intervention({"X": "notCP"})],
+            {"X": ["CP", "notCP"]},
             "phi",
             route="backdoor",
             adjustment=["V2"],
@@ -364,7 +355,7 @@ class TestPlanEffect:
 
     def test_auto_falls_back_to_backdoor_on_confounded_model(self):
         m = confounded_pair_model()
-        route, (dist,) = plan_effect(m, [make_intervention({"X": "b"})], "phi")
+        route, (dist,) = plan_effect(m, {"X": ["b"]}, "phi")
         assert route == "backdoor:['W']"
         # sum_w P(phi = b | X = b, w) P(w)
         assert dist["b"] == pytest.approx(0.5 * 0.5 + 0.5 * 0.8, abs=1e-12)
@@ -389,24 +380,25 @@ class TestPlanEffect:
                 ["A", "X", "Y", "Z"], [("A", "X"), ("X", "Y")], bidirected=arcs
             )
             m = build_model(s, specs, cpds)
-            route, (dist,) = plan_effect(m, [make_intervention({"X": "b"})], "Y")
+            route, (dist,) = plan_effect(m, {"X": ["b"]}, "Y")
             assert route == expected
             assert dist["b"] == pytest.approx(0.8, abs=1e-12)
 
-    def test_search_needs_one_intervened_node(self):
+    def test_label_lists_must_be_equal_and_nonempty(self):
         m = confounded_pair_model()
-        with pytest.raises(InvalidQuery):
-            plan_effect(
-                m, [make_intervention({"X": "b"}), make_intervention({"W": "a"})], "phi"
-            )
+        for do in ({"X": ["b"], "W": ["a", "b"]}, {"X": ["b", "a"], "W": []}, {"X": []}):
+            with pytest.raises(InvalidQuery, match="one label per row"):
+                plan_effect(m, do, "phi")
+
+    def test_labels_must_be_a_list(self):
+        with pytest.raises(InvalidQuery, match="list of labels"):
+            plan_effect(confounded_pair_model(), {"X": "b"}, "phi")
 
     def test_auto_target_set_by_do_on_confounded_node(self):
         # Parent adjustment refuses the confounded X; the back-door search
         # cannot take x == y. P(X | do(X = b)) is a point mass all the same.
         m = confounded_pair_model()
-        route, dists = plan_effect(
-            m, [make_intervention({"X": "b"}), make_intervention({"X": "a"})], "X"
-        )
+        route, dists = plan_effect(m, {"X": ["b", "a"]}, "X")
         assert route == "point-mass"
         assert dists == [{"a": 0.0, "b": 1.0}, {"a": 1.0, "b": 0.0}]
 
@@ -414,7 +406,7 @@ class TestPlanEffect:
         # W does not descend from X, so do(X) leaves it at its marginal; no
         # back-door set blocks X <-> W.
         m = confounded_pair_model()
-        route, (dist,) = plan_effect(m, [make_intervention({"X": "b"})], "W")
+        route, (dist,) = plan_effect(m, {"X": ["b"]}, "W")
         assert route == "observational"
         assert dist == marginal1(m, "W")
 
@@ -424,9 +416,7 @@ class TestPlanEffect:
         # one must not slip through to a point mass or a marginal.
         m = confounded_pair_model()
         with pytest.raises(UnknownCategory):
-            plan_effect(
-                m, [make_intervention({"X": "b"}), make_intervention({"X": "zzz"})], target
-            )
+            plan_effect(m, {"X": ["b", "zzz"]}, target)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -446,7 +436,7 @@ class TestPlanEffect:
         below = descendants(m.structure, x)
         target = data.draw(st.sampled_from([n for n in nodes if n not in below]))
         do = {x: data.draw(st.sampled_from(("a", "b")))}
-        route, (dist,) = plan_effect(m, [make_intervention(do)], target)
+        route, (dist,) = plan_effect(m, one_row(do), target)
         assert route in ("point-mass", "observational")
         assert dist == pytest.approx(brute_truncated(full, do, target), abs=1e-12)
 
@@ -477,7 +467,7 @@ class TestPlanEffect:
             ],
         )
         with pytest.raises(NotIdentifiable, match=f"\\['{latent}'\\]"):
-            plan_effect(m, [make_intervention({"X": "b"})], "Y")
+            plan_effect(m, {"X": ["b"]}, "Y")
 
     def test_auto_refusal_names_open_path(self):
         # X <- L -> phi with L latent-flagged, X -> phi, and X <-> V so that
@@ -506,14 +496,14 @@ class TestPlanEffect:
             ],
         )
         with pytest.raises(NotIdentifiable) as exc:
-            plan_effect(m, [make_intervention({"X": "b"})], "phi")
+            plan_effect(m, {"X": ["b"]}, "phi")
         quoted = str(exc.value).split("back-door path ", 1)[1].rsplit(" open", 1)[0]
         assert quoted in brute_open_paths(s, "X", "phi", (), backdoor=True)
         assert quoted == "X <- L -> phi"
 
     def test_unknown_route_rejected(self, reality_model):
         with pytest.raises(InvalidQuery):
-            plan_effect(reality_model, [make_intervention({"X": "CP"})], "phi", "fast")
+            plan_effect(reality_model, {"X": ["CP"]}, "phi", "fast")
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -551,7 +541,7 @@ class TestPlanEffect:
                 return False
             if not brute_backdoor_admissible(m.structure, adj, x, target):
                 return False
-            plan_effect(m, [make_intervention(do)], target, "backdoor", adj)
+            plan_effect(m, one_row(do), target, "backdoor", adj)
             return True
 
         others = [n for n in nodes if n not in (x, target)]
@@ -561,7 +551,7 @@ class TestPlanEffect:
             for adj in itertools.combinations(others, size)
         )
         try:
-            route, (dist,) = plan_effect(m, [make_intervention(do)], target)
+            route, (dist,) = plan_effect(m, one_row(do), target)
         except NotIdentifiable:
             assert not found
             return
@@ -593,7 +583,7 @@ class TestPlanEffect:
             ),
         ]
         m = build_model(s, specs, cpds)
-        route, (dist,) = plan_effect(m, [make_intervention({"X": "b"})], "phi")
+        route, (dist,) = plan_effect(m, {"X": ["b"]}, "phi")
         assert route == "backdoor:['W']"
         # sum_w P(phi = b | X = b, w) P(w)
         assert dist["b"] == pytest.approx(0.5 * 0.4 + 0.5 * 0.6, abs=1e-12)
@@ -622,7 +612,7 @@ class TestPlanEffect:
                 make_cpd("phi", ("M", "X"), quad[::-1], specs),
             ],
         )
-        route, (dist,) = plan_effect(m, [make_intervention({"X": "b"})], "phi")
+        route, (dist,) = plan_effect(m, {"X": ["b"]}, "phi")
         assert route == "backdoor:['W']"
         assert dist == pytest.approx(brute_truncated(m, {"X": "b"}, "phi"), abs=1e-12)
 
@@ -647,7 +637,7 @@ class TestPlanEffect:
                 base.cpds["phi"],
             ],
         )
-        route, (dist,) = plan_effect(m, [make_intervention({"X": "b"})], "phi")
+        route, (dist,) = plan_effect(m, {"X": ["b"]}, "phi")
         assert route == "backdoor:['W']"
         assert dist["b"] == pytest.approx(0.5 * 0.5 + 0.5 * 0.8, abs=1e-12)
 
@@ -674,27 +664,26 @@ class TestPlanEffect:
             ],
         )
         with pytest.raises(NotIdentifiable, match=r"\['A'\]"):
-            plan_effect(m, [make_intervention({"X": "b"})], "phi")
+            plan_effect(m, {"X": ["b"]}, "phi")
 
 
 class TestEmptyIntervention:
     def test_unknown_route_rejected(self, reality_model):
         with pytest.raises(InvalidQuery, match="unknown route"):
-            plan_effect(reality_model, [make_intervention({})], "phi", "bogus")
+            plan_effect(reality_model, {}, "phi", "bogus")
 
     def test_truncated_needs_markovian_model(self):
         m = confounded_pair_model()
         with pytest.raises(NotMarkovian):
-            plan_effect(m, [make_intervention({})], "phi", "truncated")
+            plan_effect(m, {}, "phi", "truncated")
 
     def test_every_other_route_is_observational(self):
         m = confounded_pair_model()
-        empty = make_intervention({})
         marginal = marginal1(m, "phi")
-        assert plan_effect(m, [empty, empty], "phi") == ("observational", [marginal] * 2)
-        assert plan_effect(m, [empty], "phi", "parents") == ("observational", [marginal])
+        assert plan_effect(m, {}, "phi") == ("observational", [marginal])
+        assert plan_effect(m, {}, "phi", "parents") == ("observational", [marginal])
         # No admissibility check: there is no intervened node to adjust for.
-        observed = plan_effect(m, [empty], "phi", "backdoor", [])
+        observed = plan_effect(m, {}, "phi", "backdoor", [])
         assert observed == ("observational", [marginal])
 
 
@@ -702,7 +691,7 @@ class TestExpectation:
     def test_reality_expectations(self, reality_model):
         _, dists = plan_effect(
             reality_model,
-            [make_intervention({"X": "CP"}), make_intervention({"X": "notCP"})],
+            {"X": ["CP", "notCP"]},
             "phi",
         )
         e_cp, e_not = (expectation(d, reality_model, "phi") for d in dists)
@@ -710,7 +699,7 @@ class TestExpectation:
         assert e_not == pytest.approx(0.4, abs=1e-12)
 
     def test_observational_expectation(self, reality_model):
-        _, (dist,) = plan_effect(reality_model, [make_intervention({})], "phi")
+        _, (dist,) = plan_effect(reality_model, {}, "phi")
         e = expectation(dist, reality_model, "phi")
         assert e == pytest.approx(0.534, abs=1e-12)
 
@@ -728,7 +717,7 @@ class TestExpectation:
                 make_cpd("B", (), [[0.5, 0.5]], specs),
             ],
         )
-        _, (dist,) = plan_effect(m, [make_intervention({"B": "x"})], "A")
+        _, (dist,) = plan_effect(m, {"B": ["x"]}, "A")
         e = expectation(dist, m, "A")
         assert e == pytest.approx(7.5)
 
@@ -737,7 +726,7 @@ class TestSafetyPrinciple:
     def test_forcing_not_cp(self, heavy_rain_reality):
         relation, model = heavy_rain_reality
         sp = SafetyPrinciple(
-            name="suppress", intervention=make_intervention({"X": "notCP"})
+            name="suppress", assignments={"X": "notCP"}
         )
         report = evaluate_safety_principle(model, sp, relation.phenomenon, "phi")
         assert report.delta_p_phenomenon == pytest.approx(-0.67, abs=1e-12)
@@ -745,7 +734,7 @@ class TestSafetyPrinciple:
     def test_slow_down_principle(self, heavy_rain_reality):
         relation, model = heavy_rain_reality
         sp = SafetyPrinciple(
-            name="drive slow", intervention=make_intervention({"V2": "Slow"})
+            name="drive slow", assignments={"V2": "Slow"}
         )
         report = evaluate_safety_principle(model, sp, relation.phenomenon, "phi")
         # E(phi | do(V2=Slow)) = 0.67*0.8 + 0.33*0.6 = 0.734
@@ -768,7 +757,7 @@ class TestSafetyPrinciple:
                 make_cpd("Z", (), [[0.5, 0.5]], specs),
             ],
         )
-        sp = SafetyPrinciple(name="noop", intervention=make_intervention({"Z": "a"}))
+        sp = SafetyPrinciple(name="noop", assignments={"Z": "a"})
         cp = PhenomenonBinding(variable="X", cp_label="b")
         with pytest.warns(TargetNotAncestorWarning):
             report = evaluate_safety_principle(m, sp, cp, "phi")
@@ -800,11 +789,10 @@ class TestSafetyPrinciple:
                 ),
             ],
         )
-        do = make_intervention({"W": "b"})
-        route, (dist,) = plan_effect(m, [do], "phi")
+        route, (dist,) = plan_effect(m, {"W": ["b"]}, "phi")
         assert route == "parents"
         assert dist["b"] == pytest.approx(0.56, abs=1e-12)
-        sp = SafetyPrinciple(name="w", intervention=do)
+        sp = SafetyPrinciple(name="w", assignments={"W": "b"})
         report = evaluate_safety_principle(m, sp, PhenomenonBinding("X", "b"), "phi")
         assert report.p_phenomenon_intervened == pytest.approx(0.8, abs=1e-12)
         assert report.delta_p_phenomenon == pytest.approx(0.8 - 0.6, abs=1e-12)
@@ -813,7 +801,7 @@ class TestSafetyPrinciple:
 
     def test_empty_intervention_rejected(self):
         with pytest.raises(InvalidQuery):
-            SafetyPrinciple(name="none", intervention=make_intervention({}))
+            SafetyPrinciple(name="none", assignments={})
 
     def test_non_binary_phenomenon_rejected(self):
         specs = {
@@ -829,7 +817,7 @@ class TestSafetyPrinciple:
                 make_cpd("phi", ("X",), [[0.5, 0.5]] * 3, specs),
             ],
         )
-        sp = SafetyPrinciple(name="s", intervention=make_intervention({"X": "lo"}))
+        sp = SafetyPrinciple(name="s", assignments={"X": "lo"})
         with pytest.raises(InvalidQuery):
             evaluate_safety_principle(
                 m, sp, PhenomenonBinding(variable="X", cp_label="hi"), "phi"

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from causalcrit.cli import main
 from causalcrit.context import PhenomenonBinding
-from causalcrit.engine import make_intervention, plan_effect
+from causalcrit.engine import plan_effect
 from causalcrit.errors import InsufficientInstantiation, NotMarkovian
 from causalcrit.fixtures import fixture, fixture_text
 from causalcrit.graph import build_structure
@@ -78,21 +78,21 @@ def test_each_query_needs_only_its_closure(data):
 
     do_nodes = data.draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=2, unique=True))
     do = {n: data.draw(st.sampled_from(("a", "b"))) for n in do_nodes}
-    i = make_intervention(do)
+    rows = {n: [label] for n, label in do.items()}
     missing = brute_missing_cpds(m, [target], clamped=do)
     check(
         missing,
-        lambda: plan_effect(m, [i], target, "truncated")[1][0],
+        lambda: plan_effect(m, rows, target, "truncated")[1][0],
         lambda: brute_truncated(full, do, target),
     )
     # On a Markovian model auto always answers through the truncated route.
     check(
         missing,
-        lambda: plan_effect(m, [i], target)[1][0],
+        lambda: plan_effect(m, rows, target)[1][0],
         lambda: brute_truncated(full, do, target),
     )
     if not missing:
-        assert plan_effect(m, [i], target)[0] == "truncated"
+        assert plan_effect(m, rows, target)[0] == "truncated"
 
     inst = sorted(m.instantiated)
     values = data.draw(st.sampled_from(sorted(joint)))
@@ -140,13 +140,13 @@ def friction_variant(drop=()):
 def test_friction_relation_without_a_root_cpd():
     relation, full = friction_variant()
     _, partial = friction_variant(drop={"Weather"})
-    assert not partial.fully_instantiated
+    assert partial.instantiated == full.instantiated - {"Weather"}
     assert marginal1(partial, "Tire type") == pytest.approx(
         marginal1(full, "Tire type"), abs=1e-12
     )
     with pytest.raises(InsufficientInstantiation, match=re.escape("['Weather']")):
         marginal1(partial, "Weather")
-    do = [make_intervention({relation.phenomenon.variable: "reduced"})]
+    do = {relation.phenomenon.variable: ["reduced"]}
     route, (dist,) = plan_effect(partial, do, "Max. req. long. dec.")
     assert route == "truncated"
     assert dist == pytest.approx(
@@ -163,7 +163,7 @@ def test_sample_names_a_latent_parent():
     specs = {n: VariableSpec(name=n, domain=("a", "b"), codes=(0.0, 1.0)) for n in "AL"}
     s = build_structure(["A", "L"], [("L", "A")], latent=["L"])
     m = build_model(s, specs, [make_cpd("A", ("L",), [[0.9, 0.1], [0.1, 0.9]], specs)])
-    assert m.fully_instantiated
+    assert m.instantiated == {"A"}
     with pytest.raises(InsufficientInstantiation, match=re.escape("['L']")):
         sample(m, 10, seed=0)
 
@@ -182,7 +182,7 @@ def latent_child_payload():
 class TestLatentChild:
     def test_causal_influence_names_the_child(self, reality_model):
         _, m = parse_model_text(json.dumps(latent_child_payload()))
-        assert m.fully_instantiated
+        assert m.instantiated == reality_model.instantiated
         with pytest.raises(InsufficientInstantiation, match=re.escape("['L']")):
             causal_influence(m, [("phi", "L")])
         assert causal_influence(m, [("V2", "phi")]) == causal_influence(

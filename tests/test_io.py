@@ -50,7 +50,7 @@ class TestFixtures:
         relation, model = fixture("heavy-rain-reality")
         assert len(model.structure.nodes) == 5
         assert len(model.structure.directed) == 4
-        assert model.fully_instantiated
+        assert model.instantiated == set(model.structure.nodes)
 
     def test_heavy_rain_reality_table_entries(self):
         _, model = fixture("heavy-rain-reality")

@@ -117,8 +117,8 @@ class TestValidation:
         with pytest.raises(ValidationError):
             VariableSpec(name="A", domain=("x", "y"), codes=(1.0,))
 
-    def test_fully_instantiated_flag(self, reality_model):
-        assert reality_model.fully_instantiated
+    def test_every_node_carries_a_cpd(self, reality_model):
+        assert reality_model.instantiated == set(reality_model.structure.nodes)
 
     def test_state_space_bound(self):
         names = [f"v{i}" for i in range(9)]
@@ -479,7 +479,7 @@ class TestEstimate:
     def test_mle_consistency(self, reality_model):
         ds = sample(reality_model, 100_000, seed=11)
         est = estimate_cpds(reality_model.structure, reality_model.specs, ds)
-        assert est.fully_instantiated
+        assert est.instantiated == reality_model.instantiated
         row = est.cpds["X"].table[0]  # (Summer, Oceanic)
         assert row[1] == pytest.approx(0.6, abs=0.01)
 
