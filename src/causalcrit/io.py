@@ -9,6 +9,7 @@ pin them by checksum.
 from __future__ import annotations
 
 import json
+import math
 import os
 import stat
 from pathlib import Path
@@ -27,7 +28,6 @@ from .errors import CausalCritError, ParseError, RaggedRow, UnknownLabel, Valida
 from .graph import build_structure
 from .metrics import AccelField, trajectory_from_rows
 from .model import (
-    Cpd,
     Dataset,
     DiscreteModel,
     VariableSpec,
@@ -72,46 +72,116 @@ def canonical_json(payload) -> str:
     return json.dumps(_canonical(payload), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def _expect_keys(obj: dict, required: set[str], optional: set[str], where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: expected an object, got {type(obj).__name__}")
-    keys = set(obj)
-    missing = required - keys
-    if missing:
-        raise ParseError(f"{where}: missing fields {sorted(missing)}")
-    unknown = keys - required - optional
-    if unknown:
-        raise ParseError(f"{where}: unknown fields {sorted(unknown)}")
+def _object(required: dict, **optional: dict) -> dict:
+    return {"type": "object", "required": list(required), "properties": {**required, **optional},
+            "additionalProperties": False}
 
 
-def _expression_to_json(expr: ConstraintExpression) -> dict:
-    value = expr.value
-    if isinstance(value, PropertyRef):
-        value_json: object = {"ref": value.key()}
-    else:
-        value_json = value
-    out = {"property": expr.prop, "op": expr.op, "value": value_json}
-    if expr.unit:
-        out["unit"] = expr.unit
-    return out
+def _array(items: dict, **length) -> dict:
+    return {"type": "array", "items": items, **length}
 
 
-def _expression_from_json(obj: dict, where: str) -> ConstraintExpression:
-    _expect_keys(obj, {"property", "op", "value"}, {"unit"}, where)
-    value = obj["value"]
-    if isinstance(value, dict):
-        _expect_keys(value, {"ref"}, set(), f"{where}.value")
-        ref = str(value["ref"])
-        if "." not in ref:
-            raise ParseError(f"{where}: property reference {ref!r} needs individual.property form")
-        individual, prop = ref.split(".", 1)
-        value = PropertyRef(individual=individual, prop=prop)
-    return ConstraintExpression(
-        prop=str(obj["property"]),
-        op=str(obj["op"]),
-        value=value,
-        unit=str(obj.get("unit", "")),
-    )
+# The model file's shape as a JSON Schema (json-schema.org): type, required,
+# properties, additionalProperties and items, and minItems/maxItems only to
+# fix a length. _compile below reads no other keyword.
+_STR, _NUM, _INT = {"type": "string"}, {"type": "number"}, {"type": "integer"}
+_EDGES = _array(_array(_STR, minItems=2, maxItems=2))
+MODEL_SCHEMA = _object({
+    "format_version": _INT,
+    "variables": _array(_object(
+        {"name": _STR, "domain": _array(_STR), "codes": _array(_NUM), "unit": _STR,
+         "latent": {"type": "boolean"}},
+        range=_STR,
+    )),
+    "edges": _EDGES,
+    "bidirected": _EDGES,
+    "phenomenon": _object({"variable": _STR, "cp_label": _STR}),
+    "metric": _object({"variable": _STR}),
+    "context": _array(_object(
+        {"layer": _INT, "subject": _STR, "kind": _STR},
+        expression=_object(
+            # A literal value, or {"ref": "individual.property"}.
+            {"property": _STR, "op": _STR,
+             "value": {**_object({"ref": _STR}), "type": ["number", "string", "object"]}},
+            unit=_STR,
+        ),
+    )),
+    "cpds": _array(_object({"child": _STR, "parents": _array(_STR), "table": _array(_array(_NUM))})),
+})
+
+# The Python types json.loads gives each JSON type. bool is a subclass of
+# int, but true is no number: exact type lookups keep the two apart.
+_PY_TYPES = {"object": (dict,), "array": (list,), "string": (str,), "integer": (int,),
+             "number": (int, float), "boolean": (bool,)}
+_KIND = {types: kind for kind, types in _PY_TYPES.items()}
+
+
+def _type_error(path: str, kinds: list, value) -> ParseError:
+    want = " or ".join(("an " if k[0] in "aeiou" else "a ") + k for k in kinds)
+    got = {dict: "an object", list: "an array"}.get(type(value)) or json.dumps(value)
+    return ParseError(f"{path or 'model'}: expected {want}, got {got}")
+
+
+def _compile(schema: dict):
+    """Turn ``schema`` into check(value, path), which raises a ParseError naming
+    the JSON path of the first part of ``value`` that the schema rejects.
+
+    A leaf, a schema that gives only a type, becomes its tuple of Python
+    types, and the loop over its container checks it without a call.
+    """
+    kinds = schema["type"] if isinstance(schema["type"], list) else [schema["type"]]
+    types = tuple(t for k in kinds for t in _PY_TYPES[k])
+    if len(schema) == 1:
+        return types
+    props = {key: _compile(sub) for key, sub in schema.get("properties", {}).items()}
+    required = set(schema.get("required", ()))
+    items = _compile(schema["items"]) if "items" in schema else None
+    lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+
+    def check(value, path: str) -> None:
+        if type(value) not in types:
+            raise _type_error(path, kinds, value)
+        if type(value) is dict:
+            missing, unknown = required - value.keys(), value.keys() - props.keys()
+            if missing or unknown:
+                problem = f"missing fields {sorted(missing)}" if missing else f"unknown fields {sorted(unknown)}"
+                raise ParseError(f"{path or 'model'}: {problem}")
+            for key, item in value.items():
+                sub, where = props[key], f"{path}.{key}" if path else key
+                if type(sub) is not tuple:
+                    sub(item, where)
+                elif type(item) not in sub:
+                    raise _type_error(where, [_KIND[sub]], item)
+        elif type(value) is list:
+            if not lo <= len(value) <= hi:
+                raise ParseError(f"{path}: expected {lo} items, got {len(value)}")
+            for k, item in enumerate(value):
+                if type(items) is not tuple:
+                    items(item, f"{path}[{k}]")
+                elif type(item) not in items:
+                    raise _type_error(f"{path}[{k}]", [_KIND[items]], item)
+
+    return check
+
+
+_check_model = _compile(MODEL_SCHEMA)
+
+
+def _json_int(digits: str):
+    # No double holds an integer of more than 308 digits: read it as a float,
+    # as json reads 1e400, so that the finiteness checks see it.
+    return int(digits) if len(digits) <= 308 else float(digits)
+
+
+_DECODER = json.JSONDecoder(parse_int=_json_int)
+
+
+def _at(where: str, make, **fields):
+    """``make(**fields)``, a domain error re-raised as a ValidationError at ``where``."""
+    try:
+        return make(**fields)
+    except CausalCritError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def _statement_sort_key(st: ContextStatement):
@@ -126,49 +196,37 @@ def _statement_sort_key(st: ContextStatement):
     )
 
 
+def _statement_to_json(st: ContextStatement) -> dict:
+    out: dict = {"layer": st.layer, "subject": st.subject, "kind": st.kind}
+    expr = st.expression
+    if expr is not None:
+        value = {"ref": expr.value.key()} if isinstance(expr.value, PropertyRef) else expr.value
+        out["expression"] = {"property": expr.prop, "op": expr.op, "value": value}
+        if expr.unit:
+            out["expression"]["unit"] = expr.unit
+    return out
+
+
 def model_to_text(cr: CausalRelation, model: DiscreteModel) -> str:
     """Render a causal relation and its model as the canonical file text."""
     structure = model.structure
-    variables = []
-    for name in structure.nodes:
-        spec = model.specs[name]
-        variables.append(
-            {
-                "name": name,
-                "domain": list(spec.domain),
-                "codes": list(spec.codes),
-                "unit": spec.unit,
-                "range": spec.value_range,
-                "latent": name in structure.latent,
-            }
-        )
-    context = []
-    for st in sorted(cr.context, key=_statement_sort_key):
-        entry: dict = {"layer": st.layer, "subject": st.subject, "kind": st.kind}
-        if st.expression is not None:
-            entry["expression"] = _expression_to_json(st.expression)
-        context.append(entry)
-    cpds = []
-    for child in sorted(model.cpds):
-        cpd = model.cpds[child]
-        cpds.append(
-            {
-                "child": child,
-                "parents": list(cpd.parents),
-                "table": [[float(v) for v in row] for row in cpd.table],
-            }
-        )
+    variables = [
+        {"name": spec.name, "domain": list(spec.domain), "codes": list(spec.codes), "unit": spec.unit,
+         "range": spec.value_range, "latent": spec.name in structure.latent}
+        for spec in map(model.specs.__getitem__, structure.nodes)
+    ]
+    cpds = [
+        {"child": child, "parents": list(cpd.parents), "table": cpd.table.tolist()}
+        for child, cpd in sorted(model.cpds.items())
+    ]
     payload = {
         "format_version": FORMAT_VERSION,
         "variables": variables,
         "edges": sorted(list(e) for e in structure.directed),
         "bidirected": sorted(sorted(pair) for pair in structure.bidirected),
-        "phenomenon": {
-            "variable": cr.phenomenon.variable,
-            "cp_label": cr.phenomenon.cp_label,
-        },
+        "phenomenon": {"variable": cr.phenomenon.variable, "cp_label": cr.phenomenon.cp_label},
         "metric": {"variable": cr.metric},
-        "context": context,
+        "context": [_statement_to_json(st) for st in sorted(cr.context, key=_statement_sort_key)],
         "cpds": cpds,
     }
     return canonical_json(payload)
@@ -195,113 +253,47 @@ def save_model(path: PathLike, cr: CausalRelation, model: DiscreteModel) -> None
     _write_text(path, model_to_text(cr, model))
 
 
+def _statement_from_json(st: dict, where: str) -> ContextStatement:
+    expr = st.get("expression")
+    if expr is not None:
+        value = expr["value"]
+        if isinstance(value, dict):
+            if "." not in value["ref"]:
+                raise ParseError(f"{where}.expression: property reference {value['ref']!r} "
+                                 "needs individual.property form")
+            value = PropertyRef(*value["ref"].split(".", 1))
+        expr = _at(f"{where}.expression", ConstraintExpression, prop=expr["property"], op=expr["op"],
+                   value=value, unit=expr.get("unit", ""))
+    return _at(where, ContextStatement, layer=st["layer"], subject=st["subject"], kind=st["kind"],
+               expression=expr)
+
+
 def parse_model_text(text: str) -> tuple[CausalRelation, DiscreteModel]:
     try:
-        payload = json.loads(text)
+        payload = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: line {exc.lineno}, column {exc.colno}") from None
-    _expect_keys(
-        payload,
-        {"format_version", "variables", "edges", "bidirected", "phenomenon", "metric", "context", "cpds"},
-        set(),
-        "model",
-    )
+    _check_model(payload, "")
     if payload["format_version"] != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {payload['format_version']!r}")
 
     specs: dict[str, VariableSpec] = {}
-    latent = []
     for k, var in enumerate(payload["variables"]):
-        where = f"variables[{k}]"
-        _expect_keys(var, {"name", "domain", "codes", "unit", "latent"}, {"range"}, where)
-        try:
-            spec = VariableSpec(
-                name=str(var["name"]),
-                domain=tuple(str(d) for d in var["domain"]),
-                codes=tuple(float(c) for c in var["codes"]),
-                unit=str(var["unit"]),
-                value_range=str(var.get("range", "")),
-            )
-        except CausalCritError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
+        spec = _at(f"variables[{k}]", VariableSpec, name=var["name"], domain=tuple(var["domain"]),
+                   codes=tuple(var["codes"]), unit=var["unit"], value_range=var.get("range", ""))
         if spec.name in specs:
-            raise ValidationError(f"{where}: duplicate variable {spec.name!r}")
+            raise ValidationError(f"variables[{k}]: duplicate variable {spec.name!r}")
         specs[spec.name] = spec
-        if var["latent"]:
-            latent.append(spec.name)
-
-    def edge_pairs(field: str) -> list[tuple[str, str]]:
-        out = []
-        for k, pair in enumerate(payload[field]):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ParseError(f"{field}[{k}]: expected a two-element list")
-            out.append((str(pair[0]), str(pair[1])))
-        return out
-
-    structure = build_structure(
-        nodes=specs.keys(),
-        directed=edge_pairs("edges"),
-        bidirected=edge_pairs("bidirected"),
-        latent=latent,
-    )
-
-    _expect_keys(payload["phenomenon"], {"variable", "cp_label"}, set(), "phenomenon")
-    _expect_keys(payload["metric"], {"variable"}, set(), "metric")
-    phenomenon = PhenomenonBinding(
-        variable=str(payload["phenomenon"]["variable"]),
-        cp_label=str(payload["phenomenon"]["cp_label"]),
-    )
-
-    statements = []
-    for k, st in enumerate(payload["context"]):
-        where = f"context[{k}]"
-        _expect_keys(st, {"layer", "subject", "kind"}, {"expression"}, where)
-        # bool is a subclass of int, and JSON's true is no layer.
-        if type(st["layer"]) is not int:
-            raise ParseError(f"{where}.layer: expected an integer, got {st['layer']!r}")
-        expression = None
-        if "expression" in st:
-            expression = _expression_from_json(st["expression"], f"{where}.expression")
-        try:
-            statements.append(
-                ContextStatement(
-                    layer=st["layer"],
-                    subject=str(st["subject"]),
-                    kind=str(st["kind"]),
-                    expression=expression,
-                )
-            )
-        except CausalCritError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
-
-    cpds: list[Cpd] = []
-    for k, entry in enumerate(payload["cpds"]):
-        where = f"cpds[{k}]"
-        _expect_keys(entry, {"child", "parents", "table"}, set(), where)
-        try:
-            cpds.append(
-                make_cpd(
-                    child=str(entry["child"]),
-                    parents=tuple(str(p) for p in entry["parents"]),
-                    table=entry["table"],
-                    specs=specs,
-                )
-            )
-        except CausalCritError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
-
-    try:
-        model = build_model(structure, specs, cpds)
-    except CausalCritError as exc:
-        raise ValidationError(str(exc)) from None
-    relation = CausalRelation(
-        structure=structure,
-        context=tuple(statements),
-        phenomenon=phenomenon,
-        metric=str(payload["metric"]["variable"]),
-        specs=specs,
-    )
-    return relation, model
+    latent = [var["name"] for var in payload["variables"] if var["latent"]]
+    structure = build_structure(specs.keys(), payload["edges"], payload["bidirected"], latent)
+    context = tuple(_statement_from_json(st, f"context[{k}]") for k, st in enumerate(payload["context"]))
+    cpds = [
+        _at(f"cpds[{k}]", make_cpd, child=c["child"], parents=c["parents"], table=c["table"], specs=specs)
+        for k, c in enumerate(payload["cpds"])
+    ]
+    relation = CausalRelation(structure, context, PhenomenonBinding(**payload["phenomenon"]),
+                              payload["metric"]["variable"], specs)
+    return relation, build_model(structure, specs, cpds)
 
 
 def _read_text(path: PathLike) -> str:
@@ -437,6 +429,8 @@ def load_field(path: PathLike):
         x0, y0, dx, dy = (float(v) for v in header[2:])
     except ValueError:
         raise ParseError(f"{path}: non-numeric header value") from None
+    if nx < 1 or ny < 1:
+        raise ParseError(f"{path}: nx and ny must be >= 1, got {nx} and {ny}")
     cells = lines[1:]
     if len(cells) != nx * ny:
         raise ParseError(f"{path}: expected {nx * ny} cells, found {len(cells)}")

@@ -130,8 +130,8 @@ class AccelField:
         lt = np.asarray(self.lat_avail, dtype=float)
         if la.ndim != 2 or la.shape != lt.shape:
             raise ValidationError("field grids must be equal-shape 2-d arrays")
-        if self.dx <= 0 or self.dy <= 0:
-            raise ValidationError("cell sizes must be positive")
+        if not (np.isfinite([self.x0, self.y0, self.dx, self.dy]).all() and self.dx > 0 and self.dy > 0):
+            raise ValidationError("the field origin must be finite and its cell sizes finite and positive")
         if not (np.all(np.isfinite(la)) and np.all(np.isfinite(lt))):
             raise ValidationError("field values must be finite")
         if np.any(la > 0):

@@ -104,7 +104,7 @@ class Cpd:
 def make_cpd(
     child: str,
     parents: Sequence[str],
-    table: Iterable[Iterable[float]],
+    table: Sequence[Sequence[float]],
     specs: Mapping[str, VariableSpec],
 ) -> Cpd:
     """Validate a CPD against the variable specs."""
@@ -114,10 +114,13 @@ def make_cpd(
     for name in (child, *parent_list):
         if name not in specs:
             raise UnknownNode(f"CPD for {child!r} references unknown node {name!r}")
-    arr = np.asarray([[float(v) for v in row] for row in table], dtype=float)
-    if arr.ndim != 2:
-        raise ValidationError(f"CPD for {child!r}: table must be a list of rows")
-    n_cfg = int(np.prod([specs[p].cardinality for p in parent_list], dtype=np.int64)) if parent_list else 1
+    try:
+        arr = np.array(table, dtype=float)
+    except (TypeError, ValueError):  # rows of unequal length, or a cell that is no number
+        arr = None
+    if arr is None or arr.ndim != 2:
+        raise ValidationError(f"CPD for {child!r}: table must be a list of equal-length rows of numbers")
+    n_cfg = math.prod(specs[p].cardinality for p in parent_list)
     card = specs[child].cardinality
     if arr.shape != (n_cfg, card):
         raise ValidationError(
@@ -129,7 +132,7 @@ def make_cpd(
         rule = "lie in [0, 1]" if np.isfinite(arr).all() else "be finite"
         raise ValidationError(f"CPD for {child!r}: entries must {rule}")
     sums = arr.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
+    if (np.abs(sums - 1.0) > ROW_SUM_TOL).any():
         bad = int(np.argmax(np.abs(sums - 1.0)))
         raise ValidationError(
             f"CPD for {child!r}: row {bad} sums to {sums[bad]!r}, expected 1"

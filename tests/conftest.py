@@ -1,11 +1,16 @@
 import itertools
 
 import pytest
+from hypothesis import settings
 
 from causalcrit.fixtures import FRICTION_MEASURABLE_POOL, fixture
 from causalcrit.graph import build_structure, d_separated
 
 from oracles import brute_reachable
+
+# `pytest --hypothesis-profile ci` runs every property test that does not fix
+# its own example count at 2,000 examples (tests/test_mutation.py).
+settings.register_profile("ci", max_examples=2000)
 
 
 @pytest.fixture(scope="session")

@@ -75,6 +75,15 @@ class TestValidate:
         assert err.startswith("error: context[0].layer: expected an integer")
 
 
+    def test_wrong_json_type_exits_two_naming_its_path(self, capsys, tmp_path):
+        payload = json.loads(fixture_text("heavy-rain-reality"))
+        payload["variables"][2]["codes"] = ["a", 1]
+        bad = tmp_path / "bad_code.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(capsys, "effect", str(bad), "--do", "X=CP", "--target", "phi")
+        assert (code, out) == (2, "")
+        assert err == 'error: variables[2].codes[0]: expected a number, got "a"\n'
+
     @pytest.mark.parametrize("command", [
         ("validate",),
         ("indicators", "heavy-rain-model", "--set", "V1,V2,X"),

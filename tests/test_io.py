@@ -128,6 +128,78 @@ class TestModelRoundTrip:
         with pytest.raises(ParseError):
             parse_model_text("not json {")
 
+
+def _mutated(fid: str, *path, value=None, delete=False) -> str:
+    """The fixture's text with the value at ``path`` replaced or deleted."""
+    payload = json.loads(fixture_text(fid))
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(payload)
+
+
+class TestModelSchema:
+    """A value of the wrong JSON type is a ParseError naming its JSON path."""
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("cpds", 3, "table", 2, 1), "x", 'cpds[3].table[2][1]: expected a number, got "x"'),
+            (("cpds", 3, "table", 2, 1), True, "cpds[3].table[2][1]: expected a number, got true"),
+            (("cpds", 3, "table", 2), 0.5, "cpds[3].table[2]: expected an array, got 0.5"),
+            (("cpds", 0, "parents"), {}, "cpds[0].parents: expected an array, got an object"),
+            (("edges", 0), ["V1"], "edges[0]: expected 2 items, got 1"),
+            (("edges", 0, 1), None, "edges[0][1]: expected a string, got null"),
+            (("metric", "variable"), ["phi"], "metric.variable: expected a string, got an array"),
+            (("context",), {}, "context: expected an array, got an object"),
+            # These were accepted before the schema: str(), float() and
+            # truthiness read them as something else.
+            (("variables", 0, "name"), 5, "variables[0].name: expected a string, got 5"),
+            (("variables", 0, "codes", 0), "1.5", 'variables[0].codes[0]: expected a number, got "1.5"'),
+            (("variables", 0, "latent"), 1, "variables[0].latent: expected a boolean, got 1"),
+            (("format_version",), 1.0, "format_version: expected an integer, got 1.0"),
+            (("format_version",), True, "format_version: expected an integer, got true"),
+        ],
+    )
+    def test_wrong_type_names_json_path(self, path, value, message):
+        with pytest.raises(ParseError) as exc:
+            parse_model_text(_mutated("heavy-rain-reality", *path, value=value))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("value", [None, ["straight"], True])
+    def test_expression_value_must_be_number_string_or_ref(self, value):
+        text = _mutated("friction-relation", "context", 0, "expression", "value", value=value)
+        with pytest.raises(ParseError, match=r"^context\[0\]\.expression\.value: expected a number or a string or an object"):
+            parse_model_text(text)
+
+    def test_missing_field_named_with_its_object(self):
+        text = _mutated("heavy-rain-reality", "cpds", 1, "table", delete=True)
+        with pytest.raises(ParseError, match=r"^cpds\[1\]: missing fields \['table'\]$"):
+            parse_model_text(text)
+
+    def test_bad_operator_named_with_its_expression(self):
+        text = _mutated("friction-relation", "context", 0, "expression", "op", value="~")
+        with pytest.raises(ValidationError, match=r"^context\[0\]\.expression: unknown operator '~'$"):
+            parse_model_text(text)
+
+    def test_ragged_table_is_a_validation_error(self):
+        text = _mutated("heavy-rain-reality", "cpds", 3, "table", 1, value=[0.5])
+        with pytest.raises(ValidationError, match=r"^cpds\[3\]: CPD for 'X': table must be a list of equal-length rows"):
+            parse_model_text(text)
+
+    def test_integer_past_double_range_reads_as_infinite(self):
+        text = _mutated("heavy-rain-reality", "variables", 0, "codes", 0, value=10**400)
+        with pytest.raises(ValidationError, match="codes must be finite"):
+            parse_model_text(text)
+        # Past 4,300 digits int() itself refuses a digit string.
+        text = _mutated("heavy-rain-reality", "cpds", 0, "table", 0, 0, value="HUGE")
+        with pytest.raises(ValidationError, match="entries must be finite"):
+            parse_model_text(text.replace('"HUGE"', "-" + "9" * 5000))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_model(tmp_path / "absent.json")
@@ -202,4 +274,18 @@ class TestTrajectoryAndField:
         path = tmp_path / "field.txt"
         path.write_text("2 2 0 0 1 1\n-1 1\n", encoding="utf-8")
         with pytest.raises(ParseError):
+            load_field(path)
+
+    def test_field_dimensions_must_be_positive(self, tmp_path):
+        # -1 x -1 matches the one cell, so only the sign check can refuse it.
+        path = tmp_path / "field.txt"
+        path.write_text("-1 -1 0 0 1 1\n-1 1\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="nx and ny must be >= 1"):
+            load_field(path)
+
+    @pytest.mark.parametrize("header", ["1 1 nan 0 1 1", "1 1 0 -inf 1 1", "1 1 0 0 inf 1", "1 1 0 0 1 nan"])
+    def test_field_origin_and_cell_size_must_be_finite(self, tmp_path, header):
+        path = tmp_path / "field.txt"
+        path.write_text(f"{header}\n-1 1\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="origin must be finite and its cell sizes finite and positive"):
             load_field(path)

@@ -107,6 +107,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             make_cpd("B", ("A",), [[0.5, 0.5]], specs)
 
+    def test_cpd_ragged_rows_rejected(self):
+        specs = {"A": binary_spec("A"), "B": binary_spec("B")}
+        with pytest.raises(ValidationError, match="^CPD for 'B': table must be a list of equal-length rows"):
+            make_cpd("B", ("A",), [[0.5, 0.5], [1.0]], specs)
+
     def test_cpd_parents_must_match_graph(self):
         specs = {"A": binary_spec("A"), "B": binary_spec("B")}
         s = build_structure(["A", "B"], [("A", "B")])
