@@ -128,6 +128,10 @@ class TestModelRoundTrip:
         with pytest.raises(ParseError):
             parse_model_text("not json {")
 
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ParseError):
+            load_model(tmp_path / "absent.json")
+
 
 def _mutated(fid: str, *path, value=None, delete=False) -> str:
     """The fixture's text with the value at ``path`` replaced or deleted."""
@@ -199,10 +203,6 @@ class TestModelSchema:
         text = _mutated("heavy-rain-reality", "cpds", 0, "table", 0, 0, value="HUGE")
         with pytest.raises(ValidationError, match="entries must be finite"):
             parse_model_text(text.replace('"HUGE"', "-" + "9" * 5000))
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ParseError):
-            load_model(tmp_path / "absent.json")
 
 
 class TestDataset:
