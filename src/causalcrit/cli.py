@@ -19,7 +19,7 @@ from .context import validate_causal_relation
 from .engine import ROUTES, SafetyPrinciple, evaluate_safety_principle, expectation, plan_effect
 from .errors import CausalCritError, ParseError
 from .graph import enumerate_adjustment_sets
-from .indicators import ModelPair, effect_indicators, rho1, rho2, rho3
+from .indicators import ModelPair, indicator_reports
 from .io import (
     canonical_json,
     load_dataset,
@@ -148,6 +148,9 @@ def cmd_effect(args) -> int:
 
 
 def cmd_indicators(args) -> int:
+    node_set = _parse_names(args.set)
+    if node_set == []:
+        raise ParseError(f"--set needs at least one node name, got {args.set!r}")
     relation_ref, ref = _load(args.reference)
     relation_cand, cand = _load(args.candidate)
     if args.data:
@@ -155,24 +158,16 @@ def cmd_indicators(args) -> int:
         cand_data = load_dataset(args.data[1], cand.specs)
         ref = estimate_cpds(ref.structure, ref.specs, ref_data, smoothing=args.alpha)
         cand = estimate_cpds(cand.structure, cand.specs, cand_data, smoothing=args.alpha)
-    cp = relation_ref.phenomenon
-    metric = relation_ref.metric
-    pair = ModelPair(reference=ref, candidate=cand)
-    node_set = _parse_names(args.set)
-
-    reports = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for model, role in ((ref, "reference"), (cand, "candidate")):
-            for report in effect_indicators(model, cp, metric):
-                report.metadata["role"] = role
-                reports.append(report)
-        reports.append(rho1(pair, cp, bits=args.bits))
-        if node_set:
-            reports.append(rho2(pair, node_set, bits=args.bits))
-            reports.append(
-                rho3(pair, node_set, cp, restrict_to_set=args.rho3_restricted, bits=args.bits)
-            )
+        reports = indicator_reports(
+            ModelPair(reference=ref, candidate=cand),
+            relation_ref.phenomenon,
+            relation_ref.metric,
+            node_set,
+            restrict_to_set=args.rho3_restricted,
+            bits=args.bits,
+        )
     payload = {
         "command": "indicators",
         "reference": args.reference,

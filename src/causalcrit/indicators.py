@@ -9,6 +9,11 @@ causal-influence differences).
 Every report embeds the conventions it was computed under: log base, KL
 argument order, and the numeric codes of the metric categories. The same
 inputs therefore reproduce the same value from the report alone.
+
+:func:`indicator_reports`, the table ``cli indicators`` prints, makes one
+calibrated elimination per model plus the two effect-row calls, one
+:func:`plan_effect` per model. The single-indicator functions share its
+array-level helpers and make their inference calls of their own.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,7 +38,7 @@ from .errors import (
     ZeroProbabilityCondition,
 )
 from .graph import CausalStructure
-from .model import Cpd, DiscreteModel, build_model, joint_table, joint_tables, make_cpd, marginal1
+from .model import Cpd, DiscreteModel, build_model, joint_tables, make_cpd
 from .model import _closure_within
 
 __all__ = [
@@ -48,6 +53,7 @@ __all__ = [
     "rho2",
     "rho3",
     "causal_influence",
+    "indicator_reports",
 ]
 
 LN2 = math.log(2.0)
@@ -86,6 +92,10 @@ class ModelPair:
                 raise ValidationError(
                     f"domain mismatch for {n!r}: {ref.domain} vs {cand.domain}"
                 )
+
+
+def _by_role(pair: ModelPair) -> dict[str, DiscreteModel]:
+    return {"reference": pair.reference, "candidate": pair.candidate}
 
 
 def _align(
@@ -129,6 +139,13 @@ def kl_divergence(
     return value / LN2 if bits else value
 
 
+def _joints(m: DiscreteModel, scopes: Iterable[Sequence[str]]) -> dict[tuple[str, ...], np.ndarray]:
+    """The joint over each scope, keyed by its sorted node tuple, from one
+    :func:`~causalcrit.model.joint_tables` call."""
+    keys = list(dict.fromkeys(tuple(sorted(set(s))) for s in scopes))
+    return dict(zip(keys, joint_tables(m, keys)))
+
+
 def _effects(
     m: DiscreteModel, cp: PhenomenonBinding, metric: str
 ) -> tuple[float, float, dict]:
@@ -165,9 +182,15 @@ def _rce(
 
 
 def _sigma(
-    m: DiscreteModel, cp: PhenomenonBinding, metric: str, e_cp: float, e_not: float, meta: dict
+    m: DiscreteModel,
+    cp: PhenomenonBinding,
+    metric: str,
+    p_metric: np.ndarray,
+    e_cp: float,
+    e_not: float,
+    meta: dict,
 ) -> IndicatorReport:
-    e_obs = expectation(marginal1(m, metric), m, metric)
+    e_obs = expectation(dict(zip(m.specs[metric].domain, p_metric.tolist())), m, metric)
     if e_obs == 0.0:
         raise ZeroMeanCriticality("observational E(metric) is zero")
     meta["e_observational"] = e_obs
@@ -199,7 +222,9 @@ def sigma(m: DiscreteModel, cp: PhenomenonBinding, metric: str) -> IndicatorRepo
     The definition presumes E(do notCP) <= E(do CP); a violation downgrades
     to a warning and the value is still reported.
     """
-    return _sigma(m, cp, metric, *_effects(m, cp, metric))
+    e_cp, e_not, meta = _effects(m, cp, metric)
+    (p_metric,) = joint_tables(m, [[metric]])
+    return _sigma(m, cp, metric, p_metric, e_cp, e_not, meta)
 
 
 def effect_indicators(
@@ -212,18 +237,17 @@ def effect_indicators(
     three calls in that order.
     """
     e_cp, e_not, meta = _effects(m, cp, metric)
-    return (
-        _ace(cp, metric, e_cp, e_not, dict(meta)),
-        _rce(cp, metric, e_cp, e_not, dict(meta)),
-        _sigma(m, cp, metric, e_cp, e_not, dict(meta)),
-    )
+    ace_report = _ace(cp, metric, e_cp, e_not, dict(meta))
+    rce_report = _rce(cp, metric, e_cp, e_not, dict(meta))
+    (p_metric,) = joint_tables(m, [[metric]])
+    return ace_report, rce_report, _sigma(m, cp, metric, p_metric, e_cp, e_not, dict(meta))
 
 
-def rho1(pair: ModelPair, cp: PhenomenonBinding, bits: bool = False) -> IndicatorReport:
-    """KL of the phenomenon marginal, candidate (model) against reference."""
-    pair.check_shared_specs([cp.variable])
-    p_cand = marginal1(pair.candidate, cp.variable)
-    p_ref = marginal1(pair.reference, cp.variable)
+def _rho1(
+    pair: ModelPair, cp: PhenomenonBinding, p_cand: np.ndarray, p_ref: np.ndarray, bits: bool
+) -> IndicatorReport:
+    domain = pair.reference.specs[cp.variable].domain
+    p_cand, p_ref = dict(zip(domain, p_cand.tolist())), dict(zip(domain, p_ref.tolist()))
     value = kl_divergence(p_cand, p_ref, bits=bits)
     meta = {
         "log_base": "bits" if bits else "nats",
@@ -235,18 +259,22 @@ def rho1(pair: ModelPair, cp: PhenomenonBinding, bits: bool = False) -> Indicato
     return IndicatorReport("rho1", value, (cp.variable,), meta)
 
 
-def rho2(pair: ModelPair, nodes: Iterable[str], bits: bool = False) -> IndicatorReport:
-    """KL between the joints over a node set, candidate against reference.
+def rho1(pair: ModelPair, cp: PhenomenonBinding, bits: bool = False) -> IndicatorReport:
+    """KL of the phenomenon marginal, candidate (model) against reference."""
+    pair.check_shared_specs([cp.variable])
+    (p_cand,) = joint_tables(pair.candidate, [[cp.variable]])
+    (p_ref,) = joint_tables(pair.reference, [[cp.variable]])
+    return _rho1(pair, cp, p_cand, p_ref, bits)
 
-    Both directions are informative; the default takes the candidate first
-    and the reverse direction always rides along in the metadata.
-    """
+
+def _rho2_set(nodes: Iterable[str]) -> tuple[str, ...]:
     node_list = tuple(sorted(set(nodes)))
     if not node_list:
         raise InvalidQuery("rho2 needs a non-empty node set")
-    pair.check_shared_specs(node_list)
-    _, q = joint_table(pair.candidate, over=node_list)
-    _, p = joint_table(pair.reference, over=node_list)
+    return node_list
+
+
+def _rho2(node_list: tuple[str, ...], q: np.ndarray, p: np.ndarray, bits: bool) -> IndicatorReport:
     value = kl_divergence(q, p, bits=bits)
     meta = {
         "log_base": "bits" if bits else "nats",
@@ -254,6 +282,19 @@ def rho2(pair: ModelPair, nodes: Iterable[str], bits: bool = False) -> Indicator
         "reverse_value": kl_divergence(p, q, bits=bits),
     }
     return IndicatorReport("rho2", value, node_list, meta)
+
+
+def rho2(pair: ModelPair, nodes: Iterable[str], bits: bool = False) -> IndicatorReport:
+    """KL between the joints over a node set, candidate against reference.
+
+    Both directions are informative; the default takes the candidate first
+    and the reverse direction always rides along in the metadata.
+    """
+    node_list = _rho2_set(nodes)
+    pair.check_shared_specs(node_list)
+    (q,) = joint_tables(pair.candidate, [node_list])
+    (p,) = joint_tables(pair.reference, [node_list])
+    return _rho2(node_list, q, p, bits)
 
 
 def _cut_parents(m: DiscreteModel, edges: Iterable[tuple[str, str]]) -> dict[str, list[str]]:
@@ -271,12 +312,18 @@ def _cut_parents(m: DiscreteModel, edges: Iterable[tuple[str, str]]) -> dict[str
     return cut_by_child
 
 
+def _families(m: DiscreteModel, cuts: Sequence[Mapping[str, list[str]]]) -> list[tuple[str, ...]]:
+    """The parents of every cut child: the scopes P(pa_c) that the cuts read."""
+    return list(dict.fromkeys(m.cpds[c].parents for cut in cuts for c in cut))
+
+
 def _influences(
-    m: DiscreteModel, cuts: Sequence[Mapping[str, list[str]]], bits: bool
+    m: DiscreteModel,
+    cuts: Sequence[Mapping[str, list[str]]],
+    p_family: Mapping[tuple[str, ...], np.ndarray],
+    bits: bool,
 ) -> list[float]:
-    """Causal influence of each cut, every P(pa_c) from one :func:`joint_tables` call."""
-    families = list(dict.fromkeys(m.cpds[c].parents for cut in cuts for c in cut))
-    p_family = dict(zip(families, joint_tables(m, families)))
+    """Causal influence of each cut, reading P(pa_c) from ``p_family``."""
     totals = []
     for cut_by_child in cuts:
         total = 0.0
@@ -313,26 +360,34 @@ def causal_influence(
     only the joint over the child's parents, and every P(pa_c) comes from one
     calibrated elimination (:func:`~causalcrit.model.joint_tables`).
     """
-    return _influences(m, [_cut_parents(m, edges)], bits)[0]
+    cuts = [_cut_parents(m, edges)]
+    return _influences(m, cuts, _joints(m, _families(m, cuts)), bits)[0]
 
 
-def _induced_submodel(m: DiscreteModel, nodes: Sequence[str]) -> DiscreteModel:
-    """Sub-model over ``nodes``: induced edges, CPDs conditioned on kept parents.
+def _kept_families(m: DiscreteModel, keep: Sequence[str]) -> list[tuple[str, ...]]:
+    """Each kept node with its kept parents, as sorted node tuples."""
+    keep_set = set(keep)
+    return [tuple(sorted({n, *(m.structure.parents(n) & keep_set)})) for n in keep]
+
+
+def _induced_submodel(
+    m: DiscreteModel, keep: tuple[str, ...], joints: Mapping[tuple[str, ...], np.ndarray]
+) -> DiscreteModel:
+    """Sub-model over the sorted nodes ``keep``: induced edges, CPDs conditioned
+    on kept parents.
 
     Each kept node's CPD becomes its exact conditional given the parents that
-    survive the restriction, derived from the full joint. This treats the
+    survive the restriction, derived from the full joint over its
+    :func:`_kept_families` entry, read from ``joints``. This treats the
     restricted joint as factorizing over the induced DAG, which is a
     sensitivity-analysis view rather than a marginalization theorem.
     """
-    keep = sorted(set(nodes))
     keep_set = set(keep)
-    for n in keep:
-        m.spec_of(n)
     directed = frozenset(
         e for e in m.structure.directed if e[0] in keep_set and e[1] in keep_set
     )
     sub_structure = CausalStructure(
-        nodes=tuple(keep),
+        nodes=keep,
         latent=frozenset(m.structure.latent & keep_set),
         directed=directed,
         bidirected=frozenset(
@@ -340,12 +395,9 @@ def _induced_submodel(m: DiscreteModel, nodes: Sequence[str]) -> DiscreteModel:
         ),
     )
     sub_specs = {n: m.specs[n] for n in keep}
-    kept_parents = [tuple(sorted(p for p in m.structure.parents(n) if p in keep_set)) for n in keep]
-    # One calibration gives every family's joint, with axes in sorted order.
-    families = [sorted((*pa, n)) for n, pa in zip(keep, kept_parents)]
     cpds: list[Cpd] = []
-    for n, pa, names, joint in zip(keep, kept_parents, families, joint_tables(m, families)):
-        joint = np.moveaxis(joint, names.index(n), -1)
+    for n, names in zip(keep, _kept_families(m, keep)):
+        joint = np.moveaxis(joints[names], names.index(n), -1)
         card = m.specs[n].cardinality
         flat = joint.reshape(-1, card)
         totals = flat.sum(axis=1)
@@ -353,8 +405,50 @@ def _induced_submodel(m: DiscreteModel, nodes: Sequence[str]) -> DiscreteModel:
             raise ZeroProbabilityCondition(
                 f"cannot condition {n!r} on a zero-probability parent configuration"
             )
-        cpds.append(make_cpd(n, pa, flat / totals[:, None], sub_specs))
+        parents = tuple(p for p in names if p != n)
+        cpds.append(make_cpd(n, parents, flat / totals[:, None], sub_specs))
     return build_model(sub_structure, sub_specs, cpds)
+
+
+def _rho3_cuts(
+    models: Mapping[str, DiscreteModel], node_list: Sequence[str], cp: PhenomenonBinding
+) -> dict[str, list[dict[str, list[str]]]]:
+    """Each model's cut of every component node's outgoing edges.
+
+    Every cut is checked, in node order and reference first, before any of
+    them is answered.
+    """
+    cuts: dict[str, list] = {role: [] for role in models}
+    for n in node_list:
+        if n == cp.variable:
+            continue
+        for role, model in models.items():
+            out = [e for e in model.structure.directed if e[0] == n]
+            cuts[role].append(_cut_parents(model, out))
+    return cuts
+
+
+def _rho3(
+    node_list: tuple[str, ...],
+    cp: PhenomenonBinding,
+    restrict_to_set: bool,
+    influences: Mapping[str, Sequence[float]],
+    bits: bool,
+) -> IndicatorReport:
+    component_nodes = [n for n in node_list if n != cp.variable]
+    influences = {role: dict(zip(component_nodes, v)) for role, v in influences.items()}
+    components = {
+        n: influences["reference"][n] - influences["candidate"][n] for n in component_nodes
+    }
+    value = math.sqrt(sum(v * v for v in components.values()))
+    meta = {
+        "log_base": "bits" if bits else "nats",
+        "semantics": "restricted-to-set" if restrict_to_set else "full-graph",
+        "components": components,
+        "influences": influences,
+        "phenomenon": cp.variable,
+    }
+    return IndicatorReport("rho3", value, node_list, meta)
 
 
 def rho3(
@@ -371,37 +465,97 @@ def rho3(
     component is their difference. By default outgoing edges are taken in
     each model's full graph; with ``restrict_to_set`` both models are first
     restricted to the node set and edges are taken in the induced sub-model.
+    Each model answers all of its cuts from one calibration, and each
+    induced sub-model is built from one more.
     """
     node_list = tuple(sorted(set(nodes)))
     pair.check_shared_specs(node_list)
-    component_nodes = [n for n in node_list if n != cp.variable]
+    models = _by_role(pair)
     if restrict_to_set:
-        ref = _induced_submodel(pair.reference, node_list)
-        cand = _induced_submodel(pair.candidate, node_list)
-    else:
-        ref = pair.reference
-        cand = pair.candidate
-    models = {"reference": ref, "candidate": cand}
-    # Every cut is checked, in node order and reference first, before any
-    # inference; then each model answers all of its cuts from one calibration.
-    cuts: dict[str, list] = {role: [] for role in models}
-    for n in component_nodes:
-        for role, model in models.items():
-            out = [e for e in model.structure.directed if e[0] == n]
-            cuts[role].append(_cut_parents(model, out))
+        models = {
+            role: _induced_submodel(m, node_list, _joints(m, _kept_families(m, node_list)))
+            for role, m in models.items()
+        }
+    cuts = _rho3_cuts(models, node_list, cp)
     influences = {
-        role: dict(zip(component_nodes, _influences(model, cuts[role], bits)))
-        for role, model in models.items()
+        role: _influences(m, cuts[role], _joints(m, _families(m, cuts[role])), bits)
+        for role, m in models.items()
     }
-    components = {
-        n: influences["reference"][n] - influences["candidate"][n] for n in component_nodes
-    }
-    value = math.sqrt(sum(v * v for v in components.values()))
-    meta = {
-        "log_base": "bits" if bits else "nats",
-        "semantics": "restricted-to-set" if restrict_to_set else "full-graph",
-        "components": components,
-        "influences": influences,
-        "phenomenon": cp.variable,
-    }
-    return IndicatorReport("rho3", value, node_list, meta)
+    return _rho3(node_list, cp, restrict_to_set, influences, bits)
+
+
+def indicator_reports(
+    pair: ModelPair,
+    cp: PhenomenonBinding,
+    metric: str,
+    nodes: Optional[Iterable[str]] = None,
+    restrict_to_set: bool = False,
+    bits: bool = False,
+) -> list[IndicatorReport]:
+    """Every indicator of a pair, with one calibrated elimination per model.
+
+    The reports, with their values, are :func:`effect_indicators` of the
+    reference and then of the candidate, each report's metadata naming its
+    ``role``, then :func:`rho1` and, when ``nodes`` is given, :func:`rho2`
+    and :func:`rho3`. Each model's two effect rows come from
+    :func:`plan_effect`, and every other joint it is asked for from one
+    :func:`~causalcrit.model.joint_tables` call (Shenoy & Shafer 1990):
+    sigma's P(metric), rho1's P(X), rho2's joint over the set and rho3's
+    P(pa_c) families, or with ``restrict_to_set`` the kept families that
+    its induced sub-model is built from; the sub-model's families are one
+    more call. Every closure and spec check runs first, in report order, so
+    a request fails where the separate calls would. The errors that need
+    values (zero mean, infinite divergence, a zero-probability parent
+    configuration) follow in report order.
+    """
+    models = _by_role(pair)
+    asked: dict[str, list] = {role: [] for role in models}
+
+    def ask(role: str, scopes: list) -> None:
+        # The closure check that joint_tables would make of these scopes alone.
+        _closure_within(models[role], {n for s in scopes for n in s})
+        asked[role] += scopes
+
+    effects = {}
+    for role, m in models.items():
+        e_cp, e_not, meta = _effects(m, cp, metric)
+        meta["role"] = role
+        ace_report = _ace(cp, metric, e_cp, e_not, dict(meta))
+        rce_report = _rce(cp, metric, e_cp, e_not, dict(meta))
+        effects[role] = (ace_report, rce_report, e_cp, e_not, meta)
+        ask(role, [(metric,)])
+    x = (cp.variable,)
+    pair.check_shared_specs(x)
+    ask("candidate", [x])
+    ask("reference", [x])
+    if nodes is not None:
+        node_list = _rho2_set(nodes)
+        pair.check_shared_specs(node_list)
+        ask("candidate", [node_list])
+        ask("reference", [node_list])
+        if restrict_to_set:
+            for role, m in models.items():
+                ask(role, _kept_families(m, node_list))
+        else:
+            cuts = _rho3_cuts(models, node_list, cp)
+            for role, m in models.items():
+                ask(role, _families(m, cuts[role]))
+    tables = {role: _joints(m, asked[role]) for role, m in models.items()}
+
+    reports = []
+    for role, m in models.items():
+        ace_report, rce_report, e_cp, e_not, meta = effects[role]
+        sigma_report = _sigma(m, cp, metric, tables[role][(metric,)], e_cp, e_not, dict(meta))
+        reports += [ace_report, rce_report, sigma_report]
+    ref, cand = tables["reference"], tables["candidate"]
+    reports.append(_rho1(pair, cp, cand[x], ref[x], bits))
+    if nodes is None:
+        return reports
+    reports.append(_rho2(node_list, cand[node_list], ref[node_list], bits))
+    if restrict_to_set:
+        models = {role: _induced_submodel(m, node_list, tables[role]) for role, m in models.items()}
+        cuts = _rho3_cuts(models, node_list, cp)
+        tables = {role: _joints(m, _families(m, cuts[role])) for role, m in models.items()}
+    influences = {role: _influences(m, cuts[role], tables[role], bits) for role, m in models.items()}
+    reports.append(_rho3(node_list, cp, restrict_to_set, influences, bits))
+    return reports

@@ -330,6 +330,44 @@ class TestIndicators:
         )
         assert ace_ref["value"] == pytest.approx(0.2, abs=0.05)
 
+    @pytest.mark.parametrize("node_set", [",", ""])
+    def test_empty_set_is_usage_error(self, capsys, node_set):
+        code, out, err = run(
+            capsys, "indicators", "heavy-rain-reality", "heavy-rain-model", "--set", node_set
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --set needs at least one node name, got {node_set!r}\n"
+
+    def test_partial_data_names_sigma_scope(self, capsys, tmp_path):
+        # Without V3 the reference re-estimates no CPD for X. Its effect rows
+        # clamp X and answer; sigma's P(phi) is the first joint refused.
+        ref_csv, cand_csv = tmp_path / "ref.csv", tmp_path / "cand.csv"
+        run(capsys, "sample", "heavy-rain-reality", "-n", "5000", "--seed", "3", "-o", str(ref_csv))
+        run(capsys, "sample", "heavy-rain-model", "-n", "5000", "--seed", "4", "-o", str(cand_csv))
+        rows = [line.split(",") for line in ref_csv.read_text(encoding="utf-8").splitlines()]
+        keep = [i for i, column in enumerate(rows[0]) if column != "V3"]
+        ref_csv.write_text("".join(",".join(r[i] for i in keep) + "\n" for r in rows), encoding="utf-8")
+        code, out, err = run(
+            capsys, "indicators", "heavy-rain-reality", "heavy-rain-model",
+            "--data", str(ref_csv), str(cand_csv), "--set", "V1,V2,X",
+        )
+        assert (code, out) == (1, "")
+        assert err == "InsufficientInstantiation: need CPDs for ['V3', 'X'] to enumerate over ['phi']\n"
+
+    def test_candidate_sigma_scope_refused_after_reference_checks(self, capsys, tmp_path):
+        # The candidate lacks V3's CPD: its effect rows (X clamped) answer,
+        # its P(phi) does not. One closure check over every scope asked of
+        # the candidate would name them all, not ['phi'].
+        payload = json.loads(fixture_text("heavy-rain-reality"))
+        payload["cpds"] = [c for c in payload["cpds"] if c["child"] != "V3"]
+        path = tmp_path / "no_v3.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(
+            capsys, "indicators", "heavy-rain-model", str(path), "--set", "V1,V2,X"
+        )
+        assert (code, out) == (1, "")
+        assert err == "InsufficientInstantiation: need CPDs for ['V3'] to enumerate over ['phi']\n"
+
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_non_finite_alpha_exits_one(self, capsys, tmp_path, alpha):
         ref_csv, cand_csv = tmp_path / "ref.csv", tmp_path / "cand.csv"

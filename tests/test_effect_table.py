@@ -195,7 +195,7 @@ def test_indicators_build_one_effect_table_per_model(monkeypatch):
         calls["plan_effect"] += 1
         return planner(*args, **kwargs)
 
-    for module in (model, engine, indicators):
+    for module in (model, engine):
         monkeypatch.setattr(module, "joint_table", counting_joint_table)
     monkeypatch.setattr(indicators, "plan_effect", counting_planner)
     argv = ["indicators", "heavy-rain-reality", "heavy-rain-model", "--set", "V1,V2,X"]

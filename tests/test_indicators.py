@@ -1,13 +1,20 @@
 import math
 import random
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import causalcrit.engine as engine
+import causalcrit.indicators as indicators
+import causalcrit.model as model
+from causalcrit.cli import main
 from causalcrit.context import PhenomenonBinding
 from causalcrit.errors import (
+    CausalCritError,
     DivisionByZeroEffect,
     InfiniteDivergence,
     NotMarkovian,
@@ -19,6 +26,8 @@ from causalcrit.indicators import (
     ModelPair,
     ace,
     causal_influence,
+    effect_indicators,
+    indicator_reports,
     kl_divergence,
     rce,
     rho1,
@@ -28,7 +37,7 @@ from causalcrit.indicators import (
 )
 from causalcrit.model import VariableSpec, build_model, make_cpd
 
-from oracles import brute_causal_influence
+from oracles import brute_causal_influence, brute_joint, brute_marginal
 from test_engine import random_binary_model
 from test_model import random_models
 
@@ -436,17 +445,15 @@ class TestRho3:
     ):
         # Full-graph: one calibration per model gives every P(pa_c).
         # Restricted: one more per model gives every kept family.
-        import causalcrit.indicators as indicators
-
         counted = []
-        for name in ("joint_table", "joint_tables"):
-            real = getattr(indicators, name)
+        for module, name in ((model, "joint_table"), (indicators, "joint_tables")):
+            real = getattr(module, name)
 
             def counting(*args, _real=real, _name=name, **kwargs):
                 counted.append(_name)
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(indicators, name, counting)
+            monkeypatch.setattr(module, name, counting)
         pair = ModelPair(reference=reality_model, candidate=candidate_model)
         rho3(pair, ["V1", "V2", "X", "phi"], CP, restrict_to_set=restrict)
         assert counted == ["joint_tables"] * calls
@@ -465,3 +472,123 @@ class TestRho3:
             ),
         )
         assert rho3(pair, ["V1", "V2", "X"], CP).value > 0.0
+
+
+def _leaves(x, path=()):
+    """(path, value) for every leaf of a nested report."""
+    if isinstance(x, dict):
+        for k, v in x.items():
+            yield from _leaves(v, (*path, k))
+    elif isinstance(x, list):
+        for k, v in enumerate(x):
+            yield from _leaves(v, (*path, k))
+    else:
+        yield path, x
+
+
+def _outcome(fn):
+    """The report dicts ``fn`` returns, or the type and message of the error it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return [r.as_dict() for r in fn()]
+        except CausalCritError as exc:
+            return type(exc), str(exc)
+
+
+class TestIndicatorReports:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equal_to_the_separate_calls_and_brute_force(self, data):
+        ref = data.draw(random_models(min_nodes=2, max_nodes=5))
+        nodes = list(ref.structure.nodes)
+        binary = [n for n in nodes if ref.specs[n].cardinality == 2]
+        assume(binary)
+        x = data.draw(st.sampled_from(binary))
+        # A one-label metric has E = 0 and every indicator stops at RCE.
+        metrics = [n for n in nodes if n != x and ref.specs[n].cardinality > 1]
+        assume(metrics)
+        metric = data.draw(st.sampled_from(metrics))
+        cp = PhenomenonBinding(variable=x, cp_label="c1")
+        # The candidate keeps the specs and some of the edges, with fresh tables.
+        edges = sorted(e for e in sorted(ref.structure.directed) if data.draw(st.booleans()))
+        structure = build_structure(nodes, edges)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        cpds = []
+        for n in nodes:
+            parents = tuple(sorted(structure.parents(n)))
+            rows = math.prod(ref.specs[p].cardinality for p in parents)
+            table = rng.dirichlet(np.ones(ref.specs[n].cardinality), size=rows)
+            cpds.append(make_cpd(n, parents, table, ref.specs))
+        cand = build_model(structure, ref.specs, cpds)
+        pair = ModelPair(reference=ref, candidate=cand)
+        node_set = sorted(data.draw(st.sets(st.sampled_from(nodes), min_size=1)))
+        restrict = data.draw(st.booleans())
+
+        def separate():
+            reports = []
+            for role, m in (("reference", ref), ("candidate", cand)):
+                for r in effect_indicators(m, cp, metric):
+                    r.metadata["role"] = role
+                    reports.append(r)
+            return [
+                *reports,
+                rho1(pair, cp),
+                rho2(pair, node_set),
+                rho3(pair, node_set, cp, restrict_to_set=restrict),
+            ]
+
+        calls = []
+
+        def recording(m, scopes, *args, **kwargs):
+            tables = joint_tables(m, scopes, *args, **kwargs)
+            calls.append((m, scopes, tables))
+            return tables
+
+        joint_tables = indicators.joint_tables
+        with mock.patch.object(indicators, "joint_tables", recording):
+            batched = _outcome(lambda: indicator_reports(pair, cp, metric, node_set, restrict))
+        expected = _outcome(separate)
+        if isinstance(expected, tuple):
+            assert batched == expected
+            return
+        a, b = dict(_leaves(expected)), dict(_leaves(batched))
+        assert a.keys() == b.keys()
+        for key, value in a.items():
+            if isinstance(value, float):
+                assert b[key] == pytest.approx(value, abs=1e-12), key
+            else:
+                assert b[key] == value, key
+        # One call per model, and one more per induced sub-model.
+        assert [c[0] for c in calls[:2]] == [ref, cand]
+        assert len(calls) == (4 if restrict else 2)
+        for m, scopes, tables in calls:
+            names, joint = brute_joint(m)
+            for scope, table in zip(scopes, tables):
+                for labels, p in brute_marginal(names, joint, scope).items():
+                    idx = tuple(m.specs[n].index_of(v) for n, v in zip(scope, labels))
+                    assert table[idx] == pytest.approx(p, abs=1e-12)
+
+    @pytest.mark.parametrize("extra, sub_models", [((), 0), (("--rho3-restricted",), 2)])
+    def test_one_elimination_per_model(self, monkeypatch, extra, sub_models):
+        # Outside plan_effect's two effect-row calls, each model answers every
+        # joint from one joint_tables call; rho1, sigma and rho2 make no
+        # joint_table call of their own.
+        calls = []
+        for module, name in ((model, "joint_table"), (engine, "joint_table"), (indicators, "joint_tables")):
+
+            def counting(m, *args, _real=getattr(module, name), _name=name, **kwargs):
+                calls.append((_name, m.structure.nodes, bool(kwargs.get("do"))))
+                return _real(m, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        argv = ["indicators", "heavy-rain-reality", "heavy-rain-model", "--set", "V1,V2,X", *extra]
+        assert main([*argv, "--format", "json"]) == 0
+        ref, cand = ("V1", "V2", "V3", "X", "phi"), ("V1", "V2", "X", "phi")
+        assert calls == [
+            ("joint_table", ref, True),
+            ("joint_table", cand, True),
+            ("joint_tables", ref, False),
+            ("joint_tables", cand, False),
+            *[("joint_tables", ("V1", "V2", "X"), False)] * sub_models,
+        ]
