@@ -100,13 +100,12 @@ def cmd_validate(args) -> int:
 def cmd_adjust(args) -> int:
     if args.max <= 0:
         raise ParseError(f"--max must be > 0, got {args.max}")
+    candidates = _parse_names(args.candidates)
+    if candidates == []:
+        raise ParseError(f"--candidates needs at least one node name, got {args.candidates!r}")
     _relation, model = _load(args.model)
     sets = enumerate_adjustment_sets(
-        model.structure,
-        args.x,
-        args.y,
-        max_count=args.max,
-        candidates=_parse_names(args.candidates),
+        model.structure, args.x, args.y, max_count=args.max, candidates=candidates
     )
     payload = {
         "command": "adjust",

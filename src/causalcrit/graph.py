@@ -11,7 +11,6 @@ descendant sets are plain tuples and sets, computed once per structure.
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -401,14 +400,19 @@ class _BackdoorCheck:
             for pa, ch in zip(self._parents, self._children)
         ]
 
-    def admits(self, adjustment: Iterable[str]) -> bool:
-        index, ancestors_of = self._index, self._ancestors
-        parents, children, moral = self._parents, self._children, self._moral
+    def masks(self, adjustment: Iterable[str]) -> tuple[int, int]:
+        """(Z, the union of its members' ancestors) as bitmasks."""
         z = z_area = 0
         for node in adjustment:
-            i = index[node]
+            i = self._index[node]
             z |= 1 << i
-            z_area |= ancestors_of[i]
+            z_area |= self._ancestors[i]
+        return z, z_area
+
+    def admits_mask(self, z: int, z_area: int) -> bool:
+        """Whether the set ``z`` is admissible; ``z_area`` must agree with
+        An(Z) outside An({x, y})."""
+        parents, children, moral = self._parents, self._children, self._moral
         if z & self._banned:
             return False
         # Breadth-first search of the moral graph of An({x, y} | Z) that
@@ -433,6 +437,14 @@ class _BackdoorCheck:
         return True
 
 
+def _backdoor_check(s: CausalStructure, x: str, y: str) -> _BackdoorCheck:
+    """The :class:`_BackdoorCheck` for (x, y), prepared on first use."""
+    check = s._backdoor_checks.get((x, y))
+    if check is None:
+        check = s._backdoor_checks[(x, y)] = _BackdoorCheck(s, x, y)
+    return check
+
+
 def backdoor_admissible(
     s: CausalStructure,
     adjustment: Iterable[str],
@@ -452,10 +464,8 @@ def backdoor_admissible(
     s.ensure_nodes(adj | {x, y})
     if adj & {x, y}:
         raise OverlappingSets("adjustment set must not contain x or y")
-    check = s._backdoor_checks.get((x, y))
-    if check is None:
-        check = s._backdoor_checks[(x, y)] = _BackdoorCheck(s, x, y)
-    return check.admits(adj)
+    check = _backdoor_check(s, x, y)
+    return check.admits_mask(*check.masks(adj))
 
 
 def open_backdoor_path(
@@ -507,17 +517,22 @@ def enumerate_adjustment_sets(
 ) -> list[frozenset[str]]:
     """Enumerate back-door admissible sets of non-latent nodes.
 
-    Subsets of the candidate pool are scanned in (size ascending, then
-    lexicographic by sorted member names) order and emitted when admissible,
-    stopping after ``max_count``. The parent set of ``x`` is guaranteed to be
+    Subsets of the candidate pool are listed in (size ascending, then
+    lexicographic by sorted member names) order when admissible, stopping
+    after ``max_count``. The parent set of ``x`` is guaranteed to be
     included whenever ``x`` carries no confounding arc and no parent is latent
-    or ``y``: if the scan fills all ``max_count`` slots without it, it replaces
-    the final slot, and otherwise it is appended.
+    or ``y``: if the listing fills all ``max_count`` slots without it, it
+    replaces the final slot, and otherwise it is appended.
 
     ``candidates`` optionally restricts the search pool (default: every
-    non-latent node that is not ``x``, ``y`` or a descendant of ``x``); on
-    large structures an unrestricted exhaustive scan is intractable, so
-    callers scope the pool to the measurable variables of interest.
+    non-latent node that is not ``x``, ``y`` or a descendant of ``x``).
+
+    For each size the pool is walked depth-first as bitmasks, prefixes in
+    the order of :func:`itertools.combinations`. A prefix I, with R' the
+    pool members after its last one, is entered only when some admissible
+    set Z has I <= Z <= I | R'. One check decides that: such a Z exists
+    exactly when An({x, y} | I) & (I | R') is admissible (van der Zander,
+    Liskiewicz & Textor 2019, on the graph with x's out-edges cut).
     """
     s.ensure_nodes({x, y})
     if x == y:
@@ -535,11 +550,45 @@ def enumerate_adjustment_sets(
         s.ensure_nodes(cand)
         pool = sorted(n for n in set(cand) if n not in banned)
 
-    subsets = itertools.chain.from_iterable(
-        itertools.combinations(pool, size) for size in range(len(pool) + 1)
-    )
-    admissible = (frozenset(c) for c in subsets if backdoor_admissible(s, c, x, y))
-    results = list(itertools.islice(admissible, max_count))
+    check = _backdoor_check(s, x, y)
+    admits, area = check.admits_mask, check._area
+    bits = [1 << check._index[n] for n in pool]
+    ancestors_of = [check._ancestors[check._index[n]] for n in pool]
+    # tail[i]: the pool members from position i on.
+    tail = [0] * (len(pool) + 1)
+    for i in range(len(pool) - 1, -1, -1):
+        tail[i] = tail[i + 1] | bits[i]
+    results: list[frozenset[str]] = []
+    chosen: list[str] = []
+
+    def walk(start: int, z: int, z_area: int, need: int) -> bool:
+        """Extend the prefix ``z`` by ``need`` members from ``pool[start:]``;
+        True once ``max_count`` sets are found."""
+        for i in range(start, len(pool) - need + 1):
+            zi, ai = z | bits[i], z_area | ancestors_of[i]
+            if need == 1:
+                if admits(zi, ai):
+                    results.append(frozenset((*chosen, pool[i])))
+                    if len(results) == max_count:
+                        return True
+            # Z* = An({x, y} | I) & (I | R'). Its ancestors lie in
+            # An({x, y} | I) and include An(I), so An(I) gives the same moral
+            # graph as Z*'s own ancestor mask.
+            elif admits((area | ai) & (zi | tail[i + 1]), ai):
+                chosen.append(pool[i])
+                done = walk(i + 1, zi, ai, need - 1)
+                chosen.pop()
+                if done:
+                    return True
+        return False
+
+    # The empty prefix: Z0 = An({x, y}) & pool is admissible or nothing is.
+    if admits(area & tail[0], 0):
+        if admits(0, 0):
+            results.append(frozenset())
+        for size in range(1, len(pool) + 1):
+            if len(results) == max_count or walk(0, 0, 0, size):
+                break
     # Needs no check: with no confounding arc at x, every back-door path
     # leaves x through a parent, a non-collider on it, so pa(x) blocks it
     # (Pearl 2009, Thm 3.2.2).

@@ -9,6 +9,7 @@ pin them by checksum.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring as _encode_string
 import math
 import os
 import stat
@@ -56,20 +57,61 @@ def _round12(value: float) -> float:
     return float(f"{value:.12g}")
 
 
-def _canonical(obj):
-    if isinstance(obj, float):
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _write_canonical(obj, indent: str, out: list[str]) -> None:
+    """Append ``obj`` to ``out`` as ``json.dumps(..., sort_keys=True,
+    indent=2, ensure_ascii=False)`` would write it, floats at 12 significant
+    digits and integral ones below 1e15 as integers."""
+    if isinstance(obj, str):
+        out.append(_encode_string(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append(_JSON_CONSTANTS[obj])
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
         rounded = _round12(obj)
-        return int(rounded) if rounded.is_integer() and abs(rounded) < 1e15 else rounded
-    if isinstance(obj, dict):
-        return {k: _canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    return obj
+        if rounded.is_integer() and abs(rounded) < 1e15:
+            out.append(int.__repr__(int(rounded)))
+        else:
+            out.append(float.__repr__(rounded) if math.isfinite(rounded) else json.dumps(rounded))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+                key = json.dumps(key)
+            out.append(sep + _encode_string(key) + ": ")
+            _write_canonical(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for value in obj:
+            out.append(sep)
+            _write_canonical(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def canonical_json(payload) -> str:
     """Deterministic JSON rendering used for files and machine output."""
-    return json.dumps(_canonical(payload), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    out: list[str] = []
+    _write_canonical(payload, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _object(required: dict, **optional: dict) -> dict:

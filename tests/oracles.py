@@ -12,6 +12,8 @@ import heapq
 import itertools
 import math
 
+from causalcrit.graph import backdoor_admissible
+
 
 def row_index(m, cpd, assignment) -> int:
     idx = 0
@@ -226,6 +228,27 @@ def brute_backdoor_admissible(structure, adjustment, x, y) -> bool:
         if not path_blocked(structure, path, s):
             return False
     return True
+
+
+def plain_adjustment_scan(structure, x, y, max_count, candidates=None):
+    """``enumerate_adjustment_sets`` as a plain scan: every subset of the
+    pool in (size, names) order, each put to ``backdoor_admissible``, cut at
+    ``max_count``, then the same pa(x) rule. Admissibility is the library's
+    check, itself tested against :func:`brute_backdoor_admissible`."""
+    banned = brute_reachable(structure.directed, x) | {x, y} | set(structure.latent)
+    pool = sorted(set(structure.nodes if candidates is None else candidates) - banned)
+    subsets = (c for size in range(len(pool) + 1) for c in itertools.combinations(pool, size))
+    results = []
+    for adj in subsets:
+        if len(results) == max_count:
+            break
+        if backdoor_admissible(structure, adj, x, y):
+            results.append(frozenset(adj))
+    parents = frozenset(a for a, b in structure.directed if b == x)
+    confounded = any(x in pair for pair in structure.bidirected)
+    if not (parents & (set(structure.latent) | {y}) or confounded or parents in results):
+        results[max_count - 1 :] = [parents]
+    return results
 
 
 def brute_open_paths(structure, x, y, z, backdoor=False) -> set:

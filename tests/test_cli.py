@@ -132,6 +132,74 @@ class TestAdjust:
         assert out == ""
         assert f"--max must be > 0, got {count}" in err
 
+    @pytest.mark.parametrize("pool", [",", ""])
+    def test_empty_candidates_is_usage_error(self, capsys, pool):
+        code, out, err = run(
+            capsys, "adjust", "heavy-rain-model", "-x", "X", "-y", "phi", "--candidates", pool
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --candidates needs at least one node name, got {pool!r}\n"
+
+    def test_max_past_sys_maxsize_lists_every_set(self, capsys):
+        huge = "99999999999999999999999"
+        code, out, _ = run(capsys, "adjust", "heavy-rain-model", "-x", "X", "-y", "phi", "--max", huge)
+        every = run(capsys, "adjust", "heavy-rain-model", "-x", "X", "-y", "phi", "--max", "64")
+        assert (code, out) == every[:2]
+        assert code == 0 and len(out.splitlines()) > 1
+
+    def test_default_friction_query(self, capsys):
+        # The fixture's headline query with the whole 33-node pool and the
+        # default --max 16: no set of fewer than 5 members is admissible, and
+        # pa(x) takes the last slot. Captured from the plain subset scan.
+        code, out, _ = run(
+            capsys,
+            "adjust",
+            "friction-relation",
+            "-x",
+            "Coefficient of friction",
+            "-y",
+            "Aggregate of BTN_DT and STN_DT",
+            "--format",
+            "json",
+        )
+        assert code == 0
+        common = ["Forward velocity of ego", "Tire type", "Wet grip"]
+        planned = ["Planned acceleration", "Planned steering"]
+        slip, angle = "Ego vehicle longitudinal wheel slip", "Ego vehicle slip angle"
+        sixth_member = [
+            "Air temperature",
+            "Date and time of day",
+            "Degree of Wetness",
+            "Dew point",
+            "Ego distance to next ISRL",
+            "Ego road curvature",
+            "Ego tire flash temp.",
+            "Ego tire temperature",
+        ]
+        expected = [
+            common + planned,
+            *(common + planned + [extra] for extra in sixth_member),
+            common + [slip, angle, "Road list"],
+            common + planned + [slip],
+            common + [slip, "Planned steering", "Road list"],
+            common + planned + ["Ego vehicle mass"],
+            common + planned + [angle],
+            common + [angle, "Planned acceleration", "Road list"],
+            common + [
+                "Degree of Wetness",
+                "Ego tire flash temp.",
+                slip,
+                angle,
+                "Road surface contamination",
+                "Road surface degradation",
+                "Road surface material",
+                "Road surface roughness",
+                "Tire pressure",
+                "Winter slipperiness",
+            ],
+        ]
+        assert json.loads(out)["adjustment_sets"] == [sorted(s) for s in expected]
+
     def test_friction_scoped_candidates(self, capsys, friction_scan):
         from causalcrit.fixtures import FRICTION_MEASURABLE_POOL
 

@@ -30,6 +30,7 @@ from oracles import (
     brute_open_paths,
     brute_reachable,
     kahn_order,
+    plain_adjustment_scan,
 )
 
 
@@ -422,6 +423,30 @@ def test_enumeration_contains_parent_set(graph, data):
                 else:
                     expected.append(parents)
             assert enumerate_adjustment_sets(s, x, y, max_count, candidates) == expected
+
+
+@given(shuffled_graphs(max_nodes=9), st.data())
+@settings(max_examples=120, deadline=None)
+def test_pruned_walk_matches_plain_scan(graph, data):
+    # The walk skips prefixes that no admissible superset can complete; the
+    # plain scan puts every subset to the back-door check. The lists must
+    # agree at every cut, so the prune may drop no set and reorder none.
+    nodes, edges = graph
+    pairs = list(itertools.combinations(sorted(nodes), 2))
+    arcs = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3)) if pairs else []
+    free = [n for n in nodes if not any(n in arc for arc in arcs)]
+    latent = data.draw(st.sets(st.sampled_from(free), max_size=2)) if free else set()
+    observed = sorted(set(nodes) - latent)
+    if len(observed) < 2:
+        return
+    x, y = data.draw(st.permutations(observed))[:2]
+    candidates = data.draw(st.none() | st.sets(st.sampled_from(nodes)))
+    s = build_structure(nodes, edges, arcs, latent)
+    every = plain_adjustment_scan(s, x, y, 1 << len(nodes), candidates)
+    for max_count in range(1, len(every) + 3):
+        assert enumerate_adjustment_sets(s, x, y, max_count, candidates) == (
+            plain_adjustment_scan(s, x, y, max_count, candidates)
+        )
 
 
 @given(shuffled_graphs())
