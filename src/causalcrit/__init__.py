@@ -25,7 +25,6 @@ from .graph import (
     build_structure,
     d_separated,
     descendants,
-    do_surgery,
     enumerate_adjustment_sets,
 )
 from .indicators import (
@@ -62,8 +61,6 @@ from .model import (
     build_model,
     estimate_cpds,
     make_cpd,
-    marginal,
-    marginal1,
     sample,
 )
 

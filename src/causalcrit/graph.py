@@ -34,7 +34,6 @@ __all__ = [
     "backdoor_admissible",
     "open_backdoor_path",
     "enumerate_adjustment_sets",
-    "do_surgery",
     "descendants",
     "ancestors",
 ]
@@ -491,21 +490,6 @@ def open_backdoor_path(
     )
     witness = d_separated(cut, {x}, {y}, adjustment).witness_path
     return None if witness is None else " ".join(witness)
-
-
-def do_surgery(s: CausalStructure, targets: Iterable[str]) -> CausalStructure:
-    """Return a copy with every edge into each target removed.
-
-    Both directed in-edges and bidirected arcs at a target are cut; the
-    operation is idempotent.
-    """
-    target_set = set(targets)
-    s.ensure_nodes(target_set)
-    directed = frozenset(e for e in s.directed if e[1] not in target_set)
-    bidirected = frozenset(p for p in s.bidirected if not (p & target_set))
-    return CausalStructure(
-        nodes=s.nodes, latent=s.latent, directed=directed, bidirected=bidirected
-    )
 
 
 def enumerate_adjustment_sets(

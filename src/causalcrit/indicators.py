@@ -10,10 +10,13 @@ Every report embeds the conventions it was computed under: log base, KL
 argument order, and the numeric codes of the metric categories. The same
 inputs therefore reproduce the same value from the report alone.
 
-:func:`indicator_reports`, the table ``cli indicators`` prints, makes one
-calibrated elimination per model plus the two effect-row calls, one
-:func:`plan_effect` per model. The single-indicator functions share its
-array-level helpers and make their inference calls of their own.
+Each indicator that reads a joint is written once, as a step: a generator
+that runs its own spec and cut checks, yields the ``(model, scopes)`` joints
+it needs, is sent them and returns its reports. :func:`_run` drives steps in
+lockstep and answers each round with one calibrated elimination per model.
+:func:`sigma`, :func:`rho1`, :func:`rho2` and :func:`rho3` run their one
+step; :func:`indicator_reports`, the table ``cli indicators`` prints, runs
+them all, plus the two effect-row calls, one :func:`plan_effect` per model.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Generator, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -48,7 +51,6 @@ __all__ = [
     "ace",
     "rce",
     "sigma",
-    "effect_indicators",
     "rho1",
     "rho2",
     "rho3",
@@ -128,14 +130,19 @@ def kl_divergence(
     ``p`` and ``q`` are mappings over the same keys or arrays of the same
     shape, compared cell by cell. Terms with p = 0 contribute nothing; p > 0
     against q = 0 raises :class:`InfiniteDivergence` instead of silently
-    returning infinity.
+    returning infinity. A negative or non-finite entry in either argument
+    raises :class:`ValidationError`.
     """
     pa, qa = _align(p, q)
+    for a in (pa, qa):
+        # A NaN fails both comparisons.
+        if not (a.min(initial=0.0) >= 0.0 and a.max(initial=0.0) < np.inf):
+            raise ValidationError("distributions need finite, non-negative entries")
     mask = pa > 0.0
-    if np.any(qa[mask] == 0.0):
+    p_in, q_in = pa[mask], qa[mask]
+    if not q_in.all():
         raise InfiniteDivergence("support of p is not contained in support of q")
-    value = float(np.sum(pa[mask] * np.log(pa[mask] / qa[mask])))
-    value = max(value, 0.0)
+    value = max(float((p_in * np.log(p_in / q_in)).sum()), 0.0)
     return value / LN2 if bits else value
 
 
@@ -144,6 +151,41 @@ def _joints(m: DiscreteModel, scopes: Iterable[Sequence[str]]) -> dict[tuple[str
     :func:`~causalcrit.model.joint_tables` call."""
     keys = list(dict.fromkeys(tuple(sorted(set(s))) for s in scopes))
     return dict(zip(keys, joint_tables(m, keys)))
+
+
+# A step yields a list of asks, each a model and the sorted node tuples whose
+# joints it needs; it is sent the {scope: joint} dict of each ask's model and
+# returns its reports.
+_Step = Generator[list, list, list]
+
+
+def _run(steps: Sequence[_Step]) -> list[IndicatorReport]:
+    """Drive ``steps`` in lockstep; their reports, in step order.
+
+    In each round every live step is advanced, in order, to its next ask,
+    and the closure check that :func:`~causalcrit.model.joint_tables` would
+    make of each ask alone runs as it is made. The round is then answered
+    with one call per model, keyed by identity, its scopes in ask order.
+    """
+    reports: list[list[IndicatorReport]] = [[] for _ in steps]
+    sent: dict[int, Optional[list]] = dict.fromkeys(range(len(steps)))
+    while sent:
+        asked = {}
+        for i, answer in sent.items():
+            try:
+                asked[i] = steps[i].send(answer)
+            except StopIteration as done:
+                reports[i] = done.value
+                continue
+            for m, scopes in asked[i]:
+                _closure_within(m, {n for s in scopes for n in s})
+        by_model: dict[int, tuple[DiscreteModel, list]] = {}
+        for asks in asked.values():
+            for m, scopes in asks:
+                by_model.setdefault(id(m), (m, []))[1].extend(scopes)
+        tables = {key: _joints(m, scopes) for key, (m, scopes) in by_model.items()}
+        sent = {i: [tables[id(m)] for m, _ in asks] for i, asks in asked.items()}
+    return [r for rs in reports for r in rs]
 
 
 def _effects(
@@ -181,29 +223,37 @@ def _rce(
     return IndicatorReport("RCE", e_cp / e_not, (cp.variable, metric), meta)
 
 
-def _sigma(
+def _effect_step(
     m: DiscreteModel,
     cp: PhenomenonBinding,
     metric: str,
-    p_metric: np.ndarray,
-    e_cp: float,
-    e_not: float,
-    meta: dict,
-) -> IndicatorReport:
+    role: Optional[str] = None,
+    sigma_only: bool = False,
+) -> _Step:
+    """ACE and RCE of one model, unless ``sigma_only``, then sigma from its
+    P(metric) ask; RCE's zero denominator is raised before the ask."""
+    e_cp, e_not, meta = _effects(m, cp, metric)
+    if role is not None:
+        meta["role"] = role
+    reports = [] if sigma_only else [
+        _ace(cp, metric, e_cp, e_not, dict(meta)),
+        _rce(cp, metric, e_cp, e_not, dict(meta)),
+    ]
+    (tables,) = yield [(m, [(metric,)])]
+    p_metric = tables[(metric,)]
     e_obs = expectation(dict(zip(m.specs[metric].domain, p_metric.tolist())), m, metric)
     if e_obs == 0.0:
         raise ZeroMeanCriticality("observational E(metric) is zero")
-    meta["e_observational"] = e_obs
-    meta["precondition_holds"] = e_not <= e_cp
+    meta = {**meta, "e_observational": e_obs, "precondition_holds": e_not <= e_cp}
     if e_not > e_cp:
-        # Attributed to the caller of the public function.
+        # Attributed to the caller of the public function, which calls _run.
         warnings.warn(
             f"sigma precondition violated: E(do notCP)={e_not} exceeds "
             f"E(do CP)={e_cp}; value reported anyway",
             PreconditionWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
-    return IndicatorReport("sigma", 1.0 - e_not / e_obs, (cp.variable, metric), meta)
+    return [*reports, IndicatorReport("sigma", 1.0 - e_not / e_obs, (cp.variable, metric), meta)]
 
 
 def ace(m: DiscreteModel, cp: PhenomenonBinding, metric: str) -> IndicatorReport:
@@ -222,32 +272,16 @@ def sigma(m: DiscreteModel, cp: PhenomenonBinding, metric: str) -> IndicatorRepo
     The definition presumes E(do notCP) <= E(do CP); a violation downgrades
     to a warning and the value is still reported.
     """
-    e_cp, e_not, meta = _effects(m, cp, metric)
-    (p_metric,) = joint_tables(m, [[metric]])
-    return _sigma(m, cp, metric, p_metric, e_cp, e_not, meta)
+    (report,) = _run([_effect_step(m, cp, metric, sigma_only=True)])
+    return report
 
 
-def effect_indicators(
-    m: DiscreteModel, cp: PhenomenonBinding, metric: str
-) -> tuple[IndicatorReport, IndicatorReport, IndicatorReport]:
-    """``(ace, rce, sigma)`` of one model from one pair of interventional
-    distributions, plus sigma's observational mean.
-
-    Values, metadata, warnings and the first error raised are those of the
-    three calls in that order.
-    """
-    e_cp, e_not, meta = _effects(m, cp, metric)
-    ace_report = _ace(cp, metric, e_cp, e_not, dict(meta))
-    rce_report = _rce(cp, metric, e_cp, e_not, dict(meta))
-    (p_metric,) = joint_tables(m, [[metric]])
-    return ace_report, rce_report, _sigma(m, cp, metric, p_metric, e_cp, e_not, dict(meta))
-
-
-def _rho1(
-    pair: ModelPair, cp: PhenomenonBinding, p_cand: np.ndarray, p_ref: np.ndarray, bits: bool
-) -> IndicatorReport:
+def _rho1_step(pair: ModelPair, cp: PhenomenonBinding, bits: bool) -> _Step:
+    x = (cp.variable,)
+    pair.check_shared_specs(x)
+    cand, ref = yield [(pair.candidate, [x]), (pair.reference, [x])]
     domain = pair.reference.specs[cp.variable].domain
-    p_cand, p_ref = dict(zip(domain, p_cand.tolist())), dict(zip(domain, p_ref.tolist()))
+    p_cand, p_ref = dict(zip(domain, cand[x].tolist())), dict(zip(domain, ref[x].tolist()))
     value = kl_divergence(p_cand, p_ref, bits=bits)
     meta = {
         "log_base": "bits" if bits else "nats",
@@ -256,32 +290,35 @@ def _rho1(
         "reference_marginal": p_ref,
         "reverse_value": kl_divergence(p_ref, p_cand, bits=bits),
     }
-    return IndicatorReport("rho1", value, (cp.variable,), meta)
+    return [IndicatorReport("rho1", value, x, meta)]
 
 
 def rho1(pair: ModelPair, cp: PhenomenonBinding, bits: bool = False) -> IndicatorReport:
     """KL of the phenomenon marginal, candidate (model) against reference."""
-    pair.check_shared_specs([cp.variable])
-    (p_cand,) = joint_tables(pair.candidate, [[cp.variable]])
-    (p_ref,) = joint_tables(pair.reference, [[cp.variable]])
-    return _rho1(pair, cp, p_cand, p_ref, bits)
+    (report,) = _run([_rho1_step(pair, cp, bits)])
+    return report
 
 
-def _rho2_set(nodes: Iterable[str]) -> tuple[str, ...]:
+def _node_set(pair: ModelPair, name: str, nodes: Iterable[str]) -> tuple[str, ...]:
+    """The sorted, non-empty node set of ``name``, its specs shared by the pair."""
     node_list = tuple(sorted(set(nodes)))
     if not node_list:
-        raise InvalidQuery("rho2 needs a non-empty node set")
+        raise InvalidQuery(f"{name} needs a non-empty node set")
+    pair.check_shared_specs(node_list)
     return node_list
 
 
-def _rho2(node_list: tuple[str, ...], q: np.ndarray, p: np.ndarray, bits: bool) -> IndicatorReport:
+def _rho2_step(pair: ModelPair, nodes: Iterable[str], bits: bool) -> _Step:
+    node_list = _node_set(pair, "rho2", nodes)
+    cand, ref = yield [(pair.candidate, [node_list]), (pair.reference, [node_list])]
+    q, p = cand[node_list], ref[node_list]
     value = kl_divergence(q, p, bits=bits)
     meta = {
         "log_base": "bits" if bits else "nats",
         "kl_order": "candidate||reference",
         "reverse_value": kl_divergence(p, q, bits=bits),
     }
-    return IndicatorReport("rho2", value, node_list, meta)
+    return [IndicatorReport("rho2", value, node_list, meta)]
 
 
 def rho2(pair: ModelPair, nodes: Iterable[str], bits: bool = False) -> IndicatorReport:
@@ -290,11 +327,8 @@ def rho2(pair: ModelPair, nodes: Iterable[str], bits: bool = False) -> Indicator
     Both directions are informative; the default takes the candidate first
     and the reverse direction always rides along in the metadata.
     """
-    node_list = _rho2_set(nodes)
-    pair.check_shared_specs(node_list)
-    (q,) = joint_tables(pair.candidate, [node_list])
-    (p,) = joint_tables(pair.reference, [node_list])
-    return _rho2(node_list, q, p, bits)
+    (report,) = _run([_rho2_step(pair, nodes, bits)])
+    return report
 
 
 def _cut_parents(m: DiscreteModel, edges: Iterable[tuple[str, str]]) -> dict[str, list[str]]:
@@ -410,33 +444,31 @@ def _induced_submodel(
     return build_model(sub_structure, sub_specs, cpds)
 
 
-def _rho3_cuts(
-    models: Mapping[str, DiscreteModel], node_list: Sequence[str], cp: PhenomenonBinding
-) -> dict[str, list[dict[str, list[str]]]]:
-    """Each model's cut of every component node's outgoing edges.
-
-    Every cut is checked, in node order and reference first, before any of
-    them is answered.
-    """
-    cuts: dict[str, list] = {role: [] for role in models}
-    for n in node_list:
-        if n == cp.variable:
-            continue
-        for role, model in models.items():
-            out = [e for e in model.structure.directed if e[0] == n]
-            cuts[role].append(_cut_parents(model, out))
-    return cuts
-
-
-def _rho3(
-    node_list: tuple[str, ...],
+def _rho3_step(
+    pair: ModelPair,
+    nodes: Iterable[str],
     cp: PhenomenonBinding,
     restrict_to_set: bool,
-    influences: Mapping[str, Sequence[float]],
     bits: bool,
-) -> IndicatorReport:
+) -> _Step:
+    node_list = _node_set(pair, "rho3", nodes)
+    models = _by_role(pair)
+    if restrict_to_set:
+        kept = yield [(m, _kept_families(m, node_list)) for m in models.values()]
+        models = {
+            role: _induced_submodel(m, node_list, joints)
+            for (role, m), joints in zip(models.items(), kept)
+        }
     component_nodes = [n for n in node_list if n != cp.variable]
-    influences = {role: dict(zip(component_nodes, v)) for role, v in influences.items()}
+    cuts: dict[str, list] = {role: [] for role in models}
+    for n in component_nodes:  # every cut is checked, reference first, before any is answered
+        for role, m in models.items():
+            cuts[role].append(_cut_parents(m, [e for e in m.structure.directed if e[0] == n]))
+    families = yield [(m, _families(m, cuts[role])) for role, m in models.items()]
+    influences = {
+        role: dict(zip(component_nodes, _influences(m, cuts[role], joints, bits)))
+        for (role, m), joints in zip(models.items(), families)
+    }
     components = {
         n: influences["reference"][n] - influences["candidate"][n] for n in component_nodes
     }
@@ -448,7 +480,7 @@ def _rho3(
         "influences": influences,
         "phenomenon": cp.variable,
     }
-    return IndicatorReport("rho3", value, node_list, meta)
+    return [IndicatorReport("rho3", value, node_list, meta)]
 
 
 def rho3(
@@ -468,20 +500,8 @@ def rho3(
     Each model answers all of its cuts from one calibration, and each
     induced sub-model is built from one more.
     """
-    node_list = tuple(sorted(set(nodes)))
-    pair.check_shared_specs(node_list)
-    models = _by_role(pair)
-    if restrict_to_set:
-        models = {
-            role: _induced_submodel(m, node_list, _joints(m, _kept_families(m, node_list)))
-            for role, m in models.items()
-        }
-    cuts = _rho3_cuts(models, node_list, cp)
-    influences = {
-        role: _influences(m, cuts[role], _joints(m, _families(m, cuts[role])), bits)
-        for role, m in models.items()
-    }
-    return _rho3(node_list, cp, restrict_to_set, influences, bits)
+    (report,) = _run([_rho3_step(pair, nodes, cp, restrict_to_set, bits)])
+    return report
 
 
 def indicator_reports(
@@ -494,68 +514,23 @@ def indicator_reports(
 ) -> list[IndicatorReport]:
     """Every indicator of a pair, with one calibrated elimination per model.
 
-    The reports, with their values, are :func:`effect_indicators` of the
-    reference and then of the candidate, each report's metadata naming its
-    ``role``, then :func:`rho1` and, when ``nodes`` is given, :func:`rho2`
-    and :func:`rho3`. Each model's two effect rows come from
-    :func:`plan_effect`, and every other joint it is asked for from one
-    :func:`~causalcrit.model.joint_tables` call (Shenoy & Shafer 1990):
-    sigma's P(metric), rho1's P(X), rho2's joint over the set and rho3's
-    P(pa_c) families, or with ``restrict_to_set`` the kept families that
-    its induced sub-model is built from; the sub-model's families are one
-    more call. Every closure and spec check runs first, in report order, so
-    a request fails where the separate calls would. The errors that need
-    values (zero mean, infinite divergence, a zero-probability parent
-    configuration) follow in report order.
+    The reports are ACE, RCE and sigma of the reference and then of the
+    candidate, each report's metadata naming its ``role``, then
+    :func:`rho1` and, when ``nodes`` is given, :func:`rho2` and
+    :func:`rho3`, from the steps those functions run. Each model's two
+    effect rows come from :func:`plan_effect`, and every other joint it is
+    asked for from one :func:`~causalcrit.model.joint_tables` call (Shenoy
+    & Shafer 1990): sigma's P(metric), rho1's P(X), rho2's joint over the
+    set and rho3's P(pa_c) families, or with ``restrict_to_set`` the kept
+    families that its induced sub-model is built from; the sub-model's
+    families are one more call. Every closure and spec check runs first,
+    in report order, so a request fails where the separate calls would. The
+    errors that need values (zero mean, infinite divergence, a
+    zero-probability parent configuration) follow in report order.
     """
-    models = _by_role(pair)
-    asked: dict[str, list] = {role: [] for role in models}
-
-    def ask(role: str, scopes: list) -> None:
-        # The closure check that joint_tables would make of these scopes alone.
-        _closure_within(models[role], {n for s in scopes for n in s})
-        asked[role] += scopes
-
-    effects = {}
-    for role, m in models.items():
-        e_cp, e_not, meta = _effects(m, cp, metric)
-        meta["role"] = role
-        ace_report = _ace(cp, metric, e_cp, e_not, dict(meta))
-        rce_report = _rce(cp, metric, e_cp, e_not, dict(meta))
-        effects[role] = (ace_report, rce_report, e_cp, e_not, meta)
-        ask(role, [(metric,)])
-    x = (cp.variable,)
-    pair.check_shared_specs(x)
-    ask("candidate", [x])
-    ask("reference", [x])
+    steps = [_effect_step(m, cp, metric, role) for role, m in _by_role(pair).items()]
+    steps.append(_rho1_step(pair, cp, bits))
     if nodes is not None:
-        node_list = _rho2_set(nodes)
-        pair.check_shared_specs(node_list)
-        ask("candidate", [node_list])
-        ask("reference", [node_list])
-        if restrict_to_set:
-            for role, m in models.items():
-                ask(role, _kept_families(m, node_list))
-        else:
-            cuts = _rho3_cuts(models, node_list, cp)
-            for role, m in models.items():
-                ask(role, _families(m, cuts[role]))
-    tables = {role: _joints(m, asked[role]) for role, m in models.items()}
-
-    reports = []
-    for role, m in models.items():
-        ace_report, rce_report, e_cp, e_not, meta = effects[role]
-        sigma_report = _sigma(m, cp, metric, tables[role][(metric,)], e_cp, e_not, dict(meta))
-        reports += [ace_report, rce_report, sigma_report]
-    ref, cand = tables["reference"], tables["candidate"]
-    reports.append(_rho1(pair, cp, cand[x], ref[x], bits))
-    if nodes is None:
-        return reports
-    reports.append(_rho2(node_list, cand[node_list], ref[node_list], bits))
-    if restrict_to_set:
-        models = {role: _induced_submodel(m, node_list, tables[role]) for role, m in models.items()}
-        cuts = _rho3_cuts(models, node_list, cp)
-        tables = {role: _joints(m, _families(m, cuts[role])) for role, m in models.items()}
-    influences = {role: _influences(m, cuts[role], tables[role], bits) for role, m in models.items()}
-    reports.append(_rho3(node_list, cp, restrict_to_set, influences, bits))
-    return reports
+        nodes = tuple(nodes)
+        steps += [_rho2_step(pair, nodes, bits), _rho3_step(pair, nodes, cp, restrict_to_set, bits)]
+    return _run(steps)

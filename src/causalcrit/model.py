@@ -25,7 +25,6 @@ from .errors import (
     UnknownNode,
     UnseenParentConfigurationWarning,
     ValidationError,
-    ZeroProbabilityCondition,
 )
 from .graph import CausalStructure
 
@@ -36,8 +35,6 @@ __all__ = [
     "Dataset",
     "build_model",
     "make_cpd",
-    "marginal",
-    "marginal1",
     "sample",
     "estimate_cpds",
     "DEFAULT_STATE_SPACE_LIMIT",
@@ -463,54 +460,6 @@ def _check_states(size: int, nodes: Sequence[str], limit: int) -> None:
         raise StateSpaceExceeded(
             f"a factor over {len(nodes)} nodes spans {size} states, above the limit of {limit}"
         )
-
-
-def marginal(
-    m: DiscreteModel,
-    targets: Sequence[str],
-    given: Optional[Mapping[str, str]] = None,
-) -> dict[tuple[str, ...], float]:
-    """Exact (conditional) marginal over ``targets``.
-
-    Computed from the joint over the targets and the conditioning nodes, so
-    only the CPDs of their ancestral closure are needed. Keys are label tuples
-    following sorted target order.
-    """
-    given = dict(given or {})
-    target_list = sorted(set(targets))
-    if not target_list:
-        raise InvalidQuery("marginal requires at least one target node")
-    for n in list(given) + target_list:
-        m.spec_of(n)
-    overlap = set(target_list) & set(given)
-    if overlap:
-        raise InvalidQuery(
-            f"targets {sorted(overlap)} also appear in the conditioning event"
-        )
-    for n, label in given.items():
-        m.spec_of(n).index_of(label)
-    # The joint's axes are exactly the targets and the conditioning nodes.
-    names, arr = joint_table(m, over=set(target_list) | set(given))
-    arr = arr[tuple(m.specs[n].index_of(given[n]) if n in given else slice(None) for n in names)]
-    if given:
-        total = float(arr.sum())
-        if total <= 0.0:
-            raise ZeroProbabilityCondition(f"conditioning event {given} has probability 0")
-        arr = arr / total
-    return {
-        tuple(m.specs[n].domain[i] for n, i in zip(target_list, combo)): float(arr[combo])
-        for combo in np.ndindex(*arr.shape)
-    }
-
-
-def marginal1(
-    m: DiscreteModel,
-    target: str,
-    given: Optional[Mapping[str, str]] = None,
-) -> dict[str, float]:
-    """Single-variable convenience wrapper around :func:`marginal`."""
-    dist = marginal(m, [target], given)
-    return {labels[0]: p for labels, p in dist.items()}
 
 
 def sample(m: DiscreteModel, n: int, seed: int) -> Dataset:

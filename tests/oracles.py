@@ -58,6 +58,24 @@ def brute_marginal(names, joint, targets):
     return out
 
 
+def brute_conditional(m, target, given=None):
+    """P(target | given) as {label: probability}: a slice of the brute-force
+    marginal over the target and the given nodes, divided by its total."""
+    given = given or {}
+    names, joint = brute_joint(m)
+    scope = sorted({target, *given})
+    sub = {
+        labels: p
+        for labels, p in brute_marginal(names, joint, scope).items()
+        if all(labels[scope.index(n)] == v for n, v in given.items())
+    }
+    total = sum(sub.values())
+    out = dict.fromkeys(m.specs[target].domain, 0.0)
+    for labels, p in sub.items():
+        out[labels[scope.index(target)]] += p / total
+    return out
+
+
 def brute_expectation(m, names, joint, node) -> float:
     spec = m.specs[node]
     pos = names.index(node)

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from causalcrit import engine, indicators, model
 from causalcrit.cli import main
-from causalcrit.context import PhenomenonBinding
 from causalcrit.engine import plan_effect
 from causalcrit.errors import (
     CausalCritError,
@@ -30,7 +29,6 @@ from causalcrit.errors import (
     ParentsNotInstantiated,
 )
 from causalcrit.graph import build_structure, descendants
-from causalcrit.indicators import ace, effect_indicators, rce, sigma
 from causalcrit.model import build_model
 
 from oracles import brute_backdoor_admissible, brute_missing_cpds, brute_truncated
@@ -201,11 +199,3 @@ def test_indicators_build_one_effect_table_per_model(monkeypatch):
     argv = ["indicators", "heavy-rain-reality", "heavy-rain-model", "--set", "V1,V2,X"]
     assert main([*argv, "--format", "json"]) == 0
     assert calls == {"do rows": 2, "plan_effect": 2}
-
-
-@pytest.mark.parametrize("fixture_model", ["reality_model", "candidate_model"])
-def test_effect_indicators_equal_the_three_wrappers(fixture_model, request):
-    m = request.getfixturevalue(fixture_model)
-    cp = PhenomenonBinding(variable="X", cp_label="CP")
-    together = [r.as_dict() for r in effect_indicators(m, cp, "phi")]
-    assert together == [fn(m, cp, "phi").as_dict() for fn in (ace, rce, sigma)]

@@ -34,11 +34,11 @@ from causalcrit.model import (
     build_model,
     estimate_cpds,
     make_cpd,
-    marginal1,
 )
 
 from oracles import (
     brute_backdoor_admissible,
+    brute_conditional,
     brute_missing_cpds,
     brute_open_paths,
     brute_truncated,
@@ -74,7 +74,7 @@ def random_binary_model(rng, max_nodes=5):
 class TestTruncated:
     def test_do_on_root_equals_conditional(self, reality_model):
         _, (dist,) = plan_effect(reality_model, {"V1": ["Summer"]}, "X", "truncated")
-        cond = marginal1(reality_model, "X", given={"V1": "Summer"})
+        cond = brute_conditional(reality_model, "X", given={"V1": "Summer"})
         assert dist == pytest.approx(cond)
 
     def test_reality_effect_on_phi(self, reality_model):
@@ -93,7 +93,7 @@ class TestTruncated:
 
     def test_empty_intervention_is_observational(self, reality_model):
         _, (dist,) = plan_effect(reality_model, {}, "phi", "truncated")
-        assert dist == pytest.approx(marginal1(reality_model, "phi"))
+        assert dist == pytest.approx(brute_conditional(reality_model, "phi"))
 
     def test_non_markovian_rejected(self):
         specs = {
@@ -116,7 +116,7 @@ class TestTruncated:
 class TestParentAdjust:
     def test_no_parents_equals_conditional(self, reality_model):
         _, (dist,) = plan_effect(reality_model, {"V2": ["Slow"]}, "phi", "parents")
-        cond = marginal1(reality_model, "phi", given={"V2": "Slow"})
+        cond = brute_conditional(reality_model, "phi", given={"V2": "Slow"})
         assert dist == pytest.approx(cond)
 
     def test_matches_truncated_on_model_fixture(self, candidate_model):
@@ -204,7 +204,7 @@ class TestBackdoor:
             ],
         )
         _, (dist,) = plan_effect(m, {"A": ["b"]}, "B", "backdoor", [])
-        cond = marginal1(m, "B", given={"A": "b"})
+        cond = brute_conditional(m, "B", given={"A": "b"})
         assert dist == pytest.approx(cond)
 
     def test_v2_matches_parent_adjustment(self, candidate_model):
@@ -408,7 +408,7 @@ class TestPlanEffect:
         m = confounded_pair_model()
         route, (dist,) = plan_effect(m, {"X": ["b"]}, "W")
         assert route == "observational"
-        assert dist == marginal1(m, "W")
+        assert dist == pytest.approx(brute_conditional(m, "W"), abs=1e-12)
 
     @pytest.mark.parametrize("target", ["X", "W"])
     def test_auto_checks_every_do_label(self, target):
@@ -679,12 +679,13 @@ class TestEmptyIntervention:
 
     def test_every_other_route_is_observational(self):
         m = confounded_pair_model()
-        marginal = marginal1(m, "phi")
-        assert plan_effect(m, {}, "phi") == ("observational", [marginal])
-        assert plan_effect(m, {}, "phi", "parents") == ("observational", [marginal])
-        # No admissibility check: there is no intervened node to adjust for.
-        observed = plan_effect(m, {}, "phi", "backdoor", [])
-        assert observed == ("observational", [marginal])
+        marginal = brute_conditional(m, "phi")
+        # backdoor makes no admissibility check: there is no intervened node
+        # to adjust for.
+        for args in ((), ("parents",), ("backdoor", [])):
+            route, (dist,) = plan_effect(m, {}, "phi", *args)
+            assert route == "observational"
+            assert dist == pytest.approx(marginal, abs=1e-12)
 
 
 class TestExpectation:

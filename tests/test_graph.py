@@ -19,7 +19,6 @@ from causalcrit.graph import (
     build_structure,
     d_separated,
     descendants,
-    do_surgery,
     enumerate_adjustment_sets,
     open_backdoor_path,
 )
@@ -250,28 +249,6 @@ class TestEnumeration:
         assert frozenset(FRICTION_ADJUSTMENT_SET) in sets
 
 
-class TestSurgery:
-    def test_single_edge_removed(self):
-        s = build_structure(["A", "B"], [("A", "B")])
-        cut = do_surgery(s, {"B"})
-        assert not cut.directed
-
-    def test_empty_surgery_is_identity(self, reality_model):
-        s = reality_model.structure
-        assert do_surgery(s, set()) == s
-
-    def test_surgery_cuts_confounding_arcs(self):
-        s = build_structure(
-            ["V1", "V2", "V3"],
-            [("V2", "V1"), ("V1", "V3")],
-            bidirected=[("V1", "V3")],
-        )
-        cut = do_surgery(s, {"V1"})
-        assert ("V2", "V1") not in cut.directed
-        assert ("V1", "V3") in cut.directed
-        assert not cut.bidirected
-
-
 # -- randomized properties ------------------------------------------------------
 
 
@@ -292,14 +269,6 @@ def random_structures(draw, max_nodes=6):
     free = [v for v in names if not any(v in arc for arc in bidirected)]
     latent = draw(st.sets(st.sampled_from(free), max_size=2)) if free else set()
     return build_structure(names, directed, bidirected, latent)
-
-
-@given(random_structures())
-@settings(max_examples=60, deadline=None)
-def test_surgery_idempotent(s):
-    targets = set(s.nodes[: len(s.nodes) // 2])
-    once = do_surgery(s, targets)
-    assert do_surgery(once, targets) == once
 
 
 @given(random_structures())

@@ -13,20 +13,23 @@ import causalcrit.indicators as indicators
 import causalcrit.model as model
 from causalcrit.cli import main
 from causalcrit.context import PhenomenonBinding
+from causalcrit.engine import SafetyPrinciple, evaluate_safety_principle
 from causalcrit.errors import (
     CausalCritError,
     DivisionByZeroEffect,
     InfiniteDivergence,
+    InvalidQuery,
     NotMarkovian,
     PreconditionWarning,
+    TargetNotAncestorWarning,
+    ValidationError,
     ZeroMeanCriticality,
 )
-from causalcrit.graph import build_structure, d_separated, do_surgery
+from causalcrit.graph import build_structure, descendants
 from causalcrit.indicators import (
     ModelPair,
     ace,
     causal_influence,
-    effect_indicators,
     indicator_reports,
     kl_divergence,
     rce,
@@ -61,6 +64,16 @@ def disconnected_phenomenon_model():
     )
 
 
+def flipped_metric_codes(m):
+    """``m`` with phi's codes swapped: Long=1 makes do(notCP) exceed do(CP)."""
+    specs = dict(m.specs)
+    specs["phi"] = VariableSpec(
+        name="phi", domain=("Short", "Long"), codes=(0.0, 1.0),
+        unit=specs["phi"].unit, value_range=specs["phi"].value_range,
+    )
+    return build_model(m.structure, specs, m.cpds.values())
+
+
 class TestKl:
     def test_identity_zero(self):
         assert kl_divergence([0.67, 0.33], [0.67, 0.33]) == 0.0
@@ -85,6 +98,21 @@ class TestKl:
     def test_infinite_divergence_raised(self):
         with pytest.raises(InfiniteDivergence):
             kl_divergence([0.5, 0.5], [1.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            ([1.0, 0.0], [-1.0, 2.0]),
+            ([-0.5, 1.5], [0.5, 0.5]),
+            ([math.nan, 1.0], [0.5, 0.5]),
+            ([0.5, 0.5], [math.nan, 1.0]),
+            ([math.inf, 0.0], [0.5, 0.5]),
+            ({"a": 0.5, "b": 0.5}, {"a": math.inf, "b": 0.5}),
+        ],
+    )
+    def test_negative_or_non_finite_entry_rejected(self, p, q):
+        with pytest.raises(ValidationError, match="finite, non-negative"):
+            kl_divergence(p, q)
 
     def test_bits_rescale(self):
         nats = kl_divergence([0.6, 0.4], [0.68, 0.32])
@@ -137,15 +165,7 @@ class TestEffectIndicators:
         assert report.metadata["precondition_holds"] is True
 
     def test_sigma_precondition_violation_warns(self, reality_model):
-        # flip the metric codes: Long=1 makes do(notCP) exceed do(CP)
-        specs = dict(reality_model.specs)
-        specs["phi"] = VariableSpec(
-            name="phi", domain=("Short", "Long"), codes=(0.0, 1.0),
-            unit=specs["phi"].unit, value_range=specs["phi"].value_range,
-        )
-        flipped = build_model(
-            reality_model.structure, specs, reality_model.cpds.values()
-        )
+        flipped = flipped_metric_codes(reality_model)
         with pytest.warns(PreconditionWarning):
             report = sigma(flipped, CP, "phi")
         assert report.value == pytest.approx(1 - 0.6 / 0.466, abs=1e-9)
@@ -260,12 +280,7 @@ class TestEffectIndicators:
             m = random_binary_model(rng, max_nodes=5)
             names = sorted(m.instantiated)
             x = rng.choice(names)
-            targets = [
-                n
-                for n in names
-                if n != x
-                and d_separated(do_surgery(m.structure, {x}), {x}, {n}).separated
-            ]
+            targets = [n for n in names if n != x and n not in descendants(m.structure, x)]
             if not targets:
                 continue
             target = targets[0]
@@ -439,6 +454,12 @@ class TestRho3:
         assert report.value == pytest.approx(0.019009, abs=5e-6)
         assert report.metadata["semantics"] == "restricted-to-set"
 
+    @pytest.mark.parametrize("restrict", [False, True])
+    def test_empty_node_set_rejected(self, reality_model, candidate_model, restrict):
+        pair = ModelPair(reference=reality_model, candidate=candidate_model)
+        with pytest.raises(InvalidQuery, match="rho3 needs a non-empty node set"):
+            rho3(pair, [], CP, restrict_to_set=restrict)
+
     @pytest.mark.parametrize("restrict, calls", [(False, 2), (True, 4)])
     def test_one_inference_call_per_model(
         self, monkeypatch, reality_model, candidate_model, restrict, calls
@@ -472,6 +493,43 @@ class TestRho3:
             ),
         )
         assert rho3(pair, ["V1", "V2", "X"], CP).value > 0.0
+
+
+def off_target_principle():
+    """Arguments of a principle that sets Z, which is no ancestor of phi."""
+    specs = {n: VariableSpec(name=n, domain=("a", "b"), codes=(0.0, 1.0)) for n in ("X", "phi", "Z")}
+    m = build_model(
+        build_structure(["X", "phi", "Z"], [("X", "phi")]),
+        specs,
+        [
+            make_cpd("X", (), [[0.3, 0.7]], specs),
+            make_cpd("phi", ("X",), [[0.9, 0.1], [0.2, 0.8]], specs),
+            make_cpd("Z", (), [[0.5, 0.5]], specs),
+        ],
+    )
+    sp = SafetyPrinciple(name="noop", assignments={"Z": "a"})
+    return m, sp, PhenomenonBinding(variable="X", cp_label="b"), "phi"
+
+
+@pytest.mark.parametrize("caller", ["sigma", "indicator_reports", "evaluate_safety_principle"])
+def test_warnings_name_the_callers_file(reality_model, candidate_model, caller):
+    # A library warning names the code that called the public function,
+    # however deep inside the library it is raised.
+    pair = ModelPair(flipped_metric_codes(reality_model), flipped_metric_codes(candidate_model))
+    calls = {
+        "sigma": (PreconditionWarning, lambda: sigma(pair.reference, CP, "phi")),
+        "indicator_reports": (PreconditionWarning, lambda: indicator_reports(pair, CP, "phi")),
+        "evaluate_safety_principle": (
+            TargetNotAncestorWarning,
+            lambda: evaluate_safety_principle(*off_target_principle()),
+        ),
+    }
+    category, call = calls[caller]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    assert caught
+    assert {(w.category, w.filename) for w in caught} == {(category, __file__)}
 
 
 def _leaves(x, path=()):
@@ -528,7 +586,7 @@ class TestIndicatorReports:
         def separate():
             reports = []
             for role, m in (("reference", ref), ("candidate", cand)):
-                for r in effect_indicators(m, cp, metric):
+                for r in (fn(m, cp, metric) for fn in (ace, rce, sigma)):
                     r.metadata["role"] = role
                     reports.append(r)
             return [

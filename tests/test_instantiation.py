@@ -29,7 +29,6 @@ from causalcrit.model import (
     build_model,
     joint_table,
     make_cpd,
-    marginal1,
     sample,
 )
 
@@ -72,7 +71,7 @@ def test_each_query_needs_only_its_closure(data):
 
     check(
         brute_missing_cpds(m, [target]),
-        lambda: marginal1(m, target),
+        lambda: plan_effect(m, {}, target)[1][0],
         lambda: {k[0]: p for k, p in brute_marginal(names, joint, [target]).items()},
     )
 
@@ -141,11 +140,10 @@ def test_friction_relation_without_a_root_cpd():
     relation, full = friction_variant()
     _, partial = friction_variant(drop={"Weather"})
     assert partial.instantiated == full.instantiated - {"Weather"}
-    assert marginal1(partial, "Tire type") == pytest.approx(
-        marginal1(full, "Tire type"), abs=1e-12
-    )
+    (tire,) = plan_effect(partial, {}, "Tire type")[1]
+    assert tire == pytest.approx(plan_effect(full, {}, "Tire type")[1][0], abs=1e-12)
     with pytest.raises(InsufficientInstantiation, match=re.escape("['Weather']")):
-        marginal1(partial, "Weather")
+        plan_effect(partial, {}, "Weather")
     do = {relation.phenomenon.variable: ["reduced"]}
     route, (dist,) = plan_effect(partial, do, "Max. req. long. dec.")
     assert route == "truncated"

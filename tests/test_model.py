@@ -11,7 +11,6 @@ from causalcrit.errors import (
     StateSpaceExceeded,
     UnseenParentConfigurationWarning,
     ValidationError,
-    ZeroProbabilityCondition,
 )
 from causalcrit.graph import build_structure
 from causalcrit.model import (
@@ -22,8 +21,6 @@ from causalcrit.model import (
     joint_table,
     joint_tables,
     make_cpd,
-    marginal,
-    marginal1,
     sample,
 )
 
@@ -187,40 +184,38 @@ class TestJointProbability:
             assert arr[idx] == pytest.approx(p, abs=1e-12)
 
 
+def node_marginal(m, node):
+    """P(node) as {label: probability}, from :func:`joint_table`."""
+    _, arr = joint_table(m, [node])
+    return dict(zip(m.specs[node].domain, arr.tolist()))
+
+
 class TestMarginal:
     def test_heavy_rain_reality_p_cp(self, reality_model):
-        assert marginal1(reality_model, "X")["CP"] == pytest.approx(0.67, abs=1e-12)
+        assert node_marginal(reality_model, "X")["CP"] == pytest.approx(0.67, abs=1e-12)
 
     def test_heavy_rain_model_p_cp(self, candidate_model):
-        assert marginal1(candidate_model, "X")["CP"] == pytest.approx(0.67, abs=1e-12)
+        assert node_marginal(candidate_model, "X")["CP"] == pytest.approx(0.67, abs=1e-12)
 
     def test_root_marginal_is_prior(self, reality_model):
-        dist = marginal1(reality_model, "V2")
+        dist = node_marginal(reality_model, "V2")
         assert dist == pytest.approx({"Slow": 0.6, "Fast": 0.4})
 
     def test_marginal_over_all_nodes_equals_joint(self, reality_model):
         names, joint = brute_joint(reality_model)
-        assert marginal(reality_model, names) == pytest.approx(joint, abs=1e-12)
+        _, arr = joint_table(reality_model, names)
+        for labels, p in joint.items():
+            idx = tuple(reality_model.specs[n].index_of(v) for n, v in zip(names, labels))
+            assert arr[idx] == pytest.approx(p, abs=1e-12)
 
     def test_conditional_renormalizes(self, reality_model):
-        dist = marginal1(reality_model, "phi", given={"V2": "Slow"})
+        names, arr = joint_table(reality_model, ["V2", "phi"])
+        assert names == ("V2", "phi")
+        slow = arr[reality_model.specs["V2"].index_of("Slow")]
+        dist = dict(zip(reality_model.specs["phi"].domain, (slow / slow.sum()).tolist()))
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
         # X independent of V2, so P(phi=Short | Slow) = sum_x P(x) P(Short | x, Slow)
         assert dist["Short"] == pytest.approx(0.67 * 0.8 + 0.33 * 0.6, abs=1e-12)
-
-    def test_zero_probability_condition(self):
-        specs = {"A": binary_spec("A"), "B": binary_spec("B")}
-        s = build_structure(["A", "B"], [("A", "B")])
-        m = build_model(
-            s,
-            specs,
-            [
-                make_cpd("A", (), [[1.0, 0.0]], specs),
-                make_cpd("B", ("A",), [[0.5, 0.5], [0.2, 0.8]], specs),
-            ],
-        )
-        with pytest.raises(ZeroProbabilityCondition):
-            marginal1(m, "B", given={"A": "yes"})
 
     def test_partial_model_rejected(self, reality_model):
         # Only V1 carries a CPD: a query is rejected exactly when its own
@@ -230,11 +225,11 @@ class TestMarginal:
             reality_model.specs,
             [reality_model.cpds["V1"]],
         )
-        assert marginal1(partial, "V1") == marginal1(reality_model, "V1")
+        assert node_marginal(partial, "V1") == node_marginal(reality_model, "V1")
         with pytest.raises(
             InsufficientInstantiation, match=r"\['V2', 'V3', 'X', 'phi'\]"
         ):
-            marginal1(partial, "phi")
+            node_marginal(partial, "phi")
 
 
 class TestVariableElimination:
@@ -251,8 +246,8 @@ class TestVariableElimination:
         # The full joint of 26 binary nodes has 2**26 states, above the
         # default limit; each query only needs 2- and 4-state factors.
         m, p_yes = binary_chain(26)
-        assert marginal1(m, "V00")["yes"] == pytest.approx(p_yes[0], abs=1e-12)
-        assert marginal1(m, "V25")["yes"] == pytest.approx(p_yes[25], abs=1e-12)
+        assert node_marginal(m, "V00")["yes"] == pytest.approx(p_yes[0], abs=1e-12)
+        assert node_marginal(m, "V25")["yes"] == pytest.approx(p_yes[25], abs=1e-12)
 
     def test_more_factors_than_einsum_operands(self):
         # 70 single-state parents leave 71 factors for the final contraction.
@@ -306,10 +301,14 @@ class TestVariableElimination:
         for labels, p in matching.items():
             key = tuple(labels[both.index(n)] for n in sorted(targets))
             expected[key] = expected.get(key, 0.0) + p / total
-        dist = marginal(m, targets, given=evidence)
-        assert set(dist) == set(expected)
+        # A conditional is a slice of the joint, renormalized.
+        names, arr = joint_table(m, both)
+        arr = arr[tuple(m.specs[n].index_of(evidence[n]) if n in evidence else slice(None) for n in names)]
+        arr = arr / arr.sum()
+        assert arr.size == len(expected)
         for key, p in expected.items():
-            assert dist[key] == pytest.approx(p, abs=1e-12)
+            idx = tuple(m.specs[n].index_of(v) for n, v in zip(sorted(targets), key))
+            assert arr[idx] == pytest.approx(p, abs=1e-12)
 
 
 class TestJointTables:
