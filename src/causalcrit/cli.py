@@ -203,6 +203,10 @@ def cmd_sample(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    try:
+        edges = [float(e) for e in _parse_names(args.edges) or []]
+    except ValueError as exc:
+        raise ParseError(f"--edges: {exc}") from None
     trajectories = tuple(load_trajectory(p) for p in args.trajectories)
     field = load_field(args.field)
     t_start = args.t_start if args.t_start is not None else max(t.t[0] for t in trajectories)
@@ -234,10 +238,6 @@ def cmd_metrics(args) -> int:
         f"STN_DT = {stn:.6f}",
         f"aggregate({args.agg}) = {agg:.6f}",
     ]
-    try:
-        edges = [float(e) for e in _parse_names(args.edges) or []]
-    except ValueError as exc:
-        raise ParseError(f"--edges: {exc}") from None
     if edges:
         labels = _parse_names(args.labels)
         label = discretize_metric(agg, edges, labels)

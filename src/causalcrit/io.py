@@ -27,7 +27,7 @@ from .context import (
 )
 from .errors import CausalCritError, ParseError, RaggedRow, UnknownLabel, ValidationError
 from .graph import build_structure
-from .metrics import AccelField, trajectory_from_rows
+from .metrics import AccelField, Trajectory
 from .model import (
     Dataset,
     DiscreteModel,
@@ -436,34 +436,42 @@ def save_dataset(path: PathLike, dataset: Dataset) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def load_trajectory(path: PathLike):
-    """Whitespace-separated "t x y" per line."""
+def _number_lines(path: PathLike) -> list[tuple[int, list[str]]]:
+    """The non-blank lines of ``path``, each as its line number in the file,
+    counted from 1, and its whitespace-separated fields."""
+    return [(k, line.split()) for k, line in enumerate(_read_text(path).splitlines(), 1) if line.strip()]
+
+
+def _float_rows(path: PathLike, lines: list[tuple[int, list[str]]], form: str) -> np.ndarray:
+    """``lines`` from _number_lines as one float row each of the fields that
+    ``form`` names; a bad line is a ParseError at its line number."""
+    width = len(form.split())
     rows = []
-    text = _read_text(path)
-    for k, line in enumerate(text.splitlines()):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(f"{path}:{k + 1}: expected 't x y'")
+    for k, fields in lines:
+        if len(fields) != width:
+            raise ParseError(f"{path}:{k}: expected '{form}'")
         try:
-            rows.append(tuple(float(p) for p in parts))
+            rows.append([float(v) for v in fields])
         except ValueError:
-            raise ParseError(f"{path}:{k + 1}: non-numeric value") from None
+            raise ParseError(f"{path}:{k}: non-numeric value") from None
+    return np.array(rows, dtype=float).reshape(len(rows), width)
+
+
+def load_trajectory(path: PathLike) -> Trajectory:
+    """Whitespace-separated "t x y" per line."""
+    t, x, y = _float_rows(path, _number_lines(path), "t x y").T
     try:
-        return trajectory_from_rows(rows)
+        return Trajectory(t=t, x=x, y=y)
     except CausalCritError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def load_field(path: PathLike):
+def load_field(path: PathLike) -> AccelField:
     """Header "nx ny x0 y0 dx dy", then nx*ny row-major "long lat" cells."""
-    text = _read_text(path)
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    lines = _number_lines(path)
     if not lines:
         raise ParseError(f"{path}: empty field file")
-    header = lines[0].split()
+    (_, header), cells = lines[0], lines[1:]
     if len(header) != 6:
         raise ParseError(f"{path}: header must be 'nx ny x0 y0 dx dy'")
     try:
@@ -473,21 +481,10 @@ def load_field(path: PathLike):
         raise ParseError(f"{path}: non-numeric header value") from None
     if nx < 1 or ny < 1:
         raise ParseError(f"{path}: nx and ny must be >= 1, got {nx} and {ny}")
-    cells = lines[1:]
     if len(cells) != nx * ny:
         raise ParseError(f"{path}: expected {nx * ny} cells, found {len(cells)}")
-    long_vals = np.empty((ny, nx))
-    lat_vals = np.empty((ny, nx))
-    for k, line in enumerate(cells):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"{path}:{k + 2}: expected 'long lat'")
-        try:
-            long_vals[k // nx, k % nx] = float(parts[0])
-            lat_vals[k // nx, k % nx] = float(parts[1])
-        except ValueError:
-            raise ParseError(f"{path}:{k + 2}: non-numeric value") from None
+    long_avail, lat_avail = _float_rows(path, cells, "long lat").T.reshape(2, ny, nx)
     try:
-        return AccelField(x0=x0, y0=y0, dx=dx, dy=dy, long_avail=long_vals, lat_avail=lat_vals)
+        return AccelField(x0=x0, y0=y0, dx=dx, dy=dy, long_avail=long_avail, lat_avail=lat_avail)
     except CausalCritError as exc:
         raise ValidationError(f"{path}: {exc}") from None

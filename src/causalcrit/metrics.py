@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -78,13 +78,6 @@ class Trajectory:
         return self.t[0] <= t_start + _TIME_TOL and self.t[-1] >= t_end - _TIME_TOL
 
 
-def trajectory_from_rows(rows: Iterable[Sequence[float]]) -> Trajectory:
-    arr = np.asarray(list(rows), dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValidationError("trajectory rows must be (t, x, y) triples")
-    return Trajectory(t=arr[:, 0], x=arr[:, 1], y=arr[:, 2])
-
-
 @dataclass(frozen=True)
 class DrivingTask:
     """Pre-filtered candidate trajectories with situation time and horizon.
@@ -141,47 +134,59 @@ class AccelField:
         object.__setattr__(self, "long_avail", la)
         object.__setattr__(self, "lat_avail", lt)
 
-    def lookup(self, x: float, y: float) -> tuple[float, float]:
-        """Nearest-cell values; points outside the lattice are a coverage gap."""
+    def lookup(self, x: float | np.ndarray, y: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest-cell (long, lat) values at a point or at arrays of points;
+        the first point outside the lattice is a coverage gap."""
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         ny, nx = self.long_avail.shape
-        ix = int(round((x - self.x0) / self.dx))
-        iy = int(round((y - self.y0) / self.dy))
-        if not (0 <= ix < nx and 0 <= iy < ny):
-            raise FieldCoverageGap(f"point ({x}, {y}) lies outside the field lattice")
-        return float(self.long_avail[iy, ix]), float(self.lat_avail[iy, ix])
+        # rint rounds half to even, as round does; an index past the float
+        # range is inf and so lies outside.
+        with np.errstate(over="ignore"):
+            fx = np.rint((x - self.x0) / self.dx)
+            fy = np.rint((y - self.y0) / self.dy)
+        outside = ~((0 <= fx) & (fx < nx) & (0 <= fy) & (fy < ny))
+        if outside.any():
+            k = np.argmax(outside)
+            raise FieldCoverageGap(f"point ({x.flat[k]}, {y.flat[k]}) lies outside the field lattice")
+        ix, iy = fx.astype(np.intp), fy.astype(np.intp)
+        return self.long_avail[iy, ix], self.lat_avail[iy, ix]
 
 
-def _window_slice(traj: Trajectory, dt_task: DrivingTask) -> slice:
-    lo = int(np.searchsorted(traj.t, dt_task.t_start - _TIME_TOL, side="left"))
-    hi = int(np.searchsorted(traj.t, dt_task.t_end + _TIME_TOL, side="right"))
-    return slice(lo, hi)
+def _windows(task: DrivingTask) -> Iterator[tuple[float, np.ndarray, np.ndarray]]:
+    """Each task trajectory's time step and its x and y samples in the task window."""
+    for traj in task.trajectories:
+        lo = int(np.searchsorted(traj.t, task.t_start - _TIME_TOL, side="left"))
+        hi = int(np.searchsorted(traj.t, task.t_end + _TIME_TOL, side="right"))
+        yield traj.dt, traj.x[lo:hi], traj.y[lo:hi]
 
 
-def _frame_accelerations(traj: Trajectory, window: slice) -> tuple[np.ndarray, np.ndarray]:
-    """Longitudinal and lateral second differences at interior window samples."""
-    t, x, y = traj.t[window], traj.x[window], traj.y[window]
-    if t.size < 3:
+def _frame_accelerations(h: float, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Longitudinal and lateral second differences at interior window samples
+    taken ``h`` apart."""
+    if x.size < 3:
         raise ValidationError("evaluation window holds fewer than 3 samples")
-    h = traj.dt
-    vx = (x[2:] - x[:-2]) / (2 * h)
-    vy = (y[2:] - y[:-2]) / (2 * h)
-    ax = (x[2:] - 2 * x[1:-1] + x[:-2]) / (h * h)
-    ay = (y[2:] - 2 * y[1:-1] + y[:-2]) / (h * h)
-    speed = np.hypot(vx, vy)
-    if np.any(speed < _SPEED_EPS):
-        raise DegenerateTrajectory(
-            "zero-length path segment; the tangent direction is undefined"
-        )
-    tx, ty = vx / speed, vy / speed
-    a_long = ax * tx + ay * ty
-    a_lat = -ax * ty + ay * tx
-    # Differencing float coordinates cannot resolve accelerations below
-    # eps * |coord| / h^2; snap that noise to zero so straight uniform motion
-    # reports exactly none.
-    scale = max(float(np.abs(x).max()), float(np.abs(y).max()), 1.0)
-    noise_floor = 64 * np.finfo(float).eps * scale / (h * h)
-    a_long[np.abs(a_long) < noise_floor] = 0.0
-    a_lat[np.abs(a_lat) < noise_floor] = 0.0
+    with np.errstate(all="ignore"):
+        vx = (x[2:] - x[:-2]) / (2 * h)
+        vy = (y[2:] - y[:-2]) / (2 * h)
+        ax = (x[2:] - 2 * x[1:-1] + x[:-2]) / (h * h)
+        ay = (y[2:] - 2 * y[1:-1] + y[:-2]) / (h * h)
+        speed = np.hypot(vx, vy)
+        if np.any(speed < _SPEED_EPS):
+            raise DegenerateTrajectory(
+                "zero-length path segment; the tangent direction is undefined"
+            )
+        tx, ty = vx / speed, vy / speed
+        a_long = ax * tx + ay * ty
+        a_lat = -ax * ty + ay * tx
+        # Differencing float coordinates cannot resolve accelerations below
+        # eps * |coord| / h^2; snap that noise to zero so straight uniform motion
+        # reports exactly none.
+        scale = max(float(np.abs(x).max()), float(np.abs(y).max()), 1.0)
+        noise_floor = 64 * np.finfo(float).eps * scale / (h * h)
+        a_long[np.abs(a_long) < noise_floor] = 0.0
+        a_lat[np.abs(a_lat) < noise_floor] = 0.0
+    if not np.isfinite((a_long, a_lat)).all():
+        raise ValidationError("the finite differences leave the float range: accelerations are not finite")
     return a_long, a_lat
 
 
@@ -189,58 +194,42 @@ def along_req_dt(task: DrivingTask) -> float:
     """Weakest braking demand over the task: the trajectory needing the least
     longitudinal deceleration decides, clamped at zero when no braking is
     needed."""
-    per_traj = []
-    for traj in task.trajectories:
-        a_long, _ = _frame_accelerations(traj, _window_slice(traj, task))
-        per_traj.append(float(a_long.min()))
-    return min(0.0, max(per_traj))
+    return min(0.0, max(float(_frame_accelerations(*w)[0].min()) for w in _windows(task)))
 
 
 def alat_req_dt(task: DrivingTask) -> float:
     """Least lateral-acceleration budget some trajectory can stay within."""
-    per_traj = []
-    for traj in task.trajectories:
-        _, a_lat = _frame_accelerations(traj, _window_slice(traj, task))
-        per_traj.append(float(np.abs(a_lat).max()))
-    return max(0.0, min(per_traj))
+    return max(0.0, min(float(np.abs(_frame_accelerations(*w)[1]).max()) for w in _windows(task)))
 
 
 def along_min(task: DrivingTask, field: AccelField) -> float:
     """Worst longitudinal availability met along any task trajectory."""
-    worst = -np.inf
-    for traj in task.trajectories:
-        w = _window_slice(traj, task)
-        for x, y in zip(traj.x[w], traj.y[w]):
-            worst = max(worst, field.lookup(x, y)[0])
-    return float(worst)
+    return max(
+        float(np.max(field.lookup(x, y)[0], initial=-np.inf)) for _, x, y in _windows(task)
+    )
 
 
 def alat_min(task: DrivingTask, field: AccelField) -> float:
     """Worst (smallest magnitude) lateral availability along the task."""
-    worst = np.inf
-    for traj in task.trajectories:
-        w = _window_slice(traj, task)
-        for x, y in zip(traj.x[w], traj.y[w]):
-            worst = min(worst, abs(field.lookup(x, y)[1]))
-    return float(worst)
+    return min(
+        float(np.min(np.abs(field.lookup(x, y)[1]), initial=np.inf)) for _, x, y in _windows(task)
+    )
+
+
+def _threat(req: float, avail: float, axis: str) -> float:
+    if avail == 0.0:
+        raise ZeroAvailableAcceleration(f"no {axis} acceleration available")
+    return req / avail
 
 
 def btn_dt(task: DrivingTask, field: AccelField) -> float:
     """Brake threat number: required over available longitudinal acceleration."""
-    req = along_req_dt(task)
-    avail = along_min(task, field)
-    if avail == 0.0:
-        raise ZeroAvailableAcceleration("no longitudinal acceleration available")
-    return req / avail
+    return _threat(along_req_dt(task), along_min(task, field), "longitudinal")
 
 
 def stn_dt(task: DrivingTask, field: AccelField) -> float:
     """Steer threat number: required over available lateral acceleration."""
-    req = alat_req_dt(task)
-    avail = alat_min(task, field)
-    if avail == 0.0:
-        raise ZeroAvailableAcceleration("no lateral acceleration available")
-    return req / avail
+    return _threat(alat_req_dt(task), alat_min(task, field), "lateral")
 
 
 def aggregate(btn: float, stn: float, mode: str = "max") -> float:

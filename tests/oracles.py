@@ -341,3 +341,15 @@ def brute_kl(p, q) -> float:
         if prob > 0.0:
             total += prob * math.log(prob / q[key])
     return max(total, 0.0)
+
+
+def nearest_cell(field, x, y):
+    """The (iy, ix) lattice cell nearest to one point, by Python's round
+    (half to even), or None when the point lies outside the lattice or its
+    index is past the float range."""
+    ny, nx = field.long_avail.shape
+    fx, fy = (float(x) - field.x0) / field.dx, (float(y) - field.y0) / field.dy
+    if not (math.isfinite(fx) and math.isfinite(fy)):
+        return None
+    ix, iy = int(round(fx)), int(round(fy))
+    return (iy, ix) if 0 <= ix < nx and 0 <= iy < ny else None

@@ -565,6 +565,43 @@ class TestMetrics:
         assert out == ""
         assert err == "error: --edges: could not convert string to float: 'x'\n"
 
+    def test_non_numeric_edge_checked_before_any_file(self, capsys, tmp_path):
+        # The field misses the path and the trajectory file does not exist:
+        # the --edges usage error still comes first.
+        traj, _ = self.write_inputs(tmp_path)
+        small = tmp_path / "small.txt"
+        small.write_text("1 1 0 0 1 1\n-8 5\n", encoding="utf-8")
+        for trajectories in (traj, tmp_path / "missing.txt"):
+            code, out, err = run(
+                capsys, "metrics", "--trajectories", str(trajectories), "--field", str(small),
+                "--edges", "abc",
+            )
+            assert (code, out) == (2, "")
+            assert err == "error: --edges: could not convert string to float: 'abc'\n"
+
+    def test_far_point_on_tiny_cell_field_exits_one(self, capsys, tmp_path):
+        traj, field = self.write_inputs(tmp_path)
+        # The first sample lies 100 m from the one cell: its index overflows to inf.
+        field.write_text("1 1 -100 0 1e-308 1e-308\n-8 5\n", encoding="utf-8")
+        code, out, err = run(capsys, "metrics", "--trajectories", str(traj), "--field", str(field))
+        assert (code, out) == (1, "")
+        assert err == "FieldCoverageGap: point (0.0, 0.0) lies outside the field lattice\n"
+
+    def test_blank_line_field_names_the_file_line(self, capsys, tmp_path):
+        traj, field = self.write_inputs(tmp_path)
+        field.write_text("2 1 0 0 1 1\n\n-8 5\n-8 x\n", encoding="utf-8")
+        code, out, err = run(capsys, "metrics", "--trajectories", str(traj), "--field", str(field))
+        assert (code, out) == (2, "")
+        assert err == f"error: {field}:4: non-numeric value\n"
+
+    def test_overflowing_trajectory_exits_one(self, capsys, tmp_path):
+        _, field = self.write_inputs(tmp_path)
+        traj = tmp_path / "overflow.txt"
+        traj.write_text("".join(f"{k * 1e-200} {k * 1e-199} 0\n" for k in range(11)), encoding="utf-8")
+        code, out, err = run(capsys, "metrics", "--trajectories", str(traj), "--field", str(field))
+        assert (code, out) == (1, "")
+        assert err == "ValidationError: the finite differences leave the float range: accelerations are not finite\n"
+
     def test_nan_edge_exits_one(self, capsys, tmp_path):
         traj, field = self.write_inputs(tmp_path)
         code, out, err = run(

@@ -270,6 +270,34 @@ class TestTrajectoryAndField:
         assert field.long_avail.shape == (2, 3)
         assert field.lookup(1.2, 0.4) == (-8.0, 5.0)
 
+    def test_empty_trajectory_file_is_too_short(self, tmp_path):
+        path = tmp_path / "traj.txt"
+        path.write_text("\n\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="need at least 5 samples"):
+            load_trajectory(path)
+
+    def test_field_file_reshapes_row_major(self, tmp_path):
+        path = tmp_path / "field.txt"
+        cells = "\n".join(f"-{k} {k}" for k in range(6))
+        path.write_text(f"3 2 0.0 0.0 1.0 1.0\n{cells}\n", encoding="utf-8")
+        field = load_field(path)
+        assert field.long_avail.tolist() == [[0, -1, -2], [-3, -4, -5]]
+        assert field.lat_avail.tolist() == [[0, 1, 2], [3, 4, 5]]
+
+    @pytest.mark.parametrize("loader, text", [
+        (load_field, "2 1 0 0 1 1\n\n-8 5\n-8 x\n"),
+        (load_trajectory, "0 0 0\n\n0.1 1 0\n0.2 x 0\n"),
+    ])
+    def test_bad_line_named_by_its_line_in_the_file(self, tmp_path, loader, text):
+        # Line 2 is blank; the bad value sits on line 4.
+        path = tmp_path / "numbers.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=r":4: non-numeric value$"):
+            loader(path)
+        path.write_text(text.replace(" x", ""), encoding="utf-8")
+        with pytest.raises(ParseError, match=r":4: expected '(long lat|t x y)'$"):
+            loader(path)
+
     def test_field_cell_count_checked(self, tmp_path):
         path = tmp_path / "field.txt"
         path.write_text("2 2 0 0 1 1\n-1 1\n", encoding="utf-8")

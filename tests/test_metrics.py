@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalcrit.errors import (
     DegenerateTrajectory,
@@ -23,6 +26,8 @@ from causalcrit.metrics import (
     discretize_metric,
     stn_dt,
 )
+
+from oracles import nearest_cell
 
 
 def straight_line(v=10.0, t_end=4.0, dt=0.05):
@@ -88,6 +93,19 @@ class TestTrajectoryValidation:
     def test_task_requires_coverage(self):
         with pytest.raises(ValidationError):
             task(straight_line(t_end=2.0), horizon=4.0)
+
+    @pytest.mark.parametrize(
+        "t_step, x_step",
+        [(1e-200, 1e-199), (0.1, 1e307)],
+        ids=["step-squared-underflows", "coordinates-near-max"],
+    )
+    def test_overflowing_differences_rejected(self, t_step, x_step):
+        k = np.arange(11.0)
+        traj = Trajectory(t=k * t_step, x=k * x_step, y=np.zeros(11))
+        with pytest.raises(ValidationError, match="accelerations are not finite"):
+            along_req_dt(task(traj, horizon=10 * t_step))
+        with pytest.raises(ValidationError, match="accelerations are not finite"):
+            alat_req_dt(task(traj, horizon=10 * t_step))
 
     def test_degenerate_standstill(self):
         t = np.arange(0.0, 4.01, 0.05)
@@ -174,6 +192,66 @@ class TestAvailability:
         small = uniform_field(extent=5.0)
         with pytest.raises(FieldCoverageGap):
             along_min(dt_task, small)
+
+    def test_lookup_takes_a_point_or_arrays(self):
+        field = AccelField(
+            x0=0.0, y0=0.0, dx=1.0, dy=1.0,
+            long_avail=[[-1.0, -2.0, -3.0]], lat_avail=[[1.0, 2.0, 3.0]],
+        )
+        assert field.lookup(1.2, 0.4) == (-2.0, 2.0)
+        long_vals, lat_vals = field.lookup([0.0, 0.5, 1.5, 2.4], 0.0)
+        # 0.5 and 1.5 round half to even: cells 0 and 2.
+        assert long_vals.tolist() == [-1.0, -1.0, -3.0, -3.0]
+        assert lat_vals.tolist() == [1.0, 1.0, 3.0, 3.0]
+
+    def test_lookup_names_the_first_outside_point(self):
+        field = uniform_field(extent=5.0)
+        with pytest.raises(FieldCoverageGap, match=r"^point \(7\.0, 0\.0\) lies outside"):
+            field.lookup([0.0, 7.0, -9.0], [0.0, 0.0, 0.0])
+
+    def test_far_point_on_tiny_cells_is_coverage_gap(self):
+        # (100 - 0) / 1e-308 overflows to inf; that index lies outside.
+        field = AccelField(
+            x0=0.0, y0=0.0, dx=1e-308, dy=1e-308,
+            long_avail=[[-8.0]], lat_avail=[[5.0]],
+        )
+        with pytest.raises(FieldCoverageGap, match=r"point \(100\.0, 0\.0\)"):
+            field.lookup(100.0, 0.0)
+        straight = Trajectory(t=np.arange(0.0, 1.05, 0.1), x=np.arange(11) * 10.0, y=np.zeros(11))
+        with pytest.raises(FieldCoverageGap):
+            along_min(task(straight, horizon=1.0), field)
+
+    @settings(deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        origin=st.tuples(*[st.floats(-50, 50)] * 2),
+        cell=st.tuples(*[st.sampled_from([1e-308, 0.25, 0.5, 1.0, 3.0, 1e300])] * 2),
+        # Offsets from the origin in cells: half-integers sit on the rounding
+        # ties and the lattice's edges, 1e308 overflows the index.
+        offsets=st.lists(
+            st.tuples(*[st.one_of(
+                st.integers(-2, 14).map(lambda k: k / 2), st.floats(-2, 7), st.sampled_from([-1e308, 1e308]),
+            )] * 2),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_array_lookup_matches_per_point_round(self, shape, origin, cell, offsets):
+        ny, nx = shape
+        values = np.arange(1.0, ny * nx + 1).reshape(ny, nx)
+        field = AccelField(
+            x0=origin[0], y0=origin[1], dx=cell[0], dy=cell[1],
+            long_avail=-values, lat_avail=values,
+        )
+        points = [(origin[0] + u * cell[0], origin[1] + v * cell[1]) for u, v in offsets]
+        cells = [nearest_cell(field, x, y) for x, y in points]
+        inside = [p for p, c in zip(points, cells) if c is not None]
+        long_vals, lat_vals = field.lookup(*np.array(inside).reshape(-1, 2).T)
+        assert long_vals.tolist() == [-values[c] for c in cells if c is not None]
+        assert lat_vals.tolist() == [values[c] for c in cells if c is not None]
+        if None in cells:
+            x, y = points[cells.index(None)]
+            with pytest.raises(FieldCoverageGap, match=re.escape(f"point ({x}, {y}) lies outside")):
+                field.lookup(*np.array(points).T)
 
     def test_field_sign_validation(self):
         with pytest.raises(ValidationError):

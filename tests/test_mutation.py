@@ -92,7 +92,7 @@ def test_mutated_model_file_exits_cleanly(workdir, text, as_reference):
 # x = 20 t, y = 0 for t in [0, 1]; the one 40 m cell covers x in [0, 20].
 TRAJECTORY = "".join(f"{k / 10} {2.0 * k} 0.0\n" for k in range(11)).encode()
 FIELD = b"1 1 0.0 0.0 40.0 1.0\n-8.0 5.0\n"
-SNIPPETS = [b"-", b".", b"e", b"nan", b"inf", b"1e999", b"-1", b" ", b"\t", b"\n", b",", b"x", b"0", b"\xff", b"\xc3"]
+SNIPPETS = [b"-", b".", b"e", b"nan", b"inf", b"1e999", b"1e308", b"1e-308", b"-1", b" ", b"\t", b"\n", b",", b"x", b"0", b"\xff", b"\xc3"]
 
 
 @st.composite
