@@ -50,8 +50,10 @@ from .metrics import (
     along_min,
     along_req_dt,
     btn_dt,
+    check_bins,
     discretize_metric,
     stn_dt,
+    threat_numbers,
 )
 from .model import (
     Cpd,

@@ -32,13 +32,9 @@ from .metrics import (
     AGGREGATION_MODES,
     DrivingTask,
     aggregate,
-    alat_min,
-    alat_req_dt,
-    along_min,
-    along_req_dt,
-    btn_dt,
+    check_bins,
     discretize_metric,
-    stn_dt,
+    threat_numbers,
 )
 from .model import estimate_cpds, sample
 
@@ -207,6 +203,11 @@ def cmd_metrics(args) -> int:
         edges = [float(e) for e in _parse_names(args.edges) or []]
     except ValueError as exc:
         raise ParseError(f"--edges: {exc}") from None
+    labels = _parse_names(args.labels)
+    if labels is not None and not edges:
+        raise ParseError("--labels needs --edges")
+    if edges:
+        check_bins(edges, labels)
     trajectories = tuple(load_trajectory(p) for p in args.trajectories)
     field = load_field(args.field)
     t_start = args.t_start if args.t_start is not None else max(t.t[0] for t in trajectories)
@@ -215,31 +216,19 @@ def cmd_metrics(args) -> int:
     else:
         horizon = min(t.t[-1] for t in trajectories) - t_start
     task = DrivingTask(trajectories=trajectories, t_start=t_start, horizon=horizon)
-    btn = btn_dt(task, field)
-    stn = stn_dt(task, field)
-    agg = aggregate(btn, stn, mode=args.agg)
-    payload = {
-        "command": "metrics",
-        "aggregation": args.agg,
-        "along_req": along_req_dt(task),
-        "alat_req": alat_req_dt(task),
-        "along_min": along_min(task, field),
-        "alat_min": alat_min(task, field),
-        "btn_dt": btn,
-        "stn_dt": stn,
-        "aggregate": agg,
-    }
+    numbers = threat_numbers(task, field, names=args.trajectories)
+    agg = aggregate(numbers["btn_dt"], numbers["stn_dt"], mode=args.agg)
+    payload = {"command": "metrics", "aggregation": args.agg, **numbers, "aggregate": agg}
     lines = [
         f"a_long,req = {payload['along_req']:.6f}",
         f"a_lat,req  = {payload['alat_req']:.6f}",
         f"a_long,min = {payload['along_min']:.6f}",
         f"a_lat,min  = {payload['alat_min']:.6f}",
-        f"BTN_DT = {btn:.6f}",
-        f"STN_DT = {stn:.6f}",
+        f"BTN_DT = {payload['btn_dt']:.6f}",
+        f"STN_DT = {payload['stn_dt']:.6f}",
         f"aggregate({args.agg}) = {agg:.6f}",
     ]
     if edges:
-        labels = _parse_names(args.labels)
         label = discretize_metric(agg, edges, labels)
         payload["label"] = label
         lines.append(f"label = {label}")

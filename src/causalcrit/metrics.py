@@ -33,7 +33,9 @@ __all__ = [
     "alat_min",
     "btn_dt",
     "stn_dt",
+    "threat_numbers",
     "aggregate",
+    "check_bins",
     "discretize_metric",
 ]
 
@@ -190,30 +192,51 @@ def _frame_accelerations(h: float, x: np.ndarray, y: np.ndarray) -> tuple[np.nda
     return a_long, a_lat
 
 
+def _required(task: DrivingTask, names: Optional[Sequence[str]] = None) -> tuple[float, float]:
+    """(along_req_dt, alat_req_dt) from one acceleration pass per task window;
+    an error names the trajectory by ``names[k]``, else by its index k."""
+    accelerations = []
+    for k, window in enumerate(_windows(task)):
+        try:
+            accelerations.append(_frame_accelerations(*window))
+        except (ValidationError, DegenerateTrajectory) as exc:
+            where = names[k] if names is not None else f"trajectory {k}"
+            raise type(exc)(f"{where}: {exc}") from None
+    return (
+        min(0.0, max(float(a_long.min()) for a_long, _ in accelerations)),
+        max(0.0, min(float(np.abs(a_lat).max()) for _, a_lat in accelerations)),
+    )
+
+
+def _available(task: DrivingTask, field: AccelField) -> tuple[float, float]:
+    """(along_min, alat_min) from one field lookup per task window."""
+    cells = [field.lookup(x, y) for _, x, y in _windows(task)]
+    return (
+        max(float(np.max(long, initial=-np.inf)) for long, _ in cells),
+        min(float(np.min(np.abs(lat), initial=np.inf)) for _, lat in cells),
+    )
+
+
 def along_req_dt(task: DrivingTask) -> float:
     """Weakest braking demand over the task: the trajectory needing the least
     longitudinal deceleration decides, clamped at zero when no braking is
     needed."""
-    return min(0.0, max(float(_frame_accelerations(*w)[0].min()) for w in _windows(task)))
+    return _required(task)[0]
 
 
 def alat_req_dt(task: DrivingTask) -> float:
     """Least lateral-acceleration budget some trajectory can stay within."""
-    return max(0.0, min(float(np.abs(_frame_accelerations(*w)[1]).max()) for w in _windows(task)))
+    return _required(task)[1]
 
 
 def along_min(task: DrivingTask, field: AccelField) -> float:
     """Worst longitudinal availability met along any task trajectory."""
-    return max(
-        float(np.max(field.lookup(x, y)[0], initial=-np.inf)) for _, x, y in _windows(task)
-    )
+    return _available(task, field)[0]
 
 
 def alat_min(task: DrivingTask, field: AccelField) -> float:
     """Worst (smallest magnitude) lateral availability along the task."""
-    return min(
-        float(np.min(np.abs(field.lookup(x, y)[1]), initial=np.inf)) for _, x, y in _windows(task)
-    )
+    return _available(task, field)[1]
 
 
 def _threat(req: float, avail: float, axis: str) -> float:
@@ -230,6 +253,24 @@ def btn_dt(task: DrivingTask, field: AccelField) -> float:
 def stn_dt(task: DrivingTask, field: AccelField) -> float:
     """Steer threat number: required over available lateral acceleration."""
     return _threat(alat_req_dt(task), alat_min(task, field), "lateral")
+
+
+def threat_numbers(
+    task: DrivingTask, field: AccelField, names: Optional[Sequence[str]] = None
+) -> dict[str, float]:
+    """The four accelerations and both threat numbers above, keyed by name, from
+    one acceleration pass and one field lookup per task window; an acceleration
+    error names the trajectory by ``names[k]``, else by its index k."""
+    along_req, alat_req = _required(task, names)
+    along_avail, alat_avail = _available(task, field)
+    return {
+        "along_req": along_req,
+        "alat_req": alat_req,
+        "along_min": along_avail,
+        "alat_min": alat_avail,
+        "btn_dt": _threat(along_req, along_avail, "longitudinal"),
+        "stn_dt": _threat(alat_req, alat_avail, "lateral"),
+    }
 
 
 def aggregate(btn: float, stn: float, mode: str = "max") -> float:
@@ -249,6 +290,21 @@ def aggregate(btn: float, stn: float, mode: str = "max") -> float:
     raise ValidationError(f"unknown aggregation mode {mode!r}")
 
 
+def check_bins(bin_edges: Sequence[float], labels: Optional[Sequence[str]] = None) -> list[float]:
+    """The edges as a list, once they are finite and strictly ascending and
+    ``labels``, if given, name each of their bins."""
+    edges = list(bin_edges)
+    if not edges:
+        raise NonMonotoneEdges("need at least one bin edge")
+    if not np.all(np.isfinite(edges)):
+        raise NonMonotoneEdges("bin edges must be finite")
+    if any(b <= a for a, b in zip(edges, edges[1:])):
+        raise NonMonotoneEdges("bin edges must be strictly ascending")
+    if labels is not None and len(labels) != len(edges) + 1:
+        raise ValidationError(f"need {len(edges) + 1} labels for {len(edges)} edges")
+    return edges
+
+
 def discretize_metric(
     value: float,
     bin_edges: Sequence[float],
@@ -259,14 +315,5 @@ def discretize_metric(
     With k edges there are k + 1 bins; ``labels`` overrides the generated
     ``bin0..bink`` names.
     """
-    edges = list(bin_edges)
-    if not edges:
-        raise NonMonotoneEdges("need at least one bin edge")
-    if not np.all(np.isfinite(edges)):
-        raise NonMonotoneEdges("bin edges must be finite")
-    if any(b <= a for a, b in zip(edges, edges[1:])):
-        raise NonMonotoneEdges("bin edges must be strictly ascending")
-    if labels is not None and len(labels) != len(edges) + 1:
-        raise ValidationError(f"need {len(edges) + 1} labels for {len(edges)} edges")
-    bin_idx = bisect_right(edges, value)
+    bin_idx = bisect_right(check_bins(bin_edges, labels), value)
     return labels[bin_idx] if labels is not None else f"bin{bin_idx}"

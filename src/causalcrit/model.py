@@ -462,10 +462,26 @@ def _check_states(size: int, nodes: Sequence[str], limit: int) -> None:
         )
 
 
+def _config_codes(
+    parents: Sequence[str], codes: Mapping[str, np.ndarray], specs: Mapping[str, VariableSpec], n: int
+) -> np.ndarray:
+    """CPD row of each row's in-domain ``parents`` codes: mixed radix, first parent most significant."""
+    cfg = np.zeros(n, dtype=np.intp)
+    for p in parents:
+        cfg *= specs[p].cardinality
+        cfg += codes[p]
+    return cfg
+
+
 def sample(m: DiscreteModel, n: int, seed: int) -> Dataset:
     """Ancestral forward sampling of the observed nodes; deterministic for a
     fixed seed. Their ancestral closure, latent ancestors included, needs
-    CPDs, or :class:`InsufficientInstantiation` names the missing ones."""
+    CPDs, or :class:`InsufficientInstantiation` names the missing ones.
+
+    The stream is part of the output: each closure node, in topological
+    order, takes one ``default_rng(seed).random(n)`` draw u, and row r's label
+    is the number of cumulative CPD columns below u_r, the last one left out.
+    """
     if n < 0:
         raise ValidationError(f"sample size must be >= 0, got {n}")
     if seed < 0:
@@ -477,19 +493,11 @@ def sample(m: DiscreteModel, n: int, seed: int) -> Dataset:
     drawn: dict[str, np.ndarray] = {}
     for node in order:
         cpd = m.cpds[node]
-        card = m.specs[node].cardinality
-        # One cumulative row per parent configuration, gathered per sample.
-        cdfs = np.cumsum(cpd.table, axis=1)
-        if cpd.parents:
-            parent_cards = [m.specs[p].cardinality for p in cpd.parents]
-            cfg = np.ravel_multi_index(
-                tuple(drawn[p] for p in cpd.parents), tuple(parent_cards)
-            )
-            cdf = cdfs[cfg]
-        else:
-            cdf = np.broadcast_to(cdfs[0], (n, card))
+        cfg = _config_codes(cpd.parents, drawn, m.specs, n)
         u = rng.random(n)
-        drawn[node] = np.minimum((cdf < u[:, None]).sum(axis=1), card - 1)
+        drawn[node] = draw = np.zeros(n, dtype=np.intp)
+        for cdf in np.cumsum(cpd.table, axis=1).T[:-1]:
+            draw += cdf[cfg] < u
     return Dataset(
         columns=tuple(observed),
         codes=tuple(drawn[c] for c in observed),
@@ -540,16 +548,8 @@ def estimate_cpds(
         if node not in present or any(p not in present for p in parents):
             continue
         card = specs[node].cardinality
-        if parents:
-            parent_cards = [specs[p].cardinality for p in parents]
-            cfg = np.ravel_multi_index(
-                tuple(encoded[p] for p in parents), tuple(parent_cards)
-            )
-            n_cfg = int(np.prod(parent_cards, dtype=np.int64))
-        else:
-            cfg = np.zeros(len(dataset), dtype=np.int64)
-            n_cfg = 1
-        flat = cfg * card + encoded[node]
+        n_cfg = math.prod(specs[p].cardinality for p in parents)
+        flat = _config_codes((*parents, node), encoded, specs, len(dataset))
         counts = np.bincount(flat, minlength=n_cfg * card).reshape(n_cfg, card)
         counts = counts.astype(float) + smoothing
         totals = counts.sum(axis=1)

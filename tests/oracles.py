@@ -12,6 +12,8 @@ import heapq
 import itertools
 import math
 
+import numpy as np
+
 from causalcrit.graph import backdoor_admissible
 
 
@@ -167,6 +169,37 @@ def brute_missing_cpds(m, over, clamped=()):
     for node in over:
         needed |= brute_reachable(backwards, node)
     return sorted(n for n in needed if n not in m.cpds and n not in clamped)
+
+
+def brute_sample(m, n, seed):
+    """Forward sampling row by row with inverse CDFs, as {observed node: codes}.
+
+    Every node of the observed nodes' ancestral closure, in topological
+    order, takes one ``default_rng(seed).random(n)`` draw; row r gets the
+    first label whose cumulative probability is at least u_r, or the last
+    label if there is none.
+    """
+    observed = [v for v in m.structure.nodes if v not in m.structure.latent]
+    backwards = [(b, a) for a, b in m.structure.directed]
+    needed = set(observed).union(*(brute_reachable(backwards, v) for v in observed))
+    rng = np.random.default_rng(seed)
+    drawn = {}
+    for node in m.structure.topological_order():
+        if node not in needed:
+            continue
+        cpd, spec = m.cpds[node], m.specs[node]
+        codes = []
+        for r, u in enumerate(rng.random(n).tolist()):
+            parents = {p: m.specs[p].domain[drawn[p][r]] for p in cpd.parents}
+            label, cum = spec.cardinality - 1, 0.0
+            for k, prob in enumerate(cpd.table[row_index(m, cpd, parents)].tolist()):
+                cum += prob
+                if cum >= u:
+                    label = k
+                    break
+            codes.append(label)
+        drawn[node] = codes
+    return {v: drawn[v] for v in observed}
 
 
 # -- path-enumeration d-separation -------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import causalcrit
-from causalcrit import fixtures
+from causalcrit import fixtures, metrics
 from causalcrit.cli import main
 from causalcrit.fixtures import fixture_text
 from causalcrit.io import load_model, parse_model_text
@@ -600,7 +601,58 @@ class TestMetrics:
         traj.write_text("".join(f"{k * 1e-200} {k * 1e-199} 0\n" for k in range(11)), encoding="utf-8")
         code, out, err = run(capsys, "metrics", "--trajectories", str(traj), "--field", str(field))
         assert (code, out) == (1, "")
-        assert err == "ValidationError: the finite differences leave the float range: accelerations are not finite\n"
+        assert err == f"ValidationError: {traj}: the finite differences leave the float range: accelerations are not finite\n"
+
+    def test_acceleration_error_names_the_second_file(self, capsys, tmp_path):
+        traj, field = self.write_inputs(tmp_path)
+        frozen = tmp_path / "frozen.txt"
+        frozen.write_text("".join(f"{k * 0.05} 1.0 2.0\n" for k in range(81)), encoding="utf-8")
+        code, out, err = run(
+            capsys, "metrics", "--trajectories", str(traj), str(frozen), "--field", str(field),
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"DegenerateTrajectory: {frozen}: zero-length path segment; the tangent direction is undefined\n"
+        )
+
+    def test_one_acceleration_pass_and_lookup_per_trajectory(self, capsys, tmp_path, monkeypatch):
+        traj, field = self.write_inputs(tmp_path, decel=3.0)
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(
+            metrics, "_frame_accelerations", counted("accelerations", metrics._frame_accelerations)
+        )
+        monkeypatch.setattr(metrics.AccelField, "lookup", counted("lookup", metrics.AccelField.lookup))
+        code, _, _ = run(capsys, "metrics", "--trajectories", str(traj), str(traj), "--field", str(field))
+        assert code == 0
+        assert calls == {"accelerations": 2, "lookup": 2}
+
+    @pytest.mark.parametrize(
+        "bins, expected_code, expected_err",
+        [
+            (["--edges", "1,0"], 1, "NonMonotoneEdges: bin edges must be strictly ascending\n"),
+            (["--edges", "0.5", "--labels", "low"], 1, "ValidationError: need 2 labels for 1 edges\n"),
+            (["--labels", "low,high"], 2, "error: --labels needs --edges\n"),
+        ],
+        ids=["descending-edges", "label-count", "labels-without-edges"],
+    )
+    def test_bin_arguments_checked_before_any_file(self, capsys, tmp_path, bins, expected_code, expected_err):
+        # The field misses the path and the trajectory file does not exist:
+        # the bin arguments are still checked first.
+        traj, _ = self.write_inputs(tmp_path)
+        small = tmp_path / "small.txt"
+        small.write_text("1 1 0 0 1 1\n-8 5\n", encoding="utf-8")
+        for trajectories in (traj, tmp_path / "missing.txt"):
+            code, out, err = run(
+                capsys, "metrics", "--trajectories", str(trajectories), "--field", str(small), *bins,
+            )
+            assert (code, out, err) == (expected_code, "", expected_err)
 
     def test_nan_edge_exits_one(self, capsys, tmp_path):
         traj, field = self.write_inputs(tmp_path)

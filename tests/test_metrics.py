@@ -25,6 +25,7 @@ from causalcrit.metrics import (
     btn_dt,
     discretize_metric,
     stn_dt,
+    threat_numbers,
 )
 
 from oracles import nearest_cell
@@ -112,6 +113,18 @@ class TestTrajectoryValidation:
         frozen = Trajectory(t=t, x=np.zeros_like(t), y=np.zeros_like(t))
         with pytest.raises(DegenerateTrajectory):
             along_req_dt(task(frozen))
+
+    def test_acceleration_errors_name_the_trajectory(self):
+        t = np.arange(0.0, 4.01, 0.05)
+        frozen = Trajectory(t=t, x=np.zeros_like(t), y=np.zeros_like(t))
+        two = task(straight_line(), frozen)
+        with pytest.raises(DegenerateTrajectory, match=r"^trajectory 1: zero-length path segment"):
+            alat_req_dt(two)
+        with pytest.raises(DegenerateTrajectory, match=r"^b\.txt: zero-length path segment"):
+            threat_numbers(two, uniform_field(), names=["a.txt", "b.txt"])
+        short = task(straight_line(), straight_line(), t_start=1.0, horizon=0.05)
+        with pytest.raises(ValidationError, match=r"^trajectory 0: evaluation window holds fewer than 3"):
+            along_req_dt(short)
 
 
 class TestRequiredAccelerations:
@@ -291,6 +304,18 @@ class TestThreatNumbers:
             btn = btn_dt(dt_task, field)
             assert btn >= 0.0
             assert (btn == 0.0) == (along_req_dt(dt_task) == 0.0)
+
+    def test_threat_numbers_match_the_single_quantities(self):
+        dt_task = task(braking_line(3.0), circular_arc())
+        field = uniform_field()
+        assert threat_numbers(dt_task, field) == {
+            "along_req": along_req_dt(dt_task),
+            "alat_req": alat_req_dt(dt_task),
+            "along_min": along_min(dt_task, field),
+            "alat_min": alat_min(dt_task, field),
+            "btn_dt": btn_dt(dt_task, field),
+            "stn_dt": stn_dt(dt_task, field),
+        }
 
     def test_time_rescaling_scales_threats(self):
         lam = 2.0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -24,7 +25,12 @@ from causalcrit.model import (
     sample,
 )
 
-from oracles import brute_joint, brute_marginal, conditionally_independent, row_index
+from oracles import (
+    brute_joint,
+    brute_marginal,
+    brute_sample,
+    conditionally_independent,
+)
 
 
 def binary_spec(name, labels=("no", "yes")):
@@ -32,8 +38,11 @@ def binary_spec(name, labels=("no", "yes")):
 
 
 @st.composite
-def random_models(draw, min_nodes=1, max_nodes=6):
-    """Fully instantiated DAG models with 1-3 labels per node and Dirichlet CPDs."""
+def random_models(draw, min_nodes=1, max_nodes=6, sparse=False, latent=False):
+    """Fully instantiated DAG models with 1-3 labels per node and Dirichlet CPDs.
+
+    ``sparse`` zeroes some table entries; ``latent`` flags some nodes latent.
+    """
     n = draw(st.integers(min_nodes, max_nodes))
     names = [f"N{i}" for i in range(n)]
     cards = [draw(st.integers(1, 3)) for _ in names]
@@ -42,7 +51,8 @@ def random_models(draw, min_nodes=1, max_nodes=6):
         for j in range(n)
         for i in sorted(draw(st.sets(st.integers(0, j - 1), max_size=3)) if j else ())
     ]
-    s = build_structure(names, edges)
+    hidden = draw(st.sets(st.sampled_from(names))) if latent else ()
+    s = build_structure(names, edges, latent=hidden)
     specs = {
         name: VariableSpec(
             name=name,
@@ -56,7 +66,13 @@ def random_models(draw, min_nodes=1, max_nodes=6):
     for name, card in zip(names, cards):
         parents = tuple(sorted(s.parents(name)))
         rows = math.prod(specs[p].cardinality for p in parents)
-        cpds.append(make_cpd(name, parents, rng.dirichlet(np.ones(card), size=rows), specs))
+        table = rng.dirichlet(np.ones(card), size=rows)
+        if sparse:
+            table[rng.random(table.shape) < 0.4] = 0.0
+            dead = np.flatnonzero(table.sum(axis=1) == 0.0)
+            table[dead, rng.integers(card, size=dead.size)] = 1.0
+            table /= table.sum(axis=1, keepdims=True)
+        cpds.append(make_cpd(name, parents, table, specs))
     return build_model(s, specs, cpds)
 
 
@@ -446,26 +462,48 @@ class TestSample:
             sample(partial, 10, seed=0)
 
     @settings(max_examples=60, deadline=None)
-    @given(random_models(max_nodes=5), st.integers(0, 40), st.integers(0, 2**16))
+    @given(
+        random_models(max_nodes=5, sparse=True, latent=True),
+        st.integers(0, 200),
+        st.integers(0, 2**16),
+    )
     def test_matches_row_wise_draw(self, m, n, seed):
-        # Reference sampler: per node in topological order, the cumulative
-        # CPD row of each sample's parent configuration against one uniform.
-        rng = np.random.default_rng(seed)
-        drawn = {}
-        for node in m.structure.topological_order():
-            cpd = m.cpds[node]
-            rows = [
-                row_index(m, cpd, {p: m.specs[p].domain[drawn[p][i]] for p in cpd.parents})
-                for i in range(n)
-            ]
-            cdf = np.cumsum(cpd.table[rows], axis=1)
-            u = rng.random(n)
-            card = m.specs[node].cardinality
-            drawn[node] = np.minimum((cdf < u[:, None]).sum(axis=1), card - 1)
         ds = sample(m, n, seed)
-        assert ds.columns == tuple(sorted(drawn))
-        assert [c.tolist() for c in ds.codes] == [drawn[c].tolist() for c in ds.columns]
+        drawn = brute_sample(m, n, seed)
+        assert ds.columns == tuple(drawn)
+        assert [c.tolist() for c in ds.codes] == list(drawn.values())
         assert ds.domains == tuple(m.specs[c].domain for c in ds.columns)
+
+    def test_multi_label_codes_pinned(self):
+        # The draw loops over cumulative columns, so nodes of 3 and 4 labels,
+        # zero entries and a latent parent pin what binary nodes cannot.
+        specs = {
+            name: VariableSpec(
+                name=name,
+                domain=tuple(f"{name}{k}" for k in range(card)),
+                codes=tuple(float(k) for k in range(card)),
+            )
+            for name, card in (("A", 3), ("L", 4), ("B", 4), ("C", 3))
+        }
+        s = build_structure(
+            ["A", "L", "B", "C"], [("A", "B"), ("L", "B"), ("A", "C"), ("B", "C")], latent=["L"]
+        )
+        b_rows = [[0.1, 0.2, 0.3, 0.4], [0.0, 0.5, 0.0, 0.5], [0.25] * 4, [0.0, 0.0, 0.0, 1.0]]
+        c_rows = [[(r % 3) + 1, r % 2, 2] for r in range(12)]
+        m = build_model(
+            s,
+            specs,
+            [
+                make_cpd("A", (), [[0.2, 0.5, 0.3]], specs),
+                make_cpd("L", (), [[0.1, 0.0, 0.6, 0.3]], specs),
+                make_cpd("B", ("A", "L"), b_rows * 3, specs),
+                make_cpd("C", ("A", "B"), [[w / sum(row) for w in row] for row in c_rows], specs),
+            ],
+        )
+        ds = sample(m, 3000, seed=13)
+        assert ds.columns == ("A", "B", "C")
+        digest = hashlib.sha256(np.stack(ds.codes).astype("<i8").tobytes()).hexdigest()
+        assert digest == "5324d2e28652ef5d3880fdb8766fc126a1b5ed8d59b98a5c9572c14284df63ea"
 
     def test_empirical_frequency_near_marginal(self, reality_model):
         ds = sample(reality_model, 200_000, seed=7)
