@@ -9,9 +9,9 @@ JSON: identical invocations produce byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
-import warnings
 from typing import Optional, Sequence
 
 from . import fixtures
@@ -115,6 +115,8 @@ def cmd_adjust(args) -> int:
 
 
 def cmd_effect(args) -> int:
+    if args.adjust_set is not None and args.route != "backdoor":
+        raise ParseError("--adjust-set needs --route backdoor")
     _relation, model = _load(args.model)
     assignments = _parse_assignments(args.do or "")
     route, (dist,) = plan_effect(
@@ -146,23 +148,26 @@ def cmd_indicators(args) -> int:
     node_set = _parse_names(args.set)
     if node_set == []:
         raise ParseError(f"--set needs at least one node name, got {args.set!r}")
+    if args.rho3_restricted and node_set is None:
+        raise ParseError("--rho3-restricted needs --set")
+    if args.alpha is not None and not args.data:
+        raise ParseError("--alpha needs --data")
     relation_ref, ref = _load(args.reference)
     relation_cand, cand = _load(args.candidate)
     if args.data:
+        alpha = 0.0 if args.alpha is None else args.alpha
         ref_data = load_dataset(args.data[0], ref.specs)
         cand_data = load_dataset(args.data[1], cand.specs)
-        ref = estimate_cpds(ref.structure, ref.specs, ref_data, smoothing=args.alpha)
-        cand = estimate_cpds(cand.structure, cand.specs, cand_data, smoothing=args.alpha)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        reports = indicator_reports(
-            ModelPair(reference=ref, candidate=cand),
-            relation_ref.phenomenon,
-            relation_ref.metric,
-            node_set,
-            restrict_to_set=args.rho3_restricted,
-            bits=args.bits,
-        )
+        ref = estimate_cpds(ref.structure, ref.specs, ref_data, smoothing=alpha)
+        cand = estimate_cpds(cand.structure, cand.specs, cand_data, smoothing=alpha)
+    reports = indicator_reports(
+        ModelPair(reference=ref, candidate=cand),
+        relation_ref.phenomenon,
+        relation_ref.metric,
+        node_set,
+        restrict_to_set=args.rho3_restricted,
+        bits=args.bits,
+    )
     payload = {
         "command": "indicators",
         "reference": args.reference,
@@ -242,23 +247,8 @@ def cmd_sp(args) -> int:
     if not assignments:
         raise ParseError("--sp needs at least one node=label assignment")
     principle = SafetyPrinciple(name=args.name, assignments=assignments)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report = evaluate_safety_principle(
-            model, principle, relation.phenomenon, relation.metric
-        )
-    payload = {
-        "command": "sp",
-        "principle": report.principle,
-        "intervention": assignments,
-        "delta_p_phenomenon": report.delta_p_phenomenon,
-        "delta_metric_expectation": report.delta_metric_expectation,
-        "p_phenomenon_baseline": report.p_phenomenon_baseline,
-        "p_phenomenon_intervened": report.p_phenomenon_intervened,
-        "metric_expectation_baseline": report.metric_expectation_baseline,
-        "metric_expectation_intervened": report.metric_expectation_intervened,
-        "notes": list(report.notes),
-    }
+    report = evaluate_safety_principle(model, principle, relation.phenomenon, relation.metric)
+    payload = {"command": "sp", "intervention": assignments, **dataclasses.asdict(report)}
     lines = [
         f"delta P({relation.phenomenon.variable}={relation.phenomenon.cp_label}) = "
         f"{report.delta_p_phenomenon:+.6f}",
@@ -313,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", help="comma-separated node set for rho2/rho3")
     p.add_argument("--data", nargs=2, metavar=("REF_CSV", "CAND_CSV"),
                    help="re-estimate both models from datasets first")
-    p.add_argument("--alpha", type=float, default=0.0, help="estimation smoothing")
+    p.add_argument("--alpha", type=float, help="estimation smoothing with --data (default 0)")
     p.add_argument("--bits", action="store_true", help="log base 2 instead of nats")
     p.add_argument("--rho3-restricted", action="store_true",
                    help="restrict rho3 edges to the induced sub-model over --set")

@@ -14,7 +14,6 @@ joint. :func:`plan_effect` holds the one rule that picks a route.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -28,7 +27,6 @@ from .errors import (
     NotIdentifiable,
     NotMarkovian,
     ParentsNotInstantiated,
-    TargetNotAncestorWarning,
     ZeroProbabilityCondition,
 )
 from .graph import ancestors, backdoor_admissible, descendants, open_backdoor_path
@@ -314,30 +312,27 @@ def evaluate_safety_principle(
     Both baselines come from one :func:`~causalcrit.model.joint_tables` call.
     Both intervened distributions come from :func:`plan_effect`'s auto rule,
     so a semi-Markovian model answers wherever the planner does. A principle
-    whose targets influence neither the phenomenon nor the metric triggers a
-    warning instead of an error, since principles may act downstream of the
-    phenomenon.
+    whose targets influence neither the phenomenon nor the metric is not an
+    error, since principles may act downstream of the phenomenon; the
+    report's ``notes`` say so.
     """
     _other_label(m, cp)
     m.spec_of(metric)
     do = {node: [label] for node, label in sp.assignments.items()}
     _do_rows(m, do)
 
-    notes: list[str] = []
     influence_scope = (
         ancestors(m.structure, cp.variable)
         | {cp.variable}
         | ancestors(m.structure, metric)
         | {metric}
     )
-    off_target = sorted(set(sp.assignments) - influence_scope)
-    if len(off_target) == len(sp.assignments):
-        message = (
-            f"safety principle {sp.name!r} targets {off_target}, none of which "
-            f"influence {cp.variable!r} or {metric!r}"
+    notes = ()
+    if influence_scope.isdisjoint(sp.assignments):
+        notes = (
+            f"safety principle {sp.name!r} targets {sorted(sp.assignments)}, none of "
+            f"which influence {cp.variable!r} or {metric!r}",
         )
-        warnings.warn(message, TargetNotAncestorWarning, stacklevel=2)
-        notes.append(message)
 
     p_x, p_metric = joint_tables(m, [[cp.variable], [metric]])
     baseline_p = float(p_x[m.specs[cp.variable].index_of(cp.cp_label)])
@@ -354,5 +349,5 @@ def evaluate_safety_principle(
         p_phenomenon_intervened=p_do,
         metric_expectation_baseline=baseline_e,
         metric_expectation_intervened=e_do,
-        notes=tuple(notes),
+        notes=notes,
     )

@@ -136,11 +136,3 @@ class RaggedRow(CausalCritError):
 
 class UnseenParentConfigurationWarning(UserWarning):
     """A CPD row had zero observations and smoothing was disabled."""
-
-
-class PreconditionWarning(UserWarning):
-    """A stated indicator precondition is violated; the value is still reported."""
-
-
-class TargetNotAncestorWarning(UserWarning):
-    """A safety-principle target influences neither the phenomenon nor the metric."""

@@ -22,7 +22,6 @@ them all, plus the two effect-row calls, one :func:`plan_effect` per model.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Generator, Iterable, Mapping, Optional, Sequence, Union
 
@@ -35,7 +34,6 @@ from .errors import (
     InfiniteDivergence,
     InvalidQuery,
     NotMarkovian,
-    PreconditionWarning,
     ValidationError,
     ZeroMeanCriticality,
     ZeroProbabilityCondition,
@@ -245,14 +243,6 @@ def _effect_step(
     if e_obs == 0.0:
         raise ZeroMeanCriticality("observational E(metric) is zero")
     meta = {**meta, "e_observational": e_obs, "precondition_holds": e_not <= e_cp}
-    if e_not > e_cp:
-        # Attributed to the caller of the public function, which calls _run.
-        warnings.warn(
-            f"sigma precondition violated: E(do notCP)={e_not} exceeds "
-            f"E(do CP)={e_cp}; value reported anyway",
-            PreconditionWarning,
-            stacklevel=4,
-        )
     return [*reports, IndicatorReport("sigma", 1.0 - e_not / e_obs, (cp.variable, metric), meta)]
 
 
@@ -269,8 +259,8 @@ def rce(m: DiscreteModel, cp: PhenomenonBinding, metric: str) -> IndicatorReport
 def sigma(m: DiscreteModel, cp: PhenomenonBinding, metric: str) -> IndicatorReport:
     """Explained share of measured criticality: 1 - E(metric|do(notCP)) / E(metric).
 
-    The definition presumes E(do notCP) <= E(do CP); a violation downgrades
-    to a warning and the value is still reported.
+    The definition presumes E(do notCP) <= E(do CP). The value is reported
+    either way, and metadata ``precondition_holds`` records whether it held.
     """
     (report,) = _run([_effect_step(m, cp, metric, sigma_only=True)])
     return report
@@ -526,7 +516,9 @@ def indicator_reports(
     families are one more call. Every closure and spec check runs first,
     in report order, so a request fails where the separate calls would. The
     errors that need values (zero mean, infinite divergence, a
-    zero-probability parent configuration) follow in report order.
+    zero-probability parent configuration) follow in report order. A
+    violated sigma precondition is no error: each sigma report's metadata
+    records it in ``precondition_holds``.
     """
     steps = [_effect_step(m, cp, metric, role) for role, m in _by_role(pair).items()]
     steps.append(_rho1_step(pair, cp, bits))

@@ -269,6 +269,15 @@ class TestEffect:
         assert (code, out) == (2, "")
         assert "'X' is assigned twice" in err
 
+    @pytest.mark.parametrize("route", ["auto", "truncated", "parents"])
+    def test_adjust_set_off_backdoor_is_usage_error(self, capsys, tmp_path, route):
+        # Checked before the model file is read: the file does not exist.
+        code, out, err = run(
+            capsys, "effect", str(tmp_path / "missing.json"), "--do", "X=CP",
+            "--target", "phi", "--route", route, "--adjust-set", "V2",
+        )
+        assert (code, out, err) == (2, "", "error: --adjust-set needs --route backdoor\n")
+
     def test_all_routes_agree(self, capsys):
         results = {}
         for route, extra in (
@@ -448,6 +457,18 @@ class TestIndicators:
         )
         assert (code, out) == (1, "")
         assert err == f"ValidationError: smoothing must be finite and >= 0, got {alpha}\n"
+
+
+    def test_rho3_restricted_without_set_is_usage_error(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run(capsys, "indicators", missing, missing, "--rho3-restricted")
+        assert (code, out, err) == (2, "", "error: --rho3-restricted needs --set\n")
+
+    @pytest.mark.parametrize("alpha", ["0", "1"])
+    def test_alpha_without_data_is_usage_error(self, capsys, tmp_path, alpha):
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run(capsys, "indicators", missing, missing, "--alpha", alpha)
+        assert (code, out, err) == (2, "", "error: --alpha needs --data\n")
 
 
 class TestSample:
@@ -699,6 +720,34 @@ class TestSafetyPrinciple:
         )
         assert (code, out) == (2, "")
         assert "'V2' is assigned twice" in err
+
+    def test_off_target_principle_is_noted(self, capsys, tmp_path):
+        # Z influences neither X nor phi: a note in the report, not an error.
+        variable = {"domain": ["a", "b"], "codes": [0, 1], "unit": "1", "latent": False}
+        payload = {
+            "format_version": 1,
+            "variables": [{"name": n, **variable} for n in ("X", "phi", "Z")],
+            "edges": [["X", "phi"]],
+            "bidirected": [],
+            "cpds": [
+                {"child": "X", "parents": [], "table": [[0.3, 0.7]]},
+                {"child": "phi", "parents": ["X"], "table": [[0.9, 0.1], [0.2, 0.8]]},
+                {"child": "Z", "parents": [], "table": [[0.5, 0.5]]},
+            ],
+            "phenomenon": {"variable": "X", "cp_label": "b"},
+            "metric": {"variable": "phi"},
+            "context": [],
+        }
+        path = tmp_path / "off_target.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        note = "safety principle 'noop' targets ['Z'], none of which influence 'X' or 'phi'"
+        argv = ("sp", str(path), "--sp", "Z=a", "--name", "noop")
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["notes"] == [note]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == note
 
 
 class TestDeterminism:

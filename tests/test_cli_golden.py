@@ -21,6 +21,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
 from causalcrit.cli import main
 
 DATA = Path(__file__).parent / "data" / "cli_golden.json"
@@ -94,9 +96,10 @@ def _invocations():
 
 
 def _run(argv: tuple[str, ...], tmp: str) -> dict:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([a.replace("{tmp}", tmp).replace("{data}", str(DATA.parent)) for a in argv])
+    assert code != 0 or err.getvalue() == "", f"{' '.join(argv)} wrote to stderr: {err.getvalue()!r}"
     return {"argv": list(argv), "exit": code, "stdout": out.getvalue()}
 
 
@@ -116,6 +119,7 @@ def record(tmp: str) -> list[dict]:
     return [_run(argv, tmp) for argv in _invocations()]
 
 
+@pytest.mark.filterwarnings("error")
 def test_cli_output_matches_golden(tmp_path):
     expected = json.loads(DATA.read_text(encoding="utf-8"))
     actual = record(str(tmp_path))

@@ -22,7 +22,6 @@ from causalcrit.errors import (
     NotIdentifiable,
     NotMarkovian,
     ParentsNotInstantiated,
-    TargetNotAncestorWarning,
     UnknownCategory,
     ZeroProbabilityCondition,
 )
@@ -743,7 +742,7 @@ class TestSafetyPrinciple:
         assert report.delta_metric_expectation == pytest.approx(0.2, abs=1e-12)
         assert report.delta_p_phenomenon == pytest.approx(0.0, abs=1e-12)
 
-    def test_off_target_principle_warns_with_zero_deltas(self):
+    def test_off_target_principle_noted_with_zero_deltas(self):
         specs = {
             n: VariableSpec(name=n, domain=("a", "b"), codes=(0.0, 1.0))
             for n in ("X", "phi", "Z")
@@ -760,8 +759,10 @@ class TestSafetyPrinciple:
         )
         sp = SafetyPrinciple(name="noop", assignments={"Z": "a"})
         cp = PhenomenonBinding(variable="X", cp_label="b")
-        with pytest.warns(TargetNotAncestorWarning):
-            report = evaluate_safety_principle(m, sp, cp, "phi")
+        report = evaluate_safety_principle(m, sp, cp, "phi")
+        assert report.notes == (
+            "safety principle 'noop' targets ['Z'], none of which influence 'X' or 'phi'",
+        )
         assert report.delta_p_phenomenon == pytest.approx(0.0, abs=1e-12)
         assert report.delta_metric_expectation == pytest.approx(0.0, abs=1e-12)
 
