@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--do", default="", help='intervention, e.g. "X=CP" (empty = observational)')
     p.add_argument("--target", required=True)
     p.add_argument("--route", choices=ROUTES, default="auto")
-    p.add_argument("--adjust-set", help="comma-separated set for the backdoor route")
+    p.add_argument("--adjust-set", help="comma-separated set for the backdoor route (default: empty)")
     common(p)
     p.set_defaults(fn=cmd_effect)
 

@@ -7,7 +7,7 @@ only the CPDs of the ancestral closure of the joint it computes. On a
 Markovian model the truncated closure lies inside every other route's, so
 the adjustment routes serve semi-Markovian models. Every query maps each
 intervened node to one label per do() row, and one runner computes all rows
-through one route: the truncated route is one :func:`joint_table` call with
+through one route: the truncated route is one :func:`joint_tables` call with
 the rows on its leading axis, the adjustment routes take every row from one
 joint. :func:`plan_effect` holds the one rule that picks a route.
 """
@@ -30,7 +30,7 @@ from .errors import (
     ZeroProbabilityCondition,
 )
 from .graph import ancestors, backdoor_admissible, descendants, open_backdoor_path
-from .model import DiscreteModel, joint_table, joint_tables
+from .model import DiscreteModel, joint_tables
 
 __all__ = [
     "ROUTES",
@@ -98,7 +98,8 @@ def _adjusted_table(
     raised for the first such row.
     """
     adj = tuple(sorted(set(adjustment)))
-    names, arr = joint_table(m, over=set(adj) | {x, target})
+    names = sorted({*adj, x, target})
+    (arr,) = joint_tables(m, [names])
     spec_x, spec_t = m.spec_of(x), m.spec_of(target)
     order = [*adj, x]
     arr = np.transpose(arr, [names.index(n) for n in dict.fromkeys([*order, target])])
@@ -143,7 +144,7 @@ def _effect_rows(
     """The route runner: P(target | do) for each do row, through ``route``.
 
     ``do`` maps each intervened node to its label index per row, as in
-    :func:`joint_table`. Returns the route label and one row per do row.
+    :func:`joint_tables`. Returns the route label and one row per do row.
     ``point-mass`` and ``observational`` are the truncated joint without the
     Markov check: the auto rule takes them only where the do() leaves nothing
     to identify, as it sets the target or no intervened node lies in the
@@ -182,7 +183,7 @@ def _effect_rows(
                 f"for ({x!r}, {target!r}): {why}"
             )
         return f"backdoor:{adj}", _adjusted_table(m, x, do[x], target, adj)
-    return route, joint_table(m, over=[target], do=do)[1]
+    return route, joint_tables(m, [[target]], do=do)[0]
 
 
 def _auto_route(

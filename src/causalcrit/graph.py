@@ -86,7 +86,12 @@ class CausalStructure:
 
     @cached_property
     def _topological_order(self) -> tuple[str, ...]:
-        return tuple(_lexicographic_kahn(self._parents, self._children))
+        order = _lexicographic_kahn(self._parents, self._children)
+        if len(order) < len(self.nodes):
+            cycle = _find_cycle(self._parents, set(self.nodes).difference(order))
+            as_text = " -> ".join(cycle) + f" -> {cycle[0]}"
+            raise CycleDetected(f"directed part contains a cycle: {as_text}")
+        return tuple(order)
 
     @cached_property
     def _ancestors(self) -> dict[str, frozenset[str]]:
@@ -111,7 +116,8 @@ class CausalStructure:
         return frozenset(self._parents[node])
 
     def topological_order(self) -> tuple[str, ...]:
-        """Topological order of the directed part, name-sorted tie-break."""
+        """Topological order of the directed part, name-sorted tie-break;
+        :class:`CycleDetected` names a cycle when there is none."""
         return self._topological_order
 
     def is_markovian(self) -> bool:
@@ -241,11 +247,7 @@ def build_structure(
         directed=frozenset(directed_edges),
         bidirected=frozenset(bidirected_edges),
     )
-    ordered = _lexicographic_kahn(s._parents, s._children)
-    if len(ordered) < len(s.nodes):
-        cycle = _find_cycle(s._parents, seen.difference(ordered))
-        as_text = " -> ".join(cycle) + f" -> {cycle[0]}"
-        raise CycleDetected(f"directed part contains a cycle: {as_text}")
+    s.topological_order()
     return s
 
 

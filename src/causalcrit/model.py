@@ -1,7 +1,7 @@
 """Categorical variables, CPD tables, exact inference, sampling, estimation.
 
 Models are immutable after construction. All probability computations are
-exact: :func:`joint_table` computes the joint over just the queried nodes by
+exact: :func:`joint_tables` computes joints over just the queried nodes by
 variable elimination over the CPDs of their ancestral closure. A query whose
 output or largest intermediate factor exceeds a configurable state-space
 bound is rejected instead of being silently approximated.
@@ -264,37 +264,6 @@ def _closure_within(
 _ROWS = object()
 
 
-def joint_table(
-    m: DiscreteModel,
-    over: Optional[Iterable[str]] = None,
-    state_space_limit: int = DEFAULT_STATE_SPACE_LIMIT,
-    do: Optional[Mapping[str, Sequence[int]]] = None,
-) -> tuple[tuple[str, ...], np.ndarray]:
-    """Exact joint over ``sorted(over)`` (default: every instantiated node).
-
-    Returns the sorted node tuple and a dense array whose axes follow it.
-    This is :func:`joint_tables` with one scope, the root, so there is no
-    downward pass: the CPD factors of the ancestral closure of ``over`` are
-    multiplied and every closure node outside ``over`` is summed out by
-    sum-product variable elimination (Zhang & Poole 1994). The next node to
-    eliminate is the one whose bucket, the union of the factors that mention
-    it, spans the fewest states, ties broken by name.
-    :class:`StateSpaceExceeded` is raised before any array is allocated when
-    the output would exceed ``state_space_limit`` states, and before a
-    bucket or the final contraction that would exceed it is built.
-
-    ``do`` maps each intervened node to a sequence of label indices, one per
-    row, all of the same length n; row r is the r-th intervention. Each such
-    node's CPD factor becomes an n x |node| one-hot selector on a shared
-    leading row axis and the closure does not follow its parents, so the
-    array has shape (n, *axes) and row r is the joint of the truncated
-    factorization under that intervention (Pearl 2009, *Causality*, §3.2).
-    An intervened node in ``over`` is a point mass on its row's label.
-    """
-    names = tuple(sorted(m.instantiated if over is None else set(over)))
-    return names, joint_tables(m, [names], state_space_limit, do)[0]
-
-
 def joint_tables(
     m: DiscreteModel,
     scopes: Iterable[Iterable[str]],
@@ -303,19 +272,32 @@ def joint_tables(
 ) -> list[np.ndarray]:
     """Exact joints over several node sets from one calibrated elimination.
 
-    Entry k is the joint over ``sorted(scopes[k])``, laid out as
-    :func:`joint_table` lays out a single scope, ``do`` rows included.
+    Entry k is a dense array whose axes follow ``sorted(set(scopes[k]))``.
+    ``do`` maps each intervened node to a sequence of label indices, one per
+    row, all of the same length n (else :class:`InvalidQuery`); row r is the
+    r-th intervention. Each such node's CPD factor becomes an n x |node|
+    one-hot selector on a shared leading row axis and the closure does not
+    follow its parents, so every entry has shape (n, *axes) and its row r is
+    the joint of the truncated factorization under that intervention (Pearl
+    2009, *Causality*, §3.2). An intervened node in a scope is a point mass
+    on its row's label.
 
+    The CPD factors of the ancestral closure of all scopes (else
+    :class:`InsufficientInstantiation`, naming the missing CPDs) are
+    multiplied and summed out by sum-product variable elimination (Zhang &
+    Poole 1994).
     The root is the scope that reaches furthest down the topological order
-    (then the one with the most states, then the first): its nodes, the
-    intervened nodes and the row axis are kept, and the rest of the
-    ancestral closure of all scopes is eliminated once, in
-    :func:`joint_table`'s order. Every scope that reaches past the kept
-    nodes adds a unit factor over itself, so the bucket that eliminates the
-    first of its nodes covers it. The buckets form a cluster tree. Messages
-    go up it once, then down only along the paths from the root to the
-    buckets that hold a scope, and each scope is summed out of its bucket
-    or the root (Shenoy & Shafer 1990; Lauritzen & Spiegelhalter 1988).
+    (then the one with the most states, then the first): its nodes and the
+    row axis are kept, and every other closure node, intervened or not, is
+    eliminated once. The next node to eliminate is the one whose bucket,
+    the union of the factors that mention it, spans the fewest states, ties
+    broken by name. Every scope that reaches past the root adds a unit
+    factor over itself, so the bucket that eliminates the first of its
+    nodes covers it. The buckets form a cluster tree. Messages go up it
+    once, then down only along the paths from the root to the buckets that
+    hold a scope, and each scope is summed out of its bucket or the root
+    (Shenoy & Shafer 1990; Lauritzen & Spiegelhalter 1988); a lone scope is
+    the root and needs no downward pass.
     :class:`StateSpaceExceeded` is raised before an output, a bucket or the
     root that would exceed ``state_space_limit`` states is built, and no
     downward message or read spans more than the cluster that sends it.
@@ -353,11 +335,10 @@ def joint_tables(
         factors.append((scope, table.reshape([card[v] for v in scope])))
     # The root is the scope that reaches furthest down the topological
     # order, then the largest, so the closure is eliminated from the sources
-    # down toward it. Its nodes are kept, and so are the intervened nodes,
-    # which are summed out last with their selectors so that every bucket is
-    # that of the joint that keeps their axes. Every scope that reaches past
-    # the kept nodes gets a unit factor, which the bucket of its first
-    # eliminated node takes.
+    # down toward it. Only its nodes and the row axis are kept: an intervened
+    # node elsewhere is summed out in its own bucket, with its selector.
+    # Every scope that reaches past the root gets a unit factor, which the
+    # bucket of its first eliminated node takes.
     root = 0
     if len(scopes) > 1:
         order = m.structure.topological_order()
@@ -365,7 +346,7 @@ def joint_tables(
             range(len(scopes)),
             key=lambda k: (max(map(order.index, scopes[k]), default=-1), sizes[k]),
         )
-    kept = {*axes[root], *do}
+    kept = set(axes[root])
     unit = {}
     for k, a in enumerate(axes):
         scope = tuple(v for v in a if card[v] != 1)

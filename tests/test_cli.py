@@ -525,6 +525,11 @@ class TestBadDatasetExitsTwo:
         assert code == 2
         assert "'X' appears twice" in err
 
+    def test_no_header_row(self, capsys, tmp_path):
+        code, _, err = self.run_with_data(capsys, tmp_path, b"\n  \n")
+        assert code == 2
+        assert err.endswith("ref.csv: no header row\n")
+
 
 class TestMetrics:
     @staticmethod

@@ -160,11 +160,11 @@ def test_regime_axis_slices_equal_clamped_joints(reality_model):
     # do(): X is a point mass in its row, V1 lies upstream of every
     # intervened node.
     do = {"X": [1, 0, 1, 1], "V2": [0, 0, 1, 0]}
-    names, table = model.joint_table(reality_model, over=["phi", "X", "V1"], do=do)
-    assert names == ("V1", "X", "phi") and table.shape == (4, 2, 2, 2)
+    (table,) = model.joint_tables(reality_model, [["phi", "X", "V1"]], do=do)
+    assert table.shape == (4, 2, 2, 2)
     for r in range(4):
-        _, one = model.joint_table(
-            reality_model, over=["phi", "X", "V1"], do={n: [v[r]] for n, v in do.items()}
+        (one,) = model.joint_tables(
+            reality_model, [["phi", "X", "V1"]], do={n: [v[r]] for n, v in do.items()}
         )
         assert one.shape == (1, 2, 2, 2)
         assert np.abs(table[r] - one[0]).max() <= 1e-15
@@ -182,20 +182,21 @@ def test_rows_follow_the_requested_labels(candidate_model):
 def test_indicators_build_one_effect_table_per_model(monkeypatch):
     # Each model's ACE, RCE and sigma read one table of do() rows; computing
     # the do(CP)/do(notCP) pair once per indicator would show here.
-    calls = {"do rows": 0, "plan_effect": 0}
-    joint_table, planner = model.joint_table, indicators.plan_effect
-
-    def counting_joint_table(*args, **kwargs):
-        calls["do rows"] += bool(kwargs.get("do"))
-        return joint_table(*args, **kwargs)
+    calls = {"do rows": 0, "no do rows": 0, "plan_effect": 0}
+    planner = indicators.plan_effect
 
     def counting_planner(*args, **kwargs):
         calls["plan_effect"] += 1
         return planner(*args, **kwargs)
 
-    for module in (model, engine):
-        monkeypatch.setattr(module, "joint_table", counting_joint_table)
+    for module in (engine, indicators):
+
+        def counting_joint_tables(*args, _real=module.joint_tables, **kwargs):
+            calls["do rows" if kwargs.get("do") else "no do rows"] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "joint_tables", counting_joint_tables)
     monkeypatch.setattr(indicators, "plan_effect", counting_planner)
     argv = ["indicators", "heavy-rain-reality", "heavy-rain-model", "--set", "V1,V2,X"]
     assert main([*argv, "--format", "json"]) == 0
-    assert calls == {"do rows": 2, "plan_effect": 2}
+    assert calls == {"do rows": 2, "no do rows": 2, "plan_effect": 2}

@@ -249,6 +249,12 @@ class TestBackdoor:
         with pytest.raises(NotAdmissible):
             plan_effect(candidate_model, {"X": ["CP"]}, "phi", "backdoor", ["V1"])
 
+    def test_library_needs_an_adjustment_set(self, reality_model):
+        # The CLI passes the empty set when --adjust-set is absent; the
+        # library call has no such default.
+        with pytest.raises(InvalidQuery, match="backdoor route needs an adjustment set"):
+            plan_effect(reality_model, {"X": ["CP"]}, "phi", route="backdoor")
+
     def test_repeated_member_named_once(self, reality_model, candidate_model):
         do = {"X": ["CP"]}
         route, rows = plan_effect(reality_model, do, "phi", "backdoor", ["V1", "V1"])

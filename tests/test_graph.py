@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 from causalcrit.errors import (
     CycleDetected,
     DuplicateNode,
+    InvalidQuery,
     OverlappingSets,
     SelfLoop,
     UnknownEndpoint,
     UnknownNode,
 )
 from causalcrit.graph import (
+    CausalStructure,
     ancestors,
     backdoor_admissible,
     build_structure,
@@ -72,6 +75,32 @@ class TestBuildStructure:
     def test_bidirected_needs_endogenous_endpoints(self):
         with pytest.raises(UnknownEndpoint):
             build_structure(["A", "B"], bidirected=[("A", "B")], latent=["B"])
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"nodes": ["A", ""]}, "node names must be non-empty"),
+            ({"nodes": ["A"], "latent": ["B"]}, "latent flag on undeclared node 'B'"),
+            ({"nodes": ["A"], "bidirected": [("A", "B")]}, "bidirected ('A', 'B') uses an undeclared node"),
+        ],
+        ids=["empty-name", "latent-undeclared", "bidirected-undeclared"],
+    )
+    def test_undeclared_or_empty_names_rejected(self, kwargs, message):
+        with pytest.raises(UnknownEndpoint, match=re.escape(message)):
+            build_structure(**kwargs)
+
+    def test_cycle_in_a_directly_built_structure(self):
+        # The order itself checks for cycles, not only build_structure.
+        s = CausalStructure(
+            nodes=("A", "B", "C"),
+            latent=frozenset(),
+            directed=frozenset({("A", "B"), ("B", "C"), ("C", "B")}),
+            bidirected=frozenset(),
+        )
+        with pytest.raises(CycleDetected, match=re.escape("B -> C -> B")):
+            s.topological_order()
+        with pytest.raises(CycleDetected):
+            ancestors(s, "C")
 
     def test_friction_fixture_builds(self, friction_relation):
         _, model = friction_relation
@@ -177,6 +206,9 @@ class TestBackdoor:
         assert open_backdoor_path(s, {"V1"}, "X", "phi") == "X <- V2 -> phi"
         assert open_backdoor_path(s, {"V2"}, "X", "phi") is None
 
+    def test_no_refusal_path_from_a_node_to_itself(self, candidate_model):
+        assert open_backdoor_path(candidate_model.structure, set(), "X", "X") is None
+
     def test_refusal_path_reads_arc_where_edge_is_blocked(self):
         # A -> W and A <-> W: with A adjusted for, only the reading through
         # the confounding arc, where A is a collider, stays open.
@@ -219,6 +251,16 @@ class TestEnumeration:
             assert backdoor_admissible(s, adj, "X", "phi")
         keys = [(len(adj), tuple(sorted(adj))) for adj in sets]
         assert keys == sorted(keys)
+
+    def test_invalid_pair_rejected(self):
+        s = build_structure(["L", "X", "Y"], [("L", "X"), ("X", "Y")], latent=["L"])
+        with pytest.raises(InvalidQuery, match="x and y must differ"):
+            enumerate_adjustment_sets(s, "X", "X", 4)
+        with pytest.raises(InvalidQuery, match="x and y must be non-latent"):
+            enumerate_adjustment_sets(s, "L", "Y", 4)
+
+    def test_zero_count_lists_nothing(self, candidate_model):
+        assert enumerate_adjustment_sets(candidate_model.structure, "X", "phi", 0) == []
 
     def test_parent_set_guarantee_under_truncation(self, candidate_model):
         # {V2} is found first; truncation to one slot must still surface the

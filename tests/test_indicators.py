@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import causalcrit.engine as engine
 import causalcrit.indicators as indicators
-import causalcrit.model as model
 from causalcrit.cli import main
 from causalcrit.context import PhenomenonBinding
 from causalcrit.errors import (
@@ -467,7 +466,7 @@ class TestRho3:
         # Full-graph: one calibration per model gives every P(pa_c).
         # Restricted: one more per model gives every kept family.
         counted = []
-        for module, name in ((model, "joint_table"), (indicators, "joint_tables")):
+        for module, name in ((engine, "joint_tables"), (indicators, "joint_tables")):
             real = getattr(module, name)
 
             def counting(*args, _real=real, _name=name, **kwargs):
@@ -590,24 +589,24 @@ class TestIndicatorReports:
 
     @pytest.mark.parametrize("extra, sub_models", [((), 0), (("--rho3-restricted",), 2)])
     def test_one_elimination_per_model(self, monkeypatch, extra, sub_models):
-        # Outside plan_effect's two effect-row calls, each model answers every
-        # joint from one joint_tables call; rho1, sigma and rho2 make no
-        # joint_table call of their own.
+        # Besides plan_effect's one do() call per model, each model answers
+        # every joint from one joint_tables call; rho1, sigma and rho2 make
+        # no inference call of their own.
         calls = []
-        for module, name in ((model, "joint_table"), (engine, "joint_table"), (indicators, "joint_tables")):
+        for module in (engine, indicators):
 
-            def counting(m, *args, _real=getattr(module, name), _name=name, **kwargs):
-                calls.append((_name, m.structure.nodes, bool(kwargs.get("do"))))
+            def counting(m, *args, _real=module.joint_tables, **kwargs):
+                calls.append((m.structure.nodes, bool(kwargs.get("do"))))
                 return _real(m, *args, **kwargs)
 
-            monkeypatch.setattr(module, name, counting)
+            monkeypatch.setattr(module, "joint_tables", counting)
         argv = ["indicators", "heavy-rain-reality", "heavy-rain-model", "--set", "V1,V2,X", *extra]
         assert main([*argv, "--format", "json"]) == 0
         ref, cand = ("V1", "V2", "V3", "X", "phi"), ("V1", "V2", "X", "phi")
         assert calls == [
-            ("joint_table", ref, True),
-            ("joint_table", cand, True),
-            ("joint_tables", ref, False),
-            ("joint_tables", cand, False),
-            *[("joint_tables", ("V1", "V2", "X"), False)] * sub_models,
+            (ref, True),
+            (cand, True),
+            (ref, False),
+            (cand, False),
+            *[(("V1", "V2", "X"), False)] * sub_models,
         ]

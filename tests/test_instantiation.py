@@ -27,7 +27,7 @@ from causalcrit.io import parse_model_text
 from causalcrit.model import (
     VariableSpec,
     build_model,
-    joint_table,
+    joint_tables,
     make_cpd,
     sample,
 )
@@ -98,7 +98,7 @@ def test_each_query_needs_only_its_closure(data):
     assignment = {n: values[names.index(n)] for n in inst}
     check(
         brute_missing_cpds(m, inst),
-        lambda: joint_table(m)[1][tuple(m.specs[n].index_of(assignment[n]) for n in inst)],
+        lambda: joint_tables(m, [inst])[0][tuple(m.specs[n].index_of(assignment[n]) for n in inst)],
         lambda: brute_marginal(names, joint, inst)[tuple(assignment[n] for n in inst)],
     )
 

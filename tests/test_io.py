@@ -5,7 +5,9 @@ import re
 import numpy as np
 import pytest
 
+from causalcrit.context import PropertyRef
 from causalcrit.errors import (
+    InvalidQuery,
     ParseError,
     RaggedRow,
     UnknownLabel,
@@ -65,6 +67,10 @@ class TestFixtures:
         assert spec.value_range == "[0, inf)"
         assert spec.unit == "1"
 
+    def test_unknown_fixture_id(self):
+        with pytest.raises(InvalidQuery, match="unknown fixture 'heavy-snow'"):
+            fixture("heavy-snow")
+
     def test_friction_latent_metric_components(self):
         _, model = fixture("friction-relation")
         assert "BTN_DT" in model.structure.latent
@@ -123,6 +129,34 @@ class TestModelRoundTrip:
         mutate(payload)
         with pytest.raises(ParseError, match=rf"^{re.escape(where)}: expected an object"):
             parse_model_text(json.dumps(payload))
+
+    def test_unsupported_format_version(self):
+        text = _mutated("heavy-rain-reality", "format_version", value=2)
+        with pytest.raises(ParseError, match="^unsupported format_version 2$"):
+            parse_model_text(text)
+
+    def test_duplicate_variable(self):
+        payload = json.loads(fixture_text("heavy-rain-reality"))
+        payload["variables"].append(payload["variables"][0])
+        with pytest.raises(ValidationError, match=r"^variables\[5\]: duplicate variable 'V1'$"):
+            parse_model_text(json.dumps(payload))
+
+    def test_property_reference_round_trip(self):
+        # A value {"ref": "individual.property"} reads as a PropertyRef and
+        # is written back as one, with the expression's unit.
+        expression = {"property": "speed", "op": "<", "value": {"ref": "lead vehicle.speed"}, "unit": "m/s"}
+        text = _mutated("friction-relation", "context", 0, "expression", value=expression)
+        relation, model = parse_model_text(text)
+        (parsed,) = [st.expression for st in relation.context if st.expression and st.expression.unit]
+        assert (parsed.value, parsed.unit) == (PropertyRef("lead vehicle", "speed"), "m/s")
+        written = model_to_text(relation, model)
+        assert expression in [st.get("expression") for st in json.loads(written)["context"]]
+        assert model_to_text(*parse_model_text(written)) == written
+
+    def test_property_reference_needs_a_dot(self):
+        text = _mutated("friction-relation", "context", 0, "expression", "value", value={"ref": "speed"})
+        with pytest.raises(ParseError, match=r"^context\[0\]\.expression: property reference 'speed' needs individual\.property form$"):
+            parse_model_text(text)
 
     def test_not_json(self):
         with pytest.raises(ParseError):
@@ -297,6 +331,12 @@ class TestTrajectoryAndField:
         path.write_text(text.replace(" x", ""), encoding="utf-8")
         with pytest.raises(ParseError, match=r":4: expected '(long lat|t x y)'$"):
             loader(path)
+
+    def test_empty_field_file(self, tmp_path):
+        path = tmp_path / "field.txt"
+        path.write_text("\n \n", encoding="utf-8")
+        with pytest.raises(ParseError, match="empty field file$"):
+            load_field(path)
 
     def test_field_cell_count_checked(self, tmp_path):
         path = tmp_path / "field.txt"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from causalcrit.errors import (
     EmptyDataset,
     InsufficientInstantiation,
+    InvalidQuery,
     StateSpaceExceeded,
     UnseenParentConfigurationWarning,
     ValidationError,
@@ -19,7 +20,6 @@ from causalcrit.model import (
     VariableSpec,
     build_model,
     estimate_cpds,
-    joint_table,
     joint_tables,
     make_cpd,
     sample,
@@ -149,7 +149,7 @@ class TestValidation:
         cpds = [make_cpd(n, (), [[0.125] * 8], specs) for n in names]
         m = build_model(s, specs, cpds)
         with pytest.raises(StateSpaceExceeded):
-            joint_table(m, state_space_limit=1 << 24)
+            joint_tables(m, [names], state_space_limit=1 << 24)
 
     def test_state_space_bound_counts_intermediates(self):
         # A 2-state output whose elimination needs a 32-state bucket.
@@ -159,15 +159,15 @@ class TestValidation:
         cpds = [make_cpd(p, (), [[0.5, 0.5]], specs) for p in names[1:]]
         cpds.append(make_cpd("C", tuple(names[1:]), [[0.5, 0.5]] * 16, specs))
         m = build_model(s, specs, cpds)
-        assert joint_table(m, over=["C"], state_space_limit=32)[1].shape == (2,)
+        assert joint_tables(m, [["C"]], state_space_limit=32)[0].shape == (2,)
         with pytest.raises(StateSpaceExceeded):
-            joint_table(m, over=["C"], state_space_limit=31)
-        # Intervened parents are summed out in the last contraction, which
-        # also spans the two do() rows: 64 states.
+            joint_tables(m, [["C"]], state_space_limit=31)
+        # Each intervened parent is summed out in its own bucket, which also
+        # spans the two do() rows and the other parents: 64 states.
         do = {p: [0, 1] for p in names[1:]}
-        assert joint_table(m, over=["C"], state_space_limit=64, do=do)[1].shape == (2, 2)
+        assert joint_tables(m, [["C"]], state_space_limit=64, do=do)[0].shape == (2, 2)
         with pytest.raises(StateSpaceExceeded):
-            joint_table(m, over=["C"], state_space_limit=63, do=do)
+            joint_tables(m, [["C"]], state_space_limit=63, do=do)
 
 
 class TestJointProbability:
@@ -175,23 +175,22 @@ class TestJointProbability:
     instantiated node."""
 
     def test_single_binary_node(self):
-        names, arr = joint_table(single_node_model(0.3))
-        assert names == ("A",)
+        (arr,) = joint_tables(single_node_model(0.3), [["A"]])
         assert arr.tolist() == pytest.approx([0.7, 0.3])
 
     def test_heavy_rain_fixture_product(self, reality_model):
-        names, arr = joint_table(reality_model)
+        names = sorted(reality_model.instantiated)
+        (arr,) = joint_tables(reality_model, [names])
         assignment = {"V1": "Summer", "V3": "Oceanic", "X": "CP", "V2": "Slow", "phi": "Short"}
         p = arr[tuple(reality_model.specs[n].index_of(assignment[n]) for n in names)]
         assert p == pytest.approx(0.5 * 0.6 * 0.6 * 0.6 * 0.8, abs=1e-12)
 
     def test_sums_to_one(self, reality_model):
-        assert joint_table(reality_model)[1].sum() == pytest.approx(1.0, abs=1e-9)
+        assert joint_tables(reality_model, [reality_model.instantiated])[0].sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_brute_force(self, candidate_model):
         names, joint = brute_joint(candidate_model)
-        lib_names, arr = joint_table(candidate_model)
-        assert lib_names == tuple(names)
+        (arr,) = joint_tables(candidate_model, [names])
         for values, p in joint.items():
             idx = tuple(
                 candidate_model.specs[n].domain.index(v)
@@ -201,8 +200,8 @@ class TestJointProbability:
 
 
 def node_marginal(m, node):
-    """P(node) as {label: probability}, from :func:`joint_table`."""
-    _, arr = joint_table(m, [node])
+    """P(node) as {label: probability}, from :func:`joint_tables`."""
+    (arr,) = joint_tables(m, [[node]])
     return dict(zip(m.specs[node].domain, arr.tolist()))
 
 
@@ -219,14 +218,13 @@ class TestMarginal:
 
     def test_marginal_over_all_nodes_equals_joint(self, reality_model):
         names, joint = brute_joint(reality_model)
-        _, arr = joint_table(reality_model, names)
+        (arr,) = joint_tables(reality_model, [names])
         for labels, p in joint.items():
             idx = tuple(reality_model.specs[n].index_of(v) for n, v in zip(names, labels))
             assert arr[idx] == pytest.approx(p, abs=1e-12)
 
     def test_conditional_renormalizes(self, reality_model):
-        names, arr = joint_table(reality_model, ["V2", "phi"])
-        assert names == ("V2", "phi")
+        (arr,) = joint_tables(reality_model, [["V2", "phi"]])
         slow = arr[reality_model.specs["V2"].index_of("Slow")]
         dist = dict(zip(reality_model.specs["phi"].domain, (slow / slow.sum()).tolist()))
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
@@ -256,7 +254,7 @@ class TestVariableElimination:
         s = build_structure(["A", "B", "C"], [("A", "B"), ("B", "C")])
         m = build_model(s, specs, [make_cpd("C", ("B",), [[0.5, 0.5], [0.1, 0.9]], specs)])
         with pytest.raises(InsufficientInstantiation, match=r"\['A', 'B'\]"):
-            joint_table(m, over=["C"])
+            joint_tables(m, [["C"]])
 
     def test_long_chain_root_and_sink(self):
         # The full joint of 26 binary nodes has 2**26 states, above the
@@ -274,8 +272,7 @@ class TestVariableElimination:
         cpds = [make_cpd(p, (), [[1.0]], specs) for p in parents]
         cpds.append(make_cpd("B", tuple(parents), [[0.3, 0.7]], specs))
         m = build_model(s, specs, cpds)
-        names, arr = joint_table(m, over=["B", "P00"])
-        assert names == ("B", "P00")
+        (arr,) = joint_tables(m, [["B", "P00"]])
         assert arr.tolist() == [[0.3], [0.7]]
 
     @settings(max_examples=80, deadline=None)
@@ -284,8 +281,8 @@ class TestVariableElimination:
         m = data.draw(random_models())
         nodes = sorted(m.instantiated)
         over = data.draw(st.none() | st.sets(st.sampled_from(nodes), min_size=1))
-        names, arr = joint_table(m, over=over)
-        assert names == tuple(sorted(nodes if over is None else over))
+        names = sorted(nodes if over is None else over)
+        (arr,) = joint_tables(m, [names])
         brute_names, joint = brute_joint(m)
         expected = brute_marginal(brute_names, joint, names)
         assert arr.shape == tuple(m.specs[n].cardinality for n in names)
@@ -318,7 +315,8 @@ class TestVariableElimination:
             key = tuple(labels[both.index(n)] for n in sorted(targets))
             expected[key] = expected.get(key, 0.0) + p / total
         # A conditional is a slice of the joint, renormalized.
-        names, arr = joint_table(m, both)
+        names = both
+        (arr,) = joint_tables(m, [both])
         arr = arr[tuple(m.specs[n].index_of(evidence[n]) if n in evidence else slice(None) for n in names)]
         arr = arr / arr.sum()
         assert arr.size == len(expected)
@@ -358,21 +356,22 @@ class TestJointTables:
                 for idx in np.ndindex(*shape):
                     key = tuple(m.specs[n].domain[i] for n, i in zip(names, idx))
                     assert row[idx] == pytest.approx(expected.get(key, 0.0), abs=1e-12)
-            # A single scope is joint_table's call, bit for bit.
-            single = joint_tables(m, [scope], do=do or None)[0]
-            assert np.array_equal(single, joint_table(m, scope, do=do or None)[1])
 
     def test_no_scopes(self, reality_model):
         assert joint_tables(reality_model, []) == []
+
+    def test_do_rows_of_unequal_length(self, reality_model):
+        with pytest.raises(InvalidQuery, match=r"do rows differ in length: \[1, 2\]"):
+            joint_tables(reality_model, [["phi"]], do={"X": [0], "V2": [0, 1]})
 
     def test_limit_covers_the_downward_pass(self):
         # Z (8 labels) stands apart and is last in topological order, so
         # [Z] is the root; D -> Q, both binary, and D is intervened on in two
         # rows. Alone, [Z] spans 2 x 8 states and [Q] 2 x 2 x 2. Together,
-        # the kept intervened node D joins the root, which spans rows x D x Z
-        # = 32 states but is contracted only on the way down: to send Q's
-        # bucket its downward message and to read Z. Every upward bucket
-        # spans 8.
+        # the root keeps only the row axis and Z, so it spans 16 states and
+        # is contracted only on the way down: to send Q's bucket its downward
+        # message and to read Z. The intervened D is summed out in its own
+        # bucket, over rows x D x Q = 8 states.
         specs = {
             "D": binary_spec("D"),
             "Q": binary_spec("Q"),
@@ -385,13 +384,27 @@ class TestJointTables:
             make_cpd("Z", (), [[0.125] * 8], specs),
         ])
         do = {"D": [0, 1]}
-        for scope in (["Z"], ["Q"]):
-            joint_table(m, scope, state_space_limit=31, do=do)
-        with pytest.raises(StateSpaceExceeded, match="spans 32 states"):
-            joint_tables(m, [["Z"], ["Q"]], state_space_limit=31, do=do)
-        p_z, p_q = joint_tables(m, [["Z"], ["Q"]], state_space_limit=32, do=do)
+        p_z, p_q = joint_tables(m, [["Z"], ["Q"]], state_space_limit=31, do=do)
         assert p_z.tolist() == [[0.125] * 8] * 2
         assert p_q == pytest.approx(np.array([[0.9, 0.1], [0.2, 0.8]]), abs=1e-15)
+
+    def test_batched_limit_can_exceed_every_scope_alone(self):
+        # D -> Q, and Z stands apart; all binary. [Q, Z] is the root, and
+        # the unit factor of [D, Z] puts Z into D's bucket, which then spans
+        # D x Q x Z = 8 states. Alone, each scope needs no factor above 4.
+        specs = {n: binary_spec(n) for n in ("D", "Q", "Z")}
+        s = build_structure(["D", "Q", "Z"], [("D", "Q")])
+        m = build_model(s, specs, [
+            make_cpd("D", (), [[0.4, 0.6]], specs),
+            make_cpd("Q", ("D",), [[0.9, 0.1], [0.2, 0.8]], specs),
+            make_cpd("Z", (), [[0.5, 0.5]], specs),
+        ])
+        scopes = [["Q", "Z"], ["D", "Z"]]
+        alone = [joint_tables(m, [scope], state_space_limit=4)[0] for scope in scopes]
+        with pytest.raises(StateSpaceExceeded, match="spans 8 states"):
+            joint_tables(m, scopes, state_space_limit=7)
+        for a, b in zip(alone, joint_tables(m, scopes, state_space_limit=8)):
+            assert a == pytest.approx(b, abs=1e-15)
 
 
 class TestMarkovProperty:
