@@ -4,6 +4,9 @@ Exit codes make the loop scriptable: 0 for a clean run, 1 for a domain
 finding (validation violations, inadmissible sets, non-identifiable
 effects), 2 for usage or IO problems. Machine-readable output is canonical
 JSON: identical invocations produce byte-identical bytes.
+
+Each command imports the numeric layers it computes with when it runs, so
+``validate`` and ``adjust`` on a relation without CPDs load no numpy.
 """
 
 from __future__ import annotations
@@ -15,11 +18,10 @@ import sys
 from typing import Optional, Sequence
 
 from . import fixtures
+from .choices import AGGREGATION_MODES, ROUTES
 from .context import validate_causal_relation
-from .engine import ROUTES, SafetyPrinciple, evaluate_safety_principle, expectation, plan_effect
 from .errors import CausalCritError, ParseError
 from .graph import enumerate_adjustment_sets
-from .indicators import ModelPair, indicator_reports
 from .io import (
     canonical_json,
     load_dataset,
@@ -28,15 +30,6 @@ from .io import (
     load_trajectory,
     save_dataset,
 )
-from .metrics import (
-    AGGREGATION_MODES,
-    DrivingTask,
-    aggregate,
-    check_bins,
-    discretize_metric,
-    threat_numbers,
-)
-from .model import estimate_cpds, sample
 
 EXIT_CLEAN = 0
 EXIT_FINDING = 1
@@ -115,6 +108,8 @@ def cmd_adjust(args) -> int:
 
 
 def cmd_effect(args) -> int:
+    from .engine import expectation, plan_effect
+
     if args.adjust_set is not None and args.route != "backdoor":
         raise ParseError("--adjust-set needs --route backdoor")
     _relation, model = _load(args.model)
@@ -145,6 +140,9 @@ def cmd_effect(args) -> int:
 
 
 def cmd_indicators(args) -> int:
+    from .indicators import ModelPair, indicator_reports
+    from .model import estimate_cpds
+
     node_set = _parse_names(args.set)
     if node_set == []:
         raise ParseError(f"--set needs at least one node name, got {args.set!r}")
@@ -184,6 +182,8 @@ def cmd_indicators(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .model import sample
+
     if args.n < 0:
         raise ParseError(f"-n must be >= 0, got {args.n}")
     if args.seed < 0:
@@ -204,6 +204,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    from .metrics import DrivingTask, aggregate, check_bins, discretize_metric, threat_numbers
+
     try:
         edges = [float(e) for e in _parse_names(args.edges) or []]
     except ValueError as exc:
@@ -242,6 +244,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_sp(args) -> int:
+    from .engine import SafetyPrinciple, evaluate_safety_principle
+
     relation, model = _load(args.model)
     assignments = _parse_assignments(args.sp)
     if not assignments:

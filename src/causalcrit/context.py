@@ -13,7 +13,7 @@ from typing import Mapping, Optional, Union
 
 from .errors import ValidationError
 from .graph import CausalStructure
-from .model import VariableSpec
+from .variables import VariableSpec
 
 __all__ = [
     "ContextStatement",

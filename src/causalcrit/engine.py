@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .choices import ROUTES
 from .context import PhenomenonBinding
 from .errors import (
     InsufficientInstantiation,
@@ -40,8 +41,6 @@ __all__ = [
     "expectation",
     "evaluate_safety_principle",
 ]
-
-ROUTES = ("auto", "truncated", "parents", "backdoor")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from pathlib import Path
 from .context import CausalRelation
 from .errors import InvalidQuery
 from .io import parse_model_text
-from .model import DiscreteModel
+from .variables import DiscreteModel
 
 __all__ = ["FIXTURE_IDS", "fixture", "fixture_path", "fixture_text"]
 

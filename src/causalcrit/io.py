@@ -4,6 +4,10 @@ Model files are JSON with a canonical writer: sorted keys, name-sorted
 collections, floats at 12 significant digits. A canonically written file is
 a fixed point of save(load(.)), which keeps fixtures diffable and lets tests
 pin them by checksum.
+
+Reading a model file without CPDs needs no numpy. The readers that build
+arrays (CPD tables, datasets, trajectories and fields) import numpy and the
+numeric layers when they run.
 """
 
 from __future__ import annotations
@@ -14,9 +18,7 @@ import math
 import os
 import stat
 from pathlib import Path
-from typing import Mapping, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Union
 
 from .context import (
     CausalRelation,
@@ -27,14 +29,13 @@ from .context import (
 )
 from .errors import CausalCritError, ParseError, RaggedRow, UnknownLabel, ValidationError
 from .graph import build_structure
-from .metrics import AccelField, Trajectory
-from .model import (
-    Dataset,
-    DiscreteModel,
-    VariableSpec,
-    build_model,
-    make_cpd,
-)
+from .variables import DiscreteModel, VariableSpec, build_model
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .metrics import AccelField, Trajectory
+    from .model import Dataset
 
 __all__ = [
     "FORMAT_VERSION",
@@ -329,10 +330,14 @@ def parse_model_text(text: str) -> tuple[CausalRelation, DiscreteModel]:
     latent = [var["name"] for var in payload["variables"] if var["latent"]]
     structure = build_structure(specs.keys(), payload["edges"], payload["bidirected"], latent)
     context = tuple(_statement_from_json(st, f"context[{k}]") for k, st in enumerate(payload["context"]))
-    cpds = [
-        _at(f"cpds[{k}]", make_cpd, child=c["child"], parents=c["parents"], table=c["table"], specs=specs)
-        for k, c in enumerate(payload["cpds"])
-    ]
+    cpds = []
+    if payload["cpds"]:
+        from .model import make_cpd
+
+        cpds = [
+            _at(f"cpds[{k}]", make_cpd, child=c["child"], parents=c["parents"], table=c["table"], specs=specs)
+            for k, c in enumerate(payload["cpds"])
+        ]
     relation = CausalRelation(structure, context, PhenomenonBinding(**payload["phenomenon"]),
                               payload["metric"]["variable"], specs)
     return relation, build_model(structure, specs, cpds)
@@ -362,6 +367,10 @@ def load_dataset(
     occurrence, so the first bad row reported is the first bad row of the
     file. Row numbers count non-blank lines after the header from 0.
     """
+    import numpy as np
+
+    from .model import Dataset
+
     raw = _read_text(path).splitlines()
     start = next((i for i, line in enumerate(raw) if line.strip()), None)
     if start is None:
@@ -411,6 +420,8 @@ _KEY_LIMIT = 1 << 62
 def save_dataset(path: PathLike, dataset: Dataset) -> None:
     """Write ``dataset`` as CSV, rendering each distinct row only once; a label
     that would not read back as itself raises before anything is written."""
+    import numpy as np
+
     for column, domain in zip(dataset.columns, dataset.domains):
         for label in domain:
             if not (label == label.strip() and "," not in label and label.splitlines() == [label]):
@@ -445,6 +456,8 @@ def _number_lines(path: PathLike) -> list[tuple[int, list[str]]]:
 def _float_rows(path: PathLike, lines: list[tuple[int, list[str]]], form: str) -> np.ndarray:
     """``lines`` from _number_lines as one float row each of the fields that
     ``form`` names; a bad line is a ParseError at its line number."""
+    import numpy as np
+
     width = len(form.split())
     rows = []
     for k, fields in lines:
@@ -459,6 +472,8 @@ def _float_rows(path: PathLike, lines: list[tuple[int, list[str]]], form: str) -
 
 def load_trajectory(path: PathLike) -> Trajectory:
     """Whitespace-separated "t x y" per line."""
+    from .metrics import Trajectory
+
     t, x, y = _float_rows(path, _number_lines(path), "t x y").T
     try:
         return Trajectory(t=t, x=x, y=y)
@@ -468,6 +483,8 @@ def load_trajectory(path: PathLike) -> Trajectory:
 
 def load_field(path: PathLike) -> AccelField:
     """Header "nx ny x0 y0 dx dy", then nx*ny row-major "long lat" cells."""
+    from .metrics import AccelField
+
     lines = _number_lines(path)
     if not lines:
         raise ParseError(f"{path}: empty field file")

@@ -15,6 +15,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from .choices import AGGREGATION_MODES
 from .errors import (
     DegenerateTrajectory,
     FieldCoverageGap,
@@ -24,6 +25,7 @@ from .errors import (
 )
 
 __all__ = [
+    "AGGREGATION_MODES",
     "Trajectory",
     "DrivingTask",
     "AccelField",
@@ -41,8 +43,6 @@ __all__ = [
 
 _SPEED_EPS = 1e-12
 _TIME_TOL = 1e-9
-
-AGGREGATION_MODES = ("max", "mean", "euclidean")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,13 @@
-"""Categorical variables, CPD tables, exact inference, sampling, estimation.
+"""CPD tables, exact inference, sampling, estimation.
 
-Models are immutable after construction. All probability computations are
-exact: :func:`joint_tables` computes joints over just the queried nodes by
-variable elimination over the CPDs of their ancestral closure. A query whose
-output or largest intermediate factor exceeds a configurable state-space
-bound is rejected instead of being silently approximated.
+The model record, :class:`VariableSpec`, :class:`Cpd`, :class:`DiscreteModel`
+and :func:`build_model`, lives in :mod:`causalcrit.variables`, which needs no
+numpy, and is re-exported here. Models are immutable after construction. All
+probability computations are exact: :func:`joint_tables` computes joints over
+just the queried nodes by variable elimination over the CPDs of their
+ancestral closure. A query whose output or largest intermediate factor
+exceeds a configurable state-space bound is rejected instead of being
+silently approximated.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import CausalStructure
+from .variables import Cpd, DiscreteModel, VariableSpec, build_model
 
 __all__ = [
     "VariableSpec",
@@ -43,59 +47,6 @@ __all__ = [
 DEFAULT_STATE_SPACE_LIMIT = 1 << 24
 
 ROW_SUM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class VariableSpec:
-    """A categorical variable: ordered labels, one numeric code per label.
-
-    ``value_range`` and ``unit`` carry the declared range/unit as free text;
-    they document measurability and are not interpreted numerically.
-    """
-
-    name: str
-    domain: tuple[str, ...]
-    codes: tuple[float, ...]
-    unit: str = "1"
-    value_range: str = ""
-
-    def __post_init__(self):
-        if not self.name:
-            raise ValidationError("variable name must be non-empty")
-        if len(self.domain) < 1:
-            raise ValidationError(f"{self.name}: domain must have at least one label")
-        if len(set(self.domain)) != len(self.domain):
-            raise ValidationError(f"{self.name}: duplicate labels in domain")
-        if len(self.codes) != len(self.domain):
-            raise ValidationError(f"{self.name}: need one code per label")
-        if not all(math.isfinite(c) for c in self.codes):
-            raise ValidationError(f"{self.name}: codes must be finite")
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.domain)
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.domain.index(label)
-        except ValueError:
-            raise UnknownCategory(f"{label!r} is not a category of {self.name!r}")
-
-    def code_of(self, label: str) -> float:
-        return self.codes[self.index_of(label)]
-
-
-@dataclass(frozen=True, eq=False)
-class Cpd:
-    """P(child | parents) as a row-per-parent-configuration table.
-
-    Parents are ordered by sorted name; configurations enumerate in C order
-    with the rightmost parent varying fastest. Rows sum to one.
-    """
-
-    child: str
-    parents: tuple[str, ...]
-    table: np.ndarray  # shape (#parent configurations, child cardinality)
 
 
 def make_cpd(
@@ -136,25 +87,6 @@ def make_cpd(
         )
     arr.setflags(write=False)
     return Cpd(child=child, parents=parent_list, table=arr)
-
-
-@dataclass(frozen=True, eq=False)
-class DiscreteModel:
-    """A causal structure with specs for every node and CPDs for a subset N."""
-
-    structure: CausalStructure
-    specs: Mapping[str, VariableSpec]
-    cpds: Mapping[str, Cpd]
-
-    @property
-    def instantiated(self) -> frozenset[str]:
-        return frozenset(self.cpds)
-
-    def spec_of(self, node: str) -> VariableSpec:
-        try:
-            return self.specs[node]
-        except KeyError:
-            raise UnknownNode(f"unknown node {node!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,35 +132,6 @@ class Dataset:
             and self.provenance == other.provenance
             and all(np.array_equal(a, b) for a, b in zip(self.codes, other.codes))
         )
-
-
-def build_model(
-    structure: CausalStructure,
-    specs: Mapping[str, VariableSpec],
-    cpds: Iterable[Cpd] = (),
-) -> DiscreteModel:
-    """Validate spec coverage and CPD/graph consistency, then freeze the model."""
-    spec_map = dict(specs)
-    for node in structure.nodes:
-        if node not in spec_map:
-            raise ValidationError(f"no variable spec for node {node!r}")
-    for name, sp in spec_map.items():
-        if name not in structure.nodes:
-            raise UnknownNode(f"spec for undeclared node {name!r}")
-        if sp.name != name:
-            raise ValidationError(f"spec name {sp.name!r} filed under {name!r}")
-    cpd_map: dict[str, Cpd] = {}
-    for cpd in cpds:
-        if cpd.child in cpd_map:
-            raise ValidationError(f"duplicate CPD for {cpd.child!r}")
-        expected = tuple(sorted(structure.parents(cpd.child)))
-        if cpd.parents != expected:
-            raise ValidationError(
-                f"CPD for {cpd.child!r} conditions on {cpd.parents}, "
-                f"graph parents are {expected}"
-            )
-        cpd_map[cpd.child] = cpd
-    return DiscreteModel(structure=structure, specs=spec_map, cpds=cpd_map)
 
 
 def _closure_within(

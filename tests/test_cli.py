@@ -774,16 +774,57 @@ class TestDeterminism:
             assert first == second, argv
 
 
-def test_cli_import_leaves_networkx_unloaded():
-    # The graph layer runs on plain adjacency; a fresh interpreter shows no
-    # import path pulls networkx back in.
+FRICTION_ADJUST = ["adjust", "friction-relation", "-x", "Coefficient of friction",
+                   "-y", "Aggregate of BTN_DT and STN_DT"]
+
+
+@pytest.mark.parametrize(
+    "statement, loaded",
+    [
+        ("import causalcrit", []),
+        ("import causalcrit.cli", []),
+        (f"from causalcrit.cli import main; assert main({FRICTION_ADJUST!r}) == 0", []),
+        ("from causalcrit.cli import main; assert main(['validate', 'friction-relation']) == 0", []),
+        (
+            "from causalcrit.cli import main; "
+            "assert main(['effect', 'heavy-rain-reality', '--do', 'X=CP', '--target', 'phi']) == 0",
+            ["numpy"],
+        ),
+    ],
+    ids=["import-causalcrit", "import-cli", "adjust-friction", "validate-friction", "effect-heavy-rain"],
+)
+def test_entry_point_leaves_heavy_layers_unloaded(statement, loaded):
+    # The graph layer runs on plain adjacency, so no path pulls networkx in;
+    # numpy loads only once a command computes numbers. A fresh interpreter
+    # shows which of the two each entry point imported.
     src_dir = str(Path(causalcrit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")])}
+    script = f"{statement}\nimport sys\nprint([m for m in ('networkx', 'numpy') if m in sys.modules])"
     proc = subprocess.run(
-        [sys.executable, "-c", "import causalcrit.cli, sys; assert 'networkx' not in sys.modules"],
+        [sys.executable, "-c", script],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr(loaded)
+
+
+def test_parser_choices_are_the_layer_constants():
+    # The parser reads its choices from a numpy-free module; the layers that
+    # check them hold the same tuples.
+    import argparse
+
+    from causalcrit import choices, engine
+    from causalcrit.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+    def choices_of(command, dest):
+        return next(a.choices for a in sub.choices[command]._actions if a.dest == dest)
+
+    assert choices_of("effect", "route") == engine.ROUTES
+    assert choices_of("metrics", "agg") == metrics.AGGREGATION_MODES
+    assert engine.ROUTES is choices.ROUTES
+    assert metrics.AGGREGATION_MODES is choices.AGGREGATION_MODES
