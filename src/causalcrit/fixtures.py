@@ -22,7 +22,6 @@ pins them by sha256.
 from __future__ import annotations
 
 import functools
-from importlib import resources
 from pathlib import Path
 
 from .context import CausalRelation
@@ -44,7 +43,7 @@ _FILES = {
 def fixture_path(fixture_id: str) -> Path:
     if fixture_id not in _FILES:
         raise InvalidQuery(f"unknown fixture {fixture_id!r}; choose from {FIXTURE_IDS}")
-    return Path(str(resources.files("causalcrit").joinpath("data", _FILES[fixture_id])))
+    return Path(__file__).parent / "data" / _FILES[fixture_id]
 
 
 def fixture_text(fixture_id: str) -> str:

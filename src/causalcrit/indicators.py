@@ -13,7 +13,8 @@ inputs therefore reproduce the same value from the report alone.
 Each indicator that reads a joint is written once, as a step: a generator
 that runs its own spec and cut checks, yields the ``(model, scopes)`` joints
 it needs, is sent them and returns its reports. :func:`_run` drives steps in
-lockstep and answers each round with one calibrated elimination per model.
+lockstep and answers each round with one calibrated elimination per group
+of models that share their factor structure, on one model axis.
 :func:`sigma`, :func:`rho1`, :func:`rho2` and :func:`rho3` run their one
 step; :func:`indicator_reports`, the table ``cli indicators`` prints, runs
 them all, plus the two effect-row calls, one :func:`plan_effect` per model.
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .graph import CausalStructure
 from .model import Cpd, DiscreteModel, build_model, joint_tables, make_cpd
-from .model import _closure_within
+from .model import _closure_within, _factor_key
 
 __all__ = [
     "IndicatorReport",
@@ -144,11 +145,12 @@ def kl_divergence(
     return value / LN2 if bits else value
 
 
-def _joints(m: DiscreteModel, scopes: Iterable[Sequence[str]]) -> dict[tuple[str, ...], np.ndarray]:
-    """The joint over each scope, keyed by its sorted node tuple, from one
-    :func:`~causalcrit.model.joint_tables` call."""
+def _joints(models: Sequence[DiscreteModel], scopes: Iterable[Sequence[str]]) -> list[dict]:
+    """For each of ``models``, the joint over each scope, keyed by its sorted
+    node tuple, from one :func:`~causalcrit.model.joint_tables` call."""
     keys = list(dict.fromkeys(tuple(sorted(set(s))) for s in scopes))
-    return dict(zip(keys, joint_tables(m, keys)))
+    tables = joint_tables(models, keys)
+    return [{key: table[j] for key, table in zip(keys, tables)} for j in range(len(models))]
 
 
 # A step yields a list of asks, each a model and the sorted node tuples whose
@@ -163,7 +165,10 @@ def _run(steps: Sequence[_Step]) -> list[IndicatorReport]:
     In each round every live step is advanced, in order, to its next ask,
     and the closure check that :func:`~causalcrit.model.joint_tables` would
     make of each ask alone runs as it is made. The round is then answered
-    with one call per model, keyed by identity, its scopes in ask order.
+    with one call per group of models that share their factor structure
+    (structure, cardinalities and CPD parents), on one model axis: each
+    distinct model of a group, in ask order, is sent the joints over every
+    scope the group asked for.
     """
     reports: list[list[IndicatorReport]] = [[] for _ in steps]
     sent: dict[int, Optional[list]] = dict.fromkeys(range(len(steps)))
@@ -177,11 +182,15 @@ def _run(steps: Sequence[_Step]) -> list[IndicatorReport]:
                 continue
             for m, scopes in asked[i]:
                 _closure_within(m, {n for s in scopes for n in s})
-        by_model: dict[int, tuple[DiscreteModel, list]] = {}
+        groups: dict[tuple, tuple[dict, list]] = {}
         for asks in asked.values():
             for m, scopes in asks:
-                by_model.setdefault(id(m), (m, []))[1].extend(scopes)
-        tables = {key: _joints(m, scopes) for key, (m, scopes) in by_model.items()}
+                models, wanted = groups.setdefault(_factor_key(m), ({}, []))
+                models[id(m)] = m
+                wanted.extend(scopes)
+        tables = {}
+        for models, scopes in groups.values():
+            tables.update(zip(models, _joints(list(models.values()), scopes)))
         sent = {i: [tables[id(m)] for m, _ in asks] for i, asks in asked.items()}
     return [r for rs in reports for r in rs]
 
@@ -385,7 +394,7 @@ def causal_influence(
     calibrated elimination (:func:`~causalcrit.model.joint_tables`).
     """
     cuts = [_cut_parents(m, edges)]
-    return _influences(m, cuts, _joints(m, _families(m, cuts)), bits)[0]
+    return _influences(m, cuts, _joints([m], _families(m, cuts))[0], bits)[0]
 
 
 def _kept_families(m: DiscreteModel, keep: Sequence[str]) -> list[tuple[str, ...]]:
@@ -487,8 +496,9 @@ def rho3(
     component is their difference. By default outgoing edges are taken in
     each model's full graph; with ``restrict_to_set`` both models are first
     restricted to the node set and edges are taken in the induced sub-model.
-    Each model answers all of its cuts from one calibration, and each
-    induced sub-model is built from one more.
+    Each model answers all of its cuts from one calibration, shared by the
+    two models when they share their structure, and each induced sub-model
+    is built from one more.
     """
     (report,) = _run([_rho3_step(pair, nodes, cp, restrict_to_set, bits)])
     return report
@@ -502,7 +512,8 @@ def indicator_reports(
     restrict_to_set: bool = False,
     bits: bool = False,
 ) -> list[IndicatorReport]:
-    """Every indicator of a pair, with one calibrated elimination per model.
+    """Every indicator of a pair, with one calibrated elimination per model,
+    or one for both when they share their structure.
 
     The reports are ACE, RCE and sigma of the reference and then of the
     candidate, each report's metadata naming its ``role``, then
@@ -513,12 +524,14 @@ def indicator_reports(
     & Shafer 1990): sigma's P(metric), rho1's P(X), rho2's joint over the
     set and rho3's P(pa_c) families, or with ``restrict_to_set`` the kept
     families that its induced sub-model is built from; the sub-model's
-    families are one more call. Every closure and spec check runs first,
-    in report order, so a request fails where the separate calls would. The
-    errors that need values (zero mean, infinite divergence, a
-    zero-probability parent configuration) follow in report order. A
-    violated sigma precondition is no error: each sigma report's metadata
-    records it in ``precondition_holds``.
+    families are one more call. Two models that share their structure,
+    cardinalities and CPD parents, such as one relation estimated from two
+    datasets, share each of these calls on one model axis. Every closure and
+    spec check runs first, in report order, so a request fails where the
+    separate calls would. The errors that need values (zero mean, infinite
+    divergence, a zero-probability parent configuration) follow in report
+    order. A violated sigma precondition is no error: each sigma report's
+    metadata records it in ``precondition_holds``.
     """
     steps = [_effect_step(m, cp, metric, role) for role, m in _by_role(pair).items()]
     steps.append(_rho1_step(pair, cp, bits))

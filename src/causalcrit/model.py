@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping, Optional, Sequence
+from typing import Container, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -76,7 +76,7 @@ def make_cpd(
         )
     # Every comparison with NaN is false, so the range check asks what must
     # hold of each cell rather than what must not.
-    if not ((arr >= -ROW_SUM_TOL) & (arr <= 1 + ROW_SUM_TOL)).all():
+    if not ((arr >= 0.0) & (arr <= 1 + ROW_SUM_TOL)).all():
         rule = "lie in [0, 1]" if np.isfinite(arr).all() else "be finite"
         raise ValidationError(f"CPD for {child!r}: entries must {rule}")
     sums = arr.sum(axis=1)
@@ -87,6 +87,42 @@ def make_cpd(
         )
     arr.setflags(write=False)
     return Cpd(child=child, parents=parent_list, table=arr)
+
+
+def _cpd_views(
+    entries: Sequence[tuple[str, Sequence[str], Sequence[Sequence[float]]]],
+    specs: Mapping[str, VariableSpec],
+) -> Optional[list[Cpd]]:
+    """The CPDs of (child, parents, table) entries whose tables are lists of
+    rows of numbers, checked as :func:`make_cpd` checks them, or None if any
+    entry fails a check.
+
+    The shapes are checked in Python; every cell then goes into one float
+    array, which gets one range check and one row-sum check, and each table
+    is a read-only view of it. On None, the entries' :func:`make_cpd` calls
+    name the first failure.
+    """
+    views, cells, starts = [], [], []
+    for child, parents, table in entries:
+        parents = tuple(parents)
+        if list(parents) != sorted(parents) or any(n not in specs for n in (child, *parents)):
+            return None
+        n_cfg, card = math.prod(specs[p].cardinality for p in parents), specs[child].cardinality
+        if len(table) != n_cfg or any(len(row) != card for row in table):
+            return None
+        at = len(cells)
+        views.append((child, parents, slice(at, at + n_cfg * card), (n_cfg, card)))
+        starts += range(at, at + n_cfg * card, card)
+        for row in table:
+            cells += row
+    arr = np.array(cells, dtype=float)
+    if not (
+        ((arr >= 0.0) & (arr <= 1 + ROW_SUM_TOL)).all()
+        and (np.abs(np.add.reduceat(arr, starts) - 1.0) <= ROW_SUM_TOL).all()
+    ):
+        return None
+    arr.setflags(write=False)
+    return [Cpd(child=c, parents=p, table=arr[at].reshape(shape)) for c, p, at, shape in views]
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,12 +199,23 @@ def _closure_within(
     return tuple(sorted(needed))
 
 
-# The leading row axis of an interventional joint; not a node name.
+# The leading model and row axes of a joint; not node names.
+_MODELS = object()
 _ROWS = object()
 
 
+def _factor_key(m: DiscreteModel) -> tuple:
+    """What models on one model axis share: their structure, the cardinality
+    of each node and the parents of each CPD."""
+    return (
+        m.structure,
+        tuple(m.specs[n].cardinality for n in m.structure.nodes),
+        frozenset((n, cpd.parents) for n, cpd in m.cpds.items()),
+    )
+
+
 def joint_tables(
-    m: DiscreteModel,
+    models: Union[DiscreteModel, Sequence[DiscreteModel]],
     scopes: Iterable[Iterable[str]],
     state_space_limit: int = DEFAULT_STATE_SPACE_LIMIT,
     do: Optional[Mapping[str, Sequence[int]]] = None,
@@ -176,14 +223,22 @@ def joint_tables(
     """Exact joints over several node sets from one calibrated elimination.
 
     Entry k is a dense array whose axes follow ``sorted(set(scopes[k]))``.
+    ``models`` is one model, or a sequence of models that share their
+    structure, the cardinality of each node and the parents of each CPD
+    (else :class:`InvalidQuery`). Their CPD tables stack on a leading model
+    axis, so every entry then starts with one axis over the models, in order,
+    and the models share one elimination. The model axis counts no states:
+    the elimination order and every limit are those of one model, and a
+    single model is a one-state axis, which gets no axis as any one-state
+    variable does.
     ``do`` maps each intervened node to a sequence of label indices, one per
     row, all of the same length n (else :class:`InvalidQuery`); row r is the
     r-th intervention. Each such node's CPD factor becomes an n x |node|
-    one-hot selector on a shared leading row axis and the closure does not
-    follow its parents, so every entry has shape (n, *axes) and its row r is
-    the joint of the truncated factorization under that intervention (Pearl
-    2009, *Causality*, §3.2). An intervened node in a scope is a point mass
-    on its row's label.
+    one-hot selector on a shared row axis and the closure does not follow
+    its parents, so every entry has shape (n, *axes) after the model axis
+    and its row r is the joint of the truncated factorization under that
+    intervention (Pearl 2009, *Causality*, §3.2). An intervened node in a
+    scope is a point mass on its row's label.
 
     The CPD factors of the ancestral closure of all scopes (else
     :class:`InsufficientInstantiation`, naming the missing CPDs) are
@@ -191,12 +246,12 @@ def joint_tables(
     Poole 1994).
     The root is the scope that reaches furthest down the topological order
     (then the one with the most states, then the first): its nodes and the
-    row axis are kept, and every other closure node, intervened or not, is
-    eliminated once. The next node to eliminate is the one whose bucket,
-    the union of the factors that mention it, spans the fewest states, ties
-    broken by name. Every scope that reaches past the root adds a unit
-    factor over itself, so the bucket that eliminates the first of its
-    nodes covers it. The buckets form a cluster tree. Messages go up it
+    model and row axes are kept, and every other closure node, intervened or
+    not, is eliminated once. The next node to eliminate is the one whose
+    bucket, the union of the factors that mention it, spans the fewest
+    states, ties broken by name. Every scope that reaches past the root adds
+    a unit factor over itself, so the bucket that eliminates the first of
+    its nodes covers it. The buckets form a cluster tree. Messages go up it
     once, then down only along the paths from the root to the buckets that
     hold a scope, and each scope is summed out of its bucket or the root
     (Shenoy & Shafer 1990; Lauritzen & Spiegelhalter 1988); a lone scope is
@@ -205,6 +260,16 @@ def joint_tables(
     root that would exceed ``state_space_limit`` states is built, and no
     downward message or read spans more than the cluster that sends it.
     """
+    single = isinstance(models, DiscreteModel)
+    models = [models] if single else list(models)
+    if not models:
+        raise InvalidQuery("joint tables need at least one model")
+    m = models[0]
+    if len(models) > 1:
+        keys = [_factor_key(other) for other in models]
+        for what, first, *rest in zip(("structure", "cardinalities", "CPD parents"), *keys):
+            if any(value != first for value in rest):
+                raise InvalidQuery(f"models on one model axis must share their {what}")
     scopes = [tuple(sorted(set(s))) for s in scopes]
     if not scopes:
         return []
@@ -214,34 +279,42 @@ def joint_tables(
         raise InvalidQuery(f"do rows differ in length: {sorted(n_rows)}")
     closure = _closure_within(m, {n for s in scopes for n in s}, do)
     card = {n: m.specs[n].cardinality for n in closure}
-    lead: tuple = ()
+    card[_MODELS] = len(models)
+    rows: tuple = ()
     if do:
         (card[_ROWS],) = n_rows
-        lead = (_ROWS,)
+        rows = (_ROWS,)
+    lead = (_MODELS, *rows)
+
+    def states(nodes: Iterable) -> int:  # per model
+        return math.prod(card[w] for w in nodes if w is not _MODELS)
+
     axes = [(*lead, *s) for s in scopes]
-    sizes = [math.prod(card[n] for n in a) for a in axes]
+    sizes = [states(a) for a in axes]
     for s, size in zip(scopes, sizes):
         _check_states(size, s, state_space_limit)
     # Factors are (scope, array) pairs, told apart by identity. Single-state
-    # variables get no axis: summing one out is the identity. The row axis
-    # also carries a ones factor, so it survives when no intervened node
-    # lies in the closure.
+    # variables get no axis: summing one out is the identity. The model and
+    # row axes also carry a ones factor each, so they survive when no CPD or
+    # intervened node lies in the closure.
     factors = []
     for n in (*lead, *closure):
-        if n is _ROWS:
+        if n in lead:
             table, parents = np.ones(card[n]), ()
         elif n in do:
-            table, parents = np.eye(card[n])[list(do[n])], lead
+            table, parents = np.eye(card[n])[list(do[n])], rows
         else:
-            table, parents = m.cpds[n].table, m.cpds[n].parents
+            per_model = [other.cpds[n].table for other in models]
+            table = per_model[0] if len(per_model) == 1 else np.stack(per_model)
+            parents = (_MODELS, *m.cpds[n].parents)
         scope = tuple(v for v in (*parents, n) if card[v] != 1)
         factors.append((scope, table.reshape([card[v] for v in scope])))
     # The root is the scope that reaches furthest down the topological
     # order, then the largest, so the closure is eliminated from the sources
-    # down toward it. Only its nodes and the row axis are kept: an intervened
-    # node elsewhere is summed out in its own bucket, with its selector.
-    # Every scope that reaches past the root gets a unit factor, which the
-    # bucket of its first eliminated node takes.
+    # down toward it. Only its nodes and the model and row axes are kept: an
+    # intervened node elsewhere is summed out in its own bucket, with its
+    # selector. Every scope that reaches past the root gets a unit factor,
+    # which the bucket of its first eliminated node takes.
     root = 0
     if len(scopes) > 1:
         order = m.structure.topological_order()
@@ -256,12 +329,14 @@ def joint_tables(
         if not kept.issuperset(scope):
             unit[k] = (scope, np.ones([card[v] for v in scope]))
             factors.append(unit[k])
+    # Neighbours leave out the model axis, so it counts in no bucket's rank.
     nbrs: dict = {n: set() for n in card if card[n] != 1}
     for scope, _ in factors:
         for v in scope:
             nbrs[v].update(scope)
+    nbrs.pop(_MODELS, None)
     for v, vs in nbrs.items():
-        vs.discard(v)
+        vs.difference_update((v, _MODELS))
     hidden = set(nbrs) - kept
     # (states spanned by its bucket, name) for each hidden node; the bucket
     # holds the node and its neighbours.
@@ -281,10 +356,11 @@ def joint_tables(
         scope = tuple(dict.fromkeys(w for s, _ in bucket for w in s if w != v))
         buckets.append((bucket, (scope, _contract(bucket, scope))))
         factors.append(buckets[-1][1])
-    # The root is the last cluster, what no bucket took. A downward message
-    # or a read spans no more than the bucket or root that sends it.
+    # The root is the last cluster, what no bucket took, and it holds the
+    # model axis's ones factor at least. A downward message or a read spans
+    # no more than the bucket or root that sends it.
     last = tuple(dict.fromkeys(w for s, _ in factors for w in s))
-    _check_states(math.prod(card[w] for w in last), last, state_space_limit)
+    _check_states(states(last), last, state_space_limit)
     cluster = {None: factors}  # bucket (None: the root) -> its factors and downward message
     at = [None] * len(scopes)  # the bucket each scope is read from (None: the root)
     if unit:
@@ -307,11 +383,10 @@ def joint_tables(
             cluster[i] = [*bucket, (msg[0], _contract(sender, msg[0]))]
     tables = []
     for i, a in zip(at, axes):
-        # A bucket's unit factor spans the scope it holds. The root holds no
-        # factor only when there is none: no do rows and every scope empty.
-        out = tuple(v for v in a if card[v] != 1)
-        table = _contract(cluster[i], out) if cluster[i] else np.ones(())
-        tables.append(table.reshape([card[v] for v in a]))
+        # A bucket's unit factor spans the scope it holds.
+        table = _contract(cluster[i], tuple(v for v in a if card[v] != 1))
+        shape = [card[v] for v in a]
+        tables.append(table.reshape(shape[1:] if single else shape))
     return tables
 
 
@@ -339,10 +414,11 @@ def _contract(
     return np.einsum(*args, [label[w] for w in out])
 
 
-def _check_states(size: int, nodes: Sequence[str], limit: int) -> None:
+def _check_states(size: int, nodes: Sequence, limit: int) -> None:
     if size > limit:
+        count = sum(w is not _MODELS for w in nodes)
         raise StateSpaceExceeded(
-            f"a factor over {len(nodes)} nodes spans {size} states, above the limit of {limit}"
+            f"a factor over {count} nodes spans {size} states, above the limit of {limit}"
         )
 
 

@@ -99,6 +99,21 @@ class TestValidate:
         assert (code, out) == (1, "")
         assert err == "ValidationError: cpds[0]: CPD for 'V1': entries must be finite\n"
 
+    @pytest.mark.parametrize("command", [
+        ("validate",),
+        ("indicators", "heavy-rain-model", "--set", "V1,V2,X"),
+    ])
+    def test_entry_below_zero_exits_one(self, capsys, tmp_path, command):
+        # The row sums to 1 within the tolerance, but no entry may lie below 0.
+        payload = json.loads(fixture_text("heavy-rain-reality"))
+        k, cpd = next((k, c) for k, c in enumerate(payload["cpds"]) if c["child"] == "V1")
+        cpd["table"] = [[1.0 + 5e-10, -5e-10]]
+        bad = tmp_path / "below_zero.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(capsys, command[0], str(bad), *command[1:])
+        assert (code, out) == (1, "")
+        assert err == f"ValidationError: cpds[{k}]: CPD for 'V1': entries must lie in [0, 1]\n"
+
 
 class TestAdjust:
     def test_heavy_rain_model_first_set(self, capsys):

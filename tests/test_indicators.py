@@ -34,11 +34,13 @@ from causalcrit.indicators import (
     rho3,
     sigma,
 )
+from causalcrit.fixtures import fixture
+from causalcrit.io import model_to_text
 from causalcrit.model import VariableSpec, build_model, make_cpd
 
 from oracles import brute_causal_influence, brute_joint, brute_marginal
 from test_engine import random_binary_model
-from test_model import random_models
+from test_model import random_models, redrawn
 
 CP = PhenomenonBinding(variable="X", cp_label="CP")
 
@@ -459,12 +461,8 @@ class TestRho3:
         with pytest.raises(InvalidQuery, match="rho3 needs a non-empty node set"):
             rho3(pair, [], CP, restrict_to_set=restrict)
 
-    @pytest.mark.parametrize("restrict, calls", [(False, 2), (True, 4)])
-    def test_one_inference_call_per_model(
-        self, monkeypatch, reality_model, candidate_model, restrict, calls
-    ):
-        # Full-graph: one calibration per model gives every P(pa_c).
-        # Restricted: one more per model gives every kept family.
+    @staticmethod
+    def _count_calls(monkeypatch):
         counted = []
         for module, name in ((engine, "joint_tables"), (indicators, "joint_tables")):
             real = getattr(module, name)
@@ -474,8 +472,31 @@ class TestRho3:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counting)
+        return counted
+
+    @pytest.mark.parametrize("restrict, calls", [(False, 2), (True, 4)])
+    def test_one_inference_call_per_model(
+        self, monkeypatch, reality_model, candidate_model, restrict, calls
+    ):
+        # Full-graph: one calibration per group of models that share their
+        # structure gives every P(pa_c). Restricted: one more per group gives
+        # every kept family. The heavy-rain models differ in structure, and so
+        # do their sub-models over the set, so each model is its own group.
+        counted = self._count_calls(monkeypatch)
         pair = ModelPair(reference=reality_model, candidate=candidate_model)
         rho3(pair, ["V1", "V2", "X", "phi"], CP, restrict_to_set=restrict)
+        assert counted == ["joint_tables"] * calls
+
+    @pytest.mark.parametrize("restrict, calls", [(False, 1), (True, 2)])
+    def test_one_inference_call_per_shared_pair(self, monkeypatch, reality_model, restrict, calls):
+        # Redrawn tables keep the structure, so both models ride one model
+        # axis, with the report of one call per model.
+        pair = ModelPair(reference=reality_model, candidate=redrawn(reality_model, 5))
+        nodes = ["V1", "V2", "X", "phi"]
+        with mock.patch.object(indicators, "_factor_key", id):  # every model its own group
+            separate = rho3(pair, nodes, CP, restrict_to_set=restrict)
+        counted = self._count_calls(monkeypatch)
+        assert rho3(pair, nodes, CP, restrict_to_set=restrict) == separate
         assert counted == ["joint_tables"] * calls
 
     def test_perturbed_candidate_is_detected(self, reality_model):
@@ -558,9 +579,9 @@ class TestIndicatorReports:
 
         calls = []
 
-        def recording(m, scopes, *args, **kwargs):
-            tables = joint_tables(m, scopes, *args, **kwargs)
-            calls.append((m, scopes, tables))
+        def recording(models, scopes, *args, **kwargs):
+            tables = joint_tables(models, scopes, *args, **kwargs)
+            calls.append((models, scopes, tables))
             return tables
 
         joint_tables = indicators.joint_tables
@@ -577,36 +598,74 @@ class TestIndicatorReports:
                 assert b[key] == pytest.approx(value, abs=1e-12), key
             else:
                 assert b[key] == value, key
-        # One call per model, and one more per induced sub-model.
-        assert [c[0] for c in calls[:2]] == [ref, cand]
-        assert len(calls) == (4 if restrict else 2)
-        for m, scopes, tables in calls:
-            names, joint = brute_joint(m)
-            for scope, table in zip(scopes, tables):
-                for labels, p in brute_marginal(names, joint, scope).items():
-                    idx = tuple(m.specs[n].index_of(v) for n, v in zip(scope, labels))
-                    assert table[idx] == pytest.approx(p, abs=1e-12)
+        # One call per group of models that share their structure, on one
+        # model axis, and one more per group of induced sub-models.
+        def groups(edges):
+            return [[ref, cand]] if edges[0] == edges[1] else [[ref], [cand]]
 
-    @pytest.mark.parametrize("extra, sub_models", [((), 0), (("--rho3-restricted",), 2)])
-    def test_one_elimination_per_model(self, monkeypatch, extra, sub_models):
-        # Besides plan_effect's one do() call per model, each model answers
-        # every joint from one joint_tables call; rho1, sigma and rho2 make
-        # no inference call of their own.
+        shared = groups([m.structure.directed for m in (ref, cand)])
+        induced = [frozenset(e for e in m.structure.directed if set(e) <= set(node_set)) for m in (ref, cand)]
+        assert [c[0] for c in calls[:len(shared)]] == shared
+        assert len(calls) == len(shared) + (len(groups(induced)) if restrict else 0)
+        for models, scopes, tables in calls:
+            for j, m in enumerate(models):
+                names, joint = brute_joint(m)
+                for scope, table in zip(scopes, tables):
+                    for labels, p in brute_marginal(names, joint, scope).items():
+                        idx = tuple(m.specs[n].index_of(v) for n, v in zip(scope, labels))
+                        assert table[j][idx] == pytest.approx(p, abs=1e-12)
+
+    @staticmethod
+    def _record_calls(monkeypatch):
+        """(node tuple of each model, whether do rows were given) per joint_tables call."""
         calls = []
         for module in (engine, indicators):
 
-            def counting(m, *args, _real=module.joint_tables, **kwargs):
-                calls.append((m.structure.nodes, bool(kwargs.get("do"))))
-                return _real(m, *args, **kwargs)
+            def counting(models, *args, _real=module.joint_tables, **kwargs):
+                nodes = [m.structure.nodes for m in models] if isinstance(models, list) else models.structure.nodes
+                calls.append((nodes, bool(kwargs.get("do"))))
+                return _real(models, *args, **kwargs)
 
             monkeypatch.setattr(module, "joint_tables", counting)
+        return calls
+
+    @pytest.mark.parametrize("extra, sub_models", [((), 0), (("--rho3-restricted",), 2)])
+    def test_one_elimination_per_model(self, monkeypatch, extra, sub_models):
+        # Besides plan_effect's one do() call per model, each group of models
+        # that share their structure answers every joint from one
+        # joint_tables call; rho1, sigma and rho2 make no inference call of
+        # their own. The heavy-rain models differ in structure, and so do
+        # their sub-models over the set, so each model is its own group.
+        calls = self._record_calls(monkeypatch)
         argv = ["indicators", "heavy-rain-reality", "heavy-rain-model", "--set", "V1,V2,X", *extra]
         assert main([*argv, "--format", "json"]) == 0
         ref, cand = ("V1", "V2", "V3", "X", "phi"), ("V1", "V2", "X", "phi")
         assert calls == [
             (ref, True),
             (cand, True),
-            (ref, False),
-            (cand, False),
-            *[(("V1", "V2", "X"), False)] * sub_models,
+            ([ref], False),
+            ([cand], False),
+            *[([("V1", "V2", "X")], False)] * sub_models,
+        ]
+
+    @pytest.mark.parametrize("extra, sub_models", [((), 0), (("--rho3-restricted",), 1)])
+    def test_one_elimination_per_shared_pair(self, monkeypatch, capsys, tmp_path, reality_model, extra, sub_models):
+        # A candidate with redrawn tables shares the reference's structure:
+        # both ride one model axis, and their sub-models over the set do too.
+        relation, _ = fixture("heavy-rain-reality")
+        path = tmp_path / "redrawn.json"
+        path.write_text(model_to_text(relation, redrawn(reality_model, 5)), encoding="utf-8")
+        argv = ["indicators", "heavy-rain-reality", str(path), "--set", "V1,V2,X", *extra, "--format", "json"]
+        with mock.patch.object(indicators, "_factor_key", id):  # every model its own group
+            assert main(argv) == 0
+        separate = capsys.readouterr().out
+        calls = self._record_calls(monkeypatch)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == separate
+        nodes = reality_model.structure.nodes
+        assert calls == [
+            (nodes, True),
+            (nodes, True),
+            ([nodes, nodes], False),
+            *[([("V1", "V2", "X")] * 2, False)] * sub_models,
         ]

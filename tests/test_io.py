@@ -1,12 +1,20 @@
 import hashlib
 import json
+import math
 import re
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from causalcrit.context import PropertyRef
+import causalcrit.model as model
+
+from causalcrit.context import PhenomenonBinding, PropertyRef
 from causalcrit.errors import (
+    CausalCritError,
     InvalidQuery,
     ParseError,
     RaggedRow,
@@ -30,6 +38,8 @@ from causalcrit.io import (
     save_model,
 )
 from causalcrit.model import sample
+
+from test_model import random_models
 
 # Shipped fixture files are pinned; regenerating them is a deliberate act
 # that must update these digests.
@@ -237,6 +247,84 @@ class TestModelSchema:
         text = _mutated("heavy-rain-reality", "cpds", 0, "table", 0, 0, value="HUGE")
         with pytest.raises(ValidationError, match="entries must be finite"):
             parse_model_text(text.replace('"HUGE"', "-" + "9" * 5000))
+
+
+# Damage to one CPD of a model file, each a case the one-array check must
+# hand to make_cpd: cells just outside [0, 1] or not finite, rows off their
+# sum by more or less than the tolerance, a row or cell too many or too few,
+# unsorted or unknown parents and an unknown child.
+_CELLS = [-1e-9, -5e-10, -0.0, 0.0, 1.0, 1.0 + 5e-10, 1.0 + 2e-9, 2.0, math.nan, math.inf]
+_DAMAGE = ["cell", "scale", "extra row", "short table", "short row", "long row", "reversed parents",
+           "unknown parent", "unknown child"]
+
+
+@st.composite
+def damaged_model_texts(draw):
+    m = draw(random_models(sparse=draw(st.booleans())))
+    nodes = m.structure.nodes
+    relation = SimpleNamespace(
+        phenomenon=PhenomenonBinding(variable=nodes[0], cp_label=m.specs[nodes[0]].domain[0]),
+        metric=nodes[-1],
+        context=(),
+    )
+    payload = json.loads(model_to_text(relation, m))
+    cpd = draw(st.sampled_from(payload["cpds"]))
+    table = cpd["table"]
+    row = draw(st.sampled_from(table))
+    damage = draw(st.sampled_from([None, *_DAMAGE]))
+    if damage == "cell":
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_CELLS))
+    elif damage == "scale":
+        factor = draw(st.sampled_from([1 - 2e-9, 1 - 5e-10, 1 + 5e-10, 1 + 2e-9]))
+        row[:] = [v * factor for v in row]
+    elif damage == "extra row":
+        table.append(list(row))
+    elif damage == "short table":
+        table.pop()
+    elif damage == "short row":
+        row.pop()
+    elif damage == "long row":
+        row.append(0.0)
+    elif damage == "reversed parents":
+        cpd["parents"].reverse()
+    elif damage == "unknown parent":
+        cpd["parents"].append("Z")
+    elif damage == "unknown child":
+        cpd["child"] = "Z"
+    return json.dumps(payload)
+
+
+def _parsed(text):
+    """The (child, parents, table) of each CPD ``text`` parses to, or the
+    type and message of the error it raises."""
+    try:
+        _, m = parse_model_text(text)
+    except CausalCritError as exc:
+        return type(exc), str(exc)
+    return [(c.child, c.parents, c.table) for c in m.cpds.values()]
+
+
+class TestCpdTables:
+    """A model file's CPD tables are checked as one array, as make_cpd checks each."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=damaged_model_texts())
+    def test_one_array_check_agrees_with_make_cpd(self, text):
+        with mock.patch.object(model, "_cpd_views", lambda entries, specs: None):
+            expected = _parsed(text)
+        got = _parsed(text)
+        if isinstance(expected, tuple):
+            assert got == expected
+            return
+        assert [c[:2] for c in got] == [c[:2] for c in expected]
+        for (*_, table), (*_, want) in zip(got, expected):
+            assert table.dtype == want.dtype and not table.flags.writeable
+            np.testing.assert_array_equal(table, want)
+
+    def test_tables_are_views_of_one_array(self, reality_model):
+        tables = [cpd.table for cpd in reality_model.cpds.values()]
+        assert len({id(t.base) for t in tables}) == 1 and tables[0].base is not None
+        assert not any(t.flags.writeable for t in tables)
 
 
 class TestDataset:
