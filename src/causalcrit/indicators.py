@@ -40,8 +40,8 @@ from .errors import (
     ZeroProbabilityCondition,
 )
 from .graph import CausalStructure
-from .model import Cpd, DiscreteModel, build_model, joint_tables, make_cpd
-from .model import _closure_within, _factor_key
+from .model import DiscreteModel, build_model, joint_tables
+from .model import _closure_within, _cpds, _factor_key
 
 __all__ = [
     "IndicatorReport",
@@ -428,7 +428,7 @@ def _induced_submodel(
         ),
     )
     sub_specs = {n: m.specs[n] for n in keep}
-    cpds: list[Cpd] = []
+    entries = []
     for n, names in zip(keep, _kept_families(m, keep)):
         joint = np.moveaxis(joints[names], names.index(n), -1)
         card = m.specs[n].cardinality
@@ -438,9 +438,8 @@ def _induced_submodel(
             raise ZeroProbabilityCondition(
                 f"cannot condition {n!r} on a zero-probability parent configuration"
             )
-        parents = tuple(p for p in names if p != n)
-        cpds.append(make_cpd(n, parents, flat / totals[:, None], sub_specs))
-    return build_model(sub_structure, sub_specs, cpds)
+        entries.append((n, tuple(p for p in names if p != n), flat / totals[:, None]))
+    return build_model(sub_structure, sub_specs, _cpds(entries, sub_specs))
 
 
 def _rho3_step(

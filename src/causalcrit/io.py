@@ -332,15 +332,12 @@ def parse_model_text(text: str) -> tuple[CausalRelation, DiscreteModel]:
     context = tuple(_statement_from_json(st, f"context[{k}]") for k, st in enumerate(payload["context"]))
     cpds = []
     if payload["cpds"]:
-        from .model import _cpd_views, make_cpd
+        from .model import _cpds
 
-        entries = [(c["child"], c["parents"], c["table"]) for c in payload["cpds"]]
-        cpds = _cpd_views(entries, specs)
-        if cpds is None:  # make_cpd names the first table that fails, at its JSON path
-            cpds = [
-                _at(f"cpds[{k}]", make_cpd, child=child, parents=parents, table=table, specs=specs)
-                for k, (child, parents, table) in enumerate(entries)
-            ]
+        try:
+            cpds = _cpds([(c["child"], c["parents"], c["table"]) for c in payload["cpds"]], specs)
+        except CausalCritError as exc:  # the first CPD that fails, at its JSON path
+            raise ValidationError(f"cpds[{exc.entry}]: {exc}") from None
     relation = CausalRelation(structure, context, PhenomenonBinding(**payload["phenomenon"]),
                               payload["metric"]["variable"], specs)
     return relation, build_model(structure, specs, cpds)

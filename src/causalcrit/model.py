@@ -20,6 +20,7 @@ from typing import Container, Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import (
+    CausalCritError,
     EmptyDataset,
     InsufficientInstantiation,
     InvalidQuery,
@@ -55,74 +56,71 @@ def make_cpd(
     table: Sequence[Sequence[float]],
     specs: Mapping[str, VariableSpec],
 ) -> Cpd:
-    """Validate a CPD against the variable specs."""
-    parent_list = tuple(parents)
-    if tuple(sorted(parent_list)) != parent_list:
-        raise ValidationError(f"CPD for {child!r}: parents must be name-sorted")
-    for name in (child, *parent_list):
-        if name not in specs:
-            raise UnknownNode(f"CPD for {child!r} references unknown node {name!r}")
-    try:
-        arr = np.array(table, dtype=float)
-    except (TypeError, ValueError):  # rows of unequal length, or a cell that is no number
-        arr = None
-    if arr is None or arr.ndim != 2:
-        raise ValidationError(f"CPD for {child!r}: table must be a list of equal-length rows of numbers")
-    n_cfg = math.prod(specs[p].cardinality for p in parent_list)
-    card = specs[child].cardinality
-    if arr.shape != (n_cfg, card):
-        raise ValidationError(
-            f"CPD for {child!r}: expected {n_cfg} rows x {card} columns, got {arr.shape}"
-        )
-    # Every comparison with NaN is false, so the range check asks what must
-    # hold of each cell rather than what must not.
-    if not ((arr >= 0.0) & (arr <= 1 + ROW_SUM_TOL)).all():
-        rule = "lie in [0, 1]" if np.isfinite(arr).all() else "be finite"
-        raise ValidationError(f"CPD for {child!r}: entries must {rule}")
-    sums = arr.sum(axis=1)
-    if (np.abs(sums - 1.0) > ROW_SUM_TOL).any():
-        bad = int(np.argmax(np.abs(sums - 1.0)))
-        raise ValidationError(
-            f"CPD for {child!r}: row {bad} sums to {sums[bad]!r}, expected 1"
-        )
-    arr.setflags(write=False)
-    return Cpd(child=child, parents=parent_list, table=arr)
+    """One CPD, checked against the variable specs: the one-table case of
+    :func:`_cpds`, the check that each model's CPDs pass in one call."""
+    return _cpds([(child, parents, table)], specs)[0]
 
 
-def _cpd_views(
+def _cpds(
     entries: Sequence[tuple[str, Sequence[str], Sequence[Sequence[float]]]],
     specs: Mapping[str, VariableSpec],
-) -> Optional[list[Cpd]]:
-    """The CPDs of (child, parents, table) entries whose tables are lists of
-    rows of numbers, checked as :func:`make_cpd` checks them, or None if any
-    entry fails a check.
+) -> list[Cpd]:
+    """The CPDs of (child, parents, table) entries, checked against the specs.
 
-    The shapes are checked in Python; every cell then goes into one float
-    array, which gets one range check and one row-sum check, and each table
-    is a read-only view of it. On None, the entries' :func:`make_cpd` calls
-    name the first failure.
+    Each entry, in order: its parents are name-sorted, each name has a spec,
+    and its table is a 2-D array of integers or floats with one row per
+    parent configuration and one column per child label. All tables then go
+    into one float array, which gets one range check (each entry in [0, 1])
+    and one row-sum check (each row sums to 1 within ``ROW_SUM_TOL``), and
+    each table is a read-only view of it. Every rule holds of one entry, so
+    the error is that of the first entry that fails alone; its ``entry``
+    attribute is that entry's index.
     """
-    views, cells, starts = [], [], []
-    for child, parents, table in entries:
-        parents = tuple(parents)
-        if list(parents) != sorted(parents) or any(n not in specs for n in (child, *parents)):
-            return None
-        n_cfg, card = math.prod(specs[p].cardinality for p in parents), specs[child].cardinality
-        if len(table) != n_cfg or any(len(row) != card for row in table):
-            return None
-        at = len(cells)
-        views.append((child, parents, slice(at, at + n_cfg * card), (n_cfg, card)))
-        starts += range(at, at + n_cfg * card, card)
-        for row in table:
-            cells += row
-    arr = np.array(cells, dtype=float)
-    if not (
-        ((arr >= 0.0) & (arr <= 1 + ROW_SUM_TOL)).all()
-        and (np.abs(np.add.reduceat(arr, starts) - 1.0) <= ROW_SUM_TOL).all()
-    ):
-        return None
-    arr.setflags(write=False)
-    return [Cpd(child=c, parents=p, table=arr[at].reshape(shape)) for c, p, at, shape in views]
+    heads, starts, at = [], [], 0
+    try:
+        for child, parents, table in entries:
+            parents, what = tuple(parents), f"CPD for {child!r}"
+            if sorted(parents) != list(parents):
+                raise ValidationError(f"{what}: parents must be name-sorted")
+            for name in (child, *parents):
+                if name not in specs:
+                    raise UnknownNode(f"{what} references unknown node {name!r}")
+            try:
+                arr = np.array(table)
+            except (TypeError, ValueError):  # rows of unequal length
+                arr = None
+            if arr is None or arr.ndim != 2 or arr.dtype.kind not in "iuf":
+                raise ValidationError(f"{what}: table must be a list of equal-length rows of numbers")
+            n_cfg, card = math.prod(specs[p].cardinality for p in parents), specs[child].cardinality
+            if arr.shape != (n_cfg, card):
+                raise ValidationError(f"{what}: expected {n_cfg} rows x {card} columns, got {arr.shape}")
+            heads.append((child, parents, arr, slice(at, at + arr.size)))
+            starts += range(at, at + arr.size, card)
+            at += arr.size
+        flat = np.concatenate([np.empty(0), *(arr.ravel() for _, _, arr, _ in heads)], dtype=float)
+        # The two messages below name the last entry, which is the only one
+        # when they reach the caller. Every comparison with NaN is false, so
+        # the range check asks what must hold of each cell, not what must not.
+        if not ((flat >= 0.0) & (flat <= 1 + ROW_SUM_TOL)).all():
+            rule = "lie in [0, 1]" if np.isfinite(flat).all() else "be finite"
+            raise ValidationError(f"{what}: entries must {rule}")
+        if starts and (np.abs(np.add.reduceat(flat, starts) - 1.0) > ROW_SUM_TOL).any():
+            # As sum(axis=1) adds them: reduceat's order differs, and it keeps a lone -0.0.
+            sums = arr.astype(float).sum(axis=1)
+            bad = int(np.argmax(np.abs(sums - 1.0)))
+            raise ValidationError(f"{what}: row {bad} sums to {float(sums[bad])!r}, expected 1")
+    except CausalCritError as exc:
+        if len(entries) > 1:  # the first entry that fails alone, at its index
+            for k, entry in enumerate(entries):
+                try:
+                    _cpds([entry], specs)
+                except CausalCritError as alone:
+                    alone.entry = k
+                    raise alone from None
+        exc.entry = 0
+        raise
+    flat.setflags(write=False)
+    return [Cpd(child, parents, flat[cells].reshape(arr.shape)) for child, parents, arr, cells in heads]
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,8 +128,9 @@ class Dataset:
     """Rectangular table of categorical observations, stored by column.
 
     ``codes[k]`` is a read-only integer array holding, for every row, the
-    index of its label in ``domains[k]``. Labels are materialized only
-    when a CSV is written. A dataset without columns has no rows.
+    index of its label in ``domains[k]``; codes that are not integers are
+    refused, not truncated. Labels are materialized only when a CSV is
+    written. A dataset without columns has no rows.
     """
 
     columns: tuple[str, ...]
@@ -145,11 +144,14 @@ class Dataset:
             raise ValidationError("a dataset needs one code array and one domain per column")
         codes = []
         for c, domain, arr in zip(columns, domains, self.codes):
-            arr = np.array(arr, dtype=np.intp)
+            arr = np.array(arr)
             if arr.ndim != 1 or (codes and arr.shape != codes[0].shape):
                 raise ValidationError(f"column {c!r}: codes must be one array of one length per column")
+            if arr.size and arr.dtype.kind not in "iu":
+                raise ValidationError(f"column {c!r}: codes must be integers, got {arr.dtype} values")
             if arr.size and (arr.min() < 0 or arr.max() >= len(domain)):
                 raise ValidationError(f"column {c!r}: codes outside its {len(domain)}-label domain")
+            arr = arr.astype(np.intp, copy=False)
             arr.setflags(write=False)
             codes.append(arr)
         object.__setattr__(self, "columns", columns)
@@ -502,7 +504,7 @@ def estimate_cpds(
                 f"column {c!r} contains label {label!r} outside its domain"
             )
 
-    cpds: list[Cpd] = []
+    entries = []
     for node in structure.nodes:
         parents = tuple(sorted(structure.parents(node)))
         if node not in present or any(p not in present for p in parents):
@@ -524,9 +526,8 @@ def estimate_cpds(
                     stacklevel=2,
                 )
             continue
-        table = counts / totals[:, None]
-        cpds.append(make_cpd(node, parents, table, specs))
-    return build_model(structure, specs, cpds)
+        entries.append((node, parents, counts / totals[:, None]))
+    return build_model(structure, specs, _cpds(entries, specs))
 
 
 def _config_labels(

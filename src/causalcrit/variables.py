@@ -3,8 +3,9 @@
 A :class:`DiscreteModel` is a causal structure, a :class:`VariableSpec` for
 every node and a :class:`Cpd` for each instantiated node. Nothing here
 computes with the tables, so a model without CPDs, such as the friction
-relation, is built and checked without numpy; :func:`causalcrit.model.make_cpd`
-builds the tables and :mod:`causalcrit.model` computes with them.
+relation, is built and checked without numpy. :mod:`causalcrit.model` checks
+each model's tables in one call, whether they come from a file, from data or
+from a restricted sub-model, and computes with them.
 """
 
 from __future__ import annotations

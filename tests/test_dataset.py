@@ -131,6 +131,16 @@ class TestDatasetType:
         with pytest.raises(ValidationError):
             Dataset(columns=columns, codes=codes, domains=domains)
 
+    @pytest.mark.parametrize("codes", [[0.7, 1.9], [0.0, 1.0], [True, False], ["0", "1"]])
+    def test_non_integer_codes_rejected(self, codes):
+        # A cast to integers would truncate 0.7 and 1.9 to the codes 0 and 1.
+        with pytest.raises(ValidationError, match="^column 'A': codes must be integers"):
+            Dataset(columns=("A",), codes=(codes,), domains=(("a", "b"),))
+
+    def test_empty_column_is_valid(self):
+        ds = Dataset(columns=("A",), codes=([],), domains=(("a", "b"),))
+        assert len(ds) == 0 and ds.codes[0].dtype == np.intp
+
 
 class TestRoundTrip:
     @settings(max_examples=150, deadline=None)

@@ -99,7 +99,7 @@ def single_node_model(p_yes=0.3):
 class TestValidation:
     def test_cpd_row_sum_enforced(self):
         specs = {"A": binary_spec("A")}
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^CPD for 'A': row 0 sums to 0\.9, expected 1$"):
             make_cpd("A", (), [[0.5, 0.4]], specs)
 
     def test_cpd_entries_within_unit_interval(self):
@@ -124,6 +124,15 @@ class TestValidation:
         specs = {"A": binary_spec("A"), "B": binary_spec("B")}
         with pytest.raises(ValidationError, match="^CPD for 'B': table must be a list of equal-length rows"):
             make_cpd("B", ("A",), [[0.5, 0.5], [1.0]], specs)
+
+    @pytest.mark.parametrize(
+        "table", [[["0.5", "0.5"]], [[True, False]], [[0.5, None]]], ids=["str", "bool", "None"]
+    )
+    def test_cpd_cells_must_be_numbers(self, table):
+        # numpy would read each of these as floats; only integers and floats are numbers here.
+        specs = {"A": binary_spec("A")}
+        with pytest.raises(ValidationError, match="^CPD for 'A': table must be a list of equal-length rows of numbers$"):
+            make_cpd("A", (), table, specs)
 
     def test_cpd_parents_must_match_graph(self):
         specs = {"A": binary_spec("A"), "B": binary_spec("B")}
