@@ -6,10 +6,14 @@ adjustment all identify the same effect on a Markovian model. Each needs
 only the CPDs of the ancestral closure of the joint it computes. On a
 Markovian model the truncated closure lies inside every other route's, so
 the adjustment routes serve semi-Markovian models. Every query maps each
-intervened node to one label per do() row, and one runner computes all rows
-through one route: the truncated route is one :func:`joint_tables` call with
-the rows on its leading axis, the adjustment routes take every row from one
-joint. :func:`plan_effect` holds the one rule that picks a route.
+intervened node to one label per do() row, and one route step computes all
+rows through one route: the truncated route asks for one joint with the rows
+on its leading axis, the adjustment routes take every row from one joint.
+The step yields what it asks for, and :func:`~causalcrit.model._run`, the
+driver of every step, answers it: the same query on models that share their
+structure rides one model axis of one :func:`joint_tables` call.
+:func:`plan_effect` is that driver over one route step, and holds the one
+rule that picks a route.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .errors import (
     ZeroProbabilityCondition,
 )
 from .graph import ancestors, backdoor_admissible, descendants, open_backdoor_path
-from .model import DiscreteModel, joint_tables
+from .model import DiscreteModel, _ask, _run, _Step, joint_tables
 
 __all__ = [
     "ROUTES",
@@ -88,17 +92,18 @@ def _adjusted_table(
     rows: Sequence[int],
     target: str,
     adjustment: Iterable[str],
-) -> np.ndarray:
+) -> _Step:
     """Sum_s P(target | x, s) P(s) for each label index of x in ``rows``.
 
     One row per entry of ``rows``, all from the exact joint of the set, x and
-    target. Strata with P(s) = 0 contribute nothing and are skipped; a
-    conditioning event P(x, s) = 0 with P(s) > 0 is an error rather than NaN,
-    raised for the first such row.
+    target, which the step asks for. Strata with P(s) = 0 contribute nothing
+    and are skipped; a conditioning event P(x, s) = 0 with P(s) > 0 is an
+    error rather than NaN, raised for the first such row.
     """
     adj = tuple(sorted(set(adjustment)))
     names = sorted({*adj, x, target})
-    (arr,) = joint_tables(m, [names])
+    (joints,) = yield [_ask(m, [names], {})]
+    arr = joints[tuple(names)]
     spec_x, spec_t = m.spec_of(x), m.spec_of(target)
     order = [*adj, x]
     arr = np.transpose(arr, [names.index(n) for n in dict.fromkeys([*order, target])])
@@ -139,11 +144,12 @@ def _effect_rows(
     target: str,
     route: str,
     adjustment: Optional[Iterable[str]] = None,
-) -> tuple[str, np.ndarray]:
-    """The route runner: P(target | do) for each do row, through ``route``.
+) -> _Step:
+    """The route step: P(target | do) for each do row, through ``route``.
 
     ``do`` maps each intervened node to its label index per row, as in
-    :func:`joint_tables`. Returns the route label and one row per do row.
+    :func:`joint_tables`. The step asks for the one joint its route reads
+    and returns the route label and one row per do row.
     ``point-mass`` and ``observational`` are the truncated joint without the
     Markov check: the auto rule takes them only where the do() leaves nothing
     to identify, as it sets the target or no intervened node lies in the
@@ -155,7 +161,7 @@ def _effect_rows(
     if not do:
         route = "observational"
     elif route == "auto":
-        return _auto_route(m, do, target)
+        return (yield from _auto_route(m, do, target))
     elif route == "parents":
         x = _single_node(do)
         if m.structure.confounded_with(x):
@@ -165,7 +171,7 @@ def _effect_rows(
             )
         if target != x:
             try:
-                return route, _adjusted_table(m, x, do[x], target, m.structure.parents(x))
+                return route, (yield from _adjusted_table(m, x, do[x], target, m.structure.parents(x)))
             except InsufficientInstantiation as exc:
                 raise ParentsNotInstantiated(str(exc)) from None
     elif route == "backdoor":
@@ -181,25 +187,25 @@ def _effect_rows(
                 f"{adj} does not satisfy the back-door criterion "
                 f"for ({x!r}, {target!r}): {why}"
             )
-        return f"backdoor:{adj}", _adjusted_table(m, x, do[x], target, adj)
-    return route, joint_tables(m, [[target]], do=do)[0]
+        return f"backdoor:{adj}", (yield from _adjusted_table(m, x, do[x], target, adj))
+    (joints,) = yield [_ask(m, [[target]], do)]
+    return route, joints[(target,)]
 
 
-def _auto_route(
-    m: DiscreteModel, do: Mapping[str, Sequence[int]], target: str
-) -> tuple[str, np.ndarray]:
-    """The auto rule of :func:`plan_effect`."""
+def _auto_route(m: DiscreteModel, do: Mapping[str, Sequence[int]], target: str) -> _Step:
+    """The auto rule of :func:`plan_effect`, as a route step. A zero
+    probability condition on the parents route is one more round."""
     if m.structure.is_markovian() or len(do) > 1:
-        return _effect_rows(m, do, target, "truncated")
+        return (yield from _effect_rows(m, do, target, "truncated"))
     try:
-        return _effect_rows(m, do, target, "parents")
+        return (yield from _effect_rows(m, do, target, "parents"))
     except (ParentsNotInstantiated, NotMarkovian, ZeroProbabilityCondition):
         pass
     (x,) = do
     if target == x:
-        return _effect_rows(m, do, target, "point-mass")
+        return (yield from _effect_rows(m, do, target, "point-mass"))
     if target not in descendants(m.structure, x):
-        return _effect_rows(m, do, target, "observational")
+        return (yield from _effect_rows(m, do, target, "observational"))
     latent = sorted({x, target} & m.structure.latent)
     if latent:
         raise NotIdentifiable(
@@ -227,7 +233,27 @@ def _auto_route(
     for node in list(z):
         if backdoor_admissible(m.structure, [n for n in z if n != node], x, target):
             z.remove(node)
-    return _effect_rows(m, do, target, "backdoor", z)
+    return (yield from _effect_rows(m, do, target, "backdoor", z))
+
+
+def _plan_step(
+    m: DiscreteModel,
+    do: Mapping[str, Sequence[str]],
+    target: str,
+    route: str = "auto",
+    adjustment: Optional[Iterable[str]] = None,
+) -> _Step:
+    """:func:`plan_effect` as a step: its checks, then the route step."""
+    if route == "backdoor" and adjustment is None:
+        raise InvalidQuery("backdoor route needs an adjustment set")
+    if route not in ROUTES:
+        raise InvalidQuery(f"unknown route {route!r}")
+    n_rows, rows = _do_rows(m, do)
+    m.spec_of(target)
+    route, table = yield from _effect_rows(m, rows, target, route, adjustment)
+    domain = m.specs[target].domain
+    table = np.broadcast_to(table, (n_rows, len(domain)))
+    return route, [dict(zip(domain, row)) for row in table.tolist()]
 
 
 def plan_effect(
@@ -262,18 +288,11 @@ def plan_effect(
     gives the set used. :class:`NotIdentifiable` is raised when they are
     not one, when the target's closure lacks CPDs, or when x or the target
     is latent-flagged. Every row goes through the same route, so contrasts
-    between them stay comparable.
+    between them stay comparable. The route step runs on
+    :func:`~causalcrit.model._run`, the driver of every step.
     """
-    if route == "backdoor" and adjustment is None:
-        raise InvalidQuery("backdoor route needs an adjustment set")
-    if route not in ROUTES:
-        raise InvalidQuery(f"unknown route {route!r}")
-    n_rows, rows = _do_rows(m, do)
-    m.spec_of(target)
-    route, table = _effect_rows(m, rows, target, route, adjustment)
-    domain = m.specs[target].domain
-    table = np.broadcast_to(table, (n_rows, len(domain)))
-    return route, [dict(zip(domain, row)) for row in table.tolist()]
+    (planned,) = _run([_plan_step(m, do, target, route, adjustment)])
+    return planned
 
 
 def _other_label(m: DiscreteModel, cp: PhenomenonBinding) -> str:

@@ -11,25 +11,29 @@ argument order, and the numeric codes of the metric categories. The same
 inputs therefore reproduce the same value from the report alone.
 
 Each indicator that reads a joint is written once, as a step: a generator
-that runs its own spec and cut checks, yields the ``(model, scopes)`` joints
-it needs, is sent them and returns its reports. :func:`_run` drives steps in
-lockstep and answers each round with one calibrated elimination per group
-of models that share their factor structure, on one model axis.
-:func:`sigma`, :func:`rho1`, :func:`rho2` and :func:`rho3` run their one
-step; :func:`indicator_reports`, the table ``cli indicators`` prints, runs
-them all, plus the two effect-row calls, one :func:`plan_effect` per model.
+that runs its own spec and cut checks, yields the joints it needs, is sent
+them and returns its reports. The effect step delegates its two do() rows
+to the route step of :func:`~causalcrit.engine.plan_effect`. One driver,
+:func:`~causalcrit.model._run`, runs every step in lockstep and answers
+each round with one calibrated elimination per group of models that share
+their factor structure, on one model axis: a shared pair's do() rows ride
+it as its other joints do. :func:`ace`, :func:`rce`, :func:`sigma`,
+:func:`rho1`, :func:`rho2` and :func:`rho3` run their one step;
+:func:`indicator_reports`, the table ``cli indicators`` prints, runs them
+all.
 """
 
 from __future__ import annotations
 
 import math
+from collections import abc
 from dataclasses import dataclass, field
-from typing import Generator, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .context import PhenomenonBinding
-from .engine import _other_label, expectation, plan_effect
+from .engine import _other_label, _plan_step, expectation
 from .errors import (
     DivisionByZeroEffect,
     InfiniteDivergence,
@@ -41,7 +45,7 @@ from .errors import (
 )
 from .graph import CausalStructure
 from .model import DiscreteModel, build_model, joint_tables
-from .model import _closure_within, _cpds, _factor_key
+from .model import _ask, _closure_within, _cpds, _run, _Step
 
 __all__ = [
     "IndicatorReport",
@@ -103,9 +107,10 @@ def _align(
     p: Union[Sequence[float], np.ndarray, Mapping[str, float]],
     q: Union[Sequence[float], np.ndarray, Mapping[str, float]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(p, Mapping) != isinstance(q, Mapping):
+    mapping = isinstance(p, abc.Mapping)
+    if mapping != isinstance(q, abc.Mapping):
         raise ValidationError("cannot mix mapping and sequence distributions")
-    if isinstance(p, Mapping):
+    if mapping:
         if set(p) != set(q):
             raise ValidationError("distributions have different supports")
         keys = sorted(p)
@@ -133,10 +138,10 @@ def kl_divergence(
     raises :class:`ValidationError`.
     """
     pa, qa = _align(p, q)
-    for a in (pa, qa):
-        # A NaN fails both comparisons.
-        if not (a.min(initial=0.0) >= 0.0 and a.max(initial=0.0) < np.inf):
-            raise ValidationError("distributions need finite, non-negative entries")
+    both = np.concatenate((pa, qa), axis=None)
+    # A NaN fails both comparisons.
+    if not (both.min(initial=0.0) >= 0.0 and both.max(initial=0.0) < np.inf):
+        raise ValidationError("distributions need finite, non-negative entries")
     mask = pa > 0.0
     p_in, q_in = pa[mask], qa[mask]
     if not q_in.all():
@@ -145,65 +150,34 @@ def kl_divergence(
     return value / LN2 if bits else value
 
 
-def _joints(models: Sequence[DiscreteModel], scopes: Iterable[Sequence[str]]) -> list[dict]:
-    """For each of ``models``, the joint over each scope, keyed by its sorted
-    node tuple, from one :func:`~causalcrit.model.joint_tables` call."""
-    keys = list(dict.fromkeys(tuple(sorted(set(s))) for s in scopes))
-    tables = joint_tables(models, keys)
-    return [{key: table[j] for key, table in zip(keys, tables)} for j in range(len(models))]
+_EFFECTS = ("ACE", "RCE", "sigma")
 
 
-# A step yields a list of asks, each a model and the sorted node tuples whose
-# joints it needs; it is sent the {scope: joint} dict of each ask's model and
-# returns its reports.
-_Step = Generator[list, list, list]
+def _effect_step(
+    m: DiscreteModel,
+    cp: PhenomenonBinding,
+    metric: str,
+    role: Optional[str] = None,
+    names: Sequence[str] = _EFFECTS,
+) -> _Step:
+    """The effect reports of one model named in ``names``, in the order ACE,
+    RCE, sigma.
 
-
-def _run(steps: Sequence[_Step]) -> list[IndicatorReport]:
-    """Drive ``steps`` in lockstep; their reports, in step order.
-
-    In each round every live step is advanced, in order, to its next ask,
-    and the closure check that :func:`~causalcrit.model.joint_tables` would
-    make of each ask alone runs as it is made. The round is then answered
-    with one call per group of models that share their factor structure
-    (structure, cardinalities and CPD parents), on one model axis: each
-    distinct model of a group, in ask order, is sent the joints over every
-    scope the group asked for.
-    """
-    reports: list[list[IndicatorReport]] = [[] for _ in steps]
-    sent: dict[int, Optional[list]] = dict.fromkeys(range(len(steps)))
-    while sent:
-        asked = {}
-        for i, answer in sent.items():
-            try:
-                asked[i] = steps[i].send(answer)
-            except StopIteration as done:
-                reports[i] = done.value
-                continue
-            for m, scopes in asked[i]:
-                _closure_within(m, {n for s in scopes for n in s})
-        groups: dict[tuple, tuple[dict, list]] = {}
-        for asks in asked.values():
-            for m, scopes in asks:
-                models, wanted = groups.setdefault(_factor_key(m), ({}, []))
-                models[id(m)] = m
-                wanted.extend(scopes)
-        tables = {}
-        for models, scopes in groups.values():
-            tables.update(zip(models, _joints(list(models.values()), scopes)))
-        sent = {i: [tables[id(m)] for m, _ in asks] for i, asks in asked.items()}
-    return [r for rs in reports for r in rs]
-
-
-def _effects(
-    m: DiscreteModel, cp: PhenomenonBinding, metric: str
-) -> tuple[float, float, dict]:
-    """E(metric | do(CP)), E(metric | do(notCP)) and the shared report metadata.
-
-    Both are rows of one :func:`plan_effect` call, so they share one route.
+    E(metric | do(CP)) and E(metric | do(notCP)) are the two rows of the
+    route step of :func:`plan_effect`'s auto rule, so they share one route;
+    sigma asks for P(metric) in the route's first round.
     """
     not_label = _other_label(m, cp)
-    route, (d_cp, d_not) = plan_effect(m, {cp.variable: [cp.cp_label, not_label]}, metric)
+    rows = _plan_step(m, {cp.variable: [cp.cp_label, not_label]}, metric)
+    asks = next(rows)
+    own = [_ask(m, [(metric,)])] if "sigma" in names else []
+    answers = yield [*asks, *own]
+    answers, tables = answers[:len(asks)], answers[len(asks):]
+    try:
+        while True:  # a fallback of the route is one more round
+            answers = yield rows.send(answers)
+    except StopIteration as done:
+        route, (d_cp, d_not) = done.value
     e_cp, e_not = expectation(d_cp, m, metric), expectation(d_not, m, metric)
     spec = m.spec_of(metric)
     meta = {
@@ -213,56 +187,40 @@ def _effects(
         "e_do_cp": e_cp,
         "e_do_not_cp": e_not,
     }
-    return e_cp, e_not, meta
-
-
-def _ace(
-    cp: PhenomenonBinding, metric: str, e_cp: float, e_not: float, meta: dict
-) -> IndicatorReport:
-    return IndicatorReport("ACE", e_cp - e_not, (cp.variable, metric), meta)
-
-
-def _rce(
-    cp: PhenomenonBinding, metric: str, e_cp: float, e_not: float, meta: dict
-) -> IndicatorReport:
-    if e_not == 0.0:
-        raise DivisionByZeroEffect("E(metric | do(notCP)) is zero")
-    return IndicatorReport("RCE", e_cp / e_not, (cp.variable, metric), meta)
-
-
-def _effect_step(
-    m: DiscreteModel,
-    cp: PhenomenonBinding,
-    metric: str,
-    role: Optional[str] = None,
-    sigma_only: bool = False,
-) -> _Step:
-    """ACE and RCE of one model, unless ``sigma_only``, then sigma from its
-    P(metric) ask; RCE's zero denominator is raised before the ask."""
-    e_cp, e_not, meta = _effects(m, cp, metric)
     if role is not None:
         meta["role"] = role
-    reports = [] if sigma_only else [
-        _ace(cp, metric, e_cp, e_not, dict(meta)),
-        _rce(cp, metric, e_cp, e_not, dict(meta)),
-    ]
-    (tables,) = yield [(m, [(metric,)])]
-    p_metric = tables[(metric,)]
-    e_obs = expectation(dict(zip(m.specs[metric].domain, p_metric.tolist())), m, metric)
-    if e_obs == 0.0:
-        raise ZeroMeanCriticality("observational E(metric) is zero")
-    meta = {**meta, "e_observational": e_obs, "precondition_holds": e_not <= e_cp}
-    return [*reports, IndicatorReport("sigma", 1.0 - e_not / e_obs, (cp.variable, metric), meta)]
+    nodes, reports = (cp.variable, metric), []
+    if "ACE" in names:
+        reports.append(IndicatorReport("ACE", e_cp - e_not, nodes, dict(meta)))
+    if "RCE" in names:
+        if e_not == 0.0:
+            raise DivisionByZeroEffect("E(metric | do(notCP)) is zero")
+        reports.append(IndicatorReport("RCE", e_cp / e_not, nodes, dict(meta)))
+    if "sigma" in names:
+        p_metric = tables[0][(metric,)]
+        e_obs = expectation(dict(zip(spec.domain, p_metric.tolist())), m, metric)
+        if e_obs == 0.0:
+            raise ZeroMeanCriticality("observational E(metric) is zero")
+        meta = {**meta, "e_observational": e_obs, "precondition_holds": e_not <= e_cp}
+        reports.append(IndicatorReport("sigma", 1.0 - e_not / e_obs, nodes, meta))
+    return reports
+
+
+def _reports(steps: Sequence[_Step]) -> list[IndicatorReport]:
+    """The reports of ``steps``, run on one driver, in step order."""
+    return [r for reports in _run(steps) for r in reports]
 
 
 def ace(m: DiscreteModel, cp: PhenomenonBinding, metric: str) -> IndicatorReport:
     """Average causal effect: E(metric | do(CP)) - E(metric | do(notCP))."""
-    return _ace(cp, metric, *_effects(m, cp, metric))
+    (report,) = _reports([_effect_step(m, cp, metric, names=("ACE",))])
+    return report
 
 
 def rce(m: DiscreteModel, cp: PhenomenonBinding, metric: str) -> IndicatorReport:
     """Relative causal effect: E(metric | do(CP)) / E(metric | do(notCP))."""
-    return _rce(cp, metric, *_effects(m, cp, metric))
+    (report,) = _reports([_effect_step(m, cp, metric, names=("RCE",))])
+    return report
 
 
 def sigma(m: DiscreteModel, cp: PhenomenonBinding, metric: str) -> IndicatorReport:
@@ -271,14 +229,14 @@ def sigma(m: DiscreteModel, cp: PhenomenonBinding, metric: str) -> IndicatorRepo
     The definition presumes E(do notCP) <= E(do CP). The value is reported
     either way, and metadata ``precondition_holds`` records whether it held.
     """
-    (report,) = _run([_effect_step(m, cp, metric, sigma_only=True)])
+    (report,) = _reports([_effect_step(m, cp, metric, names=("sigma",))])
     return report
 
 
 def _rho1_step(pair: ModelPair, cp: PhenomenonBinding, bits: bool) -> _Step:
     x = (cp.variable,)
     pair.check_shared_specs(x)
-    cand, ref = yield [(pair.candidate, [x]), (pair.reference, [x])]
+    cand, ref = yield [_ask(pair.candidate, [x]), _ask(pair.reference, [x])]
     domain = pair.reference.specs[cp.variable].domain
     p_cand, p_ref = dict(zip(domain, cand[x].tolist())), dict(zip(domain, ref[x].tolist()))
     value = kl_divergence(p_cand, p_ref, bits=bits)
@@ -294,7 +252,7 @@ def _rho1_step(pair: ModelPair, cp: PhenomenonBinding, bits: bool) -> _Step:
 
 def rho1(pair: ModelPair, cp: PhenomenonBinding, bits: bool = False) -> IndicatorReport:
     """KL of the phenomenon marginal, candidate (model) against reference."""
-    (report,) = _run([_rho1_step(pair, cp, bits)])
+    (report,) = _reports([_rho1_step(pair, cp, bits)])
     return report
 
 
@@ -309,7 +267,7 @@ def _node_set(pair: ModelPair, name: str, nodes: Iterable[str]) -> tuple[str, ..
 
 def _rho2_step(pair: ModelPair, nodes: Iterable[str], bits: bool) -> _Step:
     node_list = _node_set(pair, "rho2", nodes)
-    cand, ref = yield [(pair.candidate, [node_list]), (pair.reference, [node_list])]
+    cand, ref = yield [_ask(pair.candidate, [node_list]), _ask(pair.reference, [node_list])]
     q, p = cand[node_list], ref[node_list]
     value = kl_divergence(q, p, bits=bits)
     meta = {
@@ -326,7 +284,7 @@ def rho2(pair: ModelPair, nodes: Iterable[str], bits: bool = False) -> Indicator
     Both directions are informative; the default takes the candidate first
     and the reverse direction always rides along in the metadata.
     """
-    (report,) = _run([_rho2_step(pair, nodes, bits)])
+    (report,) = _reports([_rho2_step(pair, nodes, bits)])
     return report
 
 
@@ -394,7 +352,8 @@ def causal_influence(
     calibrated elimination (:func:`~causalcrit.model.joint_tables`).
     """
     cuts = [_cut_parents(m, edges)]
-    return _influences(m, cuts, _joints([m], _families(m, cuts))[0], bits)[0]
+    families = _families(m, cuts)
+    return _influences(m, cuts, dict(zip(families, joint_tables(m, families))), bits)[0]
 
 
 def _kept_families(m: DiscreteModel, keep: Sequence[str]) -> list[tuple[str, ...]]:
@@ -452,7 +411,7 @@ def _rho3_step(
     node_list = _node_set(pair, "rho3", nodes)
     models = _by_role(pair)
     if restrict_to_set:
-        kept = yield [(m, _kept_families(m, node_list)) for m in models.values()]
+        kept = yield [_ask(m, _kept_families(m, node_list)) for m in models.values()]
         models = {
             role: _induced_submodel(m, node_list, joints)
             for (role, m), joints in zip(models.items(), kept)
@@ -462,7 +421,7 @@ def _rho3_step(
     for n in component_nodes:  # every cut is checked, reference first, before any is answered
         for role, m in models.items():
             cuts[role].append(_cut_parents(m, [e for e in m.structure.directed if e[0] == n]))
-    families = yield [(m, _families(m, cuts[role])) for role, m in models.items()]
+    families = yield [_ask(m, _families(m, cuts[role])) for role, m in models.items()]
     influences = {
         role: dict(zip(component_nodes, _influences(m, cuts[role], joints, bits)))
         for (role, m), joints in zip(models.items(), families)
@@ -499,7 +458,7 @@ def rho3(
     two models when they share their structure, and each induced sub-model
     is built from one more.
     """
-    (report,) = _run([_rho3_step(pair, nodes, cp, restrict_to_set, bits)])
+    (report,) = _reports([_rho3_step(pair, nodes, cp, restrict_to_set, bits)])
     return report
 
 
@@ -511,25 +470,31 @@ def indicator_reports(
     restrict_to_set: bool = False,
     bits: bool = False,
 ) -> list[IndicatorReport]:
-    """Every indicator of a pair, with one calibrated elimination per model,
-    or one for both when they share their structure.
+    """Every indicator of a pair, with two calibrated eliminations per model,
+    or two for both when they share their structure.
 
     The reports are ACE, RCE and sigma of the reference and then of the
     candidate, each report's metadata naming its ``role``, then
     :func:`rho1` and, when ``nodes`` is given, :func:`rho2` and
-    :func:`rho3`, from the steps those functions run. Each model's two
-    effect rows come from :func:`plan_effect`, and every other joint it is
-    asked for from one :func:`~causalcrit.model.joint_tables` call (Shenoy
-    & Shafer 1990): sigma's P(metric), rho1's P(X), rho2's joint over the
-    set and rho3's P(pa_c) families, or with ``restrict_to_set`` the kept
-    families that its induced sub-model is built from; the sub-model's
-    families are one more call. Two models that share their structure,
-    cardinalities and CPD parents, such as one relation estimated from two
-    datasets, share each of these calls on one model axis. Every closure and
-    spec check runs first, in report order, so a request fails where the
-    separate calls would. The errors that need values (zero mean, infinite
+    :func:`rho3`, from the steps those functions run, all on one driver.
+    Each model's two effect rows come from the route step of
+    :func:`plan_effect`, which on a Markovian model is one
+    :func:`~causalcrit.model.joint_tables` call with both do() rows, and
+    every other joint it is asked for from one more call (Shenoy & Shafer
+    1990): sigma's P(metric), rho1's P(X), rho2's joint over the set and
+    rho3's P(pa_c) families, or with ``restrict_to_set`` the kept families
+    that its induced sub-model is built from; the sub-model's families are
+    one more call. Two models that share their structure, cardinalities and
+    CPD parents, such as one relation estimated from two datasets, share
+    each of these calls on one model axis, the effect rows too when their
+    routes ask the same query, and each model's rows equal those of its own
+    :func:`plan_effect` call. Every closure and spec check runs first, in
+    report order, so a request fails where the separate calls would. The
+    errors that need values (a zero RCE denominator, zero mean, infinite
     divergence, a zero-probability parent configuration) follow in report
-    order. A violated sigma precondition is no error: each sigma report's
+    order, except that an auto route which meets a zero-probability
+    condition on the parents route makes its fallback's checks in one more
+    round. A violated sigma precondition is no error: each sigma report's
     metadata records it in ``precondition_holds``.
     """
     steps = [_effect_step(m, cp, metric, role) for role, m in _by_role(pair).items()]
@@ -537,4 +502,4 @@ def indicator_reports(
     if nodes is not None:
         nodes = tuple(nodes)
         steps += [_rho2_step(pair, nodes, bits), _rho3_step(pair, nodes, cp, restrict_to_set, bits)]
-    return _run(steps)
+    return _reports(steps)

@@ -7,7 +7,8 @@ probability computations are exact: :func:`joint_tables` computes joints over
 just the queried nodes by variable elimination over the CPDs of their
 ancestral closure. A query whose output or largest intermediate factor
 exceeds a configurable state-space bound is rejected instead of being
-silently approximated.
+silently approximated. One driver, :func:`_run`, answers the joints that
+the route and indicator steps ask for.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping, Optional, Sequence, Union
+from typing import Container, Generator, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -206,16 +207,6 @@ _MODELS = object()
 _ROWS = object()
 
 
-def _factor_key(m: DiscreteModel) -> tuple:
-    """What models on one model axis share: their structure, the cardinality
-    of each node and the parents of each CPD."""
-    return (
-        m.structure,
-        tuple(m.specs[n].cardinality for n in m.structure.nodes),
-        frozenset((n, cpd.parents) for n, cpd in m.cpds.items()),
-    )
-
-
 def joint_tables(
     models: Union[DiscreteModel, Sequence[DiscreteModel]],
     scopes: Iterable[Iterable[str]],
@@ -268,7 +259,7 @@ def joint_tables(
         raise InvalidQuery("joint tables need at least one model")
     m = models[0]
     if len(models) > 1:
-        keys = [_factor_key(other) for other in models]
+        keys = [other._factor_key for other in models]
         for what, first, *rest in zip(("structure", "cardinalities", "CPD parents"), *keys):
             if any(value != first for value in rest):
                 raise InvalidQuery(f"models on one model axis must share their {what}")
@@ -390,6 +381,69 @@ def joint_tables(
         shape = [card[v] for v in a]
         tables.append(table.reshape(shape[1:] if single else shape))
     return tables
+
+
+# A step is a generator that yields a list of asks, each made by _ask, is
+# sent the {scope: joint} dict of each ask and returns its value.
+_Step = Generator[list, list, object]
+
+
+def _ask(
+    m: DiscreteModel,
+    scopes: Iterable[Iterable[str]],
+    do: Optional[Mapping[str, Sequence[int]]] = None,
+) -> tuple:
+    """A step's ask for the joints of ``m`` over ``scopes``, each keyed by its
+    sorted node tuple: the model, the keys and the key of the group whose
+    call answers it.
+
+    An ask with ``do``, the do() rows of :func:`joint_tables` (``{}`` for
+    none), is a query of its own: only the same query on another model
+    shares its call, so its answer is that of the query alone. An ask
+    without shares one call with every other such ask of the round on a
+    model of its factor structure. The closure check that
+    :func:`joint_tables` would make of the ask alone runs here, so its error
+    is raised in the step that makes the ask.
+    """
+    scopes = tuple(dict.fromkeys(tuple(sorted(set(s))) for s in scopes))
+    _closure_within(m, {n for s in scopes for n in s}, do or ())
+    if do is None:
+        return m, scopes, (m._factor_key, None, None)
+    return m, scopes, (m._factor_key, tuple((n, tuple(do[n])) for n in sorted(do)), scopes)
+
+
+def _run(steps: Sequence[_Step]) -> list:
+    """Drive ``steps`` in lockstep; the value each returns, in step order.
+
+    In each round every live step is advanced, in order, to its next asks.
+    The round is then answered with one :func:`joint_tables` call per group
+    of asks that share their models' factor structure (structure,
+    cardinalities and CPD parents) and, for a query of its own, its scopes
+    and do() rows, on one model axis: each distinct model of a group, in ask
+    order, is sent the joints over every scope the group asked for.
+    """
+    values: list = [None] * len(steps)
+    sent: dict[int, Optional[list]] = dict.fromkeys(range(len(steps)))
+    while sent:
+        asked = {}
+        for i, answer in sent.items():
+            try:
+                asked[i] = steps[i].send(answer)
+            except StopIteration as done:
+                values[i] = done.value
+        groups: dict[tuple, tuple[dict, dict]] = {}
+        for asks in asked.values():
+            for m, scopes, group in asks:
+                models, wanted = groups.setdefault(group, ({}, {}))
+                models[id(m)] = m
+                wanted.update(dict.fromkeys(scopes))
+        tables = {}
+        for group, (models, scopes) in groups.items():
+            joints = joint_tables(list(models.values()), list(scopes), do=dict(group[1] or ()))
+            for j, key in enumerate(models):
+                tables[key, group] = {s: t[j] for s, t in zip(scopes, joints)}
+        sent = {i: [tables[id(m), group] for m, _, group in asks] for i, asks in asked.items()}
+    return values
 
 
 # numpy 1.x einsum takes at most 32 operands.

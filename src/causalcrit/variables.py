@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import UnknownCategory, UnknownNode, ValidationError
@@ -87,6 +88,16 @@ class DiscreteModel:
     @property
     def instantiated(self) -> frozenset[str]:
         return frozenset(self.cpds)
+
+    @cached_property
+    def _factor_key(self) -> tuple:
+        """What models on one model axis share: their structure, the cardinality
+        of each node and the parents of each CPD."""
+        return (
+            self.structure,
+            tuple(self.specs[n].cardinality for n in self.structure.nodes),
+            frozenset((n, cpd.parents) for n, cpd in self.cpds.items()),
+        )
 
     def spec_of(self, node: str) -> VariableSpec:
         try:

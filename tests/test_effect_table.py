@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalcrit import engine, indicators, model
+from causalcrit import indicators, model
 from causalcrit.cli import main
 from causalcrit.engine import plan_effect
 from causalcrit.errors import (
@@ -182,21 +182,19 @@ def test_rows_follow_the_requested_labels(candidate_model):
 def test_indicators_build_one_effect_table_per_model(monkeypatch):
     # Each model's ACE, RCE and sigma read one table of do() rows; computing
     # the do(CP)/do(notCP) pair once per indicator would show here.
-    calls = {"do rows": 0, "no do rows": 0, "plan_effect": 0}
-    planner = indicators.plan_effect
+    calls = {"do rows": 0, "no do rows": 0, "route steps": 0}
+    planner = indicators._plan_step
 
     def counting_planner(*args, **kwargs):
-        calls["plan_effect"] += 1
+        calls["route steps"] += 1
         return planner(*args, **kwargs)
 
-    for module in (engine, indicators):
+    def counting_joint_tables(*args, _real=model.joint_tables, **kwargs):
+        calls["do rows" if kwargs.get("do") else "no do rows"] += 1
+        return _real(*args, **kwargs)
 
-        def counting_joint_tables(*args, _real=module.joint_tables, **kwargs):
-            calls["do rows" if kwargs.get("do") else "no do rows"] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(module, "joint_tables", counting_joint_tables)
-    monkeypatch.setattr(indicators, "plan_effect", counting_planner)
+    monkeypatch.setattr(model, "joint_tables", counting_joint_tables)
+    monkeypatch.setattr(indicators, "_plan_step", counting_planner)
     argv = ["indicators", "heavy-rain-reality", "heavy-rain-model", "--set", "V1,V2,X"]
     assert main([*argv, "--format", "json"]) == 0
-    assert calls == {"do rows": 2, "no do rows": 2, "plan_effect": 2}
+    assert calls == {"do rows": 2, "no do rows": 2, "route steps": 2}

@@ -1,3 +1,5 @@
+import contextlib
+import itertools
 import math
 import random
 import warnings
@@ -5,13 +7,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import causalcrit.engine as engine
 import causalcrit.indicators as indicators
+import causalcrit.model as model
 from causalcrit.cli import main
 from causalcrit.context import PhenomenonBinding
+from causalcrit.engine import expectation, plan_effect
 from causalcrit.errors import (
     CausalCritError,
     DivisionByZeroEffect,
@@ -36,7 +40,7 @@ from causalcrit.indicators import (
 )
 from causalcrit.fixtures import fixture
 from causalcrit.io import model_to_text
-from causalcrit.model import VariableSpec, build_model, make_cpd
+from causalcrit.model import DiscreteModel, VariableSpec, build_model, make_cpd
 
 from oracles import brute_causal_influence, brute_joint, brute_marginal
 from test_engine import random_binary_model
@@ -435,6 +439,20 @@ class TestCausalInfluence:
             causal_influence(m, [("A", "B")])
 
 
+@contextlib.contextmanager
+def _recorded_calls():
+    """The (models, scopes, do) of every joint_tables call made inside the block."""
+    calls = []
+    real = model.joint_tables
+
+    def recording(models, scopes, *args, **kwargs):
+        calls.append((models, scopes, kwargs.get("do")))
+        return real(models, scopes, *args, **kwargs)
+
+    with mock.patch.object(model, "joint_tables", recording), mock.patch.object(indicators, "joint_tables", recording):
+        yield calls
+
+
 class TestRho3:
     def test_identical_pair_zero(self, reality_model):
         pair = ModelPair(reference=reality_model, candidate=reality_model)
@@ -461,43 +479,28 @@ class TestRho3:
         with pytest.raises(InvalidQuery, match="rho3 needs a non-empty node set"):
             rho3(pair, [], CP, restrict_to_set=restrict)
 
-    @staticmethod
-    def _count_calls(monkeypatch):
-        counted = []
-        for module, name in ((engine, "joint_tables"), (indicators, "joint_tables")):
-            real = getattr(module, name)
-
-            def counting(*args, _real=real, _name=name, **kwargs):
-                counted.append(_name)
-                return _real(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counting)
-        return counted
-
     @pytest.mark.parametrize("restrict, calls", [(False, 2), (True, 4)])
-    def test_one_inference_call_per_model(
-        self, monkeypatch, reality_model, candidate_model, restrict, calls
-    ):
+    def test_one_inference_call_per_model(self, reality_model, candidate_model, restrict, calls):
         # Full-graph: one calibration per group of models that share their
         # structure gives every P(pa_c). Restricted: one more per group gives
         # every kept family. The heavy-rain models differ in structure, and so
         # do their sub-models over the set, so each model is its own group.
-        counted = self._count_calls(monkeypatch)
         pair = ModelPair(reference=reality_model, candidate=candidate_model)
-        rho3(pair, ["V1", "V2", "X", "phi"], CP, restrict_to_set=restrict)
-        assert counted == ["joint_tables"] * calls
+        with _recorded_calls() as counted:
+            rho3(pair, ["V1", "V2", "X", "phi"], CP, restrict_to_set=restrict)
+        assert len(counted) == calls
 
     @pytest.mark.parametrize("restrict, calls", [(False, 1), (True, 2)])
-    def test_one_inference_call_per_shared_pair(self, monkeypatch, reality_model, restrict, calls):
+    def test_one_inference_call_per_shared_pair(self, reality_model, restrict, calls):
         # Redrawn tables keep the structure, so both models ride one model
         # axis, with the report of one call per model.
         pair = ModelPair(reference=reality_model, candidate=redrawn(reality_model, 5))
         nodes = ["V1", "V2", "X", "phi"]
-        with mock.patch.object(indicators, "_factor_key", id):  # every model its own group
+        with mock.patch.object(DiscreteModel, "_factor_key", property(id)):  # every model its own group
             separate = rho3(pair, nodes, CP, restrict_to_set=restrict)
-        counted = self._count_calls(monkeypatch)
-        assert rho3(pair, nodes, CP, restrict_to_set=restrict) == separate
-        assert counted == ["joint_tables"] * calls
+        with _recorded_calls() as counted:
+            assert rho3(pair, nodes, CP, restrict_to_set=restrict) == separate
+        assert len(counted) == calls
 
     def test_perturbed_candidate_is_detected(self, reality_model):
         cpds = dict(reality_model.cpds)
@@ -535,7 +538,98 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
+def _attempt(fn):
+    """(True, what ``fn`` returns), or (False, the type and message of its error)."""
+    try:
+        return True, fn()
+    except CausalCritError as exc:
+        return False, (type(exc), str(exc))
+
+
+def _group(m, scopes, do):
+    """The key under which the driver answers an ask of a route step."""
+    rows = tuple((n, tuple(r)) for n, r in sorted((do or {}).items()))
+    return m._factor_key, rows, tuple(dict.fromkeys(tuple(sorted(set(s))) for s in scopes))
+
+
+@st.composite
+def shared_pairs(draw):
+    """A partially instantiated pair on one semi-Markovian structure.
+
+    Up to two confounding arcs, up to one node without a CPD in both models
+    and one more without in the candidate; about a fifth of the CPD rows are
+    point masses, so a parents route can meet a zero-probability condition.
+    """
+    full = random_binary_model(draw(st.randoms(use_true_random=False)), max_nodes=6)
+    nodes = sorted(full.instantiated)
+    x = draw(st.sampled_from(nodes))
+    below = sorted(descendants(full.structure, x))
+    metric = draw(st.sampled_from(nodes) | st.sampled_from(below or nodes) | st.sampled_from(below or nodes))
+    # About half the arcs end at x, where the parents route refuses.
+    pairs = list(itertools.combinations(nodes, 2))
+    at_x = [p for p in pairs if x in p]
+    arcs = draw(st.lists(st.sampled_from(at_x) | st.sampled_from(pairs), max_size=2))
+    structure = build_structure(nodes, full.structure.directed, bidirected=arcs)
+    removed = draw(st.sets(st.sampled_from(nodes), max_size=1))
+
+    def tables(drop):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        cpds = []
+        for n, cpd in full.cpds.items():
+            if n not in drop:
+                u = rng.uniform(0.1, 0.9, len(cpd.table))
+                u = np.where(rng.random(u.size) < 0.2, rng.integers(2, size=u.size), u)
+                cpds.append(make_cpd(n, cpd.parents, np.stack([u, 1.0 - u], axis=1), full.specs))
+        return build_model(structure, full.specs, cpds)
+
+    ref = tables(removed)
+    cand = tables(removed | draw(st.sets(st.sampled_from(nodes), max_size=1)))
+    return ref, cand, x, metric
+
+
 class TestIndicatorReports:
+    @settings(max_examples=200, deadline=None)
+    @given(shared_pairs())
+    def test_effect_rows_equal_each_models_own_plan(self, drawn):
+        # Each model's do() rows, route label and call sequence alone; the
+        # auto rule takes truncated, parents, backdoor, point-mass and
+        # observational routes, the parents route falling back on missing
+        # CPDs, a confounded x or a zero-probability condition.
+        ref, cand, x, metric = drawn
+        do = {x: ["b", "a"]}
+        alone, rounds = [], []
+        for m in (ref, cand):
+            with _recorded_calls() as calls:
+                alone.append(_attempt(lambda: plan_effect(m, do, metric)))
+            rounds.append([_group(m, scopes, rows) for _, scopes, rows in calls])
+            if alone[-1][0]:
+                event(alone[-1][1][0].split(":")[0])
+        # One effect call per round per group of equal asks.
+        effect_calls = sum(len(set(keys) - {None}) for keys in itertools.zip_longest(*rounds))
+        with _recorded_calls() as calls:
+            both = _attempt(lambda: model._run([engine._plan_step(m, do, metric) for m in (ref, cand)]))
+        if alone[0][0] and alone[1][0]:
+            assert both == (True, [alone[0][1], alone[1][1]])
+            assert len(calls) == effect_calls
+        else:
+            assert not both[0] and both[1] in [v for ok, v in alone if not ok]
+        # The same rows reach the effect reports, with one more call per
+        # group of models that share their factor structure for the joints
+        # of sigma and rho1.
+        cp = PhenomenonBinding(variable=x, cp_label="b")
+        with _recorded_calls() as calls:
+            ok, reports = _attempt(lambda: indicator_reports(ModelPair(ref, cand), cp, metric))
+        if not ok:
+            return
+        for role, m, (_, (route, (d_cp, d_not))) in zip(("reference", "candidate"), (ref, cand), alone):
+            effects = [r for r in reports if r.metadata.get("role") == role]
+            assert [r.name for r in effects] == ["ACE", "RCE", "sigma"]
+            for r in effects:
+                assert r.metadata["route"] == route
+                assert r.metadata["e_do_cp"] == expectation(d_cp, m, metric)
+                assert r.metadata["e_do_not_cp"] == expectation(d_not, m, metric)
+        assert len(calls) == effect_calls + len({ref._factor_key, cand._factor_key})
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_equal_to_the_separate_calls_and_brute_force(self, data):
@@ -581,11 +675,11 @@ class TestIndicatorReports:
 
         def recording(models, scopes, *args, **kwargs):
             tables = joint_tables(models, scopes, *args, **kwargs)
-            calls.append((models, scopes, tables))
+            calls.append((models, scopes, bool(kwargs.get("do")), tables))
             return tables
 
-        joint_tables = indicators.joint_tables
-        with mock.patch.object(indicators, "joint_tables", recording):
+        joint_tables = model.joint_tables
+        with mock.patch.object(model, "joint_tables", recording):
             batched = _outcome(lambda: indicator_reports(pair, cp, metric, node_set, restrict))
         expected = _outcome(separate)
         if isinstance(expected, tuple):
@@ -598,16 +692,20 @@ class TestIndicatorReports:
                 assert b[key] == pytest.approx(value, abs=1e-12), key
             else:
                 assert b[key] == value, key
-        # One call per group of models that share their structure, on one
-        # model axis, and one more per group of induced sub-models.
+        # Per group of models that share their structure, on one model axis,
+        # one call for the do() rows of the truncated route and one for the
+        # other joints, and one more per group of induced sub-models.
         def groups(edges):
             return [[ref, cand]] if edges[0] == edges[1] else [[ref], [cand]]
 
         shared = groups([m.structure.directed for m in (ref, cand)])
         induced = [frozenset(e for e in m.structure.directed if set(e) <= set(node_set)) for m in (ref, cand)]
-        assert [c[0] for c in calls[:len(shared)]] == shared
-        assert len(calls) == len(shared) + (len(groups(induced)) if restrict else 0)
-        for models, scopes, tables in calls:
+        assert [c[0] for c in calls if c[2]] == shared
+        assert [c[0] for c in calls if not c[2]][:len(shared)] == shared
+        assert len(calls) == 2 * len(shared) + (len(groups(induced)) if restrict else 0)
+        for models, scopes, do, tables in calls:
+            if do:
+                continue
             for j, m in enumerate(models):
                 names, joint = brute_joint(m)
                 for scope, table in zip(scopes, tables):
@@ -615,57 +713,98 @@ class TestIndicatorReports:
                         idx = tuple(m.specs[n].index_of(v) for n, v in zip(scope, labels))
                         assert table[j][idx] == pytest.approx(p, abs=1e-12)
 
+    def test_error_precedence_rce_denominator_against_spec_check(self):
+        # The reference's E(metric | do(notCP)) is zero, and rho2's set holds
+        # a node whose domain the pair does not share: both fail. Every spec
+        # check runs before any error that needs values, RCE's included.
+        specs = {
+            "X": VariableSpec(name="X", domain=("notCP", "CP"), codes=(0.0, 1.0)),
+            "phi": VariableSpec(name="phi", domain=("a", "b"), codes=(0.0, 1.0)),
+        }
+        s = build_structure(["X", "phi"], [("X", "phi")])
+        tables = {"X": [[0.3, 0.7]], "phi": [[1.0, 0.0], [0.5, 0.5]]}
+        ref = build_model(s, specs, [make_cpd(n, sorted(s.parents(n)), t, specs) for n, t in tables.items()])
+        specs["phi"] = VariableSpec(name="phi", domain=("a", "c"), codes=(0.0, 1.0))
+        cand = build_model(s, specs, [make_cpd(n, sorted(s.parents(n)), t, specs) for n, t in tables.items()])
+        pair = ModelPair(reference=ref, candidate=cand)
+        with pytest.raises(ValidationError, match="domain mismatch for 'phi'"):
+            indicator_reports(pair, CP, "phi", ["phi"])
+        with pytest.raises(DivisionByZeroEffect):
+            indicator_reports(pair, CP, "phi")
+
+    def test_zero_probability_fallback_is_one_more_round(self):
+        # P(X = b | P = a) = 0: the parents route meets a zero-probability
+        # condition once it has its joint, and auto falls back to Y's
+        # observational marginal, as Y does not descend from X.
+        specs = {n: VariableSpec(name=n, domain=("a", "b"), codes=(0.0, 1.0)) for n in "PXWY"}
+        s = build_structure(list("PXWY"), [("P", "X"), ("W", "Y")], bidirected=[("W", "Y")])
+
+        def pair_model(p, y):
+            tables = {"P": [p], "X": [[1.0, 0.0], [0.3, 0.7]], "W": [[0.5, 0.5]], "Y": y}
+            return build_model(s, specs, [make_cpd(n, sorted(s.parents(n)), t, specs) for n, t in tables.items()])
+
+        ref = pair_model([0.4, 0.6], [[0.2, 0.8], [0.6, 0.4]])
+        cand = pair_model([0.7, 0.3], [[0.1, 0.9], [0.5, 0.5]])
+        cp = PhenomenonBinding(variable="X", cp_label="b")
+        with _recorded_calls() as calls:
+            alone = plan_effect(ref, {"X": ["b", "a"]}, "Y")
+        assert alone[0] == "observational"
+        assert [scopes for _, scopes, _ in calls] == [[("P", "X", "Y")], [("Y",)]]
+        with _recorded_calls() as calls:
+            reports = indicator_reports(ModelPair(ref, cand), cp, "Y")
+        # Round one: both models' parents joints, then sigma's and rho1's
+        # joints; round two: both models' observational rows.
+        assert [(len(models), scopes) for models, scopes, _ in calls] == [
+            (2, [("P", "X", "Y")]),
+            (2, [("Y",), ("X",)]),
+            (2, [("Y",)]),
+        ]
+        (e_cp, e_not) = (expectation(d, ref, "Y") for d in alone[1])
+        assert reports[0].metadata["route"] == "observational"
+        assert (reports[0].metadata["e_do_cp"], reports[0].metadata["e_do_not_cp"]) == (e_cp, e_not)
+
     @staticmethod
-    def _record_calls(monkeypatch):
+    def _nodes_and_rows(calls):
         """(node tuple of each model, whether do rows were given) per joint_tables call."""
-        calls = []
-        for module in (engine, indicators):
-
-            def counting(models, *args, _real=module.joint_tables, **kwargs):
-                nodes = [m.structure.nodes for m in models] if isinstance(models, list) else models.structure.nodes
-                calls.append((nodes, bool(kwargs.get("do"))))
-                return _real(models, *args, **kwargs)
-
-            monkeypatch.setattr(module, "joint_tables", counting)
-        return calls
+        return [([m.structure.nodes for m in models], bool(do)) for models, _, do in calls]
 
     @pytest.mark.parametrize("extra, sub_models", [((), 0), (("--rho3-restricted",), 2)])
-    def test_one_elimination_per_model(self, monkeypatch, extra, sub_models):
-        # Besides plan_effect's one do() call per model, each group of models
-        # that share their structure answers every joint from one
-        # joint_tables call; rho1, sigma and rho2 make no inference call of
-        # their own. The heavy-rain models differ in structure, and so do
-        # their sub-models over the set, so each model is its own group.
-        calls = self._record_calls(monkeypatch)
+    def test_one_elimination_per_model(self, extra, sub_models):
+        # Each group of models that share their structure answers its do()
+        # rows from one joint_tables call and every other joint from one
+        # more; rho1, sigma and rho2 make no inference call of their own.
+        # The heavy-rain models differ in structure, and so do their
+        # sub-models over the set, so each model is its own group.
         argv = ["indicators", "heavy-rain-reality", "heavy-rain-model", "--set", "V1,V2,X", *extra]
-        assert main([*argv, "--format", "json"]) == 0
+        with _recorded_calls() as calls:
+            assert main([*argv, "--format", "json"]) == 0
         ref, cand = ("V1", "V2", "V3", "X", "phi"), ("V1", "V2", "X", "phi")
-        assert calls == [
-            (ref, True),
-            (cand, True),
+        assert self._nodes_and_rows(calls) == [
+            ([ref], True),
             ([ref], False),
+            ([cand], True),
             ([cand], False),
             *[([("V1", "V2", "X")], False)] * sub_models,
         ]
 
     @pytest.mark.parametrize("extra, sub_models", [((), 0), (("--rho3-restricted",), 1)])
-    def test_one_elimination_per_shared_pair(self, monkeypatch, capsys, tmp_path, reality_model, extra, sub_models):
+    def test_one_elimination_per_shared_pair(self, capsys, tmp_path, reality_model, extra, sub_models):
         # A candidate with redrawn tables shares the reference's structure:
-        # both ride one model axis, and their sub-models over the set do too.
+        # both ride one model axis, for their do() rows and for every other
+        # joint, and their sub-models over the set do too.
         relation, _ = fixture("heavy-rain-reality")
         path = tmp_path / "redrawn.json"
         path.write_text(model_to_text(relation, redrawn(reality_model, 5)), encoding="utf-8")
         argv = ["indicators", "heavy-rain-reality", str(path), "--set", "V1,V2,X", *extra, "--format", "json"]
-        with mock.patch.object(indicators, "_factor_key", id):  # every model its own group
+        with mock.patch.object(DiscreteModel, "_factor_key", property(id)):  # every model its own group
             assert main(argv) == 0
         separate = capsys.readouterr().out
-        calls = self._record_calls(monkeypatch)
-        assert main(argv) == 0
+        with _recorded_calls() as calls:
+            assert main(argv) == 0
         assert capsys.readouterr().out == separate
         nodes = reality_model.structure.nodes
-        assert calls == [
-            (nodes, True),
-            (nodes, True),
+        assert self._nodes_and_rows(calls) == [
+            ([nodes, nodes], True),
             ([nodes, nodes], False),
             *[([("V1", "V2", "X")] * 2, False)] * sub_models,
         ]
