@@ -26,7 +26,7 @@ from .io import (
     canonical_json,
     load_dataset,
     load_field,
-    load_model,
+    load_models,
     load_trajectory,
     save_dataset,
 )
@@ -67,14 +67,16 @@ def _parse_names(text: Optional[str]) -> Optional[list[str]]:
     return [n.strip() for n in text.split(",") if n.strip()]
 
 
-def _load(path: str):
-    if path in fixtures.FIXTURE_IDS:
-        return fixtures.fixture(path)
-    return load_model(path)
+def _load(*paths: str) -> list:
+    """The relation and model of each fixture id or model file. The files are
+    read by one load_models call, so a candidate file that repeats the
+    reference's declaration shares its parse."""
+    files = iter(load_models([p for p in paths if p not in fixtures.FIXTURE_IDS]))
+    return [fixtures.fixture(p) if p in fixtures.FIXTURE_IDS else next(files) for p in paths]
 
 
 def cmd_validate(args) -> int:
-    relation, _model = _load(args.model)
+    relation, _model = _load(args.model)[0]
     violations = validate_causal_relation(relation)
     payload = {
         "command": "validate",
@@ -92,7 +94,7 @@ def cmd_adjust(args) -> int:
     candidates = _parse_names(args.candidates)
     if candidates == []:
         raise ParseError(f"--candidates needs at least one node name, got {args.candidates!r}")
-    _relation, model = _load(args.model)
+    _relation, model = _load(args.model)[0]
     sets = enumerate_adjustment_sets(
         model.structure, args.x, args.y, max_count=args.max, candidates=candidates
     )
@@ -112,7 +114,7 @@ def cmd_effect(args) -> int:
 
     if args.adjust_set is not None and args.route != "backdoor":
         raise ParseError("--adjust-set needs --route backdoor")
-    _relation, model = _load(args.model)
+    _relation, model = _load(args.model)[0]
     assignments = _parse_assignments(args.do or "")
     route, (dist,) = plan_effect(
         model,
@@ -150,8 +152,7 @@ def cmd_indicators(args) -> int:
         raise ParseError("--rho3-restricted needs --set")
     if args.alpha is not None and not args.data:
         raise ParseError("--alpha needs --data")
-    relation_ref, ref = _load(args.reference)
-    relation_cand, cand = _load(args.candidate)
+    (relation_ref, ref), (_, cand) = _load(args.reference, args.candidate)
     if args.data:
         alpha = 0.0 if args.alpha is None else args.alpha
         ref_data = load_dataset(args.data[0], ref.specs)
@@ -188,7 +189,7 @@ def cmd_sample(args) -> int:
         raise ParseError(f"-n must be >= 0, got {args.n}")
     if args.seed < 0:
         raise ParseError(f"--seed must be >= 0, got {args.seed}")
-    _relation, model = _load(args.model)
+    _relation, model = _load(args.model)[0]
     dataset = sample(model, args.n, args.seed)
     save_dataset(args.output, dataset)
     payload = {
@@ -246,7 +247,7 @@ def cmd_metrics(args) -> int:
 def cmd_sp(args) -> int:
     from .engine import SafetyPrinciple, evaluate_safety_principle
 
-    relation, model = _load(args.model)
+    relation, model = _load(args.model)[0]
     assignments = _parse_assignments(args.sp)
     if not assignments:
         raise ParseError("--sp needs at least one node=label assignment")

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring as _encode_string
+import marshal
 import math
 import os
 import stat
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Union
+from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
 from .context import (
     CausalRelation,
@@ -40,6 +41,7 @@ if TYPE_CHECKING:
 __all__ = [
     "FORMAT_VERSION",
     "load_model",
+    "load_models",
     "save_model",
     "model_to_text",
     "load_dataset",
@@ -208,6 +210,7 @@ def _compile(schema: dict):
 
 
 _check_model = _compile(MODEL_SCHEMA)
+_check_cpds = _compile(MODEL_SCHEMA["properties"]["cpds"])
 
 
 def _json_int(digits: str):
@@ -311,36 +314,51 @@ def _statement_from_json(st: dict, where: str) -> ContextStatement:
                expression=expr)
 
 
-def parse_model_text(text: str) -> tuple[CausalRelation, DiscreteModel]:
+def _decode(text: str):
     try:
-        payload = _DECODER.decode(text)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: line {exc.lineno}, column {exc.colno}") from None
-    _check_model(payload, "")
-    if payload["format_version"] != FORMAT_VERSION:
-        raise ParseError(f"unsupported format_version {payload['format_version']!r}")
+    except RecursionError:
+        raise ParseError("JSON nested too deeply to read") from None
 
-    specs: dict[str, VariableSpec] = {}
-    for k, var in enumerate(payload["variables"]):
-        spec = _at(f"variables[{k}]", VariableSpec, name=var["name"], domain=tuple(var["domain"]),
-                   codes=tuple(var["codes"]), unit=var["unit"], value_range=var.get("range", ""))
-        if spec.name in specs:
-            raise ValidationError(f"variables[{k}]: duplicate variable {spec.name!r}")
-        specs[spec.name] = spec
-    latent = [var["name"] for var in payload["variables"] if var["latent"]]
-    structure = build_structure(specs.keys(), payload["edges"], payload["bidirected"], latent)
-    context = tuple(_statement_from_json(st, f"context[{k}]") for k, st in enumerate(payload["context"]))
+
+def _parse(payload, earlier: CausalRelation | None = None) -> tuple[CausalRelation, DiscreteModel]:
+    """The relation and model of a decoded model file. ``earlier`` is the
+    relation of a file that declares what this one declares: it is reused,
+    with its specs and structure, and of this file only ``cpds`` is checked."""
+    if earlier is None:
+        _check_model(payload, "")
+        if payload["format_version"] != FORMAT_VERSION:
+            raise ParseError(f"unsupported format_version {payload['format_version']!r}")
+        specs: dict[str, VariableSpec] = {}
+        for k, var in enumerate(payload["variables"]):
+            spec = _at(f"variables[{k}]", VariableSpec, name=var["name"], domain=tuple(var["domain"]),
+                       codes=tuple(var["codes"]), unit=var["unit"], value_range=var.get("range", ""))
+            if spec.name in specs:
+                raise ValidationError(f"variables[{k}]: duplicate variable {spec.name!r}")
+            specs[spec.name] = spec
+        latent = [var["name"] for var in payload["variables"] if var["latent"]]
+        structure = build_structure(specs.keys(), payload["edges"], payload["bidirected"], latent)
+        context = tuple(_statement_from_json(st, f"context[{k}]") for k, st in enumerate(payload["context"]))
+        relation = CausalRelation(structure, context, PhenomenonBinding(**payload["phenomenon"]),
+                                  payload["metric"]["variable"], specs)
+    else:
+        relation = earlier
+        _check_cpds(payload["cpds"], "cpds")
     cpds = []
     if payload["cpds"]:
         from .model import _cpds
 
         try:
-            cpds = _cpds([(c["child"], c["parents"], c["table"]) for c in payload["cpds"]], specs)
+            cpds = _cpds([(c["child"], c["parents"], c["table"]) for c in payload["cpds"]], relation.specs)
         except CausalCritError as exc:  # the first CPD that fails, at its JSON path
             raise ValidationError(f"cpds[{exc.entry}]: {exc}") from None
-    relation = CausalRelation(structure, context, PhenomenonBinding(**payload["phenomenon"]),
-                              payload["metric"]["variable"], specs)
-    return relation, build_model(structure, specs, cpds)
+    return relation, build_model(relation.structure, relation.specs, cpds)
+
+
+def parse_model_text(text: str) -> tuple[CausalRelation, DiscreteModel]:
+    return _parse(_decode(text))
 
 
 def _read_text(path: PathLike) -> str:
@@ -354,6 +372,35 @@ def _read_text(path: PathLike) -> str:
 
 def load_model(path: PathLike) -> tuple[CausalRelation, DiscreteModel]:
     return parse_model_text(_read_text(path))
+
+
+def _same_declaration(payload, earlier: dict) -> bool:
+    """Whether ``payload`` has ``cpds`` and every other top-level field of the
+    model file ``earlier``, each equal in value, in JSON type and in the order
+    of its objects' keys: ``==`` takes true, 1 and 1.0 for one value, and
+    marshal writes each with its type."""
+    if type(payload) is not dict or "cpds" not in payload or payload.keys() != earlier.keys():
+        return False
+    fields = [key for key in earlier if key != "cpds"]
+    mine, theirs = [payload[key] for key in fields], [earlier[key] for key in fields]
+    return mine == theirs and marshal.dumps(mine, 2) == marshal.dumps(theirs, 2)
+
+
+def load_models(paths: Sequence[PathLike]) -> list[tuple[CausalRelation, DiscreteModel]]:
+    """Each file's relation and model, read in order as ``load_model`` reads it.
+
+    A file whose declaration, every top-level field but ``cpds``, equals an
+    earlier file's reuses that file's relation, specs and structure, so both
+    models hold one structure object. Of such a file only ``cpds`` is checked
+    and built, which raises what ``load_model`` would: the rest of it equals
+    a declaration that passed every check.
+    """
+    loaded: list[tuple[dict, CausalRelation, DiscreteModel]] = []
+    for path in paths:
+        payload = _decode(_read_text(path))
+        earlier = next((r for p, r, _ in loaded if _same_declaration(payload, p)), None)
+        loaded.append((payload, *_parse(payload, earlier)))
+    return [(relation, model) for _, relation, model in loaded]
 
 
 def load_dataset(

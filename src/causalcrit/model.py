@@ -544,6 +544,13 @@ def estimate_cpds(
     for c in dataset.columns:
         if c not in specs:
             raise UnknownNode(f"dataset column {c!r} is not a structure variable")
+    # A row total is its count plus the smoothing once per child label.
+    largest = max(specs[c].cardinality for c in dataset.columns)
+    if not math.isfinite(smoothing * largest + len(dataset)):
+        raise ValidationError(
+            f"smoothing {smoothing} overflows the CPD row totals of {len(dataset)} rows "
+            f"and up to {largest} labels"
+        )
 
     encoded: dict[str, np.ndarray] = {}
     for c, codes, domain in zip(dataset.columns, dataset.codes, dataset.domains):

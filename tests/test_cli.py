@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ import causalcrit
 from causalcrit import fixtures, metrics
 from causalcrit.cli import main
 from causalcrit.fixtures import fixture_text
-from causalcrit.io import load_model, parse_model_text
+from causalcrit.indicators import ModelPair, indicator_reports
+from causalcrit.io import canonical_json, load_model, parse_model_text
 
 from oracles import brute_open_paths
 
@@ -84,6 +86,20 @@ class TestValidate:
         code, out, err = run(capsys, "effect", str(bad), "--do", "X=CP", "--target", "phi")
         assert (code, out) == (2, "")
         assert err == 'error: variables[2].codes[0]: expected a number, got "a"\n'
+
+    @pytest.mark.parametrize("command", [
+        ("validate", "{}"),
+        ("effect", "{}", "--do", "X=CP", "--target", "phi"),
+        ("indicators", "{}", "heavy-rain-model"),
+        ("indicators", "{ref}", "{}"),
+        ("sp", "{}", "--sp", "V2=Slow"),
+    ])
+    def test_json_nested_past_the_recursion_limit_exits_two(self, capsys, tmp_path, command):
+        deep, ref = tmp_path / "deep.json", tmp_path / "ref.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        ref.write_text(fixture_text("heavy-rain-reality"), encoding="utf-8")
+        code, out, err = run(capsys, *(arg.format(str(deep), ref=str(ref)) for arg in command))
+        assert (code, out, err) == (2, "", "error: JSON nested too deeply to read\n")
 
     @pytest.mark.parametrize("command", [
         ("validate",),
@@ -473,6 +489,48 @@ class TestIndicators:
         assert (code, out) == (1, "")
         assert err == f"ValidationError: smoothing must be finite and >= 0, got {alpha}\n"
 
+    def test_overflowing_alpha_exits_one_without_a_warning(self, capsys, tmp_path):
+        ref_csv = tmp_path / "r.csv"
+        run(capsys, "sample", "heavy-rain-reality", "-n", "50", "-o", str(ref_csv))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "indicators", "heavy-rain-reality", "heavy-rain-reality",
+                "--data", str(ref_csv), str(ref_csv), "--alpha", "1e308",
+            )
+        assert (code, out) == (1, "")
+        assert err == (
+            "ValidationError: smoothing 1e+308 overflows the CPD row totals of 50 rows and up to 2 labels\n"
+        )
+
+    def test_shared_declaration_pair_equals_the_library_on_files_read_alone(self, capsys, tmp_path):
+        # The candidate repeats the reference's declaration with one CPD row changed.
+        ref, cand = tmp_path / "ref.json", tmp_path / "cand.json"
+        ref.write_text(fixture_text("heavy-rain-reality"), encoding="utf-8")
+        payload = json.loads(fixture_text("heavy-rain-reality"))
+        next(c for c in payload["cpds"] if c["child"] == "V2")["table"] = [[0.25, 0.75]]
+        cand.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, _ = run(capsys, "indicators", str(ref), str(cand), "--set", "V1,V2,X", "--format", "json")
+        assert code == 0
+        (relation, ref_model), (_, cand_model) = load_model(ref), load_model(cand)
+        reports = indicator_reports(
+            ModelPair(ref_model, cand_model), relation.phenomenon, relation.metric, ["V1", "V2", "X"]
+        )
+        assert out == canonical_json({
+            "command": "indicators", "reference": str(ref), "candidate": str(cand), "log_base": "nats",
+            "reports": [r.as_dict() for r in reports],
+        })
+
+    def test_shared_declaration_candidate_with_a_string_cell_exits_two(self, capsys, tmp_path):
+        ref, cand = tmp_path / "ref.json", tmp_path / "cand.json"
+        ref.write_text(fixture_text("heavy-rain-reality"), encoding="utf-8")
+        payload = json.loads(fixture_text("heavy-rain-reality"))
+        k, cpd = next((k, c) for k, c in enumerate(payload["cpds"]) if c["child"] == "V2")
+        cpd["table"] = [["0.25", 0.75]]
+        cand.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(capsys, "indicators", str(ref), str(cand))
+        assert (code, out) == (2, "")
+        assert err == f'error: cpds[{k}].table[0][0]: expected a number, got "0.25"\n'
 
     def test_rho3_restricted_without_set_is_usage_error(self, capsys, tmp_path):
         missing = str(tmp_path / "missing.json")

@@ -25,16 +25,18 @@ from causalcrit.fixtures import (
     fixture_text,
 )
 from causalcrit.io import (
+    canonical_json,
     load_dataset,
     load_field,
     load_model,
+    load_models,
     load_trajectory,
     model_to_text,
     parse_model_text,
     save_dataset,
     save_model,
 )
-from causalcrit.indicators import _induced_submodel, _kept_families
+from causalcrit.indicators import ModelPair, _induced_submodel, _kept_families, indicator_reports
 from causalcrit.model import VariableSpec, estimate_cpds, joint_tables, make_cpd, sample
 
 from test_model import random_models
@@ -334,6 +336,136 @@ class TestCpdTables:
             tables = [cpd.table for cpd in m.cpds.values()]
             assert len(tables) > 1 and len({id(t.base) for t in tables}) == 1 and tables[0].base is not None
             assert not any(t.flags.writeable for t in tables)
+
+
+def _model_payload(m) -> dict:
+    nodes = m.structure.nodes
+    binary = [n for n in nodes if m.specs[n].cardinality == 2] or [nodes[0]]
+    relation = SimpleNamespace(
+        phenomenon=PhenomenonBinding(variable=binary[0], cp_label=m.specs[binary[0]].domain[0]),
+        metric=nodes[-1],
+        context=(),
+    )
+    return json.loads(model_to_text(relation, m))
+
+
+@st.composite
+def redrawn_pairs(draw):
+    """A random model file and a second one that repeats its declaration with
+    other CPD tables."""
+    reference = _model_payload(draw(random_models(min_nodes=2, latent=draw(st.booleans()))))
+    candidate = json.loads(json.dumps(reference))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for cpd in candidate["cpds"]:
+        table = cpd["table"]
+        cpd["table"] = rng.dirichlet(np.ones(len(table[0])), size=len(table)).tolist()
+    return reference, candidate
+
+
+def _string_cell(payload, draw):
+    cpd = draw(st.sampled_from(payload["cpds"]))
+    row = draw(st.sampled_from(cpd["table"]))
+    row[draw(st.integers(0, len(row) - 1))] = "0.5"
+
+
+def _bad_row_sum(payload, draw):
+    cpd = draw(st.sampled_from(payload["cpds"]))
+    row = draw(st.sampled_from(cpd["table"]))
+    row[:] = [v * 0.5 for v in row]
+
+
+def _extra_edge(payload, draw):
+    names = [v["name"] for v in payload["variables"]]
+    edges = [[a, b] for i, a in enumerate(names) for b in names[i + 1:] if [a, b] not in payload["edges"]]
+    if edges:
+        payload["edges"].append(draw(st.sampled_from(edges)))
+
+
+def _renamed_label(payload, draw):
+    var = draw(st.sampled_from(payload["variables"]))
+    var["domain"][draw(st.integers(0, len(var["domain"]) - 1))] += "x"
+
+
+# Damage to the candidate of a redrawn pair: the first two keep its
+# declaration, the others change it; a latent flag written as 0 or 1 equals
+# false or true under ==, but is no boolean.
+_PAIR_DAMAGE = {
+    "string cell": _string_cell,
+    "bad row sum": _bad_row_sum,
+    "no cpds": lambda payload, draw: payload.pop("cpds"),
+    "unknown field": lambda payload, draw: payload.update(comment="x"),
+    "extra edge": _extra_edge,
+    "renamed label": _renamed_label,
+    "latent as a number": lambda payload, draw: payload["variables"][0].update(
+        latent=int(payload["variables"][0]["latent"])),
+}
+
+
+def _outcome(load):
+    """The models ``load()`` returns, as their specs, structures and CPD
+    tables, or the type and message of the error it raises."""
+    try:
+        loaded = load()
+    except CausalCritError as exc:
+        return type(exc), str(exc)
+    return [
+        (dict(m.specs), m.structure,
+         {n: (cpd.parents, cpd.table.dtype, cpd.table.tobytes()) for n, cpd in m.cpds.items()})
+        for _, m in loaded
+    ]
+
+
+@pytest.fixture(scope="module")
+def pair_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("pairs")
+
+
+class TestModelPairs:
+    """A file that repeats an earlier file's declaration is read through the
+    earlier file's relation: the models and errors are those of each file
+    read alone."""
+
+    @staticmethod
+    def _write(pair_dir, *payloads):
+        paths = [pair_dir / f"{k}.json" for k in range(len(payloads))]
+        for path, payload in zip(paths, payloads):
+            path.write_text(json.dumps(payload), encoding="utf-8")
+        return paths
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair=redrawn_pairs())
+    def test_pair_equals_the_files_read_alone(self, pair_dir, pair):
+        paths = self._write(pair_dir, *pair)
+        (relation, ref), (cand_relation, cand) = load_models(paths)
+        assert cand.structure is ref.structure and cand_relation is relation
+        assert _outcome(lambda: load_models(paths)) == _outcome(lambda: [load_model(p) for p in paths])
+
+        def reports(models):
+            try:
+                out = indicator_reports(ModelPair(*models), relation.phenomenon, relation.metric,
+                                        list(ref.structure.nodes[:2]))
+            except CausalCritError as exc:
+                return type(exc), str(exc)
+            return canonical_json([r.as_dict() for r in out])
+
+        assert reports((ref, cand)) == reports([load_model(p)[1] for p in paths])
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair=redrawn_pairs(), damage=st.sampled_from(sorted(_PAIR_DAMAGE)), data=st.data())
+    def test_damaged_candidate_fails_as_alone(self, pair_dir, pair, damage, data):
+        reference, candidate = pair
+        _PAIR_DAMAGE[damage](candidate, data.draw)
+        ref_path, cand_path = self._write(pair_dir, reference, candidate)
+        alone = _outcome(lambda: [load_model(ref_path), load_model(cand_path)])
+        assert _outcome(lambda: load_models([ref_path, cand_path])) == alone
+        if damage in ("string cell", "bad row sum"):
+            assert alone[0] in (ParseError, ValidationError) and alone[1].startswith("cpds[")
+
+    def test_other_declarations_parse_apart(self):
+        paths = [fixture_path("heavy-rain-reality"), fixture_path("heavy-rain-model")]
+        (_, ref), (_, cand) = load_models(paths)
+        assert cand.structure is not ref.structure
+        assert _outcome(lambda: load_models(paths)) == _outcome(lambda: [load_model(p) for p in paths])
 
 
 class TestDataset:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -645,6 +646,16 @@ class TestEstimate:
         ds = sample(reality_model, 50, seed=1)
         with pytest.raises(ValidationError, match="smoothing must be finite and >= 0"):
             estimate_cpds(reality_model.structure, reality_model.specs, ds, smoothing)
+
+    def test_smoothing_that_overflows_the_row_totals_rejected(self, reality_model):
+        ds = sample(reality_model, 50, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"^smoothing 1e\+308 overflows the CPD row totals"):
+                estimate_cpds(reality_model.structure, reality_model.specs, ds, 1e308)
+        # Finite row totals near the largest double are kept.
+        est = estimate_cpds(reality_model.structure, reality_model.specs, ds, 1e307)
+        assert est.cpds["V1"].table.tolist() == [[0.5, 0.5]]
 
     def test_laplace_smoothing_fills_empty_rows(self):
         specs = {"A": binary_spec("A"), "B": binary_spec("B")}
