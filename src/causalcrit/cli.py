@@ -12,7 +12,6 @@ Each command imports the numeric layers it computes with when it runs, so
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 from typing import Optional, Sequence
@@ -253,7 +252,8 @@ def cmd_sp(args) -> int:
         raise ParseError("--sp needs at least one node=label assignment")
     principle = SafetyPrinciple(name=args.name, assignments=assignments)
     report = evaluate_safety_principle(model, principle, relation.phenomenon, relation.metric)
-    payload = {"command": "sp", "intervention": assignments, **dataclasses.asdict(report)}
+    fields = {name: getattr(report, name) for name in report.__match_args__}
+    payload = {"command": "sp", "intervention": assignments, **fields}
     lines = [
         f"delta P({relation.phenomenon.variable}={relation.phenomenon.cp_label}) = "
         f"{report.delta_p_phenomenon:+.6f}",

@@ -8,9 +8,9 @@ records; no description-logic reasoning happens here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
+from ._record import field, record
 from .errors import ValidationError
 from .graph import CausalStructure
 from .variables import VariableSpec
@@ -38,7 +38,7 @@ _OP_FUNCS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class PropertyRef:
     """Reference to another individual's property, e.g. the b.p2 in a.p2 < b.p2."""
 
@@ -49,7 +49,7 @@ class PropertyRef:
         return f"{self.individual}.{self.prop}"
 
 
-@dataclass(frozen=True)
+@record
 class ConstraintExpression:
     """Comparison of a subject property against a literal or another property."""
 
@@ -65,7 +65,7 @@ class ConstraintExpression:
             raise ValidationError("constraint needs a property name")
 
 
-@dataclass(frozen=True)
+@record
 class ContextStatement:
     """One statement of a context, tagged with its 6-layer-model layer."""
 
@@ -87,7 +87,7 @@ class ContextStatement:
             raise ValidationError(f"{self.kind} statements carry no expression")
 
 
-@dataclass(frozen=True)
+@record
 class PhenomenonBinding:
     """Which category of which variable counts as the criticality phenomenon."""
 
@@ -95,7 +95,7 @@ class PhenomenonBinding:
     cp_label: str
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     clause: str
     message: str
@@ -104,7 +104,7 @@ class Violation:
         return f"[{self.clause}] {self.message}"
 
 
-@dataclass(frozen=True)
+@record
 class CausalRelation:
     """A causal structure plus context, phenomenon binding and metric sink.
 

@@ -18,11 +18,11 @@ rule that picks a route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ._record import record
 from .choices import ROUTES
 from .context import PhenomenonBinding
 from .errors import (
@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class SafetyPrinciple:
     """A named do() expected to lower phenomenon probability or impact."""
 
@@ -307,7 +307,7 @@ def _other_label(m: DiscreteModel, cp: PhenomenonBinding) -> str:
     return next(c for c in spec.domain if c != cp.cp_label)
 
 
-@dataclass(frozen=True)
+@record
 class SafetyPrincipleReport:
     principle: str
     delta_p_phenomenon: float

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Optional
 
+from ._record import record
 from .errors import (
     CycleDetected,
     DuplicateNode,
@@ -54,7 +54,7 @@ def _sorted_adjacency(keys: Iterable[Hashable], edges: Iterable[tuple]) -> Adjac
     return {k: tuple(sorted(v, key=str)) for k, v in out.items()}
 
 
-@dataclass(frozen=True)
+@record
 class CausalStructure:
     """A DAG over named nodes plus unordered bidirected confounding arcs."""
 
@@ -180,7 +180,7 @@ def _find_cycle(parents: Adjacency, stuck: set[str]) -> list[str]:
     return cycle[k:] + cycle[:k]
 
 
-@dataclass(frozen=True)
+@record
 class PathQueryResult:
     """Outcome of a d-separation query.
 

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import math
 from collections import abc
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from ._record import field, record
 from .context import PhenomenonBinding
 from .engine import _other_label, _plan_step, expectation
 from .errors import (
@@ -64,7 +64,7 @@ __all__ = [
 LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
+@record
 class IndicatorReport:
     """One indicator value plus every convention needed to reproduce it."""
 
@@ -82,7 +82,7 @@ class IndicatorReport:
         }
 
 
-@dataclass(frozen=True)
+@record
 class ModelPair:
     """Reference plays the role of assumed reality, candidate models it."""
 

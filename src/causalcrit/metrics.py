@@ -10,11 +10,11 @@ accelerations come from a rectangular lattice field queried by nearest cell.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from ._record import record
 from .choices import AGGREGATION_MODES
 from .errors import (
     DegenerateTrajectory,
@@ -45,7 +45,7 @@ _SPEED_EPS = 1e-12
 _TIME_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Trajectory:
     """Uniformly sampled planar path (t, x, y); needs interior points for
     central second differences."""
@@ -80,7 +80,7 @@ class Trajectory:
         return self.t[0] <= t_start + _TIME_TOL and self.t[-1] >= t_end - _TIME_TOL
 
 
-@dataclass(frozen=True)
+@record
 class DrivingTask:
     """Pre-filtered candidate trajectories with situation time and horizon.
 
@@ -109,7 +109,7 @@ class DrivingTask:
         return self.t_start + self.horizon
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class AccelField:
     """Available acceleration per lattice cell: longitudinal <= 0, lateral >= 0."""
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Container, Generator, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from ._record import record
 from .errors import (
     CausalCritError,
     EmptyDataset,
@@ -124,7 +124,7 @@ def _cpds(
     return [Cpd(child, parents, flat[cells].reshape(arr.shape)) for child, parents, arr, cells in heads]
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Dataset:
     """Rectangular table of categorical observations, stored by column.
 
@@ -298,7 +298,7 @@ def joint_tables(
             table, parents = np.eye(card[n])[list(do[n])], rows
         else:
             per_model = [other.cpds[n].table for other in models]
-            table = per_model[0] if len(per_model) == 1 else np.stack(per_model)
+            table = per_model[0] if len(per_model) == 1 else np.array(per_model)
             parents = (_MODELS, *m.cpds[n].parents)
         scope = tuple(v for v in (*parents, n) if card[v] != 1)
         factors.append((scope, table.reshape([card[v] for v in scope])))

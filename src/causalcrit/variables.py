@@ -11,10 +11,10 @@ from a restricted sub-model, and computes with them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping
 
+from ._record import record
 from .errors import UnknownCategory, UnknownNode, ValidationError
 from .graph import CausalStructure
 
@@ -24,7 +24,7 @@ if TYPE_CHECKING:
 __all__ = ["VariableSpec", "Cpd", "DiscreteModel", "build_model"]
 
 
-@dataclass(frozen=True)
+@record
 class VariableSpec:
     """A categorical variable: ordered labels, one numeric code per label.
 
@@ -64,7 +64,7 @@ class VariableSpec:
         return self.codes[self.index_of(label)]
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Cpd:
     """P(child | parents) as a row-per-parent-configuration table.
 
@@ -77,7 +77,7 @@ class Cpd:
     table: np.ndarray  # shape (#parent configurations, child cardinality)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class DiscreteModel:
     """A causal structure with specs for every node and CPDs for a subset N."""
 

@@ -868,11 +868,14 @@ FRICTION_ADJUST = ["adjust", "friction-relation", "-x", "Coefficient of friction
 )
 def test_entry_point_leaves_heavy_layers_unloaded(statement, loaded):
     # The graph layer runs on plain adjacency, so no path pulls networkx in;
-    # numpy loads only once a command computes numbers. A fresh interpreter
-    # shows which of the two each entry point imported.
+    # numpy loads only once a command computes numbers. The records are not
+    # dataclasses, so a structure-only entry point loads neither dataclasses
+    # nor inspect; what numpy itself imports is not pinned. A fresh
+    # interpreter shows which of these each entry point imported.
+    watched = ("networkx", "numpy") if loaded else ("networkx", "numpy", "dataclasses", "inspect")
     src_dir = str(Path(causalcrit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")])}
-    script = f"{statement}\nimport sys\nprint([m for m in ('networkx', 'numpy') if m in sys.modules])"
+    script = f"{statement}\nimport sys\nprint([m for m in {watched!r} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-c", script],
         env=env,
