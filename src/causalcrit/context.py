@@ -170,8 +170,10 @@ def validate_causal_relation(cr: CausalRelation) -> list[Violation]:
     for name in cr.structure.nodes:
         spec = cr.specs.get(name)
         if spec is None:
-            out.append(Violation("iv", f"variable {name!r} declares no value range"))
+            out.append(Violation("iv", f"variable {name!r} has no spec"))
             continue
+        if not spec.value_range:
+            out.append(Violation("iv", f"variable {name!r} declares no value range"))
         if not spec.unit:
             out.append(Violation("iv", f"variable {name!r} declares no unit"))
 

@@ -35,7 +35,7 @@ from .errors import (
     ZeroProbabilityCondition,
 )
 from .graph import ancestors, backdoor_admissible, descendants, open_backdoor_path
-from .model import DiscreteModel, _ask, _run, _Step, joint_tables
+from .model import DiscreteModel, _ask, _run, _Step
 
 __all__ = [
     "ROUTES",
@@ -154,7 +154,7 @@ def _effect_rows(
     Markov check: the auto rule takes them only where the do() leaves nothing
     to identify, as it sets the target or no intervened node lies in the
     target's closure. An empty ``do`` is ``observational`` on every route
-    that passes the Markov check, and has no row axis.
+    that passes the Markov check; it asks without do(), so it shares a call.
     """
     if route == "truncated" and not m.structure.is_markovian():
         raise NotMarkovian("truncated factorization needs independent error terms")
@@ -188,7 +188,7 @@ def _effect_rows(
                 f"for ({x!r}, {target!r}): {why}"
             )
         return f"backdoor:{adj}", (yield from _adjusted_table(m, x, do[x], target, adj))
-    (joints,) = yield [_ask(m, [[target]], do)]
+    (joints,) = yield [_ask(m, [[target]], do or None)]
     return route, joints[(target,)]
 
 
@@ -328,9 +328,10 @@ def evaluate_safety_principle(
     """Effect of a safety principle on phenomenon probability and metric mean.
 
     Reports P(X = CP | do(sp)) - P(X = CP) and E(metric | do(sp)) - E(metric).
-    Both baselines come from one :func:`~causalcrit.model.joint_tables` call.
-    Both intervened distributions come from :func:`plan_effect`'s auto rule,
-    so a semi-Markovian model answers wherever the planner does. A principle
+    The request is one :func:`~causalcrit.model._run` of four
+    :func:`plan_effect` steps under the auto rule: both baselines, which
+    share one call, then both under do(sp), so a semi-Markovian model
+    answers wherever the planner does. A principle
     whose targets influence neither the phenomenon nor the metric is not an
     error, since principles may act downstream of the phenomenon; the
     report's ``notes`` say so.
@@ -353,13 +354,10 @@ def evaluate_safety_principle(
             f"which influence {cp.variable!r} or {metric!r}",
         )
 
-    p_x, p_metric = joint_tables(m, [[cp.variable], [metric]])
-    baseline_p = float(p_x[m.specs[cp.variable].index_of(cp.cp_label)])
-    baseline_e = expectation(dict(zip(m.specs[metric].domain, p_metric.tolist())), m, metric)
-    _, (dist_x,) = plan_effect(m, do, cp.variable)
-    _, (dist_metric,) = plan_effect(m, do, metric)
-    p_do = dist_x[cp.cp_label]
-    e_do = expectation(dist_metric, m, metric)
+    steps = [_plan_step(m, d, node) for d in ({}, do) for node in (cp.variable, metric)]
+    (_, (base_x,)), (_, (base_metric,)), (_, (dist_x,)), (_, (dist_metric,)) = _run(steps)
+    baseline_p, p_do = base_x[cp.cp_label], dist_x[cp.cp_label]
+    baseline_e, e_do = (expectation(d, m, metric) for d in (base_metric, dist_metric))
     return SafetyPrincipleReport(
         principle=sp.name,
         delta_p_phenomenon=p_do - baseline_p,

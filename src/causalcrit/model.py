@@ -400,8 +400,9 @@ def _ask(
     An ask with ``do``, the do() rows of :func:`joint_tables` (``{}`` for
     none), is a query of its own: only the same query on another model
     shares its call, so its answer is that of the query alone. An ask
-    without shares one call with every other such ask of the round on a
-    model of its factor structure. The closure check that
+    without, such as an indicator's joints or an observational route step,
+    shares one call with every other such ask of the round on a model of
+    its factor structure. The closure check that
     :func:`joint_tables` would make of the ask alone runs here, so its error
     is raised in the step that makes the ask.
     """

@@ -1,3 +1,4 @@
+import ast
 import collections
 import hashlib
 import json
@@ -24,6 +25,38 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_variant(tmp_path, mutate):
+    """heavy-rain-reality's file after ``mutate`` edits its JSON payload."""
+    payload = json.loads(fixture_text("heavy-rain-reality"))
+    mutate(payload)
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+def variable(payload, name):
+    return next(v for v in payload["variables"] if v["name"] == name)
+
+
+def cpd_of(payload, child):
+    return next(c for c in payload["cpds"] if c["child"] == child)
+
+
+def contradictory_context(payload):
+    payload["context"] += [
+        {"layer": 4, "subject": "bus", "kind": kind} for kind in ("existence", "absence")
+    ]
+
+
+def unnamed_constraint(payload):
+    expression = {"property": "", "op": "<", "value": 1}
+    payload["context"].append({"layer": 4, "subject": "ego vehicle", "kind": "constraint", "expression": expression})
+
+
+def reversed_parents(payload):
+    cpd_of(payload, "X")["parents"].reverse()
 
 
 class TestValidate:
@@ -66,6 +99,44 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", str(bad))
         assert code == 1
         assert "[ii]" in out
+
+    @pytest.mark.parametrize(
+        "mutate, line",
+        [
+            (lambda p: p["phenomenon"].update(variable="Nope"), "[i] phenomenon variable 'Nope' is not a node"),
+            (lambda p: p["phenomenon"].update(cp_label="Nope"), "[i] phenomenon label 'Nope' is not a category of 'X'"),
+            (lambda p: p["metric"].update(variable="Nope"), "[ii] metric 'Nope' is not a node"),
+            (lambda p: variable(p, "V1").pop("range"), "[iv] variable 'V1' declares no value range"),
+            (contradictory_context, "[v] context both requires and forbids individual 'bus'"),
+        ],
+        ids=["phenomenon-not-a-node", "label-not-a-category", "metric-not-a-node", "no-range", "contradictory-context"],
+    )
+    def test_clause_violation_exits_one(self, capsys, tmp_path, mutate, line):
+        bad = write_variant(tmp_path, mutate)
+        assert run(capsys, "validate", str(bad)) == (1, line + "\n", "")
+
+    @pytest.mark.parametrize(
+        "mutate, err",
+        [
+            (lambda p: variable(p, "V1").update(name=""), "variables[0]: variable name must be non-empty"),
+            (
+                lambda p: variable(p, "V1").update(domain=[], codes=[]),
+                "variables[0]: V1: domain must have at least one label",
+            ),
+            (lambda p: p["cpds"].append(cpd_of(p, "V1")), "duplicate CPD for 'V1'"),
+            (reversed_parents, "cpds[3]: CPD for 'X': parents must be name-sorted"),
+            (lambda p: p["context"][0].update(kind="maybe"), "context[0]: unknown statement kind 'maybe'"),
+            (lambda p: p["context"][0].update(subject=""), "context[0]: statement needs a subject individual"),
+            (unnamed_constraint, "context[2].expression: constraint needs a property name"),
+        ],
+        ids=[
+            "empty-name", "empty-domain", "duplicate-cpd", "unsorted-parents",
+            "unknown-kind", "empty-subject", "empty-property",
+        ],
+    )
+    def test_bad_declaration_exits_one(self, capsys, tmp_path, mutate, err):
+        bad = write_variant(tmp_path, mutate)
+        assert run(capsys, "validate", str(bad)) == (1, "", f"ValidationError: {err}\n")
 
     @pytest.mark.parametrize("layer", [2.7, "3", True, float("inf")])
     def test_non_integer_layer_is_usage_error(self, capsys, tmp_path, layer):
@@ -300,6 +371,10 @@ class TestEffect:
         assert (code, out) == (2, "")
         assert "'X' is assigned twice" in err
 
+    def test_assignment_without_equals_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "effect", "heavy-rain-reality", "--do", "X", "--target", "phi")
+        assert (code, out, err) == (2, "", "error: expected node=label, got 'X'\n")
+
     @pytest.mark.parametrize("route", ["auto", "truncated", "parents"])
     def test_adjust_set_off_backdoor_is_usage_error(self, capsys, tmp_path, route):
         # Checked before the model file is read: the file does not exist.
@@ -532,6 +607,14 @@ class TestIndicators:
         assert (code, out) == (2, "")
         assert err == f'error: cpds[{k}].table[0][0]: expected a number, got "0.25"\n'
 
+    def test_rho3_restricted_on_a_zero_probability_parent_exits_one(self, capsys, tmp_path):
+        # V1 is always Summer, so the sub-model over {V1, X} has no CPD row
+        # for X given V1 = Winter.
+        path = write_variant(tmp_path, lambda p: cpd_of(p, "V1").update(table=[[1.0, 0.0]]))
+        code, out, err = run(capsys, "indicators", str(path), str(path), "--set", "V1,X", "--rho3-restricted")
+        assert (code, out) == (1, "")
+        assert err == "ZeroProbabilityCondition: cannot condition 'X' on a zero-probability parent configuration\n"
+
     def test_rho3_restricted_without_set_is_usage_error(self, capsys, tmp_path):
         missing = str(tmp_path / "missing.json")
         code, out, err = run(capsys, "indicators", missing, missing, "--rho3-restricted")
@@ -654,6 +737,20 @@ class TestMetrics:
         assert code == 1
         assert out == ""
         assert err == f"ValidationError: {traj}: t, x, y samples must be finite\n"
+
+    def test_non_finite_field_value_exits_one(self, capsys, tmp_path):
+        traj, field = self.write_inputs(tmp_path)
+        field.write_text(field.read_text(encoding="utf-8").replace("-8.0 5.0", "-8.0 nan", 1), encoding="utf-8")
+        code, out, err = run(capsys, "metrics", "--trajectories", str(traj), "--field", str(field))
+        assert (code, out, err) == (1, "", f"ValidationError: {field}: field values must be finite\n")
+
+    @pytest.mark.parametrize("horizon", ["0", "-1.5"])
+    def test_non_positive_horizon_exits_one(self, capsys, tmp_path, horizon):
+        traj, field = self.write_inputs(tmp_path)
+        code, out, err = run(
+            capsys, "metrics", "--trajectories", str(traj), "--field", str(field), "--horizon", horizon,
+        )
+        assert (code, out, err) == (1, "", "ValidationError: horizon must be positive\n")
 
     def test_non_numeric_edge_is_usage_error(self, capsys, tmp_path):
         traj, field = self.write_inputs(tmp_path)
@@ -799,6 +896,18 @@ class TestSafetyPrinciple:
         assert (code, out) == (2, "")
         assert "'V2' is assigned twice" in err
 
+    def test_list_without_assignment_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "sp", "heavy-rain-reality", "--sp", ",")
+        assert (code, out, err) == (2, "", "error: --sp needs at least one node=label assignment\n")
+
+    def test_missing_cpd_named_by_the_first_baseline(self, capsys, tmp_path):
+        # The four route steps ask in order, P(X) first, and each ask checks
+        # its own closure; V1's CPD is missing from X's closure.
+        path = write_variant(tmp_path, lambda p: p["cpds"].remove(cpd_of(p, "V1")))
+        code, out, err = run(capsys, "sp", str(path), "--sp", "V2=Slow")
+        assert (code, out) == (1, "")
+        assert err == "InsufficientInstantiation: need CPDs for ['V1'] to enumerate over ['X']\n"
+
     def test_off_target_principle_is_noted(self, capsys, tmp_path):
         # Z influences neither X nor phi: a note in the report, not an error.
         variable = {"domain": ["a", "b"], "codes": [0, 1], "unit": "1", "latent": False}
@@ -845,6 +954,41 @@ class TestDeterminism:
             _, first, _ = run(capsys, *argv, "--format", "json")
             _, second, _ = run(capsys, *argv, "--format", "json")
             assert first == second, argv
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (["sp", "heavy-rain-reality", "--sp", "V2=Slow"], {"_run": 1, "joint_tables": 3}),
+        (["sp", "heavy-rain-model", "--sp", "V1=Winter,V2=Fast"], {"_run": 1, "joint_tables": 3}),
+        (["effect", "heavy-rain-reality", "--do", "X=CP", "--target", "phi"], {"_run": 1, "joint_tables": 1}),
+        (["indicators", "heavy-rain-reality", "heavy-rain-model", "--set", "V1,V2,X"], {"_run": 1, "joint_tables": 4}),
+    ],
+    ids=["sp-reality", "sp-model", "effect", "indicators"],
+)
+def test_one_driver_run_per_command(capsys, argv, calls):
+    # Every joint a command prints comes from one model._run. An sp request
+    # asks for both baselines in one shared call and each do() query in one
+    # call of its own.
+    from causalcrit import engine, model
+
+    names = {model._run.__code__: "_run", model.joint_tables.__code__: "joint_tables"}
+    counted = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            counted[names[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        code = main(argv)
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert (code, counted) == (0, calls)
+    assert "joint_tables" not in vars(engine)
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    assert "joint_tables" not in {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
 
 
 FRICTION_ADJUST = ["adjust", "friction-relation", "-x", "Coefficient of friction",

@@ -19,9 +19,10 @@ def simple_relation(phenomenon_domain=("notCP", "CP")):
         "X": VariableSpec(
             name="X", domain=phenomenon_domain,
             codes=tuple(float(i) for i in range(len(phenomenon_domain))),
+            value_range="{" + ", ".join(phenomenon_domain) + "}",
         ),
-        "phi": VariableSpec(name="phi", domain=("lo", "hi"), codes=(0.0, 1.0)),
-        "V": VariableSpec(name="V", domain=("a", "b"), codes=(0.0, 1.0)),
+        "phi": VariableSpec(name="phi", domain=("lo", "hi"), codes=(0.0, 1.0), value_range="{lo, hi}"),
+        "V": VariableSpec(name="V", domain=("a", "b"), codes=(0.0, 1.0), value_range="{a, b}"),
     }
     s = build_structure(["X", "phi", "V"], [("X", "phi"), ("V", "X")])
     return CausalRelation(
@@ -86,7 +87,7 @@ class TestValidateCausalRelation:
     def test_missing_unit_flagged(self):
         relation = simple_relation()
         specs = dict(relation.specs)
-        specs["V"] = VariableSpec(name="V", domain=("a", "b"), codes=(0.0, 1.0), unit="")
+        specs["V"] = VariableSpec(name="V", domain=("a", "b"), codes=(0.0, 1.0), unit="", value_range="{a, b}")
         bad = CausalRelation(
             structure=relation.structure,
             context=relation.context,
@@ -94,8 +95,38 @@ class TestValidateCausalRelation:
             metric=relation.metric,
             specs=specs,
         )
-        violations = validate_causal_relation(bad)
-        assert any(v.clause == "iv" for v in violations)
+        violations = [str(v) for v in validate_causal_relation(bad)]
+        assert violations == ["[iv] variable 'V' declares no unit"]
+
+    def test_missing_value_range_flagged(self):
+        relation = simple_relation()
+        specs = {**relation.specs, "V": VariableSpec(name="V", domain=("a", "b"), codes=(0.0, 1.0))}
+        bad = CausalRelation(
+            structure=relation.structure,
+            context=relation.context,
+            phenomenon=relation.phenomenon,
+            metric=relation.metric,
+            specs=specs,
+        )
+        violations = [str(v) for v in validate_causal_relation(bad)]
+        assert violations == ["[iv] variable 'V' declares no value range"]
+
+    def test_variable_without_spec_flagged(self):
+        # A hand-built relation may leave nodes without a spec; a file cannot.
+        relation = simple_relation()
+        bad = CausalRelation(
+            structure=relation.structure,
+            context=relation.context,
+            phenomenon=relation.phenomenon,
+            metric=relation.metric,
+            specs={"phi": relation.specs["phi"]},
+        )
+        violations = [str(v) for v in validate_causal_relation(bad)]
+        assert violations == [
+            "[i] phenomenon variable 'X' has no spec",
+            "[iv] variable 'V' has no spec",
+            "[iv] variable 'X' has no spec",
+        ]
 
     def test_contradictory_context_flagged(self):
         relation = simple_relation()
@@ -162,6 +193,35 @@ class TestValidateRecord:
         assert ok == []
         bad = validate_record(cross, {"a.p2": 3.0, "b.p2": 2.0})
         assert len(bad) == 1 and "violated" in bad[0].message
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"b.p2": 2.0}, "[L4:constraint] property 'a.p2' missing from record"),
+            ({"a.p2": 1.0}, "[L4:constraint] property 'b.p2' missing from record"),
+            ({"a.p2": "x", "b.p2": 2.0}, "[L4:constraint] a.p2: 'x' and 2.0 are not comparable"),
+        ],
+        ids=["subject-property", "referenced-property", "not-comparable"],
+    )
+    def test_unreadable_property_reported(self, record, message):
+        relation = simple_relation()
+        cross = CausalRelation(
+            structure=relation.structure,
+            context=(
+                ContextStatement(
+                    layer=4,
+                    subject="a",
+                    kind="constraint",
+                    expression=ConstraintExpression(
+                        prop="p2", op="<", value=PropertyRef("b", "p2")
+                    ),
+                ),
+            ),
+            phenomenon=relation.phenomenon,
+            metric=relation.metric,
+            specs=relation.specs,
+        )
+        assert [str(v) for v in validate_record(cross, record)] == [message]
 
     def test_unit_mismatch(self):
         relation = simple_relation()

@@ -15,6 +15,7 @@ from causalcrit.errors import (
     RaggedRow,
     UnknownCategory,
     UnknownLabel,
+    UnknownNode,
     UnseenParentConfigurationWarning,
     ValidationError,
 )
@@ -176,6 +177,12 @@ class TestRoundTrip:
         specs = {"A": _spec("A", ["no", "yes"])}
         ds = Dataset(columns=("A",), codes=([1, 2, 0],), domains=(("no", "yes", "maybe"),))
         with pytest.raises(UnknownCategory, match="'maybe'"):
+            estimate_cpds(build_structure(["A"]), specs, ds)
+
+    def test_column_outside_the_specs_is_unknown_node(self):
+        specs = {"A": _spec("A", ["no", "yes"])}
+        ds = Dataset(columns=("A", "B"), codes=([1, 0], [0, 0]), domains=(("no", "yes"), ("b",)))
+        with pytest.raises(UnknownNode, match="^dataset column 'B' is not a structure variable$"):
             estimate_cpds(build_structure(["A"]), specs, ds)
 
     def test_unused_label_outside_spec_is_ignored(self):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import re
@@ -22,16 +23,19 @@ from causalcrit.errors import (
     NotIdentifiable,
     NotMarkovian,
     ParentsNotInstantiated,
+    StateSpaceExceeded,
     UnknownCategory,
     ZeroProbabilityCondition,
 )
 from causalcrit.graph import build_structure, descendants, enumerate_adjustment_sets
+from causalcrit import model
 from causalcrit.io import load_model
 from causalcrit.model import (
     Dataset,
     VariableSpec,
     build_model,
     estimate_cpds,
+    joint_tables,
     make_cpd,
 )
 
@@ -806,6 +810,52 @@ class TestSafetyPrinciple:
         assert report.delta_p_phenomenon == pytest.approx(0.8 - 0.6, abs=1e-12)
         assert report.metric_expectation_intervened == pytest.approx(0.56, abs=1e-12)
         assert report.delta_metric_expectation == pytest.approx(0.56 - 0.37, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_baselines_are_the_shared_call_and_every_value_the_oracles(self, data):
+        # Both baselines come from the round's one call without do(): the
+        # values of joint_tables(m, [[X], [metric]]), bit for bit.
+        m = random_binary_model(data.draw(st.randoms(use_true_random=False)))
+        nodes = sorted(m.instantiated)
+        x, metric = data.draw(st.permutations(nodes))[:2]
+        targets = data.draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=2, unique=True))
+        do = {n: data.draw(st.sampled_from(("a", "b"))) for n in targets}
+        report = evaluate_safety_principle(m, SafetyPrinciple("p", do), PhenomenonBinding(x, "b"), metric)
+        p_x, p_metric = joint_tables(m, [[x], [metric]])
+        assert report.p_phenomenon_baseline == float(p_x[1])
+        assert report.metric_expectation_baseline == expectation(
+            dict(zip(("a", "b"), p_metric.tolist())), m, metric
+        )
+
+        def mean(dist):
+            return sum(m.specs[metric].code_of(c) * p for c, p in dist.items())
+
+        assert report.p_phenomenon_baseline == pytest.approx(brute_conditional(m, x)["b"], abs=1e-12)
+        assert report.metric_expectation_baseline == pytest.approx(mean(brute_conditional(m, metric)), abs=1e-12)
+        assert report.p_phenomenon_intervened == pytest.approx(brute_truncated(m, do, x)["b"], abs=1e-12)
+        assert report.metric_expectation_intervened == pytest.approx(
+            mean(brute_truncated(m, do, metric)), abs=1e-12
+        )
+
+    def test_route_checks_come_before_the_baseline_call(self, monkeypatch):
+        # W -> X -> phi with X <-> phi: no route identifies phi under do(X),
+        # and that step refuses in the first round, before any joint is
+        # computed. Under a one-state limit every call refuses, as W's
+        # identifiable principle shows.
+        specs = {n: VariableSpec(name=n, domain=("a", "b"), codes=(0.0, 1.0)) for n in ("W", "X", "phi")}
+        s = build_structure(["W", "X", "phi"], [("W", "X"), ("X", "phi")], bidirected=[("X", "phi")])
+        m = build_model(s, specs, [
+            make_cpd("W", (), [[0.5, 0.5]], specs),
+            make_cpd("X", ("W",), [[0.6, 0.4], [0.2, 0.8]], specs),
+            make_cpd("phi", ("X",), [[0.9, 0.1], [0.3, 0.7]], specs),
+        ])
+        monkeypatch.setattr(model, "joint_tables", functools.partial(model.joint_tables, state_space_limit=1))
+        cp = PhenomenonBinding("X", "b")
+        with pytest.raises(NotIdentifiable, match="no back-door set for \\('X', 'phi'\\)"):
+            evaluate_safety_principle(m, SafetyPrinciple("x", {"X": "a"}), cp, "phi")
+        with pytest.raises(StateSpaceExceeded):
+            evaluate_safety_principle(m, SafetyPrinciple("w", {"W": "a"}), cp, "phi")
 
     def test_empty_intervention_rejected(self):
         with pytest.raises(InvalidQuery):

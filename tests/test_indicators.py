@@ -116,6 +116,19 @@ class TestKl:
         with pytest.raises(ValidationError, match="finite, non-negative"):
             kl_divergence(p, q)
 
+    @pytest.mark.parametrize(
+        "p, q, message",
+        [
+            ({"a": 1.0}, [1.0], "cannot mix mapping and sequence distributions"),
+            ({"a": 0.5, "b": 0.5}, {"a": 0.5, "c": 0.5}, "distributions have different supports"),
+            ([0.5, 0.5], [0.2, 0.3, 0.5], "distributions have different support sizes"),
+        ],
+        ids=["mixed", "keys", "sizes"],
+    )
+    def test_unaligned_distributions_rejected(self, p, q, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            kl_divergence(p, q)
+
     def test_bits_rescale(self):
         nats = kl_divergence([0.6, 0.4], [0.68, 0.32])
         bits = kl_divergence([0.6, 0.4], [0.68, 0.32], bits=True)
@@ -364,6 +377,10 @@ class TestRho2:
 class TestCausalInfluence:
     def test_empty_edge_set_zero(self, reality_model):
         assert causal_influence(reality_model, []) == 0.0
+
+    def test_edge_outside_the_structure_rejected(self, reality_model):
+        with pytest.raises(InvalidQuery, match=r"^edge \('phi', 'X'\) is not in the structure$"):
+            causal_influence(reality_model, [("phi", "X")])
 
     def test_ignored_parent_gives_zero(self):
         specs = {

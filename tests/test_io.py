@@ -508,6 +508,20 @@ class TestDataset:
         assert back == ds
 
 
+class TestCanonicalJson:
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({("a", "b"): 1}, "keys must be str, int, float, bool or None, not tuple"),
+            ({"a": {1, 2}}, "Object of type set is not JSON serializable"),
+        ],
+        ids=["tuple-key", "set-value"],
+    )
+    def test_unsupported_input_is_a_type_error(self, payload, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            canonical_json(payload)
+
+
 class TestTrajectoryAndField:
     def test_trajectory_round_trip(self, tmp_path):
         path = tmp_path / "traj.txt"

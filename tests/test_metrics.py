@@ -68,6 +68,15 @@ def task(*trajectories, t_start=0.0, horizon=4.0):
 
 
 class TestTrajectoryValidation:
+    @pytest.mark.parametrize(
+        "t, x",
+        [(np.arange(6.0), np.zeros(5)), (np.arange(6.0).reshape(2, 3), np.zeros((2, 3)))],
+        ids=["unequal-length", "two-dimensional"],
+    )
+    def test_sample_arrays_must_be_equal_length_and_flat(self, t, x):
+        with pytest.raises(ValidationError, match="^t, x, y must be equal-length 1-d arrays$"):
+            Trajectory(t=t, x=x, y=np.zeros_like(t))
+
     def test_minimum_samples(self):
         with pytest.raises(ValidationError):
             Trajectory(t=np.array([0, 1, 2, 3.0]), x=np.zeros(4), y=np.zeros(4))
@@ -266,6 +275,16 @@ class TestAvailability:
             with pytest.raises(FieldCoverageGap, match=re.escape(f"point ({x}, {y}) lies outside")):
                 field.lookup(*np.array(points).T)
 
+    @pytest.mark.parametrize(
+        "long_avail, lat_avail",
+        [(np.full(4, -1.0), np.full(4, 1.0)), (np.full((2, 2), -1.0), np.full((2, 3), 1.0))],
+        ids=["one-dimensional", "unequal-shapes"],
+    )
+    def test_field_grids_must_be_equal_shape_and_2d(self, long_avail, lat_avail):
+        # A field file always reshapes to equal grids; only the library reaches this.
+        with pytest.raises(ValidationError, match="^field grids must be equal-shape 2-d arrays$"):
+            AccelField(x0=0.0, y0=0.0, dx=1.0, dy=1.0, long_avail=long_avail, lat_avail=lat_avail)
+
     def test_field_sign_validation(self):
         with pytest.raises(ValidationError):
             uniform_field(long_avail=1.0)
@@ -340,6 +359,11 @@ class TestAggregate:
     def test_other_modes(self):
         assert aggregate(0.3, 0.4, mode="mean") == pytest.approx(0.35)
         assert aggregate(0.3, 0.4, mode="euclidean") == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("btn, stn", [(-0.1, 0.5), (0.5, -0.1)])
+    def test_negative_threat_number_rejected(self, btn, stn):
+        with pytest.raises(ValidationError, match="^threat numbers are nonnegative$"):
+            aggregate(btn, stn)
 
     def test_unknown_mode(self):
         with pytest.raises(ValidationError):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from causalcrit.errors import (
     InsufficientInstantiation,
     InvalidQuery,
     StateSpaceExceeded,
+    UnknownNode,
     UnseenParentConfigurationWarning,
     ValidationError,
 )
@@ -140,6 +142,25 @@ class TestValidation:
         s = build_structure(["A", "B"], [("A", "B")])
         with pytest.raises(ValidationError):
             build_model(s, specs, [make_cpd("B", (), [[0.5, 0.5]], specs)])
+
+    @pytest.mark.parametrize(
+        "names, spec_b, error, message",
+        [
+            (("A",), None, ValidationError, "no variable spec for node 'B'"),
+            (("A", "B", "C"), None, UnknownNode, "spec for undeclared node 'C'"),
+            (("A",), "A", ValidationError, "spec name 'A' filed under 'B'"),
+        ],
+        ids=["missing-spec", "undeclared-node", "misfiled-spec"],
+    )
+    def test_build_model_checks_spec_coverage(self, names, spec_b, error, message):
+        # A model file declares one spec per node under its own name, so
+        # only a hand-built model reaches these checks.
+        specs = {n: binary_spec(n) for n in names}
+        if spec_b:
+            specs["B"] = binary_spec(spec_b)
+        s = build_structure(["A", "B"], [("A", "B")])
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build_model(s, specs)
 
     def test_spec_codes_length(self):
         with pytest.raises(ValidationError):
