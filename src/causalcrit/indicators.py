@@ -18,8 +18,8 @@ to the route step of :func:`~causalcrit.engine.plan_effect`. One driver,
 each round with one calibrated elimination per group of models that share
 their factor structure, on one model axis: a shared pair's do() rows ride
 it as its other joints do. :func:`ace`, :func:`rce`, :func:`sigma`,
-:func:`rho1`, :func:`rho2` and :func:`rho3` run their one step;
-:func:`indicator_reports`, the table ``cli indicators`` prints, runs them
+:func:`rho1`, :func:`rho2`, :func:`rho3` and :func:`causal_influence` run
+their one step; :func:`indicator_reports`, the table ``cli indicators`` prints, runs them
 all.
 """
 
@@ -43,8 +43,8 @@ from .errors import (
     ZeroMeanCriticality,
     ZeroProbabilityCondition,
 )
-from .graph import CausalStructure
-from .model import DiscreteModel, build_model, joint_tables
+from .graph import build_structure
+from .model import DiscreteModel, build_model
 from .model import _ask, _closure_within, _cpds, _run, _Step
 
 __all__ = [
@@ -233,29 +233,6 @@ def sigma(m: DiscreteModel, cp: PhenomenonBinding, metric: str) -> IndicatorRepo
     return report
 
 
-def _rho1_step(pair: ModelPair, cp: PhenomenonBinding, bits: bool) -> _Step:
-    x = (cp.variable,)
-    pair.check_shared_specs(x)
-    cand, ref = yield [_ask(pair.candidate, [x]), _ask(pair.reference, [x])]
-    domain = pair.reference.specs[cp.variable].domain
-    p_cand, p_ref = dict(zip(domain, cand[x].tolist())), dict(zip(domain, ref[x].tolist()))
-    value = kl_divergence(p_cand, p_ref, bits=bits)
-    meta = {
-        "log_base": "bits" if bits else "nats",
-        "kl_order": "candidate||reference",
-        "candidate_marginal": p_cand,
-        "reference_marginal": p_ref,
-        "reverse_value": kl_divergence(p_ref, p_cand, bits=bits),
-    }
-    return [IndicatorReport("rho1", value, x, meta)]
-
-
-def rho1(pair: ModelPair, cp: PhenomenonBinding, bits: bool = False) -> IndicatorReport:
-    """KL of the phenomenon marginal, candidate (model) against reference."""
-    (report,) = _reports([_rho1_step(pair, cp, bits)])
-    return report
-
-
 def _node_set(pair: ModelPair, name: str, nodes: Iterable[str]) -> tuple[str, ...]:
     """The sorted, non-empty node set of ``name``, its specs shared by the pair."""
     node_list = tuple(sorted(set(nodes)))
@@ -265,8 +242,9 @@ def _node_set(pair: ModelPair, name: str, nodes: Iterable[str]) -> tuple[str, ..
     return node_list
 
 
-def _rho2_step(pair: ModelPair, nodes: Iterable[str], bits: bool) -> _Step:
-    node_list = _node_set(pair, "rho2", nodes)
+def _kl_step(pair: ModelPair, name: str, nodes: Iterable[str], bits: bool) -> _Step:
+    """KL report ``name`` of the joints over ``nodes``; rho1's adds its node's marginals."""
+    node_list = _node_set(pair, name, nodes)
     cand, ref = yield [_ask(pair.candidate, [node_list]), _ask(pair.reference, [node_list])]
     q, p = cand[node_list], ref[node_list]
     value = kl_divergence(q, p, bits=bits)
@@ -275,7 +253,17 @@ def _rho2_step(pair: ModelPair, nodes: Iterable[str], bits: bool) -> _Step:
         "kl_order": "candidate||reference",
         "reverse_value": kl_divergence(p, q, bits=bits),
     }
-    return [IndicatorReport("rho2", value, node_list, meta)]
+    if name == "rho1":
+        domain = pair.reference.specs[node_list[0]].domain
+        meta["candidate_marginal"] = dict(zip(domain, q.tolist()))
+        meta["reference_marginal"] = dict(zip(domain, p.tolist()))
+    return [IndicatorReport(name, value, node_list, meta)]
+
+
+def rho1(pair: ModelPair, cp: PhenomenonBinding, bits: bool = False) -> IndicatorReport:
+    """KL of the phenomenon marginal, candidate against reference: :func:`rho2` over X."""
+    (report,) = _reports([_kl_step(pair, "rho1", (cp.variable,), bits)])
+    return report
 
 
 def rho2(pair: ModelPair, nodes: Iterable[str], bits: bool = False) -> IndicatorReport:
@@ -284,7 +272,7 @@ def rho2(pair: ModelPair, nodes: Iterable[str], bits: bool = False) -> Indicator
     Both directions are informative; the default takes the candidate first
     and the reverse direction always rides along in the metadata.
     """
-    (report,) = _reports([_rho2_step(pair, nodes, bits)])
+    (report,) = _reports([_kl_step(pair, "rho2", nodes, bits)])
     return report
 
 
@@ -334,6 +322,12 @@ def _influences(
     return totals
 
 
+def _influence_step(m: DiscreteModel, edges: Iterable[tuple[str, str]], bits: bool) -> _Step:
+    cuts = [_cut_parents(m, edges)]
+    (joints,) = yield [_ask(m, _families(m, cuts))]
+    return _influences(m, cuts, joints, bits)[0]
+
+
 def causal_influence(
     m: DiscreteModel,
     edges: Iterable[tuple[str, str]],
@@ -349,11 +343,10 @@ def causal_influence(
     averages P(c | pa_c) over the product of the cut parents' marginals
     (Janzing et al. 2013, "Quantifying causal influences"). Each term needs
     only the joint over the child's parents, and every P(pa_c) comes from one
-    calibrated elimination (:func:`~causalcrit.model.joint_tables`).
+    calibrated elimination, in one round of :func:`~causalcrit.model._run`.
     """
-    cuts = [_cut_parents(m, edges)]
-    families = _families(m, cuts)
-    return _influences(m, cuts, dict(zip(families, joint_tables(m, families))), bits)[0]
+    (value,) = _run([_influence_step(m, edges, bits)])
+    return value
 
 
 def _kept_families(m: DiscreteModel, keep: Sequence[str]) -> list[tuple[str, ...]]:
@@ -375,16 +368,11 @@ def _induced_submodel(
     sensitivity-analysis view rather than a marginalization theorem.
     """
     keep_set = set(keep)
-    directed = frozenset(
-        e for e in m.structure.directed if e[0] in keep_set and e[1] in keep_set
-    )
-    sub_structure = CausalStructure(
-        nodes=keep,
-        latent=frozenset(m.structure.latent & keep_set),
-        directed=directed,
-        bidirected=frozenset(
-            p for p in m.structure.bidirected if p <= keep_set
-        ),
+    sub_structure = build_structure(
+        keep,
+        [e for e in m.structure.directed if keep_set.issuperset(e)],
+        [tuple(p) for p in m.structure.bidirected if p <= keep_set],
+        m.structure.latent & keep_set,
     )
     sub_specs = {n: m.specs[n] for n in keep}
     entries = []
@@ -498,8 +486,8 @@ def indicator_reports(
     metadata records it in ``precondition_holds``.
     """
     steps = [_effect_step(m, cp, metric, role) for role, m in _by_role(pair).items()]
-    steps.append(_rho1_step(pair, cp, bits))
+    steps.append(_kl_step(pair, "rho1", (cp.variable,), bits))
     if nodes is not None:
         nodes = tuple(nodes)
-        steps += [_rho2_step(pair, nodes, bits), _rho3_step(pair, nodes, cp, restrict_to_set, bits)]
+        steps += [_kl_step(pair, "rho2", nodes, bits), _rho3_step(pair, nodes, cp, restrict_to_set, bits)]
     return _reports(steps)

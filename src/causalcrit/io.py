@@ -362,8 +362,9 @@ def parse_model_text(text: str) -> tuple[CausalRelation, DiscreteModel]:
 
 
 def _read_text(path: PathLike) -> str:
+    """The UTF-8 text of ``path``, less the byte-order mark a "CSV UTF-8" export starts with."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -465,10 +466,12 @@ _KEY_LIMIT = 1 << 62
 
 
 def save_dataset(path: PathLike, dataset: Dataset) -> None:
-    """Write ``dataset`` as CSV, rendering each distinct row only once; a label
-    that would not read back as itself raises before anything is written."""
+    """Write ``dataset`` as CSV, rendering each distinct row only once; a dataset without
+    columns or a label that would not read back as itself raises before anything is written."""
     import numpy as np
 
+    if not dataset.columns:
+        raise ValidationError("a dataset without columns has no header row to write")
     for column, domain in zip(dataset.columns, dataset.domains):
         for label in domain:
             if not (label == label.strip() and "," not in label and label.splitlines() == [label]):

@@ -277,8 +277,10 @@ def aggregate(btn: float, stn: float, mode: str = "max") -> float:
     """Combine both threat numbers into the single metric value.
 
     The combination is deliberately configurable; ``max`` mirrors the
-    worst-of-both reading and is the default.
+    worst-of-both reading and is the default. A NaN raises in every mode.
     """
+    if np.isnan(btn) or np.isnan(stn):
+        raise ValidationError("threat numbers must not be NaN")
     if btn < 0 or stn < 0:
         raise ValidationError("threat numbers are nonnegative")
     if mode == "max":
@@ -313,7 +315,10 @@ def discretize_metric(
     """Half-open binning [e_i, e_{i+1}); values on an edge go to the upper bin.
 
     With k edges there are k + 1 bins; ``labels`` overrides the generated
-    ``bin0..bink`` names.
+    ``bin0..bink`` names. A NaN value raises :class:`ValidationError`.
     """
-    bin_idx = bisect_right(check_bins(bin_edges, labels), value)
+    edges = check_bins(bin_edges, labels)
+    if np.isnan(value):
+        raise ValidationError("cannot bin a NaN metric value")
+    bin_idx = bisect_right(edges, value)
     return labels[bin_idx] if labels is not None else f"bin{bin_idx}"

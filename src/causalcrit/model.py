@@ -6,9 +6,10 @@ numpy, and is re-exported here. Models are immutable after construction. All
 probability computations are exact: :func:`joint_tables` computes joints over
 just the queried nodes by variable elimination over the CPDs of their
 ancestral closure. A query whose output or largest intermediate factor
-exceeds a configurable state-space bound is rejected instead of being
-silently approximated. One driver, :func:`_run`, answers the joints that
-the route and indicator steps ask for.
+exceeds :data:`DEFAULT_STATE_SPACE_LIMIT` states is rejected instead of
+being silently approximated. One driver, :func:`_run`, the only caller of
+:func:`joint_tables` in the package, answers the joints that the route and
+indicator steps ask for.
 """
 
 from __future__ import annotations
@@ -210,7 +211,6 @@ _ROWS = object()
 def joint_tables(
     models: Union[DiscreteModel, Sequence[DiscreteModel]],
     scopes: Iterable[Iterable[str]],
-    state_space_limit: int = DEFAULT_STATE_SPACE_LIMIT,
     do: Optional[Mapping[str, Sequence[int]]] = None,
 ) -> list[np.ndarray]:
     """Exact joints over several node sets from one calibrated elimination.
@@ -250,8 +250,9 @@ def joint_tables(
     (Shenoy & Shafer 1990; Lauritzen & Spiegelhalter 1988); a lone scope is
     the root and needs no downward pass.
     :class:`StateSpaceExceeded` is raised before an output, a bucket or the
-    root that would exceed ``state_space_limit`` states is built, and no
-    downward message or read spans more than the cluster that sends it.
+    root that would exceed :data:`DEFAULT_STATE_SPACE_LIMIT` states (read at
+    each call) is built, and no downward message or read spans more than the
+    cluster that sends it.
     """
     single = isinstance(models, DiscreteModel)
     models = [models] if single else list(models)
@@ -285,7 +286,7 @@ def joint_tables(
     axes = [(*lead, *s) for s in scopes]
     sizes = [states(a) for a in axes]
     for s, size in zip(scopes, sizes):
-        _check_states(size, s, state_space_limit)
+        _check_states(size, s)
     # Factors are (scope, array) pairs, told apart by identity. Single-state
     # variables get no axis: summing one out is the identity. The model and
     # row axes also carry a ones factor each, so they survive when no CPD or
@@ -337,7 +338,7 @@ def joint_tables(
     buckets = []  # (factors, message) per eliminated node
     while hidden:
         v = min(hidden, key=rank.__getitem__)
-        _check_states(rank[v][0], (v, *nbrs[v]), state_space_limit)
+        _check_states(rank[v][0], (v, *nbrs[v]))
         hidden.discard(v)
         # Only hidden nodes' neighbours are read again.
         for u in nbrs[v] & hidden:
@@ -353,7 +354,7 @@ def joint_tables(
     # model axis's ones factor at least. A downward message or a read spans
     # no more than the bucket or root that sends it.
     last = tuple(dict.fromkeys(w for s, _ in factors for w in s))
-    _check_states(states(last), last, state_space_limit)
+    _check_states(states(last), last)
     cluster = {None: factors}  # bucket (None: the root) -> its factors and downward message
     at = [None] * len(scopes)  # the bucket each scope is read from (None: the root)
     if unit:
@@ -471,11 +472,11 @@ def _contract(
     return np.einsum(*args, [label[w] for w in out])
 
 
-def _check_states(size: int, nodes: Sequence, limit: int) -> None:
-    if size > limit:
+def _check_states(size: int, nodes: Sequence) -> None:
+    if size > DEFAULT_STATE_SPACE_LIMIT:
         count = sum(w is not _MODELS for w in nodes)
         raise StateSpaceExceeded(
-            f"a factor over {count} nodes spans {size} states, above the limit of {limit}"
+            f"a factor over {count} nodes spans {size} states, above the limit of {DEFAULT_STATE_SPACE_LIMIT}"
         )
 
 

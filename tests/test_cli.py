@@ -660,6 +660,32 @@ class TestSample:
         assert "--seed must be >= 0" in err
         assert not path.exists()
 
+    def test_model_without_observed_variables_writes_no_file(self, capsys, tmp_path):
+        def all_latent(payload):
+            for v in payload["variables"]:
+                v["latent"] = True
+
+        path = tmp_path / "s.csv"
+        code, out, err = run(capsys, "sample", str(write_variant(tmp_path, all_latent)), "-n", "5", "-o", str(path))
+        assert (code, out, err) == (1, "", "ValidationError: a dataset without columns has no header row to write\n")
+        assert not path.exists()
+
+
+class TestByteOrderMark:
+    def test_csv_and_model_file(self, capsys, tmp_path):
+        # Spreadsheet tools save "CSV UTF-8" with a leading byte-order mark.
+        bom = "\ufeff".encode("utf-8")
+        ref, cand, model = tmp_path / "ref.csv", tmp_path / "cand.csv", tmp_path / "m.json"
+        run(capsys, "sample", "heavy-rain-reality", "-n", "200", "--seed", "3", "-o", str(ref))
+        run(capsys, "sample", "heavy-rain-model", "-n", "200", "--seed", "4", "-o", str(cand))
+        argv = ["indicators", "heavy-rain-reality", "heavy-rain-model", "--data", str(ref), str(cand)]
+        plain = run(capsys, *argv)
+        ref.write_bytes(bom + ref.read_bytes())
+        assert run(capsys, *argv) == plain
+        assert plain[0] == 0
+        model.write_bytes(bom + fixtures.fixture_path("heavy-rain-reality").read_bytes())
+        assert run(capsys, "validate", str(model)) == run(capsys, "validate", "heavy-rain-reality")
+
 
 class TestBadDatasetExitsTwo:
     def run_with_data(self, capsys, tmp_path, reference_bytes):
@@ -888,6 +914,16 @@ class TestSafetyPrinciple:
         )
         payload = json.loads(out)
         assert payload["delta_p_phenomenon"] == pytest.approx(-0.67, abs=1e-9)
+
+    def test_json_is_the_library_report(self, capsys):
+        # The printed payload is canonical_json of the report's fields, byte for byte.
+        from causalcrit.engine import SafetyPrinciple, evaluate_safety_principle
+
+        code, out, _ = run(capsys, "sp", "heavy-rain-reality", "--sp", "V2=Slow", "--format", "json")
+        relation, m = fixtures.fixture("heavy-rain-reality")
+        report = evaluate_safety_principle(m, SafetyPrinciple("sp", {"V2": "Slow"}), relation.phenomenon, relation.metric)
+        fields = {name: getattr(report, name) for name in report.__match_args__}
+        assert (code, out) == (0, canonical_json({"command": "sp", "intervention": {"V2": "Slow"}, **fields}))
 
     def test_repeated_node_is_usage_error(self, capsys):
         code, out, err = run(

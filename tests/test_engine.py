@@ -1,4 +1,3 @@
-import functools
 import itertools
 import random
 import re
@@ -699,11 +698,12 @@ class TestEmptyIntervention:
 
 class TestExpectation:
     def test_reality_expectations(self, reality_model):
-        _, dists = plan_effect(
+        route, dists = plan_effect(
             reality_model,
             {"X": ["CP", "notCP"]},
             "phi",
         )
+        assert (route, len(dists)) == ("truncated", 2)
         e_cp, e_not = (expectation(d, reality_model, "phi") for d in dists)
         assert e_cp == pytest.approx(0.6, abs=1e-12)
         assert e_not == pytest.approx(0.4, abs=1e-12)
@@ -850,7 +850,7 @@ class TestSafetyPrinciple:
             make_cpd("X", ("W",), [[0.6, 0.4], [0.2, 0.8]], specs),
             make_cpd("phi", ("X",), [[0.9, 0.1], [0.3, 0.7]], specs),
         ])
-        monkeypatch.setattr(model, "joint_tables", functools.partial(model.joint_tables, state_space_limit=1))
+        monkeypatch.setattr(model, "DEFAULT_STATE_SPACE_LIMIT", 1)
         cp = PhenomenonBinding("X", "b")
         with pytest.raises(NotIdentifiable, match="no back-door set for \\('X', 'phi'\\)"):
             evaluate_safety_principle(m, SafetyPrinciple("x", {"X": "a"}), cp, "phi")

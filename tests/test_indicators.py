@@ -1,7 +1,9 @@
+import collections
 import contextlib
 import itertools
 import math
 import random
+import sys
 import warnings
 from unittest import mock
 
@@ -11,7 +13,6 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import causalcrit.engine as engine
-import causalcrit.indicators as indicators
 import causalcrit.model as model
 from causalcrit.cli import main
 from causalcrit.context import PhenomenonBinding
@@ -42,7 +43,7 @@ from causalcrit.fixtures import fixture
 from causalcrit.io import model_to_text
 from causalcrit.model import DiscreteModel, VariableSpec, build_model, make_cpd
 
-from oracles import brute_causal_influence, brute_joint, brute_marginal
+from oracles import brute_causal_influence, brute_joint, brute_kl, brute_marginal
 from test_engine import random_binary_model
 from test_model import random_models, redrawn
 
@@ -335,6 +336,37 @@ class TestRho1:
         assert "reverse_value" in report.metadata
         assert report.metadata["log_base"] == "nats"
 
+    def test_is_rho2_over_the_phenomenon(self, reality_model, candidate_model):
+        pair = ModelPair(reference=reality_model, candidate=candidate_model)
+        one, two = rho1(pair, CP, bits=True), rho2(pair, ["X"], bits=True)
+        assert (one.name, one.node_set, one.value) == ("rho1", ("X",), two.value)
+        marginals = {"candidate_marginal", "reference_marginal"}
+        assert {k: v for k, v in one.metadata.items() if k not in marginals} == two.metadata
+        domain = reality_model.specs["X"].domain
+        for key, m in (("candidate_marginal", candidate_model), ("reference_marginal", reality_model)):
+            p_x = brute_marginal(*brute_joint(m), ["X"])
+            assert list(one.metadata[key]) == list(domain)
+            assert list(one.metadata[key].values()) == pytest.approx([p_x[(x,)] for x in domain], abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_pairs_match_brute_force(self, data):
+        # Phenomenon variables of 1-3 labels, the KL summed in domain order.
+        m = data.draw(random_models())
+        pair = ModelPair(reference=m, candidate=redrawn(m, data.draw(st.integers(0, 2**32 - 1))))
+        x = data.draw(st.sampled_from(sorted(m.structure.nodes)))
+        p_ref = brute_marginal(*brute_joint(m), [x])
+        p_cand = brute_marginal(*brute_joint(pair.candidate), [x])
+        assume(all(p_ref.values()))
+        report = rho1(pair, PhenomenonBinding(variable=x, cp_label=m.specs[x].domain[0]))
+        assert report.value == pytest.approx(brute_kl(p_cand, p_ref), abs=1e-12)
+        domain = m.specs[x].domain
+        for key, expected in (("candidate_marginal", p_cand), ("reference_marginal", p_ref)):
+            assert list(report.metadata[key]) == list(domain)
+            assert list(report.metadata[key].values()) == pytest.approx(
+                [expected[(label,)] for label in domain], abs=1e-12
+            )
+
     def test_domain_mismatch_rejected(self, reality_model, candidate_model):
         from causalcrit.errors import ValidationError
 
@@ -438,6 +470,23 @@ class TestCausalInfluence:
             brute_causal_influence(m, cut), abs=1e-12
         )
 
+    @pytest.mark.parametrize("edges", [[], [("V2", "phi")], [("V1", "X"), ("V3", "X"), ("X", "phi")]])
+    def test_one_driver_run_and_one_joint_tables_call(self, reality_model, edges):
+        names = {model._run.__code__: "_run", model.joint_tables.__code__: "joint_tables"}
+        counted = collections.Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in names:
+                counted[names[frame.f_code]] += 1
+
+        sys.setprofile(profile)
+        try:
+            value = causal_influence(reality_model, edges)
+        finally:
+            sys.setprofile(None)
+        assert counted == {"_run": 1, "joint_tables": 1}
+        assert value == pytest.approx(brute_causal_influence(reality_model, edges), abs=1e-12)
+
     def test_non_markovian_rejected(self):
         specs = {
             n: VariableSpec(name=n, domain=("a", "b"), codes=(0.0, 1.0))
@@ -466,7 +515,7 @@ def _recorded_calls():
         calls.append((models, scopes, kwargs.get("do")))
         return real(models, scopes, *args, **kwargs)
 
-    with mock.patch.object(model, "joint_tables", recording), mock.patch.object(indicators, "joint_tables", recording):
+    with mock.patch.object(model, "joint_tables", recording):
         yield calls
 
 

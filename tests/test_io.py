@@ -508,6 +508,50 @@ class TestDataset:
         assert back == ds
 
 
+BOM = "\ufeff".encode("utf-8")
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, as spreadsheet tools write, is not data."""
+
+    def test_csv(self, tmp_path, heavy_rain_reality):
+        relation, model = heavy_rain_reality
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        save_dataset(plain, sample(model, 40, seed=5))
+        marked.write_bytes(BOM + plain.read_bytes())
+        assert load_dataset(marked, relation.specs) == load_dataset(plain, relation.specs)
+
+    def test_model_file(self, tmp_path, heavy_rain_reality):
+        path = tmp_path / "m.json"
+        path.write_bytes(BOM + fixture_path("heavy-rain-reality").read_bytes())
+        relation, model = load_model(path)
+        assert model_to_text(relation, model) == model_to_text(*heavy_rain_reality)
+
+    def test_trajectory_file(self, tmp_path):
+        path = tmp_path / "traj.txt"
+        path.write_bytes(BOM + b"0 0 0\n0.1 2 0\n0.2 4 0\n0.3 6 0\n0.4 8 0\n")
+        assert load_trajectory(path).x.tolist() == [0.0, 2.0, 4.0, 6.0, 8.0]
+
+    def test_only_one_mark_is_dropped(self, tmp_path, heavy_rain_reality):
+        path = tmp_path / "d.csv"
+        path.write_bytes(BOM + BOM + b"X\nCP\n")
+        with pytest.raises(ParseError, match=re.escape("column '\\ufeffX' is not a declared variable")):
+            load_dataset(path, heavy_rain_reality[0].specs)
+
+    def test_utf8_error_offset_counts_the_mark(self, tmp_path, heavy_rain_reality):
+        path = tmp_path / "d.csv"
+        path.write_bytes(BOM + b"X\nCP\n\xff\n")
+        with pytest.raises(ParseError, match="not valid UTF-8 at byte 8$"):
+            load_dataset(path, heavy_rain_reality[0].specs)
+
+    def test_writers_write_no_mark(self, tmp_path, heavy_rain_reality):
+        relation, model = heavy_rain_reality
+        save_model(tmp_path / "m.json", relation, model)
+        save_dataset(tmp_path / "d.csv", sample(model, 5, seed=1))
+        for name in ("m.json", "d.csv"):
+            assert not (tmp_path / name).read_bytes().startswith(BOM)
+
+
 class TestCanonicalJson:
     @pytest.mark.parametrize(
         "payload, message",

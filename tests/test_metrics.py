@@ -369,6 +369,13 @@ class TestAggregate:
         with pytest.raises(ValidationError):
             aggregate(0.1, 0.1, mode="median")
 
+    @pytest.mark.parametrize("mode", ["max", "mean", "euclidean"])
+    @pytest.mark.parametrize("btn, stn", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+    def test_nan_threat_number_rejected(self, btn, stn, mode):
+        # max(1.0, nan) is 1.0: a NaN must not vanish in either argument order.
+        with pytest.raises(ValidationError, match="^threat numbers must not be NaN$"):
+            aggregate(btn, stn, mode=mode)
+
 
 class TestDiscretize:
     def test_below_first_edge(self):
@@ -390,6 +397,12 @@ class TestDiscretize:
     def test_non_finite_edges_rejected(self, edges):
         with pytest.raises(NonMonotoneEdges, match="finite"):
             discretize_metric(0.5, edges)
+
+    @pytest.mark.parametrize("labels", [None, ["low", "high"]])
+    def test_nan_value_rejected(self, labels):
+        # bisect puts a NaN in the top bin, since every comparison with it is false.
+        with pytest.raises(ValidationError, match="^cannot bin a NaN metric value$"):
+            discretize_metric(math.nan, [0.5], labels=labels)
 
     def test_label_count_checked(self):
         with pytest.raises(ValidationError):

@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from causalcrit.errors import (
     UnseenParentConfigurationWarning,
     ValidationError,
 )
+from causalcrit import model
 from causalcrit.graph import build_structure
 from causalcrit.model import (
     Dataset,
@@ -34,6 +36,11 @@ from oracles import (
     brute_sample,
     conditionally_independent,
 )
+
+
+def state_space_limit(states):
+    """The block's calls refuse a factor over more than ``states`` states."""
+    return mock.patch.object(model, "DEFAULT_STATE_SPACE_LIMIT", states)
 
 
 def binary_spec(name, labels=("no", "yes")):
@@ -180,7 +187,7 @@ class TestValidation:
         cpds = [make_cpd(n, (), [[0.125] * 8], specs) for n in names]
         m = build_model(s, specs, cpds)
         with pytest.raises(StateSpaceExceeded):
-            joint_tables(m, [names], state_space_limit=1 << 24)
+            joint_tables(m, [names])
 
     def test_state_space_bound_counts_intermediates(self):
         # A 2-state output whose elimination needs a 32-state bucket.
@@ -190,15 +197,17 @@ class TestValidation:
         cpds = [make_cpd(p, (), [[0.5, 0.5]], specs) for p in names[1:]]
         cpds.append(make_cpd("C", tuple(names[1:]), [[0.5, 0.5]] * 16, specs))
         m = build_model(s, specs, cpds)
-        assert joint_tables(m, [["C"]], state_space_limit=32)[0].shape == (2,)
-        with pytest.raises(StateSpaceExceeded):
-            joint_tables(m, [["C"]], state_space_limit=31)
+        with state_space_limit(32):
+            assert joint_tables(m, [["C"]])[0].shape == (2,)
+        with state_space_limit(31), pytest.raises(StateSpaceExceeded):
+            joint_tables(m, [["C"]])
         # Each intervened parent is summed out in its own bucket, which also
         # spans the two do() rows and the other parents: 64 states.
         do = {p: [0, 1] for p in names[1:]}
-        assert joint_tables(m, [["C"]], state_space_limit=64, do=do)[0].shape == (2, 2)
-        with pytest.raises(StateSpaceExceeded):
-            joint_tables(m, [["C"]], state_space_limit=63, do=do)
+        with state_space_limit(64):
+            assert joint_tables(m, [["C"]], do=do)[0].shape == (2, 2)
+        with state_space_limit(63), pytest.raises(StateSpaceExceeded):
+            joint_tables(m, [["C"]], do=do)
 
 
 class TestJointProbability:
@@ -415,7 +424,8 @@ class TestJointTables:
             make_cpd("Z", (), [[0.125] * 8], specs),
         ])
         do = {"D": [0, 1]}
-        p_z, p_q = joint_tables(m, [["Z"], ["Q"]], state_space_limit=31, do=do)
+        with state_space_limit(31):
+            p_z, p_q = joint_tables(m, [["Z"], ["Q"]], do=do)
         assert p_z.tolist() == [[0.125] * 8] * 2
         assert p_q == pytest.approx(np.array([[0.9, 0.1], [0.2, 0.8]]), abs=1e-15)
 
@@ -431,10 +441,13 @@ class TestJointTables:
             make_cpd("Z", (), [[0.5, 0.5]], specs),
         ])
         scopes = [["Q", "Z"], ["D", "Z"]]
-        alone = [joint_tables(m, [scope], state_space_limit=4)[0] for scope in scopes]
-        with pytest.raises(StateSpaceExceeded, match="spans 8 states"):
-            joint_tables(m, scopes, state_space_limit=7)
-        for a, b in zip(alone, joint_tables(m, scopes, state_space_limit=8)):
+        with state_space_limit(4):
+            alone = [joint_tables(m, [scope])[0] for scope in scopes]
+        with state_space_limit(7), pytest.raises(StateSpaceExceeded, match="spans 8 states"):
+            joint_tables(m, scopes)
+        with state_space_limit(8):
+            batched = joint_tables(m, scopes)
+        for a, b in zip(alone, batched):
             assert a == pytest.approx(b, abs=1e-15)
 
 
@@ -493,7 +506,8 @@ class TestModelAxis:
 
         def outcome(arg):
             try:
-                joint_tables(arg, scopes, state_space_limit=limit, do=do)
+                with state_space_limit(limit):
+                    joint_tables(arg, scopes, do=do)
             except StateSpaceExceeded as exc:
                 return str(exc)
 

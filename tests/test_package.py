@@ -1,6 +1,7 @@
 """The package namespace: every public name resolves on first use to the
 object its submodule defines."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -90,3 +91,16 @@ def test_submodules_are_attributes_after_a_plain_import():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_only_the_driver_module_names_joint_tables():
+    # model._run is the one caller of joint_tables: no other module imports,
+    # calls or otherwise names it in code.
+    naming = set()
+    for path in sorted(Path(causalcrit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name == "joint_tables" or getattr(node, "asname", None) == "joint_tables":
+                naming.add(path.name)
+    assert naming == {"model.py"}
