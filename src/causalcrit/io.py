@@ -12,6 +12,8 @@ numeric layers when they run.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
 import json
 from json.encoder import encode_basestring as _encode_string
 import marshal
@@ -45,6 +47,7 @@ __all__ = [
     "save_model",
     "model_to_text",
     "load_dataset",
+    "load_counts",
     "save_dataset",
     "load_trajectory",
     "load_field",
@@ -404,20 +407,17 @@ def load_models(paths: Sequence[PathLike]) -> list[tuple[CausalRelation, Discret
     return [(relation, model) for _, relation, model in loaded]
 
 
-def load_dataset(
-    path: PathLike,
-    specs: Mapping[str, VariableSpec],
-    provenance: str = "real-world",
-) -> Dataset:
-    """Comma-separated labels, first row names the variables.
+def _encode_csv(path: PathLike, specs: Mapping[str, VariableSpec], tally):
+    """The one label encoder behind :func:`load_dataset` and :func:`load_counts`.
 
-    Each distinct line is checked and encoded once, in order of first
-    occurrence, so the first bad row reported is the first bad row of the
-    file. Row numbers count non-blank lines after the header from 0.
+    Returns the header's columns, the body's lines, ``tally(body)`` (a dict
+    of its distinct lines in order of first occurrence: ``dict.fromkeys`` or
+    ``Counter``), each distinct line's record and the code table of the
+    records. A record is the codes of one or more distinct lines, as lines
+    that differ only in padding share one, numbered in order of first
+    occurrence; a blank line's record is -1.
     """
     import numpy as np
-
-    from .model import Dataset
 
     raw = _read_text(path).splitlines()
     start = next((i for i, line in enumerate(raw) if line.strip()), None)
@@ -435,30 +435,73 @@ def load_dataset(
         return sum(1 for other in body[: body.index(line)] if other.strip())
 
     lookups = [{label: i for i, label in enumerate(specs[c].domain)} for c in columns]
-    distinct = dict.fromkeys(body, -1)
-    encoded: list[list[int]] = []
-    for line in distinct:
+    tallied = tally(body)
+    record: dict[str, int] = {}
+    records: dict[tuple[int, ...], int] = {}
+    for line in tallied:
         if not line.strip():
+            record[line] = -1
             continue
-        cells = [c.strip() for c in line.split(",")]
+        cells = line.split(",")
         if len(cells) != len(columns):
             raise RaggedRow(f"row {row_of(line)}: {len(cells)} cells, expected {len(columns)}")
-        row = []
-        for lookup, column, label in zip(lookups, columns, cells):
-            if label not in lookup:
-                raise UnknownLabel(row_of(line), column, label)
-            row.append(lookup[label])
-        distinct[line] = len(encoded)
-        encoded.append(row)
-    rows = np.fromiter(map(distinct.__getitem__, body), dtype=np.intp, count=len(body))
-    rows = rows[rows >= 0]
-    table = np.array(encoded, dtype=np.intp).reshape(len(encoded), len(columns))
-    return Dataset(
-        columns=columns,
-        codes=tuple(table[rows].T),
-        domains=tuple(specs[c].domain for c in columns),
-        provenance=provenance,
-    )
+        try:
+            codes = tuple(map(dict.__getitem__, lookups, map(str.strip, cells)))
+        except KeyError:  # the row's first unknown label
+            for column, label, lookup in zip(columns, map(str.strip, cells), lookups):
+                if label not in lookup:
+                    raise UnknownLabel(row_of(line), column, label) from None
+        record[line] = records.setdefault(codes, len(records))
+    table = np.fromiter(chain.from_iterable(records), dtype=np.intp, count=len(records) * len(columns))
+    table = table.reshape(len(records), len(columns))
+    return columns, body, tallied, record, table
+
+
+def _dataset(columns, table, specs, provenance) -> Dataset:
+    from .model import Dataset
+
+    return Dataset(columns=columns, codes=tuple(table.T), domains=tuple(specs[c].domain for c in columns),
+                   provenance=provenance)
+
+
+def load_dataset(
+    path: PathLike,
+    specs: Mapping[str, VariableSpec],
+    provenance: str = "real-world",
+) -> Dataset:
+    """Comma-separated labels, first row names the variables: one dataset
+    row per non-blank line, in file order, each cell stripped of padding.
+
+    Each distinct line is checked and encoded once, in order of first
+    occurrence, so the first bad row reported is the first bad row of the
+    file. Row numbers count non-blank lines after the header from 0.
+    """
+    import numpy as np
+
+    columns, body, _, record, table = _encode_csv(path, specs, dict.fromkeys)
+    rows = np.fromiter(map(record.__getitem__, body), dtype=np.intp, count=len(body))
+    return _dataset(columns, table[rows[rows >= 0]], specs, provenance)
+
+
+def load_counts(
+    path: PathLike,
+    specs: Mapping[str, VariableSpec],
+    provenance: str = "real-world",
+) -> tuple[Dataset, np.ndarray]:
+    """The file that :func:`load_dataset` reads, as its distinct records and
+    their counts: the dataset holds each distinct row once, in order of first
+    occurrence, and ``counts[r]`` is the number of lines that row r stands
+    for, as ``estimate_cpds(..., counts=)`` takes them. The errors are
+    :func:`load_dataset`'s.
+    """
+    import numpy as np
+
+    columns, _, counts, record, table = _encode_csv(path, specs, Counter)
+    totals = [0] * len(table)
+    for line, r in record.items():
+        if r >= 0:
+            totals[r] += counts[line]
+    return _dataset(columns, table, specs, provenance), np.array(totals, dtype=np.int64)
 
 
 # Mixed-radix row keys stay below this bound; past it the key is re-ranked.

@@ -529,9 +529,14 @@ def estimate_cpds(
     specs: Mapping[str, VariableSpec],
     dataset: Dataset,
     smoothing: float = 0.0,
+    counts: Optional[np.ndarray] = None,
 ) -> DiscreteModel:
     """Maximum-likelihood CPD estimation with optional additive smoothing.
 
+    Row r of ``dataset`` stands for ``counts[r]`` records, one each if
+    ``counts`` is None: a 1-D array of ``len(dataset)`` non-negative integers
+    whose total is below 2**53, so that every count sum is exact in floats
+    and a weighted dataset estimates the same bits as its rows repeated.
     Every node whose own column and all parent columns are present gets a CPD
     of (count + a) / (row total + a * |child domain|). With smoothing a = 0, a
     parent configuration that never occurs leaves the row undefined: the node
@@ -540,7 +545,21 @@ def estimate_cpds(
     """
     if not 0 <= smoothing < math.inf:
         raise ValidationError(f"smoothing must be finite and >= 0, got {smoothing}")
-    if len(dataset) == 0:
+    records = len(dataset)
+    if counts is not None:
+        counts = np.asarray(counts)
+        if counts.shape != (len(dataset),) or (counts.size and counts.dtype.kind not in "iu"):
+            raise ValidationError(
+                f"counts must be a 1-D integer array of {len(dataset)} entries, one per dataset row"
+            )
+        if counts.size and counts.min() < 0:
+            raise ValidationError("counts must be >= 0")
+        # Every partial sum of the float total is exact while the total is below 2**53.
+        total = counts.sum(dtype=float)
+        if not total < 2**53:
+            raise ValidationError(f"counts total {int(total)} records, not below 2**53")
+        records = int(total)
+    if records == 0:
         raise EmptyDataset("cannot estimate CPDs from an empty dataset")
     present = set(dataset.columns)
     for c in dataset.columns:
@@ -548,9 +567,9 @@ def estimate_cpds(
             raise UnknownNode(f"dataset column {c!r} is not a structure variable")
     # A row total is its count plus the smoothing once per child label.
     largest = max(specs[c].cardinality for c in dataset.columns)
-    if not math.isfinite(smoothing * largest + len(dataset)):
+    if not math.isfinite(smoothing * largest + records):
         raise ValidationError(
-            f"smoothing {smoothing} overflows the CPD row totals of {len(dataset)} rows "
+            f"smoothing {smoothing} overflows the CPD row totals of {records} rows "
             f"and up to {largest} labels"
         )
 
@@ -575,9 +594,10 @@ def estimate_cpds(
         card = specs[node].cardinality
         n_cfg = math.prod(specs[p].cardinality for p in parents)
         flat = _config_codes((*parents, node), encoded, specs, len(dataset))
-        counts = np.bincount(flat, minlength=n_cfg * card).reshape(n_cfg, card)
-        counts = counts.astype(float) + smoothing
-        totals = counts.sum(axis=1)
+        # Integer counts, or exact float sums of integer weights: the same bits once smoothed.
+        table = np.bincount(flat, weights=counts, minlength=n_cfg * card).reshape(n_cfg, card)
+        table = table + float(smoothing)
+        totals = table.sum(axis=1)
         empty_rows = np.flatnonzero(totals == 0.0)
         if empty_rows.size:
             for r in empty_rows:
@@ -589,7 +609,7 @@ def estimate_cpds(
                     stacklevel=2,
                 )
             continue
-        entries.append((node, parents, counts / totals[:, None]))
+        entries.append((node, parents, table / totals[:, None]))
     return build_model(structure, specs, _cpds(entries, specs))
 
 

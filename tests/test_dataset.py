@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalcrit.errors import (
+    CausalCritError,
+    EmptyDataset,
     ParseError,
     RaggedRow,
     UnknownCategory,
@@ -20,7 +22,7 @@ from causalcrit.errors import (
     ValidationError,
 )
 from causalcrit.graph import build_structure
-from causalcrit.io import load_dataset, save_dataset
+from causalcrit.io import load_counts, load_dataset, save_dataset
 from causalcrit.model import Dataset, VariableSpec, estimate_cpds
 
 LABEL = st.text(alphabet="abXY_-09é", min_size=1, max_size=3)
@@ -251,13 +253,28 @@ def reference_first_error(text):
     return None
 
 
+def load_error(path):
+    """The error that both readers raise on ``path``, or None: each raises
+    one type with one message."""
+    errors = []
+    for read in (load_dataset, load_counts):
+        try:
+            read(path, SPECS)
+            errors.append(None)
+        except CausalCritError as exc:
+            errors.append(exc)
+    from_dataset, from_counts = errors
+    assert (type(from_counts), str(from_counts)) == (type(from_dataset), str(from_dataset))
+    return from_dataset
+
+
 def first_error(path):
-    try:
-        load_dataset(path, SPECS)
-    except UnknownLabel as exc:
+    exc = load_error(path)
+    if isinstance(exc, UnknownLabel):
         return ("label", exc.row, exc.column)
-    except RaggedRow as exc:
+    if isinstance(exc, RaggedRow):
         return ("ragged", int(str(exc).split(":")[0].split()[1]), None)
+    assert exc is None, exc
     return None
 
 
@@ -267,22 +284,22 @@ class TestLoadErrors:
         body = "\r\n".join(good * 300 + ["", "   ", "CP,Slow", "CP , Sloow", "notCP,Fast"])
         path = tmp_path / "d.csv"
         path.write_bytes(("\r\n X , V2 \r\n\r\n" + body + "\r\n").encode())
-        with pytest.raises(UnknownLabel) as exc:
-            load_dataset(path, SPECS)
-        assert (exc.value.row, exc.value.column, exc.value.label) == (901, "V2", "Sloow")
+        exc = load_error(path)
+        assert type(exc) is UnknownLabel
+        assert (exc.row, exc.column, exc.label) == (901, "V2", "Sloow")
 
     def test_first_bad_column_of_the_row(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("X,V2\nCP,Slow\n\nDrizzle,Sloow\n", encoding="utf-8")
-        with pytest.raises(UnknownLabel) as exc:
-            load_dataset(path, SPECS)
-        assert (exc.value.row, exc.value.column) == (1, "X")
+        exc = load_error(path)
+        assert type(exc) is UnknownLabel
+        assert (exc.row, exc.column) == (1, "X")
 
     def test_ragged_row_after_repeated_lines(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("X,V2\n" + "CP,Slow\n\n" * 50 + "CP\nCP,Sloow\n", encoding="utf-8")
-        with pytest.raises(RaggedRow, match=r"^row 50: 1 cells, expected 2$"):
-            load_dataset(path, SPECS)
+        exc = load_error(path)
+        assert (type(exc), str(exc)) == (RaggedRow, "row 50: 1 cells, expected 2")
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -305,16 +322,126 @@ class TestLoadErrors:
         path = tmp_path / "d.csv"
         path.write_bytes(b"\r\n X ,V2\r\n\r\nCP, Slow\r\n  \r\nnotCP,Fast\r\nCP,Slow \r\n\r\n")
         expected = dataset_of(["X", "V2"], [("CP", "Slow"), ("notCP", "Fast"), ("CP", "Slow")], SPECS)
+        assert load_error(path) is None
         assert load_dataset(path, SPECS, provenance="fixture") == expected
+        # "CP, Slow" and "CP,Slow " are one record.
+        distinct, counts = load_counts(path, SPECS, provenance="fixture")
+        assert distinct == dataset_of(["X", "V2"], [("CP", "Slow"), ("notCP", "Fast")], SPECS)
+        assert counts.tolist() == [2, 1] and counts.dtype.kind == "i"
 
     def test_invalid_utf8_is_parse_error(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_bytes(b"X\nCP\n\xff\xfe\n")
-        with pytest.raises(ParseError, match="UTF-8"):
-            load_dataset(path, SPECS)
+        exc = load_error(path)
+        assert type(exc) is ParseError and "UTF-8" in str(exc)
 
     def test_duplicate_header_column_is_parse_error(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("X, V2 ,X\nCP,Slow,CP\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="'X' appears twice"):
-            load_dataset(path, SPECS)
+        exc = load_error(path)
+        assert type(exc) is ParseError and "'X' appears twice" in str(exc)
+
+
+@st.composite
+def decorated_csvs(draw):
+    """A labelled table written as CSV text over a subset of its columns in a
+    drawn order, with CRLF or LF endings, blank lines and space-padded cells."""
+    names, specs, structure, rows = draw(labelled_tables())
+    header = draw(st.permutations(names).flatmap(lambda p: st.integers(1, len(p)).map(lambda k: p[:k])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [" , ".join(header), ""]
+    for row in rows:
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "  "])))
+        cells = [row[names.index(c)] for c in header]
+        lines.append(",".join(f" {cell} " if draw(st.booleans()) else cell for cell in cells))
+    return specs, structure, newline.join(lines) + newline
+
+
+def estimated(path, structure, specs, smoothing, weighted):
+    """The model estimated from the CSV at ``path`` and the warnings raised,
+    read row by row or as distinct records and their counts."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if weighted:
+            distinct, counts = load_counts(path, specs)
+            model = estimate_cpds(structure, specs, distinct, smoothing=smoothing, counts=counts)
+        else:
+            model = estimate_cpds(structure, specs, load_dataset(path, specs), smoothing=smoothing)
+    return model, [(w.category, str(w.message)) for w in caught]
+
+
+class TestCounts:
+    @settings(max_examples=150, deadline=None)
+    @given(decorated_csvs(), st.floats(1e-3, 10.0))
+    def test_counts_estimate_the_bits_of_every_row(self, tmp_path_factory, csv, positive):
+        specs, structure, text = csv
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        full = load_dataset(path, specs)
+        distinct, counts = load_counts(path, specs)
+        tally: dict = {}
+        for row in zip(*(codes.tolist() for codes in full.codes)):
+            tally[row] = tally.get(row, 0) + 1
+        assert list(zip(*(codes.tolist() for codes in distinct.codes))) == list(tally)
+        assert counts.tolist() == list(tally.values())
+        assert (distinct.columns, distinct.domains) == (full.columns, full.domains)
+        if not len(full):
+            for weighted in (False, True):
+                with pytest.raises(EmptyDataset):
+                    estimated(path, structure, specs, 0.0, weighted)
+            return
+        for smoothing in (0.0, positive):
+            by_row, row_warnings = estimated(path, structure, specs, smoothing, weighted=False)
+            by_count, count_warnings = estimated(path, structure, specs, smoothing, weighted=True)
+            assert count_warnings == row_warnings
+            assert set(by_count.cpds) == set(by_row.cpds)
+            for node, cpd in by_row.cpds.items():
+                other = by_count.cpds[node]
+                assert other.parents == cpd.parents
+                assert (other.table.dtype, other.table.shape) == (cpd.table.dtype, cpd.table.shape)
+                assert other.table.tobytes() == cpd.table.tobytes()
+
+    def test_unseen_configuration_warns_once_per_row(self):
+        specs = {"A": _spec("A", ["a", "b"]), "B": _spec("B", ["x", "y"])}
+        ds = dataset_of(["A", "B"], [("a", "x"), ("a", "y")], specs)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = estimate_cpds(build_structure(["A", "B"], [("A", "B")]), specs, ds, counts=[3, 1])
+        assert [(w.category, str(w.message)) for w in caught] == [(
+            UnseenParentConfigurationWarning,
+            "node 'B': no observations for parent configuration {'A': 'b'}; node left uninstantiated",
+        )]
+        assert set(model.cpds) == {"A"}
+        np.testing.assert_array_equal(model.cpds["A"].table, [[1.0, 0.0]])
+
+    def test_zero_counts_drop_their_rows(self):
+        specs = {"A": _spec("A", ["a", "b", "c"])}
+        structure = build_structure(["A"])
+        ds = dataset_of(["A"], [("a",), ("b",), ("c",)], specs)
+        weighted = estimate_cpds(structure, specs, ds, smoothing=0.5, counts=np.array([2, 0, 1], dtype=np.uint8))
+        repeated = estimate_cpds(structure, specs, dataset_of(["A"], [("a",), ("c",), ("a",)], specs), smoothing=0.5)
+        assert weighted.cpds["A"].table.tobytes() == repeated.cpds["A"].table.tobytes()
+
+    @pytest.mark.parametrize(
+        "counts",
+        [[1], [1, 1, 1], [[1, 1]], 2, [1.0, 1.0], [True, True], ["1", "1"], [None, 1], [2, -1],
+         [2**52, 2**52], np.array([2**63, 2**63], dtype=np.uint64)],
+    )
+    def test_bad_counts_are_validation_errors(self, counts):
+        specs = {"A": _spec("A", ["a", "b"])}
+        ds = dataset_of(["A"], [("a",), ("b",)], specs)
+        with pytest.raises(ValidationError, match="^counts "):
+            estimate_cpds(build_structure(["A"]), specs, ds, counts=counts)
+
+    @pytest.mark.parametrize("rows, counts", [([("a",), ("b",)], [0, 0]), ([], [])])
+    def test_zero_total_is_empty_dataset(self, rows, counts):
+        specs = {"A": _spec("A", ["a", "b"])}
+        with pytest.raises(EmptyDataset):
+            estimate_cpds(build_structure(["A"]), specs, dataset_of(["A"], rows, specs), counts=counts)
+
+    def test_overflow_names_the_record_total(self):
+        specs = {"A": _spec("A", ["a", "b"])}
+        ds = dataset_of(["A"], [("a",), ("b",)], specs)
+        with pytest.raises(ValidationError, match="^smoothing 1e\\+308 overflows the CPD row totals of 50 rows "):
+            estimate_cpds(build_structure(["A"]), specs, ds, smoothing=1e308, counts=[20, 30])
