@@ -6,14 +6,21 @@ effects), 2 for usage or IO problems. Machine-readable output is canonical
 JSON: identical invocations produce byte-identical bytes.
 
 Each command imports the numeric layers it computes with when it runs, so
-``validate`` and ``adjust`` on a relation without CPDs load no numpy.
+``validate`` and ``adjust`` on a relation without CPDs load no numpy. A
+call's arguments are parsed once, by its command's own parser; ``batch``
+runs many calls in one process.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import json
 import sys
+import warnings
+from gettext import gettext
+from io import StringIO
 from typing import Optional, Sequence
 
 from . import fixtures
@@ -264,7 +271,60 @@ def cmd_sp(args) -> int:
     return EXIT_CLEAN
 
 
+def _batch_argv(line) -> tuple[Optional[list], str]:
+    """The argv a batch line holds, or why it holds none."""
+    try:
+        argv = json.loads(line)
+    except (ValueError, RecursionError) as exc:  # ValueError covers a line that is not UTF-8
+        return None, f"not JSON: {exc}"
+    if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
+        return None, "not a JSON array of strings"
+    if argv[:1] == ["batch"]:
+        return None, "batch cannot run inside batch"
+    return argv, ""
+
+
+def _batch_call(number: int, line) -> dict:
+    """One batch line's exit code, stdout and stderr, as a fresh process
+    would give them: its warnings print under the filters the batch began with."""
+    argv, problem = _batch_argv(line)
+    out, err = StringIO(), StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        if problem:
+            print(f"error: line {number}: {problem}", file=sys.stderr)
+            code = EXIT_USAGE
+        else:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse exits with an int status
+                code = exc.code
+            except Exception:
+                import traceback
+
+                traceback.print_exc()
+                code = 1  # as an uncaught exception ends a process
+    return {"exit": code, "stderr": err.getvalue(), "stdout": out.getvalue()}
+
+
+def cmd_batch(args) -> int:
+    # Bytes, so that a line that is not UTF-8 fails alone, in json.loads.
+    stdin = getattr(sys.stdin, "buffer", sys.stdin)
+    for number, line in enumerate(stdin, 1):
+        if line.strip():
+            result = _batch_call(number, line)
+            sys.stdout.write(
+                json.dumps(result, sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n"
+            )
+            sys.stdout.flush()
+    return EXIT_CLEAN
+
+
 def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
+
+
+def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its map from command name to that command's parser."""
     parser = argparse.ArgumentParser(
         prog="causalcrit",
         description="Causal-relation engine for criticality analysis",
@@ -340,16 +400,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default="sp")
     common(p)
     p.set_defaults(fn=cmd_sp)
-    return parser
+
+    p = sub.add_parser("batch", help="run one call per stdin line, each a JSON array of arguments")
+    p.set_defaults(fn=cmd_batch)
+    return parser, sub.choices
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
+_parser = functools.cache(_build)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        # The arguments after a known command name are all its parser's, as in
+        # the two-level parse; what it leaves over is reported as argparse does.
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
     try:
         return args.fn(args)
     except (ParseError, OSError) as exc:

@@ -86,12 +86,13 @@ def _write_canonical(obj, indent: str, out: list[str]) -> None:
         if not obj:
             out.append("{}")
             return
+        for key in obj:
+            if not (key is None or isinstance(key, (str, int, float))):
+                raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
         inner = indent + "  "
         sep = "{\n" + inner
         for key, value in sorted(obj.items()):
             if not isinstance(key, str):
-                if not (key is None or isinstance(key, (int, float))):
-                    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
                 key = json.dumps(key)
             out.append(sep + _encode_string(key) + ": ")
             _write_canonical(value, inner, out)

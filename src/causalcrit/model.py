@@ -15,6 +15,7 @@ indicator steps ask for.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from typing import Container, Generator, Iterable, Mapping, Optional, Sequence, Union
 
@@ -543,7 +544,7 @@ def estimate_cpds(
     is dropped from the instantiated set and an
     :class:`UnseenParentConfigurationWarning` is emitted per empty row.
     """
-    if not 0 <= smoothing < math.inf:
+    if not 0 <= smoothing <= sys.float_info.max:
         raise ValidationError(f"smoothing must be finite and >= 0, got {smoothing}")
     records = len(dataset)
     if counts is not None:
@@ -567,7 +568,7 @@ def estimate_cpds(
             raise UnknownNode(f"dataset column {c!r} is not a structure variable")
     # A row total is its count plus the smoothing once per child label.
     largest = max(specs[c].cardinality for c in dataset.columns)
-    if not math.isfinite(smoothing * largest + records):
+    if not math.isfinite(float(smoothing) * largest + records):
         raise ValidationError(
             f"smoothing {smoothing} overflows the CPD row totals of {records} rows "
             f"and up to {largest} labels"

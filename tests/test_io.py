@@ -557,12 +557,30 @@ class TestCanonicalJson:
         "payload, message",
         [
             ({("a", "b"): 1}, "keys must be str, int, float, bool or None, not tuple"),
+            # The key types are checked before the keys are sorted.
+            ({(1, 2): "a", "b": 1}, "keys must be str, int, float, bool or None, not tuple"),
+            ({"b": 1, object(): 2}, "keys must be str, int, float, bool or None, not object"),
             ({"a": {1, 2}}, "Object of type set is not JSON serializable"),
         ],
-        ids=["tuple-key", "set-value"],
+        ids=["tuple-key", "tuple-among-str-keys", "unorderable-key", "set-value"],
     )
     def test_unsupported_input_is_a_type_error(self, payload, message):
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            canonical_json(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"b": 1, "a": {"d": None, "c": [1, 2]}}, {2: "x", 1.5: "y", True: "z"}, {None: 1}, {"é": "ü"}],
+        ids=["str-keys", "number-keys", "null-key", "non-ascii"],
+    )
+    def test_supported_keys_in_json_dumps_order(self, payload):
+        assert canonical_json(payload) == json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+    def test_keys_that_do_not_sort_fail_as_in_json_dumps(self):
+        payload = {1: "a", None: 2}
+        with pytest.raises(TypeError, match="'<' not supported") as dumps_error:
+            json.dumps(payload, sort_keys=True)
+        with pytest.raises(TypeError, match=f"^{re.escape(str(dumps_error.value))}$"):
             canonical_json(payload)
 
 

@@ -692,6 +692,17 @@ class TestEstimate:
         est = estimate_cpds(reality_model.structure, reality_model.specs, ds, 1e307)
         assert est.cpds["V1"].table.tolist() == [[0.5, 0.5]]
 
+    def test_integer_smoothing_beyond_the_float_range_rejected(self, reality_model):
+        # An int compares exactly with floats: 10**400 is below inf but is no double.
+        ds = sample(reality_model, 50, seed=1)
+        with pytest.raises(ValidationError, match="^smoothing must be finite and >= 0"):
+            estimate_cpds(reality_model.structure, reality_model.specs, ds, 10**400)
+        # A double-sized int whose row totals overflow is refused by the overflow check.
+        with pytest.raises(ValidationError, match="overflows the CPD row totals of 50 rows"):
+            estimate_cpds(reality_model.structure, reality_model.specs, ds, 10**308)
+        est = estimate_cpds(reality_model.structure, reality_model.specs, ds, 10**307)
+        assert est.cpds["V1"].table.tolist() == [[0.5, 0.5]]
+
     def test_laplace_smoothing_fills_empty_rows(self):
         specs = {"A": binary_spec("A"), "B": binary_spec("B")}
         s = build_structure(["A", "B"], [("A", "B")])
