@@ -30,7 +30,7 @@ from .errors import CausalCritError, ParseError
 from .graph import enumerate_adjustment_sets
 from .io import (
     canonical_json,
-    load_counts,
+    load_dataset,
     load_field,
     load_models,
     load_trajectory,
@@ -161,10 +161,10 @@ def cmd_indicators(args) -> int:
     (relation_ref, ref), (_, cand) = _load(args.reference, args.candidate)
     if args.data:
         alpha = 0.0 if args.alpha is None else args.alpha
-        ref_data, ref_counts = load_counts(args.data[0], ref.specs)
-        cand_data, cand_counts = load_counts(args.data[1], cand.specs)
-        ref = estimate_cpds(ref.structure, ref.specs, ref_data, smoothing=alpha, counts=ref_counts)
-        cand = estimate_cpds(cand.structure, cand.specs, cand_data, smoothing=alpha, counts=cand_counts)
+        ref, cand = (
+            estimate_cpds(m.structure, m.specs, load_dataset(path, m.specs), smoothing=alpha)
+            for m, path in zip((ref, cand), args.data)
+        )
     reports = indicator_reports(
         ModelPair(reference=ref, candidate=cand),
         relation_ref.phenomenon,

@@ -47,7 +47,6 @@ __all__ = [
     "save_model",
     "model_to_text",
     "load_dataset",
-    "load_counts",
     "save_dataset",
     "load_trajectory",
     "load_field",
@@ -408,17 +407,24 @@ def load_models(paths: Sequence[PathLike]) -> list[tuple[CausalRelation, Discret
     return [(relation, model) for _, relation, model in loaded]
 
 
-def _encode_csv(path: PathLike, specs: Mapping[str, VariableSpec], tally):
-    """The one label encoder behind :func:`load_dataset` and :func:`load_counts`.
+def load_dataset(
+    path: PathLike,
+    specs: Mapping[str, VariableSpec],
+    provenance: str = "real-world",
+) -> Dataset:
+    """Comma-separated labels, first row names the variables: the file's
+    distinct records, in order of first occurrence, each with its count.
 
-    Returns the header's columns, the body's lines, ``tally(body)`` (a dict
-    of its distinct lines in order of first occurrence: ``dict.fromkeys`` or
-    ``Counter``), each distinct line's record and the code table of the
-    records. A record is the codes of one or more distinct lines, as lines
-    that differ only in padding share one, numbered in order of first
-    occurrence; a blank line's record is -1.
+    Each cell is stripped of padding and blank lines are skipped, so lines
+    that differ only in padding are one record, and ``counts[r]`` is the
+    number of lines that record r stands for. Each distinct line is checked
+    and encoded once, in order of first occurrence, so the first bad row
+    reported is the first bad row of the file. Row numbers count non-blank
+    lines after the header from 0.
     """
     import numpy as np
+
+    from .model import Dataset
 
     raw = _read_text(path).splitlines()
     start = next((i for i, line in enumerate(raw) if line.strip()), None)
@@ -436,12 +442,9 @@ def _encode_csv(path: PathLike, specs: Mapping[str, VariableSpec], tally):
         return sum(1 for other in body[: body.index(line)] if other.strip())
 
     lookups = [{label: i for i, label in enumerate(specs[c].domain)} for c in columns]
-    tallied = tally(body)
-    record: dict[str, int] = {}
-    records: dict[tuple[int, ...], int] = {}
-    for line in tallied:
+    records: dict[tuple[int, ...], int] = {}  # codes -> count
+    for line, count in Counter(body).items():
         if not line.strip():
-            record[line] = -1
             continue
         cells = line.split(",")
         if len(cells) != len(columns):
@@ -452,57 +455,11 @@ def _encode_csv(path: PathLike, specs: Mapping[str, VariableSpec], tally):
             for column, label, lookup in zip(columns, map(str.strip, cells), lookups):
                 if label not in lookup:
                     raise UnknownLabel(row_of(line), column, label) from None
-        record[line] = records.setdefault(codes, len(records))
+        records[codes] = records.get(codes, 0) + count
     table = np.fromiter(chain.from_iterable(records), dtype=np.intp, count=len(records) * len(columns))
-    table = table.reshape(len(records), len(columns))
-    return columns, body, tallied, record, table
-
-
-def _dataset(columns, table, specs, provenance) -> Dataset:
-    from .model import Dataset
-
-    return Dataset(columns=columns, codes=tuple(table.T), domains=tuple(specs[c].domain for c in columns),
-                   provenance=provenance)
-
-
-def load_dataset(
-    path: PathLike,
-    specs: Mapping[str, VariableSpec],
-    provenance: str = "real-world",
-) -> Dataset:
-    """Comma-separated labels, first row names the variables: one dataset
-    row per non-blank line, in file order, each cell stripped of padding.
-
-    Each distinct line is checked and encoded once, in order of first
-    occurrence, so the first bad row reported is the first bad row of the
-    file. Row numbers count non-blank lines after the header from 0.
-    """
-    import numpy as np
-
-    columns, body, _, record, table = _encode_csv(path, specs, dict.fromkeys)
-    rows = np.fromiter(map(record.__getitem__, body), dtype=np.intp, count=len(body))
-    return _dataset(columns, table[rows[rows >= 0]], specs, provenance)
-
-
-def load_counts(
-    path: PathLike,
-    specs: Mapping[str, VariableSpec],
-    provenance: str = "real-world",
-) -> tuple[Dataset, np.ndarray]:
-    """The file that :func:`load_dataset` reads, as its distinct records and
-    their counts: the dataset holds each distinct row once, in order of first
-    occurrence, and ``counts[r]`` is the number of lines that row r stands
-    for, as ``estimate_cpds(..., counts=)`` takes them. The errors are
-    :func:`load_dataset`'s.
-    """
-    import numpy as np
-
-    columns, _, counts, record, table = _encode_csv(path, specs, Counter)
-    totals = [0] * len(table)
-    for line, r in record.items():
-        if r >= 0:
-            totals[r] += counts[line]
-    return _dataset(columns, table, specs, provenance), np.array(totals, dtype=np.int64)
+    return Dataset(columns=columns, codes=tuple(table.reshape(len(records), len(columns)).T),
+                   domains=tuple(specs[c].domain for c in columns), provenance=provenance,
+                   counts=np.fromiter(records.values(), dtype=np.int64, count=len(records)))
 
 
 # Mixed-radix row keys stay below this bound; past it the key is re-ranked.
@@ -510,15 +467,21 @@ _KEY_LIMIT = 1 << 62
 
 
 def save_dataset(path: PathLike, dataset: Dataset) -> None:
-    """Write ``dataset`` as CSV, rendering each distinct row only once; a dataset without
-    columns or a label that would not read back as itself raises before anything is written."""
+    """Write ``dataset`` as CSV, row r ``counts[r]`` times in row order, rendering each distinct
+    row only once; a dataset without columns, or a column name or label that would not read back
+    as itself, raises before anything is written."""
     import numpy as np
+
+    def reads_back(cell: str) -> bool:
+        return cell == cell.strip() and "," not in cell and cell.splitlines() == [cell]
 
     if not dataset.columns:
         raise ValidationError("a dataset without columns has no header row to write")
     for column, domain in zip(dataset.columns, dataset.domains):
+        if not reads_back(column):
+            raise ValidationError(f"column {column!r} cannot be read back")
         for label in domain:
-            if not (label == label.strip() and "," not in label and label.splitlines() == [label]):
+            if not reads_back(label):
                 raise ValidationError(f"column {column!r}: label {label!r} cannot be read back")
     key = np.zeros(len(dataset), dtype=np.int64)
     radix = 1
@@ -537,7 +500,7 @@ def save_dataset(path: PathLike, dataset: Dataset) -> None:
         for codes, domain in zip(dataset.codes, dataset.domains)
     ]
     rendered = np.array(list(map(",".join, zip(*cells))), dtype=object)
-    lines = [",".join(dataset.columns), *rendered[inverse].tolist()]
+    lines = [",".join(dataset.columns), *rendered[np.repeat(inverse, dataset.counts)].tolist()]
     _write_text(path, "\n".join(lines) + "\n")
 
 

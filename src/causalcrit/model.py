@@ -128,23 +128,32 @@ def _cpds(
 
 @record(eq=False)
 class Dataset:
-    """Rectangular table of categorical observations, stored by column.
+    """Weighted table of categorical records, stored by column.
 
     ``codes[k]`` is a read-only integer array holding, for every row, the
     index of its label in ``domains[k]``; codes that are not integers are
-    refused, not truncated. Labels are materialized only when a CSV is
-    written. A dataset without columns has no rows.
+    refused, not truncated. Row r stands for ``counts[r]`` records, one each
+    when ``counts`` is not given: a read-only 1-D integer array of one
+    non-negative entry per row whose total is below 2**53, so that every
+    count sum is exact in floats and a weighted dataset estimates the same
+    bits as its rows repeated. Column names are distinct. Labels are
+    materialized only when a CSV is written. A dataset without columns has
+    no rows.
     """
 
     columns: tuple[str, ...]
     codes: tuple[np.ndarray, ...]
     domains: tuple[tuple[str, ...], ...]
     provenance: str = "fixture"
+    counts: Optional[np.ndarray] = None
 
     def __post_init__(self):
         columns, domains = tuple(self.columns), tuple(map(tuple, self.domains))
         if len(domains) != len(columns) or len(self.codes) != len(columns):
             raise ValidationError("a dataset needs one code array and one domain per column")
+        for k, c in enumerate(columns):
+            if c in columns[:k]:
+                raise ValidationError(f"column {c!r} appears twice")
         codes = []
         for c, domain, arr in zip(columns, domains, self.codes):
             arr = np.array(arr)
@@ -157,12 +166,25 @@ class Dataset:
             arr = arr.astype(np.intp, copy=False)
             arr.setflags(write=False)
             codes.append(arr)
+        rows = len(codes[0]) if codes else 0
+        counts = np.ones(rows, dtype=np.int64) if self.counts is None else np.array(self.counts)
+        if counts.shape != (rows,) or (counts.size and counts.dtype.kind not in "iu"):
+            raise ValidationError(f"counts must be a 1-D integer array of {rows} entries, one per dataset row")
+        if counts.size and counts.min() < 0:
+            raise ValidationError("counts must be >= 0")
+        # Every partial sum of the float total is exact while the total is below 2**53.
+        total = counts.sum(dtype=float)
+        if not total < 2**53:
+            raise ValidationError(f"counts total {int(total)} records, not below 2**53")
+        counts = counts.astype(np.int64, copy=False)
+        counts.setflags(write=False)
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "codes", tuple(codes))
         object.__setattr__(self, "domains", domains)
+        object.__setattr__(self, "counts", counts)
 
     def __len__(self) -> int:
-        return len(self.codes[0]) if self.codes else 0
+        return len(self.counts)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -172,6 +194,7 @@ class Dataset:
             and self.domains == other.domains
             and self.provenance == other.provenance
             and all(np.array_equal(a, b) for a, b in zip(self.codes, other.codes))
+            and np.array_equal(self.counts, other.counts)
         )
 
 
@@ -530,36 +553,23 @@ def estimate_cpds(
     specs: Mapping[str, VariableSpec],
     dataset: Dataset,
     smoothing: float = 0.0,
-    counts: Optional[np.ndarray] = None,
 ) -> DiscreteModel:
     """Maximum-likelihood CPD estimation with optional additive smoothing.
 
-    Row r of ``dataset`` stands for ``counts[r]`` records, one each if
-    ``counts`` is None: a 1-D array of ``len(dataset)`` non-negative integers
-    whose total is below 2**53, so that every count sum is exact in floats
-    and a weighted dataset estimates the same bits as its rows repeated.
-    Every node whose own column and all parent columns are present gets a CPD
-    of (count + a) / (row total + a * |child domain|). With smoothing a = 0, a
-    parent configuration that never occurs leaves the row undefined: the node
-    is dropped from the instantiated set and an
+    Row r of ``dataset`` counts as ``dataset.counts[r]`` records, so a
+    dataset of distinct records and their counts estimates the same bits as
+    its rows repeated. Every node whose own column and all parent columns
+    are present gets a CPD of (count + a) / (row total + a * |child
+    domain|); a family whose table would exceed
+    :data:`DEFAULT_STATE_SPACE_LIMIT` cells raises
+    :class:`StateSpaceExceeded` before the table is built. With smoothing
+    a = 0, a parent configuration that never occurs leaves the row
+    undefined: the node is dropped from the instantiated set and an
     :class:`UnseenParentConfigurationWarning` is emitted per empty row.
     """
     if not 0 <= smoothing <= sys.float_info.max:
         raise ValidationError(f"smoothing must be finite and >= 0, got {smoothing}")
-    records = len(dataset)
-    if counts is not None:
-        counts = np.asarray(counts)
-        if counts.shape != (len(dataset),) or (counts.size and counts.dtype.kind not in "iu"):
-            raise ValidationError(
-                f"counts must be a 1-D integer array of {len(dataset)} entries, one per dataset row"
-            )
-        if counts.size and counts.min() < 0:
-            raise ValidationError("counts must be >= 0")
-        # Every partial sum of the float total is exact while the total is below 2**53.
-        total = counts.sum(dtype=float)
-        if not total < 2**53:
-            raise ValidationError(f"counts total {int(total)} records, not below 2**53")
-        records = int(total)
+    records = int(dataset.counts.sum())
     if records == 0:
         raise EmptyDataset("cannot estimate CPDs from an empty dataset")
     present = set(dataset.columns)
@@ -594,9 +604,10 @@ def estimate_cpds(
             continue
         card = specs[node].cardinality
         n_cfg = math.prod(specs[p].cardinality for p in parents)
+        _check_states(n_cfg * card, (*parents, node))
         flat = _config_codes((*parents, node), encoded, specs, len(dataset))
-        # Integer counts, or exact float sums of integer weights: the same bits once smoothed.
-        table = np.bincount(flat, weights=counts, minlength=n_cfg * card).reshape(n_cfg, card)
+        # Exact float sums of integer weights below 2**53: the bits of the rows repeated.
+        table = np.bincount(flat, weights=dataset.counts, minlength=n_cfg * card).reshape(n_cfg, card)
         table = table + float(smoothing)
         totals = table.sum(axis=1)
         empty_rows = np.flatnonzero(totals == 0.0)

@@ -202,6 +202,26 @@ def brute_sample(m, n, seed):
     return {v: drawn[v] for v in observed}
 
 
+def brute_tally(dataset):
+    """The dataset that ``load_dataset`` reads back from ``save_dataset(dataset)``:
+    each distinct code row with a nonzero count, in order of the first row
+    that has a nonzero count, with the sum of its rows' counts."""
+    from causalcrit.model import Dataset
+
+    tally = {}
+    rows = zip(*(codes.tolist() for codes in dataset.codes))
+    for row, count in zip(rows, dataset.counts.tolist()):
+        if count:
+            tally[row] = tally.get(row, 0) + count
+    return Dataset(
+        columns=dataset.columns,
+        codes=tuple([row[k] for row in tally] for k in range(len(dataset.columns))),
+        domains=dataset.domains,
+        provenance=dataset.provenance,
+        counts=list(tally.values()),
+    )
+
+
 # -- path-enumeration d-separation -------------------------------------------
 
 def _adjacency(structure):

@@ -22,8 +22,10 @@ from causalcrit.errors import (
     ValidationError,
 )
 from causalcrit.graph import build_structure
-from causalcrit.io import load_counts, load_dataset, save_dataset
+from causalcrit.io import load_dataset, save_dataset
 from causalcrit.model import Dataset, VariableSpec, estimate_cpds
+
+from oracles import brute_tally
 
 LABEL = st.text(alphabet="abXY_-09é", min_size=1, max_size=3)
 
@@ -55,13 +57,14 @@ def _spec(name, labels):
     return VariableSpec(name=name, domain=tuple(labels), codes=tuple(float(k) for k in range(len(labels))))
 
 
-def dataset_of(columns, rows, specs, provenance="fixture"):
+def dataset_of(columns, rows, specs, provenance="fixture", counts=None):
     """The dataset of label rows, built from each label's index in its spec."""
     return Dataset(
         columns=tuple(columns),
         codes=tuple([specs[c].domain.index(row[k]) for row in rows] for k, c in enumerate(columns)),
         domains=tuple(specs[c].domain for c in columns),
         provenance=provenance,
+        counts=counts,
     )
 
 
@@ -118,6 +121,19 @@ class TestDatasetType:
         assert a == Dataset(columns=("A",), codes=(np.array([0, 1]),), domains=(("no", "yes"),))
         assert a != Dataset(columns=("A",), codes=([1, 1],), domains=(("no", "yes"),))
         assert a != Dataset(columns=("A",), codes=([0, 1],), domains=(("no", "yes"),), provenance="x")
+        assert a == Dataset(columns=("A",), codes=([0, 1],), domains=(("no", "yes"),), counts=[1, 1])
+        assert a != Dataset(columns=("A",), codes=([0, 1],), domains=(("no", "yes"),), counts=[1, 2])
+
+    def test_counts_default_to_one_and_are_read_only(self):
+        counts = np.array([3, 0], dtype=np.uint8)
+        weighted = Dataset(columns=("A",), codes=([0, 1],), domains=(("no", "yes"),), counts=counts)
+        counts[0] = 1
+        assert weighted.counts.tolist() == [3, 0] and weighted.counts.dtype == np.int64
+        plain = Dataset(columns=("A",), codes=([0, 1, 1],), domains=(("no", "yes"),))
+        assert plain.counts.tolist() == [1, 1, 1] and len(plain) == 3
+        for ds in (weighted, plain):
+            with pytest.raises(ValueError):
+                ds.counts[0] = 2
 
     @pytest.mark.parametrize(
         "codes, domains",
@@ -155,7 +171,7 @@ class TestRoundTrip:
         save_dataset(path, ds)
         assert path.read_bytes() == reference_csv(names, rows)
         back = load_dataset(path, specs, provenance="synthetic")
-        assert back == ds
+        assert back == brute_tally(ds)
         if not rows:
             return
         # The same labels under a reversed domain order: estimation must
@@ -225,14 +241,27 @@ class TestRoundTrip:
         with pytest.raises(OSError):
             save_dataset(tmp_path / "missing" / "d.csv", dataset_of(["A"], [("yes",)], specs))
 
-    @pytest.mark.parametrize("label", ["x,y", "p\vq", " x", ""])
-    def test_label_that_cannot_be_read_back_is_rejected(self, tmp_path, label):
+    @pytest.mark.parametrize(
+        "columns, label, message",
+        [
+            pytest.param(["A"], label, f"column 'A': label {label!r} cannot be read back", id=label)
+            for label in ["x,y", "p\vq", " x", ""]
+        ] + [
+            pytest.param(["A", "A"], "x", "column 'A' appears twice", id="duplicate-column"),
+            pytest.param([" A"], "x", "column ' A' cannot be read back", id="padded-column"),
+            pytest.param(["A,B"], "x", "column 'A,B' cannot be read back", id="comma-column"),
+            pytest.param(["A", ""], "x", "column '' cannot be read back", id="empty-column"),
+        ],
+    )
+    def test_label_that_cannot_be_read_back_is_rejected(self, tmp_path, columns, label, message):
         # Written as-is, "x,y" reads back as a ragged row, "p\vq" as two
-        # lines, " x" stripped, and an empty cell as a blank line.
-        specs = {"A": _spec("A", [label, "z"])}
+        # lines, " x" stripped, and an empty cell as a blank line; a header
+        # "A,A" is refused as a duplicate, " A" reads back as "A", "A,B" as
+        # two columns and an empty name as no declared variable.
         path = tmp_path / "d.csv"
-        with pytest.raises(ValidationError, match=re.escape(f"column 'A': label {label!r}")):
-            save_dataset(path, dataset_of(["A"], [(label,), ("z",), (label,)], specs))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            save_dataset(path, Dataset(columns=columns, codes=([0, 1, 0],) * len(columns),
+                                       domains=((label, "z"),) * len(columns)))
         assert not path.exists()
 
 
@@ -254,18 +283,12 @@ def reference_first_error(text):
 
 
 def load_error(path):
-    """The error that both readers raise on ``path``, or None: each raises
-    one type with one message."""
-    errors = []
-    for read in (load_dataset, load_counts):
-        try:
-            read(path, SPECS)
-            errors.append(None)
-        except CausalCritError as exc:
-            errors.append(exc)
-    from_dataset, from_counts = errors
-    assert (type(from_counts), str(from_counts)) == (type(from_dataset), str(from_dataset))
-    return from_dataset
+    """The error that load_dataset raises on ``path``, or None."""
+    try:
+        load_dataset(path, SPECS)
+    except CausalCritError as exc:
+        return exc
+    return None
 
 
 def first_error(path):
@@ -321,13 +344,10 @@ class TestLoadErrors:
     def test_blank_lines_and_padding_are_skipped(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_bytes(b"\r\n X ,V2\r\n\r\nCP, Slow\r\n  \r\nnotCP,Fast\r\nCP,Slow \r\n\r\n")
-        expected = dataset_of(["X", "V2"], [("CP", "Slow"), ("notCP", "Fast"), ("CP", "Slow")], SPECS)
         assert load_error(path) is None
-        assert load_dataset(path, SPECS, provenance="fixture") == expected
         # "CP, Slow" and "CP,Slow " are one record.
-        distinct, counts = load_counts(path, SPECS, provenance="fixture")
-        assert distinct == dataset_of(["X", "V2"], [("CP", "Slow"), ("notCP", "Fast")], SPECS)
-        assert counts.tolist() == [2, 1] and counts.dtype.kind == "i"
+        expected = dataset_of(["X", "V2"], [("CP", "Slow"), ("notCP", "Fast")], SPECS, counts=[2, 1])
+        assert load_dataset(path, SPECS, provenance="fixture") == expected
 
     def test_invalid_utf8_is_parse_error(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -345,69 +365,86 @@ class TestLoadErrors:
 @st.composite
 def decorated_csvs(draw):
     """A labelled table written as CSV text over a subset of its columns in a
-    drawn order, with CRLF or LF endings, blank lines and space-padded cells."""
+    drawn order, with CRLF or LF endings, blank lines and space-padded cells:
+    the specs, the structure, the text, the header and the rows it holds as
+    label tuples in header order."""
     names, specs, structure, rows = draw(labelled_tables())
     header = draw(st.permutations(names).flatmap(lambda p: st.integers(1, len(p)).map(lambda k: p[:k])))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     lines = [" , ".join(header), ""]
+    held = []
     for row in rows:
         if draw(st.booleans()):
             lines.append(draw(st.sampled_from(["", "  "])))
-        cells = [row[names.index(c)] for c in header]
-        lines.append(",".join(f" {cell} " if draw(st.booleans()) else cell for cell in cells))
-    return specs, structure, newline.join(lines) + newline
+        held.append(tuple(row[names.index(c)] for c in header))
+        lines.append(",".join(f" {cell} " if draw(st.booleans()) else cell for cell in held[-1]))
+    return specs, structure, newline.join(lines) + newline, header, held
 
 
-def estimated(path, structure, specs, smoothing, weighted):
-    """The model estimated from the CSV at ``path`` and the warnings raised,
-    read row by row or as distinct records and their counts."""
+def estimated(structure, specs, dataset, smoothing):
+    """The model estimated from ``dataset`` and the warnings raised."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if weighted:
-            distinct, counts = load_counts(path, specs)
-            model = estimate_cpds(structure, specs, distinct, smoothing=smoothing, counts=counts)
-        else:
-            model = estimate_cpds(structure, specs, load_dataset(path, specs), smoothing=smoothing)
+        model = estimate_cpds(structure, specs, dataset, smoothing=smoothing)
     return model, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_same_estimates(structure, specs, weighted, repeated, positive):
+    """``weighted`` estimates the table bytes and warnings of ``repeated``, its
+    rows repeated with counts of one, at smoothing 0 and ``positive``."""
+    if not len(repeated):
+        for ds in (weighted, repeated):
+            with pytest.raises(EmptyDataset):
+                estimate_cpds(structure, specs, ds)
+        return
+    for smoothing in (0.0, positive):
+        by_count, count_warnings = estimated(structure, specs, weighted, smoothing)
+        by_row, row_warnings = estimated(structure, specs, repeated, smoothing)
+        assert count_warnings == row_warnings
+        assert set(by_count.cpds) == set(by_row.cpds)
+        for node, cpd in by_row.cpds.items():
+            other = by_count.cpds[node]
+            assert other.parents == cpd.parents
+            assert (other.table.dtype, other.table.shape) == (cpd.table.dtype, cpd.table.shape)
+            assert other.table.tobytes() == cpd.table.tobytes()
 
 
 class TestCounts:
     @settings(max_examples=150, deadline=None)
     @given(decorated_csvs(), st.floats(1e-3, 10.0))
     def test_counts_estimate_the_bits_of_every_row(self, tmp_path_factory, csv, positive):
-        specs, structure, text = csv
+        specs, structure, text, header, rows = csv
         path = tmp_path_factory.mktemp("csv") / "d.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        full = load_dataset(path, specs)
-        distinct, counts = load_counts(path, specs)
-        tally: dict = {}
-        for row in zip(*(codes.tolist() for codes in full.codes)):
-            tally[row] = tally.get(row, 0) + 1
-        assert list(zip(*(codes.tolist() for codes in distinct.codes))) == list(tally)
-        assert counts.tolist() == list(tally.values())
-        assert (distinct.columns, distinct.domains) == (full.columns, full.domains)
-        if not len(full):
-            for weighted in (False, True):
-                with pytest.raises(EmptyDataset):
-                    estimated(path, structure, specs, 0.0, weighted)
-            return
-        for smoothing in (0.0, positive):
-            by_row, row_warnings = estimated(path, structure, specs, smoothing, weighted=False)
-            by_count, count_warnings = estimated(path, structure, specs, smoothing, weighted=True)
-            assert count_warnings == row_warnings
-            assert set(by_count.cpds) == set(by_row.cpds)
-            for node, cpd in by_row.cpds.items():
-                other = by_count.cpds[node]
-                assert other.parents == cpd.parents
-                assert (other.table.dtype, other.table.shape) == (cpd.table.dtype, cpd.table.shape)
-                assert other.table.tobytes() == cpd.table.tobytes()
+        loaded = load_dataset(path, specs)
+        assert loaded == brute_tally(dataset_of(header, rows, specs, provenance="real-world"))
+        expanded = Dataset(
+            columns=loaded.columns,
+            codes=tuple(np.repeat(codes, loaded.counts) for codes in loaded.codes),
+            domains=loaded.domains,
+        )
+        assert len(expanded) == len(rows)
+        assert_same_estimates(structure, specs, loaded, expanded, positive)
+
+    @settings(max_examples=150, deadline=None)
+    @given(labelled_tables(), st.data(), st.floats(1e-3, 10.0))
+    def test_weighted_save_load_estimate(self, tmp_path_factory, table, data, positive):
+        names, specs, structure, rows = table
+        counts = data.draw(st.lists(st.integers(0, 3), min_size=len(rows), max_size=len(rows)), label="counts")
+        ds = dataset_of(names, rows, specs, provenance="synthetic", counts=counts)
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        save_dataset(path, ds)
+        repeated = [row for row, count in zip(rows, counts) for _ in range(count)]
+        assert path.read_bytes() == reference_csv(names, repeated)
+        assert load_dataset(path, specs, provenance="synthetic") == brute_tally(ds)
+        assert_same_estimates(structure, specs, ds, dataset_of(names, repeated, specs), positive)
 
     def test_unseen_configuration_warns_once_per_row(self):
         specs = {"A": _spec("A", ["a", "b"]), "B": _spec("B", ["x", "y"])}
-        ds = dataset_of(["A", "B"], [("a", "x"), ("a", "y")], specs)
+        ds = dataset_of(["A", "B"], [("a", "x"), ("a", "y")], specs, counts=[3, 1])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            model = estimate_cpds(build_structure(["A", "B"], [("A", "B")]), specs, ds, counts=[3, 1])
+            model = estimate_cpds(build_structure(["A", "B"], [("A", "B")]), specs, ds)
         assert [(w.category, str(w.message)) for w in caught] == [(
             UnseenParentConfigurationWarning,
             "node 'B': no observations for parent configuration {'A': 'b'}; node left uninstantiated",
@@ -418,8 +455,9 @@ class TestCounts:
     def test_zero_counts_drop_their_rows(self):
         specs = {"A": _spec("A", ["a", "b", "c"])}
         structure = build_structure(["A"])
-        ds = dataset_of(["A"], [("a",), ("b",), ("c",)], specs)
-        weighted = estimate_cpds(structure, specs, ds, smoothing=0.5, counts=np.array([2, 0, 1], dtype=np.uint8))
+        counts = np.array([2, 0, 1], dtype=np.uint8)
+        weighted = estimate_cpds(structure, specs, dataset_of(["A"], [("a",), ("b",), ("c",)], specs, counts=counts),
+                                 smoothing=0.5)
         repeated = estimate_cpds(structure, specs, dataset_of(["A"], [("a",), ("c",), ("a",)], specs), smoothing=0.5)
         assert weighted.cpds["A"].table.tobytes() == repeated.cpds["A"].table.tobytes()
 
@@ -430,18 +468,17 @@ class TestCounts:
     )
     def test_bad_counts_are_validation_errors(self, counts):
         specs = {"A": _spec("A", ["a", "b"])}
-        ds = dataset_of(["A"], [("a",), ("b",)], specs)
         with pytest.raises(ValidationError, match="^counts "):
-            estimate_cpds(build_structure(["A"]), specs, ds, counts=counts)
+            dataset_of(["A"], [("a",), ("b",)], specs, counts=counts)
 
     @pytest.mark.parametrize("rows, counts", [([("a",), ("b",)], [0, 0]), ([], [])])
     def test_zero_total_is_empty_dataset(self, rows, counts):
         specs = {"A": _spec("A", ["a", "b"])}
         with pytest.raises(EmptyDataset):
-            estimate_cpds(build_structure(["A"]), specs, dataset_of(["A"], rows, specs), counts=counts)
+            estimate_cpds(build_structure(["A"]), specs, dataset_of(["A"], rows, specs, counts=counts))
 
     def test_overflow_names_the_record_total(self):
         specs = {"A": _spec("A", ["a", "b"])}
-        ds = dataset_of(["A"], [("a",), ("b",)], specs)
+        ds = dataset_of(["A"], [("a",), ("b",)], specs, counts=[20, 30])
         with pytest.raises(ValidationError, match="^smoothing 1e\\+308 overflows the CPD row totals of 50 rows "):
-            estimate_cpds(build_structure(["A"]), specs, ds, smoothing=1e308, counts=[20, 30])
+            estimate_cpds(build_structure(["A"]), specs, ds, smoothing=1e308)

@@ -39,6 +39,7 @@ from causalcrit.io import (
 from causalcrit.indicators import ModelPair, _induced_submodel, _kept_families, indicator_reports
 from causalcrit.model import VariableSpec, estimate_cpds, joint_tables, make_cpd, sample
 
+from oracles import brute_tally
 from test_model import random_models
 
 # Shipped fixture files are pinned; regenerating them is a deliberate act
@@ -504,8 +505,12 @@ class TestDataset:
         ds = sample(model, 250, seed=13)
         path = tmp_path / "sampled.csv"
         save_dataset(path, ds)
+        # One line per sampled row, in sampling order.
+        rows = zip(*(np.array(domain)[codes].tolist() for codes, domain in zip(ds.codes, ds.domains)))
+        assert path.read_bytes() == "".join(f"{','.join(r)}\n" for r in [ds.columns, *rows]).encode()
         back = load_dataset(path, relation.specs, provenance="synthetic")
-        assert back == ds
+        assert back == brute_tally(ds)
+        assert back.counts.sum() == 250 and len(back) < 250
 
 
 BOM = "\ufeff".encode("utf-8")

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -719,6 +720,27 @@ class TestEstimate:
             est = estimate_cpds(s, specs, ds, smoothing=0.0)
         assert "B" not in est.instantiated
         assert "A" in est.instantiated
+
+    @pytest.mark.parametrize("n_parents, rows", [(64, 3), (25, 2)])
+    def test_oversized_family_is_state_space_exceeded(self, n_parents, rows):
+        # 64 binary parents overflow bincount's length; 25 would allocate a
+        # 2**26-cell table. Either is refused before the family's codes.
+        parents = [f"P{k:02d}" for k in range(n_parents)]
+        specs = {name: binary_spec(name) for name in ["Y", *parents]}
+        s = build_structure(["Y", *parents], [(p, "Y") for p in parents])
+        ds = Dataset(
+            columns=("Y", *parents),
+            codes=tuple([k % 2 for k in range(rows)] for _ in specs),
+            domains=(("no", "yes"),) * len(specs),
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateSpaceExceeded, match=f"over {n_parents + 1} nodes spans {2 ** (n_parents + 1)} "):
+                estimate_cpds(s, specs, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_missing_parent_column_drops_child(self, reality_model):
         ds = sample(reality_model, 1000, seed=3)
