@@ -8,6 +8,7 @@ records; no description-logic reasoning happens here.
 
 from __future__ import annotations
 
+import operator
 from typing import Mapping, Optional, Union
 
 from ._record import field, record
@@ -26,16 +27,10 @@ __all__ = [
     "validate_record",
 ]
 
-OPERATORS = ("<", "<=", "=", ">=", ">", "!=")
-
 _OP_FUNCS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    "=": lambda a, b: a == b,
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
-    "!=": lambda a, b: a != b,
+    "<": operator.lt, "<=": operator.le, "=": operator.eq, ">=": operator.ge, ">": operator.gt, "!=": operator.ne,
 }
+OPERATORS = tuple(_OP_FUNCS)
 
 
 @record

@@ -35,7 +35,7 @@ from .errors import (
     ZeroProbabilityCondition,
 )
 from .graph import ancestors, backdoor_admissible, descendants, open_backdoor_path
-from .model import DiscreteModel, _ask, _run, _Step
+from .model import DiscreteModel, _ask, _config_labels, _run, _Step
 
 __all__ = [
     "ROUTES",
@@ -122,10 +122,7 @@ def _adjusted_table(
     undefined = live[:, None] & (p_xs == 0.0)
     if undefined.any():
         r = np.flatnonzero(undefined.any(axis=0))[0]
-        combo = np.unravel_index(
-            np.flatnonzero(undefined[:, r])[0], [m.spec_of(a).cardinality for a in adj]
-        )
-        labels = {a: m.spec_of(a).domain[i] for a, i in zip(adj, combo)}
+        labels = _config_labels(adj, m.specs, int(np.flatnonzero(undefined[:, r])[0]))
         raise ZeroProbabilityCondition(
             f"P({x}={spec_x.domain[rows[r]]}, {labels}) = 0; conditional undefined"
         )

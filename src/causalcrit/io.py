@@ -468,12 +468,12 @@ _KEY_LIMIT = 1 << 62
 
 def save_dataset(path: PathLike, dataset: Dataset) -> None:
     """Write ``dataset`` as CSV, row r ``counts[r]`` times in row order, rendering each distinct
-    row only once; a dataset without columns, or a column name or label that would not read back
-    as itself, raises before anything is written."""
+    row only once; a dataset without columns, or a column name or label that is not a string
+    that reads back as itself, raises before anything is written."""
     import numpy as np
 
-    def reads_back(cell: str) -> bool:
-        return cell == cell.strip() and "," not in cell and cell.splitlines() == [cell]
+    def reads_back(cell: object) -> bool:
+        return isinstance(cell, str) and cell == cell.strip() and "," not in cell and cell.splitlines() == [cell]
 
     if not dataset.columns:
         raise ValidationError("a dataset without columns has no header row to write")

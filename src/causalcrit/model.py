@@ -5,11 +5,11 @@ and :func:`build_model`, lives in :mod:`causalcrit.variables`, which needs no
 numpy, and is re-exported here. Models are immutable after construction. All
 probability computations are exact: :func:`joint_tables` computes joints over
 just the queried nodes by variable elimination over the CPDs of their
-ancestral closure. A query whose output or largest intermediate factor
-exceeds :data:`DEFAULT_STATE_SPACE_LIMIT` states is rejected instead of
-being silently approximated. One driver, :func:`_run`, the only caller of
-:func:`joint_tables` in the package, answers the joints that the route and
-indicator steps ask for.
+ancestral closure, planned by factor index and then replayed. A query whose
+output or largest intermediate factor exceeds :data:`DEFAULT_STATE_SPACE_LIMIT`
+states is rejected before the first contraction, not approximated. One
+driver, :func:`_run`, the only caller of :func:`joint_tables` in the package,
+answers the joints that the route and indicator steps ask for.
 """
 
 from __future__ import annotations
@@ -260,7 +260,7 @@ def joint_tables(
     The CPD factors of the ancestral closure of all scopes (else
     :class:`InsufficientInstantiation`, naming the missing CPDs) are
     multiplied and summed out by sum-product variable elimination (Zhang &
-    Poole 1994).
+    Poole 1994), first planned by factor index, then replayed.
     The root is the scope that reaches furthest down the topological order
     (then the one with the most states, then the first): its nodes and the
     model and row axes are kept, and every other closure node, intervened or
@@ -273,10 +273,10 @@ def joint_tables(
     hold a scope, and each scope is summed out of its bucket or the root
     (Shenoy & Shafer 1990; Lauritzen & Spiegelhalter 1988); a lone scope is
     the root and needs no downward pass.
-    :class:`StateSpaceExceeded` is raised before an output, a bucket or the
-    root that would exceed :data:`DEFAULT_STATE_SPACE_LIMIT` states (read at
-    each call) is built, and no downward message or read spans more than the
-    cluster that sends it.
+    The plan checks every limit before the first contraction:
+    :class:`StateSpaceExceeded` is raised when an output, a bucket or the root
+    would exceed :data:`DEFAULT_STATE_SPACE_LIMIT` states (read at each call),
+    and no downward message or read spans more than the cluster that sends it.
     """
     single = isinstance(models, DiscreteModel)
     models = [models] if single else list(models)
@@ -310,12 +310,22 @@ def joint_tables(
     axes = [(*lead, *s) for s in scopes]
     sizes = [states(a) for a in axes]
     for s, size in zip(scopes, sizes):
-        _check_states(size, s)
-    # Factors are (scope, array) pairs, told apart by identity. Single-state
-    # variables get no axis: summing one out is the identity. The model and
-    # row axes also carry a ones factor each, so they survive when no CPD or
-    # intervened node lies in the closure.
-    factors = []
+        _check_states(size, len(s))
+    # The plan: a factor is an index into ``fs``, its axes, and ``arrays``,
+    # its array, which the replay computes for each of ``steps``, the
+    # contractions as (index, input factors) in order. Single-state variables
+    # get no axis: summing one out is the identity. The model and row axes also
+    # carry a ones factor each, so they survive when no CPD or intervened node
+    # lies in the closure.
+    fs, arrays, steps = [], [], []
+
+    def factor(scope: tuple, array: Optional[np.ndarray] = None, ins: Sequence[int] = ()) -> int:
+        if array is None:
+            steps.append((len(fs), ins))
+        fs.append(scope)
+        arrays.append(array)
+        return len(fs) - 1
+
     for n in (*lead, *closure):
         if n in lead:
             table, parents = np.ones(card[n]), ()
@@ -325,8 +335,8 @@ def joint_tables(
             per_model = [other.cpds[n].table for other in models]
             table = per_model[0] if len(per_model) == 1 else np.array(per_model)
             parents = (_MODELS, *m.cpds[n].parents)
-        scope = tuple(v for v in (*parents, n) if card[v] != 1)
-        factors.append((scope, table.reshape([card[v] for v in scope])))
+        fs.append(tuple(v for v in (*parents, n) if card[v] != 1))
+        arrays.append(table.reshape([card[v] for v in fs[-1]]))
     # The root is the scope that reaches furthest down the topological
     # order, then the largest, so the closure is eliminated from the sources
     # down toward it. Only its nodes and the model and row axes are kept: an
@@ -345,11 +355,10 @@ def joint_tables(
     for k, a in enumerate(axes):
         scope = tuple(v for v in a if card[v] != 1)
         if not kept.issuperset(scope):
-            unit[k] = (scope, np.ones([card[v] for v in scope]))
-            factors.append(unit[k])
+            unit[k] = factor(scope, np.ones([card[v] for v in scope]))
     # Neighbours leave out the model axis, so it counts in no bucket's rank.
     nbrs: dict = {n: set() for n in card if card[n] != 1}
-    for scope, _ in factors:
+    for scope in fs:
         for v in scope:
             nbrs[v].update(scope)
     nbrs.pop(_MODELS, None)
@@ -359,53 +368,51 @@ def joint_tables(
     # (states spanned by its bucket, name) for each hidden node; the bucket
     # holds the node and its neighbours.
     rank = {v: (card[v] * math.prod(map(card.__getitem__, nbrs[v])), v) for v in hidden}
-    buckets = []  # (factors, message) per eliminated node
+    live = list(range(len(fs)))  # the factors no bucket has taken; step i sums bucket i
     while hidden:
         v = min(hidden, key=rank.__getitem__)
-        _check_states(rank[v][0], (v, *nbrs[v]))
+        _check_states(rank[v][0], 1 + len(nbrs[v]))
         hidden.discard(v)
         # Only hidden nodes' neighbours are read again.
         for u in nbrs[v] & hidden:
             nbrs[u] |= nbrs[v]
             nbrs[u] -= {u, v}
             rank[u] = (card[u] * math.prod(map(card.__getitem__, nbrs[u])), u)
-        bucket = [f for f in factors if v in f[0]]
-        factors = [f for f in factors if v not in f[0]]
-        scope = tuple(dict.fromkeys(w for s, _ in bucket for w in s if w != v))
-        buckets.append((bucket, (scope, _contract(bucket, scope))))
-        factors.append(buckets[-1][1])
+        bucket = [f for f in live if v in fs[f]]
+        live = [f for f in live if v not in fs[f]]
+        scope = tuple(dict.fromkeys(w for f in bucket for w in fs[f] if w != v))
+        live.append(factor(scope, ins=bucket))
     # The root is the last cluster, what no bucket took, and it holds the
     # model axis's ones factor at least. A downward message or a read spans
     # no more than the bucket or root that sends it.
-    last = tuple(dict.fromkeys(w for s, _ in factors for w in s))
-    _check_states(states(last), last)
-    cluster = {None: factors}  # bucket (None: the root) -> its factors and downward message
+    last = {w for f in live for w in fs[f] if w is not _MODELS}
+    _check_states(states(last), len(last))
+    cluster = {None: live}  # bucket (None: the root) -> its factors and downward message
     at = [None] * len(scopes)  # the bucket each scope is read from (None: the root)
     if unit:
-        owner = {id(f): i for i, (bucket, _) in enumerate(buckets) for f in bucket}
-        at = [owner.get(id(unit.get(k))) for k in range(len(scopes))]
+        owner = {f: i for i, (_, bucket) in enumerate(steps) for f in bucket}
+        at = [owner.get(unit.get(k)) for k in range(len(scopes))]
         path = set()
         for i in at:
             while i is not None and i not in path:
                 path.add(i)
-                i = owner.get(id(buckets[i][1]))
+                i = owner.get(steps[i][0])
         # A bucket is eliminated before the one that takes its message, so in
         # descending order every sender has its own downward message.
         for i in sorted(path, reverse=True):
-            bucket, msg = buckets[i]
-            sender = [f for f in cluster[owner.get(id(msg))] if f is not msg]
+            msg, bucket = steps[i]
+            sender = [f for f in cluster[owner.get(msg)] if f != msg]
             # The sender's other factors may miss a node of the message answered.
-            rest = tuple(w for w in msg[0] if all(w not in s for s, _ in sender))
+            rest = tuple(w for w in fs[msg] if all(w not in fs[f] for f in sender))
             if rest or not sender:
-                sender.append((rest, np.ones([card[w] for w in rest])))
-            cluster[i] = [*bucket, (msg[0], _contract(sender, msg[0]))]
-    tables = []
-    for i, a in zip(at, axes):
-        # A bucket's unit factor spans the scope it holds.
-        table = _contract(cluster[i], tuple(v for v in a if card[v] != 1))
-        shape = [card[v] for v in a]
-        tables.append(table.reshape(shape[1:] if single else shape))
-    return tables
+                sender.append(factor(rest, np.ones([card[w] for w in rest])))
+            cluster[i] = [*bucket, factor(fs[msg], ins=sender)]
+    # A bucket's unit factor spans the scope it holds.
+    reads = [factor(tuple(v for v in a if card[v] != 1), ins=cluster[i]) for i, a in zip(at, axes)]
+    # The replay: every limit has been checked.
+    for k, ins in steps:
+        arrays[k] = _contract([(fs[j], arrays[j]) for j in ins], fs[k])
+    return [arrays[k].reshape([card[v] for v in (a[1:] if single else a)]) for k, a in zip(reads, axes)]
 
 
 # A step is a generator that yields a list of asks, each made by _ask, is
@@ -496,9 +503,8 @@ def _contract(
     return np.einsum(*args, [label[w] for w in out])
 
 
-def _check_states(size: int, nodes: Sequence) -> None:
+def _check_states(size: int, count: int) -> None:
     if size > DEFAULT_STATE_SPACE_LIMIT:
-        count = sum(w is not _MODELS for w in nodes)
         raise StateSpaceExceeded(
             f"a factor over {count} nodes spans {size} states, above the limit of {DEFAULT_STATE_SPACE_LIMIT}"
         )
@@ -604,7 +610,7 @@ def estimate_cpds(
             continue
         card = specs[node].cardinality
         n_cfg = math.prod(specs[p].cardinality for p in parents)
-        _check_states(n_cfg * card, (*parents, node))
+        _check_states(n_cfg * card, len(parents) + 1)
         flat = _config_codes((*parents, node), encoded, specs, len(dataset))
         # Exact float sums of integer weights below 2**53: the bits of the rows repeated.
         table = np.bincount(flat, weights=dataset.counts, minlength=n_cfg * card).reshape(n_cfg, card)

@@ -171,6 +171,28 @@ class TestValidateRecord:
         violations = validate_record(relation, record)
         assert any("other relevant vehicle" in v.message for v in violations)
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"ego": "present"}, None),
+            ({"ego.id": "e1"}, None),
+            ({"ego vehicle.id": "e1"}, "[L4:existence] required individual 'ego' missing"),
+        ],
+        ids=["direct-key", "property-key", "longer-name"],
+    )
+    def test_individual_keyed_by_its_own_name(self, record, message):
+        # A record names an individual by its own key or by a key
+        # "<individual>.<property>"; "ego vehicle.id" names another one.
+        relation = simple_relation()
+        ego = CausalRelation(
+            structure=relation.structure,
+            context=(ContextStatement(layer=4, subject="ego", kind="existence"),),
+            phenomenon=relation.phenomenon,
+            metric=relation.metric,
+            specs=relation.specs,
+        )
+        assert [str(v) for v in validate_record(ego, record)] == ([message] if message else [])
+
     def test_property_to_property_constraint(self):
         relation = simple_relation()
         cross = CausalRelation(

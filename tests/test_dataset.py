@@ -251,13 +251,16 @@ class TestRoundTrip:
             pytest.param([" A"], "x", "column ' A' cannot be read back", id="padded-column"),
             pytest.param(["A,B"], "x", "column 'A,B' cannot be read back", id="comma-column"),
             pytest.param(["A", ""], "x", "column '' cannot be read back", id="empty-column"),
+            pytest.param([1], "x", "column 1 cannot be read back", id="int-column"),
+            pytest.param(["A"], 1, "column 'A': label 1 cannot be read back", id="int-label"),
         ],
     )
     def test_label_that_cannot_be_read_back_is_rejected(self, tmp_path, columns, label, message):
         # Written as-is, "x,y" reads back as a ragged row, "p\vq" as two
         # lines, " x" stripped, and an empty cell as a blank line; a header
         # "A,A" is refused as a duplicate, " A" reads back as "A", "A,B" as
-        # two columns and an empty name as no declared variable.
+        # two columns and an empty name as no declared variable. A cell is
+        # read back as a string, so a name or label of another type is refused.
         path = tmp_path / "d.csv"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             save_dataset(path, Dataset(columns=columns, codes=([0, 1, 0],) * len(columns),

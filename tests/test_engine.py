@@ -252,6 +252,24 @@ class TestBackdoor:
         with pytest.raises(NotAdmissible):
             plan_effect(candidate_model, {"X": ["CP"]}, "phi", "backdoor", ["V1"])
 
+    def test_descendant_in_a_set_that_blocks_every_path_rejected(self):
+        # X -> M -> Y, Z -> X, Z -> Y: {M, Z} leaves no back-door path open,
+        # but M descends from X.
+        specs = {n: VariableSpec(name=n, domain=("a", "b"), codes=(0.0, 1.0)) for n in "MXYZ"}
+        s = build_structure(["Z", "X", "M", "Y"], [("X", "M"), ("M", "Y"), ("Z", "X"), ("Z", "Y")])
+        m = build_model(s, specs, [
+            make_cpd("Z", (), [[0.5, 0.5]], specs),
+            make_cpd("X", ("Z",), [[0.7, 0.3], [0.2, 0.8]], specs),
+            make_cpd("M", ("X",), [[0.9, 0.1], [0.4, 0.6]], specs),
+            make_cpd("Y", ("M", "Z"), [[0.9, 0.1], [0.6, 0.4], [0.3, 0.7], [0.1, 0.9]], specs),
+        ])
+        message = (
+            "['M', 'Z'] does not satisfy the back-door criterion for ('X', 'Y'): "
+            "it holds a latent node or a descendant of 'X'"
+        )
+        with pytest.raises(NotAdmissible, match=f"^{re.escape(message)}$"):
+            plan_effect(m, {"X": ["b"]}, "Y", "backdoor", ["Z", "M"])
+
     def test_library_needs_an_adjustment_set(self, reality_model):
         # The CLI passes the empty set when --adjust-set is absent; the
         # library call has no such default.

@@ -398,6 +398,26 @@ class TestJointTables:
                     key = tuple(m.specs[n].domain[i] for n, i in zip(names, idx))
                     assert row[idx] == pytest.approx(expected.get(key, 0.0), abs=1e-12)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_every_limit_is_checked_before_the_first_contraction(self, data):
+        m = data.draw(random_models(min_nodes=4, max_nodes=10))
+        seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), max_size=1))
+        models = [m, *(redrawn(m, seed) for seed in seeds)]
+        # Scopes of one or two nodes leave the rest of their closure to eliminate.
+        nodes = sorted(m.instantiated)
+        scopes = data.draw(st.lists(st.sets(st.sampled_from(nodes), min_size=1, max_size=2), min_size=1, max_size=4))
+        do_nodes = data.draw(st.sets(st.sampled_from(nodes), max_size=2))
+        do = {d: [data.draw(st.integers(0, m.specs[d].cardinality - 1))] for d in do_nodes}
+        # A limit just below a size that the query's own checks read refuses it.
+        with mock.patch.object(model, "_check_states", wraps=model._check_states) as checks:
+            joint_tables(models, scopes, do=do)
+        limit = data.draw(st.sampled_from(sorted({call.args[0] for call in checks.call_args_list}))) - 1
+        contract = mock.patch.object(model, "_contract", wraps=model._contract)
+        with state_space_limit(limit), contract as calls, pytest.raises(StateSpaceExceeded):
+            joint_tables(models, scopes, do=do)
+        assert calls.call_count == 0
+
     def test_no_scopes(self, reality_model):
         assert joint_tables(reality_model, []) == []
 
