@@ -25,6 +25,7 @@ all.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import abc
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -45,7 +46,7 @@ from .errors import (
 )
 from .graph import build_structure
 from .model import DiscreteModel, build_model
-from .model import _ask, _closure_within, _cpds, _run, _Step
+from .model import _ask, _check_closure, _cpds, _run, _Step
 
 __all__ = [
     "IndicatorReport",
@@ -142,6 +143,12 @@ def kl_divergence(
     # A NaN fails both comparisons.
     if not (both.min(initial=0.0) >= 0.0 and both.max(initial=0.0) < np.inf):
         raise ValidationError("distributions need finite, non-negative entries")
+    return _kl(pa, qa, bits)
+
+
+def _kl(pa: np.ndarray, qa: np.ndarray, bits: bool) -> float:
+    """:func:`kl_divergence` of float arrays of one shape whose entries are
+    finite and non-negative, as every array built from checked CPDs is."""
     mask = pa > 0.0
     p_in, q_in = pa[mask], qa[mask]
     if not q_in.all():
@@ -247,11 +254,11 @@ def _kl_step(pair: ModelPair, name: str, nodes: Iterable[str], bits: bool) -> _S
     node_list = _node_set(pair, name, nodes)
     cand, ref = yield [_ask(pair.candidate, [node_list]), _ask(pair.reference, [node_list])]
     q, p = cand[node_list], ref[node_list]
-    value = kl_divergence(q, p, bits=bits)
+    value = _kl(q, p, bits)
     meta = {
         "log_base": "bits" if bits else "nats",
         "kl_order": "candidate||reference",
-        "reverse_value": kl_divergence(p, q, bits=bits),
+        "reverse_value": _kl(p, q, bits),
     }
     if name == "rho1":
         domain = pair.reference.specs[node_list[0]].domain
@@ -287,7 +294,7 @@ def _cut_parents(m: DiscreteModel, edges: Iterable[tuple[str, str]]) -> dict[str
     cut_by_child: dict[str, list[str]] = {}
     for a, b in edge_list:
         cut_by_child.setdefault(b, []).append(a)
-    _closure_within(m, cut_by_child)
+    _check_closure(m, cut_by_child)
     return cut_by_child
 
 
@@ -311,13 +318,12 @@ def _influences(
             p_pa = p_family[parents]  # axes follow the sorted parents
             cond = m.cpds[child].table.reshape(p_pa.shape + (m.specs[child].cardinality,))
             cut_axes = tuple(parents.index(a) for a in cut)
-            weight = np.ones(p_pa.ndim * (1,))  # product of the cut parents' marginals
-            for k in cut_axes:
-                others = tuple(i for i in range(p_pa.ndim) if i != k)
-                weight = weight * p_pa.sum(axis=others, keepdims=True)
+            axes = range(p_pa.ndim)
+            marginals = (p_pa.sum(axis=tuple(i for i in axes if i != k), keepdims=True) for k in cut_axes)
+            weight = functools.reduce(np.multiply, marginals)  # product of the cut parents' marginals
             cut_cond = (cond * weight[..., None]).sum(axis=cut_axes, keepdims=True)
             family = p_pa[..., None] * cond
-            total += kl_divergence(family, p_pa[..., None] * cut_cond, bits=bits)
+            total += _kl(family, p_pa[..., None] * cut_cond, bits)
         totals.append(total)
     return totals
 
@@ -408,7 +414,7 @@ def _rho3_step(
     cuts: dict[str, list] = {role: [] for role in models}
     for n in component_nodes:  # every cut is checked, reference first, before any is answered
         for role, m in models.items():
-            cuts[role].append(_cut_parents(m, [e for e in m.structure.directed if e[0] == n]))
+            cuts[role].append(_cut_parents(m, [(n, c) for c in m.structure._children[n]]))
     families = yield [_ask(m, _families(m, cuts[role])) for role, m in models.items()]
     influences = {
         role: dict(zip(component_nodes, _influences(m, cuts[role], joints, bits)))

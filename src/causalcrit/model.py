@@ -227,6 +227,16 @@ def _closure_within(
     return tuple(sorted(needed))
 
 
+def _check_closure(m: DiscreteModel, over: Iterable[str], clamped: Container[str] = ()) -> None:
+    """The errors of :func:`_closure_within`. No closure lacks a CPD when every
+    node has one (:func:`build_model` files each under a distinct node), so
+    then only the names are checked, in the walk's order."""
+    if len(m.cpds) < len(m.structure.nodes):
+        _closure_within(m, over, clamped)
+    else:
+        m.structure.ensure_nodes(n for n in reversed(list(set(over))) if n not in clamped)
+
+
 # The leading model and row axes of a joint; not node names.
 _MODELS = object()
 _ROWS = object()
@@ -274,9 +284,10 @@ def joint_tables(
     (Shenoy & Shafer 1990; Lauritzen & Spiegelhalter 1988); a lone scope is
     the root and needs no downward pass.
     The plan checks every limit before the first contraction:
-    :class:`StateSpaceExceeded` is raised when an output, a bucket or the root
-    would exceed :data:`DEFAULT_STATE_SPACE_LIMIT` states (read at each call),
-    and no downward message or read spans more than the cluster that sends it.
+    :class:`StateSpaceExceeded` is raised when an output or a bucket would
+    exceed :data:`DEFAULT_STATE_SPACE_LIMIT` states (read at each call).
+    The root spans no more than its scope's output, and no downward message
+    or read more than the cluster that sends it.
     """
     single = isinstance(models, DiscreteModel)
     models = [models] if single else list(models)
@@ -383,10 +394,9 @@ def joint_tables(
         scope = tuple(dict.fromkeys(w for f in bucket for w in fs[f] if w != v))
         live.append(factor(scope, ins=bucket))
     # The root is the last cluster, what no bucket took, and it holds the
-    # model axis's ones factor at least. A downward message or a read spans
-    # no more than the bucket or root that sends it.
-    last = {w for f in live for w in fs[f] if w is not _MODELS}
-    _check_states(states(last), len(last))
+    # model axis's ones factor at least. It spans no more than the root
+    # scope's output, and a downward message or a read no more than the
+    # bucket or root that sends it.
     cluster = {None: live}  # bucket (None: the root) -> its factors and downward message
     at = [None] * len(scopes)  # the bucket each scope is read from (None: the root)
     if unit:
@@ -439,7 +449,7 @@ def _ask(
     is raised in the step that makes the ask.
     """
     scopes = tuple(dict.fromkeys(tuple(sorted(set(s))) for s in scopes))
-    _closure_within(m, {n for s in scopes for n in s}, do or ())
+    _check_closure(m, {n for s in scopes for n in s}, do or ())
     if do is None:
         return m, scopes, (m._factor_key, None, None)
     return m, scopes, (m._factor_key, tuple((n, tuple(do[n])) for n in sorted(do)), scopes)

@@ -125,7 +125,8 @@ def build_model(
     for cpd in cpds:
         if cpd.child in cpd_map:
             raise ValidationError(f"duplicate CPD for {cpd.child!r}")
-        expected = tuple(sorted(structure.parents(cpd.child)))
+        structure.ensure_nodes((cpd.child,))
+        expected = structure._parents[cpd.child]  # name-sorted
         if cpd.parents != expected:
             raise ValidationError(
                 f"CPD for {cpd.child!r} conditions on {cpd.parents}, "
