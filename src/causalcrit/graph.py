@@ -111,6 +111,12 @@ class CausalStructure:
         """One prepared :class:`_BackdoorCheck` per (x, y), filled on first use."""
         return {}
 
+    @cached_property
+    def _plans(self) -> dict:
+        """The elimination plans of :func:`causalcrit.model.joint_tables` on
+        this structure, by query, oldest first; filled on first use."""
+        return {}
+
     def ensure_nodes(self, names: Iterable[str]) -> None:
         for name in names:
             if name not in self._parents:

@@ -13,7 +13,7 @@ numeric layers when they run.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
+from itertools import chain, islice
 import json
 from json.encoder import encode_basestring as _encode_string
 import marshal
@@ -281,8 +281,8 @@ def model_to_text(cr: CausalRelation, model: DiscreteModel) -> str:
     return canonical_json(payload)
 
 
-def _write_text(path: PathLike, text: str) -> None:
-    """Leave the file at ``path`` holding exactly ``text`` in UTF-8.
+def _write_bytes(path: PathLike, data: bytes) -> None:
+    """Leave the file at ``path`` holding exactly ``data``.
 
     An existing regular file is overwritten in place and then cut to the new
     length, not truncated to zero first: ext4 and file systems like it start
@@ -290,7 +290,6 @@ def _write_text(path: PathLike, text: str) -> None:
     which makes each rewrite wait for the disk. Overwritten in place, the
     pages are written back later by the kernel.
     """
-    data = text.encode("utf-8")
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "wb") as out:
         out.write(data)
@@ -299,7 +298,7 @@ def _write_text(path: PathLike, text: str) -> None:
 
 
 def save_model(path: PathLike, cr: CausalRelation, model: DiscreteModel) -> None:
-    _write_text(path, model_to_text(cr, model))
+    _write_bytes(path, model_to_text(cr, model).encode("utf-8"))
 
 
 def _statement_from_json(st: dict, where: str) -> ContextStatement:
@@ -436,14 +435,13 @@ def load_dataset(
             raise ParseError(f"{path}: column {c!r} is not a declared variable")
         if c in columns[:k]:
             raise ParseError(f"{path}: column {c!r} appears twice in the header")
-    body = raw[start + 1:]
 
     def row_of(line: str) -> int:
-        return sum(1 for other in body[: body.index(line)] if other.strip())
+        return sum(1 for other in raw[start + 1: raw.index(line, start + 1)] if other.strip())
 
     lookups = [{label: i for i, label in enumerate(specs[c].domain)} for c in columns]
     records: dict[tuple[int, ...], int] = {}  # codes -> count
-    for line, count in Counter(body).items():
+    for line, count in Counter(islice(raw, start + 1, None)).items():
         if not line.strip():
             continue
         cells = line.split(",")
@@ -462,14 +460,28 @@ def load_dataset(
                    counts=np.fromiter(records.values(), dtype=np.int64, count=len(records)))
 
 
-# Mixed-radix row keys stay below this bound; past it the key is re-ranked.
-_KEY_LIMIT = 1 << 62
+def _dense_rank(key: np.ndarray, space: int) -> tuple[np.ndarray, int]:
+    """Each of ``key``'s entries, all in ``range(space)``, replaced by its rank
+    among the distinct entries, in key order, and the number of distinct
+    entries: a table of ``space`` booleans, then its running count."""
+    import numpy as np
+
+    seen = np.zeros(space, dtype=bool)
+    seen[key] = True
+    below = np.cumsum(seen, dtype=np.intp)
+    below -= 1
+    return below[key], int(seen.sum())
 
 
 def save_dataset(path: PathLike, dataset: Dataset) -> None:
     """Write ``dataset`` as CSV, row r ``counts[r]`` times in row order, rendering each distinct
     row only once; a dataset without columns, or a column name or label that is not a string
-    that reads back as itself, raises before anything is written."""
+    that reads back as itself, raises before anything is written.
+
+    Rows are told apart by a mixed-radix key over their codes, ranked densely in key order,
+    with no sort. It is ranked before a column would multiply a key space already larger
+    than the row count, and once at the end, so no key space it ranks spans more than
+    max(rows, 1) times one column's label count."""
     import numpy as np
 
     def reads_back(cell: object) -> bool:
@@ -483,25 +495,25 @@ def save_dataset(path: PathLike, dataset: Dataset) -> None:
         for label in domain:
             if not reads_back(label):
                 raise ValidationError(f"column {column!r}: label {label!r} cannot be read back")
-    key = np.zeros(len(dataset), dtype=np.int64)
-    radix = 1
+    n = len(dataset)
+    key, space = np.zeros(n, dtype=np.intp), 1
     for codes, domain in zip(dataset.codes, dataset.domains):
-        if radix * len(domain) > _KEY_LIMIT:
-            _, key = np.unique(key, return_inverse=True)
-            radix = len(dataset)
-        key = key * len(domain) + codes
-        radix *= len(domain)
-    keys, inverse = np.unique(key, return_inverse=True)
+        if space > n:
+            key, space = _dense_rank(key, space)
+        key *= len(domain)
+        key += codes
+        space *= len(domain)
+    key, distinct = _dense_rank(key, space)
     # Rows with one key are identical, so any of them can stand for it.
-    first = np.empty(len(keys), dtype=np.intp)
-    first[inverse] = np.arange(len(dataset))
+    first = np.empty(distinct, dtype=np.intp)
+    first[key] = np.arange(n)
     cells = [
         np.array(domain, dtype=object)[codes[first]].tolist()
         for codes, domain in zip(dataset.codes, dataset.domains)
     ]
-    rendered = np.array(list(map(",".join, zip(*cells))), dtype=object)
-    lines = [",".join(dataset.columns), *rendered[np.repeat(inverse, dataset.counts)].tolist()]
-    _write_text(path, "\n".join(lines) + "\n")
+    lines = np.array([f"{','.join(row)}\n".encode("utf-8") for row in zip(*cells)], dtype=object)
+    header = f"{','.join(dataset.columns)}\n".encode("utf-8")
+    _write_bytes(path, b"".join([header, *lines[np.repeat(key, dataset.counts)].tolist()]))
 
 
 def _number_lines(path: PathLike) -> list[tuple[int, list[str]]]:

@@ -5,9 +5,12 @@ and :func:`build_model`, lives in :mod:`causalcrit.variables`, which needs no
 numpy, and is re-exported here. Models are immutable after construction. All
 probability computations are exact: :func:`joint_tables` computes joints over
 just the queried nodes by variable elimination over the CPDs of their
-ancestral closure, planned by factor index and then replayed. A query whose
-output or largest intermediate factor exceeds :data:`DEFAULT_STATE_SPACE_LIMIT`
-states is rejected before the first contraction, not approximated. One
+ancestral closure: :func:`_plan` plans the elimination by factor index into a
+:class:`_Plan`, which holds no arrays and is cached on the immutable
+structure, and every call replays a plan on the arrays of its own models. A
+query whose output or largest intermediate factor exceeds
+:data:`DEFAULT_STATE_SPACE_LIMIT` states is rejected before the first
+contraction, not approximated. One
 driver, :func:`_run`, the only caller of :func:`joint_tables` in the package,
 answers the joints that the route and indicator steps ask for.
 """
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from typing import Container, Generator, Iterable, Mapping, Optional, Sequence, Union
+from typing import Container, Generator, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -241,6 +244,32 @@ def _check_closure(m: DiscreteModel, over: Iterable[str], clamped: Container[str
 _MODELS = object()
 _ROWS = object()
 
+# Plans kept per structure; past this many, the oldest is dropped first.
+_PLANS_PER_STRUCTURE = 64
+
+
+class _Plan(NamedTuple):
+    """An elimination of :func:`joint_tables` by factor index; it holds no arrays.
+
+    Factor k spans ``axes[k]``. The first factors are the ones factors of
+    the model axis and, with do() rows, of the row axis; then comes one
+    factor per ``closure`` node, in order: its CPD tables or its do()
+    selector, of the shape in ``shapes``. ``ones`` lists every ones factor
+    with its shape, ``steps`` the contractions as (factor, input factors) in
+    order, and ``reads`` the factor each scope is read from, of shape
+    ``outs[k]`` with the model axis first. ``largest`` is the largest state
+    count that the plan's :class:`StateSpaceExceeded` checks read.
+    """
+
+    closure: tuple[str, ...]
+    axes: tuple[tuple, ...]
+    shapes: tuple[tuple[int, ...], ...]
+    ones: tuple[tuple[int, tuple[int, ...]], ...]
+    steps: tuple[tuple[int, tuple[int, ...]], ...]
+    reads: tuple[int, ...]
+    outs: tuple[tuple[int, ...], ...]
+    largest: int
+
 
 def joint_tables(
     models: Union[DiscreteModel, Sequence[DiscreteModel]],
@@ -270,7 +299,10 @@ def joint_tables(
     The CPD factors of the ancestral closure of all scopes (else
     :class:`InsufficientInstantiation`, naming the missing CPDs) are
     multiplied and summed out by sum-product variable elimination (Zhang &
-    Poole 1994), first planned by factor index, then replayed.
+    Poole 1994). :func:`_plan` decides the elimination by factor index and
+    returns it as a :class:`_Plan`, a frozen value that holds no arrays;
+    every call then builds the CPD, do() selector and ones arrays and
+    replays the plan's contractions.
     The root is the scope that reaches furthest down the topological order
     (then the one with the most states, then the first): its nodes and the
     model and row axes are kept, and every other closure node, intervened or
@@ -288,6 +320,15 @@ def joint_tables(
     exceed :data:`DEFAULT_STATE_SPACE_LIMIT` states (read at each call).
     The root spans no more than its scope's output, and no downward message
     or read more than the cluster that sends it.
+
+    Plans are cached on the immutable structure, keyed by the models'
+    cardinalities and CPD parents, the sorted scopes in their given order,
+    each intervened node with its row count, and the number of models; the
+    CPD tables and do() labels are not part of the key. A cached plan whose
+    largest checked state count exceeds the current limit is planned again,
+    so it raises what a fresh call raises, and a refused query is never
+    cached. A structure keeps at most :data:`_PLANS_PER_STRUCTURE` plans and
+    drops the oldest first.
     """
     single = isinstance(models, DiscreteModel)
     models = [models] if single else list(models)
@@ -299,19 +340,51 @@ def joint_tables(
         for what, first, *rest in zip(("structure", "cardinalities", "CPD parents"), *keys):
             if any(value != first for value in rest):
                 raise InvalidQuery(f"models on one model axis must share their {what}")
-    scopes = [tuple(sorted(set(s))) for s in scopes]
+    scopes = tuple(tuple(sorted(set(s))) for s in scopes)
     if not scopes:
         return []
     do = do or {}
     n_rows = {len(rows) for rows in do.values()}
     if len(n_rows) > 1:
         raise InvalidQuery(f"do rows differ in length: {sorted(n_rows)}")
+    counts = {n: len(rows) for n, rows in do.items()}
+    key = (m._shape_key, scopes, frozenset(counts.items()), len(models))
+    plans = m.structure._plans
+    plan = plans.get(key)
+    if plan is None or plan.largest > DEFAULT_STATE_SPACE_LIMIT:
+        plans[key] = plan = _plan(m, len(models), scopes, counts)
+        if len(plans) > _PLANS_PER_STRUCTURE:
+            del plans[next(iter(plans))]
+    # The replay: the model and row axes' ones factors come first, then one
+    # factor per closure node.
+    arrays: list = [None] * len(plan.axes)
+    for k, shape in plan.ones:
+        arrays[k] = np.ones(shape)
+    for k, (n, shape) in enumerate(zip(plan.closure, plan.shapes), 1 + bool(do)):
+        if n in do:
+            table = np.eye(m.specs[n].cardinality)[list(do[n])]
+        elif len(models) == 1:
+            table = m.cpds[n].table
+        else:
+            table = np.array([other.cpds[n].table for other in models])
+        arrays[k] = table.reshape(shape)
+    for k, ins in plan.steps:
+        arrays[k] = _contract([(plan.axes[j], arrays[j]) for j in ins], plan.axes[k])
+    return [arrays[k].reshape(out[1:] if single else out) for k, out in zip(plan.reads, plan.outs)]
+
+
+def _plan(m: DiscreteModel, n_models: int, scopes: Sequence[tuple[str, ...]], do: Mapping[str, int]) -> _Plan:
+    """The :class:`_Plan` of :func:`joint_tables` for ``n_models`` models of
+    the factor structure of ``m``, the sorted ``scopes``, and ``do`` mapping
+    each intervened node to the number of do() rows. Every
+    :class:`StateSpaceExceeded` check runs here, in the order the plan meets
+    it."""
     closure = _closure_within(m, {n for s in scopes for n in s}, do)
     card = {n: m.specs[n].cardinality for n in closure}
-    card[_MODELS] = len(models)
+    card[_MODELS] = n_models
     rows: tuple = ()
     if do:
-        (card[_ROWS],) = n_rows
+        card[_ROWS] = next(iter(do.values()))
         rows = (_ROWS,)
     lead = (_MODELS, *rows)
 
@@ -322,32 +395,29 @@ def joint_tables(
     sizes = [states(a) for a in axes]
     for s, size in zip(scopes, sizes):
         _check_states(size, len(s))
-    # The plan: a factor is an index into ``fs``, its axes, and ``arrays``,
-    # its array, which the replay computes for each of ``steps``, the
+    largest = max(sizes)
+    # A factor is an index into ``fs``, its axes: a ones factor, a CPD or
+    # do() factor of a closure node, or the result of one of ``steps``, the
     # contractions as (index, input factors) in order. Single-state variables
-    # get no axis: summing one out is the identity. The model and row axes also
-    # carry a ones factor each, so they survive when no CPD or intervened node
-    # lies in the closure.
-    fs, arrays, steps = [], [], []
+    # get no axis: summing one out is the identity. The model and row axes
+    # carry a ones factor each, so they survive when no CPD or intervened
+    # node lies in the closure.
+    fs, shapes, ones, steps = [], [], [], []
 
-    def factor(scope: tuple, array: Optional[np.ndarray] = None, ins: Sequence[int] = ()) -> int:
-        if array is None:
-            steps.append((len(fs), ins))
+    def factor(scope: tuple, ins: Optional[Sequence[int]] = None) -> int:
+        if ins is None:
+            ones.append((len(fs), tuple([card[v] for v in scope])))
+        else:
+            steps.append((len(fs), tuple(ins)))
         fs.append(scope)
-        arrays.append(array)
         return len(fs) - 1
 
-    for n in (*lead, *closure):
-        if n in lead:
-            table, parents = np.ones(card[n]), ()
-        elif n in do:
-            table, parents = np.eye(card[n])[list(do[n])], rows
-        else:
-            per_model = [other.cpds[n].table for other in models]
-            table = per_model[0] if len(per_model) == 1 else np.array(per_model)
-            parents = (_MODELS, *m.cpds[n].parents)
+    for n in lead:
+        factor((n,) if card[n] != 1 else ())
+    for n in closure:
+        parents = rows if n in do else (_MODELS, *m.cpds[n].parents)
         fs.append(tuple(v for v in (*parents, n) if card[v] != 1))
-        arrays.append(table.reshape([card[v] for v in fs[-1]]))
+        shapes.append(tuple([card[v] for v in fs[-1]]))
     # The root is the scope that reaches furthest down the topological
     # order, then the largest, so the closure is eliminated from the sources
     # down toward it. Only its nodes and the model and row axes are kept: an
@@ -366,7 +436,7 @@ def joint_tables(
     for k, a in enumerate(axes):
         scope = tuple(v for v in a if card[v] != 1)
         if not kept.issuperset(scope):
-            unit[k] = factor(scope, np.ones([card[v] for v in scope]))
+            unit[k] = factor(scope)
     # Neighbours leave out the model axis, so it counts in no bucket's rank.
     nbrs: dict = {n: set() for n in card if card[n] != 1}
     for scope in fs:
@@ -383,6 +453,7 @@ def joint_tables(
     while hidden:
         v = min(hidden, key=rank.__getitem__)
         _check_states(rank[v][0], 1 + len(nbrs[v]))
+        largest = max(largest, rank[v][0])
         hidden.discard(v)
         # Only hidden nodes' neighbours are read again.
         for u in nbrs[v] & hidden:
@@ -392,7 +463,7 @@ def joint_tables(
         bucket = [f for f in live if v in fs[f]]
         live = [f for f in live if v not in fs[f]]
         scope = tuple(dict.fromkeys(w for f in bucket for w in fs[f] if w != v))
-        live.append(factor(scope, ins=bucket))
+        live.append(factor(scope, bucket))
     # The root is the last cluster, what no bucket took, and it holds the
     # model axis's ones factor at least. It spans no more than the root
     # scope's output, and a downward message or a read no more than the
@@ -415,14 +486,20 @@ def joint_tables(
             # The sender's other factors may miss a node of the message answered.
             rest = tuple(w for w in fs[msg] if all(w not in fs[f] for f in sender))
             if rest or not sender:
-                sender.append(factor(rest, np.ones([card[w] for w in rest])))
-            cluster[i] = [*bucket, factor(fs[msg], ins=sender)]
+                sender.append(factor(rest))
+            cluster[i] = [*bucket, factor(fs[msg], sender)]
     # A bucket's unit factor spans the scope it holds.
-    reads = [factor(tuple(v for v in a if card[v] != 1), ins=cluster[i]) for i, a in zip(at, axes)]
-    # The replay: every limit has been checked.
-    for k, ins in steps:
-        arrays[k] = _contract([(fs[j], arrays[j]) for j in ins], fs[k])
-    return [arrays[k].reshape([card[v] for v in (a[1:] if single else a)]) for k, a in zip(reads, axes)]
+    reads = [factor(tuple(v for v in a if card[v] != 1), cluster[i]) for i, a in zip(at, axes)]
+    return _Plan(
+        closure=closure,
+        axes=tuple(fs),
+        shapes=tuple(shapes),
+        ones=tuple(ones),
+        steps=tuple(steps),
+        reads=tuple(reads),
+        outs=tuple(tuple([card[v] for v in a]) for a in axes),
+        largest=largest,
+    )
 
 
 # A step is a generator that yields a list of asks, each made by _ask, is
@@ -521,10 +598,11 @@ def _check_states(size: int, count: int) -> None:
 
 
 def _config_codes(
-    parents: Sequence[str], codes: Mapping[str, np.ndarray], specs: Mapping[str, VariableSpec], n: int
+    parents: Sequence[str], codes: Mapping[str, np.ndarray], specs: Mapping[str, VariableSpec], cfg: np.ndarray
 ) -> np.ndarray:
-    """CPD row of each row's in-domain ``parents`` codes: mixed radix, first parent most significant."""
-    cfg = np.zeros(n, dtype=np.intp)
+    """``cfg``, an intp array of one entry per row, set to the CPD row of each
+    row's in-domain ``parents`` codes: mixed radix, first parent most significant."""
+    cfg.fill(0)
     for p in parents:
         cfg *= specs[p].cardinality
         cfg += codes[p]
@@ -539,6 +617,9 @@ def sample(m: DiscreteModel, n: int, seed: int) -> Dataset:
     The stream is part of the output: each closure node, in topological
     order, takes one ``default_rng(seed).random(n)`` draw u, and row r's label
     is the number of cumulative CPD columns below u_r, the last one left out.
+    Each node allocates only its draw: u, the configuration index, the
+    gathered CDF column and the comparison live in buffers reused by every
+    node.
     """
     if n < 0:
         raise ValidationError(f"sample size must be >= 0, got {n}")
@@ -548,14 +629,16 @@ def sample(m: DiscreteModel, n: int, seed: int) -> Dataset:
     needed = set(_closure_within(m, observed))
     order = [node for node in m.structure.topological_order() if node in needed]
     rng = np.random.default_rng(seed)
+    u, cfg, column, below = np.empty(n), np.empty(n, dtype=np.intp), np.empty(n), np.empty(n, dtype=bool)
     drawn: dict[str, np.ndarray] = {}
     for node in order:
         cpd = m.cpds[node]
-        cfg = _config_codes(cpd.parents, drawn, m.specs, n)
-        u = rng.random(n)
+        _config_codes(cpd.parents, drawn, m.specs, cfg)
+        rng.random(out=u)
         drawn[node] = draw = np.zeros(n, dtype=np.intp)
         for cdf in np.cumsum(cpd.table, axis=1).T[:-1]:
-            draw += cdf[cfg] < u
+            np.take(cdf, cfg, out=column, mode="clip")
+            draw += np.less(column, u, out=below)
     return Dataset(
         columns=tuple(observed),
         codes=tuple(drawn[c] for c in observed),
@@ -621,7 +704,7 @@ def estimate_cpds(
         card = specs[node].cardinality
         n_cfg = math.prod(specs[p].cardinality for p in parents)
         _check_states(n_cfg * card, len(parents) + 1)
-        flat = _config_codes((*parents, node), encoded, specs, len(dataset))
+        flat = _config_codes((*parents, node), encoded, specs, np.empty(len(dataset), dtype=np.intp))
         # Exact float sums of integer weights below 2**53: the bits of the rows repeated.
         table = np.bincount(flat, weights=dataset.counts, minlength=n_cfg * card).reshape(n_cfg, card)
         table = table + float(smoothing)

@@ -93,8 +93,13 @@ class DiscreteModel:
     def _factor_key(self) -> tuple:
         """What models on one model axis share: their structure, the cardinality
         of each node and the parents of each CPD."""
+        return (self.structure, *self._shape_key)
+
+    @cached_property
+    def _shape_key(self) -> tuple:
+        """The cardinality of each node and the parents of each CPD: what, on
+        one structure, fixes the shape of every factor."""
         return (
-            self.structure,
             tuple(self.specs[n].cardinality for n in self.structure.nodes),
             frozenset((n, cpd.parents) for n, cpd in self.cpds.items()),
         )

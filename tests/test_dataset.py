@@ -77,6 +77,35 @@ def reference_csv(columns, rows) -> bytes:
     return "\n".join([",".join(columns), *(",".join(row) for row in rows)]).encode() + b"\n"
 
 
+def unique_ranked_csv(ds) -> bytes:
+    """Reference writer: rows ranked by ``np.unique`` over their code tuples,
+    each distinct row rendered once, then every row written counts[r] times."""
+    key = np.zeros(len(ds), dtype=np.int64)
+    for codes, domain in zip(ds.codes, ds.domains):
+        _, key = np.unique(key * len(domain) + codes, return_inverse=True)
+    keys, inverse = np.unique(key, return_inverse=True)
+    first = np.empty(len(keys), dtype=np.intp)
+    first[inverse] = np.arange(len(ds))
+    cells = [np.array(domain, dtype=object)[codes[first]].tolist() for codes, domain in zip(ds.codes, ds.domains)]
+    rendered = [",".join(row) for row in zip(*cells)]
+    lines = [",".join(ds.columns), *(rendered[k] for k in np.repeat(inverse, ds.counts))]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@st.composite
+def weighted_datasets(draw):
+    """Up to 8 columns of up to 5 labels, 0-50 rows and counts of 0-3: past
+    a few columns the key space exceeds the row count."""
+    domains = draw(st.lists(st.lists(LABEL, min_size=1, max_size=5, unique=True), min_size=1, max_size=8))
+    n = draw(st.integers(0, 50))
+    return Dataset(
+        columns=tuple(f"C{k}" for k in range(len(domains))),
+        codes=tuple(draw(st.lists(st.integers(0, len(d) - 1), min_size=n, max_size=n)) for d in domains),
+        domains=tuple(map(tuple, domains)),
+        counts=draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+    )
+
+
 def reference_estimate(structure, specs, columns, rows, smoothing):
     """CPD tables counted directly from label tuples: {node: table}."""
     pos = {c: k for k, c in enumerate(columns)}
@@ -222,6 +251,18 @@ class TestRoundTrip:
         path = tmp_path / "wide.csv"
         save_dataset(path, dataset_of(names, rows, specs))
         assert path.read_bytes() == reference_csv(names, rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(weighted_datasets())
+    def test_bytes_of_a_writer_that_ranks_with_unique(self, tmp_path_factory, ds):
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        save_dataset(path, ds)
+        assert path.read_bytes() == unique_ranked_csv(ds)
+
+    def test_empty_dataset_writes_only_the_header(self, tmp_path):
+        ds = Dataset(columns=("A", "B"), codes=([], []), domains=(("x",), ("y", "z")))
+        save_dataset(tmp_path / "d.csv", ds)
+        assert (tmp_path / "d.csv").read_bytes() == b"A,B\n" == unique_ranked_csv(ds)
 
     @pytest.mark.parametrize("old_rows", [0, 3, 40])
     def test_rewrite_leaves_exactly_the_new_csv(self, tmp_path, old_rows):

@@ -372,31 +372,38 @@ class TestJointTables:
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_every_scope_matches_brute_force(self, data):
-        m = data.draw(random_models())
-        nodes = sorted(m.instantiated)
-        scopes = data.draw(
-            st.lists(st.sets(st.sampled_from(nodes), min_size=1), min_size=1, max_size=4)
-        )
-        do_nodes = sorted(data.draw(st.sets(st.sampled_from(nodes), max_size=2)))
-        n_rows = data.draw(st.integers(1, 3))
-        do = {
-            d: data.draw(st.lists(st.integers(0, m.specs[d].cardinality - 1),
-                                  min_size=n_rows, max_size=n_rows))
-            for d in do_nodes
-        }
-        tables = joint_tables(m, scopes, do=do or None)
-        assert len(tables) == len(scopes)
-        for scope, table in zip(scopes, tables):
-            names = sorted(scope)
-            shape = tuple(m.specs[n].cardinality for n in names)
-            assert table.shape == ((n_rows,) + shape if do else shape)
-            for r in range(n_rows if do else 1):
-                labels = {d: m.specs[d].domain[do[d][r]] for d in do_nodes}
-                expected = brute_marginal(*brute_joint(m, do=labels), names)
-                row = table[r] if do else table
-                for idx in np.ndindex(*shape):
-                    key = tuple(m.specs[n].domain[i] for n, i in zip(names, idx))
-                    assert row[idx] == pytest.approx(expected.get(key, 0.0), abs=1e-12)
+        # The second draw's scopes of one or two nodes leave the rest of a
+        # larger closure to eliminate, so its plans take several buckets and
+        # downward passes.
+        drawn = [(data.draw(random_models()), None), (data.draw(random_models(min_nodes=4, max_nodes=10)), 2)]
+        for m, most in drawn:
+            nodes = sorted(m.instantiated)
+            scopes = data.draw(
+                st.lists(st.sets(st.sampled_from(nodes), min_size=1, max_size=most), min_size=1, max_size=4)
+            )
+            do_nodes = sorted(data.draw(st.sets(st.sampled_from(nodes), max_size=2)))
+            n_rows = data.draw(st.integers(1, 3))
+            do = {
+                d: data.draw(st.lists(st.integers(0, m.specs[d].cardinality - 1),
+                                      min_size=n_rows, max_size=n_rows))
+                for d in do_nodes
+            }
+            tables = joint_tables(m, scopes, do=do or None)
+            assert len(tables) == len(scopes)
+            joints = [
+                brute_joint(m, do={d: m.specs[d].domain[do[d][r]] for d in do_nodes})
+                for r in range(n_rows if do else 1)
+            ]
+            for scope, table in zip(scopes, tables):
+                names = sorted(scope)
+                shape = tuple(m.specs[n].cardinality for n in names)
+                assert table.shape == ((n_rows,) + shape if do else shape)
+                for r, joint in enumerate(joints):
+                    expected = brute_marginal(*joint, names)
+                    row = table[r] if do else table
+                    for idx in np.ndindex(*shape):
+                        key = tuple(m.specs[n].domain[i] for n, i in zip(names, idx))
+                        assert row[idx] == pytest.approx(expected.get(key, 0.0), abs=1e-12)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -564,6 +571,53 @@ class TestModelAxis:
     def test_no_models(self):
         with pytest.raises(InvalidQuery, match="at least one model"):
             joint_tables([], [["A"]])
+
+
+class TestPlanCache:
+    """Elimination plans cached on the structure replay the bits of a fresh plan."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_a_hit_replays_the_bits_of_a_miss_and_the_cache_is_capped(self, data):
+        m = data.draw(random_models(min_nodes=4, max_nodes=10))
+        n_models = data.draw(st.integers(1, 2))
+        nodes = sorted(m.instantiated)
+        scopes = data.draw(st.lists(st.sets(st.sampled_from(nodes), min_size=1, max_size=2), min_size=1, max_size=4))
+        do_nodes = sorted(data.draw(st.sets(st.sampled_from(nodes), max_size=2)))
+        n_rows = data.draw(st.integers(1, 3))
+
+        def query():
+            """Models on ``m.structure`` with other CPD tables, and other do() rows."""
+            models = [redrawn(m, data.draw(st.integers(0, 2**32 - 1))) for _ in range(n_models)]
+            do = {
+                d: data.draw(st.lists(st.integers(0, m.specs[d].cardinality - 1), min_size=n_rows, max_size=n_rows))
+                for d in do_nodes
+            }
+            return models, do or None
+
+        s = m.structure
+        first, first_do = query()
+        joint_tables(first, scopes, do=first_do)
+        models, do = query()
+        with mock.patch.object(model, "_plan", wraps=model._plan) as planned:
+            hit = joint_tables(models, scopes, do=do)
+        assert planned.call_count == 0 and len(s._plans) == 1
+        # A structure that compares equal has a cache of its own: a miss.
+        fresh = build_structure(s.nodes, s.directed, latent=s.latent)
+        assert fresh == s and not fresh._plans
+        copies = [build_model(fresh, one.specs, one.cpds.values()) for one in models]
+        for a, b in zip(hit, joint_tables(copies, scopes, do=do), strict=True):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        # Past the cap, the oldest plan is dropped first.
+        cap = model._PLANS_PER_STRUCTURE
+        for rows in range(1, cap + 2):
+            joint_tables(m, [nodes[:1]], do={nodes[-1]: [0] * rows})
+        assert len(s._plans) == cap
+        with mock.patch.object(model, "_plan", wraps=model._plan) as planned:
+            joint_tables(m, [nodes[:1]], do={nodes[-1]: [0] * (cap + 1)})
+            assert planned.call_count == 0
+            joint_tables(first, scopes, do=first_do)
+            assert planned.call_count == 1
 
 
 class TestMarkovProperty:
