@@ -15,9 +15,9 @@ that runs its own spec and cut checks, yields the joints it needs, is sent
 them and returns its reports. The effect step delegates its two do() rows
 to the route step of :func:`~causalcrit.engine.plan_effect`. One driver,
 :func:`~causalcrit.model._run`, runs every step in lockstep and answers
-each round with one calibrated elimination per group of models that share
-their factor structure, on one model axis: a shared pair's do() rows ride
-it as its other joints do. :func:`ace`, :func:`rce`, :func:`sigma`,
+each round with one :func:`~causalcrit.model.joint_tables` call per group
+of models that share their factor structure, on one model axis: a shared
+pair's do() rows ride it as its other joints do. :func:`ace`, :func:`rce`, :func:`sigma`,
 :func:`rho1`, :func:`rho2`, :func:`rho3` and :func:`causal_influence` run
 their one step; :func:`indicator_reports`, the table ``cli indicators`` prints, runs them
 all.

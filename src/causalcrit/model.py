@@ -240,8 +240,7 @@ def _check_closure(m: DiscreteModel, over: Iterable[str], clamped: Container[str
         m.structure.ensure_nodes(n for n in reversed(list(set(over))) if n not in clamped)
 
 
-# The leading model and row axes of a joint; not node names.
-_MODELS = object()
+# The leading row axis of a joint; not a node name.
 _ROWS = object()
 
 # Plans kept per structure; past this many, the oldest is dropped first.
@@ -251,21 +250,22 @@ _PLANS_PER_STRUCTURE = 64
 class _Plan(NamedTuple):
     """An elimination of :func:`joint_tables` by factor index; it holds no arrays.
 
-    Factor k spans ``axes[k]``. The first factors are the ones factors of
-    the model axis and, with do() rows, of the row axis; then comes one
-    factor per ``closure`` node, in order: its CPD tables or its do()
+    Factor k spans ``axes[k]``. The first factors are a ones factor over no
+    axis and, with do() rows, the ones factor of the row axis; then comes
+    one factor per ``closure`` node, in order: its CPD table or its do()
     selector, of the shape in ``shapes``. ``ones`` lists every ones factor
-    with its shape, ``steps`` the contractions as (factor, input factors) in
-    order, and ``reads`` the factor each scope is read from, of shape
-    ``outs[k]`` with the model axis first. ``largest`` is the largest state
-    count that the plan's :class:`StateSpaceExceeded` checks read.
+    with its shape, ``steps`` the contractions in order, each as (factor,
+    input factors, their np.einsum subscripts, the factor's subscripts), and
+    ``reads`` the factor each scope is read from, of shape ``outs[k]``.
+    ``largest`` is the largest state count that the plan's
+    :class:`StateSpaceExceeded` checks read.
     """
 
     closure: tuple[str, ...]
     axes: tuple[tuple, ...]
     shapes: tuple[tuple[int, ...], ...]
     ones: tuple[tuple[int, tuple[int, ...]], ...]
-    steps: tuple[tuple[int, tuple[int, ...]], ...]
+    steps: tuple[tuple[int, tuple[int, ...], tuple[list[int], ...], list[int]], ...]
     reads: tuple[int, ...]
     outs: tuple[tuple[int, ...], ...]
     largest: int
@@ -281,17 +281,15 @@ def joint_tables(
     Entry k is a dense array whose axes follow ``sorted(set(scopes[k]))``.
     ``models`` is one model, or a sequence of models that share their
     structure, the cardinality of each node and the parents of each CPD
-    (else :class:`InvalidQuery`). Their CPD tables stack on a leading model
-    axis, so every entry then starts with one axis over the models, in order,
-    and the models share one elimination. The model axis counts no states:
-    the elimination order and every limit are those of one model, and a
-    single model is a one-state axis, which gets no axis as any one-state
-    variable does.
+    (else :class:`InvalidQuery`). Every entry then starts with one axis over
+    the models, in order: the models share one plan, and each model's slice
+    is that plan replayed on its own CPD tables, the bits of its own call.
+    The elimination order and every limit are those of one model.
     ``do`` maps each intervened node to a sequence of label indices, one per
     row, all of the same length n (else :class:`InvalidQuery`); row r is the
     r-th intervention. Each such node's CPD factor becomes an n x |node|
     one-hot selector on a shared row axis and the closure does not follow
-    its parents, so every entry has shape (n, *axes) after the model axis
+    its parents, so every entry has shape (n, *axes) after any model axis
     and its row r is the joint of the truncated factorization under that
     intervention (Pearl 2009, *Causality*, §3.2). An intervened node in a
     scope is a point mass on its row's label.
@@ -323,8 +321,8 @@ def joint_tables(
 
     Plans are cached on the immutable structure, keyed by the models'
     cardinalities and CPD parents, the sorted scopes in their given order,
-    each intervened node with its row count, and the number of models; the
-    CPD tables and do() labels are not part of the key. A cached plan whose
+    and each intervened node with its row count; the models, their CPD
+    tables and the do() labels are not part of the key. A cached plan whose
     largest checked state count exceeds the current limit is planned again,
     so it raises what a fresh call raises, and a refused query is never
     cached. A structure keeps at most :data:`_PLANS_PER_STRUCTURE` plans and
@@ -348,60 +346,60 @@ def joint_tables(
     if len(n_rows) > 1:
         raise InvalidQuery(f"do rows differ in length: {sorted(n_rows)}")
     counts = {n: len(rows) for n, rows in do.items()}
-    key = (m._shape_key, scopes, frozenset(counts.items()), len(models))
+    key = (m._shape_key, scopes, frozenset(counts.items()))
     plans = m.structure._plans
     plan = plans.get(key)
     if plan is None or plan.largest > DEFAULT_STATE_SPACE_LIMIT:
-        plans[key] = plan = _plan(m, len(models), scopes, counts)
+        plans[key] = plan = _plan(m, scopes, counts)
         if len(plans) > _PLANS_PER_STRUCTURE:
             del plans[next(iter(plans))]
-    # The replay: the model and row axes' ones factors come first, then one
-    # factor per closure node.
-    arrays: list = [None] * len(plan.axes)
+    # The replay. The ones factors and do() selectors serve every model;
+    # each model then runs the plan's contractions on its own CPD tables.
+    shared: list = [None] * len(plan.axes)
     for k, shape in plan.ones:
-        arrays[k] = np.ones(shape)
+        shared[k] = np.ones(shape)
+    cpds = []
     for k, (n, shape) in enumerate(zip(plan.closure, plan.shapes), 1 + bool(do)):
         if n in do:
-            table = np.eye(m.specs[n].cardinality)[list(do[n])]
-        elif len(models) == 1:
-            table = m.cpds[n].table
+            shared[k] = np.eye(m.specs[n].cardinality)[list(do[n])].reshape(shape)
         else:
-            table = np.array([other.cpds[n].table for other in models])
-        arrays[k] = table.reshape(shape)
-    for k, ins in plan.steps:
-        arrays[k] = _contract([(plan.axes[j], arrays[j]) for j in ins], plan.axes[k])
-    return [arrays[k].reshape(out[1:] if single else out) for k, out in zip(plan.reads, plan.outs)]
+            cpds.append((k, n, shape))
+    answers = []
+    for one in models:
+        arrays = shared.copy()
+        for k, n, shape in cpds:
+            arrays[k] = one.cpds[n].table.reshape(shape)
+        for k, ins, subscripts, to in plan.steps:
+            arrays[k] = _contract([arrays[j] for j in ins], subscripts, to)
+        answers.append([arrays[k].reshape(out) for k, out in zip(plan.reads, plan.outs)])
+    if single:
+        return answers[0]
+    return [np.stack(tables) for tables in zip(*answers)]
 
 
-def _plan(m: DiscreteModel, n_models: int, scopes: Sequence[tuple[str, ...]], do: Mapping[str, int]) -> _Plan:
-    """The :class:`_Plan` of :func:`joint_tables` for ``n_models`` models of
-    the factor structure of ``m``, the sorted ``scopes``, and ``do`` mapping
+def _plan(m: DiscreteModel, scopes: Sequence[tuple[str, ...]], do: Mapping[str, int]) -> _Plan:
+    """The :class:`_Plan` of :func:`joint_tables` for the factor structure
+    of ``m``, the sorted ``scopes``, and ``do`` mapping
     each intervened node to the number of do() rows. Every
     :class:`StateSpaceExceeded` check runs here, in the order the plan meets
     it."""
     closure = _closure_within(m, {n for s in scopes for n in s}, do)
     card = {n: m.specs[n].cardinality for n in closure}
-    card[_MODELS] = n_models
     rows: tuple = ()
     if do:
         card[_ROWS] = next(iter(do.values()))
         rows = (_ROWS,)
-    lead = (_MODELS, *rows)
-
-    def states(nodes: Iterable) -> int:  # per model
-        return math.prod(card[w] for w in nodes if w is not _MODELS)
-
-    axes = [(*lead, *s) for s in scopes]
-    sizes = [states(a) for a in axes]
+    axes = [(*rows, *s) for s in scopes]
+    sizes = [math.prod(card[w] for w in a) for a in axes]
     for s, size in zip(scopes, sizes):
         _check_states(size, len(s))
     largest = max(sizes)
     # A factor is an index into ``fs``, its axes: a ones factor, a CPD or
     # do() factor of a closure node, or the result of one of ``steps``, the
     # contractions as (index, input factors) in order. Single-state variables
-    # get no axis: summing one out is the identity. The model and row axes
-    # carry a ones factor each, so they survive when no CPD or intervened
-    # node lies in the closure.
+    # get no axis: summing one out is the identity. The row axis carries a
+    # ones factor, so it survives when no intervened node lies in the
+    # closure, and a ones factor over no axis leaves the root a factor.
     fs, shapes, ones, steps = [], [], [], []
 
     def factor(scope: tuple, ins: Optional[Sequence[int]] = None) -> int:
@@ -412,15 +410,16 @@ def _plan(m: DiscreteModel, n_models: int, scopes: Sequence[tuple[str, ...]], do
         fs.append(scope)
         return len(fs) - 1
 
-    for n in lead:
-        factor((n,) if card[n] != 1 else ())
+    factor(())
+    if rows:
+        factor(rows if card[_ROWS] != 1 else ())
     for n in closure:
-        parents = rows if n in do else (_MODELS, *m.cpds[n].parents)
+        parents = rows if n in do else m.cpds[n].parents
         fs.append(tuple(v for v in (*parents, n) if card[v] != 1))
         shapes.append(tuple([card[v] for v in fs[-1]]))
     # The root is the scope that reaches furthest down the topological
     # order, then the largest, so the closure is eliminated from the sources
-    # down toward it. Only its nodes and the model and row axes are kept: an
+    # down toward it. Only its nodes and the row axis are kept: an
     # intervened node elsewhere is summed out in its own bucket, with its
     # selector. Every scope that reaches past the root gets a unit factor,
     # which the bucket of its first eliminated node takes.
@@ -437,14 +436,12 @@ def _plan(m: DiscreteModel, n_models: int, scopes: Sequence[tuple[str, ...]], do
         scope = tuple(v for v in a if card[v] != 1)
         if not kept.issuperset(scope):
             unit[k] = factor(scope)
-    # Neighbours leave out the model axis, so it counts in no bucket's rank.
     nbrs: dict = {n: set() for n in card if card[n] != 1}
     for scope in fs:
         for v in scope:
             nbrs[v].update(scope)
-    nbrs.pop(_MODELS, None)
     for v, vs in nbrs.items():
-        vs.difference_update((v, _MODELS))
+        vs.discard(v)
     hidden = set(nbrs) - kept
     # (states spanned by its bucket, name) for each hidden node; the bucket
     # holds the node and its neighbours.
@@ -465,7 +462,7 @@ def _plan(m: DiscreteModel, n_models: int, scopes: Sequence[tuple[str, ...]], do
         scope = tuple(dict.fromkeys(w for f in bucket for w in fs[f] if w != v))
         live.append(factor(scope, bucket))
     # The root is the last cluster, what no bucket took, and it holds the
-    # model axis's ones factor at least. It spans no more than the root
+    # ones factor over no axis at least. It spans no more than the root
     # scope's output, and a downward message or a read no more than the
     # bucket or root that sends it.
     cluster = {None: live}  # bucket (None: the root) -> its factors and downward message
@@ -490,12 +487,13 @@ def _plan(m: DiscreteModel, n_models: int, scopes: Sequence[tuple[str, ...]], do
             cluster[i] = [*bucket, factor(fs[msg], sender)]
     # A bucket's unit factor spans the scope it holds.
     reads = [factor(tuple(v for v in a if card[v] != 1), cluster[i]) for i, a in zip(at, axes)]
+    steps = _subscripted(fs, steps)
     return _Plan(
         closure=closure,
         axes=tuple(fs),
         shapes=tuple(shapes),
         ones=tuple(ones),
-        steps=tuple(steps),
+        steps=steps,
         reads=tuple(reads),
         outs=tuple(tuple([card[v] for v in a]) for a in axes),
         largest=largest,
@@ -570,24 +568,36 @@ def _run(steps: Sequence[_Step]) -> list:
 _MAX_OPERANDS = 32
 
 
-def _contract(
-    factors: list[tuple[tuple[str, ...], np.ndarray]],
-    out: tuple[str, ...],
-) -> np.ndarray:
-    """Product of ``factors`` summed down to the axes ``out``, via np.einsum.
+def _subscripted(fs: list, steps: Sequence[tuple[int, tuple[int, ...]]]) -> tuple:
+    """``steps``, each (factor, input factors) over the axes ``fs``, with
+    their np.einsum subscripts, numbered per step, so a step uses only as
+    many as its factors span. A step of more than ``_MAX_OPERANDS`` factors
+    first contracts its first ``_MAX_OPERANDS`` into a factor over all their
+    axes, appended to ``fs``."""
+    out = []
+    for k, ins in steps:
+        while len(ins) > _MAX_OPERANDS:
+            head, ins = ins[:_MAX_OPERANDS], ins[_MAX_OPERANDS:]
+            fs.append(tuple(dict.fromkeys(w for j in head for w in fs[j])))
+            out.append(_step(fs, len(fs) - 1, head))
+            ins = (len(fs) - 1, *ins)
+        out.append(_step(fs, k, ins))
+    return tuple(out)
 
-    Subscripts are numbered per call, so a call uses only as many as its
-    factors span.
-    """
-    while len(factors) > _MAX_OPERANDS:
-        head = factors[:_MAX_OPERANDS]
-        scope = tuple(dict.fromkeys(w for s, _ in head for w in s))
-        factors = [(scope, _contract(head, scope)), *factors[_MAX_OPERANDS:]]
-    label: dict[str, int] = {}
+
+def _step(fs: list, k: int, ins: Sequence[int]) -> tuple:
+    label: dict = {}
+    subscripts = tuple([label.setdefault(w, len(label)) for w in fs[j]] for j in ins)
+    return k, tuple(ins), subscripts, [label[w] for w in fs[k]]
+
+
+def _contract(arrays: list[np.ndarray], subscripts: Sequence[list[int]], out: list[int]) -> np.ndarray:
+    """Product of ``arrays``, array i over the axes ``subscripts[i]``,
+    summed down to the axes ``out``, via np.einsum."""
     args: list = []
-    for scope, arr in factors:
-        args += [arr, [label.setdefault(w, len(label)) for w in scope]]
-    return np.einsum(*args, [label[w] for w in out])
+    for arr, sub in zip(arrays, subscripts):
+        args += (arr, sub)
+    return np.einsum(*args, out)
 
 
 def _check_states(size: int, count: int) -> None:

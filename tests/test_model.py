@@ -516,13 +516,7 @@ class TestModelAxis:
         for j, one in enumerate(models):
             for table, alone in zip(batched, joint_tables(one, scopes, do=do), strict=True):
                 assert table.shape == (len(models), *alone.shape)
-                if alone.size > 1:
-                    np.testing.assert_array_equal(table[j], alone)
-                else:
-                    # One cell per model: alone it is np.einsum's sum down to a
-                    # scalar, batched a sum per model slice, which einsum may
-                    # add in another order (1 ulp in 7 of 23,450 tables).
-                    np.testing.assert_allclose(table[j], alone, rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(table[j], alone)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
