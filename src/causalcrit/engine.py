@@ -10,8 +10,8 @@ intervened node to one label per do() row, and one route step computes all
 rows through one route: the truncated route asks for one joint with the rows
 on its leading axis, the adjustment routes take every row from one joint.
 The step yields what it asks for, and :func:`~causalcrit.model._run`, the
-driver of every step, answers it: the same query on models that share their
-structure rides one model axis of one :func:`joint_tables` call.
+driver of every step, answers it with one :func:`joint_tables` call per
+model and query.
 :func:`plan_effect` is that driver over one route step, and holds the one
 rule that picks a route.
 """

@@ -15,12 +15,11 @@ that runs its own spec and cut checks, yields the joints it needs, is sent
 them and returns its reports. The effect step delegates its two do() rows
 to the route step of :func:`~causalcrit.engine.plan_effect`. One driver,
 :func:`~causalcrit.model._run`, runs every step in lockstep and answers
-each round with one :func:`~causalcrit.model.joint_tables` call per group
-of models that share their factor structure, on one model axis: a shared
-pair's do() rows ride it as its other joints do. :func:`ace`, :func:`rce`, :func:`sigma`,
-:func:`rho1`, :func:`rho2`, :func:`rho3` and :func:`causal_influence` run
-their one step; :func:`indicator_reports`, the table ``cli indicators`` prints, runs them
-all.
+each round with one :func:`~causalcrit.model.joint_tables` call per model
+and query; a pair on one structure object shares its cached plans.
+:func:`ace`, :func:`rce`, :func:`sigma`, :func:`rho1`, :func:`rho2`,
+:func:`rho3` and :func:`causal_influence` run their one step;
+:func:`indicator_reports`, the table ``cli indicators`` prints, runs them all.
 """
 
 from __future__ import annotations
@@ -448,9 +447,8 @@ def rho3(
     component is their difference. By default outgoing edges are taken in
     each model's full graph; with ``restrict_to_set`` both models are first
     restricted to the node set and edges are taken in the induced sub-model.
-    Each model answers all of its cuts from one calibration, shared by the
-    two models when they share their structure, and each induced sub-model
-    is built from one more.
+    Each model answers all of its cuts from one calibration, and each
+    induced sub-model is built from one more.
     """
     (report,) = _reports([_rho3_step(pair, nodes, cp, restrict_to_set, bits)])
     return report
@@ -464,8 +462,7 @@ def indicator_reports(
     restrict_to_set: bool = False,
     bits: bool = False,
 ) -> list[IndicatorReport]:
-    """Every indicator of a pair, with two calibrated eliminations per model,
-    or two for both when they share their structure.
+    """Every indicator of a pair, with two calibrated eliminations per model.
 
     The reports are ACE, RCE and sigma of the reference and then of the
     candidate, each report's metadata naming its ``role``, then
@@ -478,12 +475,11 @@ def indicator_reports(
     1990): sigma's P(metric), rho1's P(X), rho2's joint over the set and
     rho3's P(pa_c) families, or with ``restrict_to_set`` the kept families
     that its induced sub-model is built from; the sub-model's families are
-    one more call. Two models that share their structure, cardinalities and
-    CPD parents, such as one relation estimated from two datasets, share
-    each of these calls on one model axis, the effect rows too when their
-    routes ask the same query, and each model's rows equal those of its own
-    :func:`plan_effect` call. Every closure and spec check runs first, in
-    report order, so a request fails where the separate calls would. The
+    one more call. Two models on one structure object, such as one relation
+    estimated from two datasets, replay one cached plan per query, and each
+    model's rows equal those of its own :func:`plan_effect` call. Every
+    closure and spec check runs first, in report order, so a request fails
+    where the separate calls would. The
     errors that need values (a zero RCE denominator, zero mean, infinite
     divergence, a zero-probability parent configuration) follow in report
     order, except that an auto route which meets a zero-probability

@@ -3,15 +3,15 @@
 The model record, :class:`VariableSpec`, :class:`Cpd`, :class:`DiscreteModel`
 and :func:`build_model`, lives in :mod:`causalcrit.variables`, which needs no
 numpy, and is re-exported here. Models are immutable after construction. All
-probability computations are exact: :func:`joint_tables` computes joints over
-just the queried nodes by variable elimination over the CPDs of their
-ancestral closure: :func:`_plan` plans the elimination by factor index into a
-:class:`_Plan`, which holds no arrays and is cached on the immutable
-structure, and every call replays a plan on the arrays of its own models. A
-query whose output or largest intermediate factor exceeds
-:data:`DEFAULT_STATE_SPACE_LIMIT` states is rejected before the first
-contraction, not approximated. One
-driver, :func:`_run`, the only caller of :func:`joint_tables` in the package,
+probability computations are exact: :func:`joint_tables` computes one model's
+joints over just the queried nodes by variable elimination over the CPDs of
+their ancestral closure. :func:`_plan` plans the elimination by factor index
+into a :class:`_Plan`, which holds no arrays and is cached on the immutable
+structure, so models that share a structure object share its plans, and
+every call replays a plan on its own model's arrays. A query whose output or
+largest intermediate factor exceeds :data:`DEFAULT_STATE_SPACE_LIMIT` states
+is rejected before the first contraction, not approximated. One driver,
+:func:`_run`, the only caller of :func:`joint_tables` in the package,
 answers the joints that the route and indicator steps ask for.
 """
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from typing import Container, Generator, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Container, Generator, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -272,27 +272,22 @@ class _Plan(NamedTuple):
 
 
 def joint_tables(
-    models: Union[DiscreteModel, Sequence[DiscreteModel]],
+    m: DiscreteModel,
     scopes: Iterable[Iterable[str]],
     do: Optional[Mapping[str, Sequence[int]]] = None,
 ) -> list[np.ndarray]:
-    """Exact joints over several node sets from one calibrated elimination.
+    """Exact joints of ``m`` over several node sets from one elimination.
 
     Entry k is a dense array whose axes follow ``sorted(set(scopes[k]))``.
-    ``models`` is one model, or a sequence of models that share their
-    structure, the cardinality of each node and the parents of each CPD
-    (else :class:`InvalidQuery`). Every entry then starts with one axis over
-    the models, in order: the models share one plan, and each model's slice
-    is that plan replayed on its own CPD tables, the bits of its own call.
-    The elimination order and every limit are those of one model.
-    ``do`` maps each intervened node to a sequence of label indices, one per
-    row, all of the same length n (else :class:`InvalidQuery`); row r is the
-    r-th intervention. Each such node's CPD factor becomes an n x |node|
-    one-hot selector on a shared row axis and the closure does not follow
-    its parents, so every entry has shape (n, *axes) after any model axis
-    and its row r is the joint of the truncated factorization under that
-    intervention (Pearl 2009, *Causality*, §3.2). An intervened node in a
-    scope is a point mass on its row's label.
+    ``do`` maps each intervened node, a node of the structure (else
+    :class:`UnknownNode`), to a sequence of label indices in
+    ``range(cardinality)``, one per row, all of the same length n (else
+    :class:`InvalidQuery`); row r is the r-th intervention. Each such node's
+    CPD factor becomes an n x |node| one-hot selector on a shared row axis
+    and the closure does not follow its parents, so every entry has shape
+    (n, *axes) and its row r is the joint of the truncated factorization
+    under that intervention (Pearl 2009, *Causality*, §3.2). An intervened
+    node in a scope is a point mass on its row's label.
 
     The CPD factors of the ancestral closure of all scopes (else
     :class:`InsufficientInstantiation`, naming the missing CPDs) are
@@ -303,8 +298,8 @@ def joint_tables(
     replays the plan's contractions.
     The root is the scope that reaches furthest down the topological order
     (then the one with the most states, then the first): its nodes and the
-    model and row axes are kept, and every other closure node, intervened or
-    not, is eliminated once. The next node to eliminate is the one whose
+    row axis are kept, and every other closure node, intervened or not, is
+    eliminated once. The next node to eliminate is the one whose
     bucket, the union of the factors that mention it, spans the fewest
     states, ties broken by name. Every scope that reaches past the root adds
     a unit factor over itself, so the bucket that eliminates the first of
@@ -319,25 +314,15 @@ def joint_tables(
     The root spans no more than its scope's output, and no downward message
     or read more than the cluster that sends it.
 
-    Plans are cached on the immutable structure, keyed by the models'
+    Plans are cached on the immutable structure, keyed by the model's
     cardinalities and CPD parents, the sorted scopes in their given order,
-    and each intervened node with its row count; the models, their CPD
-    tables and the do() labels are not part of the key. A cached plan whose
-    largest checked state count exceeds the current limit is planned again,
-    so it raises what a fresh call raises, and a refused query is never
-    cached. A structure keeps at most :data:`_PLANS_PER_STRUCTURE` plans and
-    drops the oldest first.
+    and each intervened node with its row count, so another model on the
+    same structure object, or other do() labels, replay the plan. A cached
+    plan whose largest checked state count exceeds the current limit is
+    planned again, so it raises what a fresh call raises, and a refused
+    query is never cached. A structure keeps at most
+    :data:`_PLANS_PER_STRUCTURE` plans and drops the oldest first.
     """
-    single = isinstance(models, DiscreteModel)
-    models = [models] if single else list(models)
-    if not models:
-        raise InvalidQuery("joint tables need at least one model")
-    m = models[0]
-    if len(models) > 1:
-        keys = [other._factor_key for other in models]
-        for what, first, *rest in zip(("structure", "cardinalities", "CPD parents"), *keys):
-            if any(value != first for value in rest):
-                raise InvalidQuery(f"models on one model axis must share their {what}")
     scopes = tuple(tuple(sorted(set(s))) for s in scopes)
     if not scopes:
         return []
@@ -345,6 +330,11 @@ def joint_tables(
     n_rows = {len(rows) for rows in do.values()}
     if len(n_rows) > 1:
         raise InvalidQuery(f"do rows differ in length: {sorted(n_rows)}")
+    for n, rows in do.items():
+        card = m.spec_of(n).cardinality
+        for r, i in enumerate(rows):
+            if not 0 <= i < card:
+                raise InvalidQuery(f"do() row {r} sets {n!r} to label index {i}, outside range({card})")
     counts = {n: len(rows) for n, rows in do.items()}
     key = (m._shape_key, scopes, frozenset(counts.items()))
     plans = m.structure._plans
@@ -353,28 +343,15 @@ def joint_tables(
         plans[key] = plan = _plan(m, scopes, counts)
         if len(plans) > _PLANS_PER_STRUCTURE:
             del plans[next(iter(plans))]
-    # The replay. The ones factors and do() selectors serve every model;
-    # each model then runs the plan's contractions on its own CPD tables.
-    shared: list = [None] * len(plan.axes)
+    arrays: list = [None] * len(plan.axes)
     for k, shape in plan.ones:
-        shared[k] = np.ones(shape)
-    cpds = []
+        arrays[k] = np.ones(shape)
     for k, (n, shape) in enumerate(zip(plan.closure, plan.shapes), 1 + bool(do)):
-        if n in do:
-            shared[k] = np.eye(m.specs[n].cardinality)[list(do[n])].reshape(shape)
-        else:
-            cpds.append((k, n, shape))
-    answers = []
-    for one in models:
-        arrays = shared.copy()
-        for k, n, shape in cpds:
-            arrays[k] = one.cpds[n].table.reshape(shape)
-        for k, ins, subscripts, to in plan.steps:
-            arrays[k] = _contract([arrays[j] for j in ins], subscripts, to)
-        answers.append([arrays[k].reshape(out) for k, out in zip(plan.reads, plan.outs)])
-    if single:
-        return answers[0]
-    return [np.stack(tables) for tables in zip(*answers)]
+        table = np.eye(m.specs[n].cardinality)[list(do[n])] if n in do else m.cpds[n].table
+        arrays[k] = table.reshape(shape)
+    for k, ins, subscripts, to in plan.steps:
+        arrays[k] = _contract([arrays[j] for j in ins], subscripts, to)
+    return [arrays[k].reshape(out) for k, out in zip(plan.reads, plan.outs)]
 
 
 def _plan(m: DiscreteModel, scopes: Sequence[tuple[str, ...]], do: Mapping[str, int]) -> _Plan:
@@ -392,7 +369,7 @@ def _plan(m: DiscreteModel, scopes: Sequence[tuple[str, ...]], do: Mapping[str, 
     axes = [(*rows, *s) for s in scopes]
     sizes = [math.prod(card[w] for w in a) for a in axes]
     for s, size in zip(scopes, sizes):
-        _check_states(size, len(s))
+        _check_states(size, len(s), lambda: f"the joint over {_named(s)}")
     largest = max(sizes)
     # A factor is an index into ``fs``, its axes: a ones factor, a CPD or
     # do() factor of a closure node, or the result of one of ``steps``, the
@@ -449,7 +426,9 @@ def _plan(m: DiscreteModel, scopes: Sequence[tuple[str, ...]], do: Mapping[str, 
     live = list(range(len(fs)))  # the factors no bucket has taken; step i sums bucket i
     while hidden:
         v = min(hidden, key=rank.__getitem__)
-        _check_states(rank[v][0], 1 + len(nbrs[v]))
+        _check_states(
+            rank[v][0], 1 + len(nbrs[v]), lambda: f"the bucket of {v!r} and its neighbours {_named(nbrs[v])}"
+        )
         largest = max(largest, rank[v][0])
         hidden.discard(v)
         # Only hidden nodes' neighbours are read again.
@@ -510,24 +489,22 @@ def _ask(
     scopes: Iterable[Iterable[str]],
     do: Optional[Mapping[str, Sequence[int]]] = None,
 ) -> tuple:
-    """A step's ask for the joints of ``m`` over ``scopes``, each keyed by its
-    sorted node tuple: the model, the keys and the key of the group whose
-    call answers it.
+    """A step's ask for the joints of ``m`` over ``scopes``: their keys, each
+    a sorted node tuple, and the key of the group whose call answers it.
 
     An ask with ``do``, the do() rows of :func:`joint_tables` (``{}`` for
-    none), is a query of its own: only the same query on another model
+    none), is a query of its own: only the same query on the same model
     shares its call, so its answer is that of the query alone. An ask
     without, such as an indicator's joints or an observational route step,
-    shares one call with every other such ask of the round on a model of
-    its factor structure. The closure check that
-    :func:`joint_tables` would make of the ask alone runs here, so its error
-    is raised in the step that makes the ask.
+    shares one call with every other such ask on ``m`` in the round. The
+    closure check that :func:`joint_tables` would make of the ask alone runs
+    here, so its error is raised in the step that makes the ask.
     """
     scopes = tuple(dict.fromkeys(tuple(sorted(set(s))) for s in scopes))
     _check_closure(m, {n for s in scopes for n in s}, do or ())
     if do is None:
-        return m, scopes, (m._factor_key, None, None)
-    return m, scopes, (m._factor_key, tuple((n, tuple(do[n])) for n in sorted(do)), scopes)
+        return scopes, (m, None, None)
+    return scopes, (m, tuple((n, tuple(do[n])) for n in sorted(do)), scopes)
 
 
 def _run(steps: Sequence[_Step]) -> list:
@@ -535,10 +512,9 @@ def _run(steps: Sequence[_Step]) -> list:
 
     In each round every live step is advanced, in order, to its next asks.
     The round is then answered with one :func:`joint_tables` call per group
-    of asks that share their models' factor structure (structure,
-    cardinalities and CPD parents) and, for a query of its own, its scopes
-    and do() rows, on one model axis: each distinct model of a group, in ask
-    order, is sent the joints over every scope the group asked for.
+    of asks on one model and, for a query of its own, its scopes and do()
+    rows: each group is sent the joints over every scope it asked for.
+    Models on one structure object share its cached plans.
     """
     values: list = [None] * len(steps)
     sent: dict[int, Optional[list]] = dict.fromkeys(range(len(steps)))
@@ -549,18 +525,15 @@ def _run(steps: Sequence[_Step]) -> list:
                 asked[i] = steps[i].send(answer)
             except StopIteration as done:
                 values[i] = done.value
-        groups: dict[tuple, tuple[dict, dict]] = {}
+        groups: dict[tuple, dict] = {}
         for asks in asked.values():
-            for m, scopes, group in asks:
-                models, wanted = groups.setdefault(group, ({}, {}))
-                models[id(m)] = m
-                wanted.update(dict.fromkeys(scopes))
-        tables = {}
-        for group, (models, scopes) in groups.items():
-            joints = joint_tables(list(models.values()), list(scopes), do=dict(group[1] or ()))
-            for j, key in enumerate(models):
-                tables[key, group] = {s: t[j] for s, t in zip(scopes, joints)}
-        sent = {i: [tables[id(m), group] for m, _, group in asks] for i, asks in asked.items()}
+            for scopes, group in asks:
+                groups.setdefault(group, {}).update(dict.fromkeys(scopes))
+        tables = {
+            (m, rows, q): dict(zip(scopes, joint_tables(m, list(scopes), do=dict(rows or ()))))
+            for (m, rows, q), scopes in groups.items()
+        }
+        sent = {i: [tables[group] for _, group in asks] for i, asks in asked.items()}
     return values
 
 
@@ -600,11 +573,19 @@ def _contract(arrays: list[np.ndarray], subscripts: Sequence[list[int]], out: li
     return np.einsum(*args, out)
 
 
-def _check_states(size: int, count: int) -> None:
+def _check_states(size: int, count: int, what: Callable[[], str]) -> None:
+    """Refuse ``size`` states past the limit, naming the factor by ``what()``."""
     if size > DEFAULT_STATE_SPACE_LIMIT:
         raise StateSpaceExceeded(
-            f"a factor over {count} nodes spans {size} states, above the limit of {DEFAULT_STATE_SPACE_LIMIT}"
+            f"a factor over {count} nodes spans {size} states, above the limit of {DEFAULT_STATE_SPACE_LIMIT}: "
+            + what()
         )
+
+
+def _named(nodes: Iterable) -> str:
+    """The names of ``nodes`` in name order, then the do() row axis, if there."""
+    names = sorted(repr(n) for n in nodes if n is not _ROWS)
+    return f"[{', '.join(names + ['do() rows'] * (_ROWS in nodes))}]"
 
 
 def _config_codes(
@@ -713,7 +694,9 @@ def estimate_cpds(
             continue
         card = specs[node].cardinality
         n_cfg = math.prod(specs[p].cardinality for p in parents)
-        _check_states(n_cfg * card, len(parents) + 1)
+        _check_states(
+            n_cfg * card, len(parents) + 1, lambda: f"the family of {node!r} and its parents {_named(parents)}"
+        )
         flat = _config_codes((*parents, node), encoded, specs, np.empty(len(dataset), dtype=np.intp))
         # Exact float sums of integer weights below 2**53: the bits of the rows repeated.
         table = np.bincount(flat, weights=dataset.counts, minlength=n_cfg * card).reshape(n_cfg, card)

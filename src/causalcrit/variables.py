@@ -90,12 +90,6 @@ class DiscreteModel:
         return frozenset(self.cpds)
 
     @cached_property
-    def _factor_key(self) -> tuple:
-        """What models on one model axis share: their structure, the cardinality
-        of each node and the parents of each CPD."""
-        return (self.structure, *self._shape_key)
-
-    @cached_property
     def _shape_key(self) -> tuple:
         """The cardinality of each node and the parents of each CPD: what, on
         one structure, fixes the shape of every factor."""

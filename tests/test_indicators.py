@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import itertools
+import json
 import math
 import random
 import sys
@@ -41,7 +42,7 @@ from causalcrit.indicators import (
 )
 from causalcrit.fixtures import fixture
 from causalcrit.io import model_to_text
-from causalcrit.model import DiscreteModel, VariableSpec, build_model, make_cpd
+from causalcrit.model import VariableSpec, build_model, make_cpd
 
 from oracles import brute_causal_influence, brute_joint, brute_kl, brute_marginal
 from test_engine import random_binary_model
@@ -507,13 +508,13 @@ class TestCausalInfluence:
 
 @contextlib.contextmanager
 def _recorded_calls():
-    """The (models, scopes, do) of every joint_tables call made inside the block."""
+    """The (model, scopes, do) of every joint_tables call made inside the block."""
     calls = []
     real = model.joint_tables
 
-    def recording(models, scopes, *args, **kwargs):
-        calls.append((models, scopes, kwargs.get("do")))
-        return real(models, scopes, *args, **kwargs)
+    def recording(m, scopes, *args, **kwargs):
+        calls.append((m, scopes, kwargs.get("do")))
+        return real(m, scopes, *args, **kwargs)
 
     with mock.patch.object(model, "joint_tables", recording):
         yield calls
@@ -547,26 +548,28 @@ class TestRho3:
 
     @pytest.mark.parametrize("restrict, calls", [(False, 2), (True, 4)])
     def test_one_inference_call_per_model(self, reality_model, candidate_model, restrict, calls):
-        # Full-graph: one calibration per group of models that share their
-        # structure gives every P(pa_c). Restricted: one more per group gives
-        # every kept family. The heavy-rain models differ in structure, and so
-        # do their sub-models over the set, so each model is its own group.
+        # Full-graph: one calibration per model gives every P(pa_c).
+        # Restricted: one more per model gives every kept family.
         pair = ModelPair(reference=reality_model, candidate=candidate_model)
         with _recorded_calls() as counted:
             rho3(pair, ["V1", "V2", "X", "phi"], CP, restrict_to_set=restrict)
         assert len(counted) == calls
 
-    @pytest.mark.parametrize("restrict, calls", [(False, 1), (True, 2)])
-    def test_one_inference_call_per_shared_pair(self, reality_model, restrict, calls):
-        # Redrawn tables keep the structure, so both models ride one model
-        # axis, with the report of one call per model.
+    @pytest.mark.parametrize("restrict, rounds", [(False, 1), (True, 2)])
+    def test_one_inference_call_per_shared_pair(self, reality_model, restrict, rounds):
+        # Redrawn tables keep the structure object, so the candidate replays
+        # the plan of the reference's first-round call, and its report is
+        # that of a model planned alone. The restricted second round asks
+        # the induced sub-models, each its own structure, so it plans twice.
         pair = ModelPair(reference=reality_model, candidate=redrawn(reality_model, 5))
         nodes = ["V1", "V2", "X", "phi"]
-        with mock.patch.object(DiscreteModel, "_factor_key", property(id)):  # every model its own group
-            separate = rho3(pair, nodes, CP, restrict_to_set=restrict)
-        with _recorded_calls() as counted:
-            assert rho3(pair, nodes, CP, restrict_to_set=restrict) == separate
-        assert len(counted) == calls
+        alone = ModelPair(reference=reality_model, candidate=_on_a_copy(pair.candidate))
+        with mock.patch.dict(reality_model.structure._plans, clear=True):
+            with _recorded_calls() as counted, mock.patch.object(model, "_plan", wraps=model._plan) as planned:
+                report = rho3(pair, nodes, CP, restrict_to_set=restrict)
+        assert report == rho3(alone, nodes, CP, restrict_to_set=restrict)
+        assert len(counted) == 2 * rounds
+        assert planned.call_count == 1 + 2 * (rounds - 1)
 
     def test_perturbed_candidate_is_detected(self, reality_model):
         cpds = dict(reality_model.cpds)
@@ -615,7 +618,14 @@ def _attempt(fn):
 def _group(m, scopes, do):
     """The key under which the driver answers an ask of a route step."""
     rows = tuple((n, tuple(r)) for n, r in sorted((do or {}).items()))
-    return m._factor_key, rows, tuple(dict.fromkeys(tuple(sorted(set(s))) for s in scopes))
+    return m, rows, tuple(dict.fromkeys(tuple(sorted(set(s))) for s in scopes))
+
+
+def _on_a_copy(m):
+    """``m`` on a structure equal to its own but not the same object, whose plans it does not share."""
+    s = m.structure
+    return build_model(build_structure(s.nodes, s.directed, [tuple(p) for p in s.bidirected], s.latent),
+                       m.specs, m.cpds.values())
 
 
 @st.composite
@@ -670,7 +680,7 @@ class TestIndicatorReports:
             rounds.append([_group(m, scopes, rows) for _, scopes, rows in calls])
             if alone[-1][0]:
                 event(alone[-1][1][0].split(":")[0])
-        # One effect call per round per group of equal asks.
+        # One effect call per round per model and group of equal asks.
         effect_calls = sum(len(set(keys) - {None}) for keys in itertools.zip_longest(*rounds))
         with _recorded_calls() as calls:
             both = _attempt(lambda: model._run([engine._plan_step(m, do, metric) for m in (ref, cand)]))
@@ -680,8 +690,7 @@ class TestIndicatorReports:
         else:
             assert not both[0] and both[1] in [v for ok, v in alone if not ok]
         # The same rows reach the effect reports, with one more call per
-        # group of models that share their factor structure for the joints
-        # of sigma and rho1.
+        # model for the joints of sigma and rho1.
         cp = PhenomenonBinding(variable=x, cp_label="b")
         with _recorded_calls() as calls:
             ok, reports = _attempt(lambda: indicator_reports(ModelPair(ref, cand), cp, metric))
@@ -694,7 +703,7 @@ class TestIndicatorReports:
                 assert r.metadata["route"] == route
                 assert r.metadata["e_do_cp"] == expectation(d_cp, m, metric)
                 assert r.metadata["e_do_not_cp"] == expectation(d_not, m, metric)
-        assert len(calls) == effect_calls + len({ref._factor_key, cand._factor_key})
+        assert len(calls) == effect_calls + 2
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -739,9 +748,9 @@ class TestIndicatorReports:
 
         calls = []
 
-        def recording(models, scopes, *args, **kwargs):
-            tables = joint_tables(models, scopes, *args, **kwargs)
-            calls.append((models, scopes, bool(kwargs.get("do")), tables))
+        def recording(m, scopes, *args, **kwargs):
+            tables = joint_tables(m, scopes, *args, **kwargs)
+            calls.append((m, scopes, bool(kwargs.get("do")), tables))
             return tables
 
         joint_tables = model.joint_tables
@@ -758,26 +767,19 @@ class TestIndicatorReports:
                 assert b[key] == pytest.approx(value, abs=1e-12), key
             else:
                 assert b[key] == value, key
-        # Per group of models that share their structure, on one model axis,
-        # one call for the do() rows of the truncated route and one for the
-        # other joints, and one more per group of induced sub-models.
-        def groups(edges):
-            return [[ref, cand]] if edges[0] == edges[1] else [[ref], [cand]]
-
-        shared = groups([m.structure.directed for m in (ref, cand)])
-        induced = [frozenset(e for e in m.structure.directed if set(e) <= set(node_set)) for m in (ref, cand)]
-        assert [c[0] for c in calls if c[2]] == shared
-        assert [c[0] for c in calls if not c[2]][:len(shared)] == shared
-        assert len(calls) == 2 * len(shared) + (len(groups(induced)) if restrict else 0)
-        for models, scopes, do, tables in calls:
+        # Per model, one call for the do() rows of the truncated route and
+        # one for the other joints, and one more per induced sub-model.
+        assert [c[0] for c in calls if c[2]] == [ref, cand]
+        assert [c[0] for c in calls if not c[2]][:2] == [ref, cand]
+        assert len(calls) == 4 + 2 * restrict
+        for m, scopes, do, tables in calls:
             if do:
                 continue
-            for j, m in enumerate(models):
-                names, joint = brute_joint(m)
-                for scope, table in zip(scopes, tables):
-                    for labels, p in brute_marginal(names, joint, scope).items():
-                        idx = tuple(m.specs[n].index_of(v) for n, v in zip(scope, labels))
-                        assert table[j][idx] == pytest.approx(p, abs=1e-12)
+            names, joint = brute_joint(m)
+            for scope, table in zip(scopes, tables):
+                for labels, p in brute_marginal(names, joint, scope).items():
+                    idx = tuple(m.specs[n].index_of(v) for n, v in zip(scope, labels))
+                    assert table[idx] == pytest.approx(p, abs=1e-12)
 
     def test_error_precedence_rce_denominator_against_spec_check(self):
         # The reference's E(metric | do(notCP)) is zero, and rho2's set holds
@@ -818,12 +820,15 @@ class TestIndicatorReports:
         assert [scopes for _, scopes, _ in calls] == [[("P", "X", "Y")], [("Y",)]]
         with _recorded_calls() as calls:
             reports = indicator_reports(ModelPair(ref, cand), cp, "Y")
-        # Round one: both models' parents joints, then sigma's and rho1's
-        # joints; round two: both models' observational rows.
-        assert [(len(models), scopes) for models, scopes, _ in calls] == [
-            (2, [("P", "X", "Y")]),
-            (2, [("Y",), ("X",)]),
-            (2, [("Y",)]),
+        # Round one: each model's parents joint, then its sigma and rho1
+        # joints; round two: each model's observational rows.
+        assert [(m, scopes) for m, scopes, _ in calls] == [
+            (ref, [("P", "X", "Y")]),
+            (ref, [("Y",), ("X",)]),
+            (cand, [("P", "X", "Y")]),
+            (cand, [("Y",), ("X",)]),
+            (ref, [("Y",)]),
+            (cand, [("Y",)]),
         ]
         (e_cp, e_not) = (expectation(d, ref, "Y") for d in alone[1])
         assert reports[0].metadata["route"] == "observational"
@@ -831,46 +836,50 @@ class TestIndicatorReports:
 
     @staticmethod
     def _nodes_and_rows(calls):
-        """(node tuple of each model, whether do rows were given) per joint_tables call."""
-        return [([m.structure.nodes for m in models], bool(do)) for models, _, do in calls]
+        """(the model's node tuple, whether do rows were given) per joint_tables call."""
+        return [(m.structure.nodes, bool(do)) for m, _, do in calls]
 
     @pytest.mark.parametrize("extra, sub_models", [((), 0), (("--rho3-restricted",), 2)])
     def test_one_elimination_per_model(self, extra, sub_models):
-        # Each group of models that share their structure answers its do()
-        # rows from one joint_tables call and every other joint from one
-        # more; rho1, sigma and rho2 make no inference call of their own.
-        # The heavy-rain models differ in structure, and so do their
-        # sub-models over the set, so each model is its own group.
+        # Each model answers its do() rows from one joint_tables call and
+        # every other joint from one more; rho1, sigma and rho2 make no
+        # inference call of their own.
         argv = ["indicators", "heavy-rain-reality", "heavy-rain-model", "--set", "V1,V2,X", *extra]
         with _recorded_calls() as calls:
             assert main([*argv, "--format", "json"]) == 0
         ref, cand = ("V1", "V2", "V3", "X", "phi"), ("V1", "V2", "X", "phi")
         assert self._nodes_and_rows(calls) == [
-            ([ref], True),
-            ([ref], False),
-            ([cand], True),
-            ([cand], False),
-            *[([("V1", "V2", "X")], False)] * sub_models,
+            (ref, True),
+            (ref, False),
+            (cand, True),
+            (cand, False),
+            *[(("V1", "V2", "X"), False)] * sub_models,
         ]
 
-    @pytest.mark.parametrize("extra, sub_models", [((), 0), (("--rho3-restricted",), 1)])
-    def test_one_elimination_per_shared_pair(self, capsys, tmp_path, reality_model, extra, sub_models):
-        # A candidate with redrawn tables shares the reference's structure:
-        # both ride one model axis, for their do() rows and for every other
-        # joint, and their sub-models over the set do too.
+    @pytest.mark.parametrize("extra, restricted_rounds", [((), 0), (("--rho3-restricted",), 1)])
+    def test_one_elimination_per_shared_pair(self, capsys, tmp_path, reality_model, extra, restricted_rounds):
+        # Two files of one declaration hold one structure object: on a fresh
+        # parse the reference plans its do() rows and its other joints, and
+        # the redrawn candidate replays both plans. A restricted round asks
+        # the induced sub-models, each its own structure, so it plans twice.
         relation, _ = fixture("heavy-rain-reality")
-        path = tmp_path / "redrawn.json"
-        path.write_text(model_to_text(relation, redrawn(reality_model, 5)), encoding="utf-8")
-        argv = ["indicators", "heavy-rain-reality", str(path), "--set", "V1,V2,X", *extra, "--format", "json"]
-        with mock.patch.object(DiscreteModel, "_factor_key", property(id)):  # every model its own group
-            assert main(argv) == 0
-        separate = capsys.readouterr().out
-        with _recorded_calls() as calls:
-            assert main(argv) == 0
-        assert capsys.readouterr().out == separate
+        ref, cand = tmp_path / "ref.json", tmp_path / "redrawn.json"
+        ref.write_text(model_to_text(relation, reality_model), encoding="utf-8")
+        cand.write_text(model_to_text(relation, redrawn(reality_model, 5)), encoding="utf-8")
+        tail = ["--set", "V1,V2,X", *extra, "--format", "json"]
+        # The fixture's structure is another object, so there the candidate plans alone.
+        assert main(["indicators", "heavy-rain-reality", str(cand), *tail]) == 0
+        alone = json.loads(capsys.readouterr().out)
+        with _recorded_calls() as calls, mock.patch.object(model, "_plan", wraps=model._plan) as planned:
+            assert main(["indicators", str(ref), str(cand), *tail]) == 0
+        shared = json.loads(capsys.readouterr().out)
+        assert {**shared, "reference": None} == {**alone, "reference": None}
+        assert planned.call_count == 2 + 2 * restricted_rounds
         nodes = reality_model.structure.nodes
         assert self._nodes_and_rows(calls) == [
-            ([nodes, nodes], True),
-            ([nodes, nodes], False),
-            *[([("V1", "V2", "X")] * 2, False)] * sub_models,
+            (nodes, True),
+            (nodes, False),
+            (nodes, True),
+            (nodes, False),
+            *[(("V1", "V2", "X"), False)] * 2 * restricted_rounds,
         ]

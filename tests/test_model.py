@@ -187,7 +187,8 @@ class TestValidation:
         s = build_structure(names)
         cpds = [make_cpd(n, (), [[0.125] * 8], specs) for n in names]
         m = build_model(s, specs, cpds)
-        with pytest.raises(StateSpaceExceeded):
+        # The refusal names the scope's nodes.
+        with pytest.raises(StateSpaceExceeded, match=re.escape(f": the joint over {names}") + "$"):
             joint_tables(m, [names])
 
     def test_state_space_bound_counts_intermediates(self):
@@ -200,14 +201,17 @@ class TestValidation:
         m = build_model(s, specs, cpds)
         with state_space_limit(32):
             assert joint_tables(m, [["C"]])[0].shape == (2,)
-        with state_space_limit(31), pytest.raises(StateSpaceExceeded):
+        # The refusal names the eliminated node and its neighbours; P0 is
+        # first of the tied buckets by name.
+        bucket = "the bucket of 'P0' and its neighbours ['C', 'P1', 'P2', 'P3'"
+        with state_space_limit(31), pytest.raises(StateSpaceExceeded, match=re.escape(f"{bucket}]") + "$"):
             joint_tables(m, [["C"]])
         # Each intervened parent is summed out in its own bucket, which also
         # spans the two do() rows and the other parents: 64 states.
         do = {p: [0, 1] for p in names[1:]}
         with state_space_limit(64):
             assert joint_tables(m, [["C"]], do=do)[0].shape == (2, 2)
-        with state_space_limit(63), pytest.raises(StateSpaceExceeded):
+        with state_space_limit(63), pytest.raises(StateSpaceExceeded, match=re.escape(f"{bucket}, do() rows]") + "$"):
             joint_tables(m, [["C"]], do=do)
 
 
@@ -409,20 +413,25 @@ class TestJointTables:
     @given(st.data())
     def test_every_limit_is_checked_before_the_first_contraction(self, data):
         m = data.draw(random_models(min_nodes=4, max_nodes=10))
-        seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), max_size=1))
-        models = [m, *(redrawn(m, seed) for seed in seeds)]
+        other = redrawn(m, data.draw(st.integers(0, 2**32 - 1)))
         # Scopes of one or two nodes leave the rest of their closure to eliminate.
         nodes = sorted(m.instantiated)
         scopes = data.draw(st.lists(st.sets(st.sampled_from(nodes), min_size=1, max_size=2), min_size=1, max_size=4))
         do_nodes = data.draw(st.sets(st.sampled_from(nodes), max_size=2))
         do = {d: [data.draw(st.integers(0, m.specs[d].cardinality - 1))] for d in do_nodes}
-        # A limit just below a size that the query's own checks read refuses it.
         with mock.patch.object(model, "_check_states", wraps=model._check_states) as checks:
-            joint_tables(models, scopes, do=do)
+            joint_tables(m, scopes, do=do)
+        # Another model on the structure replays the cached plan.
+        with mock.patch.object(model, "_plan", wraps=model._plan) as planned:
+            joint_tables(other, scopes, do=do)
+        assert planned.call_count == 0
+        # A limit just below a size that the query's own checks read refuses it.
         limit = data.draw(st.sampled_from(sorted({call.args[0] for call in checks.call_args_list}))) - 1
         contract = mock.patch.object(model, "_contract", wraps=model._contract)
-        with state_space_limit(limit), contract as calls, pytest.raises(StateSpaceExceeded):
-            joint_tables(models, scopes, do=do)
+        with state_space_limit(limit), contract as calls:
+            for one in (m, other):
+                with pytest.raises(StateSpaceExceeded):
+                    joint_tables(one, scopes, do=do)
         assert calls.call_count == 0
 
     def test_no_scopes(self, reality_model):
@@ -431,6 +440,19 @@ class TestJointTables:
     def test_do_rows_of_unequal_length(self, reality_model):
         with pytest.raises(InvalidQuery, match=r"do rows differ in length: \[1, 2\]"):
             joint_tables(reality_model, [["phi"]], do={"X": [0], "V2": [0, 1]})
+
+    def test_do_on_a_node_outside_the_structure(self, reality_model):
+        with pytest.raises(UnknownNode, match="unknown node 'ghost'"):
+            joint_tables(reality_model, [["V1"]], do={"ghost": [0, 1]})
+
+    @pytest.mark.parametrize("scope", [["phi"], ["V1"]], ids=["inside-the-closure", "outside-the-closure"])
+    @pytest.mark.parametrize("index", [2, -1])
+    def test_do_label_index_out_of_range(self, reality_model, scope, index):
+        # X is binary; it lies in phi's closure and outside V1's.
+        message = rf"^do\(\) row 1 sets 'X' to label index {index}, outside range\(2\)$"
+        with mock.patch.object(model, "_plan", wraps=model._plan) as planned, pytest.raises(InvalidQuery, match=message):
+            joint_tables(reality_model, [scope], do={"X": [0, index]})
+        assert planned.call_count == 0
 
     def test_limit_covers_the_downward_pass(self):
         # Z (8 labels) stands apart and is last in topological order, so
@@ -490,81 +512,61 @@ def redrawn(m, seed):
     return build_model(m.structure, m.specs, cpds)
 
 
-def _query(data, m):
-    """Scopes and do() rows (possibly none) over the nodes of ``m``."""
-    nodes = sorted(m.instantiated)
-    scopes = data.draw(st.lists(st.sets(st.sampled_from(nodes), min_size=1), min_size=1, max_size=4))
-    do_nodes = sorted(data.draw(st.sets(st.sampled_from(nodes), max_size=2)))
-    n_rows = data.draw(st.integers(1, 3))
-    do = {
-        d: data.draw(st.lists(st.integers(0, m.specs[d].cardinality - 1), min_size=n_rows, max_size=n_rows))
-        for d in do_nodes
-    }
-    return scopes, do or None
+def _asking(m, rounds):
+    """A step that asks, round by round, for the joints of ``m`` under each
+    (scopes, do) of a round, and returns what it was sent."""
+    sent = []
+    for asks in rounds:
+        sent.append((yield [model._ask(m, scopes, do) for scopes, do in asks]))
+    return sent
 
 
-class TestModelAxis:
-    """Models that share their factor structure share one elimination."""
+def _plan_key(scopes, do):
+    """The query part of the key that a plan is cached under."""
+    return tuple(dict.fromkeys(tuple(sorted(s)) for s in scopes)), frozenset((d, len(r)) for d, r in (do or {}).items())
+
+
+class TestRun:
+    """The driver answers each model from its own calls; models on one structure share its plans."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_each_model_equals_its_own_call_bit_for_bit(self, data):
         m = data.draw(random_models(sparse=data.draw(st.booleans())))
         models = [m, *(redrawn(m, data.draw(st.integers(0, 2**32 - 1))) for _ in range(data.draw(st.integers(0, 2))))]
-        scopes, do = _query(data, m)
-        batched = joint_tables(models, scopes, do=do)
-        for j, one in enumerate(models):
-            for table, alone in zip(batched, joint_tables(one, scopes, do=do), strict=True):
-                assert table.shape == (len(models), *alone.shape)
-                np.testing.assert_array_equal(table[j], alone)
+        nodes = sorted(m.instantiated)
+        scopes = st.lists(st.sets(st.sampled_from(nodes), min_size=1), min_size=1, max_size=3)
+        # Each round asks observational scopes and, maybe, scopes under do()
+        # rows, whose labels each model draws anew.
+        shapes = data.draw(st.lists(
+            st.tuples(scopes, st.none() | st.tuples(scopes, st.sets(st.sampled_from(nodes), min_size=1, max_size=2))),
+            min_size=1, max_size=3,
+        ))
+        n_rows = data.draw(st.integers(1, 3))
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_limit_exceeded_exactly_when_one_model_exceeds_it(self, data):
-        m = data.draw(random_models())
-        models = [m, redrawn(m, data.draw(st.integers(0, 2**32 - 1)))]
-        scopes, do = _query(data, m)
-        limit = data.draw(st.integers(1, 64))
+        def rows(d):
+            return data.draw(st.lists(st.integers(0, m.specs[d].cardinality - 1), min_size=n_rows, max_size=n_rows))
 
-        def outcome(arg):
-            try:
-                with state_space_limit(limit):
-                    joint_tables(arg, scopes, do=do)
-            except StateSpaceExceeded as exc:
-                return str(exc)
+        def asks(seen, query):
+            if query is None:
+                return [(seen, None)]
+            under, do_nodes = query
+            return [(seen, None), (under, {d: rows(d) for d in sorted(do_nodes)})]
 
-        assert outcome(models) == outcome(m) == outcome(models[1])
-
-    @pytest.mark.parametrize("change, what", [
-        ("edge", "structure"),
-        ("latent", "structure"),
-        ("labels", "cardinalities"),
-        ("uninstantiated", "CPD parents"),
-    ])
-    def test_models_that_differ_are_refused(self, change, what):
-        specs = {n: binary_spec(n) for n in ("A", "B")}
-        cpd_a = make_cpd("A", (), [[0.3, 0.7]], specs)
-        cpd_b = make_cpd("B", ("A",), [[0.9, 0.1], [0.2, 0.8]], specs)
-        s = build_structure(["A", "B"], [("A", "B")])
-        base = build_model(s, specs, [cpd_a, cpd_b])
-        if change == "edge":
-            other = build_model(build_structure(["A", "B"]), specs, [cpd_a, make_cpd("B", (), [[0.5, 0.5]], specs)])
-        elif change == "latent":
-            other = build_model(build_structure(["A", "B"], [("A", "B")], latent=["A"]), specs, [cpd_a, cpd_b])
-        elif change == "labels":
-            wide = {**specs, "A": VariableSpec(name="A", domain=("x", "y", "z"), codes=(0.0, 1.0, 2.0))}
-            other = build_model(s, wide, [
-                make_cpd("A", (), [[0.2, 0.3, 0.5]], wide),
-                make_cpd("B", ("A",), [[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]], wide),
-            ])
-        else:
-            other = build_model(s, specs, [cpd_b])
-        with pytest.raises(InvalidQuery, match=f"^models on one model axis must share their {what}$"):
-            joint_tables([base, other], [["B"]])
-
-    def test_no_models(self):
-        with pytest.raises(InvalidQuery, match="at least one model"):
-            joint_tables([], [["A"]])
+        rounds = [[asks(*shape) for shape in shapes] for _ in models]
+        with mock.patch.object(model, "_plan", wraps=model._plan) as planned:
+            sent = model._run([_asking(one, asked) for one, asked in zip(models, rounds)])
+        # A fresh structure plans each distinct query once; later models replay it.
+        assert planned.call_count == len({_plan_key(*ask) for asks in rounds[0] for ask in asks})
+        for one, asked, answers in zip(models, rounds, sent, strict=True):
+            for asks, joints in zip(asked, answers, strict=True):
+                for (scopes, do), got in zip(asks, joints, strict=True):
+                    keys = _plan_key(scopes, do)[0]
+                    assert list(got) == list(keys)
+                    for key, alone in zip(keys, joint_tables(one, keys, do=do), strict=True):
+                        assert (got[key].dtype, got[key].shape, got[key].tobytes()) == (
+                            alone.dtype, alone.shape, alone.tobytes()
+                        )
 
 
 class TestPlanCache:
@@ -574,33 +576,31 @@ class TestPlanCache:
     @given(st.data())
     def test_a_hit_replays_the_bits_of_a_miss_and_the_cache_is_capped(self, data):
         m = data.draw(random_models(min_nodes=4, max_nodes=10))
-        n_models = data.draw(st.integers(1, 2))
         nodes = sorted(m.instantiated)
         scopes = data.draw(st.lists(st.sets(st.sampled_from(nodes), min_size=1, max_size=2), min_size=1, max_size=4))
         do_nodes = sorted(data.draw(st.sets(st.sampled_from(nodes), max_size=2)))
         n_rows = data.draw(st.integers(1, 3))
 
         def query():
-            """Models on ``m.structure`` with other CPD tables, and other do() rows."""
-            models = [redrawn(m, data.draw(st.integers(0, 2**32 - 1))) for _ in range(n_models)]
+            """A model on ``m.structure`` with other CPD tables, and other do() rows."""
             do = {
                 d: data.draw(st.lists(st.integers(0, m.specs[d].cardinality - 1), min_size=n_rows, max_size=n_rows))
                 for d in do_nodes
             }
-            return models, do or None
+            return redrawn(m, data.draw(st.integers(0, 2**32 - 1))), do or None
 
         s = m.structure
         first, first_do = query()
         joint_tables(first, scopes, do=first_do)
-        models, do = query()
+        other, do = query()
         with mock.patch.object(model, "_plan", wraps=model._plan) as planned:
-            hit = joint_tables(models, scopes, do=do)
+            hit = joint_tables(other, scopes, do=do)
         assert planned.call_count == 0 and len(s._plans) == 1
         # A structure that compares equal has a cache of its own: a miss.
         fresh = build_structure(s.nodes, s.directed, latent=s.latent)
         assert fresh == s and not fresh._plans
-        copies = [build_model(fresh, one.specs, one.cpds.values()) for one in models]
-        for a, b in zip(hit, joint_tables(copies, scopes, do=do), strict=True):
+        copy = build_model(fresh, other.specs, other.cpds.values())
+        for a, b in zip(hit, joint_tables(copy, scopes, do=do), strict=True):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         # Past the cap, the oldest plan is dropped first.
         cap = model._PLANS_PER_STRUCTURE
@@ -803,8 +803,10 @@ class TestEstimate:
         )
         tracemalloc.start()
         try:
-            with pytest.raises(StateSpaceExceeded, match=f"over {n_parents + 1} nodes spans {2 ** (n_parents + 1)} "):
+            message = f"over {n_parents + 1} nodes spans {2 ** (n_parents + 1)} "
+            with pytest.raises(StateSpaceExceeded, match=message) as info:
                 estimate_cpds(s, specs, ds)
+            assert str(info.value).endswith(f": the family of 'Y' and its parents {parents}")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -265,4 +265,4 @@ def test_post_init_checks_still_raise(build, error):
 def test_cached_properties_work_on_frozen_records():
     model = MODELS[0]
     assert model.structure._parents is model.structure._parents
-    assert model._factor_key is model._factor_key
+    assert model._shape_key is model._shape_key
