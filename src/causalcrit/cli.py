@@ -32,7 +32,7 @@ from .io import (
     canonical_json,
     load_dataset,
     load_field,
-    load_models,
+    load_model,
     load_trajectory,
     save_dataset,
 )
@@ -74,11 +74,10 @@ def _parse_names(text: Optional[str]) -> Optional[list[str]]:
 
 
 def _load(*paths: str) -> list:
-    """The relation and model of each fixture id or model file. The files are
-    read by one load_models call, so a candidate file that repeats the
-    reference's declaration shares its parse."""
-    files = iter(load_models([p for p in paths if p not in fixtures.FIXTURE_IDS]))
-    return [fixtures.fixture(p) if p in fixtures.FIXTURE_IDS else next(files) for p in paths]
+    """The relation and model of each fixture id or model file, in order. A
+    file that repeats the declaration of a relation still in use, such as a
+    fixture's or the reference file's, shares its parse (see ``io._parse``)."""
+    return [fixtures.fixture(p) if p in fixtures.FIXTURE_IDS else load_model(p) for p in paths]
 
 
 def cmd_validate(args) -> int:

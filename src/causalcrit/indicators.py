@@ -43,7 +43,7 @@ from .errors import (
     ZeroMeanCriticality,
     ZeroProbabilityCondition,
 )
-from .graph import build_structure
+from .graph import CausalStructure, build_structure
 from .model import DiscreteModel, build_model
 from .model import _ask, _check_closure, _cpds, _run, _Step
 
@@ -360,11 +360,21 @@ def _kept_families(m: DiscreteModel, keep: Sequence[str]) -> list[tuple[str, ...
     return [tuple(sorted({n, *(m.structure.parents(n) & keep_set)})) for n in keep]
 
 
+def _induced_structure(structure: CausalStructure, keep: tuple[str, ...]) -> CausalStructure:
+    """The sub-structure over the sorted nodes ``keep``, with the edges among them."""
+    keep_set = set(keep)
+    return build_structure(
+        keep,
+        [e for e in structure.directed if keep_set.issuperset(e)],
+        [tuple(p) for p in structure.bidirected if p <= keep_set],
+        structure.latent & keep_set,
+    )
+
+
 def _induced_submodel(
-    m: DiscreteModel, keep: tuple[str, ...], joints: Mapping[tuple[str, ...], np.ndarray]
+    m: DiscreteModel, sub_structure: CausalStructure, joints: Mapping[tuple[str, ...], np.ndarray]
 ) -> DiscreteModel:
-    """Sub-model over the sorted nodes ``keep``: induced edges, CPDs conditioned
-    on kept parents.
+    """Sub-model of ``m`` on its induced ``sub_structure``: CPDs conditioned on kept parents.
 
     Each kept node's CPD becomes its exact conditional given the parents that
     survive the restriction, derived from the full joint over its
@@ -372,13 +382,7 @@ def _induced_submodel(
     restricted joint as factorizing over the induced DAG, which is a
     sensitivity-analysis view rather than a marginalization theorem.
     """
-    keep_set = set(keep)
-    sub_structure = build_structure(
-        keep,
-        [e for e in m.structure.directed if keep_set.issuperset(e)],
-        [tuple(p) for p in m.structure.bidirected if p <= keep_set],
-        m.structure.latent & keep_set,
-    )
+    keep = sub_structure.nodes
     sub_specs = {n: m.specs[n] for n in keep}
     entries = []
     for n, names in zip(keep, _kept_families(m, keep)):
@@ -405,8 +409,11 @@ def _rho3_step(
     models = _by_role(pair)
     if restrict_to_set:
         kept = yield [_ask(m, _kept_families(m, node_list)) for m in models.values()]
+        # One induced structure per structure object, so a pair on one structure plans once.
+        induced = {id(m.structure): m.structure for m in models.values()}
+        induced = {k: _induced_structure(structure, node_list) for k, structure in induced.items()}
         models = {
-            role: _induced_submodel(m, node_list, joints)
+            role: _induced_submodel(m, induced[id(m.structure)], joints)
             for (role, m), joints in zip(models.items(), kept)
         }
     component_nodes = [n for n in node_list if n != cp.variable]

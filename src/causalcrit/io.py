@@ -5,6 +5,10 @@ collections, floats at 12 significant digits. A canonically written file is
 a fixed point of save(load(.)), which keeps fixtures diffable and lets tests
 pin them by checksum.
 
+A model file that repeats the declaration (every top-level field but
+``cpds``) of a relation still in use, a fixture's included, reuses that
+relation and its structure, and with it the structure's cached plans.
+
 Reading a model file without CPDs needs no numpy. The readers that build
 arrays (CPD tables, datasets, trajectories and fields) import numpy and the
 numeric layers when they run.
@@ -20,8 +24,9 @@ import marshal
 import math
 import os
 import stat
+import weakref
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Union
 
 from .context import (
     CausalRelation,
@@ -43,7 +48,6 @@ if TYPE_CHECKING:
 __all__ = [
     "FORMAT_VERSION",
     "load_model",
-    "load_models",
     "save_model",
     "model_to_text",
     "load_dataset",
@@ -325,11 +329,22 @@ def _decode(text: str):
         raise ParseError("JSON nested too deeply to read") from None
 
 
-def _parse(payload, earlier: CausalRelation | None = None) -> tuple[CausalRelation, DiscreteModel]:
-    """The relation and model of a decoded model file. ``earlier`` is the
-    relation of a file that declares what this one declares: it is reused,
-    with its specs and structure, and of this file only ``cpds`` is checked."""
-    if earlier is None:
+# The relation of each model file parsed so far, by its declaration key (see
+# _parse). An entry lasts as long as something else holds its relation.
+_DECLARED: weakref.WeakValueDictionary[bytes, CausalRelation] = weakref.WeakValueDictionary()
+
+
+def _parse(payload) -> tuple[CausalRelation, DiscreteModel]:
+    """The relation and model of a decoded model file. A file whose
+    declaration equals, in JSON type and in each object's key order too, that
+    of a relation held elsewhere reuses it, and of this file only ``cpds`` is
+    checked and built, which raises what a fresh parse would. Marshal writes
+    each value with its type, where ``==`` takes true, 1 and 1.0 for one."""
+    key = None
+    if type(payload) is dict and "cpds" in payload:  # any other payload fails the schema check
+        key = marshal.dumps([[k, payload[k]] for k in sorted(payload) if k != "cpds"], 2)
+    relation = _DECLARED.get(key)
+    if relation is None:
         _check_model(payload, "")
         if payload["format_version"] != FORMAT_VERSION:
             raise ParseError(f"unsupported format_version {payload['format_version']!r}")
@@ -346,7 +361,6 @@ def _parse(payload, earlier: CausalRelation | None = None) -> tuple[CausalRelati
         relation = CausalRelation(structure, context, PhenomenonBinding(**payload["phenomenon"]),
                                   payload["metric"]["variable"], specs)
     else:
-        relation = earlier
         _check_cpds(payload["cpds"], "cpds")
     cpds = []
     if payload["cpds"]:
@@ -356,7 +370,9 @@ def _parse(payload, earlier: CausalRelation | None = None) -> tuple[CausalRelati
             cpds = _cpds([(c["child"], c["parents"], c["table"]) for c in payload["cpds"]], relation.specs)
         except CausalCritError as exc:  # the first CPD that fails, at its JSON path
             raise ValidationError(f"cpds[{exc.entry}]: {exc}") from None
-    return relation, build_model(relation.structure, relation.specs, cpds)
+    model = build_model(relation.structure, relation.specs, cpds)
+    _DECLARED.setdefault(key, relation)  # only a file that passed every check lends its relation
+    return relation, model
 
 
 def parse_model_text(text: str) -> tuple[CausalRelation, DiscreteModel]:
@@ -375,35 +391,6 @@ def _read_text(path: PathLike) -> str:
 
 def load_model(path: PathLike) -> tuple[CausalRelation, DiscreteModel]:
     return parse_model_text(_read_text(path))
-
-
-def _same_declaration(payload, earlier: dict) -> bool:
-    """Whether ``payload`` has ``cpds`` and every other top-level field of the
-    model file ``earlier``, each equal in value, in JSON type and in the order
-    of its objects' keys: ``==`` takes true, 1 and 1.0 for one value, and
-    marshal writes each with its type."""
-    if type(payload) is not dict or "cpds" not in payload or payload.keys() != earlier.keys():
-        return False
-    fields = [key for key in earlier if key != "cpds"]
-    mine, theirs = [payload[key] for key in fields], [earlier[key] for key in fields]
-    return mine == theirs and marshal.dumps(mine, 2) == marshal.dumps(theirs, 2)
-
-
-def load_models(paths: Sequence[PathLike]) -> list[tuple[CausalRelation, DiscreteModel]]:
-    """Each file's relation and model, read in order as ``load_model`` reads it.
-
-    A file whose declaration, every top-level field but ``cpds``, equals an
-    earlier file's reuses that file's relation, specs and structure, so both
-    models hold one structure object. Of such a file only ``cpds`` is checked
-    and built, which raises what ``load_model`` would: the rest of it equals
-    a declaration that passed every check.
-    """
-    loaded: list[tuple[dict, CausalRelation, DiscreteModel]] = []
-    for path in paths:
-        payload = _decode(_read_text(path))
-        earlier = next((r for p, r, _ in loaded if _same_declaration(payload, p)), None)
-        loaded.append((payload, *_parse(payload, earlier)))
-    return [(relation, model) for _, relation, model in loaded]
 
 
 def load_dataset(

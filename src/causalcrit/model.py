@@ -126,7 +126,10 @@ def _cpds(
         exc.entry = 0
         raise
     flat.setflags(write=False)
-    return [Cpd(child, parents, flat[cells].reshape(arr.shape)) for child, parents, arr, cells in heads]
+    cpds = [Cpd(child, parents, flat[cells].reshape(arr.shape)) for child, parents, arr, cells in heads]
+    for cpd in cpds:
+        object.__setattr__(cpd, "_checked", True)
+    return cpds
 
 
 @record(eq=False)

@@ -5,7 +5,8 @@ every node and a :class:`Cpd` for each instantiated node. Nothing here
 computes with the tables, so a model without CPDs, such as the friction
 relation, is built and checked without numpy. :mod:`causalcrit.model` checks
 each model's tables in one call, whether they come from a file, from data or
-from a restricted sub-model, and computes with them.
+from a restricted sub-model, and computes with them; :func:`build_model`
+refuses a CPD that did not pass that check.
 """
 
 from __future__ import annotations
@@ -76,6 +77,8 @@ class Cpd:
     parents: tuple[str, ...]
     table: np.ndarray  # shape (#parent configurations, child cardinality)
 
+    _checked = False  # set by model._cpds, the one check of CPD tables; build_model asks for it
+
 
 @record(eq=False)
 class DiscreteModel:
@@ -110,7 +113,8 @@ def build_model(
     specs: Mapping[str, VariableSpec],
     cpds: Iterable[Cpd] = (),
 ) -> DiscreteModel:
-    """Validate spec coverage and CPD/graph consistency, then freeze the model."""
+    """Validate spec coverage and CPD/graph consistency, then freeze the model.
+    Each CPD must come from the CPD check: ``make_cpd``, a model file or data."""
     spec_map = dict(specs)
     for node in structure.nodes:
         if node not in spec_map:
@@ -122,6 +126,8 @@ def build_model(
             raise ValidationError(f"spec name {sp.name!r} filed under {name!r}")
     cpd_map: dict[str, Cpd] = {}
     for cpd in cpds:
+        if not cpd._checked:
+            raise ValidationError(f"CPD for {cpd.child!r} has not passed the CPD check: make it with make_cpd")
         if cpd.child in cpd_map:
             raise ValidationError(f"duplicate CPD for {cpd.child!r}")
         structure.ensure_nodes((cpd.child,))

@@ -14,6 +14,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import causalcrit.engine as engine
+import causalcrit.io as io
 import causalcrit.model as model
 from causalcrit.cli import main
 from causalcrit.context import PhenomenonBinding
@@ -41,7 +42,7 @@ from causalcrit.indicators import (
     sigma,
 )
 from causalcrit.fixtures import fixture
-from causalcrit.io import model_to_text
+from causalcrit.io import load_model, model_to_text
 from causalcrit.model import VariableSpec, build_model, make_cpd
 
 from oracles import brute_causal_influence, brute_joint, brute_kl, brute_marginal
@@ -560,7 +561,8 @@ class TestRho3:
         # Redrawn tables keep the structure object, so the candidate replays
         # the plan of the reference's first-round call, and its report is
         # that of a model planned alone. The restricted second round asks
-        # the induced sub-models, each its own structure, so it plans twice.
+        # the two induced sub-models, which share one induced structure, so
+        # it plans once.
         pair = ModelPair(reference=reality_model, candidate=redrawn(reality_model, 5))
         nodes = ["V1", "V2", "X", "phi"]
         alone = ModelPair(reference=reality_model, candidate=_on_a_copy(pair.candidate))
@@ -569,7 +571,7 @@ class TestRho3:
                 report = rho3(pair, nodes, CP, restrict_to_set=restrict)
         assert report == rho3(alone, nodes, CP, restrict_to_set=restrict)
         assert len(counted) == 2 * rounds
-        assert planned.call_count == 1 + 2 * (rounds - 1)
+        assert planned.call_count == rounds
 
     def test_perturbed_candidate_is_detected(self, reality_model):
         cpds = dict(reality_model.cpds)
@@ -858,23 +860,22 @@ class TestIndicatorReports:
 
     @pytest.mark.parametrize("extra, restricted_rounds", [((), 0), (("--rho3-restricted",), 1)])
     def test_one_elimination_per_shared_pair(self, capsys, tmp_path, reality_model, extra, restricted_rounds):
-        # Two files of one declaration hold one structure object: on a fresh
-        # parse the reference plans its do() rows and its other joints, and
-        # the redrawn candidate replays both plans. A restricted round asks
-        # the induced sub-models, each its own structure, so it plans twice.
+        # A file that repeats the fixture's declaration is read through the
+        # fixture's relation, so both models hold the fixture's structure
+        # object. On a cleared plan cache the reference plans its do() rows
+        # and its other joints, the redrawn candidate replays both plans, and
+        # a restricted round plans once for the pair's one induced structure.
         relation, _ = fixture("heavy-rain-reality")
         ref, cand = tmp_path / "ref.json", tmp_path / "redrawn.json"
         ref.write_text(model_to_text(relation, reality_model), encoding="utf-8")
         cand.write_text(model_to_text(relation, redrawn(reality_model, 5)), encoding="utf-8")
-        tail = ["--set", "V1,V2,X", *extra, "--format", "json"]
-        # The fixture's structure is another object, so there the candidate plans alone.
-        assert main(["indicators", "heavy-rain-reality", str(cand), *tail]) == 0
-        alone = json.loads(capsys.readouterr().out)
-        with _recorded_calls() as calls, mock.patch.object(model, "_plan", wraps=model._plan) as planned:
-            assert main(["indicators", str(ref), str(cand), *tail]) == 0
-        shared = json.loads(capsys.readouterr().out)
-        assert {**shared, "reference": None} == {**alone, "reference": None}
-        assert planned.call_count == 2 + 2 * restricted_rounds
+        assert load_model(cand)[1].structure is reality_model.structure
+        argv = ["indicators", "heavy-rain-reality", str(cand), "--set", "V1,V2,X", *extra, "--format", "json"]
+        with mock.patch.dict(reality_model.structure._plans, clear=True):
+            with _recorded_calls() as calls, mock.patch.object(model, "_plan", wraps=model._plan) as planned:
+                assert main(argv) == 0
+        shared = capsys.readouterr().out
+        assert planned.call_count == 2 + restricted_rounds
         nodes = reality_model.structure.nodes
         assert self._nodes_and_rows(calls) == [
             (nodes, True),
@@ -883,3 +884,10 @@ class TestIndicatorReports:
             (nodes, False),
             *[(("V1", "V2", "X"), False)] * 2 * restricted_rounds,
         ]
+        # Read with nothing to share, the candidate plans apart, to the same
+        # bytes; two files of one declaration give the same report.
+        with mock.patch.dict(io._DECLARED, clear=True):
+            assert main(argv) == 0
+        assert capsys.readouterr().out == shared
+        assert main(["indicators", str(ref), *argv[2:]]) == 0
+        assert {**json.loads(capsys.readouterr().out), "reference": None} == {**json.loads(shared), "reference": None}

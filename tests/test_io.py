@@ -1,14 +1,18 @@
+import gc
 import hashlib
 import json
 import math
 import re
+import weakref
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalcrit import io
 from causalcrit.context import PhenomenonBinding, PropertyRef
 from causalcrit.errors import (
     CausalCritError,
@@ -29,14 +33,19 @@ from causalcrit.io import (
     load_dataset,
     load_field,
     load_model,
-    load_models,
     load_trajectory,
     model_to_text,
     parse_model_text,
     save_dataset,
     save_model,
 )
-from causalcrit.indicators import ModelPair, _induced_submodel, _kept_families, indicator_reports
+from causalcrit.indicators import (
+    ModelPair,
+    _induced_structure,
+    _induced_submodel,
+    _kept_families,
+    indicator_reports,
+)
 from causalcrit.model import VariableSpec, estimate_cpds, joint_tables, make_cpd, sample
 
 from oracles import brute_tally
@@ -331,7 +340,8 @@ class TestCpdTables:
         models = [
             reality_model,
             estimate_cpds(reality_model.structure, reality_model.specs, sample(reality_model, 500, seed=1), 1.0),
-            _induced_submodel(reality_model, keep, dict(zip(families, joint_tables(reality_model, families)))),
+            _induced_submodel(reality_model, _induced_structure(reality_model.structure, keep),
+                              dict(zip(families, joint_tables(reality_model, families)))),
         ]
         for m in models:
             tables = [cpd.table for cpd in m.cpds.values()]
@@ -355,12 +365,17 @@ def redrawn_pairs(draw):
     """A random model file and a second one that repeats its declaration with
     other CPD tables."""
     reference = _model_payload(draw(random_models(min_nodes=2, latent=draw(st.booleans()))))
-    candidate = json.loads(json.dumps(reference))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    for cpd in candidate["cpds"]:
+    return reference, _redrawn(reference, draw(st.integers(0, 2**32 - 1)))
+
+
+def _redrawn(payload: dict, seed: int) -> dict:
+    """A copy of the model file ``payload`` with each CPD table redrawn."""
+    out = json.loads(json.dumps(payload))
+    rng = np.random.default_rng(seed)
+    for cpd in out["cpds"]:
         table = cpd["table"]
         cpd["table"] = rng.dirichlet(np.ones(len(table[0])), size=len(table)).tolist()
-    return reference, candidate
+    return out
 
 
 def _string_cell(payload, draw):
@@ -416,15 +431,43 @@ def _outcome(load):
     ]
 
 
+def _alone(path):
+    """``load_model(path)`` with no relation to share: the file parses fresh."""
+    with mock.patch.dict(io._DECLARED, clear=True):
+        return load_model(path)
+
+
+def _twin_values(reference, candidate, draw):
+    """Give the first variable's first code values that are ``==`` but of
+    another JSON type in the two files."""
+    ref_var, cand_var = reference["variables"][0], candidate["variables"][0]
+    ref_code, cand_code = draw(st.sampled_from([(1, 1.0), (1.0, 1), (0.0, -0.0), (-0.0, 0.0)]))
+    ref_var["codes"][0], cand_var["codes"][0] = ref_code, cand_code
+
+
+def _twin_flags(reference, candidate, draw):
+    cand_var = candidate["variables"][0]
+    cand_var["latent"] = int(cand_var["latent"])
+
+
+def _twin_key_order(reference, candidate, draw):
+    k = draw(st.integers(0, len(candidate["variables"]) - 1))
+    candidate["variables"][k] = dict(reversed(candidate["variables"][k].items()))
+
+
+# Changes to a redrawn pair after which the two declarations are == as Python
+# values but differ in a JSON type or in a nested object's key order.
+_TWINS = {"number type": _twin_values, "flag as a number": _twin_flags, "key order": _twin_key_order}
+
+
 @pytest.fixture(scope="module")
 def pair_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("pairs")
 
 
 class TestModelPairs:
-    """A file that repeats an earlier file's declaration is read through the
-    earlier file's relation: the models and errors are those of each file
-    read alone."""
+    """A file that repeats the declaration of a relation in use is read through
+    that relation: the models and errors are those of the file read alone."""
 
     @staticmethod
     def _write(pair_dir, *payloads):
@@ -437,9 +480,10 @@ class TestModelPairs:
     @given(pair=redrawn_pairs())
     def test_pair_equals_the_files_read_alone(self, pair_dir, pair):
         paths = self._write(pair_dir, *pair)
-        (relation, ref), (cand_relation, cand) = load_models(paths)
+        loaded = [load_model(p) for p in paths]
+        (relation, ref), (cand_relation, cand) = loaded
         assert cand.structure is ref.structure and cand_relation is relation
-        assert _outcome(lambda: load_models(paths)) == _outcome(lambda: [load_model(p) for p in paths])
+        assert _outcome(lambda: loaded) == _outcome(lambda: [_alone(p) for p in paths])
 
         def reports(models):
             try:
@@ -449,7 +493,7 @@ class TestModelPairs:
                 return type(exc), str(exc)
             return canonical_json([r.as_dict() for r in out])
 
-        assert reports((ref, cand)) == reports([load_model(p)[1] for p in paths])
+        assert reports((ref, cand)) == reports([_alone(p)[1] for p in paths])
 
     @settings(max_examples=100, deadline=None)
     @given(pair=redrawn_pairs(), damage=st.sampled_from(sorted(_PAIR_DAMAGE)), data=st.data())
@@ -457,16 +501,60 @@ class TestModelPairs:
         reference, candidate = pair
         _PAIR_DAMAGE[damage](candidate, data.draw)
         ref_path, cand_path = self._write(pair_dir, reference, candidate)
-        alone = _outcome(lambda: [load_model(ref_path), load_model(cand_path)])
-        assert _outcome(lambda: load_models([ref_path, cand_path])) == alone
+        alone = _outcome(lambda: [_alone(ref_path), _alone(cand_path)])
+        assert _outcome(lambda: [load_model(ref_path), load_model(cand_path)]) == alone
         if damage in ("string cell", "bad row sum"):
             assert alone[0] in (ParseError, ValidationError) and alone[1].startswith("cpds[")
 
     def test_other_declarations_parse_apart(self):
         paths = [fixture_path("heavy-rain-reality"), fixture_path("heavy-rain-model")]
-        (_, ref), (_, cand) = load_models(paths)
+        loaded = [load_model(p) for p in paths]
+        (_, ref), (_, cand) = loaded
         assert cand.structure is not ref.structure
-        assert _outcome(lambda: load_models(paths)) == _outcome(lambda: [load_model(p) for p in paths])
+        assert _outcome(lambda: loaded) == _outcome(lambda: [_alone(p) for p in paths])
+
+    @settings(max_examples=20, deadline=None)
+    @given(fid=st.sampled_from(FIXTURE_IDS), seed=st.integers(0, 2**32 - 1))
+    def test_a_file_shares_a_fixture_relation(self, pair_dir, fid, seed):
+        relation, m = fixture(fid)
+        (path,) = self._write(pair_dir, _redrawn(json.loads(fixture_text(fid)), seed))
+        shared_relation, shared = load_model(path)
+        assert shared_relation is relation and shared.structure is m.structure
+
+    @settings(max_examples=50, deadline=None)
+    @given(pair=redrawn_pairs(), reader=st.sampled_from(["load_model", "parse_model_text"]))
+    def test_a_file_shares_the_relation_of_an_earlier_read(self, pair_dir, pair, reader):
+        reference, candidate = pair
+        ref_path, cand_path = self._write(pair_dir, reference, candidate)
+        relation, m = load_model(ref_path) if reader == "load_model" else parse_model_text(json.dumps(reference))
+        shared_relation, shared = load_model(cand_path)
+        assert shared_relation is relation and shared.structure is m.structure
+
+    @settings(max_examples=50, deadline=None)
+    @given(pair=redrawn_pairs())
+    def test_a_relation_nothing_holds_is_let_go(self, pair_dir, pair):
+        ref_path, cand_path = self._write(pair_dir, *pair)
+        relation, m = load_model(ref_path)
+        (key,) = [k for k, r in io._DECLARED.items() if r is relation]
+        held = weakref.ref(relation)
+        del relation, m
+        gc.collect()
+        assert held() is None and key not in io._DECLARED
+        with mock.patch.object(io, "build_structure", wraps=io.build_structure) as built:
+            load_model(cand_path)
+        assert built.call_count == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair=redrawn_pairs(), twin=st.sampled_from(sorted(_TWINS)), data=st.data())
+    def test_declarations_of_other_json_types_or_key_order_parse_apart(self, pair_dir, pair, twin, data):
+        reference, candidate = pair
+        _TWINS[twin](reference, candidate, data.draw)
+        assert {**reference, "cpds": None} == {**candidate, "cpds": None}
+        ref_path, cand_path = self._write(pair_dir, reference, candidate)
+        relation, _ = load_model(ref_path)
+        assert _outcome(lambda: [load_model(cand_path)]) == _outcome(lambda: [_alone(cand_path)])
+        if twin != "flag as a number":  # which no file passes
+            assert load_model(cand_path)[0] is not relation
 
 
 class TestDataset:

@@ -22,6 +22,7 @@ from causalcrit.errors import (
 from causalcrit import model
 from causalcrit.graph import build_structure
 from causalcrit.model import (
+    Cpd,
     Dataset,
     VariableSpec,
     build_model,
@@ -150,6 +151,16 @@ class TestValidation:
         s = build_structure(["A", "B"], [("A", "B")])
         with pytest.raises(ValidationError):
             build_model(s, specs, [make_cpd("B", (), [[0.5, 0.5]], specs)])
+
+    def test_cpd_that_skipped_the_cpd_check_is_refused(self):
+        # A one-node pair with this candidate read rho2 = 0.693 with a NaN
+        # reverse value; only tables that passed the check enter a model.
+        specs = {"A": binary_spec("A")}
+        s = build_structure(["A"])
+        assert build_model(s, specs, [make_cpd("A", (), [[0.5, 0.5]], specs)]).instantiated == {"A"}
+        message = "CPD for 'A' has not passed the CPD check: make it with make_cpd"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build_model(s, specs, [Cpd("A", (), np.array([[np.nan, 1.0]]))])
 
     @pytest.mark.parametrize(
         "names, spec_b, error, message",
