@@ -17,10 +17,11 @@ answers the joints that the route and indicator steps ask for.
 
 from __future__ import annotations
 
+import heapq
 import math
 import sys
 import warnings
-from typing import Callable, Container, Generator, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Collection, Generator, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -207,7 +208,7 @@ class Dataset:
 def _closure_within(
     m: DiscreteModel,
     over: Iterable[str],
-    clamped: Container[str] = (),
+    clamped: Collection[str] = (),
 ) -> tuple[str, ...]:
     """Ancestral closure of ``over``, not followed past ``clamped`` nodes.
 
@@ -225,15 +226,15 @@ def _closure_within(
             if p not in needed:
                 needed.add(p)
                 frontier.append(p)
-    missing = sorted(n for n in needed if n not in m.cpds and n not in clamped)
+    missing = needed.difference(m.cpds, clamped)
     if missing:
         raise InsufficientInstantiation(
-            f"need CPDs for {missing} to enumerate over {sorted(set(over))}"
+            f"need CPDs for {sorted(missing)} to enumerate over {sorted(set(over))}"
         )
     return tuple(sorted(needed))
 
 
-def _check_closure(m: DiscreteModel, over: Iterable[str], clamped: Container[str] = ()) -> None:
+def _check_closure(m: DiscreteModel, over: Iterable[str], clamped: Collection[str] = ()) -> None:
     """The errors of :func:`_closure_within`. No closure lacks a CPD when every
     node has one (:func:`build_model` files each under a distinct node), so
     then only the names are checked, in the walk's order."""
@@ -246,6 +247,10 @@ def _check_closure(m: DiscreteModel, over: Iterable[str], clamped: Container[str
 # The leading row axis of a joint; not a node name.
 _ROWS = object()
 
+# The character of axis 0 in a plan's factor strings, later axes following:
+# past ",", "-" and ">", which np.einsum subscripts spell.
+_AXIS = ord("?")
+
 # Plans kept per structure; past this many, the oldest is dropped first.
 _PLANS_PER_STRUCTURE = 64
 
@@ -253,22 +258,26 @@ _PLANS_PER_STRUCTURE = 64
 class _Plan(NamedTuple):
     """An elimination of :func:`joint_tables` by factor index; it holds no arrays.
 
-    Factor k spans ``axes[k]``. The first factors are a ones factor over no
-    axis and, with do() rows, the ones factor of the row axis; then comes
-    one factor per ``closure`` node, in order: its CPD table or its do()
-    selector, of the shape in ``shapes``. ``ones`` lists every ones factor
-    with its shape, ``steps`` the contractions in order, each as (factor,
-    input factors, their np.einsum subscripts, the factor's subscripts), and
-    ``reads`` the factor each scope is read from, of shape ``outs[k]``.
-    ``largest`` is the largest state count that the plan's
-    :class:`StateSpaceExceeded` checks read.
+    Factor k spans the axes of the string ``axes[k]``, in order: axis i,
+    node ``closure[i]`` or, after them, the do() row axis, is the character
+    ``chr(_AXIS + i)``, and a single-state node has none. The first factors
+    are a ones factor over no axis and, with do() rows, the ones factor of
+    the row axis; then comes one factor per ``closure`` node, in order: its
+    CPD table or its do() selector, of the shape in ``shapes``. ``ones``
+    lists every ones factor as (factor, size, shape); a call takes each as
+    a view of one buffer of ``width`` ones. ``steps`` are the contractions
+    in order, each as (factor, its precompiled np.einsum subscripts such as
+    ``"AB,BC->AC"``, input factors), and ``reads`` the factor each scope is
+    read from, of shape ``outs[k]``. ``largest`` is the largest state count
+    that the plan's :class:`StateSpaceExceeded` checks read.
     """
 
     closure: tuple[str, ...]
-    axes: tuple[tuple, ...]
+    axes: tuple[str, ...]
     shapes: tuple[tuple[int, ...], ...]
-    ones: tuple[tuple[int, tuple[int, ...]], ...]
-    steps: tuple[tuple[int, tuple[int, ...], tuple[list[int], ...], list[int]], ...]
+    ones: tuple[tuple[int, int, tuple[int, ...]], ...]
+    width: int
+    steps: tuple[tuple[int, str, tuple[int, ...]], ...]
     reads: tuple[int, ...]
     outs: tuple[tuple[int, ...], ...]
     largest: int
@@ -283,9 +292,10 @@ def joint_tables(
 
     Entry k is a dense array whose axes follow ``sorted(set(scopes[k]))``.
     ``do`` maps each intervened node, a node of the structure (else
-    :class:`UnknownNode`), to a sequence of label indices in
+    :class:`UnknownNode`), to a sequence of integer label indices in
     ``range(cardinality)``, one per row, all of the same length n (else
-    :class:`InvalidQuery`); row r is the r-th intervention. Each such node's
+    :class:`InvalidQuery`, naming the row, the node and the entry; a bool
+    or a float is no label index); row r is the r-th intervention. Each such node's
     CPD factor becomes an n x |node| one-hot selector on a shared row axis
     and the closure does not follow its parents, so every entry has shape
     (n, *axes) and its row r is the joint of the truncated factorization
@@ -296,9 +306,11 @@ def joint_tables(
     :class:`InsufficientInstantiation`, naming the missing CPDs) are
     multiplied and summed out by sum-product variable elimination (Zhang &
     Poole 1994). :func:`_plan` decides the elimination by factor index and
-    returns it as a :class:`_Plan`, a frozen value that holds no arrays;
-    every call then builds the CPD, do() selector and ones arrays and
-    replays the plan's contractions.
+    returns it as a :class:`_Plan`, a frozen value that holds no arrays, in
+    which each contraction is a precompiled np.einsum subscript string.
+    Every call then lays out its arrays: the CPD tables, the do()
+    selectors, and every ones factor as a view of one buffer of ones; and
+    replays the plan with one :func:`_contract` call per step.
     The root is the scope that reaches furthest down the topological order
     (then the one with the most states, then the first): its nodes and the
     row axis are kept, and every other closure node, intervened or not, is
@@ -336,6 +348,8 @@ def joint_tables(
     for n, rows in do.items():
         card = m.spec_of(n).cardinality
         for r, i in enumerate(rows):
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                raise InvalidQuery(f"do() row {r} sets {n!r} to {i!r}, not an integer label index")
             if not 0 <= i < card:
                 raise InvalidQuery(f"do() row {r} sets {n!r} to label index {i}, outside range({card})")
     counts = {n: len(rows) for n, rows in do.items()}
@@ -347,56 +361,88 @@ def joint_tables(
         if len(plans) > _PLANS_PER_STRUCTURE:
             del plans[next(iter(plans))]
     arrays: list = [None] * len(plan.axes)
-    for k, shape in plan.ones:
-        arrays[k] = np.ones(shape)
+    buffer = np.ones(plan.width)
+    for k, size, shape in plan.ones:
+        arrays[k] = buffer[:size].reshape(shape)
     for k, (n, shape) in enumerate(zip(plan.closure, plan.shapes), 1 + bool(do)):
         table = np.eye(m.specs[n].cardinality)[list(do[n])] if n in do else m.cpds[n].table
         arrays[k] = table.reshape(shape)
-    for k, ins, subscripts, to in plan.steps:
-        arrays[k] = _contract([arrays[j] for j in ins], subscripts, to)
+    for k, subscripts, ins in plan.steps:
+        arrays[k] = _contract(subscripts, *[arrays[j] for j in ins])
     return [arrays[k].reshape(out) for k, out in zip(plan.reads, plan.outs)]
 
 
 def _plan(m: DiscreteModel, scopes: Sequence[tuple[str, ...]], do: Mapping[str, int]) -> _Plan:
     """The :class:`_Plan` of :func:`joint_tables` for the factor structure
-    of ``m``, the sorted ``scopes``, and ``do`` mapping
-    each intervened node to the number of do() rows. Every
-    :class:`StateSpaceExceeded` check runs here, in the order the plan meets
-    it."""
-    closure = _closure_within(m, {n for s in scopes for n in s}, do)
-    card = {n: m.specs[n].cardinality for n in closure}
+    of ``m``, the sorted ``scopes``, and ``do`` mapping each intervened node
+    to the number of do() rows. Every :class:`StateSpaceExceeded` check runs
+    here, in the order the plan meets it.
+
+    Factors are strings of axis characters, so unions, orders and
+    membership are string and set operations. Each hidden node keeps its
+    bucket's axes and the factors that span it, both updated as nodes are
+    eliminated, and the next node comes off a heap. Each contraction's
+    subscripts are written as the step is decided."""
+    over = set().union(*scopes)
+    closure = _closure_within(m, over, do)
+    names = (*closure, _ROWS) if do else closure
+    cards = {n: len(m.specs[n].domain) for n in closure}
     rows: tuple = ()
     if do:
-        card[_ROWS] = next(iter(do.values()))
+        cards[_ROWS] = next(iter(do.values()))
         rows = (_ROWS,)
-    axes = [(*rows, *s) for s in scopes]
-    sizes = [math.prod(card[w] for w in a) for a in axes]
+    outs = [tuple(map(cards.__getitem__, (*rows, *s))) for s in scopes]
+    sizes = [math.prod(out) for out in outs]
     for s, size in zip(scopes, sizes):
         _check_states(size, len(s), lambda: f"the joint over {_named(s)}")
     largest = max(sizes)
+    # Axis i, closure node i or the row axis after them, is the character
+    # chr(_AXIS + i), so a factor's axes are a string, in which character
+    # order is name order. A single-state variable has no axis (its string
+    # is empty): summing one out is the identity.
+    axis = {n: chr(_AXIS + i) if cards[n] != 1 else "" for i, n in enumerate(names)}
+    card = {axis[n]: c for n, c in cards.items() if c != 1}
+    axes = ["".join(map(axis.__getitem__, (*rows, *s))) for s in scopes]
     # A factor is an index into ``fs``, its axes: a ones factor, a CPD or
-    # do() factor of a closure node, or the result of one of ``steps``, the
-    # contractions as (index, input factors) in order. Single-state variables
-    # get no axis: summing one out is the identity. The row axis carries a
-    # ones factor, so it survives when no intervened node lies in the
-    # closure, and a ones factor over no axis leaves the root a factor.
-    fs, shapes, ones, steps = [], [], [], []
+    # do() factor of a closure node, or the result of one of ``steps``. The
+    # row axis carries a ones factor, so it survives when no intervened node
+    # lies in the closure, and a ones factor over no axis leaves the root a
+    # factor.
+    fs: list = []
+    ones: list = []
+    steps: list = []
 
-    def factor(scope: tuple, ins: Optional[Sequence[int]] = None) -> int:
-        if ins is None:
-            ones.append((len(fs), tuple([card[v] for v in scope])))
-        else:
-            steps.append((len(fs), tuple(ins)))
+    def ones_factor(scope: str) -> int:
+        shape = tuple(map(card.__getitem__, scope))
+        ones.append((len(fs), math.prod(shape), shape))
         fs.append(scope)
         return len(fs) - 1
 
-    factor(())
+    def contract(scope: str, ins: list, operands: list, order: Optional[str] = None) -> int:
+        """A step: the product of the factors ``ins``, over the axes
+        ``operands``, summed down to ``scope``, as a new factor. Its np.einsum
+        labels are numbered per step, in ``order``, the order in which its
+        axes first appear, so a step uses only as many as its factors span.
+        A step of more than ``_MAX_OPERANDS`` factors first contracts its
+        first ``_MAX_OPERANDS`` into the new factor's slot, over all their
+        axes, and that partial product then comes first."""
+        k = len(fs)
+        order = order or "".join(dict.fromkeys("".join(operands)))
+        letters = str.maketrans(order, _LETTERS[: len(order)])
+        while len(ins) > _MAX_OPERANDS:
+            head = operands[:_MAX_OPERANDS]
+            union = "".join(dict.fromkeys("".join(head)))
+            steps.append((k, f"{','.join(head)}->{union}".translate(letters), tuple(ins[:_MAX_OPERANDS])))
+            ins, operands = [k, *ins[_MAX_OPERANDS:]], [union, *operands[_MAX_OPERANDS:]]
+        steps.append((k, f"{','.join(operands)}->{scope}".translate(letters), tuple(ins)))
+        fs.append(scope)
+        return k
+
+    ones_factor("")
     if rows:
-        factor(rows if card[_ROWS] != 1 else ())
-    for n in closure:
-        parents = rows if n in do else m.cpds[n].parents
-        fs.append(tuple(v for v in (*parents, n) if card[v] != 1))
-        shapes.append(tuple([card[v] for v in fs[-1]]))
+        ones_factor(axis[_ROWS])
+    family = ["".join(map(axis.__getitem__, (*(rows if n in do else m.cpds[n].parents), n))) for n in closure]
+    fs += family
     # The root is the scope that reaches furthest down the topological
     # order, then the largest, so the closure is eliminated from the sources
     # down toward it. Only its nodes and the row axis are kept: an
@@ -404,80 +450,104 @@ def _plan(m: DiscreteModel, scopes: Sequence[tuple[str, ...]], do: Mapping[str, 
     # selector. Every scope that reaches past the root gets a unit factor,
     # which the bucket of its first eliminated node takes.
     root = 0
-    if len(scopes) > 1:
-        order = m.structure.topological_order()
-        root = max(
-            range(len(scopes)),
-            key=lambda k: (max(map(order.index, scopes[k]), default=-1), sizes[k]),
-        )
+    if len(scopes) > 1 and over:
+        position = dict(zip(m.structure.topological_order(), range(len(m.structure.nodes))))
+        deepest = max(over, key=position.__getitem__)
+        root = max((k for k, s in enumerate(scopes) if deepest in s), key=sizes.__getitem__)
     kept = set(axes[root])
-    unit = {}
-    for k, a in enumerate(axes):
-        scope = tuple(v for v in a if card[v] != 1)
-        if not kept.issuperset(scope):
-            unit[k] = factor(scope)
-    nbrs: dict = {n: set() for n in card if card[n] != 1}
-    for scope in fs:
+    unit = {k: ones_factor(a) for k, a in enumerate(axes) if not kept.issuperset(a)}
+    # Each axis's bucket, the set of its axes, and the factors that span it,
+    # in index order; a factor that a bucket took is in ``owner``. Both are
+    # kept up to date for the hidden nodes as nodes are eliminated.
+    bucket_of: dict = {v: set() for v in card}
+    members: dict = {v: [] for v in card}
+    for f, scope in enumerate(fs):
         for v in scope:
-            nbrs[v].update(scope)
-    for v, vs in nbrs.items():
-        vs.discard(v)
-    hidden = set(nbrs) - kept
-    # (states spanned by its bucket, name) for each hidden node; the bucket
-    # holds the node and its neighbours.
-    rank = {v: (card[v] * math.prod(map(card.__getitem__, nbrs[v])), v) for v in hidden}
-    live = list(range(len(fs)))  # the factors no bucket has taken; step i sums bucket i
-    while hidden:
-        v = min(hidden, key=rank.__getitem__)
+            bucket_of[v].update(scope)
+            members[v].append(f)
+    # The next node to eliminate is the least by (states of its bucket,
+    # name): a heap of (states, axis), in which an entry whose rank has
+    # changed since it was pushed is skipped.
+    rank = {v: math.prod(map(card.__getitem__, b)) for v, b in bucket_of.items() if v not in kept}
+    heap = [(size, v) for v, size in rank.items()]
+    heapq.heapify(heap)
+    owner: dict = {}  # factor -> the bucket that took it
+    buckets: list = []  # (the factor it sends on, its factors, their axes' order)
+    while heap:
+        size, v = heapq.heappop(heap)
+        if rank.get(v) != size:
+            continue
+        del rank[v]
+        scope = bucket_of[v]
+        scope.discard(v)
         _check_states(
-            rank[v][0], 1 + len(nbrs[v]), lambda: f"the bucket of {v!r} and its neighbours {_named(nbrs[v])}"
+            size,
+            1 + len(scope),
+            lambda: f"the bucket of {names[ord(v) - _AXIS]!r} and its neighbours "
+            + _named([names[ord(u) - _AXIS] for u in scope]),
         )
-        largest = max(largest, rank[v][0])
-        hidden.discard(v)
-        # Only hidden nodes' neighbours are read again.
-        for u in nbrs[v] & hidden:
-            nbrs[u] |= nbrs[v]
-            nbrs[u] -= {u, v}
-            rank[u] = (card[u] * math.prod(map(card.__getitem__, nbrs[u])), u)
-        bucket = [f for f in live if v in fs[f]]
-        live = [f for f in live if v not in fs[f]]
-        scope = tuple(dict.fromkeys(w for f in bucket for w in fs[f] if w != v))
-        live.append(factor(scope, bucket))
+        if size > largest:
+            largest = size
+        bucket = [f for f in members[v] if f not in owner]
+        owner.update(dict.fromkeys(bucket, len(buckets)))
+        operands = [fs[f] for f in bucket]
+        order = "".join(dict.fromkeys("".join(operands)))
+        k = contract(order.replace(v, ""), bucket, operands, order)
+        buckets.append((k, bucket, order))
+        # Only hidden nodes' buckets are read again.
+        for u in fs[k]:
+            if u in rank:
+                b = bucket_of[u]
+                b |= scope
+                b.discard(v)
+                members[u].append(k)
+                size = math.prod(map(card.__getitem__, b))
+                if size != rank[u]:
+                    rank[u] = size
+                    heapq.heappush(heap, (size, u))
     # The root is the last cluster, what no bucket took, and it holds the
     # ones factor over no axis at least. It spans no more than the root
     # scope's output, and a downward message or a read no more than the
     # bucket or root that sends it.
-    cluster = {None: live}  # bucket (None: the root) -> its factors and downward message
+    cluster = {None: [f for f in range(len(fs)) if f not in owner]}  # bucket (None: the root) -> its factors
     at = [None] * len(scopes)  # the bucket each scope is read from (None: the root)
     if unit:
-        owner = {f: i for i, (_, bucket) in enumerate(steps) for f in bucket}
         at = [owner.get(unit.get(k)) for k in range(len(scopes))]
         path = set()
         for i in at:
             while i is not None and i not in path:
                 path.add(i)
-                i = owner.get(steps[i][0])
+                i = owner.get(buckets[i][0])
         # A bucket is eliminated before the one that takes its message, so in
         # descending order every sender has its own downward message.
         for i in sorted(path, reverse=True):
-            msg, bucket = steps[i]
-            sender = [f for f in cluster[owner.get(msg)] if f != msg]
+            msg, bucket, _ = buckets[i]
+            sender = cluster[owner.get(msg)].copy()
+            sender.remove(msg)
+            operands = [fs[f] for f in sender]
             # The sender's other factors may miss a node of the message answered.
-            rest = tuple(w for w in fs[msg] if all(w not in fs[f] for f in sender))
+            covered = "".join(operands)
+            rest = "".join([w for w in fs[msg] if w not in covered])
             if rest or not sender:
-                sender.append(factor(rest))
-            cluster[i] = [*bucket, factor(fs[msg], sender)]
-    # A bucket's unit factor spans the scope it holds.
-    reads = [factor(tuple(v for v in a if card[v] != 1), cluster[i]) for i, a in zip(at, axes)]
-    steps = _subscripted(fs, steps)
+                sender.append(ones_factor(rest))
+                operands.append(rest)
+            cluster[i] = [*bucket, contract(fs[msg], sender, operands)]
+    # A bucket's unit factor spans the scope it holds. The message down to a
+    # bucket spans none of its axes that the bucket's own factors do not, so
+    # the bucket's order is the read's.
+    reads = [
+        contract(a, cluster[i], [fs[f] for f in cluster[i]], None if i is None else buckets[i][2])
+        for i, a in zip(at, axes)
+    ]
     return _Plan(
         closure=closure,
         axes=tuple(fs),
-        shapes=tuple(shapes),
+        shapes=tuple([tuple(map(card.__getitem__, f)) for f in family]),
         ones=tuple(ones),
-        steps=steps,
+        width=max(size for _, size, _ in ones),
+        steps=tuple(steps),
         reads=tuple(reads),
-        outs=tuple(tuple([card[v] for v in a]) for a in axes),
+        outs=tuple(outs),
         largest=largest,
     )
 
@@ -543,37 +613,17 @@ def _run(steps: Sequence[_Step]) -> list:
 # numpy 1.x einsum takes at most 32 operands.
 _MAX_OPERANDS = 32
 
+# The letter of each np.einsum label, as numpy spells label i of a sublist.
+_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 
-def _subscripted(fs: list, steps: Sequence[tuple[int, tuple[int, ...]]]) -> tuple:
-    """``steps``, each (factor, input factors) over the axes ``fs``, with
-    their np.einsum subscripts, numbered per step, so a step uses only as
-    many as its factors span. A step of more than ``_MAX_OPERANDS`` factors
-    first contracts its first ``_MAX_OPERANDS`` into a factor over all their
-    axes, appended to ``fs``."""
-    out = []
-    for k, ins in steps:
-        while len(ins) > _MAX_OPERANDS:
-            head, ins = ins[:_MAX_OPERANDS], ins[_MAX_OPERANDS:]
-            fs.append(tuple(dict.fromkeys(w for j in head for w in fs[j])))
-            out.append(_step(fs, len(fs) - 1, head))
-            ins = (len(fs) - 1, *ins)
-        out.append(_step(fs, k, ins))
-    return tuple(out)
-
-
-def _step(fs: list, k: int, ins: Sequence[int]) -> tuple:
-    label: dict = {}
-    subscripts = tuple([label.setdefault(w, len(label)) for w in fs[j]] for j in ins)
-    return k, tuple(ins), subscripts, [label[w] for w in fs[k]]
-
-
-def _contract(arrays: list[np.ndarray], subscripts: Sequence[list[int]], out: list[int]) -> np.ndarray:
-    """Product of ``arrays``, array i over the axes ``subscripts[i]``,
-    summed down to the axes ``out``, via np.einsum."""
-    args: list = []
-    for arr, sub in zip(arrays, subscripts):
-        args += (arr, sub)
-    return np.einsum(*args, out)
+# The one contraction kernel, called as ``_contract(subscripts, *arrays)``:
+# the C function that np.einsum calls when not asked to optimize, so the
+# same numbers, without the array-function dispatch, which costs about as
+# much as a contraction of a few small factors.
+try:
+    from numpy._core.multiarray import c_einsum as _contract
+except ImportError:  # numpy 1.x
+    _contract = np.einsum
 
 
 def _check_states(size: int, count: int, what: Callable[[], str]) -> None:

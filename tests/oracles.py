@@ -157,18 +157,21 @@ def brute_reachable(edges, node):
     return out
 
 
-def brute_missing_cpds(m, over, clamped=()):
-    """Sorted nodes without a CPD that a query over ``over`` needs.
-
-    The query needs every node of ``over`` and each of their ancestors,
-    walking edges backwards but never into a ``clamped`` node; the clamped
-    nodes themselves need no CPD.
-    """
+def brute_closure(m, over, clamped=()):
+    """The nodes a query over ``over`` needs: every node of ``over`` and each
+    of their ancestors, walking edges backwards but never out of a
+    ``clamped`` node."""
     backwards = [(b, a) for a, b in m.structure.directed if b not in clamped]
     needed = set(over)
     for node in over:
         needed |= brute_reachable(backwards, node)
-    return sorted(n for n in needed if n not in m.cpds and n not in clamped)
+    return needed
+
+
+def brute_missing_cpds(m, over, clamped=()):
+    """Sorted nodes without a CPD that a query over ``over`` needs (see
+    :func:`brute_closure`); the clamped nodes themselves need no CPD."""
+    return sorted(n for n in brute_closure(m, over, clamped) if n not in m.cpds and n not in clamped)
 
 
 def brute_sample(m, n, seed):

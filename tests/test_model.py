@@ -33,8 +33,10 @@ from causalcrit.model import (
 )
 
 from oracles import (
+    brute_closure,
     brute_joint,
     brute_marginal,
+    brute_missing_cpds,
     brute_sample,
     conditionally_independent,
 )
@@ -85,6 +87,54 @@ def random_models(draw, min_nodes=1, max_nodes=6, sparse=False, latent=False):
             table[dead, rng.integers(card, size=dead.size)] = 1.0
             table /= table.sum(axis=1, keepdims=True)
         cpds.append(make_cpd(name, parents, table, specs))
+    return build_model(s, specs, cpds)
+
+
+@st.composite
+def chain_models(draw):
+    """Models like the bench's: a chain of 6-12 nodes, 1-3 labels each (2
+    listed first, which hypothesis favours), in which each node from the
+    third on may also have a skip edge from an earlier node. Up to two nodes
+    of the chain's second half have no CPD. Labels are taken away, from the
+    first node with the most, until the joint of all nodes spans at most
+    4096 states, so that the brute force stays quick."""
+    n = draw(st.integers(6, 12))
+    names = [f"N{i:02d}" for i in range(n)]
+    edges = list(zip(names, names[1:]))
+    for i in range(2, n):
+        skip = draw(st.none() | st.integers(0, i - 2))
+        if skip is not None:
+            edges.append((names[skip], names[i]))
+    cards = [draw(st.sampled_from((2, 3, 1))) for _ in names]
+    while math.prod(cards) > 4096:
+        cards[cards.index(max(cards))] -= 1
+    missing = draw(st.sets(st.sampled_from(names[n // 2:]), max_size=2))
+    s = build_structure(names, edges)
+    specs = {
+        name: VariableSpec(name=name, domain=tuple(f"c{k}" for k in range(card)), codes=tuple(map(float, range(card))))
+        for name, card in zip(names, cards)
+    }
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cpds = []
+    for name, card in zip(names, cards):
+        parents = tuple(sorted(s.parents(name)))
+        rows = math.prod(specs[p].cardinality for p in parents)
+        if name not in missing:
+            cpds.append(make_cpd(name, parents, rng.dirichlet(np.ones(card), size=rows), specs))
+    return build_model(s, specs, cpds)
+
+
+def closure_model(m, over, clamped):
+    """The model over what a query on ``m`` needs (``brute_closure``): the
+    edges into its unclamped nodes and their CPDs, and a uniform CPD for each
+    clamped node, which the query's do() rows replace."""
+    nodes = sorted(brute_closure(m, over, clamped))
+    s = build_structure(nodes, [(a, b) for a, b in m.structure.directed if b in nodes and b not in clamped])
+    specs = {n: m.specs[n] for n in nodes}
+    cpds = [
+        make_cpd(n, (), [[1 / specs[n].cardinality] * specs[n].cardinality], specs) if n in clamped else m.cpds[n]
+        for n in nodes
+    ]
     return build_model(s, specs, cpds)
 
 
@@ -465,6 +515,27 @@ class TestJointTables:
             joint_tables(reality_model, [scope], do={"X": [0, index]})
         assert planned.call_count == 0
 
+    @pytest.mark.parametrize("value", [True, np.True_, 1.0], ids=["bool", "numpy-bool", "float"])
+    def test_do_label_index_not_an_integer(self, reality_model, value):
+        message = rf"^do\(\) row 1 sets 'X' to {re.escape(repr(value))}, not an integer label index$"
+        with mock.patch.object(model, "_plan", wraps=model._plan) as planned, pytest.raises(InvalidQuery, match=message):
+            joint_tables(reality_model, [["phi"]], do={"X": [0, value]})
+        assert planned.call_count == 0
+
+    def test_a_cached_replay_makes_one_kernel_call_per_step_and_no_plan(self):
+        m, _ = binary_chain(8)
+        scopes, do = [["V07"], ["V03", "V05"]], {"V02": [0, 1]}
+        joint_tables(m, scopes, do=do)
+        (plan,) = m.structure._plans.values()
+        with (
+            mock.patch.object(model, "_plan", wraps=model._plan) as planned,
+            mock.patch.object(model, "_contract", wraps=model._contract) as contract,
+        ):
+            joint_tables(m, scopes, do=do)
+        assert planned.call_count == 0
+        assert [call.args[0] for call in contract.call_args_list] == [subscripts for _, subscripts, _ in plan.steps]
+        assert len(plan.steps) > len(scopes)
+
     def test_limit_covers_the_downward_pass(self):
         # Z (8 labels) stands apart and is last in topological order, so
         # [Z] is the root; D -> Q, both binary, and D is intervened on in two
@@ -623,6 +694,52 @@ class TestPlanCache:
             assert planned.call_count == 0
             joint_tables(first, scopes, do=first_do)
             assert planned.call_count == 1
+
+
+class TestDeepElimination:
+    """Chain models like the bench's, asked for one or two nodes at a time,
+    leave most of their closure to eliminate, bucket after bucket."""
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_every_table_matches_brute_force_and_replays_bit_for_bit(self, data):
+        m = data.draw(chain_models())
+        # Last first: hypothesis leans toward the first choice, and the
+        # chain's last nodes have the deepest closures.
+        nodes = list(reversed(m.structure.nodes))
+        scopes = data.draw(st.lists(st.sets(st.sampled_from(nodes), min_size=1, max_size=2), min_size=1, max_size=3))
+        n_rows = data.draw(st.integers(1, 3))
+        do = {
+            d: data.draw(st.lists(st.integers(0, m.specs[d].cardinality - 1), min_size=n_rows, max_size=n_rows))
+            for d in sorted(data.draw(st.sets(st.sampled_from(nodes), max_size=2)))
+        }
+        over = set().union(*scopes)
+        missing = brute_missing_cpds(m, over, do)
+        if missing:
+            message = f"need CPDs for {missing} to enumerate over {sorted(over)}"
+            with pytest.raises(InsufficientInstantiation, match=re.escape(message)):
+                joint_tables(m, scopes, do=do)
+            return
+        tables = joint_tables(m, scopes, do=do)
+        sub = closure_model(m, over, do)
+        for r in range(n_rows if do else 1):
+            names, joint = brute_joint(sub, do={d: sub.specs[d].domain[rows[r]] for d, rows in do.items() if d in sub.specs})
+            for scope, table in zip(scopes, tables, strict=True):
+                expected = brute_marginal(names, joint, scope)
+                row = table[r] if do else table
+                assert row.shape == tuple(m.specs[n].cardinality for n in sorted(scope))
+                for idx in np.ndindex(*row.shape):
+                    key = tuple(m.specs[n].domain[i] for n, i in zip(sorted(scope), idx))
+                    assert row[idx] == pytest.approx(expected.get(key, 0.0), abs=1e-12)
+        # Another model on the structure replays the plan, with the bits that
+        # the plan of a fresh structure gives it.
+        other = redrawn(m, data.draw(st.integers(0, 2**32 - 1)))
+        with mock.patch.object(model, "_plan", wraps=model._plan) as planned:
+            replayed = joint_tables(other, scopes, do=do)
+        assert planned.call_count == 0
+        fresh = build_model(build_structure(m.structure.nodes, m.structure.directed), other.specs, other.cpds.values())
+        for a, b in zip(replayed, joint_tables(fresh, scopes, do=do), strict=True):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 class TestMarkovProperty:
