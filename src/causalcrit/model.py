@@ -259,24 +259,23 @@ class _Plan(NamedTuple):
     """An elimination of :func:`joint_tables` by factor index; it holds no arrays.
 
     Factor k spans the axes of the string ``axes[k]``, in order: axis i,
-    node ``closure[i]`` or, after them, the do() row axis, is the character
-    ``chr(_AXIS + i)``, and a single-state node has none. The first factors
-    are a ones factor over no axis and, with do() rows, the ones factor of
-    the row axis; then comes one factor per ``closure`` node, in order: its
-    CPD table or its do() selector, of the shape in ``shapes``. ``ones``
+    node i of the sorted closure or, after them, the do() row axis, is the
+    character ``chr(_AXIS + i)``, and a single-state node has none. ``ones``
     lists every ones factor as (factor, size, shape); a call takes each as
-    a view of one buffer of ``width`` ones. ``steps`` are the contractions
-    in order, each as (factor, its precompiled np.einsum subscripts such as
-    ``"AB,BC->AC"``, input factors), and ``reads`` the factor each scope is
-    read from, of shape ``outs[k]``. ``largest`` is the largest state count
-    that the plan's :class:`StateSpaceExceeded` checks read.
+    a view of one buffer of ``width`` ones, which is quicker than making
+    each with ``np.ones``. ``tables`` lists the CPD table or do() selector
+    of each closure node as (factor, node, shape). ``steps`` are the
+    contractions in order, each as (factor, its precompiled np.einsum
+    subscripts such as ``"AB,BC->AC"``, input factors), and ``reads`` the
+    factor each scope is read from, of shape ``outs[k]``. ``largest`` is
+    the largest state count that the plan's :class:`StateSpaceExceeded`
+    checks read.
     """
 
-    closure: tuple[str, ...]
     axes: tuple[str, ...]
-    shapes: tuple[tuple[int, ...], ...]
     ones: tuple[tuple[int, int, tuple[int, ...]], ...]
     width: int
+    tables: tuple[tuple[int, str, tuple[int, ...]], ...]
     steps: tuple[tuple[int, str, tuple[int, ...]], ...]
     reads: tuple[int, ...]
     outs: tuple[tuple[int, ...], ...]
@@ -308,9 +307,10 @@ def joint_tables(
     Poole 1994). :func:`_plan` decides the elimination by factor index and
     returns it as a :class:`_Plan`, a frozen value that holds no arrays, in
     which each contraction is a precompiled np.einsum subscript string.
-    Every call then lays out its arrays: the CPD tables, the do()
-    selectors, and every ones factor as a view of one buffer of ones; and
-    replays the plan with one :func:`_contract` call per step.
+    Every call then lays out its arrays in the plan's slots: the CPD
+    tables, the do() selectors, and every ones factor as a view of one
+    buffer of ones; and replays the plan with one :func:`_contract` call
+    per step.
     The root is the scope that reaches furthest down the topological order
     (then the one with the most states, then the first): its nodes and the
     row axis are kept, and every other closure node, intervened or not, is
@@ -330,12 +330,12 @@ def joint_tables(
     or read more than the cluster that sends it.
 
     Plans are cached on the immutable structure, keyed by the model's
-    cardinalities and CPD parents, the sorted scopes in their given order,
-    and each intervened node with its row count, so another model on the
-    same structure object, or other do() labels, replay the plan. A cached
-    plan whose largest checked state count exceeds the current limit is
-    planned again, so it raises what a fresh call raises, and a refused
-    query is never cached. A structure keeps at most
+    cardinalities and the nodes with a CPD, the sorted scopes in their
+    given order, and each intervened node with its row count, so another
+    model on the same structure object, or other do() labels, replay the
+    plan. A cached plan whose largest checked state count exceeds the
+    current limit is planned again, so it raises what a fresh call raises,
+    and a refused query is never cached. A structure keeps at most
     :data:`_PLANS_PER_STRUCTURE` plans and drops the oldest first.
     """
     scopes = tuple(tuple(sorted(set(s))) for s in scopes)
@@ -364,12 +364,13 @@ def joint_tables(
     buffer = np.ones(plan.width)
     for k, size, shape in plan.ones:
         arrays[k] = buffer[:size].reshape(shape)
-    for k, (n, shape) in enumerate(zip(plan.closure, plan.shapes), 1 + bool(do)):
+    for k, n, shape in plan.tables:
         table = np.eye(m.specs[n].cardinality)[list(do[n])] if n in do else m.cpds[n].table
         arrays[k] = table.reshape(shape)
     for k, subscripts, ins in plan.steps:
         arrays[k] = _contract(subscripts, *[arrays[j] for j in ins])
-    return [arrays[k].reshape(out) for k, out in zip(plan.reads, plan.outs)]
+    # A contraction down to no axis returns a numpy scalar, not an array.
+    return [np.asarray(arrays[k]).reshape(out) for k, out in zip(plan.reads, plan.outs)]
 
 
 def _plan(m: DiscreteModel, scopes: Sequence[tuple[str, ...]], do: Mapping[str, int]) -> _Plan:
@@ -410,6 +411,7 @@ def _plan(m: DiscreteModel, scopes: Sequence[tuple[str, ...]], do: Mapping[str, 
     # factor.
     fs: list = []
     ones: list = []
+    tables: list = []
     steps: list = []
 
     def ones_factor(scope: str) -> int:
@@ -441,8 +443,10 @@ def _plan(m: DiscreteModel, scopes: Sequence[tuple[str, ...]], do: Mapping[str, 
     ones_factor("")
     if rows:
         ones_factor(axis[_ROWS])
-    family = ["".join(map(axis.__getitem__, (*(rows if n in do else m.cpds[n].parents), n))) for n in closure]
-    fs += family
+    for n in closure:
+        scope = "".join(map(axis.__getitem__, (*(rows if n in do else m.cpds[n].parents), n)))
+        tables.append((len(fs), n, tuple(map(card.__getitem__, scope))))
+        fs.append(scope)
     # The root is the scope that reaches furthest down the topological
     # order, then the largest, so the closure is eliminated from the sources
     # down toward it. Only its nodes and the row axis are kept: an
@@ -467,7 +471,8 @@ def _plan(m: DiscreteModel, scopes: Sequence[tuple[str, ...]], do: Mapping[str, 
             members[v].append(f)
     # The next node to eliminate is the least by (states of its bucket,
     # name): a heap of (states, axis), in which an entry whose rank has
-    # changed since it was pushed is skipped.
+    # changed since it was pushed is skipped. Taking the least of the ranks
+    # at each step instead would be quadratic in the hidden nodes.
     rank = {v: math.prod(map(card.__getitem__, b)) for v, b in bucket_of.items() if v not in kept}
     heap = [(size, v) for v, size in rank.items()]
     heapq.heapify(heap)
@@ -510,28 +515,27 @@ def _plan(m: DiscreteModel, scopes: Sequence[tuple[str, ...]], do: Mapping[str, 
     # scope's output, and a downward message or a read no more than the
     # bucket or root that sends it.
     cluster = {None: [f for f in range(len(fs)) if f not in owner]}  # bucket (None: the root) -> its factors
-    at = [None] * len(scopes)  # the bucket each scope is read from (None: the root)
-    if unit:
-        at = [owner.get(unit.get(k)) for k in range(len(scopes))]
-        path = set()
-        for i in at:
-            while i is not None and i not in path:
-                path.add(i)
-                i = owner.get(buckets[i][0])
-        # A bucket is eliminated before the one that takes its message, so in
-        # descending order every sender has its own downward message.
-        for i in sorted(path, reverse=True):
-            msg, bucket, _ = buckets[i]
-            sender = cluster[owner.get(msg)].copy()
-            sender.remove(msg)
-            operands = [fs[f] for f in sender]
-            # The sender's other factors may miss a node of the message answered.
-            covered = "".join(operands)
-            rest = "".join([w for w in fs[msg] if w not in covered])
-            if rest or not sender:
-                sender.append(ones_factor(rest))
-                operands.append(rest)
-            cluster[i] = [*bucket, contract(fs[msg], sender, operands)]
+    # The bucket each scope is read from (None: the root).
+    at = [owner.get(unit.get(k)) for k in range(len(scopes))]
+    path = set()
+    for i in at:
+        while i is not None and i not in path:
+            path.add(i)
+            i = owner.get(buckets[i][0])
+    # A bucket is eliminated before the one that takes its message, so in
+    # descending order every sender has its own downward message.
+    for i in sorted(path, reverse=True):
+        msg, bucket, _ = buckets[i]
+        sender = cluster[owner.get(msg)].copy()
+        sender.remove(msg)
+        operands = [fs[f] for f in sender]
+        # The sender's other factors may miss a node of the message answered.
+        covered = "".join(operands)
+        rest = "".join([w for w in fs[msg] if w not in covered])
+        if rest or not sender:
+            sender.append(ones_factor(rest))
+            operands.append(rest)
+        cluster[i] = [*bucket, contract(fs[msg], sender, operands)]
     # A bucket's unit factor spans the scope it holds. The message down to a
     # bucket spans none of its axes that the bucket's own factors do not, so
     # the bucket's order is the read's.
@@ -540,11 +544,10 @@ def _plan(m: DiscreteModel, scopes: Sequence[tuple[str, ...]], do: Mapping[str, 
         for i, a in zip(at, axes)
     ]
     return _Plan(
-        closure=closure,
         axes=tuple(fs),
-        shapes=tuple([tuple(map(card.__getitem__, f)) for f in family]),
         ones=tuple(ones),
         width=max(size for _, size, _ in ones),
+        tables=tuple(tables),
         steps=tuple(steps),
         reads=tuple(reads),
         outs=tuple(outs),
@@ -642,11 +645,11 @@ def _named(nodes: Iterable) -> str:
 
 
 def _config_codes(
-    parents: Sequence[str], codes: Mapping[str, np.ndarray], specs: Mapping[str, VariableSpec], cfg: np.ndarray
+    parents: Sequence[str], codes: Mapping[str, np.ndarray], specs: Mapping[str, VariableSpec], n: int
 ) -> np.ndarray:
-    """``cfg``, an intp array of one entry per row, set to the CPD row of each
-    row's in-domain ``parents`` codes: mixed radix, first parent most significant."""
-    cfg.fill(0)
+    """The CPD row of each of ``n`` rows' in-domain ``parents`` codes, as an
+    intp array: mixed radix, first parent most significant."""
+    cfg = np.zeros(n, dtype=np.intp)
     for p in parents:
         cfg *= specs[p].cardinality
         cfg += codes[p]
@@ -661,9 +664,6 @@ def sample(m: DiscreteModel, n: int, seed: int) -> Dataset:
     The stream is part of the output: each closure node, in topological
     order, takes one ``default_rng(seed).random(n)`` draw u, and row r's label
     is the number of cumulative CPD columns below u_r, the last one left out.
-    Each node allocates only its draw: u, the configuration index, the
-    gathered CDF column and the comparison live in buffers reused by every
-    node.
     """
     if n < 0:
         raise ValidationError(f"sample size must be >= 0, got {n}")
@@ -673,16 +673,14 @@ def sample(m: DiscreteModel, n: int, seed: int) -> Dataset:
     needed = set(_closure_within(m, observed))
     order = [node for node in m.structure.topological_order() if node in needed]
     rng = np.random.default_rng(seed)
-    u, cfg, column, below = np.empty(n), np.empty(n, dtype=np.intp), np.empty(n), np.empty(n, dtype=bool)
     drawn: dict[str, np.ndarray] = {}
     for node in order:
         cpd = m.cpds[node]
-        _config_codes(cpd.parents, drawn, m.specs, cfg)
-        rng.random(out=u)
+        cfg = _config_codes(cpd.parents, drawn, m.specs, n)
+        u = rng.random(n)
         drawn[node] = draw = np.zeros(n, dtype=np.intp)
         for cdf in np.cumsum(cpd.table, axis=1).T[:-1]:
-            np.take(cdf, cfg, out=column, mode="clip")
-            draw += np.less(column, u, out=below)
+            draw += cdf[cfg] < u
     return Dataset(
         columns=tuple(observed),
         codes=tuple(drawn[c] for c in observed),
@@ -750,7 +748,7 @@ def estimate_cpds(
         _check_states(
             n_cfg * card, len(parents) + 1, lambda: f"the family of {node!r} and its parents {_named(parents)}"
         )
-        flat = _config_codes((*parents, node), encoded, specs, np.empty(len(dataset), dtype=np.intp))
+        flat = _config_codes((*parents, node), encoded, specs, len(dataset))
         # Exact float sums of integer weights below 2**53: the bits of the rows repeated.
         table = np.bincount(flat, weights=dataset.counts, minlength=n_cfg * card).reshape(n_cfg, card)
         table = table + float(smoothing)

@@ -94,12 +94,10 @@ class DiscreteModel:
 
     @cached_property
     def _shape_key(self) -> tuple:
-        """The cardinality of each node and the parents of each CPD: what, on
-        one structure, fixes the shape of every factor."""
-        return (
-            tuple(self.specs[n].cardinality for n in self.structure.nodes),
-            frozenset((n, cpd.parents) for n, cpd in self.cpds.items()),
-        )
+        """The cardinality of each node and the nodes with a CPD: what, on one
+        structure, fixes the shape of every factor, since :func:`build_model`
+        pins each CPD's parents to the structure's."""
+        return tuple(self.specs[n].cardinality for n in self.structure.nodes), frozenset(self.cpds)
 
     def spec_of(self, node: str) -> VariableSpec:
         try:

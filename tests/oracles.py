@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -166,6 +167,35 @@ def brute_closure(m, over, clamped=()):
     for node in over:
         needed |= brute_reachable(backwards, node)
     return needed
+
+
+def exact_joint(m, scope, do=None):
+    """The joint of ``m`` over ``scope`` in exact rational arithmetic, as
+    {label-index tuple over sorted(scope): Fraction}; a cell left out is 0.
+
+    Every assignment of the scope's ancestral closure (see
+    :func:`brute_closure`) is enumerated, and each CPD entry counts as the
+    exact value of its float. ``do`` maps intervened nodes to one label
+    index each: such a node is a point mass on its label, so only the
+    assignments that agree with it count, and its CPD is not read.
+    """
+    do = do or {}
+    names = sorted(brute_closure(m, scope, do))
+    exact = {n: [list(map(Fraction, row)) for row in m.cpds[n].table.tolist()] for n in names if n not in do}
+    out = {}
+    for labels in itertools.product(*(range(m.specs[n].cardinality) for n in names)):
+        a = dict(zip(names, labels))
+        if any(a.get(n, i) != i for n, i in do.items()):
+            continue
+        p = Fraction(1)
+        for n, table in exact.items():
+            row = 0
+            for parent in m.cpds[n].parents:
+                row = row * m.specs[parent].cardinality + a[parent]
+            p *= table[row][a[n]]
+        key = tuple(a[n] for n in sorted(scope))
+        out[key] = out.get(key, 0) + p
+    return out
 
 
 def brute_missing_cpds(m, over, clamped=()):

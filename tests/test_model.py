@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -39,6 +40,7 @@ from oracles import (
     brute_missing_cpds,
     brute_sample,
     conditionally_independent,
+    exact_joint,
 )
 
 
@@ -91,13 +93,13 @@ def random_models(draw, min_nodes=1, max_nodes=6, sparse=False, latent=False):
 
 
 @st.composite
-def chain_models(draw):
+def chain_models(draw, states=4096):
     """Models like the bench's: a chain of 6-12 nodes, 1-3 labels each (2
     listed first, which hypothesis favours), in which each node from the
     third on may also have a skip edge from an earlier node. Up to two nodes
     of the chain's second half have no CPD. Labels are taken away, from the
     first node with the most, until the joint of all nodes spans at most
-    4096 states, so that the brute force stays quick."""
+    ``states`` states, so that the brute force stays quick."""
     n = draw(st.integers(6, 12))
     names = [f"N{i:02d}" for i in range(n)]
     edges = list(zip(names, names[1:]))
@@ -106,7 +108,7 @@ def chain_models(draw):
         if skip is not None:
             edges.append((names[skip], names[i]))
     cards = [draw(st.sampled_from((2, 3, 1))) for _ in names]
-    while math.prod(cards) > 4096:
+    while math.prod(cards) > states:
         cards[cards.index(max(cards))] -= 1
     missing = draw(st.sets(st.sampled_from(names[n // 2:]), max_size=2))
     s = build_structure(names, edges)
@@ -498,6 +500,12 @@ class TestJointTables:
     def test_no_scopes(self, reality_model):
         assert joint_tables(reality_model, []) == []
 
+    @pytest.mark.parametrize("scopes", [[[]], [[], ["X"]]], ids=["alone", "with-a-node"])
+    def test_an_empty_scope_is_a_0_d_array(self, reality_model, scopes):
+        table = joint_tables(reality_model, scopes)[0]
+        assert type(table) is np.ndarray and table.shape == ()
+        assert table == pytest.approx(1.0, abs=1e-15)
+
     def test_do_rows_of_unequal_length(self, reality_model):
         with pytest.raises(InvalidQuery, match=r"do rows differ in length: \[1, 2\]"):
             joint_tables(reality_model, [["phi"]], do={"X": [0], "V2": [0, 1]})
@@ -740,6 +748,38 @@ class TestDeepElimination:
         fresh = build_model(build_structure(m.structure.nodes, m.structure.directed), other.specs, other.cpds.values())
         for a, b in zip(replayed, joint_tables(fresh, scopes, do=do), strict=True):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+class TestExactValues:
+    """Every cell of every joint against exact rational arithmetic."""
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_every_cell_is_within_1e_14_of_the_exact_value(self, data):
+        m = data.draw(random_models(sparse=data.draw(st.booleans())) | chain_models(states=256))
+        nodes = list(reversed(m.structure.nodes))
+        scopes = data.draw(st.lists(st.sets(st.sampled_from(nodes), max_size=3), min_size=1, max_size=3))
+        n_rows = data.draw(st.integers(1, 2))
+        do = {
+            d: data.draw(st.lists(st.integers(0, m.specs[d].cardinality - 1), min_size=n_rows, max_size=n_rows))
+            for d in sorted(data.draw(st.sets(st.sampled_from(nodes), max_size=2)))
+        }
+        if brute_missing_cpds(m, set().union(*scopes), do):
+            with pytest.raises(InsufficientInstantiation):
+                joint_tables(m, scopes, do=do)
+            return
+        tables = joint_tables(m, scopes, do=do)
+        for scope, table in zip(scopes, tables, strict=True):
+            assert type(table) is np.ndarray
+            for r in range(n_rows if do else 1):
+                exact = exact_joint(m, scope, {d: rows[r] for d, rows in do.items()})
+                row = table[r] if do else table
+                for idx in np.ndindex(*row.shape):
+                    want, got = exact.get(idx, 0), float(row[idx])
+                    if want == 0:
+                        assert got == 0.0, (scope, r, idx)
+                    else:
+                        assert abs(Fraction(got) - want) <= want / 10**14, (scope, r, idx, got, float(want))
 
 
 class TestMarkovProperty:
