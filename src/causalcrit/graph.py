@@ -448,6 +448,36 @@ class _BackdoorCheck:
             frontier |= reach
         return True
 
+    def disjoint_paths(self, pool: int) -> list[int]:
+        """x-y paths in the moral graph of An({x, y}), packed greedily so that
+        no two share a member of ``pool``, each as the mask of its members
+        there: a shortest path that avoids the pool members of the paths
+        before it, found level by level. Every path must meet ``pool``, or
+        the packing never ends; it does once An({x, y}) & pool is admissible.
+        """
+        moral, source, target = self._moral, self._source, self._target
+        paths: list[int] = []
+        used = 0
+        while True:
+            levels = [source]
+            seen = source | used
+            while not levels[-1] & target:
+                reach = _or_masks(moral, levels[-1]) & ~seen
+                if not reach:
+                    return paths
+                seen |= reach
+                levels.append(reach)
+            # Back from y, one neighbour in each earlier level.
+            node = target
+            path = 0
+            for level in reversed(levels[1:-1]):
+                step = moral[node.bit_length() - 1] & level
+                node = step & -step
+                path |= node
+            path &= pool
+            paths.append(path)
+            used |= path
+
 
 def _backdoor_check(s: CausalStructure, x: str, y: str) -> _BackdoorCheck:
     """The :class:`_BackdoorCheck` for (x, y), prepared on first use."""
@@ -530,6 +560,16 @@ def enumerate_adjustment_sets(
     set Z has I <= Z <= I | R'. One check decides that: such a Z exists
     exactly when An({x, y} | I) & (I | R') is admissible (van der Zander,
     Liskiewicz & Textor 2019, on the graph with x's out-edges cut).
+
+    Once Z0 = An({x, y}) & pool is admissible, x-y paths in the moral graph
+    of An({x, y}) that share no pool member are packed greedily
+    (:meth:`_BackdoorCheck.disjoint_paths`). Any admissible Z separates x
+    from y in the moral graph of An({x, y} | Z), which holds that of
+    An({x, y}), so Z meets every packed path, each at its own member. The
+    walk therefore starts at the size of the packing, and skips a member i
+    when the paths that I | {i} misses outnumber the members still to add or
+    one of them has no pool member after i. Any packing is a valid bound, so
+    no maximum flow is needed; none at all means the empty set is admissible.
     """
     s.ensure_nodes({x, y})
     if x == y:
@@ -558,10 +598,15 @@ def enumerate_adjustment_sets(
     results: list[frozenset[str]] = []
     chosen: list[str] = []
 
-    def walk(start: int, z: int, z_area: int, need: int) -> bool:
-        """Extend the prefix ``z`` by ``need`` members from ``pool[start:]``;
-        True once ``max_count`` sets are found."""
+    def walk(start: int, z: int, z_area: int, need: int, missing: list[int]) -> bool:
+        """Extend the prefix ``z``, which meets no path in ``missing``, by
+        ``need`` members from ``pool[start:]``; True once ``max_count`` sets
+        are found."""
         for i in range(start, len(pool) - need + 1):
+            # Each packed path that I | {i} misses needs its own later member.
+            left = [m for m in missing if not m & bits[i]]
+            if len(left) >= need or any(not m & tail[i + 1] for m in left):
+                continue
             zi, ai = z | bits[i], z_area | ancestors_of[i]
             if need == 1:
                 if admits(zi, ai):
@@ -573,7 +618,7 @@ def enumerate_adjustment_sets(
             # graph as Z*'s own ancestor mask.
             elif admits((area | ai) & (zi | tail[i + 1]), ai):
                 chosen.append(pool[i])
-                done = walk(i + 1, zi, ai, need - 1)
+                done = walk(i + 1, zi, ai, need - 1, left)
                 chosen.pop()
                 if done:
                     return True
@@ -581,10 +626,11 @@ def enumerate_adjustment_sets(
 
     # The empty prefix: Z0 = An({x, y}) & pool is admissible or nothing is.
     if admits(area & tail[0], 0):
-        if admits(0, 0):
+        paths = check.disjoint_paths(tail[0])
+        if not paths:
             results.append(frozenset())
-        for size in range(1, len(pool) + 1):
-            if len(results) == max_count or walk(0, 0, 0, size):
+        for size in range(max(len(paths), 1), len(pool) + 1):
+            if len(results) == max_count or walk(0, 0, 0, size, paths):
                 break
     # Needs no check: with no confounding arc at x, every back-door path
     # leaves x through a parent, a non-collider on it, so pa(x) blocks it

@@ -664,6 +664,7 @@ def sample(m: DiscreteModel, n: int, seed: int) -> Dataset:
     The stream is part of the output: each closure node, in topological
     order, takes one ``default_rng(seed).random(n)`` draw u, and row r's label
     is the number of cumulative CPD columns below u_r, the last one left out.
+    A sample that does not fit in memory raises :class:`ValidationError`.
     """
     if n < 0:
         raise ValidationError(f"sample size must be >= 0, got {n}")
@@ -674,19 +675,22 @@ def sample(m: DiscreteModel, n: int, seed: int) -> Dataset:
     order = [node for node in m.structure.topological_order() if node in needed]
     rng = np.random.default_rng(seed)
     drawn: dict[str, np.ndarray] = {}
-    for node in order:
-        cpd = m.cpds[node]
-        cfg = _config_codes(cpd.parents, drawn, m.specs, n)
-        u = rng.random(n)
-        drawn[node] = draw = np.zeros(n, dtype=np.intp)
-        for cdf in np.cumsum(cpd.table, axis=1).T[:-1]:
-            draw += cdf[cfg] < u
-    return Dataset(
-        columns=tuple(observed),
-        codes=tuple(drawn[c] for c in observed),
-        domains=tuple(m.specs[c].domain for c in observed),
-        provenance="synthetic",
-    )
+    try:
+        for node in order:
+            cpd = m.cpds[node]
+            cfg = _config_codes(cpd.parents, drawn, m.specs, n)
+            u = rng.random(n)
+            drawn[node] = draw = np.zeros(n, dtype=np.intp)
+            for cdf in np.cumsum(cpd.table, axis=1).T[:-1]:
+                draw += cdf[cfg] < u
+        return Dataset(
+            columns=tuple(observed),
+            codes=tuple(drawn[c] for c in observed),
+            domains=tuple(m.specs[c].domain for c in observed),
+            provenance="synthetic",
+        )
+    except MemoryError:
+        raise ValidationError(f"a sample of {n} rows does not fit in memory") from None
 
 
 def estimate_cpds(

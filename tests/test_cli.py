@@ -660,6 +660,19 @@ class TestSample:
         assert "--seed must be >= 0" in err
         assert not path.exists()
 
+    def test_sample_beyond_memory_is_one_line(self, capsys, tmp_path, monkeypatch):
+        # A row count whose arrays cannot be allocated ends as a typed error,
+        # not a numpy traceback. The allocation fails on purpose here: a real
+        # huge -n may be granted lazily where memory overcommits.
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("causalcrit.model._config_codes", out_of_memory)
+        path = tmp_path / "s.csv"
+        code, out, err = run(capsys, "sample", "heavy-rain-reality", "-n", "10", "-o", str(path))
+        assert (code, out, err) == (1, "", "ValidationError: a sample of 10 rows does not fit in memory\n")
+        assert not path.exists()
+
     def test_model_without_observed_variables_writes_no_file(self, capsys, tmp_path):
         def all_latent(payload):
             for v in payload["variables"]:

@@ -1,6 +1,9 @@
+import hashlib
 import itertools
+import json
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from causalcrit.errors import (
 )
 from causalcrit.graph import (
     CausalStructure,
+    _backdoor_check,
     ancestors,
     backdoor_admissible,
     build_structure,
@@ -290,8 +294,34 @@ class TestEnumeration:
         assert len(sets) == 129
         assert frozenset(FRICTION_ADJUSTMENT_SET) in sets
 
+    @pytest.mark.parametrize(
+        "max_count, checks, digest",
+        [
+            (16, 283, "b16c2fced40ef764136979c1410c5d00c5da0e49c32c2f2831d04d17925b0693"),
+            (1000, 7561, "6c90fda8041beecb46f3dad574345aab96a1d9c9b25c5a493eb75389eca688cc"),
+        ],
+    )
+    def test_path_bound_cuts_the_friction_walk(self, friction_relation, max_count, checks, digest):
+        # The default query (--max 16) and --max 1000 over the whole 33-node
+        # pool. Without the disjoint-path bound the walk made 124,929 and
+        # 648,989 checks for the same lists, pinned here by digest.
+        relation, model = friction_relation
+        s, x, y = model.structure, relation.phenomenon.variable, relation.metric
+        check = _backdoor_check(s, x, y)
+        with mock.patch.object(check, "admits_mask", wraps=check.admits_mask) as spy:
+            sets = enumerate_adjustment_sets(s, x, y, max_count)
+        assert spy.call_count == checks
+        listed = json.dumps([sorted(adj) for adj in sets]).encode()
+        assert hashlib.sha256(listed).hexdigest() == digest
+
 
 # -- randomized properties ------------------------------------------------------
+
+
+def swept(count: int) -> int:
+    """``count`` examples, or the loaded profile's count when that is larger:
+    ``--hypothesis-profile ci`` runs the adjustment-set properties at 2,000."""
+    return max(count, settings.default.max_examples)
 
 
 @st.composite
@@ -393,7 +423,7 @@ def shuffled_graphs(draw, max_nodes=7, acyclic=True):
 
 
 @given(shuffled_graphs(max_nodes=5), st.data())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=swept(150), deadline=None)
 def test_enumeration_contains_parent_set(graph, data):
     # The whole returned list must follow the docstring, read with the path
     # oracle: admissible subsets of the pool in (size, names) order, cut at
@@ -437,7 +467,7 @@ def test_enumeration_contains_parent_set(graph, data):
 
 
 @given(shuffled_graphs(max_nodes=9), st.data())
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=swept(120), deadline=None)
 def test_pruned_walk_matches_plain_scan(graph, data):
     # The walk skips prefixes that no admissible superset can complete; the
     # plain scan puts every subset to the back-door check. The lists must
@@ -458,6 +488,45 @@ def test_pruned_walk_matches_plain_scan(graph, data):
         assert enumerate_adjustment_sets(s, x, y, max_count, candidates) == (
             plain_adjustment_scan(s, x, y, max_count, candidates)
         )
+
+
+@given(shuffled_graphs(max_nodes=9), st.data())
+@settings(max_examples=swept(120), deadline=None)
+def test_disjoint_paths_bound_the_smallest_set(graph, data):
+    # Once Z0 = An({x, y}) & pool is admissible, every admissible set meets
+    # each packed path at a pool member of An({x, y}), a different one per
+    # path: so the paths are nonempty, disjoint and within Z0, their count is
+    # at most the smallest admissible size, and 0 just when {} is admissible.
+    nodes, edges = graph
+    pairs = list(itertools.combinations(sorted(nodes), 2))
+    arcs = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3)) if pairs else []
+    free = [n for n in nodes if not any(n in arc for arc in arcs)]
+    latent = data.draw(st.sets(st.sampled_from(free), max_size=2)) if free else set()
+    s = build_structure(nodes, edges, arcs, latent)
+    reversed_edges = [(b, a) for a, b in edges]
+    for x, y in itertools.permutations(sorted(set(nodes) - latent), 2):
+        candidates = data.draw(st.none() | st.sets(st.sampled_from(nodes)))
+        banned = brute_reachable(s.directed, x) | {x, y} | latent
+        pool = sorted(set(nodes if candidates is None else candidates) - banned)
+        # Ancestors in the full graph: they meet the pool as those of the
+        # graph with x's out-edges cut do, since no member descends from x.
+        area = brute_reachable(reversed_edges, x) | brute_reachable(reversed_edges, y)
+        z0 = sorted(area.intersection(pool))
+        if not backdoor_admissible(s, z0, x, y):
+            continue
+        check = _backdoor_check(s, x, y)
+        paths = check.disjoint_paths(check.masks(pool)[0])
+        within = check.masks(z0)[0]
+        assert all(path and not path & ~within for path in paths)
+        assert all(not a & b for a, b in itertools.combinations(paths, 2))
+        smallest = next(
+            size
+            for size in range(len(pool) + 1)
+            for adj in itertools.combinations(pool, size)
+            if backdoor_admissible(s, adj, x, y)
+        )
+        assert len(paths) <= smallest
+        assert (not paths) == backdoor_admissible(s, (), x, y)
 
 
 @given(shuffled_graphs())
