@@ -16,6 +16,7 @@ bitmask Bayes-ball walk on the same candidate sets.
 from __future__ import annotations
 
 import heapq
+import weakref
 from collections import deque
 from functools import cached_property
 from typing import Hashable, Iterable, Optional
@@ -105,17 +106,6 @@ class CausalStructure:
     @cached_property
     def _descendants(self) -> dict[str, frozenset[str]]:
         return _closures(reversed(self._topological_order), self._children)
-
-    @cached_property
-    def _backdoor_checks(self) -> dict[tuple[str, str], "_BackdoorCheck"]:
-        """One prepared :class:`_BackdoorCheck` per (x, y), filled on first use."""
-        return {}
-
-    @cached_property
-    def _plans(self) -> dict:
-        """The elimination plans of :func:`causalcrit.model.joint_tables` on
-        this structure, by query, oldest first; filled on first use."""
-        return {}
 
     def ensure_nodes(self, names: Iterable[str]) -> None:
         for name in names:
@@ -371,7 +361,7 @@ def _or_masks(masks: list[int], members: int) -> int:
 
 
 class _BackdoorCheck:
-    """The back-door criterion for one (x, y), prepared once per structure.
+    """The back-door criterion for one (x, y), prepared once per structure value.
 
     It works on the expanded graph with x's out-edges cut, each node a bit
     of a Python int, and holds every node's parents, children, ancestors
@@ -479,11 +469,17 @@ class _BackdoorCheck:
             used |= path
 
 
+# The prepared checks by structure value, then by (x, y). Equal structures
+# share one entry, which lives as long as the first structure stored under it.
+_BACKDOOR_CHECKS: weakref.WeakKeyDictionary[CausalStructure, dict] = weakref.WeakKeyDictionary()
+
+
 def _backdoor_check(s: CausalStructure, x: str, y: str) -> _BackdoorCheck:
     """The :class:`_BackdoorCheck` for (x, y), prepared on first use."""
-    check = s._backdoor_checks.get((x, y))
+    checks = _BACKDOOR_CHECKS.setdefault(s, {})
+    check = checks.get((x, y))
     if check is None:
-        check = s._backdoor_checks[(x, y)] = _BackdoorCheck(s, x, y)
+        check = checks[(x, y)] = _BackdoorCheck(s, x, y)
     return check
 
 

@@ -16,7 +16,7 @@ them and returns its reports. The effect step delegates its two do() rows
 to the route step of :func:`~causalcrit.engine.plan_effect`. One driver,
 :func:`~causalcrit.model._run`, runs every step in lockstep and answers
 each round with one :func:`~causalcrit.model.joint_tables` call per model
-and query; a pair on one structure object shares its cached plans.
+and query; a pair on equal structures shares its cached plans.
 :func:`ace`, :func:`rce`, :func:`sigma`, :func:`rho1`, :func:`rho2`,
 :func:`rho3` and :func:`causal_influence` run their one step;
 :func:`indicator_reports`, the table ``cli indicators`` prints, runs them all.
@@ -43,7 +43,7 @@ from .errors import (
     ZeroMeanCriticality,
     ZeroProbabilityCondition,
 )
-from .graph import CausalStructure, build_structure
+from .graph import build_structure
 from .model import DiscreteModel, build_model
 from .model import _ask, _check_closure, _cpds, _run, _Step
 
@@ -360,21 +360,11 @@ def _kept_families(m: DiscreteModel, keep: Sequence[str]) -> list[tuple[str, ...
     return [tuple(sorted({n, *(m.structure.parents(n) & keep_set)})) for n in keep]
 
 
-def _induced_structure(structure: CausalStructure, keep: tuple[str, ...]) -> CausalStructure:
-    """The sub-structure over the sorted nodes ``keep``, with the edges among them."""
-    keep_set = set(keep)
-    return build_structure(
-        keep,
-        [e for e in structure.directed if keep_set.issuperset(e)],
-        [tuple(p) for p in structure.bidirected if p <= keep_set],
-        structure.latent & keep_set,
-    )
-
-
 def _induced_submodel(
-    m: DiscreteModel, sub_structure: CausalStructure, joints: Mapping[tuple[str, ...], np.ndarray]
+    m: DiscreteModel, keep: tuple[str, ...], joints: Mapping[tuple[str, ...], np.ndarray]
 ) -> DiscreteModel:
-    """Sub-model of ``m`` on its induced ``sub_structure``: CPDs conditioned on kept parents.
+    """Sub-model over the sorted nodes ``keep``: induced edges, CPDs conditioned
+    on kept parents.
 
     Each kept node's CPD becomes its exact conditional given the parents that
     survive the restriction, derived from the full joint over its
@@ -382,7 +372,13 @@ def _induced_submodel(
     restricted joint as factorizing over the induced DAG, which is a
     sensitivity-analysis view rather than a marginalization theorem.
     """
-    keep = sub_structure.nodes
+    keep_set = set(keep)
+    sub_structure = build_structure(
+        keep,
+        [e for e in m.structure.directed if keep_set.issuperset(e)],
+        [tuple(p) for p in m.structure.bidirected if p <= keep_set],
+        m.structure.latent & keep_set,
+    )
     sub_specs = {n: m.specs[n] for n in keep}
     entries = []
     for n, names in zip(keep, _kept_families(m, keep)):
@@ -409,11 +405,8 @@ def _rho3_step(
     models = _by_role(pair)
     if restrict_to_set:
         kept = yield [_ask(m, _kept_families(m, node_list)) for m in models.values()]
-        # One induced structure per structure object, so a pair on one structure plans once.
-        induced = {id(m.structure): m.structure for m in models.values()}
-        induced = {k: _induced_structure(structure, node_list) for k, structure in induced.items()}
         models = {
-            role: _induced_submodel(m, induced[id(m.structure)], joints)
+            role: _induced_submodel(m, node_list, joints)
             for (role, m), joints in zip(models.items(), kept)
         }
     component_nodes = [n for n in node_list if n != cp.variable]
@@ -482,7 +475,7 @@ def indicator_reports(
     1990): sigma's P(metric), rho1's P(X), rho2's joint over the set and
     rho3's P(pa_c) families, or with ``restrict_to_set`` the kept families
     that its induced sub-model is built from; the sub-model's families are
-    one more call. Two models on one structure object, such as one relation
+    one more call. Two models on equal structures, such as one relation
     estimated from two datasets, replay one cached plan per query, and each
     model's rows equal those of its own :func:`plan_effect` call. Every
     closure and spec check runs first, in report order, so a request fails

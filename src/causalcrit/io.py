@@ -7,7 +7,7 @@ pin them by checksum.
 
 A model file that repeats the declaration (every top-level field but
 ``cpds``) of a relation still in use, a fixture's included, reuses that
-relation and its structure, and with it the structure's cached plans.
+relation, skipping the schema check and the rebuild of the declaration.
 
 Reading a model file without CPDs needs no numpy. The readers that build
 arrays (CPD tables, datasets, trajectories and fields) import numpy and the

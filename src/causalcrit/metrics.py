@@ -95,6 +95,9 @@ class DrivingTask:
     def __post_init__(self):
         if not self.trajectories:
             raise ValidationError("a driving task needs at least one trajectory")
+        if not np.isfinite((self.t_start, self.horizon)).all():
+            raise ValidationError(f"a task window needs a finite t_start and a finite, positive horizon, "
+                                  f"not {self.t_start} and {self.horizon}")
         if self.horizon <= 0:
             raise ValidationError("horizon must be positive")
         end = self.t_start + self.horizon
@@ -242,6 +245,8 @@ def alat_min(task: DrivingTask, field: AccelField) -> float:
 def _threat(req: float, avail: float, axis: str) -> float:
     if avail == 0.0:
         raise ZeroAvailableAcceleration(f"no {axis} acceleration available")
+    if not np.isfinite(req / avail):
+        raise ValidationError(f"the {axis} threat number {req} / {avail} is not finite")
     return req / avail
 
 
@@ -277,10 +282,12 @@ def aggregate(btn: float, stn: float, mode: str = "max") -> float:
     """Combine both threat numbers into the single metric value.
 
     The combination is deliberately configurable; ``max`` mirrors the
-    worst-of-both reading and is the default. A NaN raises in every mode.
+    worst-of-both reading and is the default. A NaN or an inf raises in every mode.
     """
     if np.isnan(btn) or np.isnan(stn):
         raise ValidationError("threat numbers must not be NaN")
+    if np.isinf(btn) or np.isinf(stn):
+        raise ValidationError("threat numbers must be finite")
     if btn < 0 or stn < 0:
         raise ValidationError("threat numbers are nonnegative")
     if mode == "max":

@@ -6,11 +6,11 @@ numpy, and is re-exported here. Models are immutable after construction. All
 probability computations are exact: :func:`joint_tables` computes one model's
 joints over just the queried nodes by variable elimination over the CPDs of
 their ancestral closure. :func:`_plan` plans the elimination by factor index
-into a :class:`_Plan`, which holds no arrays and is cached on the immutable
-structure, so models that share a structure object share its plans, and
-every call replays a plan on its own model's arrays. A query whose output or
-largest intermediate factor exceeds :data:`DEFAULT_STATE_SPACE_LIMIT` states
-is rejected before the first contraction, not approximated. One driver,
+into a :class:`_Plan`, which holds no arrays and is cached by structure
+value, so models on equal structures share their plans, and every call
+replays a plan on its own model's arrays. A query whose output or largest
+intermediate factor exceeds :data:`DEFAULT_STATE_SPACE_LIMIT` states is
+rejected before the first contraction, not approximated. One driver,
 :func:`_run`, the only caller of :func:`joint_tables` in the package,
 answers the joints that the route and indicator steps ask for.
 """
@@ -21,6 +21,7 @@ import heapq
 import math
 import sys
 import warnings
+import weakref
 from typing import Callable, Collection, Generator, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -251,7 +252,9 @@ _ROWS = object()
 # past ",", "-" and ">", which np.einsum subscripts spell.
 _AXIS = ord("?")
 
-# Plans kept per structure; past this many, the oldest is dropped first.
+# joint_tables' plans by structure value, then by query. Equal structures share
+# one entry, which lives as long as the first structure stored under that value.
+_PLANS: weakref.WeakKeyDictionary[CausalStructure, dict] = weakref.WeakKeyDictionary()
 _PLANS_PER_STRUCTURE = 64
 
 
@@ -329,13 +332,13 @@ def joint_tables(
     The root spans no more than its scope's output, and no downward message
     or read more than the cluster that sends it.
 
-    Plans are cached on the immutable structure, keyed by the model's
+    Plans are cached in :data:`_PLANS` by structure value, the model's
     cardinalities and the nodes with a CPD, the sorted scopes in their
     given order, and each intervened node with its row count, so another
-    model on the same structure object, or other do() labels, replay the
-    plan. A cached plan whose largest checked state count exceeds the
-    current limit is planned again, so it raises what a fresh call raises,
-    and a refused query is never cached. A structure keeps at most
+    model on an equal structure, or other do() labels, replay the plan. A
+    cached plan whose largest checked state count exceeds the current limit
+    is planned again, so it raises what a fresh call raises, and a refused
+    query is never cached. A structure value keeps at most
     :data:`_PLANS_PER_STRUCTURE` plans and drops the oldest first.
     """
     scopes = tuple(tuple(sorted(set(s))) for s in scopes)
@@ -354,7 +357,7 @@ def joint_tables(
                 raise InvalidQuery(f"do() row {r} sets {n!r} to label index {i}, outside range({card})")
     counts = {n: len(rows) for n, rows in do.items()}
     key = (m._shape_key, scopes, frozenset(counts.items()))
-    plans = m.structure._plans
+    plans = _PLANS.setdefault(m.structure, {})
     plan = plans.get(key)
     if plan is None or plan.largest > DEFAULT_STATE_SPACE_LIMIT:
         plans[key] = plan = _plan(m, scopes, counts)
@@ -590,7 +593,6 @@ def _run(steps: Sequence[_Step]) -> list:
     The round is then answered with one :func:`joint_tables` call per group
     of asks on one model and, for a query of its own, its scopes and do()
     rows: each group is sent the joints over every scope it asked for.
-    Models on one structure object share its cached plans.
     """
     values: list = [None] * len(steps)
     sent: dict[int, Optional[list]] = dict.fromkeys(range(len(steps)))

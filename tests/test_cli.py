@@ -791,6 +791,24 @@ class TestMetrics:
         )
         assert (code, out, err) == (1, "", "ValidationError: horizon must be positive\n")
 
+    @pytest.mark.parametrize("flag, value", [("--horizon", "nan"), ("--t-start", "nan"), ("--horizon", "inf")])
+    def test_non_finite_window_exits_one(self, capsys, tmp_path, flag, value):
+        traj, field = self.write_inputs(tmp_path)
+        code, out, err = run(capsys, "metrics", "--trajectories", str(traj), "--field", str(field), flag, value)
+        assert (code, out) == (1, "")
+        assert err.startswith("ValidationError: a task window needs a finite t_start and a finite, positive horizon")
+        assert err.count("\n") == 1
+
+    def test_threat_number_overflow_exits_one(self, capsys, tmp_path):
+        # x = 20 t - 2 t^2 brakes at 4 m/s^2 against a subnormal availability:
+        # the quotient overflows, and no Infinity reaches the JSON.
+        traj, field = tmp_path / "traj.txt", tmp_path / "field.txt"
+        traj.write_text("".join(f"{k / 10} {2.0 * k - 0.02 * k * k} 0.0\n" for k in range(11)), encoding="utf-8")
+        field.write_text("1 1 0.0 0.0 1000.0 1.0\n-1e-320 5.0\n", encoding="utf-8")
+        code, out, err = run(capsys, "metrics", "--trajectories", str(traj), "--field", str(field), "--format", "json")
+        assert (code, out) == (1, "")
+        assert err.startswith("ValidationError: the longitudinal threat number ") and err.count("\n") == 1
+
     def test_non_numeric_edge_is_usage_error(self, capsys, tmp_path):
         traj, field = self.write_inputs(tmp_path)
         code, out, err = run(

@@ -19,7 +19,9 @@ from causalcrit.errors import (
     UnknownNode,
 )
 from causalcrit.graph import (
+    _BACKDOOR_CHECKS,
     CausalStructure,
+    _BackdoorCheck,
     _backdoor_check,
     ancestors,
     backdoor_admissible,
@@ -401,6 +403,21 @@ def test_backdoor_checks_keyed_by_pair(s, rnd):
     rnd.shuffle(queries)
     for x, y, adj in queries:
         assert backdoor_admissible(s, adj, x, y) == brute_backdoor_admissible(s, adj, x, y)
+
+
+def test_equal_structures_share_one_backdoor_check():
+    # Two equal structures, built apart: the check that the first prepares
+    # for (A, C) answers the second's queries too.
+    a, b = chain_abc(), chain_abc()
+    assert a == b and a is not b
+    with (
+        mock.patch.dict(_BACKDOOR_CHECKS, clear=True),
+        mock.patch("causalcrit.graph._BackdoorCheck", wraps=_BackdoorCheck) as prepared,
+    ):
+        assert backdoor_admissible(a, [], "A", "C")
+        assert enumerate_adjustment_sets(b, "A", "C", 4) == [frozenset()]
+        assert _backdoor_check(b, "A", "C") is _backdoor_check(a, "A", "C")
+    assert prepared.call_count == 1
 
 
 @st.composite

@@ -41,7 +41,7 @@ from causalcrit.indicators import (
     rho3,
     sigma,
 )
-from causalcrit.fixtures import fixture
+from causalcrit.fixtures import fixture, fixture_text
 from causalcrit.io import load_model, model_to_text
 from causalcrit.model import VariableSpec, build_model, make_cpd
 
@@ -558,18 +558,18 @@ class TestRho3:
 
     @pytest.mark.parametrize("restrict, rounds", [(False, 1), (True, 2)])
     def test_one_inference_call_per_shared_pair(self, reality_model, restrict, rounds):
-        # Redrawn tables keep the structure object, so the candidate replays
-        # the plan of the reference's first-round call, and its report is
-        # that of a model planned alone. The restricted second round asks
-        # the two induced sub-models, which share one induced structure, so
-        # it plans once.
+        # Redrawn tables keep the structure, so the candidate replays the
+        # plan of the reference's first-round call, and its report is that
+        # of models that each plan every call alone (a cache of no plans).
+        # The restricted second round asks the two induced sub-models, whose
+        # induced structures are equal, so it plans once.
         pair = ModelPair(reference=reality_model, candidate=redrawn(reality_model, 5))
         nodes = ["V1", "V2", "X", "phi"]
-        alone = ModelPair(reference=reality_model, candidate=_on_a_copy(pair.candidate))
-        with mock.patch.dict(reality_model.structure._plans, clear=True):
+        with mock.patch.dict(model._PLANS, clear=True):
             with _recorded_calls() as counted, mock.patch.object(model, "_plan", wraps=model._plan) as planned:
                 report = rho3(pair, nodes, CP, restrict_to_set=restrict)
-        assert report == rho3(alone, nodes, CP, restrict_to_set=restrict)
+        with mock.patch.object(model, "_PLANS_PER_STRUCTURE", 0):
+            assert report == rho3(pair, nodes, CP, restrict_to_set=restrict)
         assert len(counted) == 2 * rounds
         assert planned.call_count == rounds
 
@@ -621,13 +621,6 @@ def _group(m, scopes, do):
     """The key under which the driver answers an ask of a route step."""
     rows = tuple((n, tuple(r)) for n, r in sorted((do or {}).items()))
     return m, rows, tuple(dict.fromkeys(tuple(sorted(set(s))) for s in scopes))
-
-
-def _on_a_copy(m):
-    """``m`` on a structure equal to its own but not the same object, whose plans it does not share."""
-    s = m.structure
-    return build_model(build_structure(s.nodes, s.directed, [tuple(p) for p in s.bidirected], s.latent),
-                       m.specs, m.cpds.values())
 
 
 @st.composite
@@ -864,14 +857,14 @@ class TestIndicatorReports:
         # fixture's relation, so both models hold the fixture's structure
         # object. On a cleared plan cache the reference plans its do() rows
         # and its other joints, the redrawn candidate replays both plans, and
-        # a restricted round plans once for the pair's one induced structure.
+        # a restricted round plans once for the pair's equal induced structures.
         relation, _ = fixture("heavy-rain-reality")
         ref, cand = tmp_path / "ref.json", tmp_path / "redrawn.json"
         ref.write_text(model_to_text(relation, reality_model), encoding="utf-8")
         cand.write_text(model_to_text(relation, redrawn(reality_model, 5)), encoding="utf-8")
         assert load_model(cand)[1].structure is reality_model.structure
         argv = ["indicators", "heavy-rain-reality", str(cand), "--set", "V1,V2,X", *extra, "--format", "json"]
-        with mock.patch.dict(reality_model.structure._plans, clear=True):
+        with mock.patch.dict(model._PLANS, clear=True):
             with _recorded_calls() as calls, mock.patch.object(model, "_plan", wraps=model._plan) as planned:
                 assert main(argv) == 0
         shared = capsys.readouterr().out
@@ -884,10 +877,38 @@ class TestIndicatorReports:
             (nodes, False),
             *[(("V1", "V2", "X"), False)] * 2 * restricted_rounds,
         ]
-        # Read with nothing to share, the candidate plans apart, to the same
-        # bytes; two files of one declaration give the same report.
-        with mock.patch.dict(io._DECLARED, clear=True):
+        # Read with no declaration to reuse and with every call planned
+        # alone, the candidate prints the same bytes; two files of one
+        # declaration give the same report.
+        with mock.patch.dict(io._DECLARED, clear=True), mock.patch.object(model, "_PLANS_PER_STRUCTURE", 0):
             assert main(argv) == 0
         assert capsys.readouterr().out == shared
         assert main(["indicators", str(ref), *argv[2:]]) == 0
         assert {**json.loads(capsys.readouterr().out), "reference": None} == {**json.loads(shared), "reference": None}
+
+    def test_files_on_one_graph_share_their_plans(self, capsys, tmp_path):
+        # Two copies of the reality fixture, the second with one more context
+        # statement and another V2 table: the declarations differ, so each
+        # file builds a structure of its own, but the two are equal, so the
+        # candidate replays the reference's two plans. With every call
+        # planned alone, the same bytes take four plans.
+        payload = json.loads(fixture_text("heavy-rain-reality"))
+        ref, cand = tmp_path / "a.json", tmp_path / "b.json"
+        ref.write_text(json.dumps(payload), encoding="utf-8")
+        payload["context"].append({"kind": "existence", "layer": 1, "subject": "road surface"})
+        next(c for c in payload["cpds"] if c["child"] == "V2")["table"] = [[0.25, 0.75]]
+        cand.write_text(json.dumps(payload), encoding="utf-8")
+        (_, a), (_, b) = load_model(ref), load_model(cand)
+        assert a.structure == b.structure and a.structure is not b.structure
+        argv = ["indicators", str(ref), str(cand), "--set", "V1,V2,X", "--format", "json"]
+        outs = []
+        for cap, plans in ((model._PLANS_PER_STRUCTURE, 2), (0, 4)):
+            with (
+                mock.patch.dict(model._PLANS, clear=True),
+                mock.patch.object(model, "_PLANS_PER_STRUCTURE", cap),
+                mock.patch.object(model, "_plan", wraps=model._plan) as planned,
+            ):
+                assert main(argv) == 0
+            assert planned.call_count == plans
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]

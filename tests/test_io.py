@@ -39,13 +39,7 @@ from causalcrit.io import (
     save_dataset,
     save_model,
 )
-from causalcrit.indicators import (
-    ModelPair,
-    _induced_structure,
-    _induced_submodel,
-    _kept_families,
-    indicator_reports,
-)
+from causalcrit.indicators import ModelPair, _induced_submodel, _kept_families, indicator_reports
 from causalcrit.model import VariableSpec, estimate_cpds, joint_tables, make_cpd, sample
 
 from oracles import brute_tally
@@ -340,8 +334,7 @@ class TestCpdTables:
         models = [
             reality_model,
             estimate_cpds(reality_model.structure, reality_model.specs, sample(reality_model, 500, seed=1), 1.0),
-            _induced_submodel(reality_model, _induced_structure(reality_model.structure, keep),
-                              dict(zip(families, joint_tables(reality_model, families)))),
+            _induced_submodel(reality_model, keep, dict(zip(families, joint_tables(reality_model, families)))),
         ]
         for m in models:
             tables = [cpd.table for cpd in m.cpds.values()]

@@ -67,6 +67,16 @@ def task(*trajectories, t_start=0.0, horizon=4.0):
     return DrivingTask(trajectories=tuple(trajectories), t_start=t_start, horizon=horizon)
 
 
+class TestDrivingTask:
+    @pytest.mark.parametrize(
+        "t_start, horizon", [(math.nan, 4.0), (0.0, math.nan), (0.0, math.inf)], ids=["t_start-nan", "nan", "inf"]
+    )
+    def test_a_non_finite_window_is_refused(self, t_start, horizon):
+        message = rf"^a task window needs a finite t_start and a finite, positive horizon, not {t_start} and {horizon}$"
+        with pytest.raises(ValidationError, match=message):
+            task(straight_line(), t_start=t_start, horizon=horizon)
+
+
 class TestTrajectoryValidation:
     @pytest.mark.parametrize(
         "t, x",
@@ -316,6 +326,13 @@ class TestThreatNumbers:
         with pytest.raises(ZeroAvailableAcceleration):
             btn_dt(dt_task, field)
 
+    @pytest.mark.parametrize("threat", [btn_dt, threat_numbers])
+    def test_a_quotient_past_the_float_range_is_refused(self, threat):
+        # 3 m/s^2 of braking over a subnormal availability overflows to inf.
+        field = uniform_field(long_avail=-1e-320)
+        with pytest.raises(ValidationError, match=r"^the longitudinal threat number .* is not finite$"):
+            threat(task(braking_line(3.0)), field)
+
     def test_threat_numbers_nonnegative(self):
         for decel in (0.0, 1.0, 3.0):
             dt_task = task(braking_line(decel) if decel else straight_line())
@@ -368,6 +385,12 @@ class TestAggregate:
     def test_unknown_mode(self):
         with pytest.raises(ValidationError):
             aggregate(0.1, 0.1, mode="median")
+
+    @pytest.mark.parametrize("mode", ["max", "mean", "euclidean"])
+    @pytest.mark.parametrize("btn, stn", [(math.inf, 1.0), (1.0, math.inf), (-math.inf, 0.5)])
+    def test_infinite_threat_number_rejected(self, btn, stn, mode):
+        with pytest.raises(ValidationError, match="^threat numbers must be finite$"):
+            aggregate(btn, stn, mode=mode)
 
     @pytest.mark.parametrize("mode", ["max", "mean", "euclidean"])
     @pytest.mark.parametrize("btn, stn", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])

@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import math
 import re
 import tracemalloc
 import warnings
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -20,7 +22,7 @@ from causalcrit.errors import (
     UnseenParentConfigurationWarning,
     ValidationError,
 )
-from causalcrit import model
+from causalcrit import graph, model
 from causalcrit.graph import build_structure
 from causalcrit.model import (
     Cpd,
@@ -533,12 +535,15 @@ class TestJointTables:
     def test_a_cached_replay_makes_one_kernel_call_per_step_and_no_plan(self):
         m, _ = binary_chain(8)
         scopes, do = [["V07"], ["V03", "V05"]], {"V02": [0, 1]}
-        joint_tables(m, scopes, do=do)
-        (plan,) = m.structure._plans.values()
         with (
+            mock.patch.dict(model._PLANS, clear=True),
             mock.patch.object(model, "_plan", wraps=model._plan) as planned,
             mock.patch.object(model, "_contract", wraps=model._contract) as contract,
         ):
+            joint_tables(m, scopes, do=do)
+            (plan,) = model._PLANS[m.structure].values()
+            planned.reset_mock()
+            contract.reset_mock()
             joint_tables(m, scopes, do=do)
         assert planned.call_count == 0
         assert [call.args[0] for call in contract.call_args_list] == [subscripts for _, subscripts, _ in plan.steps]
@@ -617,7 +622,7 @@ def _plan_key(scopes, do):
 
 
 class TestRun:
-    """The driver answers each model from its own calls; models on one structure share its plans."""
+    """The driver answers each model from its own calls; models on equal structures share their plans."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -644,9 +649,9 @@ class TestRun:
             return [(seen, None), (under, {d: rows(d) for d in sorted(do_nodes)})]
 
         rounds = [[asks(*shape) for shape in shapes] for _ in models]
-        with mock.patch.object(model, "_plan", wraps=model._plan) as planned:
+        with mock.patch.dict(model._PLANS, clear=True), mock.patch.object(model, "_plan", wraps=model._plan) as planned:
             sent = model._run([_asking(one, asked) for one, asked in zip(models, rounds)])
-        # A fresh structure plans each distinct query once; later models replay it.
+        # An empty cache plans each distinct query once; later models replay it.
         assert planned.call_count == len({_plan_key(*ask) for asks in rounds[0] for ask in asks})
         for one, asked, answers in zip(models, rounds, sent, strict=True):
             for asks, joints in zip(asked, answers, strict=True):
@@ -660,7 +665,7 @@ class TestRun:
 
 
 class TestPlanCache:
-    """Elimination plans cached on the structure replay the bits of a fresh plan."""
+    """Elimination plans cached by structure value replay the bits of a fresh plan."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -680,28 +685,56 @@ class TestPlanCache:
             return redrawn(m, data.draw(st.integers(0, 2**32 - 1))), do or None
 
         s = m.structure
-        first, first_do = query()
-        joint_tables(first, scopes, do=first_do)
-        other, do = query()
-        with mock.patch.object(model, "_plan", wraps=model._plan) as planned:
-            hit = joint_tables(other, scopes, do=do)
-        assert planned.call_count == 0 and len(s._plans) == 1
-        # A structure that compares equal has a cache of its own: a miss.
-        fresh = build_structure(s.nodes, s.directed, latent=s.latent)
-        assert fresh == s and not fresh._plans
-        copy = build_model(fresh, other.specs, other.cpds.values())
-        for a, b in zip(hit, joint_tables(copy, scopes, do=do), strict=True):
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-        # Past the cap, the oldest plan is dropped first.
-        cap = model._PLANS_PER_STRUCTURE
-        for rows in range(1, cap + 2):
-            joint_tables(m, [nodes[:1]], do={nodes[-1]: [0] * rows})
-        assert len(s._plans) == cap
-        with mock.patch.object(model, "_plan", wraps=model._plan) as planned:
-            joint_tables(m, [nodes[:1]], do={nodes[-1]: [0] * (cap + 1)})
-            assert planned.call_count == 0
+        with mock.patch.dict(model._PLANS, clear=True):
+            first, first_do = query()
             joint_tables(first, scopes, do=first_do)
-            assert planned.call_count == 1
+            other, do = query()
+            with mock.patch.object(model, "_plan", wraps=model._plan) as planned:
+                hit = joint_tables(other, scopes, do=do)
+            assert planned.call_count == 0 and len(model._PLANS[s]) == 1
+            # An equal structure, built apart, replays the plan: no _plan
+            # call, the same bytes; and so does a miss on an empty cache.
+            fresh = build_structure(s.nodes, s.directed, latent=s.latent)
+            assert fresh == s and fresh is not s
+            copy = build_model(fresh, other.specs, other.cpds.values())
+            with mock.patch.object(model, "_plan", wraps=model._plan) as planned:
+                replayed = joint_tables(copy, scopes, do=do)
+            assert planned.call_count == 0
+            with mock.patch.dict(model._PLANS, clear=True):
+                miss = joint_tables(copy, scopes, do=do)
+            for a, b, c in zip(hit, replayed, miss, strict=True):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()) == (c.dtype, c.shape, c.tobytes())
+            # Past the cap, the oldest plan is dropped first.
+            cap = model._PLANS_PER_STRUCTURE
+            for rows in range(1, cap + 2):
+                joint_tables(m, [nodes[:1]], do={nodes[-1]: [0] * rows})
+            assert len(model._PLANS[s]) == cap
+            with mock.patch.object(model, "_plan", wraps=model._plan) as planned:
+                joint_tables(m, [nodes[:1]], do={nodes[-1]: [0] * (cap + 1)})
+                assert planned.call_count == 0
+                joint_tables(first, scopes, do=first_do)
+                assert planned.call_count == 1
+
+    def test_the_entries_of_a_value_go_with_the_first_structure_stored(self):
+        # A twin, equal but built apart, replays the first structure's plan
+        # and back-door check; once the first is collected, both entries are
+        # gone though the twin lives, and the twin plans anew.
+        with mock.patch.dict(model._PLANS, clear=True), mock.patch.dict(graph._BACKDOOR_CHECKS, clear=True):
+            m, _ = binary_chain(4)
+            twin = build_model(build_structure(m.structure.nodes, m.structure.directed), m.specs, m.cpds.values())
+            assert twin.structure == m.structure and twin.structure is not m.structure
+            for one in (m, twin):
+                joint_tables(one, [["V03"]])
+                assert graph.backdoor_admissible(one.structure, [], "V01", "V03")
+            assert [len(model._PLANS), len(graph._BACKDOOR_CHECKS)] == [1, 1]
+            held = weakref.ref(m.structure)
+            del m, one
+            gc.collect()
+            assert held() is None
+            assert twin.structure not in model._PLANS and twin.structure not in graph._BACKDOOR_CHECKS
+            with mock.patch.object(model, "_plan", wraps=model._plan) as planned:
+                joint_tables(twin, [["V03"]])
+            assert planned.call_count == 1 and list(model._PLANS.keys()) == [twin.structure]
 
 
 class TestDeepElimination:

@@ -26,6 +26,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 _SCRIPT = """
 import contextlib, io, json, math, sys
 from pathlib import Path
+from types import SimpleNamespace
 
 workload, bench, workdir, limit = sys.argv[1], sys.argv[2], Path(sys.argv[3]), int(sys.argv[4])
 sys.path.insert(0, bench)
@@ -52,16 +53,12 @@ def counted_contract(subscripts, *arrays):
     counts["work"] += math.prod(states.values())
     return contract(subscripts, *arrays)
 
-# model._run, the one caller of joint_tables, reads all three as globals.
+# Each is read as a module global at call time: joint_tables by model._run,
+# its one caller, and _plan and _contract by joint_tables.
 model._plan, model.joint_tables, model._contract = counted_plan, counted_joint_tables, counted_contract
 
-class Program:
-    pass
-
-program = Program()
-program.cli, program.fixtures, program.graph = cli, fixtures, graph
-manifest = inputs.make_inputs(workload, 7, workdir)
-requests = workloads.WORKLOADS[workload](manifest, workdir, program)
+program = SimpleNamespace(cli=cli, fixtures=fixtures, graph=graph)
+requests = workloads.WORKLOADS[workload](inputs.make_inputs(workload, 7, workdir), workdir, program)
 codes = []
 for k in range(limit):
     for argv in requests.argvs(k):
