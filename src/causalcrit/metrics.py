@@ -245,9 +245,10 @@ def alat_min(task: DrivingTask, field: AccelField) -> float:
 def _threat(req: float, avail: float, axis: str) -> float:
     if avail == 0.0:
         raise ZeroAvailableAcceleration(f"no {axis} acceleration available")
-    if not np.isfinite(req / avail):
+    threat = req / avail
+    if not np.isfinite(threat):
         raise ValidationError(f"the {axis} threat number {req} / {avail} is not finite")
-    return req / avail
+    return threat
 
 
 def btn_dt(task: DrivingTask, field: AccelField) -> float:

@@ -560,7 +560,7 @@ class TestRho3:
     def test_one_inference_call_per_shared_pair(self, reality_model, restrict, rounds):
         # Redrawn tables keep the structure, so the candidate replays the
         # plan of the reference's first-round call, and its report is that
-        # of models that each plan every call alone (a cache of no plans).
+        # of the same pair with every call planned alone (a cap of 0 plans).
         # The restricted second round asks the two induced sub-models, whose
         # induced structures are equal, so it plans once.
         pair = ModelPair(reference=reality_model, candidate=redrawn(reality_model, 5))
