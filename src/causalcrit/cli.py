@@ -58,9 +58,10 @@ def _parse_assignments(text: str) -> dict[str, str]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        if "=" not in chunk:
+        node, sep, label = (part.strip() for part in chunk.partition("="))
+        # An empty label may be a domain's; an empty node name is none.
+        if not sep or not node:
             raise ParseError(f"expected node=label, got {chunk!r}")
-        node, label = (part.strip() for part in chunk.split("=", 1))
         if node in out:
             raise ParseError(f"{node!r} is assigned twice")
         out[node] = label

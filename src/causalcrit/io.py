@@ -8,6 +8,10 @@ pin them by checksum.
 A model file that repeats the declaration (every top-level field but
 ``cpds``) of a relation still in use, a fixture's included, reuses that
 relation, skipping the schema check and the rebuild of the declaration.
+This fork stays: on the bench's 99 seed-7 ``indicators`` requests it halves
+the whole-file schema checks, 99 against 198, and reading every file in
+full instead read 4.5 to 12.5 % slower in median latency on a 2-vCPU
+VM, in 6 of 6 alternating pairs.
 
 Reading a model file without CPDs needs no numpy. The readers that build
 arrays (CPD tables, datasets, trajectories and fields) import numpy and the

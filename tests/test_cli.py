@@ -375,6 +375,10 @@ class TestEffect:
         code, out, err = run(capsys, "effect", "heavy-rain-reality", "--do", "X", "--target", "phi")
         assert (code, out, err) == (2, "", "error: expected node=label, got 'X'\n")
 
+    def test_assignment_without_a_node_name_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "effect", "heavy-rain-reality", "--do", "=CP", "--target", "phi")
+        assert (code, out, err) == (2, "", "error: expected node=label, got '=CP'\n")
+
     @pytest.mark.parametrize("route", ["auto", "truncated", "parents"])
     def test_adjust_set_off_backdoor_is_usage_error(self, capsys, tmp_path, route):
         # Checked before the model file is read: the file does not exist.
@@ -514,6 +518,42 @@ class TestIndicators:
         )
         assert ace_ref["value"] == pytest.approx(0.2, abs=0.05)
 
+    def test_crlf_padded_csv_with_blank_lines_prints_the_clean_bytes(self, capsys, tmp_path):
+        ref_csv, cand_csv, crlf_csv = tmp_path / "ref.csv", tmp_path / "cand.csv", tmp_path / "ref_crlf.csv"
+        run(capsys, "sample", "heavy-rain-reality", "-n", "2000", "--seed", "3", "-o", str(ref_csv))
+        run(capsys, "sample", "heavy-rain-model", "-n", "2000", "--seed", "4", "-o", str(cand_csv))
+        # The same records with CRLF endings, a blank line after the header,
+        # and two of every three records space-padded around each cell.
+        lines = ref_csv.read_text(encoding="utf-8").splitlines()
+        body = [" , ".join(line.split(",")) + " " if k % 3 else line for k, line in enumerate(lines[1:])]
+        crlf_csv.write_bytes(("\r\n".join([lines[0], "", *body]) + "\r\n").encode())
+        pair = ("indicators", "heavy-rain-reality", "heavy-rain-model", "--set", "V1,V2,X", "--format", "json")
+        clean = run(capsys, *pair, "--data", str(ref_csv), str(cand_csv))
+        assert clean[0] == 0 and clean[1]
+        assert run(capsys, *pair, "--data", str(crlf_csv), str(cand_csv)) == clean
+
+    def test_query_past_the_state_limit_exits_one(self, capsys, tmp_path):
+        # X -> phi and 25 parentless binary nodes: rho2's joint over the 25
+        # spans 2**25 states, past the limit, in a batch as alone.
+        names = [f"N{k:02d}" for k in range(25)]
+
+        def var(n):
+            return {"name": n, "domain": ["a", "b"], "codes": [0, 1], "latent": False, "range": "{a, b}", "unit": "1"}
+
+        def cpd(n, parents):
+            return {"child": n, "parents": parents, "table": [[0.5, 0.5]] * 2 ** len(parents)}
+
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({
+            "format_version": 1, "variables": [var(n) for n in ["X", "phi", *names]],
+            "edges": [["X", "phi"]], "bidirected": [], "context": [],
+            "cpds": [cpd("X", []), cpd("phi", ["X"]), *(cpd(n, []) for n in names)],
+            "phenomenon": {"variable": "X", "cp_label": "b"}, "metric": {"variable": "phi"},
+        }), encoding="utf-8")
+        code, out, err = run(capsys, "indicators", str(wide), str(wide), "--set", ",".join(names))
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("StateSpaceExceeded: ")
+
     @pytest.mark.parametrize("node_set", [",", ""])
     def test_empty_set_is_usage_error(self, capsys, node_set):
         code, out, err = run(
@@ -603,9 +643,10 @@ class TestIndicators:
         k, cpd = next((k, c) for k, c in enumerate(payload["cpds"]) if c["child"] == "V2")
         cpd["table"] = [["0.25", 0.75]]
         cand.write_text(json.dumps(payload), encoding="utf-8")
-        code, out, err = run(capsys, "indicators", str(ref), str(cand))
-        assert (code, out) == (2, "")
-        assert err == f'error: cpds[{k}].table[0][0]: expected a number, got "0.25"\n'
+        expected = (2, "", f'error: cpds[{k}].table[0][0]: expected a number, got "0.25"\n')
+        assert run(capsys, "indicators", str(ref), str(cand)) == expected
+        # Read through the fixture's relation, it fails as it does alone.
+        assert run(capsys, "indicators", "heavy-rain-reality", str(cand)) == expected
 
     def test_rho3_restricted_on_a_zero_probability_parent_exits_one(self, capsys, tmp_path):
         # V1 is always Summer, so the sub-model over {V1, X} has no CPD row
@@ -962,6 +1003,10 @@ class TestSafetyPrinciple:
         )
         assert (code, out) == (2, "")
         assert "'V2' is assigned twice" in err
+
+    def test_assignment_without_a_node_name_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "sp", "heavy-rain-reality", "--sp", " = Slow")
+        assert (code, out, err) == (2, "", "error: expected node=label, got '= Slow'\n")
 
     def test_list_without_assignment_is_usage_error(self, capsys):
         code, out, err = run(capsys, "sp", "heavy-rain-reality", "--sp", ",")

@@ -21,6 +21,7 @@ import pytest
 import causalcrit
 from causalcrit import cli
 from causalcrit.cli import build_parser, main
+from causalcrit.fixtures import fixture_text
 
 from test_cli_golden import DATA, _write_csvs
 
@@ -99,6 +100,29 @@ def test_argparse_cases_reach_each_outcome(tmp_path):
     err = _call(ARGPARSE_CASES["stray-positional"])[2]
     assert err.startswith("usage: causalcrit [-h]\n")
     assert err.endswith("causalcrit: error: unrecognized arguments: extra\n")
+    # A missing required option is reported with the command's own usage.
+    assert _call(ARGPARSE_CASES["missing-required"])[2].startswith("usage: causalcrit adjust ")
+
+
+def test_a_file_repeating_a_fixture_declaration_reports_as_the_files_do(tmp_path):
+    # The candidate repeats heavy-rain-reality's declaration with V2's CPD
+    # changed. Against the fixture id it is read through the fixture's
+    # relation, and its report is the two files' report but for the
+    # reference field, called directly and as batch lines alike.
+    ref, cand = tmp_path / "ref.json", tmp_path / "cand.json"
+    ref.write_text(fixture_text("heavy-rain-reality"), encoding="utf-8")
+    payload = json.loads(fixture_text("heavy-rain-reality"))
+    next(c for c in payload["cpds"] if c["child"] == "V2")["table"] = [[0.25, 0.75]]
+    cand.write_text(json.dumps(payload), encoding="utf-8")
+    tail = [str(cand), "--set", "V1,V2,X", "--format", "json"]
+    files, fixture = ["indicators", str(ref), *tail], ["indicators", "heavy-rain-reality", *tail]
+    direct = [_call(files), _call(fixture)]
+    assert [(code, err) for code, _, err in direct] == [(0, ""), (0, "")]
+    by_files, by_fixture = (json.loads(out) for _, out, _ in direct)
+    assert (by_files.pop("reference"), by_fixture.pop("reference")) == (str(ref), "heavy-rain-reality")
+    assert by_fixture == by_files
+    lines = _batch(json.dumps(files), json.dumps(fixture))
+    assert [(line["exit"], line["stdout"]) for line in lines] == [(0, out) for _, out, _ in direct]
 
 
 def test_a_bad_line_does_not_stop_the_batch():

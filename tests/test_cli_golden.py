@@ -126,6 +126,13 @@ def test_cli_output_matches_golden(tmp_path):
     assert [e["argv"] for e in expected] == [a["argv"] for a in actual]
     for exp, act in zip(expected, actual):
         assert act == exp, " ".join(exp["argv"])
+        # Strict JSON: json.dumps would print NaN or Infinity, which is not.
+        if act["argv"][-1] == "json" and act["exit"] == 0:
+            json.loads(act["stdout"], parse_constant=_refuse)
+
+
+def _refuse(constant: str):
+    raise ValueError(f"{constant} is not JSON")
 
 
 if __name__ == "__main__":

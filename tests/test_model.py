@@ -490,14 +490,70 @@ class TestJointTables:
         with mock.patch.object(model, "_plan", wraps=model._plan) as planned:
             joint_tables(other, scopes, do=do)
         assert planned.call_count == 0
-        # A limit just below a size that the query's own checks read refuses it.
+        # A limit just below a size that the query's own checks read refuses
+        # it before the first contraction, or, where only the batch forms
+        # that size, is met by planning each scope alone. A single scope has
+        # no fallback.
         limit = data.draw(st.sampled_from(sorted({call.args[0] for call in checks.call_args_list}))) - 1
-        contract = mock.patch.object(model, "_contract", wraps=model._contract)
-        with state_space_limit(limit), contract as calls:
-            for one in (m, other):
-                with pytest.raises(StateSpaceExceeded):
+        outcomes = []
+        for one in (m, other):
+            with state_space_limit(limit), mock.patch.object(model, "_contract", wraps=model._contract) as calls:
+                try:
                     joint_tables(one, scopes, do=do)
-        assert calls.call_count == 0
+                except StateSpaceExceeded:
+                    assert calls.call_count == 0
+                    outcomes.append(True)
+                else:
+                    assert len(scopes) > 1
+                    outcomes.append(False)
+        assert outcomes[0] == outcomes[1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_a_batch_fits_wherever_each_scope_fits_alone(self, data):
+        m = data.draw(st.one_of(random_models(min_nodes=3, max_nodes=10), chain_models()))
+        # Nodes whose closure has every CPD, so only the limits can refuse.
+        nodes = [n for n in sorted(m.instantiated) if not brute_missing_cpds(m, [n])]
+        scopes = data.draw(st.lists(st.sets(st.sampled_from(nodes), min_size=1, max_size=3), min_size=2, max_size=5))
+        do_nodes = sorted(data.draw(st.sets(st.sampled_from(nodes), max_size=2)))
+        n_rows = data.draw(st.integers(1, 2))
+        do = {d: data.draw(st.lists(st.integers(0, m.specs[d].cardinality - 1), min_size=n_rows, max_size=n_rows))
+              for d in do_nodes}
+        with mock.patch.object(model, "_check_states", wraps=model._check_states) as checks:
+            for scope in scopes:
+                joint_tables(m, [scope], do=do)
+            fits = max(call.args[0] for call in checks.call_args_list)
+            joint_tables(m, scopes, do=do)
+        # Just below a size that the batch or a scope alone reads, or the
+        # least limit at which every scope fits alone.
+        limit = data.draw(st.sampled_from(sorted({fits, *(call.args[0] - 1 for call in checks.call_args_list)})))
+
+        def alone(scope):
+            try:
+                return joint_tables(m, [scope], do=do)[0]
+            except StateSpaceExceeded:
+                return None
+
+        keys = tuple(tuple(sorted(s)) for s in scopes)
+        with state_space_limit(limit):
+            singles = [alone(scope) for scope in scopes]
+            try:
+                model._plan(m, keys, {d: n_rows for d in do})
+                fallback = False
+            except StateSpaceExceeded:
+                fallback = True
+            with mock.patch.object(model, "_contract", wraps=model._contract) as calls:
+                if any(single is None for single in singles):
+                    with pytest.raises(StateSpaceExceeded):
+                        joint_tables(m, scopes, do=do)
+                    assert calls.call_count == 0
+                    return
+                batched = joint_tables(m, scopes, do=do)
+        for single, table in zip(singles, batched, strict=True):
+            if fallback:
+                assert (table.dtype, table.shape, table.tobytes()) == (single.dtype, single.shape, single.tobytes())
+            else:
+                assert table == pytest.approx(single, abs=1e-12)
 
     def test_no_scopes(self, reality_model):
         assert joint_tables(reality_model, []) == []
@@ -574,10 +630,11 @@ class TestJointTables:
         assert p_z.tolist() == [[0.125] * 8] * 2
         assert p_q == pytest.approx(np.array([[0.9, 0.1], [0.2, 0.8]]), abs=1e-15)
 
-    def test_batched_limit_can_exceed_every_scope_alone(self):
+    def test_a_batch_over_the_limit_replays_each_scope_alone(self):
         # D -> Q, and Z stands apart; all binary. [Q, Z] is the root, and
         # the unit factor of [D, Z] puts Z into D's bucket, which then spans
-        # D x Q x Z = 8 states. Alone, each scope needs no factor above 4.
+        # D x Q x Z = 8 states. Alone, each scope needs no factor above 4,
+        # so at a limit of 7 the batch is planned one scope at a time.
         specs = {n: binary_spec(n) for n in ("D", "Q", "Z")}
         s = build_structure(["D", "Q", "Z"], [("D", "Q")])
         m = build_model(s, specs, [
@@ -589,12 +646,15 @@ class TestJointTables:
         with state_space_limit(4):
             alone = [joint_tables(m, [scope])[0] for scope in scopes]
         with state_space_limit(7), pytest.raises(StateSpaceExceeded, match="spans 8 states"):
-            joint_tables(m, scopes)
+            model._plan(m, [tuple(scope) for scope in scopes], {})
+        with state_space_limit(7):
+            fallback = joint_tables(m, scopes)
+        for a, b in zip(alone, fallback, strict=True):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         with state_space_limit(8):
             batched = joint_tables(m, scopes)
-        for a, b in zip(alone, batched):
+        for a, b in zip(alone, batched, strict=True):
             assert a == pytest.approx(b, abs=1e-15)
-
 
 
 def redrawn(m, seed):
