@@ -213,17 +213,17 @@ def _closure_within(
 ) -> tuple[str, ...]:
     """Ancestral closure of ``over``, not followed past ``clamped`` nodes.
 
-    Every member except the clamped ones must carry a CPD.
+    Every member except the clamped ones must carry a CPD. The walk starts
+    from the names of ``over`` in name order, so an unknown name is the
+    first of them in that order.
     """
     needed = set(over)
-    frontier = list(needed)
+    frontier = sorted(needed, reverse=True)
     while frontier:
         node = frontier.pop()
         if node in clamped:
             continue
-        cpd = m.cpds.get(node)
-        parents = m.structure.parents(node) if cpd is None else cpd.parents
-        for p in parents:
+        for p in m.structure.parents(node):
             if p not in needed:
                 needed.add(p)
                 frontier.append(p)
@@ -246,7 +246,7 @@ def _check_closure(m: DiscreteModel, over: Iterable[str], clamped: Collection[st
     if len(m.cpds) < len(m.structure.nodes):
         _closure_within(m, over, clamped)
     else:
-        m.structure.ensure_nodes(n for n in reversed(list(set(over))) if n not in clamped)
+        m.structure.ensure_nodes(n for n in sorted(set(over)) if n not in clamped)
 
 
 # The leading row axis of a joint; not a node name.
@@ -274,9 +274,7 @@ class _Plan(NamedTuple):
     of each closure node as (factor, node, shape). ``steps`` are the
     contractions in order, each as (factor, its precompiled np.einsum
     subscripts such as ``"AB,BC->AC"``, input factors), and ``reads`` the
-    factor each scope is read from, of shape ``outs[k]``. ``largest`` is
-    the largest state count that the plan's :class:`StateSpaceExceeded`
-    checks read.
+    factor each scope is read from, of shape ``outs[k]``.
     """
 
     axes: tuple[str, ...]
@@ -286,7 +284,6 @@ class _Plan(NamedTuple):
     steps: tuple[tuple[int, str, tuple[int, ...]], ...]
     reads: tuple[int, ...]
     outs: tuple[tuple[int, ...], ...]
-    largest: int
 
 
 def joint_tables(
@@ -343,11 +340,10 @@ def joint_tables(
 
     Plans are cached in :data:`_PLANS` by structure value, the model's
     cardinalities and the nodes with a CPD, the sorted scopes in their
-    given order, and each intervened node with its row count, so another
-    model on an equal structure, or other do() labels, replay the plan. A
-    cached plan whose largest checked state count exceeds the current limit
-    is planned again, so it raises what a fresh call raises, and a refused
-    query is never cached. A structure value keeps at most
+    given order, each intervened node with its row count, and the limit,
+    so another model on an equal structure, or other do() labels, replay
+    the plan, and a call under another limit plans afresh. A refused query
+    is never cached. A structure value keeps at most
     :data:`_PLANS_PER_STRUCTURE` plans and drops the oldest first.
     """
     scopes = tuple(tuple(sorted(set(s))) for s in scopes)
@@ -389,11 +385,11 @@ def joint_tables(
 
 def _cached_plan(m: DiscreteModel, scopes: tuple[tuple[str, ...], ...], counts: Mapping[str, int]) -> _Plan:
     """The :class:`_Plan` of ``scopes`` from :data:`_PLANS`, planned and
-    stored on a miss or when its largest state count exceeds the limit."""
-    key = (m._shape_key, scopes, frozenset(counts.items()))
+    stored on a miss."""
+    key = (m._shape_key, scopes, frozenset(counts.items()), DEFAULT_STATE_SPACE_LIMIT)
     plans = _PLANS.setdefault(m.structure, {})
     plan = plans.get(key)
-    if plan is None or plan.largest > DEFAULT_STATE_SPACE_LIMIT:
+    if plan is None:
         plans[key] = plan = _plan(m, scopes, counts)
         if len(plans) > _PLANS_PER_STRUCTURE:
             del plans[next(iter(plans))]
@@ -423,7 +419,6 @@ def _plan(m: DiscreteModel, scopes: Sequence[tuple[str, ...]], do: Mapping[str, 
     sizes = [math.prod(out) for out in outs]
     for s, size in zip(scopes, sizes):
         _check_states(size, len(s), lambda: f"the joint over {_named(s)}")
-    largest = max(sizes)
     # Axis i, closure node i or the row axis after them, is the character
     # chr(_AXIS + i), so a factor's axes are a string, in which character
     # order is name order. A single-state variable has no axis (its string
@@ -447,16 +442,16 @@ def _plan(m: DiscreteModel, scopes: Sequence[tuple[str, ...]], do: Mapping[str, 
         fs.append(scope)
         return len(fs) - 1
 
-    def contract(scope: str, ins: list, operands: list, order: Optional[str] = None) -> int:
+    def contract(scope: str, ins: list, operands: list) -> int:
         """A step: the product of the factors ``ins``, over the axes
         ``operands``, summed down to ``scope``, as a new factor. Its np.einsum
-        labels are numbered per step, in ``order``, the order in which its
-        axes first appear, so a step uses only as many as its factors span.
+        labels are numbered per step, in the order in which its axes first
+        appear, so a step uses only as many as its factors span.
         A step of more than ``_MAX_OPERANDS`` factors first contracts its
         first ``_MAX_OPERANDS`` into the new factor's slot, over all their
         axes, and that partial product then comes first."""
         k = len(fs)
-        order = order or "".join(dict.fromkeys("".join(operands)))
+        order = "".join(dict.fromkeys("".join(operands)))
         letters = str.maketrans(order, _LETTERS[: len(order)])
         while len(ins) > _MAX_OPERANDS:
             head = operands[:_MAX_OPERANDS]
@@ -504,7 +499,7 @@ def _plan(m: DiscreteModel, scopes: Sequence[tuple[str, ...]], do: Mapping[str, 
     heap = [(size, v) for v, size in rank.items()]
     heapq.heapify(heap)
     owner: dict = {}  # factor -> the bucket that took it
-    buckets: list = []  # (the factor it sends on, its factors, their axes' order)
+    buckets: list = []  # (the factor it sends on, its factors)
     while heap:
         size, v = heapq.heappop(heap)
         if rank.get(v) != size:
@@ -518,14 +513,11 @@ def _plan(m: DiscreteModel, scopes: Sequence[tuple[str, ...]], do: Mapping[str, 
             lambda: f"the bucket of {names[ord(v) - _AXIS]!r} and its neighbours "
             + _named([names[ord(u) - _AXIS] for u in scope]),
         )
-        if size > largest:
-            largest = size
         bucket = [f for f in members[v] if f not in owner]
         owner.update(dict.fromkeys(bucket, len(buckets)))
         operands = [fs[f] for f in bucket]
-        order = "".join(dict.fromkeys("".join(operands)))
-        k = contract(order.replace(v, ""), bucket, operands, order)
-        buckets.append((k, bucket, order))
+        k = contract("".join(dict.fromkeys("".join(operands))).replace(v, ""), bucket, operands)
+        buckets.append((k, bucket))
         # Only hidden nodes' buckets are read again.
         for u in fs[k]:
             if u in rank:
@@ -552,7 +544,7 @@ def _plan(m: DiscreteModel, scopes: Sequence[tuple[str, ...]], do: Mapping[str, 
     # A bucket is eliminated before the one that takes its message, so in
     # descending order every sender has its own downward message.
     for i in sorted(path, reverse=True):
-        msg, bucket, _ = buckets[i]
+        msg, bucket = buckets[i]
         sender = cluster[owner.get(msg)].copy()
         sender.remove(msg)
         operands = [fs[f] for f in sender]
@@ -563,13 +555,8 @@ def _plan(m: DiscreteModel, scopes: Sequence[tuple[str, ...]], do: Mapping[str, 
             sender.append(ones_factor(rest))
             operands.append(rest)
         cluster[i] = [*bucket, contract(fs[msg], sender, operands)]
-    # A bucket's unit factor spans the scope it holds. The message down to a
-    # bucket spans none of its axes that the bucket's own factors do not, so
-    # the bucket's order is the read's.
-    reads = [
-        contract(a, cluster[i], [fs[f] for f in cluster[i]], None if i is None else buckets[i][2])
-        for i, a in zip(at, axes)
-    ]
+    # A bucket's unit factor spans the scope it holds.
+    reads = [contract(a, cluster[i], [fs[f] for f in cluster[i]]) for i, a in zip(at, axes)]
     return _Plan(
         axes=tuple(fs),
         ones=tuple(ones),
@@ -578,7 +565,6 @@ def _plan(m: DiscreteModel, scopes: Sequence[tuple[str, ...]], do: Mapping[str, 
         steps=tuple(steps),
         reads=tuple(reads),
         outs=tuple(outs),
-        largest=largest,
     )
 
 

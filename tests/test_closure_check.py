@@ -7,7 +7,11 @@ what the walk raises, in the step that makes the ask, so every entry point
 keeps its error type, its message and its fallbacks.
 """
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -77,6 +81,35 @@ def test_unknown_name_on_a_full_model(data):
     # An edge names its nodes, so one with an unknown end is not in the structure.
     refused = f"edge {('ghost', node)!r} is not in the structure"
     assert outcome(causal_influence, m, [("ghost", node)]) == (InvalidQuery, refused)
+
+
+_FIRST_UNKNOWN = """
+from causalcrit import fixtures, model
+from causalcrit.errors import UnknownNode
+
+m = fixtures.fixture("heavy-rain-reality")[1]
+partial = model.build_model(m.structure, m.specs, [c for n, c in m.cpds.items() if n != "V1"])
+for call in (model.joint_tables, model._ask):
+    for one in (m, partial):
+        try:
+            call(one, [["nope_c", "X", "nope_a", "nope_b"]])
+        except UnknownNode as exc:
+            print(exc)
+"""
+
+
+def test_the_unknown_name_reported_does_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    printed = set()
+    for seed in ("1", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", _FIRST_UNKNOWN], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        printed.add(proc.stdout)
+    # joint_tables and _ask, each on a model with every CPD and on one without.
+    assert printed == {"unknown node 'nope_a'\n" * 4}
 
 
 @settings(max_examples=150, deadline=None)
