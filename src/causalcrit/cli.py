@@ -127,7 +127,7 @@ def cmd_effect(args) -> int:
         {node: [label] for node, label in assignments.items()},
         args.target,
         args.route,
-        _parse_names(args.adjust_set) or [],
+        (_parse_names(args.adjust_set) or []) if args.route == "backdoor" else None,
     )
     exp = expectation(dist, model, args.target)
     spec = model.spec_of(args.target)

@@ -34,7 +34,7 @@ from .errors import (
     ParentsNotInstantiated,
     ZeroProbabilityCondition,
 )
-from .graph import ancestors, backdoor_admissible, descendants, open_backdoor_path
+from .graph import _node_names, ancestors, backdoor_admissible, descendants, open_backdoor_path
 from .model import DiscreteModel, _ask, _config_labels, _run, _Step
 
 __all__ = [
@@ -241,10 +241,14 @@ def _plan_step(
     adjustment: Optional[Iterable[str]] = None,
 ) -> _Step:
     """:func:`plan_effect` as a step: its checks, then the route step."""
-    if route == "backdoor" and adjustment is None:
-        raise InvalidQuery("backdoor route needs an adjustment set")
     if route not in ROUTES:
         raise InvalidQuery(f"unknown route {route!r}")
+    if route == "backdoor":
+        if adjustment is None:
+            raise InvalidQuery("backdoor route needs an adjustment set")
+        _node_names(adjustment, "adjustment")
+    elif adjustment is not None:
+        raise InvalidQuery(f"an adjustment set needs the backdoor route, got route {route!r}")
     n_rows, rows = _do_rows(m, do)
     m.spec_of(target)
     route, table = yield from _effect_rows(m, rows, target, route, adjustment)
@@ -269,9 +273,10 @@ def plan_effect(
     :class:`InvalidQuery`. Returns the route label and one distribution per
     row. Explicit routes are ``truncated``, ``parents`` and ``backdoor``.
     ``parents`` needs CPDs only for the closure of the intervened node, its
-    parents and the target. ``backdoor`` needs ``adjustment`` and checks it
-    against the back-door criterion instead of assuming it: a set that fails
-    raises :class:`NotAdmissible`. With no intervened node every route,
+    parents and the target. ``backdoor`` needs ``adjustment``, a collection
+    of node names that no other route takes, and checks it against the
+    back-door criterion instead of assuming it: a set that fails raises
+    :class:`NotAdmissible`. With no intervened node every route,
     ``auto`` included, gives the observational marginal (``observational``);
     ``truncated`` first checks that the model is Markovian.
     ``auto`` takes the truncated route on a Markovian model, where every

@@ -52,6 +52,14 @@ _DOWN = 1
 Adjacency = dict[Hashable, tuple[Hashable, ...]]
 
 
+def _node_names(names: Iterable[str], argument: str) -> Iterable[str]:
+    """``names``, a collection of node names. A bare string would be read as
+    its characters, so it raises :class:`InvalidQuery` naming ``argument``."""
+    if isinstance(names, str):
+        raise InvalidQuery(f"{argument} needs a collection of node names, got {names!r}")
+    return names
+
+
 def _sorted_adjacency(keys: Iterable[Hashable], edges: Iterable[tuple]) -> Adjacency:
     """key -> heads of the edges leaving it, sorted by ``str``."""
     out: dict[Hashable, list] = {k: [] for k in keys}
@@ -332,7 +340,7 @@ def d_separated(
     separated, the result carries one unblocked witness path drawn with its
     edge marks.
     """
-    x_set, y_set, z_set = set(x), set(y), set(z)
+    x_set, y_set, z_set = set(_node_names(x, "x")), set(_node_names(y, "y")), set(_node_names(z, "z"))
     s.ensure_nodes(x_set | y_set | z_set)
     if x_set & y_set or x_set & z_set or y_set & z_set:
         raise OverlappingSets("x, y and z must be pairwise disjoint")
@@ -498,7 +506,7 @@ def backdoor_admissible(
     confounding arcs at x stay, as they open back-door paths through the
     latent fork. The check is prepared once per (structure, x, y).
     """
-    adj = set(adjustment)
+    adj = set(_node_names(adjustment, "adjustment"))
     s.ensure_nodes(adj | {x, y})
     if adj & {x, y}:
         raise OverlappingSets("adjustment set must not contain x or y")
@@ -518,6 +526,7 @@ def open_backdoor_path(
     The path is the :func:`d_separated` witness on ``s`` with x's outgoing
     directed edges removed.
     """
+    _node_names(adjustment, "adjustment")
     s.ensure_nodes((x, y))
     if x == y:
         return None
@@ -579,7 +588,7 @@ def enumerate_adjustment_sets(
     if candidates is None:
         pool = [n for n in s.nodes if n not in banned]
     else:
-        cand = list(candidates)
+        cand = list(_node_names(candidates, "candidates"))
         s.ensure_nodes(cand)
         pool = sorted(n for n in set(cand) if n not in banned)
 

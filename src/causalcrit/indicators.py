@@ -43,7 +43,7 @@ from .errors import (
     ZeroMeanCriticality,
     ZeroProbabilityCondition,
 )
-from .graph import build_structure
+from .graph import _node_names, build_structure
 from .model import DiscreteModel, build_model
 from .model import _ask, _check_closure, _cpds, _run, _Step
 
@@ -241,7 +241,7 @@ def sigma(m: DiscreteModel, cp: PhenomenonBinding, metric: str) -> IndicatorRepo
 
 def _node_set(pair: ModelPair, name: str, nodes: Iterable[str]) -> tuple[str, ...]:
     """The sorted, non-empty node set of ``name``, its specs shared by the pair."""
-    node_list = tuple(sorted(set(nodes)))
+    node_list = tuple(sorted(set(_node_names(nodes, "nodes"))))
     if not node_list:
         raise InvalidQuery(f"{name} needs a non-empty node set")
     pair.check_shared_specs(node_list)
@@ -490,6 +490,6 @@ def indicator_reports(
     steps = [_effect_step(m, cp, metric, role) for role, m in _by_role(pair).items()]
     steps.append(_kl_step(pair, "rho1", (cp.variable,), bits))
     if nodes is not None:
-        nodes = tuple(nodes)
+        nodes = tuple(_node_names(nodes, "nodes"))
         steps += [_kl_step(pair, "rho2", nodes, bits), _rho3_step(pair, nodes, cp, restrict_to_set, bits)]
     return _reports(steps)

@@ -26,7 +26,15 @@ from causalcrit.errors import (
     UnknownCategory,
     ZeroProbabilityCondition,
 )
-from causalcrit.graph import build_structure, descendants, enumerate_adjustment_sets
+from causalcrit.graph import (
+    backdoor_admissible,
+    build_structure,
+    d_separated,
+    descendants,
+    enumerate_adjustment_sets,
+    open_backdoor_path,
+)
+from causalcrit.indicators import ModelPair, indicator_reports, rho2, rho3
 from causalcrit import model
 from causalcrit.io import load_model
 from causalcrit.model import (
@@ -45,6 +53,35 @@ from oracles import (
     brute_open_paths,
     brute_truncated,
 )
+
+
+# Each call passes the bare string "V1" as the named argument, which takes a
+# collection of node names.
+_BARE_STRING_CALLS = {
+    "d_separated x": ("x", lambda m, pair, cp: d_separated(m.structure, "V1", {"phi"})),
+    "d_separated y": ("y", lambda m, pair, cp: d_separated(m.structure, {"phi"}, "V1")),
+    "d_separated z": ("z", lambda m, pair, cp: d_separated(m.structure, {"X"}, {"phi"}, "V1")),
+    "backdoor_admissible": ("adjustment", lambda m, pair, cp: backdoor_admissible(m.structure, "V1", "X", "phi")),
+    "open_backdoor_path": ("adjustment", lambda m, pair, cp: open_backdoor_path(m.structure, "V1", "X", "phi")),
+    "enumerate_adjustment_sets": (
+        "candidates",
+        lambda m, pair, cp: enumerate_adjustment_sets(m.structure, "X", "phi", 8, candidates="V1"),
+    ),
+    "plan_effect": ("adjustment", lambda m, pair, cp: plan_effect(m, {"X": ["CP"]}, "phi", "backdoor", "V1")),
+    "rho2": ("nodes", lambda m, pair, cp: rho2(pair, "V1")),
+    "rho3": ("nodes", lambda m, pair, cp: rho3(pair, "V1", cp)),
+    "indicator_reports": ("nodes", lambda m, pair, cp: indicator_reports(pair, cp, "phi", nodes="V1")),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_BARE_STRING_CALLS))
+def test_a_bare_string_for_node_names_is_refused(call, reality_model, candidate_model):
+    argument, invoke = _BARE_STRING_CALLS[call]
+    pair = ModelPair(reference=reality_model, candidate=candidate_model)
+    cp = PhenomenonBinding(variable="X", cp_label="CP")
+    message = f"{argument} needs a collection of node names, got 'V1'"
+    with pytest.raises(InvalidQuery, match=f"^{re.escape(message)}$"):
+        invoke(candidate_model, pair, cp)
 
 
 def random_binary_model(rng, max_nodes=5):
@@ -378,6 +415,13 @@ class TestPlanEffect:
         assert route == "backdoor:['V2']"
         assert dists[0]["Short"] == pytest.approx(0.6, abs=1e-12)
         assert dists[1]["Short"] == pytest.approx(0.4, abs=1e-12)
+
+    @pytest.mark.parametrize("route", ["auto", "truncated", "parents"])
+    @pytest.mark.parametrize("adjustment", [["V1"], []])
+    def test_an_adjustment_set_off_the_backdoor_route_is_refused(self, candidate_model, route, adjustment):
+        message = f"an adjustment set needs the backdoor route, got route {route!r}"
+        with pytest.raises(InvalidQuery, match=f"^{re.escape(message)}$"):
+            plan_effect(candidate_model, {"X": ["CP"]}, "phi", route, adjustment)
 
     def test_auto_falls_back_to_backdoor_on_confounded_model(self):
         m = confounded_pair_model()
