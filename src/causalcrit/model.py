@@ -213,17 +213,19 @@ def _closure_within(
 ) -> tuple[str, ...]:
     """Ancestral closure of ``over``, not followed past ``clamped`` nodes.
 
-    Every member except the clamped ones must carry a CPD. The walk starts
-    from the names of ``over`` in name order, so an unknown name is the
+    Every member except the clamped ones must carry a CPD. The names of
+    ``over`` are checked first, in name order, so an unknown one is the
     first of them in that order.
     """
     needed = set(over)
-    frontier = sorted(needed, reverse=True)
+    m.structure.ensure_nodes(n for n in sorted(needed) if n not in clamped)
+    parents = m.structure._parents
+    frontier = list(needed)
     while frontier:
         node = frontier.pop()
         if node in clamped:
             continue
-        for p in m.structure.parents(node):
+        for p in parents[node]:
             if p not in needed:
                 needed.add(p)
                 frontier.append(p)
@@ -238,7 +240,7 @@ def _closure_within(
 def _check_closure(m: DiscreteModel, over: Iterable[str], clamped: Collection[str] = ()) -> None:
     """The errors of :func:`_closure_within`. No closure lacks a CPD when every
     node has one (:func:`build_model` files each under a distinct node), so
-    then only the names are checked, in the walk's order. This fork stays:
+    then only its name check runs. This fork stays:
     with it the bench's 99 seed-7 ``indicators`` requests make 198 closure
     walks, one per plan miss, against 1,980 without, and walking every ask
     read 2.0 to 8.4 % slower in median latency on a 2-vCPU VM, in 6 of 6
