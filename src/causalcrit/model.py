@@ -240,11 +240,10 @@ def _closure_within(
 def _check_closure(m: DiscreteModel, over: Iterable[str], clamped: Collection[str] = ()) -> None:
     """The errors of :func:`_closure_within`. No closure lacks a CPD when every
     node has one (:func:`build_model` files each under a distinct node), so
-    then only its name check runs. This fork stays:
-    with it the bench's 99 seed-7 ``indicators`` requests make 198 closure
-    walks, one per plan miss, against 1,980 without, and walking every ask
-    read 2.0 to 8.4 % slower in median latency on a 2-vCPU VM, in 6 of 6
-    alternating pairs."""
+    then only its name check runs. This fork stays: with it the bench's 99
+    seed-7 ``indicators`` requests make 198 closure walks, one per plan
+    miss, against 1,980 without, and walking every ask read 2.0 to 8.4 %
+    slower in median latency on a 2-vCPU VM, in 6 of 6 alternating pairs."""
     if len(m.cpds) < len(m.structure.nodes):
         _closure_within(m, over, clamped)
     else:
