@@ -16,6 +16,7 @@ so every CPD is uniform.
 """
 
 import hashlib
+import math
 import random
 
 from causalcrit import model
@@ -45,15 +46,13 @@ def _corpus(rng: random.Random):
         cpds = []
         for name, card in zip(names, cards):
             parents = tuple(sorted(s.parents(name)))
-            rows = 1
-            for p in parents:
-                rows *= specs[p].cardinality
+            rows = math.prod(specs[p].cardinality for p in parents)
             cpds.append(make_cpd(name, parents, [[1 / card] * card] * rows, specs))
         scopes = [tuple(sorted(rng.sample(names, rng.randint(1, min(3, n))))) for _ in range(rng.randint(1, 4))]
         do = {}
         if rng.random() < 1 / 3:
-            rows = rng.randint(1, 3)
-            do = {d: rows for d in sorted(rng.sample(names, rng.randint(1, 2)))}
+            n_rows = rng.randint(1, 3)
+            do = {d: n_rows for d in sorted(rng.sample(names, rng.randint(1, 2)))}
         yield build_model(s, specs, cpds), tuple(dict.fromkeys(scopes)), do
 
 
