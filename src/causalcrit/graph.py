@@ -120,9 +120,12 @@ class CausalStructure:
             if name not in self._parents:
                 raise UnknownNode(f"unknown node {name!r}")
 
-    def parents(self, node: str) -> frozenset[str]:
-        self.ensure_nodes((node,))
-        return frozenset(self._parents[node])
+    def parents(self, node: str) -> tuple[str, ...]:
+        """The parents of ``node``, name-sorted: the order of its CPD's parents."""
+        try:
+            return self._parents[node]
+        except KeyError:
+            raise UnknownNode(f"unknown node {node!r}") from None
 
     def topological_order(self) -> tuple[str, ...]:
         """Topological order of the directed part, name-sorted tie-break;
@@ -553,8 +556,9 @@ def enumerate_adjustment_sets(
     lexicographic by sorted member names) order when admissible, stopping
     after ``max_count``. The parent set of ``x`` is guaranteed to be
     included whenever ``x`` carries no confounding arc and no parent is latent
-    or ``y``: if the listing fills all ``max_count`` slots without it, it
-    replaces the final slot, and otherwise it is appended.
+    or ``y``, even when its members lie outside ``candidates``: if the
+    listing fills all ``max_count`` slots without it, it replaces the final
+    slot, and otherwise it is appended.
 
     ``candidates`` optionally restricts the search pool (default: every
     non-latent node that is not ``x``, ``y`` or a descendant of ``x``).

@@ -357,7 +357,7 @@ def causal_influence(
 def _kept_families(m: DiscreteModel, keep: Sequence[str]) -> list[tuple[str, ...]]:
     """Each kept node with its kept parents, as sorted node tuples."""
     keep_set = set(keep)
-    return [tuple(sorted({n, *(m.structure.parents(n) & keep_set)})) for n in keep]
+    return [tuple(sorted({n, *keep_set.intersection(m.structure.parents(n))})) for n in keep]
 
 
 def _induced_submodel(

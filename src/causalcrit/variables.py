@@ -113,12 +113,12 @@ def build_model(
 ) -> DiscreteModel:
     """Validate spec coverage and CPD/graph consistency, then freeze the model.
     Each CPD must come from the CPD check: ``make_cpd``, a model file or data."""
-    spec_map = dict(specs)
+    spec_map, nodes = dict(specs), set(structure.nodes)
     for node in structure.nodes:
         if node not in spec_map:
             raise ValidationError(f"no variable spec for node {node!r}")
     for name, sp in spec_map.items():
-        if name not in structure.nodes:
+        if name not in nodes:
             raise UnknownNode(f"spec for undeclared node {name!r}")
         if sp.name != name:
             raise ValidationError(f"spec name {sp.name!r} filed under {name!r}")
@@ -128,8 +128,7 @@ def build_model(
             raise ValidationError(f"CPD for {cpd.child!r} has not passed the CPD check: make it with make_cpd")
         if cpd.child in cpd_map:
             raise ValidationError(f"duplicate CPD for {cpd.child!r}")
-        structure.ensure_nodes((cpd.child,))
-        expected = structure._parents[cpd.child]  # name-sorted
+        expected = structure.parents(cpd.child)
         if cpd.parents != expected:
             raise ValidationError(
                 f"CPD for {cpd.child!r} conditions on {cpd.parents}, "

@@ -3,7 +3,9 @@
 Everything here enumerates assignments with plain dict/loop code so the
 library's array-based computations are checked against a genuinely separate
 path: row indices accumulate by hand, joints are dict-valued, blocking is
-decided on explicitly enumerated simple paths.
+decided on explicitly enumerated simple paths. The one exception,
+:func:`exact_replay`, replays the library's own elimination plan in exact
+arithmetic, so that a plan can be checked apart from its rounding.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from causalcrit import model
 from causalcrit.graph import backdoor_admissible
 
 
@@ -169,18 +172,22 @@ def brute_closure(m, over, clamped=()):
     return needed
 
 
-def exact_joint(m, scope, do=None):
+def exact_joint(m, scope, do=None, over=None):
     """The joint of ``m`` over ``scope`` in exact rational arithmetic, as
     {label-index tuple over sorted(scope): Fraction}; a cell left out is 0.
 
-    Every assignment of the scope's ancestral closure (see
-    :func:`brute_closure`) is enumerated, and each CPD entry counts as the
-    exact value of its float. ``do`` maps intervened nodes to one label
+    Every assignment of the ancestral closure (see :func:`brute_closure`)
+    of ``over``, a superset of the scope that defaults to the scope, is
+    enumerated, and each CPD entry counts as the exact value of its float.
+    A CPD row's floats need not sum to exactly 1, so summing out a node of
+    that closure outside the scope's own can move the exact value: with
+    ``over`` the union of a batch's scopes, the joint is the one that the
+    batch's elimination computes. ``do`` maps intervened nodes to one label
     index each: such a node is a point mass on its label, so only the
     assignments that agree with it count, and its CPD is not read.
     """
     do = do or {}
-    names = sorted(brute_closure(m, scope, do))
+    names = sorted(brute_closure(m, over or scope, do))
     exact = {n: [list(map(Fraction, row)) for row in m.cpds[n].table.tolist()] for n in names if n not in do}
     out = {}
     for labels in itertools.product(*(range(m.specs[n].cardinality) for n in names)):
@@ -196,6 +203,34 @@ def exact_joint(m, scope, do=None):
         key = tuple(a[n] for n in sorted(scope))
         out[key] = out.get(key, 0) + p
     return out
+
+
+def exact_replay(m, scopes, do=None):
+    """The joints of ``model.joint_tables(m, scopes, do)``, its plan replayed
+    step for step on ``Fraction`` object arrays: one list entry per scope.
+
+    Unlike the oracles above, this one runs the library's own plan, so it
+    separates a wrong plan from rounding: each CPD cell counts as the exact
+    value of its float, a do() selector and a ones factor as exact 0s and
+    1s, and every product and sum is exact. The query is planned as one
+    batch, so it must stay within the state-space limit. ``np.einsum``
+    takes object arrays from numpy 1.25 on.
+    """
+    do = do or {}
+    scopes = tuple(tuple(sorted(set(s))) for s in scopes)
+    plan = model._plan(m, scopes, {n: len(rows) for n, rows in do.items()})
+    arrays = [None] * len(plan.axes)
+    for k, _, shape in plan.ones:
+        arrays[k] = np.full(shape, Fraction(1), dtype=object)
+    for k, n, shape in plan.tables:
+        if n in do:
+            rows = [[Fraction(int(i == label)) for i in range(m.specs[n].cardinality)] for label in do[n]]
+        else:
+            rows = [list(map(Fraction, row)) for row in m.cpds[n].table.tolist()]
+        arrays[k] = np.array(rows, dtype=object).reshape(shape)
+    for k, subscripts, ins in plan.steps:
+        arrays[k] = np.einsum(subscripts, *[arrays[j] for j in ins])
+    return [np.asarray(arrays[k], dtype=object).reshape(out) for k, out in zip(plan.reads, plan.outs)]
 
 
 def brute_missing_cpds(m, over, clamped=()):

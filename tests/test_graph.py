@@ -125,6 +125,12 @@ class TestReachability:
         with pytest.raises(UnknownNode):
             descendants(chain_abc(), "Z")
 
+    def test_parents_are_the_name_sorted_tuple_a_cpd_carries(self):
+        s = build_structure(["C", "A", "B"], [("C", "B"), ("A", "B")])
+        assert s.parents("B") == ("A", "C") and s.parents("A") == ()
+        with pytest.raises(UnknownNode, match="^unknown node 'Z'$"):
+            s.parents("Z")
+
     def test_friction_metric_components_descend_from_cof(self, friction_relation):
         _, model = friction_relation
         down = descendants(model.structure, "Coefficient of friction")

@@ -43,6 +43,7 @@ from oracles import (
     brute_sample,
     conditionally_independent,
     exact_joint,
+    exact_replay,
 )
 
 
@@ -843,20 +844,27 @@ class TestDeepElimination:
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
+def _exact_query(data):
+    """A model small enough for exact arithmetic, 1-3 scopes, and do() rows
+    for up to two nodes: (model, scopes, row count, do)."""
+    m = data.draw(random_models(sparse=data.draw(st.booleans())) | chain_models(states=256))
+    nodes = list(reversed(m.structure.nodes))
+    scopes = data.draw(st.lists(st.sets(st.sampled_from(nodes), max_size=3), min_size=1, max_size=3))
+    n_rows = data.draw(st.integers(1, 2))
+    do = {
+        d: data.draw(st.lists(st.integers(0, m.specs[d].cardinality - 1), min_size=n_rows, max_size=n_rows))
+        for d in sorted(data.draw(st.sets(st.sampled_from(nodes), max_size=2)))
+    }
+    return m, scopes, n_rows, do
+
+
 class TestExactValues:
     """Every cell of every joint against exact rational arithmetic."""
 
     @settings(deadline=None)
     @given(st.data())
     def test_every_cell_is_within_1e_14_of_the_exact_value(self, data):
-        m = data.draw(random_models(sparse=data.draw(st.booleans())) | chain_models(states=256))
-        nodes = list(reversed(m.structure.nodes))
-        scopes = data.draw(st.lists(st.sets(st.sampled_from(nodes), max_size=3), min_size=1, max_size=3))
-        n_rows = data.draw(st.integers(1, 2))
-        do = {
-            d: data.draw(st.lists(st.integers(0, m.specs[d].cardinality - 1), min_size=n_rows, max_size=n_rows))
-            for d in sorted(data.draw(st.sets(st.sampled_from(nodes), max_size=2)))
-        }
+        m, scopes, n_rows, do = _exact_query(data)
         if brute_missing_cpds(m, set().union(*scopes), do):
             with pytest.raises(InsufficientInstantiation):
                 joint_tables(m, scopes, do=do)
@@ -873,6 +881,27 @@ class TestExactValues:
                         assert got == 0.0, (scope, r, idx)
                     else:
                         assert abs(Fraction(got) - want) <= want / 10**14, (scope, r, idx, got, float(want))
+
+    @pytest.mark.skipif(
+        np.lib.NumpyVersion(np.__version__) < "1.25.0", reason="np.einsum takes object arrays from numpy 1.25"
+    )
+    @settings(deadline=None)
+    @given(st.data())
+    def test_the_plan_replayed_in_fractions_is_the_exact_joint(self, data):
+        m, scopes, n_rows, do = _exact_query(data)
+        if brute_missing_cpds(m, set().union(*scopes), do):
+            return
+        tables = exact_replay(m, scopes, do)
+        for scope, table in zip(scopes, tables, strict=True):
+            # Each scope is summed out of the joint over the closure of all
+            # of them, which is exact only for that closure.
+            exact = [
+                exact_joint(m, scope, {d: rows[r] for d, rows in do.items()}, over=set().union(*scopes))
+                for r in range(n_rows)
+            ]
+            for idx in np.ndindex(*table.shape):
+                r, cell = (idx[0], idx[1:]) if do else (0, idx)
+                assert table[idx] == exact[r].get(cell, 0), (scope, idx)
 
 
 class TestMarkovProperty:
@@ -932,6 +961,15 @@ class TestSample:
             sample(reality_model, -1, seed=0)
         with pytest.raises(ValidationError, match="seed"):
             sample(reality_model, 10, seed=-1)
+
+    @pytest.mark.parametrize(
+        "n, seed, message",
+        [(2.0, 0, "sample size must be an integer, got 2.0"), (2, 1.5, "seed must be an integer, got 1.5")],
+        ids=["size", "seed"],
+    )
+    def test_a_value_that_is_no_integer_is_refused(self, reality_model, n, seed, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            sample(reality_model, n, seed)
 
     def test_partial_model_rejected(self, reality_model):
         # A sample row assigns every observed node, so sampling needs all of

@@ -12,12 +12,18 @@ nodes before it and 1-3 labels; node names are drawn apart from that order,
 so name order and topological order differ. It asks for 1-4 scopes of 1-3
 nodes and, on about a third of the queries, sets 1-2 nodes on 1-3 do()
 rows. Plans depend only on the structure, the cardinalities and the scopes,
-so every CPD is uniform.
+so every CPD is uniform. The digest is also computed in two subprocesses,
+under PYTHONHASHSEED 1 and 3, so no plan may depend on the order in which
+a set of names is iterated.
 """
 
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from causalcrit import model
 from causalcrit.graph import build_structure
@@ -56,8 +62,27 @@ def _corpus(rng: random.Random):
         yield build_model(s, specs, cpds), tuple(dict.fromkeys(scopes)), do
 
 
-def test_every_plan_of_the_seeded_corpus_is_pinned():
+def _digest() -> str:
     digest = hashlib.sha256()
     for m, scopes, do in _corpus(random.Random(11)):
         digest.update(repr(tuple(model._plan(m, scopes, do))).encode())
-    assert digest.hexdigest() == PLANS_SHA256
+    return digest.hexdigest()
+
+
+def test_every_plan_of_the_seeded_corpus_is_pinned():
+    assert _digest() == PLANS_SHA256
+
+
+def test_the_digest_does_not_depend_on_the_hash_seed():
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")])
+    for seed in ("1", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import test_plan_digest; print(test_plan_digest._digest())"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", PLANS_SHA256 + "\n"), seed
