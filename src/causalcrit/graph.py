@@ -16,6 +16,7 @@ bitmask Bayes-ball walk on the same candidate sets.
 from __future__ import annotations
 
 import heapq
+import operator
 import weakref
 from collections import deque
 from functools import cached_property
@@ -579,12 +580,30 @@ def enumerate_adjustment_sets(
     when the paths that I | {i} misses outnumber the members still to add or
     one of them has no pool member after i. Any packing is a valid bound, so
     no maximum flow is needed; none at all means the empty set is admissible.
+
+    The walk starts again at every size, so it meets the same Z many times,
+    and each distinct Z is put to the check once per call. One answer per Z
+    is exact because :meth:`_BackdoorCheck.admits_mask` reads its ancestor
+    mask only outside An({x, y}), and there every mask passed for Z equals
+    An(Z): a leaf passes An(Z) itself, and Z0 lies inside An({x, y}). A
+    prefix check passes An(I) for Z* = An({x, y} | I) & (I | R'); Z* holds
+    I and lies inside An({x, y}) | An(I), so outside An({x, y}) its own
+    ancestors are An(I)'s.
+
+    A ``max_count`` that is a bool or no integer raises
+    :class:`InvalidQuery`; one <= 0 lists nothing.
     """
     s.ensure_nodes({x, y})
     if x == y:
         raise InvalidQuery("x and y must differ")
     if x in s.latent or y in s.latent:
         raise InvalidQuery("x and y must be non-latent")
+    try:
+        if isinstance(max_count, bool):
+            raise TypeError
+        max_count = operator.index(max_count)
+    except TypeError:
+        raise InvalidQuery(f"max_count must be an integer, got {max_count!r}") from None
     if max_count <= 0:
         return []
 
@@ -597,7 +616,16 @@ def enumerate_adjustment_sets(
         pool = sorted(n for n in set(cand) if n not in banned)
 
     check = _backdoor_check(s, x, y)
-    admits, area = check.admits_mask, check._area
+    ask, area = check.admits_mask, check._area
+    answers: dict[int, bool] = {}
+
+    def admits(z: int, z_area: int) -> bool:
+        """``ask``, put once per distinct ``z``."""
+        answer = answers.get(z)
+        if answer is None:
+            answer = answers[z] = ask(z, z_area)
+        return answer
+
     bits = [1 << check._index[n] for n in pool]
     ancestors_of = [check._ancestors[check._index[n]] for n in pool]
     # tail[i]: the pool members from position i on.

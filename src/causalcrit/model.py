@@ -18,6 +18,7 @@ answers the joints that the route and indicator steps ask for.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
 import warnings
@@ -664,8 +665,10 @@ def _config_codes(
 
 
 def _non_negative(what: str, value) -> int:
-    """``value`` as an int, refused unless it is an integer >= 0."""
+    """``value`` as an int, refused unless it is an integer >= 0 and no bool."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None
@@ -683,7 +686,7 @@ def sample(m: DiscreteModel, n: int, seed: int) -> Dataset:
     order, takes one ``default_rng(seed).random(n)`` draw u, and row r's label
     is the number of cumulative CPD columns below u_r, the last one left out.
     A sample that does not fit in memory raises :class:`ValidationError`, as
-    does an ``n`` or ``seed`` that is negative or no integer.
+    does an ``n`` or ``seed`` that is negative, a bool or no integer.
     """
     n, seed = _non_negative("sample size", n), _non_negative("seed", seed)
     observed = [node for node in m.structure.nodes if node not in m.structure.latent]
@@ -726,8 +729,12 @@ def estimate_cpds(
     :class:`StateSpaceExceeded` before the table is built. With smoothing
     a = 0, a parent configuration that never occurs leaves the row
     undefined: the node is dropped from the instantiated set and an
-    :class:`UnseenParentConfigurationWarning` is emitted per empty row.
+    :class:`UnseenParentConfigurationWarning` is emitted per empty row. A
+    smoothing that is a bool, no real number, negative or not finite raises
+    :class:`ValidationError`.
     """
+    if isinstance(smoothing, bool) or not isinstance(smoothing, numbers.Real):
+        raise ValidationError(f"smoothing must be a real number, got {smoothing!r}")
     if not 0 <= smoothing <= sys.float_info.max:
         raise ValidationError(f"smoothing must be finite and >= 0, got {smoothing}")
     records = int(dataset.counts.sum())

@@ -274,6 +274,14 @@ class TestEnumeration:
     def test_zero_count_lists_nothing(self, candidate_model):
         assert enumerate_adjustment_sets(candidate_model.structure, "X", "phi", 0) == []
 
+    @pytest.mark.parametrize("max_count", [True, 2.5, "3"], ids=["bool", "float", "str"])
+    def test_a_count_that_is_no_integer_is_refused(self, candidate_model, max_count):
+        # A bool counts as 1 or 0 and 2.5 compares with a count, so neither fails
+        # on its own; "3" fails the comparison with a bare TypeError.
+        message = f"max_count must be an integer, got {max_count!r}"
+        with pytest.raises(InvalidQuery, match=f"^{re.escape(message)}$"):
+            enumerate_adjustment_sets(candidate_model.structure, "X", "phi", max_count)
+
     def test_parent_set_guarantee_under_truncation(self, candidate_model):
         # {V2} is found first; truncation to one slot must still surface the
         # always-valid parent set {V1, V2}.
@@ -303,24 +311,42 @@ class TestEnumeration:
         assert frozenset(FRICTION_ADJUSTMENT_SET) in sets
 
     @pytest.mark.parametrize(
-        "max_count, checks, digest",
+        "max_count, measurable, checks, digest",
         [
-            (16, 283, "b16c2fced40ef764136979c1410c5d00c5da0e49c32c2f2831d04d17925b0693"),
-            (1000, 7561, "6c90fda8041beecb46f3dad574345aab96a1d9c9b25c5a493eb75389eca688cc"),
+            (16, False, 228, "b16c2fced40ef764136979c1410c5d00c5da0e49c32c2f2831d04d17925b0693"),
+            (1000, False, 5890, "6c90fda8041beecb46f3dad574345aab96a1d9c9b25c5a493eb75389eca688cc"),
+            (1 << 13, True, 256, "05822894ffcf2073aed647059b2c5805bda5da0615f290d187c36c066500294a"),
         ],
+        ids=["default", "max-1000", "measurable-pool"],
     )
-    def test_path_bound_cuts_the_friction_walk(self, friction_relation, max_count, checks, digest):
+    def test_path_bound_cuts_the_friction_walk(
+        self, friction_relation, max_count, measurable, checks, digest
+    ):
         # The default query (--max 16) and --max 1000 over the whole 33-node
-        # pool. Without the disjoint-path bound the walk made 124,929 and
-        # 648,989 checks for the same lists, pinned here by digest.
+        # pool, and all 129 sets of the 12-variable measurable pool. Without
+        # the disjoint-path bound the walk made 124,929 and 648,989 checks
+        # for the first two lists, pinned here by digest. The walk starts
+        # again at every size; asking the check once per distinct set, not
+        # once per visit, cut 283, 7,561 and 1,096 checks to those pinned.
+        from causalcrit.fixtures import FRICTION_MEASURABLE_POOL
+
         relation, model = friction_relation
         s, x, y = model.structure, relation.phenomenon.variable, relation.metric
-        check = _backdoor_check(s, x, y)
-        with mock.patch.object(check, "admits_mask", wraps=check.admits_mask) as spy:
-            sets = enumerate_adjustment_sets(s, x, y, max_count)
-        assert spy.call_count == checks
+        pool = FRICTION_MEASURABLE_POOL if measurable else None
+        sets, asked = walk_asking(s, x, y, max_count, pool)
+        assert len(set(asked)) == len(asked) == checks
+        assert len(sets) == (129 if measurable else max_count)
         listed = json.dumps([sorted(adj) for adj in sets]).encode()
         assert hashlib.sha256(listed).hexdigest() == digest
+
+
+def walk_asking(s, x, y, max_count, candidates=None):
+    """The list :func:`enumerate_adjustment_sets` returns, and the Z masks
+    it puts to the back-door check, in the order asked."""
+    check = _backdoor_check(s, x, y)
+    with mock.patch.object(check, "admits_mask", wraps=check.admits_mask) as spy:
+        sets = enumerate_adjustment_sets(s, x, y, max_count, candidates)
+    return sets, [call.args[0] for call in spy.call_args_list]
 
 
 # -- randomized properties ------------------------------------------------------
@@ -489,28 +515,50 @@ def test_enumeration_contains_parent_set(graph, data):
             assert enumerate_adjustment_sets(s, x, y, max_count, candidates) == expected
 
 
-@given(shuffled_graphs(max_nodes=9), st.data())
+@st.composite
+def walk_queries(draw, max_nodes=9):
+    """(structure, x, y, candidates): a shuffled graph with up to three
+    confounding arcs and two latent nodes, x and y observed, and a random
+    pool or None; None when fewer than two nodes are observed."""
+    nodes, edges = draw(shuffled_graphs(max_nodes=max_nodes))
+    pairs = list(itertools.combinations(sorted(nodes), 2))
+    arcs = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3)) if pairs else []
+    free = [n for n in nodes if not any(n in arc for arc in arcs)]
+    latent = draw(st.sets(st.sampled_from(free), max_size=2)) if free else set()
+    observed = sorted(set(nodes) - latent)
+    if len(observed) < 2:
+        return None
+    x, y = draw(st.permutations(observed))[:2]
+    candidates = draw(st.none() | st.sets(st.sampled_from(nodes)))
+    return build_structure(nodes, edges, arcs, latent), x, y, candidates
+
+
+@given(walk_queries())
 @settings(max_examples=swept(120), deadline=None)
-def test_pruned_walk_matches_plain_scan(graph, data):
+def test_pruned_walk_matches_plain_scan(query):
     # The walk skips prefixes that no admissible superset can complete; the
     # plain scan puts every subset to the back-door check. The lists must
     # agree at every cut, so the prune may drop no set and reorder none.
-    nodes, edges = graph
-    pairs = list(itertools.combinations(sorted(nodes), 2))
-    arcs = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3)) if pairs else []
-    free = [n for n in nodes if not any(n in arc for arc in arcs)]
-    latent = data.draw(st.sets(st.sampled_from(free), max_size=2)) if free else set()
-    observed = sorted(set(nodes) - latent)
-    if len(observed) < 2:
+    if query is None:
         return
-    x, y = data.draw(st.permutations(observed))[:2]
-    candidates = data.draw(st.none() | st.sets(st.sampled_from(nodes)))
-    s = build_structure(nodes, edges, arcs, latent)
-    every = plain_adjustment_scan(s, x, y, 1 << len(nodes), candidates)
+    s, x, y, candidates = query
+    every = plain_adjustment_scan(s, x, y, 1 << len(s.nodes), candidates)
     for max_count in range(1, len(every) + 3):
         assert enumerate_adjustment_sets(s, x, y, max_count, candidates) == (
             plain_adjustment_scan(s, x, y, max_count, candidates)
         )
+
+
+@given(walk_queries(), st.integers(1, 1 << 9))
+@settings(max_examples=swept(120), deadline=None)
+def test_walk_asks_each_set_once(query, max_count):
+    # One call puts each distinct Z to the back-door check at most once;
+    # every later visit reuses its answer.
+    if query is None:
+        return
+    s, x, y, candidates = query
+    _, asked = walk_asking(s, x, y, max_count, candidates)
+    assert len(asked) == len(set(asked))
 
 
 @given(shuffled_graphs(max_nodes=9), st.data())

@@ -964,8 +964,14 @@ class TestSample:
 
     @pytest.mark.parametrize(
         "n, seed, message",
-        [(2.0, 0, "sample size must be an integer, got 2.0"), (2, 1.5, "seed must be an integer, got 1.5")],
-        ids=["size", "seed"],
+        [
+            (2.0, 0, "sample size must be an integer, got 2.0"),
+            (2, 1.5, "seed must be an integer, got 1.5"),
+            # operator.index takes a bool as 1 or 0.
+            (True, 0, "sample size must be an integer, got True"),
+            (1, False, "seed must be an integer, got False"),
+        ],
+        ids=["size", "seed", "bool-size", "bool-seed"],
     )
     def test_a_value_that_is_no_integer_is_refused(self, reality_model, n, seed, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
@@ -1048,6 +1054,14 @@ class TestEstimate:
     def test_non_finite_or_negative_smoothing_rejected(self, reality_model, smoothing):
         ds = sample(reality_model, 50, seed=1)
         with pytest.raises(ValidationError, match="smoothing must be finite and >= 0"):
+            estimate_cpds(reality_model.structure, reality_model.specs, ds, smoothing)
+
+    @pytest.mark.parametrize("smoothing", [True, "1"], ids=["bool", "str"])
+    def test_a_smoothing_that_is_no_real_number_is_refused(self, reality_model, smoothing):
+        # A bool adds as 1 or 0, and a string fails the range check with a bare TypeError.
+        ds = sample(reality_model, 50, seed=1)
+        message = f"smoothing must be a real number, got {smoothing!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             estimate_cpds(reality_model.structure, reality_model.specs, ds, smoothing)
 
     def test_smoothing_that_overflows_the_row_totals_rejected(self, reality_model):
