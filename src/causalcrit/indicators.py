@@ -110,15 +110,15 @@ def _align(
     mapping = isinstance(p, abc.Mapping)
     if mapping != isinstance(q, abc.Mapping):
         raise ValidationError("cannot mix mapping and sequence distributions")
-    if mapping:
-        if set(p) != set(q):
-            raise ValidationError("distributions have different supports")
-        keys = sorted(p)
-        return (
-            np.asarray([p[k] for k in keys], dtype=float),
-            np.asarray([q[k] for k in keys], dtype=float),
-        )
-    pa, qa = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    if mapping and set(p) != set(q):
+        raise ValidationError("distributions have different supports")
+    try:
+        if mapping:
+            keys = sorted(p)
+            p, q = [p[k] for k in keys], [q[k] for k in keys]
+        pa, qa = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    except (TypeError, ValueError):  # entries that are not numbers, ragged rows or unsortable keys
+        raise ValidationError("distributions need numbers, in equal-length rows or under sortable keys") from None
     if pa.shape != qa.shape:
         raise ValidationError("distributions have different support sizes")
     return pa, qa
@@ -134,8 +134,8 @@ def kl_divergence(
     ``p`` and ``q`` are mappings over the same keys or arrays of the same
     shape, compared cell by cell. Terms with p = 0 contribute nothing; p > 0
     against q = 0 raises :class:`InfiniteDivergence` instead of silently
-    returning infinity. A negative or non-finite entry in either argument
-    raises :class:`ValidationError`.
+    returning infinity. Ragged rows, or an entry in either argument that is
+    not a finite non-negative number, raise :class:`ValidationError`.
     """
     pa, qa = _align(p, q)
     both = np.concatenate((pa, qa), axis=None)
@@ -350,6 +350,8 @@ def causal_influence(
     only the joint over the child's parents, and every P(pa_c) comes from one
     calibrated elimination, in one round of :func:`~causalcrit.model._run`.
     """
+    if isinstance(edges, str):  # not read as its characters
+        raise InvalidQuery(f"edges needs a collection of (parent, child) pairs, got {edges!r}")
     (value,) = _run([_influence_step(m, edges, bits)])
     return value
 

@@ -397,11 +397,7 @@ def load_model(path: PathLike) -> tuple[CausalRelation, DiscreteModel]:
     return parse_model_text(_read_text(path))
 
 
-def load_dataset(
-    path: PathLike,
-    specs: Mapping[str, VariableSpec],
-    provenance: str = "real-world",
-) -> Dataset:
+def load_dataset(path: PathLike, specs: Mapping[str, VariableSpec]) -> Dataset:
     """Comma-separated labels, first row names the variables: the file's
     distinct records, in order of first occurrence, each with its count.
 
@@ -447,7 +443,7 @@ def load_dataset(
         records[codes] = records.get(codes, 0) + count
     table = np.fromiter(chain.from_iterable(records), dtype=np.intp, count=len(records) * len(columns))
     return Dataset(columns=columns, codes=tuple(table.reshape(len(records), len(columns)).T),
-                   domains=tuple(specs[c].domain for c in columns), provenance=provenance,
+                   domains=tuple(specs[c].domain for c in columns),
                    counts=np.fromiter(records.values(), dtype=np.int64, count=len(records)))
 
 

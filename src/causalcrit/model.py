@@ -23,6 +23,7 @@ import operator
 import sys
 import warnings
 import weakref
+from contextlib import suppress
 from typing import Callable, Collection, Generator, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -67,6 +68,9 @@ def make_cpd(
 ) -> Cpd:
     """One CPD, checked against the variable specs: the one-table case of
     :func:`_cpds`, the check that each model's CPDs pass in one call."""
+    with suppress(TypeError):  # a table that is not rows of cells fails the table check
+        if any(isinstance(cell, (bool, np.bool_)) for row in table for cell in row):
+            table = None  # numpy reads a bool as 0 or 1, so it fails as in a table of bools
     return _cpds([(child, parents, table)], specs)[0]
 
 
@@ -153,11 +157,12 @@ class Dataset:
     columns: tuple[str, ...]
     codes: tuple[np.ndarray, ...]
     domains: tuple[tuple[str, ...], ...]
-    provenance: str = "fixture"
     counts: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        columns, domains = tuple(self.columns), tuple(map(tuple, self.domains))
+        columns, domains = tuple(self.columns), tuple(d if isinstance(d, str) else tuple(d) for d in self.domains)
+        if isinstance(self.columns, str):  # a bare string is refused, not read as its characters
+            raise ValidationError(f"columns needs a collection of column names, got {self.columns!r}")
         if len(domains) != len(columns) or len(self.codes) != len(columns):
             raise ValidationError("a dataset needs one code array and one domain per column")
         for k, c in enumerate(columns):
@@ -165,6 +170,8 @@ class Dataset:
                 raise ValidationError(f"column {c!r} appears twice")
         codes = []
         for c, domain, arr in zip(columns, domains, self.codes):
+            if isinstance(domain, str):
+                raise ValidationError(f"column {c!r}: domains needs a collection of labels, got {domain!r}")
             arr = np.array(arr)
             if arr.ndim != 1 or (codes and arr.shape != codes[0].shape):
                 raise ValidationError(f"column {c!r}: codes must be one array of one length per column")
@@ -201,7 +208,6 @@ class Dataset:
         return (
             self.columns == other.columns
             and self.domains == other.domains
-            and self.provenance == other.provenance
             and all(np.array_equal(a, b) for a, b in zip(self.codes, other.codes))
             and np.array_equal(self.counts, other.counts)
         )
@@ -706,7 +712,6 @@ def sample(m: DiscreteModel, n: int, seed: int) -> Dataset:
             columns=tuple(observed),
             codes=tuple(drawn[c] for c in observed),
             domains=tuple(m.specs[c].domain for c in observed),
-            provenance="synthetic",
         )
     except MemoryError:
         raise ValidationError(f"a sample of {n} rows does not fit in memory") from None

@@ -42,6 +42,8 @@ class VariableSpec:
     def __post_init__(self):
         if not self.name:
             raise ValidationError("variable name must be non-empty")
+        if isinstance(self.domain, str):  # not read as its characters
+            raise ValidationError(f"{self.name}: domain needs a collection of labels, got {self.domain!r}")
         if len(self.domain) < 1:
             raise ValidationError(f"{self.name}: domain must have at least one label")
         if len(set(self.domain)) != len(self.domain):

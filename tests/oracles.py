@@ -285,7 +285,6 @@ def brute_tally(dataset):
         columns=dataset.columns,
         codes=tuple([row[k] for row in tally] for k in range(len(dataset.columns))),
         domains=dataset.domains,
-        provenance=dataset.provenance,
         counts=list(tally.values()),
     )
 

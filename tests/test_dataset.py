@@ -57,13 +57,12 @@ def _spec(name, labels):
     return VariableSpec(name=name, domain=tuple(labels), codes=tuple(float(k) for k in range(len(labels))))
 
 
-def dataset_of(columns, rows, specs, provenance="fixture", counts=None):
+def dataset_of(columns, rows, specs, counts=None):
     """The dataset of label rows, built from each label's index in its spec."""
     return Dataset(
         columns=tuple(columns),
         codes=tuple([specs[c].domain.index(row[k]) for row in rows] for k, c in enumerate(columns)),
         domains=tuple(specs[c].domain for c in columns),
-        provenance=provenance,
         counts=counts,
     )
 
@@ -149,9 +148,18 @@ class TestDatasetType:
         a = Dataset(columns=("A",), codes=([0, 1],), domains=(("no", "yes"),))
         assert a == Dataset(columns=("A",), codes=(np.array([0, 1]),), domains=(("no", "yes"),))
         assert a != Dataset(columns=("A",), codes=([1, 1],), domains=(("no", "yes"),))
-        assert a != Dataset(columns=("A",), codes=([0, 1],), domains=(("no", "yes"),), provenance="x")
         assert a == Dataset(columns=("A",), codes=([0, 1],), domains=(("no", "yes"),), counts=[1, 1])
         assert a != Dataset(columns=("A",), codes=([0, 1],), domains=(("no", "yes"),), counts=[1, 2])
+
+    def test_bare_string_columns_rejected(self):
+        # Read as its characters, "XY" was the two columns X and Y.
+        with pytest.raises(ValidationError, match="^columns needs a collection of column names, got 'XY'$"):
+            Dataset(columns="XY", codes=([0], [0]), domains=(("a", "b"), ("a", "b")))
+
+    def test_bare_string_domain_rejected(self):
+        # Read as its characters, the domain "ab" was ("a", "b").
+        with pytest.raises(ValidationError, match="^column 'A': domains needs a collection of labels, got 'ab'$"):
+            Dataset(columns=("A",), codes=([0, 1],), domains=("ab",))
 
     def test_counts_default_to_one_and_are_read_only(self):
         counts = np.array([3, 0], dtype=np.uint8)
@@ -195,11 +203,11 @@ class TestRoundTrip:
     @given(labelled_tables())
     def test_save_load_estimate(self, tmp_path_factory, table):
         names, specs, structure, rows = table
-        ds = dataset_of(names, rows, specs, provenance="synthetic")
+        ds = dataset_of(names, rows, specs)
         path = tmp_path_factory.mktemp("csv") / "d.csv"
         save_dataset(path, ds)
         assert path.read_bytes() == reference_csv(names, rows)
-        back = load_dataset(path, specs, provenance="synthetic")
+        back = load_dataset(path, specs)
         assert back == brute_tally(ds)
         if not rows:
             return
@@ -391,7 +399,7 @@ class TestLoadErrors:
         assert load_error(path) is None
         # "CP, Slow" and "CP,Slow " are one record.
         expected = dataset_of(["X", "V2"], [("CP", "Slow"), ("notCP", "Fast")], SPECS, counts=[2, 1])
-        assert load_dataset(path, SPECS, provenance="fixture") == expected
+        assert load_dataset(path, SPECS) == expected
 
     def test_invalid_utf8_is_parse_error(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -461,7 +469,7 @@ class TestCounts:
         path = tmp_path_factory.mktemp("csv") / "d.csv"
         path.write_text(text, encoding="utf-8", newline="")
         loaded = load_dataset(path, specs)
-        assert loaded == brute_tally(dataset_of(header, rows, specs, provenance="real-world"))
+        assert loaded == brute_tally(dataset_of(header, rows, specs))
         expanded = Dataset(
             columns=loaded.columns,
             codes=tuple(np.repeat(codes, loaded.counts) for codes in loaded.codes),
@@ -475,12 +483,12 @@ class TestCounts:
     def test_weighted_save_load_estimate(self, tmp_path_factory, table, data, positive):
         names, specs, structure, rows = table
         counts = data.draw(st.lists(st.integers(0, 3), min_size=len(rows), max_size=len(rows)), label="counts")
-        ds = dataset_of(names, rows, specs, provenance="synthetic", counts=counts)
+        ds = dataset_of(names, rows, specs, counts=counts)
         path = tmp_path_factory.mktemp("csv") / "d.csv"
         save_dataset(path, ds)
         repeated = [row for row, count in zip(rows, counts) for _ in range(count)]
         assert path.read_bytes() == reference_csv(names, repeated)
-        assert load_dataset(path, specs, provenance="synthetic") == brute_tally(ds)
+        assert load_dataset(path, specs) == brute_tally(ds)
         assert_same_estimates(structure, specs, ds, dataset_of(names, repeated, specs), positive)
 
     def test_unseen_configuration_warns_once_per_row(self):

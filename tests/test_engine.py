@@ -188,7 +188,6 @@ class TestParentAdjust:
             columns=tuple(columns),
             codes=tuple(zip(*rows)),
             domains=tuple(relation.specs[c].domain for c in columns),
-            provenance="synthetic",
         )
         est = estimate_cpds(model.structure, relation.specs, ds)
         assert est.instantiated == {

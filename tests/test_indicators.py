@@ -132,6 +132,21 @@ class TestKl:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             kl_divergence(p, q)
 
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            (["a"], ["b"]),
+            ({"a": "x"}, {"a": 0.5}),
+            ([[0.5], [0.5, 0.5]], [[0.5], [0.5, 0.5]]),
+            ({"a": 0.5, 1: 0.5}, {"a": 0.5, 1: 0.5}),
+        ],
+        ids=["strings", "string-value", "ragged", "unsortable-keys"],
+    )
+    def test_entries_that_are_not_numbers_rejected(self, p, q):
+        # numpy raised a bare ValueError or TypeError for each of these.
+        with pytest.raises(ValidationError, match="^distributions need numbers"):
+            kl_divergence(p, q)
+
     def test_bits_rescale(self):
         nats = kl_divergence([0.6, 0.4], [0.68, 0.32])
         bits = kl_divergence([0.6, 0.4], [0.68, 0.32], bits=True)
@@ -415,6 +430,11 @@ class TestCausalInfluence:
     def test_edge_outside_the_structure_rejected(self, reality_model):
         with pytest.raises(InvalidQuery, match=r"^edge \('phi', 'X'\) is not in the structure$"):
             causal_influence(reality_model, [("phi", "X")])
+
+    def test_bare_string_edges_rejected(self, reality_model):
+        # Read one character at a time, "V1X" was the edge ('1',).
+        with pytest.raises(InvalidQuery, match=r"^edges needs a collection of \(parent, child\) pairs, got 'V1X'$"):
+            causal_influence(reality_model, "V1X")
 
     def test_ignored_parent_gives_zero(self):
         specs = {

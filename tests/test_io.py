@@ -589,7 +589,7 @@ class TestDataset:
         # One line per sampled row, in sampling order.
         rows = zip(*(np.array(domain)[codes].tolist() for codes, domain in zip(ds.codes, ds.domains)))
         assert path.read_bytes() == "".join(f"{','.join(r)}\n" for r in [ds.columns, *rows]).encode()
-        back = load_dataset(path, relation.specs, provenance="synthetic")
+        back = load_dataset(path, relation.specs)
         assert back == brute_tally(ds)
         assert back.counts.sum() == 250 and len(back) < 250
 

@@ -193,7 +193,9 @@ class TestValidation:
             make_cpd("B", ("A",), [[0.5, 0.5], [1.0]], specs)
 
     @pytest.mark.parametrize(
-        "table", [[["0.5", "0.5"]], [[True, False]], [[0.5, None]]], ids=["str", "bool", "None"]
+        "table",
+        [[["0.5", "0.5"]], [[True, False]], [[0.5, None]], [[True, 0.0]], [[0.0, np.True_]]],
+        ids=["str", "bool", "None", "bool-beside-number", "numpy-bool-beside-number"],
     )
     def test_cpd_cells_must_be_numbers(self, table):
         # numpy would read each of these as floats; only integers and floats are numbers here.
@@ -201,11 +203,38 @@ class TestValidation:
         with pytest.raises(ValidationError, match="^CPD for 'A': table must be a list of equal-length rows of numbers$"):
             make_cpd("A", (), table, specs)
 
+    @settings(deadline=None)
+    @given(st.data())
+    def test_one_bad_cell_is_refused(self, data):
+        # numpy reads True beside numbers as 1.0, so the table check alone
+        # would take [[True, 0.0]] for a valid table.
+        parents = ("P1", "P2")[: data.draw(st.integers(0, 2), label="parents")]
+        card = data.draw(st.integers(1, 3), label="card")
+        specs = {"A": VariableSpec("A", tuple("abc"[:card]), tuple(map(float, range(card))))}
+        specs.update((p, binary_spec(p)) for p in parents)
+        weights = st.lists(st.integers(1, 9), min_size=card, max_size=card)
+        table = [[w / sum(row) for w in row] for row in data.draw(st.lists(
+            weights, min_size=2 ** len(parents), max_size=2 ** len(parents)), label="weights")]
+        r = data.draw(st.integers(0, len(table) - 1), label="row")
+        c = data.draw(st.integers(0, card - 1), label="column")
+        bad = data.draw(st.booleans() | st.sampled_from([np.True_, np.False_]) | st.text(max_size=3) | st.none()
+                        | st.lists(st.floats(0, 1), max_size=2), label="cell")
+        kept, table[r][c] = table[r][c], bad
+        with pytest.raises(ValidationError, match="^CPD for 'A': table must be a list of equal-length rows"):
+            make_cpd("A", parents, table, specs)
+        table[r][c] = kept
+        assert make_cpd("A", parents, table, specs).table.tolist() == table
+
     def test_cpd_parents_must_match_graph(self):
         specs = {"A": binary_spec("A"), "B": binary_spec("B")}
         s = build_structure(["A", "B"], [("A", "B")])
         with pytest.raises(ValidationError):
             build_model(s, specs, [make_cpd("B", (), [[0.5, 0.5]], specs)])
+
+    def test_spec_domain_must_not_be_a_string(self):
+        # A string domain was taken as is, and index_of("ab") found "ab" in it at 0.
+        with pytest.raises(ValidationError, match="^A: domain needs a collection of labels, got 'ab'$"):
+            VariableSpec("A", "ab", (0.0, 1.0))
 
     def test_cpd_that_skipped_the_cpd_check_is_refused(self):
         # A one-node pair with this candidate read rho2 = 0.693 with a NaN
@@ -1132,7 +1161,6 @@ class TestEstimate:
             columns=tuple(ds.columns[k] for k in keep),
             codes=tuple(ds.codes[k] for k in keep),
             domains=tuple(ds.domains[k] for k in keep),
-            provenance="synthetic",
         )
         est = estimate_cpds(reality_model.structure, reality_model.specs, pruned)
         assert est.instantiated == {"V1", "V2", "phi"}

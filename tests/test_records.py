@@ -79,7 +79,7 @@ def datasets(draw):
     codes = [np.array(draw(st.lists(st.integers(0, len(d) - 1), min_size=rows, max_size=rows)), dtype=int)
              for d in domains]
     counts = draw(st.none() | st.lists(st.integers(0, 5), min_size=rows, max_size=rows))
-    return tuple(columns), tuple(codes), tuple(domains), draw(texts), counts
+    return tuple(columns), tuple(codes), tuple(domains), counts
 
 
 @st.composite
